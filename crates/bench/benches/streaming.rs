@@ -4,9 +4,8 @@
 //! Four suites:
 //!
 //! 1. **dispatch** — boxed-per-call vs static [`Codec`] on one 4 KB window.
-//! 2. **whole-offload** — the pre-redesign hot path (boxed codec, fresh
-//!    `Vec` per window, `Vec<Vec<u8>>` stream) against the contiguous
-//!    [`WindowedStream`], recycled buffers, and the parallel window path.
+//! 2. **whole-offload** — the contiguous [`WindowedStream`], fresh and
+//!    with recycled buffers, and the parallel window path.
 //! 3. **memcpy baseline** — a plain `f32` copy of the sweep-sized buffer:
 //!    the hardware ceiling every codec number is expressed against (the
 //!    `*_memcpy_fraction` metrics), so "within a small factor of memcpy"
@@ -19,13 +18,18 @@
 //!    extension codecs — mask+Huffman (`HF`) and the per-window adaptive
 //!    picker (`AD`) — side by side. ZVC's *ratio* is density-only, but
 //!    its *throughput* is density-sensitive — sparser input means fewer
-//!    payload bytes per window — which this suite makes visible.
+//!    payload bytes per window — which this suite makes visible. The
+//!    entropy coders (`HF`, `ZL`, `AD`) also run the same input as 4 KB
+//!    windows (`windowed_4k/*`), the granularity the engine calls them
+//!    at: a coder whose set-up is sized for a whole file looks fine on
+//!    the whole tensor and collapses there.
 //!
 //! Run with `cargo bench -p cdma-bench --bench streaming`; pass `--fast`
 //! (after `--`) for the CI smoke mode: smaller inputs, no zlib rows, same
 //! table shape. The summary asserts the acceptance bars in its output:
-//! streaming ≥ legacy, and the SIMD kernels ≥ 2× the portable
-//! word-at-a-time tier (compress + decompress) at d ≈ 0.38.
+//! the SIMD kernels ≥ 2× the portable word-at-a-time tier (compress +
+//! decompress) at d ≈ 0.38, and every entropy coder's 4 KB-window rate
+//! within [`WINDOWED_BAR`] of its whole-tensor rate.
 
 use cdma_bench::micro::{group, Harness};
 use cdma_bench::trajectory::Trajectory;
@@ -133,17 +137,6 @@ fn density_input(d: f64, fast: bool) -> Vec<f32> {
     gen.generate(shape, Layout::Nchw, d).into_vec()
 }
 
-/// The seed-state hot path: box the codec per offload, allocate a fresh
-/// `Vec<u8>` per window, collect a `Vec<Vec<u8>>`.
-fn legacy_offload(alg: Algorithm, data: &[f32]) -> usize {
-    let codec = alg.boxed();
-    let windows: Vec<Vec<u8>> = data
-        .chunks(WINDOW / 4)
-        .map(|chunk| codec.compress(chunk))
-        .collect();
-    windows.iter().map(Vec::len).sum()
-}
-
 fn bench_dispatch(h: &mut Harness, fast: bool) {
     group("dispatch: boxed-per-call vs static Codec (one 4 KB window)");
     let data = large_sparse_input(fast);
@@ -170,11 +163,6 @@ fn bench_streams(h: &mut Harness, fast: bool) {
         bytes as f64 / (1 << 20) as f64
     ));
     for alg in [Algorithm::Rle, Algorithm::Zvc] {
-        h.bench(
-            &format!("legacy_vec_per_window/{}", alg.label()),
-            bytes,
-            || legacy_offload(alg, &data),
-        );
         let codec = alg.codec();
         h.bench(&format!("contiguous_stream/{}", alg.label()), bytes, || {
             WindowedStream::compress(&codec, &data, WINDOW)
@@ -224,6 +212,21 @@ fn bench_memcpy(h: &mut Harness, fast: bool) {
     });
 }
 
+/// Share of its whole-tensor compress rate an entropy coder must keep on
+/// 4 KB windows. Per window it builds a code (and, for DEFLATE, restarts
+/// the match search) for 4 KB instead of a megabyte, so some loss is the
+/// format's; before that set-up was made window-sized the share was 0.04
+/// for `HF` and 0.2 for `ZL`.
+const WINDOWED_BAR: f64 = 0.25;
+
+/// The entropy-coded lanes of the sweep: label, codec, and whether the
+/// `--fast` smoke mode runs it (LZ77-powered zlib is too slow for it).
+const ENTROPY_LANES: [(&str, Algorithm, bool); 3] = [
+    ("HF", Algorithm::Huff, true),
+    ("AD", Algorithm::Adaptive, true),
+    ("ZL", Algorithm::Zlib, false),
+];
+
 /// One sweep row: compress + decompress GB/s for `codec` at density `d`.
 fn sweep_codec<C: Compressor>(h: &mut Harness, label: &str, codec: &C, d: f64, data: &[f32]) {
     let bytes = (data.len() * 4) as u64;
@@ -259,12 +262,18 @@ fn bench_density_sweep(h: &mut Harness, fast: bool) {
         sweep_codec(h, "ZVscalar", &ScalarZvc, d, &data);
         sweep_codec(h, "RL", &Algorithm::Rle.codec(), d, &data);
         // The entropy-coded and adaptive codecs run in --fast too (the CI
-        // smoke lane greps for their rows); only LZ77-powered zlib is too
-        // slow for the smoke budget.
-        sweep_codec(h, "HF", &Algorithm::Huff.codec(), d, &data);
-        sweep_codec(h, "AD", &Algorithm::Adaptive.codec(), d, &data);
-        if !fast {
-            sweep_codec(h, "ZL", &Algorithm::Zlib.codec(), d, &data);
+        // smoke lane greps for their rows).
+        let bytes = (data.len() * 4) as u64;
+        for (label, alg, in_fast) in ENTROPY_LANES {
+            if fast && !in_fast {
+                continue;
+            }
+            let codec = alg.codec();
+            sweep_codec(h, label, &codec, d, &data);
+            let mut stream = WindowedStream::default();
+            h.bench(&format!("windowed_4k/{label}/d={d:.2}"), bytes, || {
+                stream.recompress(&codec, &data, WINDOW)
+            });
         }
     }
 }
@@ -290,23 +299,23 @@ fn combined(c: f64, d: f64) -> f64 {
 }
 
 fn print_summary(h: &Harness, fast: bool) {
-    // Acceptance bar 1: streaming ≥ legacy on large sparse input.
-    println!();
-    for alg in [Algorithm::Rle, Algorithm::Zvc] {
-        let legacy = gbps(h, &format!("legacy_vec_per_window/{}", alg.label()));
-        let streaming = gbps(h, &format!("contiguous_stream/{}", alg.label()));
-        // 5% tolerance: single-core runs jitter a few percent run-to-run.
-        let verdict = if streaming >= legacy {
+    // Acceptance bar 1: an entropy coder keeps its rate at the engine's
+    // 4 KB granularity, at the paper's average density.
+    println!("\nentropy coders at d=0.38, whole tensor vs 4 KB windows (compress GB/s):");
+    for (label, _, in_fast) in ENTROPY_LANES {
+        if fast && !in_fast {
+            continue;
+        }
+        let whole = gbps(h, &format!("compress/{label}/d=0.38"));
+        let windowed = gbps(h, &format!("windowed_4k/{label}/d=0.38"));
+        let share = windowed / whole.max(1e-12);
+        let verdict = if share >= WINDOWED_BAR {
             "OK"
-        } else if streaming >= legacy * 0.95 {
-            "OK (within noise)"
         } else {
-            "REGRESSION"
+            "WINDOW-BOUND"
         };
         println!(
-            "{}: streaming {streaming:.2} GB/s vs legacy {legacy:.2} GB/s ({:+.1}%)  [{verdict}]",
-            alg.label(),
-            (streaming / legacy.max(1e-12) - 1.0) * 100.0,
+            "{label}: whole {whole:.3}  windowed {windowed:.3}  share {share:.2}  [{verdict}]"
         );
     }
 
@@ -392,7 +401,6 @@ fn record(h: &Harness, fast: bool) {
     let mut t = Trajectory::new("streaming");
     t.metric("fast_mode", fast as u64 as f64);
     for alg in [Algorithm::Rle, Algorithm::Zvc] {
-        t.gbps_from(h, &format!("legacy_vec_per_window/{}", alg.label()));
         t.gbps_from(h, &format!("contiguous_stream/{}", alg.label()));
         t.gbps_from(h, &format!("recompress_recycled/{}", alg.label()));
     }
@@ -405,8 +413,16 @@ fn record(h: &Harness, fast: bool) {
         "ZVportable"
     };
     for d in DENSITIES {
-        for label in ["ZV", portable_label, "ZVscalar", "HF", "AD"] {
+        for label in ["ZV", portable_label, "ZVscalar"] {
             t.gbps_from(h, &format!("compress/{label}/d={d:.2}"));
+            t.gbps_from(h, &format!("decompress/{label}/d={d:.2}"));
+        }
+        for (label, _, in_fast) in ENTROPY_LANES {
+            if fast && !in_fast {
+                continue;
+            }
+            t.gbps_from(h, &format!("compress/{label}/d={d:.2}"));
+            t.gbps_from(h, &format!("windowed_4k/{label}/d={d:.2}"));
             t.gbps_from(h, &format!("decompress/{label}/d={d:.2}"));
         }
         // Fraction-of-memcpy for the dispatched kernel: the honest "how

@@ -18,16 +18,20 @@ pub(crate) fn reverse_bits(code: u32, len: u8) -> u32 {
     code.reverse_bits() >> (32 - len as u32)
 }
 
-/// LSB-first bit writer appending to an owned byte buffer.
-pub(crate) struct LsbWriter {
-    out: Vec<u8>,
+/// LSB-first bit writer appending to a caller's byte buffer.
+///
+/// Bits collect in a 64-bit accumulator and leave four bytes at a time;
+/// [`LsbWriter::align_byte`] (or [`LsbWriter::finish`]) flushes the rest.
+pub(crate) struct LsbWriter<'a> {
+    out: &'a mut Vec<u8>,
     bitbuf: u64,
+    /// Pending bits in `bitbuf`; below 32 between calls.
     nbits: u32,
 }
 
-impl LsbWriter {
-    /// Starts writing at the end of `out` (reusing its allocation).
-    pub(crate) fn with_buffer(out: Vec<u8>) -> Self {
+impl<'a> LsbWriter<'a> {
+    /// Starts writing at the end of `out`.
+    pub(crate) fn new(out: &'a mut Vec<u8>) -> Self {
         LsbWriter {
             out,
             bitbuf: 0,
@@ -35,44 +39,42 @@ impl LsbWriter {
         }
     }
 
-    /// Writes the low `n` bits of `val`, LSB first (`n <= 32`).
+    /// Writes the low `n` bits of `val`, LSB first (`n <= 32`). Huffman
+    /// codes go through here already bit-reversed
+    /// ([`super::huffman::lsb_codes`]).
+    #[inline]
     pub(crate) fn write_bits(&mut self, val: u32, n: u32) {
         debug_assert!(n <= 32);
         debug_assert!(n == 32 || (val as u64) < (1u64 << n));
         self.bitbuf |= (val as u64) << self.nbits;
         self.nbits += n;
-        while self.nbits >= 8 {
-            self.out.push(self.bitbuf as u8);
-            self.bitbuf >>= 8;
-            self.nbits -= 8;
+        if self.nbits >= 32 {
+            self.out
+                .extend_from_slice(&(self.bitbuf as u32).to_le_bytes());
+            self.bitbuf >>= 32;
+            self.nbits -= 32;
         }
     }
 
-    /// Writes a canonical Huffman code of `len` bits (bit-reversed into
-    /// the LSB-first stream, per RFC 1951 §3.1.1).
-    pub(crate) fn write_code(&mut self, code: u32, len: u8) {
-        self.write_bits(reverse_bits(code, len), len as u32);
-    }
-
-    /// Pads the current partial byte with zero bits.
+    /// Pads the current partial byte with zero bits and flushes every
+    /// pending byte.
     pub(crate) fn align_byte(&mut self) {
-        if self.nbits > 0 {
-            self.out.push(self.bitbuf as u8);
-            self.bitbuf = 0;
-            self.nbits = 0;
-        }
+        let pending = self.nbits.div_ceil(8) as usize;
+        self.out
+            .extend_from_slice(&self.bitbuf.to_le_bytes()[..pending]);
+        self.bitbuf = 0;
+        self.nbits = 0;
     }
 
     /// Appends whole bytes; the writer must be byte-aligned.
     pub(crate) fn write_bytes(&mut self, bytes: &[u8]) {
-        debug_assert_eq!(self.nbits, 0, "write_bytes requires byte alignment");
+        debug_assert_eq!(self.nbits, 0, "write_bytes requires align_byte first");
         self.out.extend_from_slice(bytes);
     }
 
-    /// Flushes the final partial byte and returns the buffer.
-    pub(crate) fn finish(mut self) -> Vec<u8> {
+    /// Flushes the final partial byte.
+    pub(crate) fn finish(mut self) {
         self.align_byte();
-        self.out
     }
 }
 
@@ -157,6 +159,25 @@ impl<'a> LsbReader<'a> {
         Ok(b)
     }
 
+    /// Borrows the next `n` whole bytes; the reader must be byte-aligned.
+    pub(crate) fn read_bytes(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        debug_assert_eq!(self.nbits % 8, 0, "read_bytes requires byte alignment");
+        // Whole bytes waiting in the bit buffer go back to the slice.
+        self.pos = self.bytes_consumed();
+        self.bitbuf = 0;
+        self.nbits = 0;
+        let bytes = self.data[self.pos..]
+            .get(..n)
+            .ok_or(DecodeError::Corrupt("unexpected end of stream"))?;
+        self.pos += n;
+        Ok(bytes)
+    }
+
+    /// Input bytes not consumed yet (see [`LsbReader::bytes_consumed`]).
+    pub(crate) fn bytes_remaining(&self) -> usize {
+        self.data.len() - self.bytes_consumed()
+    }
+
     /// Input bytes consumed so far. Whole bytes still sitting unread in
     /// the bit buffer do not count; a partially-consumed byte does.
     pub(crate) fn bytes_consumed(&self) -> usize {
@@ -170,13 +191,14 @@ mod tests {
 
     #[test]
     fn lsb_roundtrip_mixed_widths() {
-        let mut w = LsbWriter::with_buffer(Vec::new());
+        let mut bytes = Vec::new();
+        let mut w = LsbWriter::new(&mut bytes);
         w.write_bits(0b1, 1);
         w.write_bits(0b01, 2);
         w.write_bits(0x5A, 8);
         w.write_bits(0x1FFFF, 17);
         w.write_bits(0xFFFF_FFFF, 32);
-        let bytes = w.finish();
+        w.finish();
         let mut r = LsbReader::new(&bytes);
         assert_eq!(r.read_bits(1).unwrap(), 0b1);
         assert_eq!(r.read_bits(2).unwrap(), 0b01);
@@ -189,11 +211,13 @@ mod tests {
     #[test]
     fn first_bit_lands_in_the_low_bit() {
         // RFC 1951 §3.1.1: bits fill each byte starting at bit 0.
-        let mut w = LsbWriter::with_buffer(Vec::new());
+        let mut bytes = Vec::new();
+        let mut w = LsbWriter::new(&mut bytes);
         w.write_bits(1, 1);
         w.write_bits(0, 2);
         w.write_bits(0b101, 3);
-        assert_eq!(w.finish(), vec![0b0010_1001]);
+        w.finish();
+        assert_eq!(bytes, vec![0b0010_1001]);
     }
 
     #[test]
@@ -206,17 +230,20 @@ mod tests {
 
     #[test]
     fn align_and_bytes_interleave() {
-        let mut w = LsbWriter::with_buffer(Vec::new());
+        let mut bytes = Vec::new();
+        let mut w = LsbWriter::new(&mut bytes);
         w.write_bits(0b11, 2);
         w.align_byte();
         w.write_bytes(&[0xAB, 0xCD]);
-        let bytes = w.finish();
+        w.finish();
         let mut r = LsbReader::new(&bytes);
         assert_eq!(r.read_bits(2).unwrap(), 0b11);
         r.align_byte();
         assert_eq!(r.read_byte().unwrap(), 0xAB);
-        assert_eq!(r.read_byte().unwrap(), 0xCD);
+        assert_eq!(r.bytes_remaining(), 1);
+        assert_eq!(r.read_bytes(1).unwrap(), [0xCD]);
         assert_eq!(r.bytes_consumed(), 3);
+        assert!(r.read_bytes(1).is_err());
     }
 
     #[test]

@@ -8,12 +8,28 @@
 //! sized from untrusted header fields (output grows only as bytes are
 //! actually produced, capped by the caller's `limit`).
 
+use std::sync::OnceLock;
+
 use super::bits::LsbReader;
 use super::encode::{fixed_dist_lens, fixed_litlen_lens};
 use super::huffman::DecodeTable;
 use super::lz77::{DIST_TABLE, EOB, LEN_TABLE, NUM_DIST, NUM_LITLEN};
 use super::CLCODE_ORDER;
 use crate::DecodeError;
+
+/// The fixed-Huffman decode tables of RFC 1951 §3.2.6, built on first use.
+fn fixed_tables() -> &'static (DecodeTable, DecodeTable) {
+    static TABLES: OnceLock<(DecodeTable, DecodeTable)> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let table = |lens: &[u8]| {
+            DecodeTable::from_lengths(lens)
+                .ok()
+                .flatten()
+                .expect("the fixed codes are complete and non-empty")
+        };
+        (table(&fixed_litlen_lens()), table(&fixed_dist_lens()))
+    })
+}
 
 /// Decompresses one zlib stream starting at `bytes[0]`. Returns the
 /// decoded payload and how many input bytes the stream occupied (callers
@@ -45,11 +61,8 @@ pub(crate) fn decompress(bytes: &[u8], limit: usize) -> Result<(Vec<u8>, usize),
         match btype {
             0 => stored_block(&mut r, &mut out, limit)?,
             1 => {
-                let lit = DecodeTable::from_lengths(&fixed_litlen_lens())?
-                    .expect("fixed litlen code is non-empty");
-                let dist = DecodeTable::from_lengths(&fixed_dist_lens())?
-                    .expect("fixed distance code is non-empty");
-                decode_block(&mut r, &mut out, &lit, Some(&dist), limit)?;
+                let (lit, dist) = fixed_tables();
+                decode_block(&mut r, &mut out, lit, Some(dist), limit)?;
             }
             2 => {
                 let (lit, dist) = dynamic_tables(&mut r)?;
@@ -79,13 +92,13 @@ fn stored_block(r: &mut LsbReader<'_>, out: &mut Vec<u8>, limit: usize) -> Resul
     if len != !nlen {
         return Err(DecodeError::Corrupt("stored block length check failed"));
     }
-    for _ in 0..len {
-        let b = r.read_byte()?;
-        if out.len() >= limit {
-            return Err(DecodeError::Corrupt("decoded data exceeds expected length"));
-        }
-        out.push(b);
+    // Byte at a time, the limit would trip before the end of input
+    // exactly when it is the nearer of the two.
+    let room = limit - out.len();
+    if len as usize > room && room < r.bytes_remaining() {
+        return Err(DecodeError::Corrupt("decoded data exceeds expected length"));
     }
+    out.extend_from_slice(r.read_bytes(len as usize)?);
     Ok(())
 }
 

@@ -5,15 +5,24 @@
 //! 65 535-byte block cap splits into multiple stored blocks). Dynamic
 //! blocks carry their code lengths through the RFC code-length alphabet
 //! (symbols 16/17/18 run-length encode the length tables).
+//!
+//! The engine calls this once per 4 KB DMA window, so nothing here is
+//! sized or set up per call: the match tables, the token list and the
+//! byte view of `f32` input live in one scratch per thread, and every
+//! alphabet-sized table (frequencies, lengths, codes, the planned dynamic
+//! header) is a stack array. Once a thread's scratch is warm, compressing
+//! a window allocates nothing (inputs past [`SCRATCH_KEEP`] still pay for
+//! their own buffers, so that they are not kept).
+
+use std::cell::RefCell;
 
 use super::bits::LsbWriter;
-use super::huffman::{canonical_codes, code_lengths};
-use super::lz77::{self, Token, EOB, NUM_DIST, NUM_LITLEN};
+use super::huffman::{code_lengths, lsb_codes, MAX_CODE_LEN};
+use super::lz77::{self, Matcher, Token, EOB, NUM_DIST, NUM_LITLEN};
 use super::CLCODE_ORDER;
 
 /// Maximum payload of one stored block (16-bit LEN field).
 const STORED_MAX: usize = 65_535;
-const MAX_CODE_LEN: u8 = 15;
 
 /// The fixed literal/length code lengths of RFC 1951 §3.2.6.
 pub(super) fn fixed_litlen_lens() -> [u8; 288] {
@@ -31,11 +40,19 @@ pub(super) fn fixed_dist_lens() -> [u8; 32] {
 /// One RFC code-length-alphabet symbol: `(symbol, extra_bits, extra_val)`.
 type ClSym = (u8, u8, u8);
 
+/// Longest code-length sequence a dynamic header carries.
+const MAX_HEADER_LENS: usize = NUM_LITLEN + NUM_DIST;
+
 /// Run-length encodes a code-length sequence into the 19-symbol RFC
 /// alphabet: 16 repeats the previous length 3–6 times, 17 encodes 3–10
-/// zeros, 18 encodes 11–138 zeros.
-fn rle_code_lengths(seq: &[u8]) -> Vec<ClSym> {
-    let mut out = Vec::new();
+/// zeros, 18 encodes 11–138 zeros. Returns how many symbols it wrote
+/// (never more than `seq.len()`: every symbol covers at least one length).
+fn rle_code_lengths(seq: &[u8], out: &mut [ClSym; MAX_HEADER_LENS]) -> usize {
+    let mut count = 0usize;
+    let mut push = |sym: ClSym| {
+        out[count] = sym;
+        count += 1;
+    };
     let mut i = 0usize;
     while i < seq.len() {
         let v = seq[i];
@@ -47,31 +64,31 @@ fn rle_code_lengths(seq: &[u8]) -> Vec<ClSym> {
             let mut n = run;
             while n >= 11 {
                 let take = n.min(138);
-                out.push((18, 7, (take - 11) as u8));
+                push((18, 7, (take - 11) as u8));
                 n -= take;
             }
             if n >= 3 {
-                out.push((17, 3, (n - 3) as u8));
+                push((17, 3, (n - 3) as u8));
                 n = 0;
             }
             for _ in 0..n {
-                out.push((0, 0, 0));
+                push((0, 0, 0));
             }
         } else {
-            out.push((v, 0, 0));
+            push((v, 0, 0));
             let mut n = run - 1;
             while n >= 3 {
                 let take = n.min(6);
-                out.push((16, 2, (take - 3) as u8));
+                push((16, 2, (take - 3) as u8));
                 n -= take;
             }
             for _ in 0..n {
-                out.push((v, 0, 0));
+                push((v, 0, 0));
             }
         }
         i += run;
     }
-    out
+    count
 }
 
 /// A fully planned dynamic-Huffman block header.
@@ -80,26 +97,28 @@ struct DynHeader {
     hdist: usize,
     hclen: usize,
     cl_lens: [u8; 19],
-    cl_codes: Vec<u32>,
-    syms: Vec<ClSym>,
+    cl_codes: [u16; 19],
+    syms: [ClSym; MAX_HEADER_LENS],
+    sym_count: usize,
     header_bits: usize,
 }
 
 fn plan_dynamic(lit_lens: &[u8], dist_lens: &[u8]) -> DynHeader {
     let hlit = (lit_lens.iter().rposition(|&l| l > 0).unwrap_or(0) + 1).max(257);
     let hdist = (dist_lens.iter().rposition(|&l| l > 0).unwrap_or(0) + 1).max(1);
-    let mut seq = Vec::with_capacity(hlit + hdist);
-    seq.extend_from_slice(&lit_lens[..hlit]);
-    seq.extend_from_slice(&dist_lens[..hdist]);
-    let syms = rle_code_lengths(&seq);
+    let mut seq = [0u8; MAX_HEADER_LENS];
+    seq[..hlit].copy_from_slice(&lit_lens[..hlit]);
+    seq[hlit..hlit + hdist].copy_from_slice(&dist_lens[..hdist]);
+    let mut syms = [(0, 0, 0); MAX_HEADER_LENS];
+    let sym_count = rle_code_lengths(&seq[..hlit + hdist], &mut syms);
     let mut cl_freq = [0u64; 19];
-    for &(s, _, _) in &syms {
+    for &(s, _, _) in &syms[..sym_count] {
         cl_freq[s as usize] += 1;
     }
-    let cl_lens_v = code_lengths(&cl_freq, 7);
     let mut cl_lens = [0u8; 19];
-    cl_lens.copy_from_slice(&cl_lens_v);
-    let cl_codes = canonical_codes(&cl_lens);
+    code_lengths(&cl_freq, 7, &mut cl_lens);
+    let mut cl_codes = [0u16; 19];
+    lsb_codes(&cl_lens, &mut cl_codes);
     let hclen = CLCODE_ORDER
         .iter()
         .rposition(|&s| cl_lens[s] > 0)
@@ -108,7 +127,7 @@ fn plan_dynamic(lit_lens: &[u8], dist_lens: &[u8]) -> DynHeader {
         + 5
         + 4
         + hclen * 3
-        + syms
+        + syms[..sym_count]
             .iter()
             .map(|&(s, eb, _)| cl_lens[s as usize] as usize + eb as usize)
             .sum::<usize>();
@@ -119,63 +138,56 @@ fn plan_dynamic(lit_lens: &[u8], dist_lens: &[u8]) -> DynHeader {
         cl_lens,
         cl_codes,
         syms,
+        sym_count,
         header_bits,
     }
 }
 
-/// Total coded-symbol bits for `tokens` (plus the end-of-block code)
-/// under the given code lengths.
-fn token_bits(tokens: &[Token], lit_lens: &[u8], dist_lens: &[u8]) -> usize {
-    let mut bits = lit_lens[EOB] as usize;
-    for t in tokens {
-        match *t {
-            Token::Literal(b) => bits += lit_lens[b as usize] as usize,
-            Token::Match { len, dist } => {
-                let (lc, _, lex) = lz77::length_to_code(len);
-                let (dc, _, dex) = lz77::distance_to_code(dist);
-                bits += lit_lens[lc] as usize + lex as usize;
-                bits += dist_lens[dc] as usize + dex as usize;
-            }
-        }
-    }
-    bits
+/// Bits the symbols counted in `freq` cost under `lens`.
+fn coded_bits(freq: &[u64], lens: &[u8]) -> usize {
+    freq.iter()
+        .zip(lens)
+        .map(|(&f, &l)| f as usize * l as usize)
+        .sum()
 }
 
-fn emit_tokens(w: &mut LsbWriter, tokens: &[Token], codes: &BlockCodes) {
+/// Writes `tokens` and the end-of-block code under the canonical codes
+/// of `lit_lens`/`dist_lens`.
+fn emit_tokens(w: &mut LsbWriter<'_>, tokens: &[Token], lit_lens: &[u8], dist_lens: &[u8]) {
+    let (mut lit_codes, mut dist_codes) = ([0u16; 288], [0u16; 32]);
+    lsb_codes(lit_lens, &mut lit_codes[..lit_lens.len()]);
+    lsb_codes(dist_lens, &mut dist_codes[..dist_lens.len()]);
     for t in tokens {
         match *t {
             Token::Literal(b) => {
-                let s = b as usize;
-                w.write_code(codes.lit_codes[s], codes.lit_lens[s]);
+                w.write_bits(lit_codes[b as usize] as u32, lit_lens[b as usize] as u32);
             }
+            // A code and its extra bits go out in one write (at most
+            // 15 + 13 bits).
             Token::Match { len, dist } => {
-                let (lc, lex, lexbits) = lz77::length_to_code(len);
-                w.write_code(codes.lit_codes[lc], codes.lit_lens[lc]);
-                w.write_bits(lex as u32, lexbits as u32);
-                let (dc, dex, dexbits) = lz77::distance_to_code(dist);
-                w.write_code(codes.dist_codes[dc], codes.dist_lens[dc]);
-                w.write_bits(dex as u32, dexbits as u32);
+                let (lc, lex, lexbits) = lz77::length_to_code(len as usize);
+                let bits = lit_lens[lc] as u32;
+                w.write_bits(
+                    lit_codes[lc] as u32 | (lex as u32) << bits,
+                    bits + lexbits as u32,
+                );
+                let (dc, dex, dexbits) = lz77::distance_to_code(dist as usize);
+                let bits = dist_lens[dc] as u32;
+                w.write_bits(
+                    dist_codes[dc] as u32 | (dex as u32) << bits,
+                    bits + dexbits as u32,
+                );
             }
         }
     }
-    w.write_code(codes.lit_codes[EOB], codes.lit_lens[EOB]);
+    w.write_bits(lit_codes[EOB] as u32, lit_lens[EOB] as u32);
 }
 
-struct BlockCodes {
-    lit_lens: Vec<u8>,
-    lit_codes: Vec<u32>,
-    dist_lens: Vec<u8>,
-    dist_codes: Vec<u32>,
-}
-
-fn emit_stored(w: &mut LsbWriter, data: &[u8]) {
-    let mut chunks: Vec<&[u8]> = data.chunks(STORED_MAX).collect();
-    if chunks.is_empty() {
-        chunks.push(&[]);
-    }
-    let last = chunks.len() - 1;
-    for (i, chunk) in chunks.iter().enumerate() {
-        w.write_bits(u32::from(i == last), 1);
+fn emit_stored(w: &mut LsbWriter<'_>, data: &[u8]) {
+    let blocks = data.len().div_ceil(STORED_MAX).max(1);
+    for i in 0..blocks {
+        let chunk = &data[i * STORED_MAX..data.len().min((i + 1) * STORED_MAX)];
+        w.write_bits(u32::from(i == blocks - 1), 1);
         w.write_bits(0, 2); // BTYPE=00
         w.align_byte();
         let len = chunk.len() as u16;
@@ -185,28 +197,82 @@ fn emit_stored(w: &mut LsbWriter, data: &[u8]) {
     }
 }
 
+/// Input bytes up to which a thread's scratch keeps its buffers between
+/// calls: enough for 4 KB windows many times over, while one whole-tensor
+/// call does not pin megabytes to the thread for good.
+const SCRATCH_KEEP: usize = 64 * 1024;
+
+/// What one thread's encoder keeps between calls.
+struct Scratch {
+    matcher: Matcher,
+    tokens: Vec<Token>,
+    /// Little-endian byte view of `f32` input.
+    bytes: Vec<u8>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch {
+        matcher: Matcher::new(),
+        tokens: Vec::new(),
+        bytes: Vec::new(),
+    });
+}
+
 /// Compresses `data` into a complete zlib stream appended to `out`.
-pub(crate) fn compress(data: &[u8], max_chain: usize, out: Vec<u8>) -> Vec<u8> {
-    let mut w = LsbWriter::with_buffer(out);
+pub(crate) fn compress(data: &[u8], max_chain: usize, out: &mut Vec<u8>) {
+    SCRATCH.with_borrow_mut(|s| {
+        compress_with(&mut s.matcher, &mut s.tokens, data, max_chain, out);
+        s.tokens.shrink_to(SCRATCH_KEEP);
+    });
+}
+
+/// [`compress`] over the little-endian bytes of `data`.
+pub(crate) fn compress_words(data: &[f32], max_chain: usize, out: &mut Vec<u8>) {
+    SCRATCH.with_borrow_mut(|s| {
+        s.bytes.resize(data.len() * 4, 0);
+        for (bytes, v) in s.bytes.chunks_exact_mut(4).zip(data) {
+            bytes.copy_from_slice(&v.to_le_bytes());
+        }
+        compress_with(&mut s.matcher, &mut s.tokens, &s.bytes, max_chain, out);
+        s.tokens.shrink_to(SCRATCH_KEEP);
+        s.bytes.shrink_to(SCRATCH_KEEP);
+    });
+}
+
+fn compress_with(
+    matcher: &mut Matcher,
+    tokens: &mut Vec<Token>,
+    data: &[u8],
+    max_chain: usize,
+    out: &mut Vec<u8>,
+) {
+    let mut w = LsbWriter::new(out);
     // CMF/FLG: CM=8 (deflate), CINFO=7 (32K window), FLEVEL=2, FCHECK
     // making the pair divisible by 31 — the standard 0x78 0x9C header.
     w.write_bytes(&[0x78, 0x9C]);
 
-    let tokens = lz77::tokenize(data, max_chain);
-    let mut lit_freq = vec![0u64; NUM_LITLEN];
-    let mut dist_freq = vec![0u64; NUM_DIST];
+    matcher.tokenize(data, max_chain, tokens);
+    let mut lit_freq = [0u64; NUM_LITLEN];
+    let mut dist_freq = [0u64; NUM_DIST];
+    // Length/distance extra bits cost the same under every code.
+    let mut extra_bits = 0usize;
     lit_freq[EOB] = 1;
-    for t in &tokens {
+    for t in tokens.iter() {
         match *t {
             Token::Literal(b) => lit_freq[b as usize] += 1,
             Token::Match { len, dist } => {
-                lit_freq[lz77::length_to_code(len).0] += 1;
-                dist_freq[lz77::distance_to_code(dist).0] += 1;
+                let (lc, _, lex) = lz77::length_to_code(len as usize);
+                let (dc, _, dex) = lz77::distance_to_code(dist as usize);
+                lit_freq[lc] += 1;
+                dist_freq[dc] += 1;
+                extra_bits += lex as usize + dex as usize;
             }
         }
     }
-    let lit_lens = code_lengths(&lit_freq, MAX_CODE_LEN);
-    let mut dist_lens = code_lengths(&dist_freq, MAX_CODE_LEN);
+    let mut lit_lens = [0u8; NUM_LITLEN];
+    let mut dist_lens = [0u8; NUM_DIST];
+    code_lengths(&lit_freq, MAX_CODE_LEN, &mut lit_lens);
+    code_lengths(&dist_freq, MAX_CODE_LEN, &mut dist_lens);
     if dist_lens.iter().all(|&l| l == 0) {
         // RFC requires at least one distance code in a dynamic header even
         // when no matches reference it (zlib emits the same placeholder).
@@ -218,11 +284,15 @@ pub(crate) fn compress(data: &[u8], max_chain: usize, out: Vec<u8>) -> Vec<u8> {
     let dynamic_ok = lit_freq.iter().filter(|&&f| f > 0).count() >= 2;
     let dyn_plan = dynamic_ok.then(|| plan_dynamic(&lit_lens, &dist_lens));
     let dyn_bits = dyn_plan.as_ref().map_or(usize::MAX, |p| {
-        3 + p.header_bits + token_bits(&tokens, &lit_lens, &dist_lens)
+        3 + p.header_bits
+            + coded_bits(&lit_freq, &lit_lens)
+            + coded_bits(&dist_freq, &dist_lens)
+            + extra_bits
     });
     let fixed_ll = fixed_litlen_lens();
     let fixed_dl = fixed_dist_lens();
-    let fixed_bits = 3 + token_bits(&tokens, &fixed_ll, &fixed_dl[..NUM_DIST]);
+    let fixed_bits =
+        3 + coded_bits(&lit_freq, &fixed_ll) + coded_bits(&dist_freq, &fixed_dl) + extra_bits;
     let stored_blocks = data.len().div_ceil(STORED_MAX).max(1);
     let stored_bits = (data.len() + 5 * stored_blocks) * 8;
 
@@ -238,33 +308,17 @@ pub(crate) fn compress(data: &[u8], max_chain: usize, out: Vec<u8>) -> Vec<u8> {
         for &s in CLCODE_ORDER.iter().take(p.hclen) {
             w.write_bits(p.cl_lens[s] as u32, 3);
         }
-        for &(s, eb, ev) in &p.syms {
-            w.write_code(p.cl_codes[s as usize], p.cl_lens[s as usize]);
-            if eb > 0 {
-                w.write_bits(ev as u32, eb as u32);
-            }
+        for &(s, eb, ev) in &p.syms[..p.sym_count] {
+            w.write_bits(p.cl_codes[s as usize] as u32, p.cl_lens[s as usize] as u32);
+            w.write_bits(ev as u32, eb as u32);
         }
-        let codes = BlockCodes {
-            lit_codes: canonical_codes(&lit_lens),
-            dist_codes: canonical_codes(&dist_lens),
-            lit_lens,
-            dist_lens,
-        };
-        emit_tokens(&mut w, &tokens, &codes);
+        emit_tokens(&mut w, tokens, &lit_lens, &dist_lens);
     } else {
         w.write_bits(1, 1); // BFINAL
         w.write_bits(1, 2); // BTYPE=01 fixed
-        let lit_lens = fixed_ll.to_vec();
-        let dist_lens = fixed_dl[..NUM_DIST].to_vec();
-        let codes = BlockCodes {
-            lit_codes: canonical_codes(&lit_lens),
-            dist_codes: canonical_codes(&dist_lens),
-            lit_lens,
-            dist_lens,
-        };
-        emit_tokens(&mut w, &tokens, &codes);
+        emit_tokens(&mut w, tokens, &fixed_ll, &fixed_dl);
     }
     w.align_byte();
     w.write_bytes(&super::adler::adler32(data).to_be_bytes());
-    w.finish()
+    w.finish();
 }

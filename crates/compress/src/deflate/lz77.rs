@@ -2,6 +2,8 @@
 //!
 //! Tokenization uses hash-chained match search over a 32 KB sliding
 //! window — zlib's structure, with the chain depth as the effort knob.
+//! The search tables live in a reusable [`Matcher`], so a 4 KB DMA window
+//! pays for the bytes it holds, not for a 32 KB-window set-up.
 
 pub(crate) const MIN_MATCH: usize = 3;
 pub(crate) const MAX_MATCH: usize = 258;
@@ -78,38 +80,63 @@ pub(crate) const DIST_TABLE: [(u16, u8); 30] = [
     (24577, 13),
 ];
 
+/// Index into [`LEN_TABLE`] of every match length, at `len - MIN_MATCH`.
+const LEN_CODE: [u8; MAX_MATCH - MIN_MATCH + 1] = {
+    let mut table = [0u8; MAX_MATCH - MIN_MATCH + 1];
+    let mut code = 0;
+    while code < LEN_TABLE.len() {
+        let (base, extra) = LEN_TABLE[code];
+        // Ascending codes: code 285's single length 258 overwrites the
+        // last slot of code 284's 32-length span.
+        let mut len = base as usize;
+        while len < base as usize + (1 << extra) && len <= MAX_MATCH {
+            table[len - MIN_MATCH] = code as u8;
+            len += 1;
+        }
+        code += 1;
+    }
+    table
+};
+
+/// Index into [`DIST_TABLE`] of every match distance, in zlib's two
+/// ranges: at `dist - 1` for distances up to 256, where codes are
+/// narrower than 128, and at `256 + (dist - 1) / 128` beyond, where every
+/// code spans a multiple of 128.
+const DIST_CODE: [u8; 512] = {
+    let mut table = [0u8; 512];
+    let mut code = 0;
+    while code < DIST_TABLE.len() {
+        let (base, extra) = DIST_TABLE[code];
+        let first = base as usize - 1;
+        let mut k = 0;
+        while k < 1 << extra {
+            if first < 256 {
+                table[first + k] = code as u8;
+            } else {
+                table[256 + ((first + k) >> 7)] = code as u8;
+            }
+            k += if first < 256 { 1 } else { 128 };
+        }
+        code += 1;
+    }
+    table
+};
+
 /// Maps a match length to `(litlen code, extra value, extra bits)`.
+#[inline]
 pub(crate) fn length_to_code(len: usize) -> (usize, u16, u8) {
     debug_assert!((MIN_MATCH..=MAX_MATCH).contains(&len));
-    // Last matching entry whose base <= len.
-    let mut idx = 0;
-    for (i, &(base, _)) in LEN_TABLE.iter().enumerate() {
-        if (base as usize) <= len {
-            idx = i;
-        } else {
-            break;
-        }
-    }
-    // Code 285 (index 28) encodes exactly 258 with no extra bits; lengths in
-    // [227+31, 257] belong to code 284.
-    if idx == 28 && len != 258 {
-        idx = 27;
-    }
+    let idx = LEN_CODE[len - MIN_MATCH] as usize;
     let (base, extra) = LEN_TABLE[idx];
     (257 + idx, len as u16 - base, extra)
 }
 
 /// Maps a match distance to `(distance code, extra value, extra bits)`.
+#[inline]
 pub(crate) fn distance_to_code(dist: usize) -> (usize, u16, u8) {
     debug_assert!((1..=WINDOW).contains(&dist));
-    let mut idx = 0;
-    for (i, &(base, _)) in DIST_TABLE.iter().enumerate() {
-        if (base as usize) <= dist {
-            idx = i;
-        } else {
-            break;
-        }
-    }
+    let d = dist - 1;
+    let idx = DIST_CODE[if d < 256 { d } else { 256 + (d >> 7) }] as usize;
     let (base, extra) = DIST_TABLE[idx];
     (idx, dist as u16 - base, extra)
 }
@@ -117,83 +144,153 @@ pub(crate) fn distance_to_code(dist: usize) -> (usize, u16, u8) {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Token {
     Literal(u8),
-    Match { len: usize, dist: usize },
+    /// `len` in `MIN_MATCH..=MAX_MATCH`, `dist` in `1..=WINDOW`.
+    Match {
+        len: u16,
+        dist: u16,
+    },
 }
 
-/// Tokenizes `data` with hash-chained LZ77, inspecting at most
-/// `max_chain` candidate positions per match attempt.
-pub(crate) fn tokenize(data: &[u8], max_chain: usize) -> Vec<Token> {
-    let mut tokens = Vec::new();
-    if data.len() < MIN_MATCH {
-        tokens.extend(data.iter().map(|&b| Token::Literal(b)));
-        return tokens;
+const HASH_BITS: usize = 15;
+const HASH_SIZE: usize = 1 << HASH_BITS;
+
+#[inline]
+fn hash(d: &[u8], i: usize) -> usize {
+    let h = (d[i] as u32)
+        .wrapping_mul(0x9E37)
+        .wrapping_add((d[i + 1] as u32).wrapping_mul(0x79B9))
+        .wrapping_add((d[i + 2] as u32).wrapping_mul(0x1E35));
+    (h as usize) & (HASH_SIZE - 1)
+}
+
+/// Length of the common prefix of `a` and `b`, at most `max_len` (both
+/// hold at least `max_len` bytes), compared eight bytes at a time.
+#[inline]
+fn common_prefix(a: &[u8], b: &[u8], max_len: usize) -> usize {
+    let (a, b) = (&a[..max_len], &b[..max_len]);
+    let mut l = 0usize;
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let x = u64::from_le_bytes(x.try_into().expect("8-byte chunk"));
+        let y = u64::from_le_bytes(y.try_into().expect("8-byte chunk"));
+        if x != y {
+            return l + ((x ^ y).trailing_zeros() / 8) as usize;
+        }
+        l += 8;
     }
-    const HASH_BITS: usize = 15;
-    const HASH_SIZE: usize = 1 << HASH_BITS;
-    let hash = |d: &[u8], i: usize| -> usize {
-        let h = (d[i] as u32)
-            .wrapping_mul(0x9E37)
-            .wrapping_add((d[i + 1] as u32).wrapping_mul(0x79B9))
-            .wrapping_add((d[i + 2] as u32).wrapping_mul(0x1E35));
-        (h as usize) & (HASH_SIZE - 1)
-    };
-    let mut head = vec![usize::MAX; HASH_SIZE];
-    let mut prev = vec![usize::MAX; data.len()];
-    let mut i = 0usize;
-    while i < data.len() {
-        let mut best_len = 0usize;
-        let mut best_dist = 0usize;
-        if i + MIN_MATCH <= data.len() {
-            let h = hash(data, i);
-            let mut cand = head[h];
-            let mut chain = max_chain;
-            while cand != usize::MAX && chain > 0 {
-                let dist = i - cand;
-                if dist > WINDOW {
-                    break;
+    while l < max_len && a[l] == b[l] {
+        l += 1;
+    }
+    l
+}
+
+/// The hash-chain tables of the match search, reusable across calls.
+///
+/// A 4 KB window touches at most 4 K of the 32 K chain heads, so clearing
+/// (or allocating) the tables per call would cost more than the search.
+/// Instead every call continues one *virtual position* count where the
+/// last call stopped: the tables hold virtual positions, and whatever
+/// lies below the current call's first position is left over from an
+/// earlier input and reads as "no occurrence". Nothing is ever cleared.
+pub(crate) struct Matcher {
+    /// Virtual position of the latest occurrence of each 3-byte hash.
+    head: Box<[u32; HASH_SIZE]>,
+    /// Virtual position of the previous occurrence with the same hash, in
+    /// a ring indexed by data position modulo [`WINDOW`]: a slot is
+    /// rewritten only once its position is out of reach.
+    prev: Box<[u32; WINDOW]>,
+    /// Virtual position the next call's first byte gets; at least 1, so
+    /// the zeroed tables start out empty.
+    next: u32,
+}
+
+/// Virtual position at which [`Matcher::tokenize`] slides the tables
+/// down; leaves room for one more match past it.
+const SLIDE_AT: u32 = u32::MAX - WINDOW as u32;
+
+impl Matcher {
+    pub(crate) fn new() -> Self {
+        let table = |n: usize| vec![0u32; n].into_boxed_slice();
+        Matcher {
+            head: table(HASH_SIZE).try_into().expect("sized above"),
+            prev: table(WINDOW).try_into().expect("sized above"),
+            next: 1,
+        }
+    }
+
+    /// Tokenizes `data` with hash-chained LZ77 into `tokens` (cleared
+    /// first), inspecting at most `max_chain` candidate positions per
+    /// match attempt. The tokens depend on `data` and `max_chain` only,
+    /// never on what the matcher saw before.
+    pub(crate) fn tokenize(&mut self, data: &[u8], max_chain: usize, tokens: &mut Vec<Token>) {
+        tokens.clear();
+        // Virtual position of `data[i]` is `i + origin` (wrapping: after a
+        // slide `origin` is negative); positions below `floor` are stale.
+        let mut origin = self.next;
+        let mut floor = self.next;
+        // Positions from here on have no 3 bytes left to hash.
+        let hash_end = data.len().saturating_sub(MIN_MATCH - 1);
+        let mut i = 0usize;
+        while i < data.len() {
+            let mut at = (i as u32).wrapping_add(origin);
+            if at >= SLIDE_AT {
+                // Keep everything a match can still reach (WINDOW back).
+                let delta = at - (WINDOW as u32 + 1);
+                for e in self.head.iter_mut().chain(self.prev.iter_mut()) {
+                    *e = e.saturating_sub(delta);
                 }
+                origin = origin.wrapping_sub(delta);
+                floor = floor.saturating_sub(delta).max(1);
+                at -= delta;
+            }
+            let mut best_len = 0usize;
+            let mut best_dist = 0usize;
+            if i < hash_end {
                 let max_len = (data.len() - i).min(MAX_MATCH);
-                let mut l = 0usize;
-                while l < max_len && data[cand + l] == data[i + l] {
-                    l += 1;
-                }
-                if l > best_len {
-                    best_len = l;
-                    best_dist = dist;
-                    if l == max_len {
+                let mut cand = self.head[hash(data, i)];
+                let mut chain = max_chain;
+                while cand >= floor && chain > 0 {
+                    let dist = (at - cand) as usize;
+                    if dist > WINDOW {
                         break;
                     }
+                    let c = i - dist;
+                    // Only a longer match replaces the best one, and a
+                    // longer match agrees with the input at `best_len`.
+                    if data[c + best_len] == data[i + best_len] {
+                        let l = common_prefix(&data[c..], &data[i..], max_len);
+                        if l > best_len {
+                            best_len = l;
+                            best_dist = dist;
+                            if l == max_len {
+                                break;
+                            }
+                        }
+                    }
+                    cand = self.prev[c % WINDOW];
+                    chain -= 1;
                 }
-                cand = prev[cand];
-                chain -= 1;
             }
-        }
-        if best_len >= MIN_MATCH {
-            tokens.push(Token::Match {
-                len: best_len,
-                dist: best_dist,
-            });
-            // Insert hash entries for every position the match covers so
-            // later data can refer back inside it.
-            let end = (i + best_len).min(data.len().saturating_sub(MIN_MATCH - 1));
-            #[allow(clippy::needless_range_loop)] // j indexes data, prev and head together
-            for j in i..end {
+            // A match enters every position it covers so later data can
+            // refer back inside it; a literal enters its own.
+            let step = if best_len >= MIN_MATCH {
+                tokens.push(Token::Match {
+                    len: best_len as u16,
+                    dist: best_dist as u16,
+                });
+                best_len
+            } else {
+                tokens.push(Token::Literal(data[i]));
+                1
+            };
+            for j in i..(i + step).min(hash_end) {
                 let h = hash(data, j);
-                prev[j] = head[h];
-                head[h] = j;
+                self.prev[j % WINDOW] = self.head[h];
+                self.head[h] = (j as u32).wrapping_add(origin);
             }
-            i += best_len;
-        } else {
-            tokens.push(Token::Literal(data[i]));
-            if i + MIN_MATCH <= data.len() {
-                let h = hash(data, i);
-                prev[i] = head[h];
-                head[h] = i;
-            }
-            i += 1;
+            i += step;
         }
+        self.next = (data.len() as u32).wrapping_add(origin);
     }
-    tokens
 }
 
 #[cfg(test)]
@@ -223,6 +320,154 @@ mod tests {
         }
     }
 
+    fn tokenize(data: &[u8], max_chain: usize) -> Vec<Token> {
+        let mut tokens = Vec::new();
+        Matcher::new().tokenize(data, max_chain, &mut tokens);
+        tokens
+    }
+
+    /// The tokenizer this module shipped with — fresh `usize` tables per
+    /// call, a full-length `prev`, byte-at-a-time compares — kept as the
+    /// oracle the reusable [`Matcher`] must agree with token for token.
+    fn tokenize_oracle(data: &[u8], max_chain: usize) -> Vec<Token> {
+        let mut tokens = Vec::new();
+        if data.len() < MIN_MATCH {
+            tokens.extend(data.iter().map(|&b| Token::Literal(b)));
+            return tokens;
+        }
+        let mut head = vec![usize::MAX; HASH_SIZE];
+        let mut prev = vec![usize::MAX; data.len()];
+        let mut i = 0usize;
+        while i < data.len() {
+            let mut best_len = 0usize;
+            let mut best_dist = 0usize;
+            if i + MIN_MATCH <= data.len() {
+                let mut cand = head[hash(data, i)];
+                let mut chain = max_chain;
+                while cand != usize::MAX && chain > 0 {
+                    let dist = i - cand;
+                    if dist > WINDOW {
+                        break;
+                    }
+                    let max_len = (data.len() - i).min(MAX_MATCH);
+                    let mut l = 0usize;
+                    while l < max_len && data[cand + l] == data[i + l] {
+                        l += 1;
+                    }
+                    if l > best_len {
+                        best_len = l;
+                        best_dist = dist;
+                        if l == max_len {
+                            break;
+                        }
+                    }
+                    cand = prev[cand];
+                    chain -= 1;
+                }
+            }
+            if best_len >= MIN_MATCH {
+                tokens.push(Token::Match {
+                    len: best_len as u16,
+                    dist: best_dist as u16,
+                });
+                let end = (i + best_len).min(data.len().saturating_sub(MIN_MATCH - 1));
+                #[allow(clippy::needless_range_loop)] // j indexes data, prev and head together
+                for j in i..end {
+                    let h = hash(data, j);
+                    prev[j] = head[h];
+                    head[h] = j;
+                }
+                i += best_len;
+            } else {
+                tokens.push(Token::Literal(data[i]));
+                if i + MIN_MATCH <= data.len() {
+                    let h = hash(data, i);
+                    prev[i] = head[h];
+                    head[h] = i;
+                }
+                i += 1;
+            }
+        }
+        tokens
+    }
+
+    /// Seeded inputs with matches at every range: short periods, repeats
+    /// farther back than the 32 KB window, long runs, and noise.
+    fn corpus() -> Vec<Vec<u8>> {
+        let mut state = 0x1277_C0DE_0003u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut corpus: Vec<Vec<u8>> = (0..6usize).map(|n| vec![7u8; n]).collect();
+        corpus.push((0..4096u32).map(|i| (i % 37) as u8).collect());
+        corpus.push(vec![0u8; 70_000]);
+        // Sparse-activation bytes: zero words and few-valued non-zeros.
+        corpus.push(
+            (0..20_000)
+                .flat_map(|_| {
+                    let r = next();
+                    let v = if r % 10 < 6 {
+                        0.0
+                    } else {
+                        (r >> 8) as u8 as f32 / 8.0
+                    };
+                    f32::to_le_bytes(v)
+                })
+                .collect(),
+        );
+        // A 3 KB phrase book sampled over 100 KB: repeats straddle WINDOW.
+        let book: Vec<u8> = (0..3000).map(|_| (next() >> 24) as u8).collect();
+        let mut far = Vec::new();
+        while far.len() < 100_000 {
+            let at = next() as usize % (book.len() - 40);
+            far.extend_from_slice(&book[at..at + 8 + next() as usize % 32]);
+            if next() % 4 == 0 {
+                far.extend((0..40_000 * (next() % 2) as usize).map(|_| (next() >> 24) as u8));
+            }
+        }
+        corpus.push(far);
+        corpus
+    }
+
+    #[test]
+    fn reused_matcher_equals_the_fresh_table_oracle() {
+        // One matcher for the whole corpus, at every effort: what an
+        // earlier input left in the tables must never show.
+        let mut matcher = Matcher::new();
+        let mut tokens = Vec::new();
+        for max_chain in [1usize, 4, 64, 256] {
+            for data in corpus() {
+                matcher.tokenize(&data, max_chain, &mut tokens);
+                assert!(
+                    tokens == tokenize_oracle(&data, max_chain),
+                    "len={} max_chain={max_chain}",
+                    data.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sliding_the_tables_changes_no_token() {
+        // Start the virtual position count so that the slide lands
+        // mid-input, or on the first byte with only stale entries around.
+        for data in corpus().into_iter().filter(|d| d.len() > WINDOW) {
+            let want = tokenize_oracle(&data, 16);
+            let mut matcher = Matcher::new();
+            let mut tokens = Vec::new();
+            for start in [SLIDE_AT - data.len() as u32 / 2, SLIDE_AT + 5] {
+                matcher.tokenize(&data, 16, &mut tokens);
+                matcher.next = start;
+                matcher.tokenize(&data, 16, &mut tokens);
+                assert!(tokens == want, "len={} start={start}", data.len());
+                assert!(matcher.next < start, "the tables slid down");
+            }
+        }
+    }
+
     #[test]
     fn tokens_reconstruct_the_input() {
         let data: Vec<u8> = (0..4096u32).map(|i| (i % 37) as u8).collect();
@@ -232,8 +477,8 @@ mod tests {
             match *t {
                 Token::Literal(b) => back.push(b),
                 Token::Match { len, dist } => {
-                    let start = back.len() - dist;
-                    for k in 0..len {
+                    let start = back.len() - dist as usize;
+                    for k in 0..len as usize {
                         let b = back[start + k];
                         back.push(b);
                     }

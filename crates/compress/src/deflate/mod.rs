@@ -15,6 +15,12 @@
 //! package-merge/canonical-code machinery and the table-driven decoder,
 //! `lz77` the hash-chained match stage, `encode`/`decode` the block
 //! encoder and the inflate state machine, `adler` the container checksum.
+//!
+//! The engine compresses in 4 KB DMA windows, so the encoder's fixed
+//! cost per call is what its throughput there comes down to: code
+//! construction works in stack arrays, the match tables and token list
+//! are reused per thread (`encode`'s scratch), and a warm call allocates
+//! nothing.
 
 mod adler;
 pub(crate) mod bits;
@@ -87,7 +93,9 @@ impl Zlib {
     /// assert_eq!(zl.decompress_bytes(&stream).unwrap(), b"hello hello hello");
     /// ```
     pub fn compress_bytes(&self, data: &[u8]) -> Vec<u8> {
-        encode::compress(data, self.max_chain, Vec::new())
+        let mut out = Vec::new();
+        encode::compress(data, self.max_chain, &mut out);
+        out
     }
 
     /// Decompresses one complete zlib stream — from this coder or any
@@ -102,23 +110,24 @@ impl Zlib {
     }
 }
 
+/// Appends the little-endian `f32` words of `bytes` (a whole number of
+/// words) to `vals`: one reservation, then straight writes.
+pub(crate) fn extend_f32_le(vals: &mut Vec<f32>, bytes: &[u8]) {
+    debug_assert_eq!(bytes.len() % 4, 0);
+    vals.extend(
+        bytes
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk"))),
+    );
+}
+
 impl Compressor for Zlib {
     fn name(&self) -> &'static str {
         "ZL"
     }
 
     fn compress_append(&self, data: &[f32], out: &mut Vec<u8>) {
-        // Unlike RLE/ZVC, the LZ77 stage needs a byte view of the input and
-        // a token list; those scratch allocations are inherent to the
-        // software coder (zlib only serves as the paper's upper bound and
-        // is not the engine's hot path). The caller's output buffer is
-        // still reused.
-        let mut bytes = Vec::with_capacity(data.len() * 4);
-        for v in data {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        let buf = std::mem::take(out);
-        *out = encode::compress(&bytes, self.max_chain, buf);
+        encode::compress_words(data, self.max_chain, out);
     }
 
     fn decompress_append(
@@ -140,10 +149,7 @@ impl Compressor for Zlib {
                 decoded: out.len() / 4,
             });
         }
-        vals.reserve(element_count);
-        for chunk in out.chunks_exact(4) {
-            vals.push(f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]));
-        }
+        extend_f32_le(vals, &out);
         Ok(())
     }
 }

@@ -23,11 +23,11 @@
 //! needed and truncation/trailing bytes are detected exactly.
 
 use crate::deflate::bits::{LsbReader, LsbWriter};
-use crate::deflate::huffman::{canonical_codes, code_lengths, DecodeTable};
+use crate::deflate::huffman::{code_lengths, lsb_codes, DecodeTable, MAX_CODE_LEN};
 use crate::{Compressor, DecodeError};
 
-/// Longest payload code representable in the 4-bit length table.
-const MAX_CODE_LEN: u8 = 15;
+// The 4-bit length table holds code lengths up to 15.
+const _: () = assert!(MAX_CODE_LEN <= 0x0F);
 
 /// The mask + Huffman-coded-payload sparse codec.
 ///
@@ -77,20 +77,25 @@ impl Compressor for Huff {
         if nz == 0 {
             return;
         }
-        let lens = code_lengths(&freq, MAX_CODE_LEN);
-        let codes = canonical_codes(&lens);
-        for pair in lens.chunks(2) {
-            out.push(pair[0] | (pair[1] << 4));
-        }
-        let mut w = LsbWriter::with_buffer(std::mem::take(out));
+        let mut lens = [0u8; 256];
+        code_lengths(&freq, MAX_CODE_LEN, &mut lens);
+        let mut codes = [0u16; 256];
+        lsb_codes(&lens, &mut codes);
+        out.extend(lens.chunks_exact(2).map(|pair| pair[0] | (pair[1] << 4)));
+        let mut w = LsbWriter::new(out);
         for v in data {
             if v.to_bits() != 0 {
-                for b in v.to_le_bytes() {
-                    w.write_code(codes[b as usize], lens[b as usize]);
+                // Two codes of at most 15 bits fit one 32-bit write.
+                let [b0, b1, b2, b3] = v.to_le_bytes().map(usize::from);
+                for (lo, hi) in [(b0, b1), (b2, b3)] {
+                    w.write_bits(
+                        codes[lo] as u32 | (codes[hi] as u32) << lens[lo],
+                        (lens[lo] + lens[hi]) as u32,
+                    );
                 }
             }
         }
-        *out = w.finish();
+        w.finish();
     }
 
     fn decompress_append(
