@@ -88,7 +88,7 @@ fn stream_lines(stream: &windowed::WindowedStream) -> impl Iterator<Item = (u32,
 ///
 /// [`CdmaEngine::memcpy_compressed_reusing`] recycles the *stream*, but
 /// still builds a fresh discrete-event pipeline per call, whose schedule
-/// and in-flight queues regrow from empty every time — a steady
+/// ring regrows from empty every time — a steady
 /// allocation drip that a long-running service (one offload per request,
 /// thousands of requests per second) cannot afford. The scratch keeps the
 /// pipeline alive and [`DmaPipeline::reset`]s it instead, so repeated
@@ -136,10 +136,21 @@ impl CdmaEngine {
 
     /// Overrides the compression window (must be a positive multiple of
     /// 4 bytes; the paper studied 4 KB–64 KB and found little difference).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window is larger than the platform's DMA staging
+    /// buffer: a window is one read request, which reserves its whole
+    /// uncompressed size there, so such a line could never issue.
     pub fn with_window(mut self, window_bytes: usize) -> Self {
         assert!(
             window_bytes >= 4 && window_bytes.is_multiple_of(4),
             "window must be a positive multiple of 4 bytes"
+        );
+        assert!(
+            window_bytes <= self.cfg.dma_buffer,
+            "window of {window_bytes} bytes cannot fit the {}-byte DMA buffer",
+            self.cfg.dma_buffer
         );
         self.window_bytes = window_bytes;
         self
@@ -506,6 +517,21 @@ mod tests {
             .with_window(16 * 1024)
             .memcpy_compressed(&data);
         assert_eq!(a.stats.compressed_bytes, b.stats.compressed_bytes);
+    }
+
+    #[test]
+    fn largest_studied_window_offloads() {
+        let data = sparse_data(40, 65_536);
+        let engine = CdmaEngine::zvc(SystemConfig::titan_x_pcie3()).with_window(64 * 1024);
+        let copy = engine.memcpy_compressed(&data);
+        assert_eq!(copy.lines().count(), 4);
+        assert_eq!(engine.memcpy_decompressed(&copy).unwrap(), data);
+    }
+
+    #[test]
+    #[should_panic(expected = "window of 131072 bytes cannot fit the 71680-byte DMA buffer")]
+    fn window_larger_than_the_dma_buffer_is_rejected_up_front() {
+        let _ = CdmaEngine::zvc(SystemConfig::titan_x_pcie3()).with_window(128 * 1024);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! (Fig. 4 and Fig. 6), the spatial sparsity images with their measured
 //! offload (Fig. 5), and the loss-vs-density figure (Fig. 7).
 
+use cdma_compress::windowed::WindowedStream;
 use cdma_gpusim::DmaPipeline;
 use cdma_models::profiles::NetworkProfile;
 use cdma_models::NetworkSpec;
@@ -329,6 +330,10 @@ pub fn fig05(ctx: &Context) -> Fig05Report {
 
     let mut rows = Vec::new();
     let mut images = Vec::new();
+    // One compressed-stream buffer and one line table, recycled across
+    // every tensor.
+    let mut stream = WindowedStream::default();
+    let mut lines = Vec::new();
     for &t in TRAINING_CHECKPOINTS.iter() {
         let mut pipe = DmaPipeline::new(cfg);
         // One generator per checkpoint, drawn across the layer loop, so
@@ -350,8 +355,8 @@ pub fn fig05(ctx: &Context) -> Fig05Report {
                 bytes: pgm_grid(&tensor, 0, grid_cols),
             });
 
-            let copy = engine.memcpy_compressed(tensor.as_slice());
-            for (u, c) in copy.lines() {
+            engine.compress_lines_into(tensor.as_slice(), &mut stream, &mut lines);
+            for &(u, c) in &lines {
                 pipe.push_line(0.0, u, c);
             }
         }

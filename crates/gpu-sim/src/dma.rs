@@ -42,9 +42,12 @@ impl OffloadSimResult {
     }
 }
 
+/// One issued line of the link schedule. Byte counts are exact integers
+/// held as `f64`, so the running sums over them never round.
 #[derive(Debug, Clone, Copy)]
-struct Arrival {
-    t_arr: f64,
+struct Line {
+    arrival: f64,
+    uncompressed: f64,
     compressed: f64,
     drain_start: f64,
     drain_end: f64,
@@ -94,21 +97,29 @@ pub struct DmaPipeline {
     capacity: f64,
     latency: f64,
     /// High-water mark of [`DmaPipeline::advance_to`]: state before this
-    /// time has been compacted away, so no line may issue earlier.
+    /// time has been retired, so no line may issue earlier.
     now: f64,
     /// When the read path can issue the next request.
     t_read_free: f64,
     /// When the link finishes draining everything pushed so far.
     drain_free: f64,
-    /// Issued lines that have not fully drained, in issue order.
-    sched: Vec<Arrival>,
-    /// First `sched` entry that may still be resident.
-    head: usize,
-    /// In-flight reads `(arrival time, uncompressed bytes)` whose buffer
-    /// reservations are still held.
-    inflight: VecDeque<(f64, f64)>,
-    /// Sum of in-flight uncompressed reservations.
+    /// Issued lines not yet fully drained at the issue clock, in issue
+    /// order. A ring: [`DmaPipeline::retire`] pops a line the moment the
+    /// issue clock passes its drain end, so it holds the resident and
+    /// in-flight lines and nothing older.
+    sched: VecDeque<Line>,
+    /// Issue-clock cursor: `sched[..arrived]` have landed in the buffer,
+    /// `sched[arrived..]` are reads still in flight.
+    arrived: usize,
+    /// Uncompressed reservations of the in-flight `sched[arrived..]`.
     reserved: f64,
+    /// Compressed bytes of the landed `sched[..arrived]`.
+    resident: f64,
+    /// Arrival-clock cursor: `sched[..peak_head]` are fully drained at the
+    /// newest line's arrival instant, where the high-water mark is read.
+    peak_head: usize,
+    /// Compressed bytes of `sched[peak_head..]`.
+    peak_resident: f64,
     max_occ: f64,
     total_u: u64,
     total_c: u64,
@@ -126,10 +137,12 @@ impl DmaPipeline {
             now: 0.0,
             t_read_free: 0.0,
             drain_free: 0.0,
-            sched: Vec::new(),
-            head: 0,
-            inflight: VecDeque::new(),
+            sched: VecDeque::new(),
+            arrived: 0,
             reserved: 0.0,
+            resident: 0.0,
+            peak_head: 0,
+            peak_resident: 0.0,
             max_occ: 0.0,
             total_u: 0,
             total_c: 0,
@@ -137,19 +150,35 @@ impl DmaPipeline {
         }
     }
 
-    /// Drops reservations of reads that arrived by `t` and skips past fully
-    /// drained lines.
+    /// Moves the issue clock to `t`: reads that arrived by `t` swap their
+    /// uncompressed reservation for their compressed footprint, and lines
+    /// fully drained by `t` leave the ring. Both cursors only move forward
+    /// (issue times are monotone), so a line is visited once by each.
     fn retire(&mut self, t: f64) {
-        while let Some(&(ta, u)) = self.inflight.front() {
-            if ta <= t {
-                self.inflight.pop_front();
-                self.reserved -= u;
-            } else {
+        while let Some(e) = self.sched.get(self.arrived) {
+            if e.arrival > t {
                 break;
             }
+            self.reserved -= e.uncompressed;
+            self.resident += e.compressed;
+            self.arrived += 1;
         }
-        while self.head < self.sched.len() && self.sched[self.head].drain_end <= t {
-            self.head += 1;
+        while let Some(&e) = self.sched.front() {
+            if e.drain_end > t {
+                break;
+            }
+            self.sched.pop_front();
+            self.resident -= e.compressed;
+            self.arrived -= 1;
+            // The arrival clock runs a memory latency ahead of the issue
+            // clock except across an idle gap or an `advance_to`, where it
+            // lags until the next push: a line it has not passed yet leaves
+            // its sum here instead.
+            if self.peak_head > 0 {
+                self.peak_head -= 1;
+            } else {
+                self.peak_resident -= e.compressed;
+            }
         }
     }
 
@@ -162,8 +191,22 @@ impl DmaPipeline {
     /// The backpressure search steps through the pipeline's own events:
     /// every pass either consumes one in-flight arrival or computes the
     /// final issue time directly from the continuous link drain, so it
-    /// terminates after at most `inflight.len() + 1` passes — no iteration
-    /// bound required.
+    /// terminates after at most one pass per in-flight line plus one — no
+    /// iteration bound required. A pass costs O(1): issue and arrival times
+    /// are monotone and the link drains in issue order, so the buffer's
+    /// content at the issue clock is an exact running byte sum between two
+    /// forward-only cursors, and a pushed line is amortised O(1) however
+    /// many lines are resident.
+    ///
+    /// That sum plus one pro-rata term agrees with adding up the resident
+    /// lines one by one to rounding in the last place, not bit for bit. So
+    /// when an in-flight arrival lands within that rounding of the computed
+    /// drain instant, the `ta < t_drain` tie below can fall either way: the
+    /// line issues at the arrival, or at the drain instant without seeing
+    /// it. Both are schedules of the same admission rule at the same
+    /// instant; they part by less than one line's link time (the arrival's
+    /// expansion, if any, still has to drain in the first) and rejoin once
+    /// the link is the bottleneck again.
     ///
     /// # Panics
     ///
@@ -188,11 +231,11 @@ impl DmaPipeline {
 
         // Find the earliest issue time satisfying buffer backpressure. A
         // release time before the last `advance_to` is clamped to it:
-        // earlier state has been compacted away, so time cannot rewind.
+        // earlier state has been retired, so time cannot rewind.
         let mut t = self.t_read_free.max(not_before).max(self.now);
         loop {
             self.retire(t);
-            let occ = occupancy_at(&self.sched, self.head, t);
+            let occ = occupancy(self.resident, self.sched.front(), t);
             // The single admission rule shared with the real-queue
             // [`staging::StagingPool`]: in-flight uncompressed
             // reservations plus resident compressed bytes plus the
@@ -201,7 +244,7 @@ impl DmaPipeline {
             if need <= staging::ADMIT_TOLERANCE {
                 break;
             }
-            let next_arrival = self.inflight.front().map(|&(ta, _)| ta);
+            let next_arrival = self.sched.get(self.arrived).map(|e| e.arrival);
             // The byte tolerance absorbs rounding in `need` at the
             // exact-fit boundary.
             if need <= occ + staging::ADMIT_TOLERANCE {
@@ -236,16 +279,25 @@ impl DmaPipeline {
         let drain_start = self.drain_free.max(arrival);
         let drain_end = drain_start + c / self.link_bw;
         self.drain_free = drain_end;
-        self.sched.push(Arrival {
-            t_arr: arrival,
+        self.sched.push_back(Line {
+            arrival,
+            uncompressed: u,
             compressed: c,
             drain_start,
             drain_end,
         });
-        self.inflight.push_back((arrival, u));
         self.reserved += u;
-        // Occupancy peaks at arrival instants.
-        let occ_at_arrival = occupancy_at(&self.sched, self.head, arrival);
+        // Occupancy peaks at arrival instants, and every line pushed so far
+        // has arrived by this one's.
+        self.peak_resident += c;
+        while let Some(e) = self.sched.get(self.peak_head) {
+            if e.drain_end > arrival {
+                break;
+            }
+            self.peak_resident -= e.compressed;
+            self.peak_head += 1;
+        }
+        let occ_at_arrival = occupancy(self.peak_resident, self.sched.get(self.peak_head), arrival);
         self.max_occ = self.max_occ.max(occ_at_arrival);
         LineSchedule {
             issue,
@@ -257,7 +309,7 @@ impl DmaPipeline {
     }
 
     /// Returns the pipeline to its idle initial state while keeping the
-    /// capacity of its schedule and in-flight queues — so a long-running
+    /// capacity of its schedule ring — so a long-running
     /// caller (one offload per request, thousands of requests per second)
     /// reruns transfers with zero per-run allocation. The platform
     /// configuration is retained.
@@ -266,26 +318,26 @@ impl DmaPipeline {
         self.t_read_free = 0.0;
         self.drain_free = 0.0;
         self.sched.clear();
-        self.head = 0;
-        self.inflight.clear();
+        self.arrived = 0;
         self.reserved = 0.0;
+        self.resident = 0.0;
+        self.peak_head = 0;
+        self.peak_resident = 0.0;
         self.max_occ = 0.0;
         self.total_u = 0;
         self.total_c = 0;
         self.lines = 0;
     }
 
-    /// Retires state up to time `now` and compacts the internal schedule so
-    /// a long-running simulation holds only resident lines. Advancing the
-    /// clock is one-way: a subsequent push whose `not_before` lies earlier
-    /// than the latest `advance_to` issues no earlier than that point (the
-    /// state needed to schedule it in the past has been discarded).
+    /// Moves the pipeline's clock to `now`, retiring the lines that have
+    /// drained by then. Advancing the clock is one-way: a subsequent push
+    /// whose `not_before` lies earlier than the latest `advance_to` issues
+    /// no earlier than that point (the state needed to schedule it in the
+    /// past has been discarded). Memory does not depend on calling this:
+    /// every push retires up to its own issue time.
     pub fn advance_to(&mut self, now: f64) {
         self.now = self.now.max(now);
-        let now = self.now;
-        self.retire(now);
-        self.sched.drain(..self.head);
-        self.head = 0;
+        self.retire(self.now);
     }
 
     /// When the link finishes draining everything pushed so far (0 when
@@ -370,24 +422,18 @@ impl OffloadSim {
     }
 }
 
-/// Compressed bytes resident in the buffer at time `t`: arrived but not yet
-/// drained (current entry counted pro-rata of its remaining drain time).
-fn occupancy_at(sched: &[Arrival], head: usize, t: f64) -> f64 {
-    let mut occ = 0.0;
-    for e in &sched[head..] {
-        if e.t_arr > t {
-            break;
+/// Compressed bytes resident in the buffer at time `t`, from `sum`, the
+/// exact byte count of the lines that have arrived and not fully drained by
+/// `t`, and the oldest such line. The link drains in issue order, so only
+/// that one can be part-way out; it counts pro-rata of its remaining drain
+/// time.
+fn occupancy(sum: f64, oldest: Option<&Line>, t: f64) -> f64 {
+    match oldest {
+        Some(e) if e.drain_start < t => {
+            (sum - e.compressed) + e.compressed * (e.drain_end - t) / (e.drain_end - e.drain_start)
         }
-        if e.drain_end <= t {
-            continue;
-        }
-        if e.drain_start >= t {
-            occ += e.compressed;
-        } else {
-            occ += e.compressed * (e.drain_end - t) / (e.drain_end - e.drain_start);
-        }
+        _ => sum,
     }
-    occ
 }
 
 #[cfg(test)]
@@ -639,6 +685,33 @@ mod tests {
             pipe.push_line(0.0, u, c);
         }
         assert_eq!(pipe.result(), fresh, "rerun after reset is bit-identical");
+    }
+
+    #[test]
+    fn schedule_ring_stays_at_the_resident_plus_in_flight_bound() {
+        // A million ZVC-shaped 4 KB lines (4x compressible up to expanded
+        // by their mask bits) through one pipeline, with no `advance_to`
+        // anywhere. A line in the ring either holds its 4 KB reservation
+        // (in flight) or at least 1 KB of the buffer (resident; the one
+        // part-way out on the link may hold less), and the admission rule
+        // caps the two sums at the capacity.
+        let capacity = cfg().dma_buffer;
+        let bound = capacity / 4096 + capacity / 1024 + 1;
+        let mut pipe = DmaPipeline::new(cfg());
+        let mut seed = 0xB0B;
+        let mut peak = 0;
+        for _ in 0..1_000_000 {
+            let c = 1024 + (lcg(&mut seed) % (4096 + 128 - 1024 + 1)) as u32;
+            pipe.push_line(0.0, 4096, c);
+            peak = peak.max(pipe.sched.len());
+        }
+        assert_eq!(pipe.lines_pushed(), 1_000_000);
+        assert!(peak <= bound, "ring reached {peak} lines, bound {bound}");
+        assert!(
+            pipe.sched.capacity() < 2 * bound,
+            "ring storage grew to {} lines",
+            pipe.sched.capacity()
+        );
     }
 
     #[test]

@@ -5,7 +5,11 @@
 //! property loops over a seeded generator; every failure reproduces from
 //! its case index.
 
-use cdma_gpusim::{OffloadSim, SystemConfig, ZvcEngine};
+use std::collections::VecDeque;
+
+use cdma_gpusim::{
+    staging, DmaPipeline, LineSchedule, OffloadSim, OffloadSimResult, SystemConfig, ZvcEngine,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -134,4 +138,263 @@ fn engine_cycles_pipeline_properly() {
         assert!(streamed <= separate, "case {case}");
         assert_eq!(streamed, 3 + sectors as u64 - 1, "case {case}");
     });
+}
+
+/// The stepping `DmaPipeline` replaced, kept as the oracle: every issued
+/// line stays in a table and the buffer's occupancy is re-summed line by
+/// line at each backpressure pass and each arrival. O(resident lines) a
+/// pass, obviously the model of Section V-B — which is what it is for.
+struct ScanPipeline {
+    read_bw: f64,
+    link_bw: f64,
+    capacity: f64,
+    latency: f64,
+    now: f64,
+    t_read_free: f64,
+    drain_free: f64,
+    /// `(arrival, compressed, drain_start, drain_end)` in issue order.
+    sched: Vec<(f64, f64, f64, f64)>,
+    head: usize,
+    /// `(arrival, uncompressed)` of reads whose reservations are held.
+    inflight: VecDeque<(f64, f64)>,
+    reserved: f64,
+    max_occ: f64,
+    total_u: u64,
+    total_c: u64,
+}
+
+impl ScanPipeline {
+    fn new(cfg: SystemConfig) -> Self {
+        ScanPipeline {
+            read_bw: cfg.usable_comp_bw(),
+            link_bw: cfg.pcie_bw,
+            capacity: cfg.dma_buffer as f64,
+            latency: cfg.mem_latency,
+            now: 0.0,
+            t_read_free: 0.0,
+            drain_free: 0.0,
+            sched: Vec::new(),
+            head: 0,
+            inflight: VecDeque::new(),
+            reserved: 0.0,
+            max_occ: 0.0,
+            total_u: 0,
+            total_c: 0,
+        }
+    }
+
+    fn occupancy_at(&self, t: f64) -> f64 {
+        let mut occ = 0.0;
+        for &(t_arr, c, drain_start, drain_end) in &self.sched[self.head..] {
+            if t_arr > t {
+                break;
+            }
+            if drain_end <= t {
+                continue;
+            }
+            if drain_start >= t {
+                occ += c;
+            } else {
+                occ += c * (drain_end - t) / (drain_end - drain_start);
+            }
+        }
+        occ
+    }
+
+    fn retire(&mut self, t: f64) {
+        while let Some(&(ta, u)) = self.inflight.front() {
+            if ta > t {
+                break;
+            }
+            self.inflight.pop_front();
+            self.reserved -= u;
+        }
+        while self.head < self.sched.len() && self.sched[self.head].3 <= t {
+            self.head += 1;
+        }
+    }
+
+    fn push_line(&mut self, not_before: f64, uncompressed: u32, compressed: u32) -> LineSchedule {
+        let (u, c) = (uncompressed as f64, compressed as f64);
+        self.total_u += uncompressed as u64;
+        self.total_c += compressed as u64;
+        let mut t = self.t_read_free.max(not_before).max(self.now);
+        loop {
+            self.retire(t);
+            let occ = self.occupancy_at(t);
+            let need = staging::shortfall(self.reserved, occ, u, self.capacity);
+            if need <= staging::ADMIT_TOLERANCE {
+                break;
+            }
+            let next_arrival = self.inflight.front().map(|&(ta, _)| ta);
+            if need <= occ + staging::ADMIT_TOLERANCE {
+                let t_drain = t + need / self.link_bw;
+                match next_arrival {
+                    Some(ta) if ta < t_drain => t = ta,
+                    _ => {
+                        t = t_drain;
+                        break;
+                    }
+                }
+            } else {
+                t = next_arrival.expect("backpressure with nothing in flight");
+            }
+        }
+        let issue = t;
+        self.t_read_free = issue + u / self.read_bw;
+        let arrival = issue + self.latency;
+        let drain_start = self.drain_free.max(arrival);
+        let drain_end = drain_start + c / self.link_bw;
+        self.drain_free = drain_end;
+        self.sched.push((arrival, c, drain_start, drain_end));
+        self.inflight.push_back((arrival, u));
+        self.reserved += u;
+        self.max_occ = self.max_occ.max(self.occupancy_at(arrival));
+        LineSchedule {
+            issue,
+            read_done: self.t_read_free,
+            arrival,
+            drain_start,
+            drain_end,
+        }
+    }
+
+    fn advance_to(&mut self, now: f64) {
+        self.now = self.now.max(now);
+        self.retire(self.now);
+        self.sched.drain(..self.head);
+        self.head = 0;
+    }
+
+    fn result(&self) -> OffloadSimResult {
+        OffloadSimResult {
+            uncompressed_bytes: self.total_u,
+            compressed_bytes: self.total_c,
+            total_time: self.drain_free,
+            link_busy: self.total_c as f64 / self.link_bw,
+            max_buffer_occupancy: self.max_occ,
+        }
+    }
+}
+
+/// One line of an adversarial mix for a `buffer`-byte staging buffer.
+fn mixed_line(rng: &mut StdRng, buffer: u32) -> (u32, u32) {
+    let u = match rng.gen_range(0u32..16) {
+        0 => rng.gen_range(1u32..256),        // sub-line runt
+        1 => buffer,                          // fills the buffer by itself
+        2 => rng.gen_range(1u32..=4096) & !3, // ragged tail window
+        _ => 4096,
+    };
+    let c = match rng.gen_range(0u32..8) {
+        // What ZVC emits on dense data: every word plus the mask bits.
+        0 => u + u.div_ceil(32),
+        1 => rng.gen_range(0u32..=16),
+        _ => ((u as f64 * rng.gen_range(0.05f64..1.0)).ceil() as u32).max(1),
+    };
+    (u, c)
+}
+
+fn rel_close(a: f64, b: f64) -> bool {
+    (a - b).abs() <= 1e-12 * a.abs().max(b.abs())
+}
+
+/// The O(1) stepping is the scan-based stepping: the same seeded mixes
+/// through both, pushed with the same release times and advanced at the
+/// same mid-flight instants. Bytes and lines agree exactly and the
+/// aggregates to 1e-12; schedules are bit-identical on all but the few
+/// lines downstream of a last-place rounding difference or of the tie
+/// `push_line` documents, and those stay within one line's link time.
+#[test]
+fn running_sum_stepping_matches_the_scan_oracle() {
+    let mut total_lines = 0u64;
+    let mut identical = 0u64;
+    for_each_case(0x0DD5_CA11, |case, rng| {
+        let mut cfg = if case % 2 == 0 {
+            SystemConfig::titan_x_pcie3()
+        } else {
+            SystemConfig::titan_x_nvlink()
+        };
+        if case % 4 >= 2 {
+            cfg.dma_buffer = 8 * 1024;
+        }
+        let buffer = cfg.dma_buffer as u32;
+        // The longest any one line of the mix holds the link.
+        let line_time = (buffer + buffer.div_ceil(32)) as f64 / cfg.pcie_bw;
+
+        let mut fast = DmaPipeline::new(cfg);
+        let mut oracle = ScanPipeline::new(cfg);
+        let mut release = 0.0f64;
+        let mut last_issue = 0.0f64;
+        let mut line = (4096, 4096);
+        let mut run = 0u32;
+        for i in 0..8_000u32 {
+            match rng.gen_range(0u32..64) {
+                // A new transfer, released while the previous one is still
+                // draining or well after the pipeline has idled.
+                0 => release = last_issue + rng.gen_range(0.0..4.0) * line_time,
+                // The caller's clock moves to an arbitrary instant between
+                // the last issue and just past the last drain.
+                1 => {
+                    let now =
+                        last_issue + rng.gen_range(0.0..1.1) * (oracle.drain_free - last_issue);
+                    fast.advance_to(now);
+                    oracle.advance_to(now);
+                }
+                // A uniform stretch, where arrivals and drains fall into
+                // step with each other.
+                2 => run = rng.gen_range(64u32..512),
+                _ => {}
+            }
+            if run == 0 {
+                line = mixed_line(rng, buffer);
+            }
+            run = run.saturating_sub(1);
+            let (u, c) = line;
+            let got = fast.push_line(release, u, c);
+            let want = oracle.push_line(release, u, c);
+            total_lines += 1;
+            last_issue = want.issue;
+            if got == want {
+                identical += 1;
+                continue;
+            }
+            for (name, g, w) in [
+                ("issue", got.issue, want.issue),
+                ("read_done", got.read_done, want.read_done),
+                ("arrival", got.arrival, want.arrival),
+                ("drain_start", got.drain_start, want.drain_start),
+                ("drain_end", got.drain_end, want.drain_end),
+            ] {
+                assert!(
+                    (g - w).abs() <= line_time,
+                    "case {case} line {i}: {name} {g:e} vs oracle {w:e}"
+                );
+            }
+        }
+
+        let (got, want) = (fast.result(), oracle.result());
+        assert_eq!(fast.lines_pushed(), 8_000, "case {case}");
+        assert_eq!(
+            got.uncompressed_bytes, want.uncompressed_bytes,
+            "case {case}"
+        );
+        assert_eq!(got.compressed_bytes, want.compressed_bytes, "case {case}");
+        assert_eq!(got.link_busy, want.link_busy, "case {case}");
+        assert!(
+            rel_close(got.total_time, want.total_time),
+            "case {case}: total_time {:e} vs {:e}",
+            got.total_time,
+            want.total_time
+        );
+        assert!(
+            rel_close(got.max_buffer_occupancy, want.max_buffer_occupancy),
+            "case {case}: max occupancy {} vs {}",
+            got.max_buffer_occupancy,
+            want.max_buffer_occupancy
+        );
+    });
+    assert!(
+        identical * 100 >= total_lines * 99,
+        "only {identical} of {total_lines} line schedules are bit-identical to the oracle"
+    );
 }
