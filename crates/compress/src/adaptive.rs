@@ -25,7 +25,7 @@
 //! (RLE records, ZVC masks) or its self-delimiting zlib container, so no
 //! per-window length field is stored.
 
-use crate::{deflate, Compressor, DecodeError, Rle, Zlib, Zvc};
+use crate::{deflate, extend_f32_le, Compressor, DecodeError, Rle, Zlib, Zvc};
 
 /// Words per adaptive window (4 KB of f32 — the paper's DMA window size).
 pub const WINDOW_WORDS: usize = 1024;
@@ -186,12 +186,13 @@ impl Compressor for Adaptive {
                     pos += consumed;
                 }
                 TAG_DEFLATE => {
-                    let (payload, consumed) = deflate::inflate(&bytes[pos..], w * 4)?;
-                    if payload.len() != w * 4 {
-                        return Err(DecodeError::Corrupt("adaptive window size mismatch"));
-                    }
-                    deflate::extend_f32_le(vals, &payload);
-                    pos += consumed;
+                    pos += deflate::inflate_with(&bytes[pos..], w * 4, |payload, consumed| {
+                        if payload.len() != w * 4 {
+                            return Err(DecodeError::Corrupt("adaptive window size mismatch"));
+                        }
+                        extend_f32_le(vals, payload);
+                        Ok(consumed)
+                    })?;
                 }
                 _ => return Err(DecodeError::Corrupt("unknown adaptive window tag")),
             }
@@ -316,7 +317,7 @@ mod tests {
             pos += match tag {
                 TAG_RLE => rle_walk(&bytes[pos..], w).unwrap(),
                 TAG_ZVC => zvc_walk(&bytes[pos..], w).unwrap(),
-                TAG_DEFLATE => deflate::inflate(&bytes[pos..], w * 4).unwrap().1,
+                TAG_DEFLATE => deflate::inflate_with(&bytes[pos..], w * 4, |_, n| Ok(n)).unwrap(),
                 _ => unreachable!(),
             };
             done += w;

@@ -82,10 +82,30 @@ impl<'a> LsbWriter<'a> {
 ///
 /// The reader never allocates and never reads past the slice; truncation
 /// surfaces as a [`DecodeError`], not a panic.
+///
+/// Decoders use it at two speeds. The checked calls ([`read_bits`],
+/// [`read_byte`], a table's `decode`) refill and test for the end of
+/// input every time. A fast loop instead asks [`unread`] once per
+/// iteration: while at least eight bytes have not been loaded yet,
+/// [`refill`] is one unaligned 8-byte load that leaves at least 56 bits
+/// of real input in [`bits`], and that many can be taken with
+/// [`consume`] without looking at the end of input at all.
+///
+/// [`read_bits`]: LsbReader::read_bits
+/// [`read_byte`]: LsbReader::read_byte
+/// [`unread`]: LsbReader::unread
+/// [`refill`]: LsbReader::refill
+/// [`bits`]: LsbReader::bits
+/// [`consume`]: LsbReader::consume
+#[derive(Clone, Copy)]
 pub(crate) struct LsbReader<'a> {
     data: &'a [u8],
     /// Next byte to load into the bit buffer.
     pos: usize,
+    /// The next bit of the stream is bit 0. Bits at and above `nbits` are
+    /// either zero or a preview of the bytes from `pos` on (a word load
+    /// brings in more than it counts), so loading those bytes again ORs
+    /// the same bits in and past the end of input they are zero.
     bitbuf: u64,
     nbits: u32,
 }
@@ -100,38 +120,62 @@ impl<'a> LsbReader<'a> {
         }
     }
 
+    /// Tops the bit buffer up to at least 56 bits, or to everything that
+    /// is left of the input: one little-endian word load while eight
+    /// bytes remain, a byte at a time for the tail.
     #[inline]
-    fn fill(&mut self) {
-        while self.nbits <= 56 && self.pos < self.data.len() {
-            self.bitbuf |= (self.data[self.pos] as u64) << self.nbits;
-            self.pos += 1;
-            self.nbits += 8;
+    pub(crate) fn refill(&mut self) {
+        if self.unread() >= 8 {
+            self.refill_word();
+        } else {
+            while self.nbits <= 56 && self.pos < self.data.len() {
+                self.bitbuf |= (self.data[self.pos] as u64) << self.nbits;
+                self.pos += 1;
+                self.nbits += 8;
+            }
         }
     }
 
-    /// Reads `n` bits (`n <= 32`) LSB first; errors on truncation.
-    pub(crate) fn read_bits(&mut self, n: u32) -> Result<u32, DecodeError> {
-        debug_assert!(n <= 32);
-        self.fill();
-        if self.nbits < n {
-            return Err(DecodeError::Corrupt("unexpected end of stream"));
-        }
-        let v = (self.bitbuf & ((1u64 << n) - 1)) as u32;
-        self.bitbuf >>= n;
-        self.nbits -= n;
-        Ok(v)
+    /// [`LsbReader::refill`] for a caller that knows eight bytes are
+    /// [`LsbReader::unread`]: the word load alone, which always leaves
+    /// 56 bits or more.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than eight bytes are unread.
+    #[inline(always)]
+    pub(crate) fn refill_word(&mut self) {
+        let word = self.data[self.pos..self.pos + 8]
+            .try_into()
+            .expect("an 8-byte slice");
+        self.bitbuf |= u64::from_le_bytes(word) << self.nbits;
+        // Whole bytes that fit above the `nbits` already there.
+        self.pos += ((63 - self.nbits) >> 3) as usize;
+        self.nbits |= 56;
     }
 
-    /// Peeks up to `n` bits without consuming them. Returns the bits
-    /// (zero-padded past end of input) and how many are really available.
+    /// Input bytes not loaded into the bit buffer yet. While this is at
+    /// least 8, a refill leaves 56 real bits or more.
     #[inline]
-    pub(crate) fn peek(&mut self, n: u32) -> (u32, u32) {
-        debug_assert!(n <= 32);
-        self.fill();
-        ((self.bitbuf & ((1u64 << n) - 1)) as u32, self.nbits.min(n))
+    pub(crate) fn unread(&self) -> usize {
+        self.data.len() - self.pos
     }
 
-    /// Consumes `n` bits previously peeked (`n <=` available bits).
+    /// The buffered bits, next bit of the stream lowest. Only the low
+    /// [`LsbReader::available`] count as buffered; the ones above are
+    /// the stream's next bits or zero, and zero past the end of input.
+    #[inline]
+    pub(crate) fn bits(&self) -> u64 {
+        self.bitbuf
+    }
+
+    /// How many bits are buffered (at most 63).
+    #[inline]
+    pub(crate) fn available(&self) -> u32 {
+        self.nbits
+    }
+
+    /// Consumes `n` buffered bits (`n <=` [`LsbReader::available`]).
     #[inline]
     pub(crate) fn consume(&mut self, n: u32) {
         debug_assert!(self.nbits >= n);
@@ -139,24 +183,40 @@ impl<'a> LsbReader<'a> {
         self.nbits -= n;
     }
 
+    /// Consumes the code a decode table found: [`LsbReader::consume`] of
+    /// the length in the low byte of `entry`. The buffer is shifted by
+    /// `entry` itself — a 64-bit shift looks at the low six bits of its
+    /// count, which a length of at most 15 leaves to it — so it moves on
+    /// without waiting for the length to be masked out.
+    #[inline(always)]
+    pub(crate) fn consume_code(&mut self, entry: u32) {
+        debug_assert!(entry & 0xFF <= self.nbits.min(15));
+        self.bitbuf = self.bitbuf.wrapping_shr(entry);
+        self.nbits -= entry & 0xFF;
+    }
+
+    /// Reads `n` bits (`n <= 32`) LSB first; errors on truncation.
+    #[inline]
+    pub(crate) fn read_bits(&mut self, n: u32) -> Result<u32, DecodeError> {
+        debug_assert!(n <= 32);
+        self.refill();
+        if self.nbits < n {
+            return Err(DecodeError::Corrupt("unexpected end of stream"));
+        }
+        let v = (self.bitbuf & ((1u64 << n) - 1)) as u32;
+        self.consume(n);
+        Ok(v)
+    }
+
     /// Drops bits up to the next byte boundary (stored blocks, trailers).
     pub(crate) fn align_byte(&mut self) {
-        let drop = self.nbits % 8;
-        self.bitbuf >>= drop;
-        self.nbits -= drop;
+        self.consume(self.nbits % 8);
     }
 
     /// Reads one byte; the reader must be byte-aligned.
     pub(crate) fn read_byte(&mut self) -> Result<u8, DecodeError> {
         debug_assert_eq!(self.nbits % 8, 0, "read_byte requires byte alignment");
-        self.fill();
-        if self.nbits < 8 {
-            return Err(DecodeError::Corrupt("unexpected end of stream"));
-        }
-        let b = self.bitbuf as u8;
-        self.bitbuf >>= 8;
-        self.nbits -= 8;
-        Ok(b)
+        Ok(self.read_bits(8)? as u8)
     }
 
     /// Borrows the next `n` whole bytes; the reader must be byte-aligned.
@@ -247,14 +307,69 @@ mod tests {
     }
 
     #[test]
-    fn peek_reports_available_bits_at_end() {
+    fn bits_past_the_end_of_input_read_as_zero() {
         let bytes = [0xFF];
         let mut r = LsbReader::new(&bytes);
-        let (bits, avail) = r.peek(15);
-        assert_eq!(avail, 8);
-        assert_eq!(bits, 0xFF);
+        r.refill();
+        assert_eq!((r.bits(), r.available()), (0xFF, 8));
         r.consume(8);
-        let (_, avail) = r.peek(15);
-        assert_eq!(avail, 0);
+        r.refill();
+        assert_eq!((r.bits(), r.available()), (0, 0));
+    }
+
+    #[test]
+    fn word_and_byte_refills_read_the_same_stream() {
+        // Every read width against a bit-at-a-time model, over inputs
+        // long enough for the word load and short enough for the byte
+        // tail, with `bytes_consumed` checked at every step.
+        let data: Vec<u8> = (0..41u32).map(|i| (i * 167 + 13) as u8).collect();
+        for len in 0..data.len() {
+            let data = &data[..len];
+            let bit = |i: usize| (data[i / 8] >> (i % 8)) as u32 & 1;
+            for width in 1..=32usize {
+                let mut r = LsbReader::new(data);
+                let mut at = 0usize;
+                while at + width <= len * 8 {
+                    let want = (0..width).fold(0u32, |v, k| v | bit(at + k) << k);
+                    assert_eq!(r.read_bits(width as u32).unwrap(), want);
+                    at += width;
+                    assert_eq!(r.bytes_consumed(), at.div_ceil(8));
+                    assert_eq!(r.bytes_remaining(), len - at.div_ceil(8));
+                }
+                assert!(r.read_bits(width as u32).is_err());
+            }
+        }
+    }
+
+    #[test]
+    fn a_refill_with_eight_unread_bytes_buffers_56_real_bits() {
+        let data: Vec<u8> = (1..=24u8).collect();
+        let mut r = LsbReader::new(&data);
+        let mut taken = 0usize;
+        for step in [0u32, 3, 15, 48, 1, 56, 7] {
+            r.consume(step);
+            taken += step as usize;
+            if r.unread() < 8 {
+                break;
+            }
+            r.refill();
+            assert!(r.available() >= 56);
+            // Everything in the buffer is the stream from `taken` on,
+            // including the preview bits above `available`.
+            let bits = r.bits();
+            for k in 0..64usize {
+                let i = taken + k;
+                let want = if i / 8 < data.len() {
+                    (data[i / 8] >> (i % 8)) as u64 & 1
+                } else {
+                    0
+                };
+                if (k as u32) < r.available() {
+                    assert_eq!(bits >> k & 1, want, "bit {k} after {taken}");
+                } else {
+                    assert!(bits >> k & 1 == 0 || bits >> k & 1 == want);
+                }
+            }
+        }
     }
 }

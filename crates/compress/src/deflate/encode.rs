@@ -183,6 +183,56 @@ fn emit_tokens(w: &mut LsbWriter<'_>, tokens: &[Token], lit_lens: &[u8], dist_le
     w.write_bits(lit_codes[EOB] as u32, lit_lens[EOB] as u32);
 }
 
+/// One final fixed-Huffman block of `tokens`.
+pub(super) fn emit_fixed(w: &mut LsbWriter<'_>, tokens: &[Token]) {
+    w.write_bits(1, 1); // BFINAL
+    w.write_bits(1, 2); // BTYPE=01 fixed
+    emit_tokens(w, tokens, &fixed_litlen_lens(), &fixed_dist_lens());
+}
+
+/// One final dynamic-Huffman block of `tokens` under the header `p`
+/// planned for `lit_lens`/`dist_lens`.
+fn emit_dynamic(
+    w: &mut LsbWriter<'_>,
+    p: &DynHeader,
+    tokens: &[Token],
+    lit_lens: &[u8],
+    dist_lens: &[u8],
+) {
+    w.write_bits(1, 1); // BFINAL
+    w.write_bits(2, 2); // BTYPE=10 dynamic
+    w.write_bits((p.hlit - 257) as u32, 5);
+    w.write_bits((p.hdist - 1) as u32, 5);
+    w.write_bits((p.hclen - 4) as u32, 4);
+    for &s in CLCODE_ORDER.iter().take(p.hclen) {
+        w.write_bits(p.cl_lens[s] as u32, 3);
+    }
+    for &(s, eb, ev) in &p.syms[..p.sym_count] {
+        w.write_bits(p.cl_codes[s as usize] as u32, p.cl_lens[s as usize] as u32);
+        w.write_bits(ev as u32, eb as u32);
+    }
+    emit_tokens(w, tokens, lit_lens, dist_lens);
+}
+
+/// [`emit_dynamic`] under code lengths of the caller's choosing, which
+/// is how the decoder's tests spell blocks this encoder would never
+/// pick: 15-bit codes, a single distance code.
+#[cfg(test)]
+pub(super) fn emit_dynamic_with(
+    w: &mut LsbWriter<'_>,
+    tokens: &[Token],
+    lit_lens: &[u8; NUM_LITLEN],
+    dist_lens: &[u8; NUM_DIST],
+) {
+    emit_dynamic(
+        w,
+        &plan_dynamic(lit_lens, dist_lens),
+        tokens,
+        lit_lens,
+        dist_lens,
+    );
+}
+
 fn emit_stored(w: &mut LsbWriter<'_>, data: &[u8]) {
     let blocks = data.len().div_ceil(STORED_MAX).max(1);
     for i in 0..blocks {
@@ -200,7 +250,7 @@ fn emit_stored(w: &mut LsbWriter<'_>, data: &[u8]) {
 /// Input bytes up to which a thread's scratch keeps its buffers between
 /// calls: enough for 4 KB windows many times over, while one whole-tensor
 /// call does not pin megabytes to the thread for good.
-const SCRATCH_KEEP: usize = 64 * 1024;
+pub(super) const SCRATCH_KEEP: usize = 64 * 1024;
 
 /// What one thread's encoder keeps between calls.
 struct Scratch {
@@ -300,23 +350,9 @@ fn compress_with(
         emit_stored(&mut w, data);
     } else if dyn_bits <= fixed_bits {
         let p = dyn_plan.expect("dynamic cost is finite only when planned");
-        w.write_bits(1, 1); // BFINAL
-        w.write_bits(2, 2); // BTYPE=10 dynamic
-        w.write_bits((p.hlit - 257) as u32, 5);
-        w.write_bits((p.hdist - 1) as u32, 5);
-        w.write_bits((p.hclen - 4) as u32, 4);
-        for &s in CLCODE_ORDER.iter().take(p.hclen) {
-            w.write_bits(p.cl_lens[s] as u32, 3);
-        }
-        for &(s, eb, ev) in &p.syms[..p.sym_count] {
-            w.write_bits(p.cl_codes[s as usize] as u32, p.cl_lens[s as usize] as u32);
-            w.write_bits(ev as u32, eb as u32);
-        }
-        emit_tokens(&mut w, tokens, &lit_lens, &dist_lens);
+        emit_dynamic(&mut w, &p, tokens, &lit_lens, &dist_lens);
     } else {
-        w.write_bits(1, 1); // BFINAL
-        w.write_bits(1, 2); // BTYPE=01 fixed
-        emit_tokens(&mut w, tokens, &fixed_ll, &fixed_dl);
+        emit_fixed(&mut w, tokens);
     }
     w.align_byte();
     w.write_bytes(&super::adler::adler32(data).to_be_bytes());

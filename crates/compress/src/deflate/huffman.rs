@@ -3,9 +3,35 @@
 //!
 //! Code lengths come from the package-merge construction (optimal under a
 //! length limit); code values are the canonical assignment of RFC 1951
-//! §3.2.2. Decoding is table-driven: one peek of `max_len` LSB-first bits
-//! indexes a flat lookup table whose entries carry `(symbol, length)`, so
-//! a symbol costs one load instead of a bit-by-bit tree walk.
+//! §3.2.2.
+//!
+//! Decoding is table-driven and sized to the 4 KB window a call decodes,
+//! where building the table costs as much as a few hundred lookups. A
+//! [`DecodeTable`] is two-level: the next 10 (8 for distances) LSB-first
+//! bits index a primary table, and only the codes longer than that go
+//! through a link to a subtable — so a build writes about a thousand
+//! entries where a flat table over the longest code wrote up to 32 768.
+//! Its capacity is a compile-time constant ([`table_entries`], pinned by
+//! a worst-case search in the tests), so tables are plain arrays that live
+//! with the thread ([`with_tables`]) and building one allocates nothing and
+//! zeroes nothing. An [`entry`] says everything about its symbol — code
+//! length, what kind of symbol it is, its literal byte or its match base
+//! and extra-bit count — so decoding consults no second table.
+//!
+//! An entry carries one literal, not two. Measured on 4 KB `Huff` windows
+//! at d = 0.38, literal pairs that fit the 10-bit index would save 5.5% of
+//! the lookups, the pass that folds them into the table costs 1.7 µs on
+//! top of a 0.9 µs build, and a word that takes three lookups or four by
+//! the data decodes slower than four every time: 8.2 µs a window against
+//! 4.5.
+//!
+//! A table is read at two speeds: [`DecodeTable::decode`] checks each
+//! symbol for a missing code and for the end of input,
+//! [`DecodeTable::lookup`] checks nothing and is for loops that have
+//! established once, for a stretch of symbols, that neither can happen
+//! (see `decode`'s module docs and [`crate::Huff`]).
+
+use std::cell::RefCell;
 
 use super::bits::{reverse_bits, LsbReader};
 use crate::DecodeError;
@@ -195,77 +221,369 @@ pub(crate) fn lsb_codes(lens: &[u8], codes: &mut [u16]) {
     }
 }
 
-/// Flat-table canonical Huffman decoder for LSB-first streams.
+/// One [`DecodeTable`] entry, a `u32`:
 ///
-/// The table has `1 << max_len` entries; entry `i` answers "if the next
-/// `max_len` bits (LSB first) were `i`, which symbol starts here and how
-/// long is its code". Each code of length `l` is replicated at every
-/// index sharing its `l` low bits. Unassigned entries (possible when the
-/// code is *incomplete*, e.g. the single-distance-code streams zlib
-/// emits) stay 0 and are rejected at decode time — never at build time,
-/// because RFC-valid streams rely on them being merely unused.
-pub(crate) struct DecodeTable {
-    /// `(len << 12) | symbol`; 0 means "no code starts with these bits".
-    table: Vec<u16>,
-    max_len: u32,
+/// | bits   | field                                                        |
+/// |--------|--------------------------------------------------------------|
+/// | 0..8   | length of the whole code, 1–15                               |
+/// | 8..12  | extra bits that follow the code; of a link, its index width  |
+/// | 12..16 | what the symbol is: one of the flags below                   |
+/// | 16..32 | literal byte or plain symbol, length or distance base, or a link's first entry |
+///
+/// The all-zero entry means "no code starts with these bits". The length
+/// has the low byte to itself so that the bit buffer can be shifted by
+/// the entry as it was loaded (a 64-bit shift reads six bits of its
+/// count) while the bit count is kept elsewhere from the same byte: one
+/// step less between one lookup and the next
+/// ([`LsbReader::consume_code`]).
+///
+/// An alphabet hands [`DecodeTable::build`] its symbols as entries with
+/// the length field zero, so what a symbol *means* — its base value, how
+/// many extra bits follow — is read from the entry that found it and no
+/// second table is consulted while decoding.
+pub(crate) mod entry {
+    /// A symbol that stands for itself: a literal byte, a code length.
+    pub(crate) const LITERAL: u32 = 1 << 12;
+    /// A match length or distance symbol: base value plus extra bits.
+    pub(crate) const MATCH: u32 = 1 << 13;
+    /// Neither of the two: [`END`] or [`RESERVED`], told apart by value.
+    const SPECIAL: u32 = 1 << 14;
+    /// Primary entry of the codes too long for the primary table: they
+    /// continue in a subtable.
+    pub(super) const LINK: u32 = 1 << 15;
+    /// DEFLATE's end-of-block symbol.
+    pub(crate) const END: u32 = SPECIAL;
+    /// A symbol that has a code but no meaning (RFC 1951 §3.2.6: 286,
+    /// 287, distance 30 and 31 of the fixed codes).
+    pub(crate) const RESERVED: u32 = SPECIAL | 1 << 16;
+
+    /// Bits the code occupies in the stream.
+    #[inline(always)]
+    pub(crate) fn code_len(e: u32) -> u32 {
+        e & 0xFF
+    }
+
+    /// Extra bits after the code.
+    #[inline(always)]
+    pub(crate) fn extra_bits(e: u32) -> u32 {
+        (e >> 8) & 0xF
+    }
+
+    /// The literal, plain symbol, or base value.
+    #[inline(always)]
+    pub(crate) fn value(e: u32) -> u32 {
+        e >> 16
+    }
+
+    /// Whether `e` is the end-of-block symbol under some code.
+    #[inline(always)]
+    pub(crate) fn is_end(e: u32) -> bool {
+        e & !0xFF == END
+    }
+
+    /// The entry of a symbol before it has a code.
+    pub(crate) const fn symbol(kind: u32, value: u16, extra_bits: u8) -> u32 {
+        kind | (value as u32) << 16 | (extra_bits as u32) << 8
+    }
 }
 
-impl DecodeTable {
-    /// Builds a decode table. Returns `Ok(None)` for an empty alphabet
-    /// (no symbol has a code) and `Err` for an oversubscribed one (Kraft
-    /// sum above 1 — no prefix code exists).
-    pub(crate) fn from_lengths(lens: &[u8]) -> Result<Option<Self>, DecodeError> {
-        let max_len = lens.iter().copied().max().unwrap_or(0) as u32;
-        if max_len == 0 {
-            return Ok(None);
-        }
-        assert!(max_len <= MAX_CODE_LEN as u32 && lens.len() <= MAX_SYMBOLS);
-        // Kraft sum in units of 2^-max_len: over 1 << max_len means two
-        // codes would need the same bits.
-        let mut total = 0u64;
-        for &l in lens {
-            if l > 0 {
-                total += 1u64 << (max_len - l as u32);
-            }
-        }
-        if total > 1u64 << max_len {
-            return Err(DecodeError::Corrupt("oversubscribed huffman code"));
-        }
-        let mut codes = [0u16; MAX_SYMBOLS];
-        lsb_codes(lens, &mut codes[..lens.len()]);
-        let mut table = vec![0u16; 1usize << max_len];
-        for (sym, &l) in lens.iter().enumerate() {
-            if l == 0 {
-                continue;
-            }
-            let entry = ((l as u16) << 12) | sym as u16;
-            let first = codes[sym] as usize;
-            let step = 1usize << l;
-            let mut i = first;
-            while i < table.len() {
-                table[i] = entry;
-                i += step;
-            }
-        }
-        Ok(Some(DecodeTable { table, max_len }))
+/// Entries of an alphabet whose symbols stand for themselves: `Huff`'s
+/// payload bytes and, in its first 19, DEFLATE's code-length alphabet.
+pub(crate) const PLAIN_SYMBOLS: [u32; 256] = {
+    let mut symbols = [0u32; 256];
+    let mut s = 0;
+    while s < 256 {
+        symbols[s] = entry::symbol(entry::LITERAL, s as u16, 0);
+        s += 1;
+    }
+    symbols
+};
+
+/// Entries a two-level table over `symbols` codes of at most
+/// [`MAX_CODE_LEN`] bits can need, `primary_bits` of them indexing the
+/// primary table.
+///
+/// Canonical codes are packed from the all-zeros code upwards without
+/// gaps, so every subtable but the last is full. A full subtable indexed
+/// by `k` bits holds a complete prefix code of depth `k`, which has at
+/// least `k + 1` codes; at `2^k / (k + 1)` entries per code the widest
+/// subtables (`w = MAX_CODE_LEN - primary_bits` bits) are the costliest,
+/// and the one that may be part empty adds `2^w` more. Real codes stay
+/// far below this (code lengths only grow along the canonical order, so
+/// one cheap wide subtable forces every later one to be dense); the
+/// bound is what a proof this short gives.
+pub(crate) const fn table_entries(symbols: usize, primary_bits: u32) -> usize {
+    let w = MAX_CODE_LEN as usize - primary_bits as usize;
+    (1 << primary_bits) + (symbols << w) / (w + 1) + (1 << w)
+}
+
+/// Primary index width of the literal/length and byte-alphabet tables.
+pub(crate) const LITLEN_BITS: u32 = 10;
+/// Primary index width of the distance tables.
+pub(crate) const DIST_BITS: u32 = 8;
+/// The code-length alphabet's codes are at most 7 bits: no subtables.
+pub(crate) const CL_BITS: u32 = 7;
+
+/// Table of DEFLATE's literal/length alphabet and of `Huff`'s bytes.
+pub(crate) type LitlenTable = DecodeTable<LITLEN_BITS, { table_entries(MAX_SYMBOLS, LITLEN_BITS) }>;
+/// Table of DEFLATE's distance alphabet (32 codes in the fixed code).
+pub(crate) type DistTable = DecodeTable<DIST_BITS, { table_entries(32, DIST_BITS) }>;
+/// Table of a dynamic block header's code-length alphabet.
+pub(crate) type ClTable = DecodeTable<CL_BITS, { 1 << CL_BITS }>;
+
+/// How much of the code space the lengths given to
+/// [`DecodeTable::build`] use.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Coverage {
+    /// No symbol has a code; the table was left alone.
+    Empty,
+    /// Kraft sum below 1: some bit patterns start no code (the
+    /// single-distance-code blocks zlib emits, a `Huff` window of one
+    /// distinct byte). They are rejected when met, never at build time,
+    /// because RFC-valid streams rely on them being merely unused.
+    Partial,
+    /// Kraft sum exactly 1: every bit pattern starts a code.
+    Complete,
+}
+
+/// Two-level canonical Huffman decode table for LSB-first streams, of a
+/// capacity fixed at compile time.
+///
+/// The next `BITS` bits of the stream index the primary table. A code of
+/// at most `BITS` bits is replicated at every index that shares its low
+/// bits; the longer codes behind one `BITS`-bit prefix share a *link*
+/// entry there, which names a subtable indexed by as many further bits as
+/// the longest of them needs. [`table_entries`] bounds what all of that
+/// can take, so a table is a plain array: one per thread serves every
+/// block ([`with_tables`]), and building one allocates nothing.
+pub(crate) struct DecodeTable<const BITS: u32, const N: usize> {
+    entries: [u32; N],
+}
+
+impl<const BITS: u32, const N: usize> DecodeTable<BITS, N> {
+    pub(crate) const fn new() -> Self {
+        DecodeTable { entries: [0; N] }
     }
 
-    /// Decodes one symbol. Errors on bit patterns no code starts with and
-    /// on codes cut off by the end of input.
+    /// Builds the table of the canonical code with lengths `lens`
+    /// (RFC 1951 §3.2.2), entering symbol `s` as `symbols[s]` plus its
+    /// code length. `Err` for an oversubscribed code (Kraft sum above 1 —
+    /// no prefix code exists).
+    ///
+    /// Symbols are taken in canonical order — by length, then by symbol —
+    /// so that the primary table can grow with the code length: a table
+    /// indexed by `l` bits is two copies of the one indexed by `l - 1`
+    /// bits with the `l`-bit codes written over it, one store each.
+    /// Nothing is zeroed first: an index no code covers is a copy, of a
+    /// copy, of entry 0 as it was before any code was written, and that
+    /// is set to "no code" here.
+    pub(crate) fn build(&mut self, lens: &[u8], symbols: &[u32]) -> Result<Coverage, DecodeError> {
+        assert!(lens.len() <= MAX_SYMBOLS && lens.len() <= symbols.len());
+        const MAX: usize = MAX_CODE_LEN as usize;
+        // Histogram and counting sort run over the two halves of the
+        // alphabet side by side: neighbouring symbols tend to share a
+        // length, and one counter bumped twice in a row waits on itself.
+        let (low, high) = lens.split_at(lens.len() / 2);
+        let mut halves = [[0u16; MAX + 1]; 2];
+        for (&a, &b) in low.iter().zip(high) {
+            halves[0][a as usize] += 1;
+            halves[1][b as usize] += 1;
+        }
+        if let Some(&b) = high.get(low.len()) {
+            halves[1][b as usize] += 1;
+        }
+        let mut count = [0u16; MAX + 1];
+        for (l, count) in count.iter_mut().enumerate() {
+            *count = halves[0][l] + halves[1][l];
+        }
+        let Some(max_len) = (1..=MAX).rev().find(|&l| count[l] > 0) else {
+            return Ok(Coverage::Empty);
+        };
+        // Code space in units of 2^-MAX_CODE_LEN.
+        let space: u32 = (1..=max_len).map(|l| (count[l] as u32) << (MAX - l)).sum();
+        if space > 1 << MAX {
+            return Err(DecodeError::Corrupt("oversubscribed huffman code"));
+        }
+        let complete = space == 1 << MAX;
+
+        // Symbols in canonical order: by length, then by symbol. The
+        // unused ones (length 0) sort to the front and are skipped.
+        let mut sorted = [0u16; MAX_SYMBOLS];
+        let mut next = [[0u16; MAX + 1]; 2];
+        let mut start = 0u16;
+        for l in 0..=MAX {
+            next[0][l] = start;
+            next[1][l] = start + halves[0][l];
+            start += count[l];
+        }
+        let mut place = |half: usize, s: usize, l: u8| {
+            let slot = &mut next[half][l as usize];
+            sorted[*slot as usize] = s as u16;
+            *slot += 1;
+        };
+        for (s, (&a, &b)) in low.iter().zip(high).enumerate() {
+            place(0, s, a);
+            place(1, low.len() + s, b);
+        }
+        if let Some(&b) = high.get(low.len()) {
+            place(1, lens.len() - 1, b);
+        }
+        let mut at = count[0] as usize;
+        let coded = lens.len();
+        count[0] = 0;
+
+        // Codes count up along the canonical order, with a zero appended
+        // whenever the length grows; the table is indexed by the code as
+        // the stream carries it, first bit lowest.
+        let reversed = |code: u32, len: usize| (code as u16).reverse_bits() as usize >> (16 - len);
+        let mut code = 0u32;
+        let mut size = 1usize;
+        self.entries[0] = 0;
+        for (len, &codes) in count.iter().enumerate().take(BITS as usize + 1).skip(1) {
+            self.entries.copy_within(..size, size);
+            size *= 2;
+            for _ in 0..codes {
+                self.entries[reversed(code, len)] = symbols[sorted[at] as usize] | len as u32;
+                code += 1;
+                at += 1;
+            }
+            code <<= 1;
+        }
+
+        // The longer codes, one subtable per `BITS`-bit prefix. `count`
+        // is from here on what is left of each length.
+        let primary_mask = (1usize << BITS) - 1;
+        let mut next_free = 1usize << BITS;
+        let mut len = BITS as usize + 1;
+        while at < coded {
+            while count[len] == 0 {
+                len += 1;
+                code <<= 1;
+            }
+            // A new prefix: its subtable is as wide as it takes for the
+            // codes left to fill it, or as the longest code if they
+            // cannot (then this is the last subtable).
+            let prefix = reversed(code, len) & primary_mask;
+            let mut width = len - BITS as usize;
+            let mut filled = count[len] as usize;
+            while filled < 1 << width && BITS as usize + width < max_len {
+                width += 1;
+                filled = 2 * filled + count[BITS as usize + width] as usize;
+            }
+            self.entries[prefix] = entry::LINK | (next_free as u32) << 16 | (width as u32) << 8;
+            let sub = &mut self.entries[next_free..next_free + (1 << width)];
+            next_free += 1 << width;
+            if !complete {
+                sub.fill(0);
+            }
+            while at < coded {
+                while count[len] == 0 {
+                    len += 1;
+                    code <<= 1;
+                }
+                let index = reversed(code, len);
+                if index & primary_mask != prefix {
+                    break;
+                }
+                let e = symbols[sorted[at] as usize] | len as u32;
+                for slot in sub[index >> BITS..]
+                    .iter_mut()
+                    .step_by(1 << (len - BITS as usize))
+                {
+                    *slot = e;
+                }
+                count[len] -= 1;
+                code += 1;
+                at += 1;
+            }
+        }
+        Ok(if complete {
+            Coverage::Complete
+        } else {
+            Coverage::Partial
+        })
+    }
+
+    /// The entry of the code at the front of `bits` (next stream bit
+    /// lowest), or 0 if no code starts that way. Bits beyond the code are
+    /// ignored, so zero padding past the end of input is harmless here;
+    /// whether the code was all there is the caller's check.
+    #[inline(always)]
+    pub(crate) fn lookup(&self, bits: u64) -> u32 {
+        let e = self.entries[bits as usize & ((1 << BITS) - 1)];
+        if e & entry::LINK == 0 {
+            return e;
+        }
+        let sub = (bits >> BITS) as usize & ((1 << entry::extra_bits(e)) - 1);
+        self.entries[entry::value(e) as usize + sub]
+    }
+
+    /// Decodes one symbol with every check, returning its entry. Errors
+    /// on bit patterns no code starts with and on codes cut off by the
+    /// end of input.
     #[inline]
-    pub(crate) fn decode(&self, r: &mut LsbReader<'_>) -> Result<usize, DecodeError> {
-        let (bits, avail) = r.peek(self.max_len);
-        let entry = self.table[bits as usize];
-        if entry == 0 {
+    pub(crate) fn decode(&self, r: &mut LsbReader<'_>) -> Result<u32, DecodeError> {
+        r.refill();
+        let e = self.lookup(r.bits());
+        if e == 0 {
             return Err(DecodeError::Corrupt("invalid huffman code"));
         }
-        let len = (entry >> 12) as u32;
-        if len > avail {
+        if entry::code_len(e) > r.available() {
             return Err(DecodeError::Corrupt("unexpected end of stream"));
         }
-        r.consume(len);
-        Ok((entry & 0x0FFF) as usize)
+        r.consume_code(e);
+        Ok(e)
     }
+
+    /// Decodes one symbol with no check at all and returns its value.
+    /// Only for a [`Coverage::Complete`] table (every lookup finds a
+    /// code) and a reader holding at least [`MAX_CODE_LEN`] real bits.
+    #[inline(always)]
+    pub(crate) fn decode_unchecked(&self, r: &mut LsbReader<'_>) -> u32 {
+        let e = self.lookup(r.bits());
+        r.consume_code(e);
+        entry::value(e)
+    }
+
+    /// Entries in use after the last [`DecodeTable::build`]: the primary
+    /// table and every subtable it links.
+    #[cfg(test)]
+    pub(crate) fn entries_used(&self) -> usize {
+        let primary = &self.entries[..1 << BITS];
+        primary
+            .iter()
+            .filter(|&&e| e & entry::LINK != 0)
+            .map(|&e| entry::value(e) as usize + (1 << entry::extra_bits(e)))
+            .max()
+            .unwrap_or(primary.len())
+    }
+}
+
+/// The two tables a DEFLATE block decodes with; `Huff` borrows the
+/// literal/length one for its byte alphabet.
+pub(crate) struct BlockTables {
+    pub(crate) litlen: LitlenTable,
+    pub(crate) dist: DistTable,
+}
+
+thread_local! {
+    // Boxed on first use: inline, 14 KB of tables sit between the other
+    // thread-locals of every thread, decoder or not (`serve_4k`, which
+    // never decodes with them, lost 3-8% of its capacity to that).
+    static TABLES: RefCell<Option<Box<BlockTables>>> = const { RefCell::new(None) };
+}
+
+/// Runs `f` with this thread's decode tables. They hold whatever the
+/// last block left in them; `f` builds before it decodes.
+pub(crate) fn with_tables<R>(f: impl FnOnce(&mut BlockTables) -> R) -> R {
+    TABLES.with_borrow_mut(|tables| {
+        f(tables.get_or_insert_with(|| {
+            Box::new(BlockTables {
+                litlen: DecodeTable::new(),
+                dist: DecodeTable::new(),
+            })
+        }))
+    })
 }
 
 #[cfg(test)]
@@ -470,13 +788,21 @@ mod tests {
         assert!(lens[0] < lens[7]);
     }
 
+    /// A table of plain symbols over `lens`, and what `build` said.
+    fn plain_table(lens: &[u8]) -> (Box<LitlenTable>, Result<Coverage, DecodeError>) {
+        let mut table = Box::new(LitlenTable::new());
+        let built = table.build(lens, &[PLAIN_SYMBOLS, PLAIN_SYMBOLS].concat());
+        (table, built)
+    }
+
     #[test]
     fn table_roundtrip_all_symbols() {
         let freqs: Vec<u64> = vec![90, 5, 5, 20, 1, 0, 64, 3];
         let lens = lengths(&freqs, 15);
         let mut codes = [0u16; 8];
         lsb_codes(&lens, &mut codes);
-        let dec = DecodeTable::from_lengths(&lens).unwrap().unwrap();
+        let (dec, built) = plain_table(&lens);
+        assert_eq!(built, Ok(Coverage::Complete));
         for s in 0..freqs.len() {
             if lens[s] == 0 {
                 continue;
@@ -486,7 +812,216 @@ mod tests {
             w.write_bits(codes[s] as u32, lens[s] as u32);
             w.finish();
             let mut r = LsbReader::new(&bytes);
-            assert_eq!(dec.decode(&mut r).unwrap(), s, "symbol {s}");
+            let e = dec.decode(&mut r).unwrap();
+            assert_eq!(entry::value(e) as usize, s, "symbol {s}");
+            assert_eq!(entry::code_len(e), lens[s] as u32, "symbol {s}");
+        }
+    }
+
+    /// Every bit pattern, looked up in the two-level table and in the
+    /// flat table the decoder used to build, names the same code — or
+    /// neither names one.
+    fn assert_matches_flat_table<const BITS: u32, const N: usize>(
+        table: &mut DecodeTable<BITS, N>,
+        lens: &[u8],
+    ) {
+        use crate::deflate::oracle::FlatTable;
+        let symbols: Vec<u32> = (0..lens.len() as u16)
+            .map(|s| entry::symbol(entry::LITERAL, s, 0))
+            .collect();
+        let built = table.build(lens, &symbols);
+        let flat = match FlatTable::from_lengths(lens) {
+            Err(e) => return assert_eq!(built, Err(e), "{lens:?}"),
+            Ok(None) => return assert_eq!(built, Ok(Coverage::Empty), "{lens:?}"),
+            Ok(Some(flat)) => flat,
+        };
+        let kraft: u32 = lens
+            .iter()
+            .filter(|&&l| l > 0)
+            .map(|&l| 1 << (15 - l))
+            .sum();
+        let coverage = if kraft == 1 << 15 {
+            Coverage::Complete
+        } else {
+            Coverage::Partial
+        };
+        assert_eq!(built, Ok(coverage), "{lens:?}");
+        assert!(table.entries_used() <= N);
+        let max_len = *lens.iter().max().unwrap() as u32;
+        for pattern in 0..1u32 << max_len {
+            let bytes = pattern.to_le_bytes();
+            let want = flat.decode(&mut LsbReader::new(&bytes));
+            let mut r = LsbReader::new(&bytes);
+            let got = table.decode(&mut r);
+            match (want, got) {
+                (Ok(sym), Ok(e)) => {
+                    assert_eq!(entry::value(e) as usize, sym, "{lens:?} at {pattern:#b}");
+                    assert_eq!(entry::code_len(e), lens[sym] as u32);
+                    assert_eq!(r.available(), 32 - lens[sym] as u32);
+                    assert_eq!(table.lookup(pattern as u64), e);
+                }
+                (Err(want), Err(got)) => assert_eq!(got, want),
+                (want, got) => panic!("{lens:?} at {pattern:#b}: {want:?} vs {got:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn two_level_tables_equal_the_flat_table_on_every_bit_pattern() {
+        let mut seed = 0x7AB1_E5EE_D001u64;
+        let mut litlen = Box::new(LitlenTable::new());
+        let mut dist = Box::new(DistTable::new());
+        let mut cl = ClTable::new();
+        // Optimal codes of every shape, at limits that do and do not
+        // reach past the primary tables.
+        for n in [2usize, 3, 19, 30, 32, 100, 256, 286, 288] {
+            for max_len in [7u8, 9, 11, 15] {
+                for freqs in shapes(n, &mut seed) {
+                    let used = freqs.iter().filter(|&&f| f > 0).count();
+                    if used > 1 << max_len {
+                        continue;
+                    }
+                    let lens = lengths(&freqs, max_len);
+                    assert_matches_flat_table(&mut *litlen, &lens);
+                    if n <= 32 {
+                        assert_matches_flat_table(&mut *dist, &lens);
+                    }
+                    if n <= 19 && max_len <= 7 {
+                        assert_matches_flat_table(&mut cl, &lens);
+                    }
+                }
+            }
+        }
+        // Arbitrary length lists, as a damaged header spells them:
+        // incomplete, oversubscribed, empty.
+        for round in 0..600 {
+            let n = 1 + (next(&mut seed) % 288) as usize;
+            let top = 1 + next(&mut seed) % 15;
+            let zeros = next(&mut seed) % 4;
+            let lens: Vec<u8> = (0..n)
+                .map(|_| {
+                    let r = next(&mut seed);
+                    if r % 4 < zeros {
+                        0
+                    } else if round % 2 == 0 {
+                        (1 + (r >> 8) % top) as u8
+                    } else {
+                        // Mostly long codes, so that the list is often
+                        // a valid incomplete code with subtables.
+                        (top.max(8) - (r >> 8) % 3) as u8
+                    }
+                })
+                .collect();
+            assert_matches_flat_table(&mut *litlen, &lens);
+            if n <= 32 {
+                assert_matches_flat_table(&mut *dist, &lens);
+            }
+        }
+    }
+
+    /// The costliest length list `symbols` codes can spell for a table
+    /// with `bits`-bit primary index, found by exhaustive search over how
+    /// the subtables can follow one another: the canonical order packs
+    /// codes without gaps and lengths only grow along it, so a subtable
+    /// whose shortest code has `lo` bits and longest `hi` is full with
+    /// no fewer than `2^(lo - bits) + hi - lo` codes (all `lo`-bit, the
+    /// last one split down to a pair of `hi`-bit ones), and the next
+    /// subtable starts at `hi`. The very last may hold a single code.
+    fn costliest_lengths(symbols: usize, bits: usize) -> Vec<u8> {
+        const MAX: usize = MAX_CODE_LEN as usize;
+        // best[n][lo]: most entries `n` codes buy when the next subtable's
+        // codes are at least `lo` bits, and the (hi, codes) that starts it.
+        let mut best = vec![[(0usize, 0usize, 0usize); MAX + 2]; symbols + 1];
+        for n in 1..=symbols {
+            for lo in (bits + 1..=MAX).rev() {
+                // A last subtable of one `MAX`-bit code.
+                let mut top = (1 << (MAX - bits), MAX, 1);
+                for hi in lo..=MAX {
+                    let codes = (1usize << (lo - bits)) + hi - lo;
+                    if codes <= n {
+                        let after = best[n - codes];
+                        let entries = (1 << (hi - bits)) + after[hi].0;
+                        if entries > top.0 {
+                            top = (entries, hi, codes);
+                        }
+                    }
+                }
+                best[n][lo] = top;
+            }
+        }
+        // One short code ("0") keeps the rest long; what is left of the
+        // alphabet follows the best chain, then pads with `MAX`-bit codes.
+        let mut lens = vec![1u8];
+        let (mut n, mut lo) = (symbols - 1, bits + 1);
+        while n > 0 {
+            let (_, hi, codes) = best[n][lo];
+            if codes == 1 {
+                lens.push(hi as u8);
+            } else {
+                lens.extend(std::iter::repeat_n(lo as u8, (1 << (lo - bits)) - 1));
+                lens.extend((lo + 1..=hi).map(|l| l as u8));
+                lens.push(hi as u8);
+            }
+            n -= codes;
+            lo = hi;
+        }
+        lens
+    }
+
+    #[test]
+    fn worst_case_codes_fit_the_table_capacity() {
+        fn check<const BITS: u32, const N: usize>(symbols: usize) {
+            let mut table = Box::new(DecodeTable::<BITS, N>::new());
+            let mut worst = 0usize;
+            let mut try_lens = |lens: &[u8]| {
+                let symbols = vec![entry::LITERAL; lens.len()];
+                if let Ok(Coverage::Partial | Coverage::Complete) = table.build(lens, &symbols) {
+                    worst = worst.max(table.entries_used());
+                }
+            };
+            // The searched worst case, as spelled and with its lengths
+            // in every rotation (the order of symbols must not matter).
+            let lens = costliest_lengths(symbols, BITS as usize);
+            assert!(lens.len() <= symbols);
+            for shift in 0..lens.len() {
+                let mut rotated = lens.clone();
+                rotated.rotate_left(shift);
+                try_lens(&rotated);
+            }
+            // Hand-made extremes: everything at one length; a staircase
+            // one code per length, closed at each possible depth.
+            for len in 1..=MAX_CODE_LEN {
+                try_lens(&vec![len; symbols]);
+                let mut stairs: Vec<u8> = (1..=len).collect();
+                stairs.push(len);
+                stairs.resize(symbols.max(stairs.len()), 0);
+                try_lens(&stairs[..symbols.max(len as usize + 1).min(stairs.len())]);
+            }
+            let bound = table_entries(symbols, BITS);
+            assert!(
+                bound <= N,
+                "{symbols} symbols: table of {N} below bound {bound}"
+            );
+            assert!(
+                worst <= bound,
+                "{symbols} symbols: {worst} entries, bound {bound}"
+            );
+            assert!(
+                worst > 1 << BITS || BITS >= MAX_CODE_LEN as u32 || symbols < 3,
+                "{symbols} symbols: the search found no subtable"
+            );
+        }
+        check::<LITLEN_BITS, { table_entries(MAX_SYMBOLS, LITLEN_BITS) }>(288);
+        check::<LITLEN_BITS, { table_entries(MAX_SYMBOLS, LITLEN_BITS) }>(256);
+        check::<DIST_BITS, { table_entries(32, DIST_BITS) }>(30);
+        check::<DIST_BITS, { table_entries(32, DIST_BITS) }>(32);
+        // The code-length alphabet's lengths are 3-bit fields: at most 7,
+        // the whole primary index, so its table has no subtables at all.
+        let mut cl = ClTable::new();
+        for len in 1..=7u8 {
+            let built = cl.build(&[len; 19], &PLAIN_SYMBOLS);
+            assert_eq!(built.is_ok(), 19 <= 1 << len);
+            assert_eq!(cl.entries_used(), 1 << CL_BITS);
         }
     }
 
@@ -516,22 +1051,27 @@ mod tests {
     #[test]
     fn oversubscribed_lengths_are_rejected() {
         // Three codes of length 1 cannot coexist.
-        assert!(DecodeTable::from_lengths(&[1, 1, 1]).is_err());
+        assert!(plain_table(&[1, 1, 1]).1.is_err());
     }
 
     #[test]
     fn incomplete_code_builds_but_rejects_unused_patterns() {
         // One length-1 code: bit 0 decodes, bit 1 must error (not panic).
-        let dec = DecodeTable::from_lengths(&[1]).unwrap().unwrap();
+        let (dec, built) = plain_table(&[1]);
+        assert_eq!(built, Ok(Coverage::Partial));
         let mut r = LsbReader::new(&[0b0000_0000]);
-        assert_eq!(dec.decode(&mut r).unwrap(), 0);
+        assert_eq!(dec.decode(&mut r).map(entry::value), Ok(0));
         let mut r = LsbReader::new(&[0b0000_0001]);
         assert!(dec.decode(&mut r).is_err());
     }
 
     #[test]
-    fn empty_alphabet_has_no_table() {
-        assert!(DecodeTable::from_lengths(&[0, 0, 0]).unwrap().is_none());
+    fn empty_alphabet_leaves_the_table_alone() {
+        let (mut dec, built) = plain_table(&[2, 1, 2]);
+        assert_eq!(built, Ok(Coverage::Complete));
+        let before = dec.lookup(0b01);
+        assert_eq!(dec.build(&[0, 0, 0], &PLAIN_SYMBOLS), Ok(Coverage::Empty));
+        assert_eq!(dec.lookup(0b01), before);
     }
 
     #[test]
@@ -539,10 +1079,35 @@ mod tests {
         // A 9-bit code with only 8 bits in the stream.
         let mut lens = vec![9u8; 256];
         lens.extend_from_slice(&[7; 24]);
+        lens.extend_from_slice(&[8; 8]);
         lens[..144].fill(8);
-        let dec = DecodeTable::from_lengths(&lens).unwrap().unwrap();
+        let (dec, _) = plain_table(&lens);
         // 0xFF.. selects a 9-bit code (literal >= 144 region).
         let mut r = LsbReader::new(&[0xFF]);
-        assert!(dec.decode(&mut r).is_err());
+        assert_eq!(
+            dec.decode(&mut r),
+            Err(DecodeError::Corrupt("unexpected end of stream"))
+        );
+    }
+
+    #[test]
+    fn a_rebuilt_table_forgets_the_code_before() {
+        // A complete code, then an incomplete one whose long codes leave
+        // most of a subtable unused: nothing of the first may show through.
+        let mut seed = 9u64;
+        let full = lengths(&shapes(286, &mut seed)[2], 15);
+        let (mut dec, built) = plain_table(&full);
+        assert_eq!(built, Ok(Coverage::Complete));
+        let sparse = [15u8, 0, 15, 0, 0, 14];
+        assert_eq!(dec.build(&sparse, &PLAIN_SYMBOLS), Ok(Coverage::Partial));
+        let flat = crate::deflate::oracle::FlatTable::from_lengths(&sparse)
+            .unwrap()
+            .unwrap();
+        for pattern in 0..1u32 << 15 {
+            let bytes = pattern.to_le_bytes();
+            let want = flat.decode(&mut LsbReader::new(&bytes)).ok();
+            let got = dec.decode(&mut LsbReader::new(&bytes)).ok();
+            assert_eq!(got.map(|e| entry::value(e) as usize), want, "{pattern:#b}");
+        }
     }
 }

@@ -12,15 +12,19 @@
 //!
 //! Module layout: [`bits`] is the LSB-first bit I/O layer (RFC 1951's
 //! bit order, §3.1.1), [`huffman`] the shared
-//! package-merge/canonical-code machinery and the table-driven decoder,
-//! `lz77` the hash-chained match stage, `encode`/`decode` the block
-//! encoder and the inflate state machine, `adler` the container checksum.
+//! package-merge/canonical-code machinery and the two-level decode
+//! tables, `lz77` the hash-chained match stage, `encode`/`decode` the
+//! block encoder and the inflate state machine, `adler` the container
+//! checksum.
 //!
-//! The engine compresses in 4 KB DMA windows, so the encoder's fixed
-//! cost per call is what its throughput there comes down to: code
-//! construction works in stack arrays, the match tables and token list
-//! are reused per thread (`encode`'s scratch), and a warm call allocates
-//! nothing.
+//! The engine compresses and decompresses in 4 KB DMA windows, so the
+//! fixed cost per call is what throughput there comes down to. On the
+//! way out, code construction works in stack arrays and the match tables
+//! and token list are reused per thread (`encode`'s scratch); on the way
+//! back, decode tables and the inflated payload are per-thread too and a
+//! coded block runs a check-free fast loop between its margins
+//! (`decode`'s module docs). A warm call allocates nothing in either
+//! direction.
 
 mod adler;
 pub(crate) mod bits;
@@ -28,10 +32,12 @@ mod decode;
 mod encode;
 pub(crate) mod huffman;
 mod lz77;
+#[cfg(test)]
+pub(crate) mod oracle;
 
-pub(crate) use decode::decompress as inflate;
+pub(crate) use decode::inflate_with;
 
-use crate::{Compressor, DecodeError};
+use crate::{extend_f32_le, Compressor, DecodeError};
 
 /// The order code-length-code lengths appear in a dynamic block header
 /// (RFC 1951 §3.2.7).
@@ -102,23 +108,13 @@ impl Zlib {
     /// other RFC 1950/1951 implementation. Rejects trailing bytes after
     /// the Adler-32 trailer.
     pub fn decompress_bytes(&self, stream: &[u8]) -> Result<Vec<u8>, DecodeError> {
-        let (out, consumed) = decode::decompress(stream, usize::MAX)?;
+        let mut out = Vec::new();
+        let consumed = decode::inflate_into(stream, usize::MAX, &mut out)?;
         if consumed != stream.len() {
             return Err(DecodeError::Corrupt("trailing bytes after zlib stream"));
         }
         Ok(out)
     }
-}
-
-/// Appends the little-endian `f32` words of `bytes` (a whole number of
-/// words) to `vals`: one reservation, then straight writes.
-pub(crate) fn extend_f32_le(vals: &mut Vec<f32>, bytes: &[u8]) {
-    debug_assert_eq!(bytes.len() % 4, 0);
-    vals.extend(
-        bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk"))),
-    );
 }
 
 impl Compressor for Zlib {
@@ -137,20 +133,21 @@ impl Compressor for Zlib {
         vals: &mut Vec<f32>,
     ) -> Result<(), DecodeError> {
         let target = element_count * 4;
-        let (out, consumed) = decode::decompress(bytes, target)?;
-        if consumed < bytes.len() {
-            return Err(DecodeError::TrailingData {
-                expected: element_count,
-            });
-        }
-        if out.len() != target {
-            return Err(DecodeError::Truncated {
-                expected: element_count,
-                decoded: out.len() / 4,
-            });
-        }
-        extend_f32_le(vals, &out);
-        Ok(())
+        inflate_with(bytes, target, |payload, consumed| {
+            if consumed < bytes.len() {
+                return Err(DecodeError::TrailingData {
+                    expected: element_count,
+                });
+            }
+            if payload.len() != target {
+                return Err(DecodeError::Truncated {
+                    expected: element_count,
+                    decoded: payload.len() / 4,
+                });
+            }
+            extend_f32_le(vals, payload);
+            Ok(())
+        })
     }
 }
 

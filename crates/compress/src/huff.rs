@@ -21,13 +21,30 @@
 //!
 //! The payload symbol count comes from the masks, so no end marker is
 //! needed and truncation/trailing bytes are detected exactly.
+//!
+//! Decoding walks the set bits of each mask and decodes four symbols
+//! straight into that word of a zero-filled window. While the code is
+//! complete and at least [`FAST_INPUT`] payload bytes have not been
+//! loaded yet — the fast loop — a word is decoded with no check at all:
+//! every lookup finds a code, and every refill is one word load of real
+//! input. The last words of the payload, and every word under an
+//! incomplete code, go through the table's checked `decode` — the
+//! careful loop — which is where every error comes from. Nothing is
+//! allocated: the table is this thread's, the masks are read in place.
 
 use crate::deflate::bits::{LsbReader, LsbWriter};
-use crate::deflate::huffman::{code_lengths, lsb_codes, DecodeTable, MAX_CODE_LEN};
+use crate::deflate::huffman::{
+    code_lengths, entry, lsb_codes, with_tables, Coverage, LitlenTable, MAX_CODE_LEN, PLAIN_SYMBOLS,
+};
 use crate::{Compressor, DecodeError};
 
 // The 4-bit length table holds code lengths up to 15.
 const _: () = assert!(MAX_CODE_LEN <= 0x0F);
+
+/// Unloaded payload bytes that let one word be decoded unchecked: each
+/// of its three refills at most loads up to seven bytes and must find
+/// eight.
+const FAST_INPUT: usize = 2 * 7 + 8;
 
 /// The mask + Huffman-coded-payload sparse codec.
 ///
@@ -104,6 +121,136 @@ impl Compressor for Huff {
         element_count: usize,
         vals: &mut Vec<f32>,
     ) -> Result<(), DecodeError> {
+        let mask_bytes = element_count.div_ceil(32) * 4;
+        if bytes.len() < mask_bytes {
+            return Err(DecodeError::Corrupt("truncated mask section"));
+        }
+        let (masks, rest) = bytes.split_at(mask_bytes);
+        let masks = masks
+            .chunks_exact(4)
+            .map(|m| u32::from_le_bytes(m.try_into().expect("4-byte chunk")));
+        let mut nz = 0usize;
+        for (g, m) in masks.clone().enumerate() {
+            let valid = element_count - g * 32;
+            if valid < 32 && (m >> valid) != 0 {
+                return Err(DecodeError::Corrupt("mask padding bits set"));
+            }
+            nz += m.count_ones() as usize;
+        }
+        let base = vals.len();
+        if nz == 0 {
+            if !rest.is_empty() {
+                return Err(DecodeError::TrailingData {
+                    expected: element_count,
+                });
+            }
+            vals.resize(base + element_count, 0.0);
+            return Ok(());
+        }
+        if rest.len() < 128 {
+            return Err(DecodeError::Corrupt("truncated code-length table"));
+        }
+        let (packed_lens, payload) = rest.split_at(128);
+        let mut lens = [0u8; 256];
+        for (pair, &b) in lens.chunks_exact_mut(2).zip(packed_lens) {
+            pair[0] = b & 0x0F;
+            pair[1] = b >> 4;
+        }
+        with_tables(|tables| {
+            let table = &mut tables.litlen;
+            let complete = match table.build(&lens, &PLAIN_SYMBOLS)? {
+                Coverage::Empty => return Err(DecodeError::Corrupt("empty payload alphabet")),
+                Coverage::Partial => false,
+                Coverage::Complete => true,
+            };
+            // One mask bit per word bounds this by `element_count`:
+            // caller-sized, never stream-sized.
+            vals.resize(base + element_count, 0.0);
+            let window = &mut vals[base..];
+            let mut positions = nonzero_positions(masks);
+            let mut r = LsbReader::new(payload);
+            if complete {
+                // The fast loop, on a copy of the reader that never
+                // leaves registers.
+                let mut fast = r;
+                while fast.unread() >= FAST_INPUT {
+                    let Some(at) = positions.next() else { break };
+                    window[at] = f32::from_bits(word_unchecked(table, &mut fast));
+                }
+                r = fast;
+            }
+            // The careful loop: what is left of the payload.
+            for at in positions {
+                window[at] = f32::from_bits(word_checked(table, &mut r)?);
+            }
+            if r.bytes_consumed() < payload.len() {
+                return Err(DecodeError::TrailingData {
+                    expected: element_count,
+                });
+            }
+            Ok(())
+        })
+    }
+}
+
+/// Word positions of the set bits of consecutive presence masks.
+fn nonzero_positions(masks: impl Iterator<Item = u32>) -> impl Iterator<Item = usize> {
+    masks.enumerate().flat_map(|(g, mut m)| {
+        std::iter::from_fn(move || {
+            (m != 0).then(|| {
+                let bit = m.trailing_zeros() as usize;
+                m &= m - 1;
+                g * 32 + bit
+            })
+        })
+    })
+}
+
+/// The next four payload bytes as a little-endian word, every code
+/// checked.
+fn word_checked(table: &LitlenTable, r: &mut LsbReader<'_>) -> Result<u32, DecodeError> {
+    let mut word = 0u32;
+    for shift in [0, 8, 16, 24] {
+        word |= entry::value(table.decode(r)?) << shift;
+    }
+    Ok(word)
+}
+
+/// [`word_checked`] without the checks, for a complete code and a reader
+/// with [`FAST_INPUT`] bytes unloaded: each of its refills is a word load
+/// of real input, and together they cover the word's 60 bits at most.
+#[inline(always)]
+fn word_unchecked(table: &LitlenTable, r: &mut LsbReader<'_>) -> u32 {
+    if r.available() < MAX_CODE_LEN as u32 {
+        r.refill_word();
+    }
+    // The first code is looked up in the bits as they were: a refill
+    // only adds above them, so the two need not wait for each other.
+    let front = r.bits();
+    r.refill_word();
+    let e0 = table.lookup(front);
+    r.consume_code(e0);
+    let b0 = entry::value(e0);
+    let b1 = table.decode_unchecked(r);
+    let b2 = table.decode_unchecked(r);
+    if r.available() < MAX_CODE_LEN as u32 {
+        r.refill_word();
+    }
+    let b3 = table.decode_unchecked(r);
+    b0 | b1 << 8 | b2 << 16 | b3 << 24
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::deflate::oracle::{self, FlatTable};
+    use crate::windowed::{WindowedStream, DEFAULT_WINDOW_BYTES};
+
+    /// The decoder this codec shipped with, kept as the oracle of the
+    /// differential test: masks and payload collected into vectors, one
+    /// checked symbol at a time through the flat table, then a branch
+    /// per word position.
+    fn decompress_oracle(bytes: &[u8], element_count: usize) -> Result<Vec<f32>, DecodeError> {
         let groups = element_count.div_ceil(32);
         let mask_bytes = groups * 4;
         if bytes.len() < mask_bytes {
@@ -126,8 +273,7 @@ impl Compressor for Huff {
                     expected: element_count,
                 });
             }
-            vals.resize(vals.len() + element_count, 0.0);
-            return Ok(());
+            return Ok(vec![0.0; element_count]);
         }
         let rest = &bytes[mask_bytes..];
         if rest.len() < 128 {
@@ -138,12 +284,10 @@ impl Compressor for Huff {
             lens[2 * i] = b & 0x0F;
             lens[2 * i + 1] = b >> 4;
         }
-        let table = DecodeTable::from_lengths(&lens)?
+        let table = FlatTable::from_lengths(&lens)?
             .ok_or(DecodeError::Corrupt("empty payload alphabet"))?;
         let payload_bytes = &rest[128..];
         let mut r = LsbReader::new(payload_bytes);
-        // `nz` is bounded by `element_count` (one mask bit per word), so
-        // this reservation is caller-sized, never stream-sized.
         let mut payload = Vec::with_capacity(nz * 4);
         for _ in 0..nz * 4 {
             payload.push(table.decode(&mut r)? as u8);
@@ -153,31 +297,141 @@ impl Compressor for Huff {
                 expected: element_count,
             });
         }
-        vals.reserve(element_count);
+        let mut vals = Vec::with_capacity(element_count);
         let mut p = 0usize;
         for (g, &m) in masks.iter().enumerate() {
             let valid = (element_count - g * 32).min(32);
             for i in 0..valid {
                 if m & (1 << i) != 0 {
-                    vals.push(f32::from_le_bytes([
-                        payload[p],
-                        payload[p + 1],
-                        payload[p + 2],
-                        payload[p + 3],
-                    ]));
+                    vals.push(f32::from_le_bytes(payload[p..p + 4].try_into().unwrap()));
                     p += 4;
                 } else {
                     vals.push(0.0);
                 }
             }
         }
-        Ok(())
+        Ok(vals)
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    /// Decoder and oracle on one stream: the same words bit for bit, or
+    /// the same error.
+    fn assert_same(stream: &[u8], element_count: usize) {
+        let bits = |r: Result<Vec<f32>, DecodeError>| {
+            r.map(|vals| vals.iter().map(|v| v.to_bits()).collect::<Vec<u32>>())
+        };
+        let want = bits(decompress_oracle(stream, element_count));
+        let got = bits(Huff::new().decompress(stream, element_count));
+        assert!(
+            got == want,
+            "{} stream bytes, {element_count} words: oracle {:?}, decoder {:?}",
+            stream.len(),
+            want.as_ref().map(Vec::len),
+            got.as_ref().map(Vec::len),
+        );
+    }
+
+    #[test]
+    fn activation_streams_decode_like_the_oracle_under_damage() {
+        let hf = Huff::new();
+        for density in oracle::DENSITIES {
+            let data = oracle::tensor(density);
+            // Whole: the edges and a spread of a stream of tens of KB.
+            let whole = hf.compress(&data);
+            let (edge, pieces) = if oracle::THOROUGH { (24, 48) } else { (4, 6) };
+            let spread = oracle::positions(whole.len(), edge, whole.len() / pieces);
+            oracle::for_each_damage(&whole, spread, |s| assert_same(s, data.len()));
+            // As the engine's 4 KB windows: every position of two of
+            // them, a sample of the rest.
+            let windowed = WindowedStream::compress(&hf, &data, DEFAULT_WINDOW_BYTES);
+            for (w, window) in data.chunks(DEFAULT_WINDOW_BYTES / 4).enumerate() {
+                let stream = windowed.window(w);
+                assert_eq!(stream, hf.compress(window));
+                let sample = oracle::window_positions(w, stream.len());
+                oracle::for_each_damage(stream, sample, |s| assert_same(s, window.len()));
+            }
+        }
+    }
+
+    #[test]
+    fn every_payload_length_hands_over_to_the_checked_tail() {
+        // 0..=70 non-zero words of skewed bytes: the payload ends at
+        // every phase of the 16-byte input margin, so the switch from
+        // unchecked to checked words lands everywhere, and the stream's
+        // last code ends anywhere in its last byte.
+        let mut state = 0x4F1D_0C0DE_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for nz in 0..=70usize {
+            let data: Vec<f32> = (0..96)
+                .map(|i| {
+                    if (i * 7) % 96 < nz {
+                        let r = next();
+                        f32::from_bits(0x3F00_0000 | (r % 7) as u32 | (((r >> 8) % 3) << 12) as u32)
+                    } else {
+                        0.0
+                    }
+                })
+                .collect();
+            let stream = Huff::new().compress(&data);
+            assert_same(&stream, data.len());
+            assert_eq!(roundtrip(&data), stream.len());
+            for cut in 1..=20.min(stream.len()) {
+                assert_same(&stream[..stream.len() - cut], data.len());
+            }
+        }
+    }
+
+    #[test]
+    fn fifteen_bit_codes_decode_in_both_loops() {
+        // Payload bytes whose Huffman tree is one long spine: sixteen
+        // bytes seen once each at its foot, then counts that grow like
+        // Fibonacci's. The code is as deep as the 4-bit length table
+        // allows and its long codes sit in subtables. The sixteen are 15
+        // bits each and come four to a word: 60 bits, more than one
+        // refill holds. Those words are first, last and in the middle,
+        // so both the unchecked and the checked word decode meet them,
+        // and a stream cut inside one has to read as the end of input,
+        // not as zeros.
+        let rare = |lo: u8| f32::from_le_bytes([lo, lo + 1, lo + 2, lo + 3]);
+        let (mut a, mut b) = (16usize, 26usize);
+        let mut common = Vec::new();
+        for value in 17..28u8 {
+            common.extend(std::iter::repeat_n(value, a));
+            (a, b) = (b, a + b);
+        }
+        let n = common.len() / 4 * 4;
+        // From both ends at once, so no stretch is all short codes.
+        let mut words: Vec<f32> = (0..n)
+            .map(|i| {
+                if i % 2 == 0 {
+                    common[i / 2]
+                } else {
+                    common[n - 1 - i / 2]
+                }
+            })
+            .collect::<Vec<u8>>()
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        let middle = words.len() / 2;
+        words.splice(middle..middle, [rare(5), rare(9)]);
+        words.insert(0, rare(1));
+        words.push(rare(13));
+        let data: Vec<f32> = words.into_iter().flat_map(|v| [v, 0.0]).collect();
+        let stream = Huff::new().compress(&data);
+        let lens = &stream[data.len().div_ceil(32) * 4..][..128];
+        for byte in 1..=16usize {
+            assert_eq!((lens[byte / 2] >> (byte % 2 * 4)) & 0x0F, 15, "byte {byte}");
+        }
+        assert_same(&stream, data.len());
+        assert_eq!(roundtrip(&data), stream.len());
+        let sample = oracle::positions(stream.len(), 400, 97);
+        oracle::for_each_damage(&stream, sample, |s| assert_same(s, data.len()));
+    }
 
     fn roundtrip(data: &[f32]) -> usize {
         let hf = Huff::new();

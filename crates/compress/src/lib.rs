@@ -131,3 +131,15 @@ pub use zvc::{kernel_info, sector_mask, Kernel, KernelInfo, KernelTier, Zvc, ZVC
 
 #[doc(hidden)]
 pub use zvc::scalar_reference;
+
+/// Appends the little-endian `f32` words of `bytes` (a whole number of
+/// words) to `vals`: one reservation, then straight writes. Where every
+/// decoder that ends up with raw word bytes turns them into words.
+pub(crate) fn extend_f32_le(vals: &mut Vec<f32>, bytes: &[u8]) {
+    debug_assert_eq!(bytes.len() % 4, 0);
+    vals.extend(
+        bytes
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk"))),
+    );
+}

@@ -1,4 +1,4 @@
-use crate::{Compressor, DecodeError};
+use crate::{extend_f32_le, Compressor, DecodeError};
 
 /// Maximum run length one RLE record can express.
 const MAX_RUN: usize = 128;
@@ -113,16 +113,8 @@ impl Compressor for Rle {
                         decoded: out.len() - base,
                     });
                 }
-                for _ in 0..len {
-                    let v = f32::from_le_bytes([
-                        bytes[pos],
-                        bytes[pos + 1],
-                        bytes[pos + 2],
-                        bytes[pos + 3],
-                    ]);
-                    out.push(v);
-                    pos += 4;
-                }
+                extend_f32_le(out, &bytes[pos..pos + len * 4]);
+                pos += len * 4;
             }
         }
         if pos != bytes.len() {

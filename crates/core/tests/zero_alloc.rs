@@ -1,11 +1,18 @@
-//! Counting-allocator pin for the engine's offload hot path: after the
-//! first call warms the scratch's stream buffers and pipeline vectors,
-//! [`CdmaEngine::offload_into`] must allocate exactly zero bytes per
-//! offload — the fix for the per-call `DmaPipeline` rebuild that
-//! `memcpy_compressed_reusing` used to pay. The entropy coders are held
-//! to the same bar: their code construction works in stack arrays and
-//! their match tables and token list are per-thread scratch, so a 4 KB
-//! window costs no allocation either.
+//! Counting-allocator pin for the engine's hot paths, both directions.
+//!
+//! Offload: after the first call warms the scratch's stream buffers and
+//! pipeline vectors, [`CdmaEngine::offload_into`] must allocate exactly
+//! zero bytes per offload — the fix for the per-call `DmaPipeline`
+//! rebuild that `memcpy_compressed_reusing` used to pay. The entropy
+//! coders are held to the same bar: their code construction works in
+//! stack arrays and their match tables and token list are per-thread
+//! scratch, so a 4 KB window costs no allocation either.
+//!
+//! Prefetch: after one warm-up call, [`CdmaEngine::memcpy_decompressed_into`]
+//! into a reused `Vec<f32>` must allocate nothing as well. The entropy
+//! decoders build their tables in per-thread arrays, inflate into a
+//! per-thread buffer and read `Huff`'s masks in place (`Huff` used to
+//! make three allocations a window and `Zlib` a dozen).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,9 +48,10 @@ unsafe impl GlobalAlloc for Counting {
 static COUNTER: Counting = Counting;
 
 /// One test, one thread: the counters are process-wide, so the codecs
-/// take turns instead of running as parallel tests.
+/// and the two directions take turns instead of running as parallel
+/// tests.
 #[test]
-fn offload_into_steady_state_allocates_nothing() {
+fn offload_and_prefetch_steady_state_allocate_nothing() {
     for alg in [
         Algorithm::Zvc,
         Algorithm::Huff,
@@ -52,6 +60,10 @@ fn offload_into_steady_state_allocates_nothing() {
     ] {
         steady_state_allocates_nothing(CdmaEngine::new(SystemConfig::titan_x_pcie3(), alg));
     }
+}
+
+fn allocations() -> (u64, u64) {
+    (ALLOCS.load(Ordering::SeqCst), BYTES.load(Ordering::SeqCst))
 }
 
 fn steady_state_allocates_nothing(engine: CdmaEngine) {
@@ -69,19 +81,40 @@ fn steady_state_allocates_nothing(engine: CdmaEngine) {
     // Warm-up sizes the window stream and the pipeline's line vectors.
     let warm = engine.offload_into(&data, &mut scratch);
 
-    let before = (ALLOCS.load(Ordering::SeqCst), BYTES.load(Ordering::SeqCst));
+    let before = allocations();
     let mut last = warm;
     for _ in 0..32 {
         last = engine.offload_into(&data, &mut scratch);
     }
-    let after = (ALLOCS.load(Ordering::SeqCst), BYTES.load(Ordering::SeqCst));
-
     assert_eq!(
-        after, before,
+        allocations(),
+        before,
         "{label}: offload_into must allocate zero bytes per call after warm-up"
     );
     // And it keeps producing the same answer as the warm-up call.
     assert_eq!(warm.0, last.0);
     assert_eq!(warm.1.total_time, last.1.total_time);
     assert_eq!(warm.1.compressed_bytes, last.1.compressed_bytes);
+
+    // The way back: the warm-up sizes the output buffer and this
+    // thread's inflate buffer, and boxes its decode tables.
+    let copy = engine.memcpy_compressed(&data);
+    let mut out = Vec::new();
+    engine.memcpy_decompressed_into(&copy, &mut out).unwrap();
+    let before = allocations();
+    for _ in 0..32 {
+        engine.memcpy_decompressed_into(&copy, &mut out).unwrap();
+    }
+    assert_eq!(
+        allocations(),
+        before,
+        "{label}: memcpy_decompressed_into must allocate zero bytes per call after warm-up"
+    );
+    assert!(
+        out.iter()
+            .zip(&data)
+            .all(|(a, b)| a.to_bits() == b.to_bits())
+            && out.len() == data.len(),
+        "{label}: prefetch output differs from the input"
+    );
 }
