@@ -30,12 +30,6 @@ fn bench_memcpy_compressed(h: &mut Harness) {
     h.bench("memcpy_compressed/zvc", bytes, || {
         engine.memcpy_compressed(&data)
     });
-    // The recycling form reuses the previous copy's stream buffers.
-    let mut stream = engine.memcpy_compressed(&data).into_stream();
-    h.bench("memcpy_compressed/zvc_reusing", bytes, || {
-        let copy = engine.memcpy_compressed_reusing(&data, std::mem::take(&mut stream));
-        stream = copy.into_stream();
-    });
 }
 
 fn main() {

@@ -3,7 +3,7 @@
 //!
 //! Four suites:
 //!
-//! 1. **dispatch** — boxed-per-call vs static [`Codec`] on one 4 KB window.
+//! 1. **dispatch** — the static [`Codec`] on one 4 KB window.
 //! 2. **whole-offload** — the contiguous [`WindowedStream`], fresh and
 //!    with recycled buffers, and the parallel window path.
 //! 3. **memcpy baseline** — a plain `f32` copy of the sweep-sized buffer:
@@ -138,14 +138,11 @@ fn density_input(d: f64, fast: bool) -> Vec<f32> {
 }
 
 fn bench_dispatch(h: &mut Harness, fast: bool) {
-    group("dispatch: boxed-per-call vs static Codec (one 4 KB window)");
+    group("dispatch: static Codec (one 4 KB window)");
     let data = large_sparse_input(fast);
     let window: Vec<f32> = data[..WINDOW / 4].to_vec();
     let bytes = WINDOW as u64;
     for alg in Algorithm::ALL {
-        h.bench(&format!("boxed_alloc/{}", alg.label()), bytes, || {
-            alg.boxed().compress(&window)
-        });
         let codec = alg.codec();
         let mut out = Vec::new();
         h.bench(&format!("static_into/{}", alg.label()), bytes, || {

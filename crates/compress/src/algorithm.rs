@@ -134,9 +134,7 @@ pub trait Compressor {
 /// allocation or vtable indirection per call site.
 ///
 /// `Codec` implements [`Compressor`] by delegation; use
-/// [`Algorithm::codec`] to obtain one. The boxed form
-/// ([`Algorithm::boxed`]) remains available for code that genuinely needs a
-/// trait object.
+/// [`Algorithm::codec`] to obtain one.
 ///
 /// ```
 /// use cdma_compress::{Algorithm, Codec, Compressor};
@@ -313,20 +311,6 @@ impl Algorithm {
         }
     }
 
-    /// Instantiates a boxed trait-object codec — a compatibility shim for
-    /// call sites that store heterogeneous compressors behind one pointer.
-    /// Hot paths should prefer [`Algorithm::codec`].
-    pub fn boxed(&self) -> Box<dyn Compressor + Send + Sync> {
-        match self {
-            Algorithm::Rle => Box::new(Rle::new()),
-            Algorithm::Zvc => Box::new(Zvc::new()),
-            Algorithm::Zlib => Box::new(Zlib::new()),
-            Algorithm::Csc => Box::new(Csc::new()),
-            Algorithm::Huff => Box::new(Huff::new()),
-            Algorithm::Adaptive => Box::new(Adaptive::new()),
-        }
-    }
-
     /// Two-letter figure label (`RL`, `ZV`, `ZL`, `CS`, `HF`, `AD`).
     pub fn label(&self) -> &'static str {
         match self {
@@ -374,7 +358,6 @@ mod tests {
     fn labels_match_codec_names() {
         for alg in Algorithm::EXTENDED {
             assert_eq!(alg.label(), alg.codec().name());
-            assert_eq!(alg.label(), alg.boxed().name());
             assert_eq!(alg.to_string(), alg.label());
             assert_eq!(alg.codec().algorithm(), alg);
         }
@@ -401,16 +384,6 @@ mod tests {
                 "{alg} failed roundtrip"
             );
             assert!(codec.ratio(&data) > 1.0, "{alg} should compress 66% zeros");
-        }
-    }
-
-    #[test]
-    fn static_and_boxed_dispatch_agree() {
-        let data: Vec<f32> = (0..300)
-            .map(|i| if i % 4 == 0 { i as f32 } else { 0.0 })
-            .collect();
-        for alg in Algorithm::ALL {
-            assert_eq!(alg.codec().compress(&data), alg.boxed().compress(&data));
         }
     }
 

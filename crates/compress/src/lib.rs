@@ -50,8 +50,7 @@
 //! top of the streaming primitives.
 //!
 //! Algorithm selection is statically dispatched through the [`Codec`] enum
-//! ([`Algorithm::codec`]); [`Algorithm::boxed`] still hands out a
-//! `Box<dyn Compressor>` for code that genuinely needs a trait object.
+//! ([`Algorithm::codec`]).
 //!
 //! # SIMD ZVC kernel tiers
 //!

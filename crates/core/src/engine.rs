@@ -12,8 +12,8 @@ use cdma_vdnn::timeline::prefetch_seconds;
 /// provisioning and buffer capacity.
 ///
 /// The codec is statically dispatched ([`Codec`]) and every hot-path buffer
-/// can be recycled across offloads: [`CdmaEngine::memcpy_compressed_reusing`]
-/// reuses a previous copy's stream storage, and
+/// can be recycled across offloads: [`CdmaEngine::offload_into`] reuses an
+/// [`OffloadScratch`]'s stream storage and pipeline, and
 /// [`CdmaEngine::memcpy_decompressed_into`] decompresses into a caller-owned
 /// buffer — so a steady-state train loop performs no per-layer allocation.
 #[derive(Debug, Clone, Copy)]
@@ -64,12 +64,6 @@ impl CompressedCopy {
     pub fn lines(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
         stream_lines(&self.stream)
     }
-
-    /// Consumes the copy and returns its stream so the buffers can be
-    /// recycled via [`CdmaEngine::memcpy_compressed_reusing`].
-    pub fn into_stream(self) -> windowed::WindowedStream {
-        self.stream
-    }
 }
 
 /// Per-window `(uncompressed, compressed)` line sizes of a stream — the
@@ -86,13 +80,13 @@ fn stream_lines(stream: &windowed::WindowedStream) -> impl Iterator<Item = (u32,
 /// buffer plus one persistent [`DmaPipeline`], both recycled across
 /// offloads.
 ///
-/// [`CdmaEngine::memcpy_compressed_reusing`] recycles the *stream*, but
-/// still builds a fresh discrete-event pipeline per call, whose schedule
-/// ring regrows from empty every time — a steady
-/// allocation drip that a long-running service (one offload per request,
-/// thousands of requests per second) cannot afford. The scratch keeps the
-/// pipeline alive and [`DmaPipeline::reset`]s it instead, so repeated
-/// same-shape offloads allocate nothing (pinned by the workspace's
+/// [`CdmaEngine::memcpy_compressed`] builds a fresh stream and a fresh
+/// discrete-event pipeline per call, whose schedule ring regrows from
+/// empty every time — a steady allocation drip that a long-running
+/// service (one offload per request, thousands of requests per second)
+/// cannot afford. The scratch keeps both alive and
+/// [`DmaPipeline::reset`]s the pipeline instead, so repeated same-shape
+/// offloads allocate nothing (pinned by the workspace's
 /// counting-allocator test).
 #[derive(Debug, Clone)]
 pub struct OffloadScratch {
@@ -187,19 +181,8 @@ impl CdmaEngine {
     /// Offloads an activation buffer GPU→CPU with on-the-fly compression:
     /// the `cudaMemcpyCompressed()` analogue.
     pub fn memcpy_compressed(&self, data: &[f32]) -> CompressedCopy {
-        self.memcpy_compressed_reusing(data, windowed::WindowedStream::default())
-    }
-
-    /// Like [`CdmaEngine::memcpy_compressed`], but recycles the stream of a
-    /// finished copy ([`CompressedCopy::into_stream`]) so repeated layer
-    /// offloads reuse the same compressed-byte buffer and offset table.
-    pub fn memcpy_compressed_reusing(
-        &self,
-        data: &[f32],
-        mut recycled: windowed::WindowedStream,
-    ) -> CompressedCopy {
-        self.compress_windows(data, &mut recycled);
-        let stream = recycled;
+        let mut stream = windowed::WindowedStream::default();
+        self.compress_windows(data, &mut stream);
         let stats = stream.stats();
         // Line table for the discrete-event pipeline, streamed straight off
         // the window-offset table — no per-offload size vector is built.
@@ -408,18 +391,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn recycled_offload_reuses_stream_and_matches() {
-        let engine = CdmaEngine::zvc(SystemConfig::titan_x_pcie3());
-        let layer_a = sparse_data(40, 50_000);
-        let layer_b = sparse_data(25, 50_000);
-        let fresh_b = engine.memcpy_compressed(&layer_b);
-        let copy_a = engine.memcpy_compressed(&layer_a);
-        let recycled_b = engine.memcpy_compressed_reusing(&layer_b, copy_a.into_stream());
-        assert_eq!(recycled_b.wire_bytes(), fresh_b.wire_bytes());
-        assert_eq!(engine.memcpy_decompressed(&recycled_b).unwrap(), layer_b);
     }
 
     #[test]

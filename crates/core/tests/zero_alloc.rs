@@ -2,8 +2,8 @@
 //!
 //! Offload: after the first call warms the scratch's stream buffers and
 //! pipeline vectors, [`CdmaEngine::offload_into`] must allocate exactly
-//! zero bytes per offload — the fix for the per-call `DmaPipeline`
-//! rebuild that `memcpy_compressed_reusing` used to pay. The entropy
+//! zero bytes per offload, where `memcpy_compressed` rebuilds its stream
+//! and `DmaPipeline` on every call. The entropy
 //! coders are held to the same bar: their code construction works in
 //! stack arrays and their match tables and token list are per-thread
 //! scratch, so a 4 KB window costs no allocation either.

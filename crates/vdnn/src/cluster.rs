@@ -8,24 +8,25 @@
 //! [`ClusterSim`] grows that scenario onto the event-driven timeline: each
 //! GPU of each [`Tenant`] runs the vDNN stage machine of
 //! [`TimelineSim`], but its offloads and
-//! prefetches contend for one
-//! [`LinkArbiter`] under a
+//! prefetches contend for one [`FluidFabric`] under a
 //! [`LinkPolicy`], together with one gradient
-//! all-reduce stream per data-parallel tenant. Heterogeneous tenants
+//! all-reduce stream per data-parallel tenant. The fabric is the
+//! platform's one flat link unless [`ClusterSim::with_fabric`] stacks
+//! node tiers under a spine. Heterogeneous tenants
 //! (independent networks and checkpoints on one link) model the
 //! heavy-traffic sharing the ROADMAP asks for.
 //!
 //! Two exactness anchors keep the subsystem honest:
 //!
-//! * a **single-GPU single-tenant** cluster takes the dedicated-link fast
-//!   path and is *bit-identical* to `TimelineSim` — event log included —
-//!   exactly as `StepSim` wraps the timeline
+//! * a **single-GPU single-tenant** cluster on a flat fabric takes the
+//!   dedicated-link fast path and is *bit-identical* to `TimelineSim` —
+//!   event log included — exactly as `StepSim` wraps the timeline
 //!   (`tests/cluster_differential.rs`);
 //! * in the contention-free symmetric case the fluid
 //!   bandwidth-share arbitration reduces to the paper's static `PCIe/g`
-//!   split, so [`MultiGpuSim`](crate::multi_gpu::MultiGpuSim) — now a thin
-//!   wrapper over `ClusterSim` — matches the legacy closed form within
-//!   1e-9 (`tests/multi_gpu_cross_validation.rs`).
+//!   split, so the cluster matches an independent reimplementation of
+//!   the analytic multi-GPU closed form within 1e-9
+//!   (`tests/multi_gpu_cross_validation.rs`).
 //!
 //! Modelling fidelity at `g > 1`: transfers become *fluid flows* — wire
 //! bytes plus an engine-side rate cap — so the cDMA read path
@@ -64,9 +65,9 @@ use cdma_gpusim::{SystemConfig, ZvcEngine};
 use cdma_models::NetworkSpec;
 
 use crate::calendar::CalendarQueue;
-use crate::fabric::{FabricSpec, FluidFabric, Links};
+use crate::fabric::{FabricSpec, FluidFabric};
 use crate::timeline::{
-    push_busy, Event, EventKind, FlowId, LinkArbiter, LinkPolicy, Payload, Phase, RequestId,
+    line_totals, push_busy, Event, EventKind, FlowId, LinkPolicy, Payload, Phase, RequestId,
     Resource, StageRecord, StepTimeline, TimelineSim, TransferSource,
 };
 use crate::{ComputeModel, StepBreakdown};
@@ -74,9 +75,9 @@ use crate::{ComputeModel, StepBreakdown};
 /// The gradient all-reduce traffic of one data-parallel tenant, with the
 /// byte accounting checked against [`NetworkSpec`] exactly.
 ///
-/// The legacy `multi_gpu` model derived the all-reduce volume from weight
-/// counts at f32 inline, with nothing asserting the two unit systems
-/// (parameter counts vs byte totals) agree. This constructor is the single
+/// Deriving the all-reduce volume from weight counts at f32 inline leaves
+/// nothing asserting the two unit systems (parameter counts vs byte
+/// totals) agree. This constructor is the single
 /// checked conversion point: it recomputes the byte total from
 /// `total_params() × size_of::<f32>()` with overflow-checked integer
 /// arithmetic and asserts it equals [`NetworkSpec::weight_bytes`].
@@ -272,6 +273,9 @@ impl ClusterTimeline {
 
     /// Wire bytes the shared tier carried (shared runs only; zero on the
     /// dedicated single-GPU fast path, which books busy time instead).
+    /// A conservation counter accumulated in service order: compare it
+    /// with a tolerance, as `churn_conservation.rs` does, not by bit
+    /// pattern. No report prints it.
     pub fn spine_wire_bytes(&self) -> f64 {
         self.spine_wire_bytes
     }
@@ -296,8 +300,10 @@ impl ClusterTimeline {
         busy / self.makespan
     }
 
-    /// Events processed across the shared queue: arbiter service events
-    /// plus every per-GPU timeline event.
+    /// Events processed across the shared queue: the fabric's service
+    /// events (counted per topology, see
+    /// [`FluidFabric::events_processed`]) plus every per-GPU timeline
+    /// event.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
@@ -323,19 +329,12 @@ struct StagePlan {
     record: bool,
 }
 
-/// A transfer as the link arbiter sees it: wire bytes plus the
-/// engine-side rate cap.
+/// A transfer as the fabric sees it: wire bytes plus the engine-side
+/// rate cap.
 #[derive(Debug, Clone, Copy)]
 struct Demand {
     wire_bytes: f64,
     max_rate: f64,
-}
-
-/// `(uncompressed, compressed)` byte totals of a measured line table.
-fn totals(lines: &[(u32, u32)]) -> (u64, u64) {
-    lines.iter().fold((0u64, 0u64), |(u, c), &(lu, lc)| {
-        (u + lu as u64, c + lc as u64)
-    })
 }
 
 /// Fluid-flow view of an offload payload: compressed bytes on the wire,
@@ -352,7 +351,7 @@ fn offload_demand(cfg: &SystemConfig, payload: Payload<'_>, scale: f64) -> Optio
             })
         }
         Payload::Lines(lines) => {
-            let (u, c) = totals(lines);
+            let (u, c) = line_totals(lines);
             if c == 0 || u == 0 {
                 return None;
             }
@@ -373,7 +372,7 @@ fn prefetch_demand(cfg: &SystemConfig, payload: Payload<'_>, scale: f64) -> Opti
         // same as the dedicated timeline.
         Payload::Analytic { .. } => offload_demand(cfg, payload, scale),
         Payload::Lines(lines) => {
-            let (u, c) = totals(lines);
+            let (u, c) = line_totals(lines);
             if c == 0 || u == 0 {
                 return None;
             }
@@ -395,21 +394,22 @@ pub struct ClusterSim {
     compute: ComputeModel,
     policy: LinkPolicy,
     overlap_allreduce: bool,
-    fabric: Option<FabricSpec>,
+    fabric: FabricSpec,
     record: bool,
 }
 
 impl ClusterSim {
-    /// Creates a cluster simulator over `cfg`'s link with `policy`
-    /// arbitration. The gradient all-reduce serializes after the step by
-    /// default (the paper's conservative assumption).
+    /// Creates a cluster simulator over `cfg`'s link — a flat fabric of
+    /// `cfg.pcie_bw` — with `policy` arbitration. The gradient all-reduce
+    /// serializes after the step by default (the paper's conservative
+    /// assumption).
     pub fn new(cfg: SystemConfig, compute: ComputeModel, policy: LinkPolicy) -> Self {
         ClusterSim {
             cfg,
             compute,
             policy,
             overlap_allreduce: false,
-            fabric: None,
+            fabric: FabricSpec::flat(cfg.pcie_bw, policy),
             record: true,
         }
     }
@@ -422,14 +422,12 @@ impl ClusterSim {
         self
     }
 
-    /// Runs the cluster on a hierarchical fabric instead of one flat
-    /// link: GPU flows traverse their node tier
+    /// Runs the cluster on `fabric` instead of the platform's one flat
+    /// link. On a hierarchical fabric GPU flows traverse their node tier
     /// (GPU `i` lands on node `i / gpus_per_node`, tenant-major) plus the
     /// spine, and gradient all-reduce streams ride the spine alone.
-    /// Without this, the simulation is byte-for-byte the legacy flat
-    /// [`LinkArbiter`] path.
     pub fn with_fabric(mut self, fabric: FabricSpec) -> Self {
-        self.fabric = Some(fabric);
+        self.fabric = fabric;
         self
     }
 
@@ -444,8 +442,8 @@ impl ClusterSim {
         self
     }
 
-    /// The hierarchical fabric, if one was configured.
-    pub fn fabric(&self) -> Option<FabricSpec> {
+    /// The fabric the cluster's flows contend for.
+    pub fn fabric(&self) -> FabricSpec {
         self.fabric
     }
 
@@ -480,11 +478,9 @@ impl ClusterSim {
         // timeline — bit-identically, the same way StepSim wraps
         // TimelineSim. A hierarchical fabric still arbitrates (node tier
         // plus spine), so it always takes the shared path.
-        if self.fabric.is_none() {
-            if let [t] = tenants {
-                if t.gpus == 1 {
-                    return self.dedicated(t);
-                }
+        if let [t] = tenants {
+            if t.gpus == 1 && self.fabric.is_flat() {
+                return self.dedicated(t);
             }
         }
         self.shared(tenants)
@@ -640,7 +636,7 @@ struct SharedEngine {
     plans: Vec<Vec<StagePlan>>,
     fidelities: Vec<&'static str>,
     networks: Vec<String>,
-    links: Links,
+    links: FluidFabric,
     gpus: Vec<GpuRun>,
     tenants: Vec<TenantRun>,
     owners: HashMap<RequestId, Owner>,
@@ -652,18 +648,14 @@ struct SharedEngine {
 
 impl SharedEngine {
     fn new(sim: &ClusterSim, tenants: &[Tenant<'_>]) -> Self {
-        let mut links = match sim.fabric {
-            None => Links::Flat(LinkArbiter::new(sim.cfg.pcie_bw, sim.policy)),
-            Some(spec) => {
-                let total: usize = tenants.iter().map(|t| t.gpus).sum();
-                assert!(
-                    total <= spec.capacity(),
-                    "{total} GPUs exceed the fabric capacity {}",
-                    spec.capacity()
-                );
-                Links::Fabric(Box::new(FluidFabric::new(spec)))
-            }
-        };
+        let fabric = sim.fabric;
+        let total: usize = tenants.iter().map(|t| t.gpus).sum();
+        assert!(
+            total <= fabric.capacity(),
+            "{total} GPUs exceed the fabric capacity {}",
+            fabric.capacity()
+        );
+        let mut links = FluidFabric::new(fabric);
         let mut gpus = Vec::new();
         let mut tenant_runs = Vec::new();
         let mut plans = Vec::new();
@@ -674,8 +666,8 @@ impl SharedEngine {
             fidelities.push(t.source.fidelity());
             networks.push(t.spec.name().to_owned());
             let allreduce = (t.gpus > 1).then(|| GradientAllReduce::ring(t.spec, t.gpus));
-            // Gradient rings cross between nodes: spine-only traffic on a
-            // hierarchical fabric.
+            // Gradient rings cross between nodes: spine-only traffic on
+            // any fabric.
             let allreduce_flow =
                 allreduce.map(|_| links.flow(&format!("{}.allreduce", t.spec.name()), None));
             // Overlap mode splits the same checked ring total into
@@ -702,7 +694,7 @@ impl SharedEngine {
                 allreduce_end: 0.0,
             });
             for k in 0..t.gpus {
-                let node = sim.fabric.map(|f| f.node_of(gpus.len()));
+                let node = fabric.node_of(gpus.len());
                 let flow = links.flow(&format!("{}.gpu{k}", t.spec.name()), node);
                 gpus.push(GpuRun {
                     tenant: ti,
@@ -999,15 +991,14 @@ impl SharedEngine {
                 total,
             });
         }
-        let (spine_wire_bytes, node_wire_bytes) = self.links.wire_totals();
         ClusterTimeline {
             gpus: gpu_timelines,
             gpu_tenant,
             tenants: results,
-            link_busy: self.links.link_busy().to_vec(),
+            link_busy: self.links.spine_busy().to_vec(),
             node_busy: self.links.node_busy().to_vec(),
-            spine_wire_bytes,
-            node_wire_bytes,
+            spine_wire_bytes: self.links.spine_bytes(),
+            node_wire_bytes: self.links.node_bytes().to_vec(),
             makespan,
             events_processed: arbiter_events,
             policy,
@@ -1039,6 +1030,27 @@ mod tests {
         assert_eq!(GradientAllReduce::ring(&spec, 1).total_wire_bytes(), 0);
         let per_gpu = ar.per_gpu_wire_bytes();
         assert!((per_gpu * 4.0 - ar.total_wire_bytes() as f64).abs() < 1.0);
+    }
+
+    #[test]
+    fn allreduce_seconds_match_the_checked_byte_accounting() {
+        // The simulated all-reduce time must be exactly the checked ring
+        // bytes over the full link (g flows at 1/g share each).
+        let spec = zoo::alexnet();
+        let source = UniformRatio::uniform(&spec, 1.0);
+        let tl = sim(LinkPolicy::BandwidthShare).simulate(&[Tenant {
+            spec: &spec,
+            source: &source,
+            gpus: 4,
+        }]);
+        let ring = GradientAllReduce::ring(&spec, 4);
+        assert_eq!(ring.total_wire_bytes(), spec.total_params() * 4 * 6);
+        let ar = tl.tenants()[0].allreduce;
+        let expect = ring.seconds_at(SystemConfig::titan_x_pcie3().pcie_bw);
+        assert!(
+            (ar - expect).abs() / expect < 1e-9,
+            "all-reduce {ar} vs checked bytes {expect}"
+        );
     }
 
     #[test]

@@ -1,18 +1,19 @@
-//! # Hierarchical datacenter fabrics (multi-level link arbitration)
+//! # The link fabric: one arbiter for flat and hierarchical topologies
 //!
-//! The single [`LinkArbiter`] of [`cluster`](crate::cluster) models 4–8
-//! GPUs on one PCIe switch. Datacenter platforms stack that link: each
-//! node's GPUs share a PCIe/NVLink tier, and the nodes' NICs share a
-//! spine whose bandwidth is usually *oversubscribed* relative to the sum
-//! of the node tiers. This module grows the cluster simulation onto that
-//! shape:
+//! The paper's §IX platform is 4–8 GPUs on one PCIe switch: a single
+//! shared link. Datacenter platforms stack that link: each node's GPUs
+//! share a PCIe/NVLink tier, and the nodes' NICs share a spine whose
+//! bandwidth is usually *oversubscribed* relative to the sum of the node
+//! tiers. Both are one model here — a spine fed directly (the **flat**
+//! fabric, zero node tiers) or through node tiers:
 //!
-//! * [`FabricSpec`] / [`FabricShape`] — the two-tier topology (`n` nodes
-//!   × `g` GPUs each, per-tier bandwidth and [`LinkPolicy`]);
-//! * [`FluidFabric`] — the multi-level arbiter: every transfer traverses
-//!   its node tier *and* the spine, and its instantaneous service rate is
-//!   the max-min fair allocation across both tiers, so the bottleneck
-//!   tier determines progress;
+//! * [`FabricSpec`] / [`FabricShape`] — the topology: [`FabricSpec::flat`]
+//!   (one link) or [`FabricSpec::new`] (`n` nodes × `g` GPUs each,
+//!   per-tier bandwidth and [`LinkPolicy`]);
+//! * [`FluidFabric`] — the arbiter every [`ClusterSim`] runs on: each
+//!   transfer traverses its node tier (if any) *and* the spine, and its
+//!   instantaneous service rate is the max-min fair allocation across
+//!   both, so the bottleneck tier determines progress;
 //! * [`FabricSim`] / [`Job`] — trace-driven tenant churn: jobs arrive on
 //!   an open-loop schedule (same seeding discipline as
 //!   `cdma_serve::loadgen::Schedule`), are admitted when GPUs are free,
@@ -28,15 +29,30 @@
 //! Rates are *fluid*: at every schedule change the fabric solves a
 //! max-min fair allocation by progressive filling. A
 //! [`LinkPolicy::BandwidthShare`] tier is a shared pipe filled
-//! water-filling style; a [`LinkPolicy::RoundRobin`] tier is modelled as
-//! an equal-slice ceiling (`tier_bw / active_flows`, no redistribution of
-//! unused slices) — the fluid limit of a quantum scheduler under
-//! persistent backlog. Gradient all-reduce streams are inter-node
+//! water-filling style. Gradient all-reduce streams are inter-node
 //! traffic: they traverse the spine only (`node = None`), while per-GPU
 //! offload/prefetch flows traverse their node tier and then the spine.
 //! Every tier keeps its own busy profile and wire-byte counter, so the
 //! conservation invariant `spine bytes = Σ node bytes + all-reduce bytes`
 //! is checkable after any run.
+//!
+//! [`LinkPolicy::RoundRobin`] has two models, picked by the topology and
+//! by nothing else:
+//!
+//! * on a **flat** fabric the link is *quantum-serialised*: it serves one
+//!   flow at a time, at most one quantum of wire bytes
+//!   ([`DEFAULT_LINK_QUANTUM`], or [`FluidFabric::with_quantum`]) per
+//!   turn, cycling over backlogged flows in registration order — what a
+//!   real DMA engine does, chunk boundaries and cursor re-phasing
+//!   included;
+//! * on a **tiered** fabric each round-robin tier is an equal-slice
+//!   ceiling (`tier_bw / active_flows`, no redistribution of unused
+//!   slices) — the fluid limit of that quantum scheduler under persistent
+//!   backlog, which is what composes with max-min filling across tiers.
+//!
+//! A flat bandwidth-share fabric and a one-node fabric with both tiers at
+//! the same bandwidth run the same solver on the same constraints and are
+//! bit-identical (`tests/fabric_cross_validation.rs`).
 //!
 //! The symmetric case has a closed form — each of `g·n` identical flows
 //! gets `min(cap, node_bw/g, spine_bw/(g·n))` — which the independent
@@ -68,13 +84,16 @@ use cdma_gpusim::SystemConfig;
 use cdma_models::NetworkSpec;
 
 use crate::cluster::{ClusterSim, Tenant};
-use crate::timeline::{push_busy, FidelitySource, FlowId, LinkArbiter, LinkPolicy, RequestId};
+use crate::timeline::{
+    push_busy, FidelitySource, FlowId, LinkPolicy, RequestId, DEFAULT_LINK_QUANTUM,
+};
 
 /// The fabric topology of a scenario, as a parseable axis value
 /// (`fabric=flat`, `fabric=node8`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FabricShape {
-    /// Every GPU on one shared link — the legacy [`ClusterSim`] shape.
+    /// Every GPU on one shared link ([`FabricSpec::flat`]) — what
+    /// [`ClusterSim::new`] runs on.
     Flat,
     /// Two tiers: nodes of `gpus_per_node` GPUs, each node's link feeding
     /// a shared spine.
@@ -99,11 +118,12 @@ impl FabricShape {
         }
     }
 
-    /// Concretizes the shape for a platform and GPU count: `Flat` needs
-    /// no fabric (the single [`LinkArbiter`] path), `Hierarchical` gets
-    /// `⌈gpus / gpus_per_node⌉` nodes at the platform's PCIe bandwidth
-    /// each, feeding a 2:1-oversubscribed spine
-    /// (`node_bw · max(nodes/2, 1)`), both tiers under `policy`.
+    /// Concretizes the shape for a platform and GPU count: `Flat` is
+    /// `None` — nothing to hand [`ClusterSim::with_fabric`], a new
+    /// [`ClusterSim`] already runs on the platform's one flat link —
+    /// and `Hierarchical` gets `⌈gpus / gpus_per_node⌉` nodes at the
+    /// platform's PCIe bandwidth each, feeding a 2:1-oversubscribed
+    /// spine (`node_bw · max(nodes/2, 1)`), both tiers under `policy`.
     pub fn spec_for(
         &self,
         cfg: &SystemConfig,
@@ -202,18 +222,21 @@ impl std::str::FromStr for Tenancy {
     }
 }
 
-/// A concrete two-tier fabric: `nodes` node links of `node_bw`
-/// bytes/second each (fan-in `gpus_per_node`), all feeding one spine of
-/// `spine_bw` bytes/second, each tier under its own [`LinkPolicy`].
+/// A concrete fabric: one shared spine of `spine_bw` bytes/second, fed
+/// either directly by every flow (the **flat** form, `nodes == 0`: 4–8
+/// GPUs on one PCIe switch) or through `nodes` node links of `node_bw`
+/// bytes/second each (fan-in `gpus_per_node`), each tier under its own
+/// [`LinkPolicy`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FabricSpec {
-    /// Node count (node-tier arbiter count).
+    /// Node count (node-tier arbiter count); zero on a flat fabric.
     pub nodes: usize,
-    /// GPUs per node; `nodes · gpus_per_node` bounds the cluster's GPUs.
+    /// GPUs per node; `nodes · gpus_per_node` bounds the cluster's GPUs
+    /// (zero on a flat fabric, which has no slots to run out of).
     pub gpus_per_node: usize,
-    /// Per-node link bandwidth, wire bytes/second.
+    /// Per-node link bandwidth, wire bytes/second (unused when flat).
     pub node_bw: f64,
-    /// Node-tier arbitration.
+    /// Node-tier arbitration (unused when flat).
     pub node_policy: LinkPolicy,
     /// Spine bandwidth, wire bytes/second.
     pub spine_bw: f64,
@@ -222,7 +245,7 @@ pub struct FabricSpec {
 }
 
 impl FabricSpec {
-    /// A validated fabric.
+    /// A validated two-tier fabric.
     ///
     /// # Panics
     ///
@@ -256,22 +279,56 @@ impl FabricSpec {
         }
     }
 
-    /// GPU slots in the fabric (`nodes · gpus_per_node`).
-    pub fn capacity(&self) -> usize {
-        self.nodes * self.gpus_per_node
+    /// The flat fabric: no node tiers, every flow directly on one shared
+    /// link of `bw` wire bytes/second under `policy` — what
+    /// [`ClusterSim::new`] runs on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bw` is not positive and finite.
+    pub fn flat(bw: f64, policy: LinkPolicy) -> Self {
+        assert!(
+            bw > 0.0 && bw.is_finite(),
+            "link bandwidth must be positive"
+        );
+        FabricSpec {
+            nodes: 0,
+            gpus_per_node: 0,
+            node_bw: bw,
+            node_policy: policy,
+            spine_bw: bw,
+            spine_policy: policy,
+        }
     }
 
-    /// Which node a tenant-major global GPU index lands on.
-    pub fn node_of(&self, gpu: usize) -> usize {
-        gpu / self.gpus_per_node
+    /// Whether this is the flat form (no node tiers).
+    pub fn is_flat(&self) -> bool {
+        self.nodes == 0
+    }
+
+    /// GPU slots in the fabric: `nodes · gpus_per_node`, unbounded
+    /// (`usize::MAX`) on a flat fabric.
+    pub fn capacity(&self) -> usize {
+        if self.is_flat() {
+            usize::MAX
+        } else {
+            self.nodes * self.gpus_per_node
+        }
+    }
+
+    /// Which node tier a tenant-major global GPU index lands on (`None`
+    /// on a flat fabric: its GPUs sit directly on the shared link).
+    pub fn node_of(&self, gpu: usize) -> Option<usize> {
+        (!self.is_flat()).then(|| gpu / self.gpus_per_node)
     }
 }
 
 #[derive(Debug)]
-struct FFlow {
+struct Flow {
     label: String,
     /// `Some(k)` — traverses node tier `k` then the spine; `None` —
-    /// inter-node traffic on the spine only (gradient all-reduce).
+    /// directly on the spine: every flow of a flat fabric, and
+    /// inter-node traffic (gradient all-reduce) on a tiered one.
     node: Option<usize>,
     /// FIFO of not-yet-finished request indices (head is in service).
     queue: VecDeque<usize>,
@@ -280,24 +337,115 @@ struct FFlow {
 }
 
 #[derive(Debug)]
-struct FRequest {
+struct Request {
     flow: usize,
     arrival: f64,
+    /// Cap on the instantaneous wire rate this flow can sustain
+    /// (engine-bound production or consumption), bytes/second.
     max_rate: f64,
     remaining: f64,
     completion: Option<f64>,
 }
 
-/// The multi-level fluid arbiter: [`LinkArbiter`]'s submit/advance API,
-/// but every transfer traverses a *path* of tiers and its service rate is
-/// the max-min fair allocation across all of them. See the
-/// [module docs](self) for the tier composition model.
+/// One chunk of quantum round-robin service in flight (flat links only).
+#[derive(Debug, Clone, Copy)]
+struct Serving {
+    req: usize,
+    start: f64,
+    end: f64,
+    bytes: f64,
+}
+
+/// One active head-of-line request in the fluid schedule's working set.
+#[derive(Debug, Clone, Copy)]
+struct Head {
+    req: usize,
+    /// The node tier it crosses, if any.
+    tier: Option<usize>,
+    ceil: f64,
+    rate: f64,
+    /// Still rising in the current rate solve.
+    open: bool,
+    /// Completion time under the current rates.
+    candidate: f64,
+}
+
+/// Per-node-tier tallies of the fluid schedule's working set.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tier {
+    /// Heads (during a solve: still-open heads) crossing the tier.
+    open: usize,
+    /// Rate already allocated on the tier.
+    used: f64,
+    /// Whether the tier moved bytes this interval.
+    active: bool,
+}
+
+/// Working set of one fluid rate-change interval, kept between intervals
+/// so the schedule loop allocates nothing.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Head-of-line request of every flow with work that has arrived.
+    heads: Vec<Head>,
+    /// One entry per node tier (none on a flat fabric).
+    tiers: Vec<Tier>,
+    /// Earliest arrival strictly after the instant `heads` was taken at.
+    next_arrival: Option<f64>,
+    /// Whether `heads` (rates included) and `next_arrival` describe the
+    /// fabric as it stands: [`FluidFabric::next_event`] leaves them behind
+    /// for the `advance_to` that follows it, which would otherwise solve
+    /// the same instant a second time; any submission or service spoils
+    /// them.
+    planned: bool,
+}
+
+/// The link arbiter of the workspace: per-GPU DMA read paths and gradient
+/// all-reduce streams contend for a [`FabricSpec`] — one flat shared link,
+/// or node tiers feeding a spine — as a discrete-event resource.
+///
+/// Flows submit transfers as *wire bytes* (compressed size for offloads)
+/// plus a per-transfer rate cap modelling the compression/decompression
+/// engines; the fabric advances a fluid or (flat round-robin) quantum
+/// service schedule — see the [module docs](self) — records per-tier busy
+/// intervals and wire bytes, and reports completions.
+///
+/// Invariants (pinned by the seeded property loops in
+/// `crates/vdnn/tests/link_arbiter_props.rs`):
+///
+/// * **byte conservation** — every flow's delivered bytes equal its
+///   offered bytes once drained;
+/// * **work conservation** — the link never idles while an uncapped flow
+///   is backlogged;
+/// * **round-robin fairness** — continuously backlogged flows' delivered
+///   bytes never diverge by more than one quantum;
+/// * **monotonicity** — adding a flow never completes an existing
+///   transfer earlier (strictly under bandwidth-share; within a few
+///   quanta of cursor re-phasing under round-robin).
+///
+/// ```
+/// use cdma_vdnn::fabric::{FabricSpec, FluidFabric};
+/// use cdma_vdnn::timeline::LinkPolicy;
+///
+/// let mut link = FluidFabric::new(FabricSpec::flat(10.0, LinkPolicy::BandwidthShare));
+/// let a = link.flow("gpu0", None);
+/// let b = link.flow("gpu1", None);
+/// let ra = link.submit(a, 0.0, 40.0, f64::INFINITY);
+/// let rb = link.submit(b, 0.0, 40.0, f64::INFINITY);
+/// link.run_until_idle();
+/// // Two symmetric flows each get half the wire: 40 bytes at 5 B/s.
+/// assert_eq!(link.completion(ra), Some(8.0));
+/// assert_eq!(link.completion(rb), Some(8.0));
+/// ```
 #[derive(Debug)]
 pub struct FluidFabric {
     spec: FabricSpec,
+    quantum: f64,
     now: f64,
-    flows: Vec<FFlow>,
-    requests: Vec<FRequest>,
+    flows: Vec<Flow>,
+    requests: Vec<Request>,
+    /// Quantum round-robin state (flat round-robin links only).
+    serving: Option<Serving>,
+    rr_cursor: usize,
     /// Per-node-tier busy intervals, coalesced.
     node_busy: Vec<Vec<(f64, f64)>>,
     spine_busy: Vec<(f64, f64)>,
@@ -307,32 +455,51 @@ pub struct FluidFabric {
     spine_bytes: f64,
     completions: Vec<(RequestId, f64)>,
     events_processed: u64,
+    scratch: Scratch,
 }
 
 impl FluidFabric {
-    /// An idle fabric of `spec`'s shape.
+    /// An idle fabric of `spec`'s shape, with the
+    /// [`DEFAULT_LINK_QUANTUM`] round-robin burst.
     pub fn new(spec: FabricSpec) -> Self {
+        FluidFabric::with_quantum(spec, DEFAULT_LINK_QUANTUM)
+    }
+
+    /// A fabric with an explicit round-robin quantum in wire bytes per
+    /// turn (the same unit as [`DEFAULT_LINK_QUANTUM`]). Only a flat
+    /// round-robin link serves in quanta; every other topology is fluid
+    /// and ignores it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `quantum` is not positive and finite.
+    pub fn with_quantum(spec: FabricSpec, quantum: f64) -> Self {
+        assert!(
+            quantum > 0.0 && quantum.is_finite(),
+            "round-robin quantum must be positive"
+        );
         FluidFabric {
             spec,
+            quantum,
             now: 0.0,
             flows: Vec::new(),
             requests: Vec::new(),
-            node_busy: (0..spec.nodes).map(|_| Vec::new()).collect(),
+            serving: None,
+            rr_cursor: 0,
+            node_busy: vec![Vec::new(); spec.nodes],
             spine_busy: Vec::new(),
             node_bytes: vec![0.0; spec.nodes],
             spine_bytes: 0.0,
             completions: Vec::new(),
             events_processed: 0,
+            scratch: Scratch::default(),
         }
     }
 
-    /// The fabric's topology.
-    pub fn spec(&self) -> FabricSpec {
-        self.spec
-    }
-
-    /// Registers a flow. `node = Some(k)` routes it through node tier `k`
-    /// and the spine; `None` is spine-only inter-node traffic.
+    /// Registers a flow (one contender for the wire). `node = Some(k)`
+    /// routes it through node tier `k` and the spine; `None` puts it
+    /// directly on the spine — the only choice on a flat fabric, and
+    /// inter-node traffic on a tiered one.
     ///
     /// # Panics
     ///
@@ -341,7 +508,7 @@ impl FluidFabric {
         if let Some(k) = node {
             assert!(k < self.spec.nodes, "node {k} outside the fabric");
         }
-        self.flows.push(FFlow {
+        self.flows.push(Flow {
             label: label.to_owned(),
             node,
             queue: VecDeque::new(),
@@ -351,9 +518,10 @@ impl FluidFabric {
         FlowId::from_index(self.flows.len() - 1)
     }
 
-    /// Submits a transfer of `wire_bytes` on `flow` arriving at `at`,
-    /// rate-capped at `max_rate` (same contract as
-    /// [`LinkArbiter::submit`]).
+    /// Submits a transfer of `wire_bytes` on `flow`, arriving at `at`,
+    /// whose service rate is additionally capped at `max_rate` wire
+    /// bytes/second (pass `f64::INFINITY` for a link-bound transfer).
+    /// Requests on one flow are served FIFO.
     ///
     /// # Panics
     ///
@@ -375,16 +543,16 @@ impl FluidFabric {
             );
         }
         let id = self.requests.len();
-        self.requests.push(FRequest {
+        self.requests.push(Request {
             flow: flow.index(),
             arrival: at,
             max_rate,
             remaining: wire_bytes,
             completion: None,
         });
-        let f = &mut self.flows[flow.index()];
         f.queue.push_back(id);
         f.offered += wire_bytes;
+        self.scratch.planned = false;
         RequestId::from_index(id)
     }
 
@@ -403,7 +571,8 @@ impl FluidFabric {
         self.flows[flow.index()].offered
     }
 
-    /// Wire bytes delivered for `flow` so far.
+    /// Wire bytes delivered for `flow` so far (quantum round-robin counts
+    /// service at chunk completion).
     pub fn delivered(&self, flow: FlowId) -> f64 {
         self.flows[flow.index()].delivered
     }
@@ -413,33 +582,42 @@ impl FluidFabric {
         self.requests[req.index()].completion
     }
 
-    /// Spine busy intervals, time-ordered and coalesced.
+    /// Busy intervals of the shared tier — the one link of a flat fabric,
+    /// the spine of a tiered one — time-ordered and coalesced where they
+    /// touch.
     pub fn spine_busy(&self) -> &[(f64, f64)] {
         &self.spine_busy
     }
 
-    /// Node tier `k`'s busy intervals.
-    pub fn node_busy(&self, k: usize) -> &[(f64, f64)] {
-        &self.node_busy[k]
-    }
-
-    /// Per-node busy intervals, all tiers.
-    pub fn node_busy_all(&self) -> &[Vec<(f64, f64)>] {
+    /// Busy intervals of every node tier (empty on a flat fabric).
+    pub fn node_busy(&self) -> &[Vec<(f64, f64)>] {
         &self.node_busy
     }
 
-    /// Wire bytes the spine has carried.
+    /// Wire bytes the shared tier has carried. A conservation counter
+    /// accumulated in service order: compare it with a tolerance, not by
+    /// bit pattern.
     pub fn spine_bytes(&self) -> f64 {
         self.spine_bytes
     }
 
-    /// Wire bytes node tier `k` has carried.
-    pub fn node_bytes(&self, k: usize) -> f64 {
-        self.node_bytes[k]
+    /// Wire bytes each node tier has carried (empty on a flat fabric).
+    pub fn node_bytes(&self) -> &[f64] {
+        &self.node_bytes
     }
 
-    /// Internal events processed: one per active flow per fluid
-    /// rate-change interval, plus idle-period arrival jumps.
+    /// Internal events processed. The counting rule follows the topology
+    /// and is part of the reported output (`fig_datacenter` prints it,
+    /// events/s rates divide by it), so it is fixed here rather than
+    /// unified:
+    ///
+    /// * flat, fluid — one per schedule-loop iteration of
+    ///   [`advance_to`](Self::advance_to): each rate-change interval,
+    ///   each idle jump to an arrival, and the final idle check;
+    /// * flat, quantum round-robin — one per chunk drained and one per
+    ///   idle jump;
+    /// * tiered — one per active flow per rate-change interval, plus one
+    ///   per idle jump.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
@@ -454,262 +632,209 @@ impl FluidFabric {
         self.flows.iter().any(|f| !f.queue.is_empty())
     }
 
-    /// Head-of-line request of every flow with work that has arrived.
-    fn active_heads(&self) -> Vec<usize> {
-        self.flows
-            .iter()
-            .filter_map(|f| f.queue.front().copied())
-            .filter(|&r| self.requests[r].arrival <= self.now)
-            .collect()
+    /// Whether this fabric serves in quanta rather than fluid rates.
+    fn quantised(&self) -> bool {
+        self.spec.is_flat() && self.spec.spine_policy == LinkPolicy::RoundRobin
     }
 
-    /// Earliest arrival strictly in the future.
-    fn next_arrival(&self) -> Option<f64> {
-        self.flows
-            .iter()
-            .filter_map(|f| f.queue.front().copied())
-            .map(|r| self.requests[r].arrival)
-            .filter(|&a| a > self.now)
-            .fold(None, |acc: Option<f64>, a| {
-                Some(acc.map_or(a, |b| b.min(a)))
-            })
+    /// One pass over the flows: collects the head-of-line request of
+    /// every flow with work that has arrived into `scratch.heads` and
+    /// the earliest arrival strictly in the future into
+    /// `scratch.next_arrival`.
+    fn scan(&mut self) {
+        let s = &mut self.scratch;
+        s.heads.clear();
+        s.next_arrival = None;
+        for f in &self.flows {
+            if let Some(&req) = f.queue.front() {
+                let a = self.requests[req].arrival;
+                if a <= self.now {
+                    s.heads.push(Head {
+                        req,
+                        tier: f.node,
+                        ceil: 0.0,
+                        rate: 0.0,
+                        open: true,
+                        candidate: 0.0,
+                    });
+                } else {
+                    s.next_arrival = Some(s.next_arrival.map_or(a, |b| b.min(a)));
+                }
+            }
+        }
     }
 
-    /// Max-min fair rates across both tiers by progressive filling.
+    /// Brings `scratch` up to date with the fluid schedule at this
+    /// instant: the active heads, the next arrival and, if any head is
+    /// active, the rates.
+    fn plan(&mut self) {
+        if !self.scratch.planned {
+            self.scan();
+            if !self.scratch.heads.is_empty() {
+                self.solve_rates();
+            }
+            self.scratch.planned = true;
+        }
+    }
+
+    /// Max-min fair rates of the freshly scanned `scratch.heads` across
+    /// every tier, by progressive filling.
     ///
     /// Per-flow ceilings start at the request's rate cap; a round-robin
     /// tier adds its equal-slice ceiling (`tier_bw / active_in_tier`).
     /// Then all open flows' rates rise together until one hits its
     /// ceiling or a bandwidth-share tier saturates, whose member flows
     /// freeze; repeat until every flow is frozen. The bottleneck tier of
-    /// each flow's path therefore determines its rate.
-    fn rates(&self, heads: &[usize]) -> Vec<f64> {
-        let n = heads.len();
-        let mut node_count = vec![0usize; self.spec.nodes];
-        for &h in heads {
-            if let Some(k) = self.flows[self.requests[h].flow].node {
-                node_count[k] += 1;
-            }
+    /// each flow's path therefore determines its rate; with no node tiers
+    /// this is water-filling on the one link. A round is two passes over
+    /// the heads plus one over the tiers, and there are at most as many
+    /// rounds as distinct ceilings plus tiers.
+    fn solve_rates(&mut self) {
+        let FluidFabric {
+            spec,
+            requests,
+            scratch: s,
+            ..
+        } = self;
+        let n = s.heads.len();
+        let tiered = !spec.is_flat();
+        let node_rr = tiered && spec.node_policy == LinkPolicy::RoundRobin;
+        let node_bs = tiered && spec.node_policy == LinkPolicy::BandwidthShare;
+        let spine_rr = spec.spine_policy == LinkPolicy::RoundRobin;
+        let spine_bs = spec.spine_policy == LinkPolicy::BandwidthShare;
+
+        s.tiers.clear();
+        s.tiers.resize(spec.nodes, Tier::default());
+        for k in s.heads.iter().filter_map(|h| h.tier) {
+            s.tiers[k].open += 1;
         }
-        let node_of = |h: usize| self.flows[self.requests[h].flow].node;
-        let mut ceil: Vec<f64> = heads
-            .iter()
-            .map(|&h| {
-                let mut c = self.requests[h].max_rate;
-                if let Some(k) = node_of(h) {
-                    if self.spec.node_policy == LinkPolicy::RoundRobin {
-                        c = c.min(self.spec.node_bw / node_count[k] as f64);
-                    }
-                }
-                if self.spec.spine_policy == LinkPolicy::RoundRobin {
-                    c = c.min(self.spec.spine_bw / n as f64);
-                }
-                c
-            })
-            .collect();
-        let node_bs = self.spec.node_policy == LinkPolicy::BandwidthShare;
-        let spine_bs = self.spec.spine_policy == LinkPolicy::BandwidthShare;
-        // A bandwidth-share node tier also caps a lone flow: no amount of
-        // filling can exceed the tier, so fold it into the ceiling (this
-        // keeps the symmetric case exact instead of tolerance-frozen).
-        if node_bs {
-            for (i, &h) in heads.iter().enumerate() {
-                if node_of(h).is_some() {
-                    ceil[i] = ceil[i].min(self.spec.node_bw);
-                }
+        for h in &mut s.heads {
+            let mut c = requests[h.req].max_rate;
+            if let (true, Some(k)) = (node_rr, h.tier) {
+                c = c.min(spec.node_bw / s.tiers[k].open as f64);
             }
-        }
-        if spine_bs {
-            for c in &mut ceil {
-                *c = (*c).min(self.spec.spine_bw);
+            if spine_rr {
+                c = c.min(spec.spine_bw / n as f64);
             }
+            // A bandwidth-share tier also caps a lone flow: no amount of
+            // filling can exceed the tier, so fold it into the ceiling
+            // (this keeps the symmetric case exact instead of
+            // tolerance-frozen).
+            if node_bs && h.tier.is_some() {
+                c = c.min(spec.node_bw);
+            }
+            if spine_bs {
+                c = c.min(spec.spine_bw);
+            }
+            h.ceil = c;
         }
-        let mut rates = vec![0.0; n];
-        let mut open = vec![true; n];
         let mut open_count = n;
+        // Rate allocated on the spine: the sum of the rates in head order,
+        // taken as each round ends and still current when the next one
+        // starts (as is `used`, per node tier).
+        let mut spine_used = 0.0f64;
         // Each round freezes at least one flow or one tier, so the loop
         // is bounded by flows + tiers.
-        for _ in 0..(n + self.spec.nodes + 2) {
+        for _ in 0..(n + spec.nodes + 2) {
             if open_count == 0 {
                 break;
             }
             let mut delta = f64::INFINITY;
-            for i in 0..n {
-                if open[i] {
-                    delta = delta.min(ceil[i] - rates[i]);
-                }
+            for h in s.heads.iter().filter(|h| h.open) {
+                delta = delta.min(h.ceil - h.rate);
             }
             if node_bs {
-                let mut used = vec![0.0f64; self.spec.nodes];
-                let mut open_k = vec![0usize; self.spec.nodes];
-                for (i, &h) in heads.iter().enumerate() {
-                    if let Some(k) = node_of(h) {
-                        used[k] += rates[i];
-                        if open[i] {
-                            open_k[k] += 1;
-                        }
-                    }
-                }
-                for k in 0..self.spec.nodes {
-                    if open_k[k] > 0 {
-                        delta = delta.min((self.spec.node_bw - used[k]) / open_k[k] as f64);
-                    }
+                for tier in s.tiers.iter().filter(|tier| tier.open > 0) {
+                    delta = delta.min((spec.node_bw - tier.used) / tier.open as f64);
                 }
             }
             if spine_bs {
-                let used: f64 = rates.iter().sum();
-                delta = delta.min((self.spec.spine_bw - used) / open_count as f64);
+                delta = delta.min((spec.spine_bw - spine_used) / open_count as f64);
             }
             let delta = delta.max(0.0);
-            for i in 0..n {
-                if open[i] {
-                    rates[i] += delta;
+            // Raise the open flows and freeze those at their ceilings
+            // (snapping exactly, so a capped flow gets its cap
+            // bit-for-bit), re-tallying each tier as we go.
+            spine_used = 0.0;
+            s.tiers.fill(Tier::default());
+            for h in &mut s.heads {
+                if h.open {
+                    h.rate += delta;
+                    if h.ceil - h.rate <= h.ceil * 1e-12 {
+                        h.rate = h.ceil;
+                        h.open = false;
+                        open_count -= 1;
+                    }
                 }
-            }
-            // Freeze flows at their ceilings (snapping exactly, so capped
-            // flows get their cap bit-for-bit, as LinkArbiter does).
-            for i in 0..n {
-                if open[i] && ceil[i] - rates[i] <= ceil[i] * 1e-12 {
-                    rates[i] = ceil[i];
-                    open[i] = false;
-                    open_count -= 1;
+                spine_used += h.rate;
+                if let Some(k) = h.tier {
+                    s.tiers[k].used += h.rate;
+                    s.tiers[k].open += usize::from(h.open);
                 }
             }
             // Freeze members of saturated bandwidth-share tiers at their
             // current (fair) rates.
             if node_bs {
-                let mut used = vec![0.0f64; self.spec.nodes];
-                for (i, &h) in heads.iter().enumerate() {
-                    if let Some(k) = node_of(h) {
-                        used[k] += rates[i];
-                    }
-                }
-                for (i, &h) in heads.iter().enumerate() {
-                    if let Some(k) = node_of(h) {
-                        if open[i] && self.spec.node_bw - used[k] <= self.spec.node_bw * 1e-12 {
-                            open[i] = false;
-                            open_count -= 1;
-                        }
+                for h in s.heads.iter_mut().filter(|h| h.open) {
+                    let Some(tier) = h.tier.map(|k| &mut s.tiers[k]) else {
+                        continue;
+                    };
+                    if spec.node_bw - tier.used <= spec.node_bw * 1e-12 {
+                        h.open = false;
+                        open_count -= 1;
+                        tier.open -= 1;
                     }
                 }
             }
-            if spine_bs {
-                let used: f64 = rates.iter().sum();
-                if self.spec.spine_bw - used <= self.spec.spine_bw * 1e-12 {
-                    for o in &mut open {
-                        if *o {
-                            *o = false;
-                            open_count -= 1;
-                        }
-                    }
-                }
+            if spine_bs && spec.spine_bw - spine_used <= spec.spine_bw * 1e-12 {
+                break;
             }
         }
-        rates
     }
 
-    /// The earliest future time at which the schedule changes on its own,
-    /// or `None` when fully drained (same contract as
-    /// [`LinkArbiter::next_event`]).
-    pub fn next_event(&self) -> Option<f64> {
-        let heads = self.active_heads();
-        if !heads.is_empty() {
-            let rates = self.rates(&heads);
-            let dt = heads
-                .iter()
-                .zip(&rates)
-                .map(|(&h, &r)| self.requests[h].remaining / r)
-                .fold(f64::INFINITY, f64::min);
-            let completion = self.now + dt;
-            return Some(match self.next_arrival() {
-                Some(a) => completion.min(a),
-                None => completion,
-            });
+    /// The earliest future time at which the schedule changes on its own
+    /// (a completion, a chunk boundary, or a queued arrival becoming
+    /// active), or `None` when fully drained.
+    pub fn next_event(&mut self) -> Option<f64> {
+        if let Some(s) = self.serving {
+            return Some(s.end);
         }
-        self.next_arrival()
+        let quantised = self.quantised();
+        if quantised {
+            self.scan();
+        } else {
+            self.plan();
+        }
+        let s = &self.scratch;
+        if s.heads.is_empty() {
+            return s.next_arrival;
+        }
+        if quantised {
+            // A chunk is ready to start the moment we advance.
+            return Some(self.now);
+        }
+        let dt = s
+            .heads
+            .iter()
+            .map(|h| self.requests[h.req].remaining / h.rate)
+            .fold(f64::INFINITY, f64::min);
+        // A queued arrival re-divides the shares, so it is a schedule
+        // change even while heads are in service.
+        let completion = self.now + dt;
+        Some(s.next_arrival.map_or(completion, |a| completion.min(a)))
     }
 
-    fn complete(&mut self, req: usize, at: f64) {
-        let flow = self.requests[req].flow;
-        self.requests[req].remaining = 0.0;
-        self.requests[req].completion = Some(at);
-        let popped = self.flows[flow].queue.pop_front();
-        debug_assert_eq!(popped, Some(req), "only the head of a flow completes");
-        self.completions.push((RequestId::from_index(req), at));
-    }
-
-    /// Advances the fluid schedule to `t` (monotone).
+    /// Advances the service schedule to `t` (monotone).
     ///
     /// # Panics
     ///
     /// Panics if `t` precedes the fabric clock.
     pub fn advance_to(&mut self, t: f64) {
         assert!(t >= self.now, "cannot advance backwards");
-        loop {
-            let heads = self.active_heads();
-            if heads.is_empty() {
-                match self.next_arrival() {
-                    Some(a) if a <= t => {
-                        self.events_processed += 1;
-                        self.now = a;
-                    }
-                    _ => {
-                        self.now = t;
-                        return;
-                    }
-                }
-                continue;
-            }
-            self.events_processed += heads.len() as u64;
-            let rates = self.rates(&heads);
-            let candidates: Vec<f64> = heads
-                .iter()
-                .zip(&rates)
-                .map(|(&h, &r)| self.now + self.requests[h].remaining / r)
-                .collect();
-            let next_change = candidates
-                .iter()
-                .copied()
-                .chain(self.next_arrival())
-                .fold(f64::INFINITY, f64::min);
-            let step_to = next_change.min(t);
-            let dt = step_to - self.now;
-            let mut node_active = vec![false; self.spec.nodes];
-            for ((&h, &rate), &candidate) in heads.iter().zip(&rates).zip(&candidates) {
-                let node = self.flows[self.requests[h].flow].node;
-                let moved = if candidate <= step_to {
-                    let left = self.requests[h].remaining;
-                    self.flows[self.requests[h].flow].delivered += left;
-                    self.complete(h, candidate);
-                    left
-                } else if dt > 0.0 {
-                    let m = rate * dt;
-                    self.requests[h].remaining -= m;
-                    self.flows[self.requests[h].flow].delivered += m;
-                    m
-                } else {
-                    0.0
-                };
-                if moved > 0.0 {
-                    self.spine_bytes += moved;
-                    if let Some(k) = node {
-                        self.node_bytes[k] += moved;
-                        node_active[k] = true;
-                    }
-                }
-            }
-            if dt > 0.0 {
-                push_busy(&mut self.spine_busy, self.now, step_to);
-                for (k, active) in node_active.iter().enumerate() {
-                    if *active {
-                        push_busy(&mut self.node_busy[k], self.now, step_to);
-                    }
-                }
-            }
-            self.now = step_to;
-            if self.now >= t {
-                return;
-            }
+        if self.quantised() {
+            self.advance_quanta(t);
+        } else {
+            self.advance_fluid(t);
         }
     }
 
@@ -724,96 +849,141 @@ impl FluidFabric {
         }
         self.now
     }
-}
 
-/// The cluster's link backend: the legacy single [`LinkArbiter`] (flat
-/// fabric — byte-for-byte the pre-fabric code path) or a hierarchical
-/// [`FluidFabric`].
-#[derive(Debug)]
-pub(crate) enum Links {
-    /// One shared link, no node tiers.
-    Flat(LinkArbiter),
-    /// Two-tier hierarchical fabric.
-    Fabric(Box<FluidFabric>),
-}
+    fn complete(&mut self, req: usize, at: f64) {
+        let flow = self.requests[req].flow;
+        self.requests[req].remaining = 0.0;
+        self.requests[req].completion = Some(at);
+        let popped = self.flows[flow].queue.pop_front();
+        debug_assert_eq!(popped, Some(req), "only the head of a flow completes");
+        self.completions.push((RequestId::from_index(req), at));
+    }
 
-impl Links {
-    pub(crate) fn flow(&mut self, label: &str, node: Option<usize>) -> FlowId {
-        match self {
-            Links::Flat(a) => a.flow(label),
-            Links::Fabric(f) => f.flow(label, node),
+    fn advance_fluid(&mut self, t: f64) {
+        let flat = self.spec.is_flat();
+        loop {
+            self.plan();
+            self.scratch.planned = false;
+            let next_arrival = self.scratch.next_arrival;
+            let n = self.scratch.heads.len();
+            if n == 0 {
+                // Idle: jump to the next arrival inside the window, else
+                // to t.
+                let jump = next_arrival.filter(|&a| a <= t);
+                self.events_processed += u64::from(flat || jump.is_some());
+                self.now = jump.unwrap_or(t);
+                if jump.is_none() {
+                    return;
+                }
+                continue;
+            }
+            self.events_processed += if flat { 1 } else { n as u64 };
+            // Candidate completion times under the current rate vector.
+            let mut next_change = next_arrival.unwrap_or(f64::INFINITY);
+            for h in &mut self.scratch.heads {
+                h.candidate = self.now + self.requests[h.req].remaining / h.rate;
+                next_change = next_change.min(h.candidate);
+            }
+            let step_to = next_change.min(t);
+            let dt = step_to - self.now;
+            for tier in &mut self.scratch.tiers {
+                tier.active = false;
+            }
+            for i in 0..n {
+                let h = self.scratch.heads[i];
+                let flow = self.requests[h.req].flow;
+                let moved = if h.candidate <= step_to {
+                    let left = self.requests[h.req].remaining;
+                    self.flows[flow].delivered += left;
+                    self.complete(h.req, h.candidate);
+                    left
+                } else if dt > 0.0 {
+                    let m = h.rate * dt;
+                    self.requests[h.req].remaining -= m;
+                    self.flows[flow].delivered += m;
+                    m
+                } else {
+                    0.0
+                };
+                if moved > 0.0 {
+                    self.spine_bytes += moved;
+                    if let Some(k) = h.tier {
+                        self.node_bytes[k] += moved;
+                        self.scratch.tiers[k].active = true;
+                    }
+                }
+            }
+            if dt > 0.0 {
+                push_busy(&mut self.spine_busy, self.now, step_to);
+                for (busy, tier) in self.node_busy.iter_mut().zip(&self.scratch.tiers) {
+                    if tier.active {
+                        push_busy(busy, self.now, step_to);
+                    }
+                }
+            }
+            self.now = step_to;
+            if self.now >= t {
+                return;
+            }
         }
     }
 
-    pub(crate) fn submit(
-        &mut self,
-        flow: FlowId,
-        at: f64,
-        wire_bytes: f64,
-        max_rate: f64,
-    ) -> RequestId {
-        match self {
-            Links::Flat(a) => a.submit(flow, at, wire_bytes, max_rate),
-            Links::Fabric(f) => f.submit(flow, at, wire_bytes, max_rate),
-        }
-    }
-
-    pub(crate) fn now(&self) -> f64 {
-        match self {
-            Links::Flat(a) => a.now(),
-            Links::Fabric(f) => f.now(),
-        }
-    }
-
-    pub(crate) fn next_event(&self) -> Option<f64> {
-        match self {
-            Links::Flat(a) => a.next_event(),
-            Links::Fabric(f) => f.next_event(),
-        }
-    }
-
-    pub(crate) fn advance_to(&mut self, t: f64) {
-        match self {
-            Links::Flat(a) => a.advance_to(t),
-            Links::Fabric(f) => f.advance_to(t),
-        }
-    }
-
-    pub(crate) fn take_completions(&mut self) -> Vec<(RequestId, f64)> {
-        match self {
-            Links::Flat(a) => a.take_completions(),
-            Links::Fabric(f) => f.take_completions(),
-        }
-    }
-
-    pub(crate) fn events_processed(&self) -> u64 {
-        match self {
-            Links::Flat(a) => a.events_processed(),
-            Links::Fabric(f) => f.events_processed(),
-        }
-    }
-
-    /// The shared tier's busy intervals: the link (flat) or the spine.
-    pub(crate) fn link_busy(&self) -> &[(f64, f64)] {
-        match self {
-            Links::Flat(a) => a.busy(),
-            Links::Fabric(f) => f.spine_busy(),
-        }
-    }
-
-    /// Per-node-tier busy intervals (empty on a flat fabric).
-    pub(crate) fn node_busy(&self) -> &[Vec<(f64, f64)>] {
-        match self {
-            Links::Flat(_) => &[],
-            Links::Fabric(f) => f.node_busy_all(),
-        }
-    }
-
-    /// `(shared-tier bytes, per-node bytes)` carried so far.
-    pub(crate) fn wire_totals(&self) -> (f64, Vec<f64>) {
-        match self {
-            Links::Flat(a) => (a.delivered_total(), Vec::new()),
-            Links::Fabric(f) => (f.spine_bytes(), f.node_bytes.clone()),
+    fn advance_quanta(&mut self, t: f64) {
+        loop {
+            if let Some(s) = self.serving {
+                if s.end > t {
+                    self.now = t;
+                    return;
+                }
+                // The chunk drains.
+                self.events_processed += 1;
+                push_busy(&mut self.spine_busy, s.start, s.end);
+                self.now = s.end;
+                let req = s.req;
+                let flow = self.requests[req].flow;
+                self.flows[flow].delivered += s.bytes;
+                self.spine_bytes += s.bytes;
+                self.requests[req].remaining -= s.bytes;
+                if self.requests[req].remaining <= 1e-9 {
+                    let dust = self.requests[req].remaining;
+                    self.flows[flow].delivered += dust;
+                    self.spine_bytes += dust;
+                    self.complete(req, s.end);
+                }
+                self.serving = None;
+                continue;
+            }
+            // Pick the next backlogged flow, cycling from the cursor.
+            let n = self.flows.len();
+            let pick = (0..n).map(|k| (self.rr_cursor + k) % n).find(|&f| {
+                self.flows[f]
+                    .queue
+                    .front()
+                    .is_some_and(|&r| self.requests[r].arrival <= self.now)
+            });
+            match pick {
+                Some(f) => {
+                    self.rr_cursor = (f + 1) % n;
+                    let req = *self.flows[f].queue.front().expect("picked backlogged");
+                    let bytes = self.quantum.min(self.requests[req].remaining);
+                    let rate = self.spec.spine_bw.min(self.requests[req].max_rate);
+                    self.serving = Some(Serving {
+                        req,
+                        start: self.now,
+                        end: self.now + bytes / rate,
+                        bytes,
+                    });
+                }
+                None => {
+                    self.scan();
+                    let Some(a) = self.scratch.next_arrival.filter(|&a| a <= t) else {
+                        self.now = t;
+                        return;
+                    };
+                    self.events_processed += 1;
+                    self.now = a;
+                }
+            }
         }
     }
 }
@@ -960,9 +1130,9 @@ pub struct FabricSim {
 }
 
 impl FabricSim {
-    /// A churn driver over `cluster` (whose fabric, if any, bounds
-    /// admission at [`FabricSpec::capacity`] GPUs; a flat cluster admits
-    /// everyone immediately).
+    /// A churn driver over `cluster`, whose fabric bounds admission at
+    /// [`FabricSpec::capacity`] GPUs (a flat cluster admits everyone
+    /// immediately).
     pub fn new(cluster: ClusterSim) -> Self {
         FabricSim { cluster }
     }
@@ -986,7 +1156,7 @@ impl FabricSim {
     /// Panics if a job has zero GPUs or steps, no checkpoints, or is
     /// wider than the fabric's capacity.
     pub fn run(&self, jobs: &[Job<'_>]) -> FabricRun {
-        let capacity = self.cluster.fabric().map_or(usize::MAX, |f| f.capacity());
+        let capacity = self.cluster.fabric().capacity();
         for job in jobs {
             assert!(job.gpus > 0, "{}: need at least one GPU", job.spec.name());
             assert!(job.steps > 0, "{}: need at least one step", job.spec.name());
@@ -1249,8 +1419,8 @@ mod tests {
         assert_eq!(fab.completion(rb), Some(8.0));
         // Conservation: every byte crossed its node tier and the spine.
         assert!((fab.spine_bytes() - 80.0).abs() < 1e-9);
-        assert!((fab.node_bytes(0) - 40.0).abs() < 1e-9);
-        assert!((fab.node_bytes(1) - 40.0).abs() < 1e-9);
+        assert!((fab.node_bytes()[0] - 40.0).abs() < 1e-9);
+        assert!((fab.node_bytes()[1] - 40.0).abs() < 1e-9);
     }
 
     #[test]
@@ -1273,8 +1443,8 @@ mod tests {
         fab.run_until_idle();
         assert_eq!(fab.completion(ra), Some(8.0));
         assert_eq!(fab.completion(rb), Some(8.0));
-        assert!(fab.node_busy(1).is_empty());
-        assert_eq!(fab.node_bytes(1), 0.0);
+        assert!(fab.node_busy()[1].is_empty());
+        assert_eq!(fab.node_bytes()[1], 0.0);
     }
 
     #[test]
@@ -1285,8 +1455,8 @@ mod tests {
         fab.run_until_idle();
         // Full spine bandwidth, node tiers untouched.
         assert_eq!(fab.completion(r), Some(5.0));
-        assert_eq!(fab.node_bytes(0), 0.0);
-        assert!(fab.node_busy(0).is_empty());
+        assert_eq!(fab.node_bytes()[0], 0.0);
+        assert!(fab.node_busy()[0].is_empty());
         assert!((fab.spine_bytes() - 50.0).abs() < 1e-9);
     }
 
@@ -1347,7 +1517,7 @@ mod tests {
         fab.submit(b, 3.0, 10.0, f64::INFINITY);
         fab.submit(a, 9.0, 5.0, f64::INFINITY);
         fab.run_until_idle();
-        for busy in [fab.spine_busy(), fab.node_busy(0), fab.node_busy(1)] {
+        for busy in [fab.spine_busy(), &fab.node_busy()[0], &fab.node_busy()[1]] {
             let mut prev = f64::NEG_INFINITY;
             for &(s, e) in busy {
                 assert!(e > s && s >= prev - 1e-12, "tier double-booked");

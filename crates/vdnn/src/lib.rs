@@ -22,9 +22,10 @@
 //!   ratios, [`MeasuredStream`] real compressed line sizes);
 //! * [`cluster`] — the multi-GPU shared-link layer (Section IX): per-GPU
 //!   step timelines and per-tenant gradient all-reduce streams contending
-//!   for one [`LinkArbiter`] under a [`LinkPolicy`]
-//!   ([`ClusterSim`]), with [`multi_gpu::MultiGpuSim`] as its thin
-//!   analytic-surface wrapper;
+//!   for one [`FluidFabric`] under a [`LinkPolicy`] ([`ClusterSim`]);
+//! * [`fabric`] — that one link arbiter, over a flat topology (the
+//!   paper's single shared link) or node tiers under a spine, plus
+//!   trace-driven tenant churn ([`FabricSim`]);
 //! * [`StepSim`] — the legacy layer-by-layer forward/backward interface
 //!   (Fig. 3b and Fig. 13), now a thin wrapper over the timeline with the
 //!   [`UniformRatio`] source.
@@ -51,7 +52,6 @@ pub mod cluster;
 mod compute;
 pub mod fabric;
 pub mod memory;
-pub mod multi_gpu;
 mod ratio;
 mod schedule;
 pub mod timeline;
@@ -67,6 +67,6 @@ pub use fabric::{
 pub use ratio::RatioTable;
 pub use schedule::{StepBreakdown, StepSim, TransferPolicy};
 pub use timeline::{
-    Fidelity, FidelitySource, LinkArbiter, LinkPolicy, MeasuredStream, Payload, ProfiledDensity,
-    StepTimeline, TimelineSim, TransferSource, UniformRatio,
+    Fidelity, FidelitySource, LinkPolicy, MeasuredStream, Payload, ProfiledDensity, StepTimeline,
+    TimelineSim, TransferSource, UniformRatio,
 };

@@ -62,7 +62,8 @@ pub fn prefetch_seconds(cfg: &SystemConfig, uncompressed_bytes: u64, compressed_
 /// Arbitration policy of a host link shared by several DMA streams
 /// (Section IX: 4–8 GPUs on one channel).
 ///
-/// The policy decides how [`LinkArbiter`] splits the wire among
+/// The policy decides how a tier of the
+/// [`FluidFabric`](crate::fabric::FluidFabric) splits its wire among
 /// concurrently backlogged flows; [`LinkPolicy::BandwidthShare`] is the
 /// idealized fair split whose contention-free symmetric case reduces to
 /// the paper's static `PCIe / g` division, [`LinkPolicy::RoundRobin`] is
@@ -75,6 +76,8 @@ pub enum LinkPolicy {
     BandwidthShare,
     /// Quantum round-robin: the link serves one flow at a time, a bounded
     /// burst per turn, cycling over backlogged flows in submission order.
+    /// Quantum-exact on a flat fabric; the tiers of a hierarchical one
+    /// run its fluid limit (see [`fabric`](crate::fabric)).
     RoundRobin,
 }
 
@@ -111,14 +114,14 @@ impl std::str::FromStr for LinkPolicy {
     }
 }
 
-/// Handle of one DMA stream registered with a [`LinkArbiter`] (a GPU's
-/// offload/prefetch path, or a tenant's gradient all-reduce stream).
+/// Handle of one DMA stream registered with a
+/// [`FluidFabric`](crate::fabric::FluidFabric) (a GPU's offload/prefetch
+/// path, or a tenant's gradient all-reduce stream).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FlowId(usize);
 
 impl FlowId {
-    /// Mints a flow handle (shared with the hierarchical fabric, whose
-    /// flows live outside this arbiter).
+    /// Mints a flow handle.
     pub(crate) fn from_index(i: usize) -> Self {
         FlowId(i)
     }
@@ -129,12 +132,13 @@ impl FlowId {
     }
 }
 
-/// Handle of one transfer submitted to a [`LinkArbiter`].
+/// Handle of one transfer submitted to a
+/// [`FluidFabric`](crate::fabric::FluidFabric).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RequestId(usize);
 
 impl RequestId {
-    /// Mints a request handle (shared with the hierarchical fabric).
+    /// Mints a request handle.
     pub(crate) fn from_index(i: usize) -> Self {
         RequestId(i)
     }
@@ -148,7 +152,8 @@ impl RequestId {
 /// Default round-robin quantum in **wire bytes per turn**: 65536 bytes,
 /// i.e. sixteen 4 KB DMA lines. Every quantum in this module is measured
 /// in wire bytes (the compressed size for offloads), never in lines or
-/// flits — [`LinkArbiter::with_quantum`] takes the same unit.
+/// flits — [`FluidFabric::with_quantum`](crate::fabric::FluidFabric::with_quantum)
+/// takes the same unit.
 ///
 /// ```
 /// use cdma_vdnn::timeline::DEFAULT_LINK_QUANTUM;
@@ -158,458 +163,6 @@ impl RequestId {
 /// assert_eq!(DEFAULT_LINK_QUANTUM, 16.0 * 4096.0);
 /// ```
 pub const DEFAULT_LINK_QUANTUM: f64 = 16.0 * 4096.0;
-
-#[derive(Debug)]
-struct Flow {
-    label: String,
-    /// FIFO of not-yet-finished request indices (head is in service).
-    queue: std::collections::VecDeque<usize>,
-    offered: f64,
-    delivered: f64,
-}
-
-#[derive(Debug)]
-struct Request {
-    flow: usize,
-    arrival: f64,
-    /// Cap on the instantaneous wire rate this flow can sustain
-    /// (engine-bound production or consumption), bytes/second.
-    max_rate: f64,
-    remaining: f64,
-    completion: Option<f64>,
-}
-
-/// One chunk of round-robin service in flight.
-#[derive(Debug, Clone, Copy)]
-struct Serving {
-    req: usize,
-    start: f64,
-    end: f64,
-    bytes: f64,
-}
-
-/// The shared host link as a discrete-event resource: `g` per-GPU DMA
-/// read paths and gradient all-reduce streams contend for one wire under
-/// a [`LinkPolicy`].
-///
-/// Flows submit transfers as *wire bytes* (compressed size for offloads)
-/// plus a per-transfer rate cap modelling the compression/decompression
-/// engines; the arbiter advances a fluid (bandwidth-share) or quantum
-/// (round-robin) service schedule, records aggregate busy intervals, and
-/// reports completions. Invariants (pinned by the seeded property loops in
-/// `crates/vdnn/tests/link_arbiter_props.rs`):
-///
-/// * **byte conservation** — every flow's delivered bytes equal its
-///   offered bytes once drained;
-/// * **work conservation** — the link never idles while an uncapped flow
-///   is backlogged;
-/// * **round-robin fairness** — continuously backlogged flows' delivered
-///   bytes never diverge by more than one quantum;
-/// * **monotonicity** — adding a flow never completes an existing
-///   transfer earlier (strictly under bandwidth-share; within a few
-///   quanta of cursor re-phasing under round-robin).
-///
-/// ```
-/// use cdma_vdnn::timeline::{LinkArbiter, LinkPolicy};
-///
-/// let mut arb = LinkArbiter::new(10.0, LinkPolicy::BandwidthShare);
-/// let a = arb.flow("gpu0");
-/// let b = arb.flow("gpu1");
-/// let ra = arb.submit(a, 0.0, 40.0, f64::INFINITY);
-/// let rb = arb.submit(b, 0.0, 40.0, f64::INFINITY);
-/// arb.run_until_idle();
-/// // Two symmetric flows each get half the wire: 40 bytes at 5 B/s.
-/// assert_eq!(arb.completion(ra), Some(8.0));
-/// assert_eq!(arb.completion(rb), Some(8.0));
-/// ```
-#[derive(Debug)]
-pub struct LinkArbiter {
-    bw: f64,
-    policy: LinkPolicy,
-    quantum: f64,
-    now: f64,
-    flows: Vec<Flow>,
-    requests: Vec<Request>,
-    serving: Option<Serving>,
-    rr_cursor: usize,
-    busy: Vec<(f64, f64)>,
-    completions: Vec<(RequestId, f64)>,
-    events_processed: u64,
-}
-
-impl LinkArbiter {
-    /// A link of `bw` wire bytes/second under `policy`, with the
-    /// [`DEFAULT_LINK_QUANTUM`] round-robin burst.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bw` is not positive and finite.
-    pub fn new(bw: f64, policy: LinkPolicy) -> Self {
-        LinkArbiter::with_quantum(bw, policy, DEFAULT_LINK_QUANTUM)
-    }
-
-    /// A link with an explicit round-robin quantum in wire bytes per
-    /// turn (the same unit as [`DEFAULT_LINK_QUANTUM`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bw` or `quantum` is not positive and finite.
-    pub fn with_quantum(bw: f64, policy: LinkPolicy, quantum: f64) -> Self {
-        assert!(
-            bw > 0.0 && bw.is_finite(),
-            "link bandwidth must be positive"
-        );
-        assert!(
-            quantum > 0.0 && quantum.is_finite(),
-            "round-robin quantum must be positive"
-        );
-        LinkArbiter {
-            bw,
-            policy,
-            quantum,
-            now: 0.0,
-            flows: Vec::new(),
-            requests: Vec::new(),
-            serving: None,
-            rr_cursor: 0,
-            busy: Vec::new(),
-            completions: Vec::new(),
-            events_processed: 0,
-        }
-    }
-
-    /// Registers a flow (one contender for the wire).
-    pub fn flow(&mut self, label: &str) -> FlowId {
-        self.flows.push(Flow {
-            label: label.to_owned(),
-            queue: std::collections::VecDeque::new(),
-            offered: 0.0,
-            delivered: 0.0,
-        });
-        FlowId(self.flows.len() - 1)
-    }
-
-    /// Submits a transfer of `wire_bytes` on `flow`, arriving at `at`,
-    /// whose service rate is additionally capped at `max_rate` wire
-    /// bytes/second (pass `f64::INFINITY` for a link-bound transfer).
-    /// Requests on one flow are served FIFO.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `wire_bytes` or `max_rate` is not positive, or if `at`
-    /// precedes the arbiter's clock or the flow's previous submission.
-    pub fn submit(&mut self, flow: FlowId, at: f64, wire_bytes: f64, max_rate: f64) -> RequestId {
-        assert!(wire_bytes > 0.0, "transfer must move at least one byte");
-        assert!(max_rate > 0.0, "rate cap must be positive");
-        assert!(
-            at >= self.now,
-            "submission at {at} precedes the arbiter clock {}",
-            self.now
-        );
-        let f = &mut self.flows[flow.0];
-        if let Some(&prev) = f.queue.back() {
-            assert!(
-                at >= self.requests[prev].arrival,
-                "per-flow submissions must be in arrival order"
-            );
-        }
-        let id = self.requests.len();
-        self.requests.push(Request {
-            flow: flow.0,
-            arrival: at,
-            max_rate,
-            remaining: wire_bytes,
-            completion: None,
-        });
-        let f = &mut self.flows[flow.0];
-        f.queue.push_back(id);
-        f.offered += wire_bytes;
-        RequestId(id)
-    }
-
-    /// The arbiter's clock.
-    pub fn now(&self) -> f64 {
-        self.now
-    }
-
-    /// The label a flow was registered with.
-    pub fn flow_label(&self, flow: FlowId) -> &str {
-        &self.flows[flow.0].label
-    }
-
-    /// Wire bytes submitted on `flow` so far.
-    pub fn offered(&self, flow: FlowId) -> f64 {
-        self.flows[flow.0].offered
-    }
-
-    /// Wire bytes delivered for `flow` so far (round-robin counts service
-    /// at chunk completion).
-    pub fn delivered(&self, flow: FlowId) -> f64 {
-        self.flows[flow.0].delivered
-    }
-
-    /// Completion time of a request, once it has fully drained.
-    pub fn completion(&self, req: RequestId) -> Option<f64> {
-        self.requests[req.0].completion
-    }
-
-    /// Aggregate link busy intervals, time-ordered and coalesced where
-    /// they touch.
-    pub fn busy(&self) -> &[(f64, f64)] {
-        &self.busy
-    }
-
-    /// Internal events processed so far (fluid rate changes, round-robin
-    /// chunk boundaries, completions).
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
-    }
-
-    /// Completions produced since the last call, in completion order.
-    pub fn take_completions(&mut self) -> Vec<(RequestId, f64)> {
-        std::mem::take(&mut self.completions)
-    }
-
-    /// Wire bytes delivered across every flow (the fabric layer's
-    /// conservation counter).
-    pub(crate) fn delivered_total(&self) -> f64 {
-        self.flows.iter().map(|f| f.delivered).sum()
-    }
-
-    /// Whether any submitted transfer still has bytes to move.
-    pub fn has_backlog(&self) -> bool {
-        self.flows.iter().any(|f| !f.queue.is_empty())
-    }
-
-    /// The earliest future time at which the schedule changes on its own
-    /// (a completion, a chunk boundary, or a queued arrival becoming
-    /// active), or `None` when fully drained.
-    pub fn next_event(&self) -> Option<f64> {
-        if let Some(s) = self.serving {
-            return Some(s.end);
-        }
-        let heads = self.active_heads();
-        if !heads.is_empty() {
-            match self.policy {
-                // A chunk is ready to start the moment we advance.
-                LinkPolicy::RoundRobin => return Some(self.now),
-                LinkPolicy::BandwidthShare => {
-                    let rates = self.share_rates(&heads);
-                    let dt = heads
-                        .iter()
-                        .zip(&rates)
-                        .map(|(&h, &r)| self.requests[h].remaining / r)
-                        .fold(f64::INFINITY, f64::min);
-                    // A queued arrival re-divides the shares, so it is a
-                    // schedule change even while heads are in service.
-                    let completion = self.now + dt;
-                    return Some(match self.next_arrival() {
-                        Some(a) => completion.min(a),
-                        None => completion,
-                    });
-                }
-            }
-        }
-        self.next_arrival()
-    }
-
-    /// Advances the service schedule to `t` (monotone).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` precedes the arbiter clock.
-    pub fn advance_to(&mut self, t: f64) {
-        assert!(t >= self.now, "cannot advance backwards");
-        match self.policy {
-            LinkPolicy::BandwidthShare => self.advance_share(t),
-            LinkPolicy::RoundRobin => self.advance_rr(t),
-        }
-    }
-
-    /// Runs the schedule until every submitted transfer has drained;
-    /// returns the drain time.
-    pub fn run_until_idle(&mut self) -> f64 {
-        while let Some(t) = self.next_event() {
-            self.advance_to(t.max(self.now));
-            if !self.has_backlog() {
-                break;
-            }
-        }
-        self.now
-    }
-
-    /// Head-of-line request of every flow with work that has arrived.
-    fn active_heads(&self) -> Vec<usize> {
-        self.flows
-            .iter()
-            .filter_map(|f| f.queue.front().copied())
-            .filter(|&r| self.requests[r].arrival <= self.now)
-            .collect()
-    }
-
-    /// Earliest arrival strictly in the future.
-    fn next_arrival(&self) -> Option<f64> {
-        self.flows
-            .iter()
-            .filter_map(|f| f.queue.front().copied())
-            .map(|r| self.requests[r].arrival)
-            .filter(|&a| a > self.now)
-            .fold(None, |acc: Option<f64>, a| {
-                Some(acc.map_or(a, |b| b.min(a)))
-            })
-    }
-
-    /// Water-filling fair shares: every head starts from an even split of
-    /// the wire; heads capped below their share keep the cap and the
-    /// excess is redistributed among the rest.
-    fn share_rates(&self, heads: &[usize]) -> Vec<f64> {
-        let mut rates = vec![0.0; heads.len()];
-        let mut open: Vec<usize> = (0..heads.len()).collect();
-        let mut remaining_bw = self.bw;
-        while !open.is_empty() {
-            let fair = (remaining_bw / open.len() as f64).max(0.0);
-            let capped: Vec<usize> = open
-                .iter()
-                .copied()
-                .filter(|&i| self.requests[heads[i]].max_rate < fair)
-                .collect();
-            if capped.is_empty() {
-                for i in open {
-                    rates[i] = fair;
-                }
-                break;
-            }
-            for &i in &capped {
-                let r = self.requests[heads[i]].max_rate;
-                rates[i] = r;
-                remaining_bw -= r;
-            }
-            open.retain(|i| !capped.contains(i));
-        }
-        rates
-    }
-
-    fn record_busy(&mut self, start: f64, end: f64) {
-        push_busy(&mut self.busy, start, end);
-    }
-
-    fn complete(&mut self, req: usize, at: f64) {
-        let flow = self.requests[req].flow;
-        self.requests[req].remaining = 0.0;
-        self.requests[req].completion = Some(at);
-        let popped = self.flows[flow].queue.pop_front();
-        debug_assert_eq!(popped, Some(req), "only the head of a flow completes");
-        self.completions.push((RequestId(req), at));
-    }
-
-    fn advance_share(&mut self, t: f64) {
-        loop {
-            self.events_processed += 1;
-            let heads = self.active_heads();
-            if heads.is_empty() {
-                // Idle: jump to the next arrival inside the window, else
-                // to t.
-                match self.next_arrival() {
-                    Some(a) if a <= t => self.now = a,
-                    _ => {
-                        self.now = t;
-                        return;
-                    }
-                }
-                continue;
-            }
-            let rates = self.share_rates(&heads);
-            // Candidate completion times under the current rate vector.
-            let candidates: Vec<f64> = heads
-                .iter()
-                .zip(&rates)
-                .map(|(&h, &r)| self.now + self.requests[h].remaining / r)
-                .collect();
-            let next_change = candidates
-                .iter()
-                .copied()
-                .chain(self.next_arrival())
-                .fold(f64::INFINITY, f64::min);
-            let step_to = next_change.min(t);
-            let dt = step_to - self.now;
-            for ((&h, &rate), &candidate) in heads.iter().zip(&rates).zip(&candidates) {
-                if candidate <= step_to {
-                    let left = self.requests[h].remaining;
-                    self.flows[self.requests[h].flow].delivered += left;
-                    self.complete(h, candidate);
-                } else if dt > 0.0 {
-                    self.requests[h].remaining -= rate * dt;
-                    self.flows[self.requests[h].flow].delivered += rate * dt;
-                }
-            }
-            if dt > 0.0 {
-                self.record_busy(self.now, step_to);
-            }
-            self.now = step_to;
-            if self.now >= t {
-                return;
-            }
-        }
-    }
-
-    fn advance_rr(&mut self, t: f64) {
-        loop {
-            if let Some(s) = self.serving {
-                if s.end > t {
-                    self.now = t;
-                    return;
-                }
-                // The chunk drains.
-                self.events_processed += 1;
-                self.record_busy(s.start, s.end);
-                self.now = s.end;
-                let req = s.req;
-                self.flows[self.requests[req].flow].delivered += s.bytes;
-                self.requests[req].remaining -= s.bytes;
-                if self.requests[req].remaining <= 1e-9 {
-                    let dust = self.requests[req].remaining;
-                    let flow = self.requests[req].flow;
-                    self.flows[flow].delivered += dust;
-                    self.complete(req, s.end);
-                }
-                self.serving = None;
-                continue;
-            }
-            // Pick the next backlogged flow, cycling from the cursor.
-            let n = self.flows.len();
-            let pick = (0..n).map(|k| (self.rr_cursor + k) % n).find(|&f| {
-                self.flows[f]
-                    .queue
-                    .front()
-                    .is_some_and(|&r| self.requests[r].arrival <= self.now)
-            });
-            match pick {
-                Some(f) => {
-                    self.rr_cursor = (f + 1) % n;
-                    let req = *self.flows[f].queue.front().expect("picked backlogged");
-                    let bytes = self.quantum.min(self.requests[req].remaining);
-                    let rate = self.bw.min(self.requests[req].max_rate);
-                    self.serving = Some(Serving {
-                        req,
-                        start: self.now,
-                        end: self.now + bytes / rate,
-                        bytes,
-                    });
-                }
-                None => match self.next_arrival() {
-                    Some(a) if a <= t => {
-                        self.events_processed += 1;
-                        self.now = a;
-                    }
-                    _ => {
-                        self.now = t;
-                        return;
-                    }
-                },
-            }
-        }
-    }
-}
 
 /// The timeline's fidelity level as a first-class value.
 ///
@@ -972,7 +525,7 @@ impl MeasuredStream {
 
 /// Appends a busy interval to a time-ordered list, coalescing with the
 /// previous one when they touch — the one implementation shared by the
-/// timeline recorder, the link arbiter and the cluster's per-GPU books.
+/// timeline recorder, the fabric's tiers and the cluster's per-GPU books.
 pub(crate) fn push_busy(v: &mut Vec<(f64, f64)>, start: f64, end: f64) {
     if end <= start {
         return;
@@ -988,7 +541,7 @@ pub(crate) fn push_busy(v: &mut Vec<(f64, f64)>, start: f64, end: f64) {
 }
 
 ///`(uncompressed, compressed)` byte totals of a line table.
-fn line_totals(lines: &[(u32, u32)]) -> (u64, u64) {
+pub(crate) fn line_totals(lines: &[(u32, u32)]) -> (u64, u64) {
     lines.iter().fold((0u64, 0u64), |(u, c), &(lu, lc)| {
         (u + lu as u64, c + lc as u64)
     })

@@ -1,4 +1,4 @@
-//! Seeded property loops over the [`LinkArbiter`] invariants, ≥1000
+//! Seeded property loops over the flat [`FluidFabric`] invariants, ≥1000
 //! iterations total across the four properties:
 //!
 //! 1. **byte conservation** — per flow, delivered bytes equal offered
@@ -11,7 +11,8 @@
 //! 4. **monotonicity** — adding a flow (a tenant's worth of traffic)
 //!    never completes an existing transfer earlier.
 
-use cdma_vdnn::timeline::{LinkArbiter, LinkPolicy, RequestId};
+use cdma_vdnn::fabric::{FabricSpec, FluidFabric};
+use cdma_vdnn::timeline::{LinkPolicy, RequestId};
 
 /// Deterministic LCG in [0, 1).
 fn lcg(state: &mut u64) -> f64 {
@@ -49,9 +50,9 @@ fn workload(seed: &mut u64, flows: usize, capped: bool) -> Vec<Vec<(f64, f64, f6
 
 /// Runs a workload to completion; returns per-request completion times,
 /// flow-major.
-fn run(arb: &mut LinkArbiter, load: &[Vec<(f64, f64, f64)>]) -> Vec<Vec<(RequestId, f64)>> {
+fn run(arb: &mut FluidFabric, load: &[Vec<(f64, f64, f64)>]) -> Vec<Vec<(RequestId, f64)>> {
     let flows: Vec<_> = (0..load.len())
-        .map(|i| arb.flow(&format!("flow{i}")))
+        .map(|i| arb.flow(&format!("flow{i}"), None))
         .collect();
     let mut reqs: Vec<Vec<RequestId>> = Vec::new();
     for (f, items) in flows.iter().zip(load) {
@@ -78,9 +79,9 @@ fn bytes_are_conserved_under_both_policies() {
     for round in 0..150 {
         for policy in LinkPolicy::ALL {
             let load = workload(&mut seed, 2 + round % 4, true);
-            let mut arb = LinkArbiter::with_quantum(BW, policy, 64.0);
+            let mut arb = FluidFabric::with_quantum(FabricSpec::flat(BW, policy), 64.0);
             let flows: Vec<_> = (0..load.len())
-                .map(|i| arb.flow(&format!("flow{i}")))
+                .map(|i| arb.flow(&format!("flow{i}"), None))
                 .collect();
             for (f, items) in flows.iter().zip(&load) {
                 for &(at, bytes, cap) in items {
@@ -101,7 +102,7 @@ fn bytes_are_conserved_under_both_policies() {
             }
             // Busy intervals are sorted and disjoint.
             let mut prev = f64::NEG_INFINITY;
-            for &(s, e) in arb.busy() {
+            for &(s, e) in arb.spine_busy() {
                 assert!(e > s && s >= prev - 1e-12, "{policy}: busy list corrupt");
                 prev = e;
             }
@@ -118,10 +119,10 @@ fn link_never_idles_while_backlogged() {
             // idles (the engine cannot feed it), so work conservation is
             // asserted on uncapped workloads.
             let load = workload(&mut seed, 2 + round % 3, false);
-            let mut arb = LinkArbiter::with_quantum(BW, policy, 64.0);
+            let mut arb = FluidFabric::with_quantum(FabricSpec::flat(BW, policy), 64.0);
             let completions = run(&mut arb, &load);
             let total: f64 = load.iter().flatten().map(|&(_, b, _)| b).sum();
-            let busy: f64 = arb.busy().iter().map(|&(s, e)| e - s).sum();
+            let busy: f64 = arb.spine_busy().iter().map(|&(s, e)| e - s).sum();
             assert!(
                 (busy - total / BW).abs() <= 1e-6 * (total / BW),
                 "{policy} round {round}: busy {busy}s for {total} bytes at {BW} B/s"
@@ -131,7 +132,7 @@ fn link_never_idles_while_backlogged() {
             for (items, comps) in load.iter().zip(&completions) {
                 for (&(at, _, _), &(_, done)) in items.iter().zip(comps) {
                     let covered: f64 = arb
-                        .busy()
+                        .spine_busy()
                         .iter()
                         .map(|&(s, e)| (e.min(done) - s.max(at)).max(0.0))
                         .sum();
@@ -154,8 +155,11 @@ fn round_robin_fairness_is_bounded_by_one_quantum() {
         // One big transfer per flow, all arriving at t=0: continuously
         // backlogged until each completes.
         let sizes: Vec<f64> = (0..flows).map(|_| 400.0 + lcg(&mut seed) * 800.0).collect();
-        let mut arb = LinkArbiter::with_quantum(BW, LinkPolicy::RoundRobin, quantum);
-        let ids: Vec<_> = (0..flows).map(|i| arb.flow(&format!("f{i}"))).collect();
+        let mut arb =
+            FluidFabric::with_quantum(FabricSpec::flat(BW, LinkPolicy::RoundRobin), quantum);
+        let ids: Vec<_> = (0..flows)
+            .map(|i| arb.flow(&format!("f{i}"), None))
+            .collect();
         let reqs: Vec<_> = ids
             .iter()
             .zip(&sizes)
@@ -208,12 +212,12 @@ fn adding_a_tenant_never_speeds_up_an_existing_one() {
             let base_load = workload(&mut seed, flows, capped);
             let extra = workload(&mut seed, 1, capped);
 
-            let mut base = LinkArbiter::with_quantum(BW, policy, quantum);
+            let mut base = FluidFabric::with_quantum(FabricSpec::flat(BW, policy), quantum);
             let base_done = run(&mut base, &base_load);
 
             let mut contended_load = base_load.clone();
             contended_load.extend(extra);
-            let mut contended = LinkArbiter::with_quantum(BW, policy, quantum);
+            let mut contended = FluidFabric::with_quantum(FabricSpec::flat(BW, policy), quantum);
             let contended_done = run(&mut contended, &contended_load);
 
             for (f, (b, c)) in base_done.iter().zip(&contended_done).enumerate() {

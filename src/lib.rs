@@ -11,7 +11,7 @@
 //! | [`dnn`] | `cdma-dnn` | from-scratch CPU training framework |
 //! | [`models`] | `cdma-models` | the six evaluated networks + density profiles |
 //! | [`gpusim`] | `cdma-gpusim` | memory-subsystem / engine / area / energy models |
-//! | [`vdnn`] | `cdma-vdnn` | event-driven training-step timeline, multi-GPU shared-link cluster ([`vdnn::cluster`], [`vdnn::LinkArbiter`]), offload/prefetch scheduling, compute model |
+//! | [`vdnn`] | `cdma-vdnn` | event-driven training-step timeline, multi-GPU shared-link cluster ([`vdnn::cluster`]) on one link arbiter over flat or tiered topologies ([`vdnn::FluidFabric`]), offload/prefetch scheduling, compute model |
 //! | [`core`] | `cdma-core` | the cDMA engine + the declarative scenario/experiment API |
 //!
 //! # The declarative scenario API
@@ -81,10 +81,10 @@
 //!   byte buffer** plus an O(1) offset table (`window_sizes()` borrows; it
 //!   does not allocate), with an opt-in multi-threaded path
 //!   (`compress_parallel`) for multi-megabyte maps.
-//! * [`core::CdmaEngine`] — `memcpy_compressed_reusing` recycles a previous
-//!   copy's stream storage and `memcpy_decompressed_into` prefetches into a
-//!   reusable buffer, so a steady-state training loop's offload path is
-//!   allocation-free.
+//! * [`core::CdmaEngine`] — `offload_into` recycles an `OffloadScratch`'s
+//!   stream storage and DMA pipeline and `memcpy_decompressed_into`
+//!   prefetches into a reusable buffer, so a steady-state training loop's
+//!   offload path is allocation-free.
 //!
 //! ```
 //! use cdma::compress::{Algorithm, Compressor};

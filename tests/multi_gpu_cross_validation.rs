@@ -1,7 +1,6 @@
 //! Cross-validation of the event-driven multi-GPU cluster against an
 //! independent from-scratch reimplementation of the analytic multi-GPU
-//! formula (the closed form `MultiGpuSim` computed before it became a
-//! wrapper over `ClusterSim`).
+//! formula.
 //!
 //! In the contention-free single-tenant case — `g` identical GPUs in
 //! lock-step on one link — the fluid bandwidth-share arbitration must
@@ -14,7 +13,6 @@ use cdma::gpusim::SystemConfig;
 use cdma::models::{profiles, zoo, NetworkSpec};
 use cdma::tensor::Layout;
 use cdma::vdnn::cluster::{ClusterSim, GradientAllReduce, Tenant};
-use cdma::vdnn::multi_gpu::MultiGpuSim;
 use cdma::vdnn::timeline::{LinkPolicy, UniformRatio};
 use cdma::vdnn::{traffic, ComputeModel, CudnnVersion, RatioTable, StepBreakdown};
 
@@ -124,13 +122,25 @@ fn ratios_per_algorithm(spec: &NetworkSpec, table: &RatioTable) -> Vec<(Algorith
 
 #[test]
 fn cluster_matches_the_analytic_formula_for_every_net_and_algorithm() {
-    let cfg = SystemConfig::titan_x_pcie3();
     let model = ComputeModel::titan_x(CudnnVersion::V5);
     let table = RatioTable::build_fast(42);
-    for spec in zoo::all_networks() {
-        for (alg, ratio) in ratios_per_algorithm(&spec, &table) {
-            // Also pin the uncompressed-vDNN endpoint (ratio 1).
-            for ratio in [1.0, ratio] {
+    // Both link generations: the closed form must hold whatever the wire.
+    for cfg in [
+        SystemConfig::titan_x_pcie3(),
+        SystemConfig::titan_x_nvlink(),
+    ] {
+        for spec in zoo::all_networks() {
+            let mut ratios = vec![
+                // The uncompressed-vDNN endpoint and the paper's best case.
+                ("vdnn".to_owned(), 1.0),
+                ("max".to_owned(), 13.8),
+            ];
+            ratios.extend(
+                ratios_per_algorithm(&spec, &table)
+                    .into_iter()
+                    .map(|(alg, ratio)| (format!("{alg:?}"), ratio)),
+            );
+            for (label, ratio) in ratios {
                 let source = UniformRatio::uniform(&spec, ratio);
                 for gpus in GPU_SWEEP {
                     let (step, allreduce) = analytic_multi_gpu(&cfg, &model, &spec, ratio, gpus);
@@ -141,7 +151,11 @@ fn cluster_matches_the_analytic_formula_for_every_net_and_algorithm() {
                         gpus,
                     }]);
                     let t = &tl.tenants()[0];
-                    let what = format!("{}/{:?}/r={ratio:.3}/g={gpus}", spec.name(), alg);
+                    let what = format!(
+                        "{}/{label}/r={ratio:.3}/g={gpus}/{:.0e}B/s",
+                        spec.name(),
+                        cfg.pcie_bw
+                    );
                     assert_matches(&t.step, &step, &what);
                     assert_close(t.allreduce, allreduce, &format!("{what} allreduce"));
                     assert_close(t.total, step.total() + allreduce, &format!("{what} total"));
@@ -149,36 +163,6 @@ fn cluster_matches_the_analytic_formula_for_every_net_and_algorithm() {
                     for g in tl.gpus() {
                         assert_matches(&g.breakdown, &step, &format!("{what} per-gpu"));
                     }
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn wrapper_is_a_thin_shell_over_the_event_driven_cluster() {
-    // `MultiGpuSim` must agree with the independent closed form too —
-    // it is now a wrapper over `ClusterSim`, so this pins the whole
-    // chain, on both link generations.
-    let model = ComputeModel::titan_x(CudnnVersion::V5);
-    for cfg in [
-        SystemConfig::titan_x_pcie3(),
-        SystemConfig::titan_x_nvlink(),
-    ] {
-        for spec in [zoo::alexnet(), zoo::squeezenet(), zoo::vgg()] {
-            for ratio in [1.0, 2.6, 13.8] {
-                for gpus in GPU_SWEEP {
-                    let (step, allreduce) = analytic_multi_gpu(&cfg, &model, &spec, ratio, gpus);
-                    let sim = MultiGpuSim::new(cfg, model, gpus);
-                    let (wstep, war) = sim.step_time(&spec, ratio);
-                    let what = format!("{}/r={ratio}/g={gpus}", spec.name());
-                    assert_matches(&wstep, &step, &what);
-                    assert_close(war, allreduce, &format!("{what} allreduce"));
-                    assert_close(
-                        sim.total_step(&spec, ratio),
-                        step.total() + allreduce,
-                        &format!("{what} total"),
-                    );
                 }
             }
         }
