@@ -13,6 +13,8 @@
 //! inference then shares the worker pool, admission control, and
 //! zero-alloc buffer recycling instead of needing a second server.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use cdma_compress::{windowed, Compressor, DecodeError};
 
 use crate::proto::{JobKind, Request, Response};
@@ -68,6 +70,23 @@ impl JobKernel for DefaultKernel {
     fn execute(&self, req: Request, window_elems: usize, bufs: OutputBufs) -> Response {
         execute(req, window_elems, bufs)
     }
+}
+
+/// Runs `kernel` on `req` with the unwind caught: a panicking kernel
+/// fails this one request ([`KERNEL_PANICKED`](crate::proto::KERNEL_PANICKED),
+/// id, tenant and kind preserved) instead of the thread that ran it.
+/// `AssertUnwindSafe` holds because everything the closure touches is
+/// moved into it and dropped by the unwind, and a [`JobKernel`] is shared
+/// (`&self`) state its implementor already keeps valid across threads.
+pub(crate) fn execute_caught(
+    kernel: &dyn JobKernel,
+    req: Request,
+    window_elems: usize,
+    bufs: OutputBufs,
+) -> Response {
+    let (tenant, id, kind) = (req.tenant, req.id, req.kind);
+    catch_unwind(AssertUnwindSafe(|| kernel.execute(req, window_elems, bufs)))
+        .unwrap_or_else(|_| Response::kernel_panicked(tenant, id, kind))
 }
 
 /// Runs `req` to completion. Compress requests are windowed at

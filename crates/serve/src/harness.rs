@@ -99,17 +99,16 @@ pub fn run_wall(config: &ServerConfig, loads: &[TenantLoad], schedule: &Schedule
             latency: recorders[i].stats(),
         });
     }
-    let staging_high_water = server.staging_high_water();
-    let staging_capacity = config.staging_bytes;
-    server.shutdown();
+    let stats = server.shutdown();
     LoadReport {
         mode: "wall",
         seed: schedule.seed,
         workers: config.workers,
         elapsed_s,
         tenants,
-        staging_high_water,
-        staging_capacity,
+        staging_high_water: stats.staging_high_water,
+        staging_capacity: config.staging_bytes,
+        server: Some(stats),
     }
 }
 
@@ -140,5 +139,9 @@ mod tests {
             }
         }
         assert!(r.elapsed_s >= 0.05, "open loop runs the full horizon");
+        let server = r.server.expect("the wall driver reports its server");
+        assert!((1..=schedule.len() as u64).contains(&server.completion_batches));
+        assert_eq!((server.staging_in_use, server.workers_lost), (0, 0));
+        assert!(r.table().contains("completion batches"));
     }
 }

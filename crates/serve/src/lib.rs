@@ -70,7 +70,7 @@ pub use exec::{DefaultKernel, JobKernel, OutputBufs};
 pub use harness::run_wall;
 pub use loadgen::{fill_activations, Arrival, Schedule, TenantLoad};
 pub use metrics::{LatencyStats, LoadReport, TenantLoadReport};
-pub use proto::{JobKind, Request, Response, TenantId};
+pub use proto::{JobKind, Request, Response, TenantId, KERNEL_PANICKED};
 pub use sched::{TenantCounters, TenantScheduler, TenantSpec};
 pub use server::{Completion, Server, ServerConfig, ServerStats};
 pub use sim::{run_virtual, run_virtual_with_kernel, ServiceModel};

@@ -11,6 +11,7 @@
 //!   never compared byte-for-byte).
 
 use crate::sched::TenantCounters;
+use crate::server::ServerStats;
 
 /// Collects per-request latencies for one tenant.
 ///
@@ -124,6 +125,9 @@ pub struct LoadReport {
     pub staging_high_water: u64,
     /// Staging-pool capacity in bytes.
     pub staging_capacity: u64,
+    /// The threaded server's lifetime statistics; `None` from the virtual
+    /// driver, which has no threads to steal, park or wake.
+    pub server: Option<ServerStats>,
 }
 
 impl LoadReport {
@@ -271,6 +275,13 @@ impl LoadReport {
                 max
             ));
         }
+        if let Some(st) = &self.server {
+            s.push_str(&format!(
+                "server: {} steals, {} parks, {} wakes, {} completion batches, \
+                 {} buffer-pool misses\n",
+                st.steals, st.parks, st.wakes, st.completion_batches, st.buffer_pool.misses
+            ));
+        }
         s
     }
 }
@@ -340,6 +351,7 @@ mod tests {
             }],
             staging_high_water: 8192,
             staging_capacity: 65536,
+            server: None,
         };
         let summary = report.deterministic_summary_json();
         assert!(summary.contains("\"completed\": 9"));

@@ -204,12 +204,40 @@ pub struct Response {
     pub uncompressed_bytes: u64,
     /// Compressed bytes (what a socket/link transport would carry).
     pub wire_bytes: u64,
-    /// Decode fault, if the payload was corrupt (decompress only).
+    /// Why the job produced no output: a decode fault (corrupt
+    /// decompress payload), or [`KERNEL_PANICKED`].
     pub error: Option<DecodeError>,
     /// The request's input word buffer, handed back for recycling.
     pub input_words: Vec<f32>,
     /// The request's input byte buffer, handed back for recycling.
     pub input_bytes: Vec<u8>,
+}
+
+/// The [`Response::error`] of a request whose [`JobKernel`](crate::JobKernel)
+/// panicked: the server caught the unwind, failed that one request and
+/// kept the worker.
+pub const KERNEL_PANICKED: DecodeError = DecodeError::Corrupt("job kernel panicked");
+
+impl Response {
+    /// The response of a request the kernel panicked on. Only what was
+    /// copied out before the call survives — the request, its input
+    /// buffers and the output buffers unwound with the kernel — so the
+    /// response is empty and accounts for no bytes served.
+    pub(crate) fn kernel_panicked(tenant: TenantId, id: u64, kind: JobKind) -> Self {
+        Response {
+            tenant,
+            id,
+            kind,
+            bytes: Vec::new(),
+            offsets: Vec::new(),
+            words: Vec::new(),
+            uncompressed_bytes: 0,
+            wire_bytes: 0,
+            error: Some(KERNEL_PANICKED),
+            input_words: Vec::new(),
+            input_bytes: Vec::new(),
+        }
+    }
 }
 
 /// Why a wire frame could not be decoded.

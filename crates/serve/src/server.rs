@@ -6,17 +6,63 @@
 //! * **Admission** — one [`TenantScheduler`] + [`StagingPool`] behind a
 //!   single mutex answers accept/shed at submit time (the staging-buffer
 //!   backpressure model applied to real queue depths).
-//! * **Dispatch** — workers pull jobs from the scheduler in small batches
-//!   (amortising the lock) into per-worker deques, and **steal** from the
-//!   back of each other's deques when their own runs dry, so one slow
-//!   tenant's burst cannot idle the pool.
-//! * **Execution** — the shared `exec::execute` kernel with output buffers
-//!   recycled through [`Pool`]s, so the steady state allocates nothing
-//!   per request.
+//! * **Dispatch** — workers pull jobs from the scheduler `dispatch_batch`
+//!   at a time into per-worker deques, and **steal** from the back of
+//!   each other's deques when their own runs dry, so one slow tenant's
+//!   burst cannot idle the pool.
+//! * **Execution** — the shared `exec::execute` kernel, its unwind
+//!   caught so a panicking kernel fails one request and not the pool,
+//!   with output buffers recycled through [`Pool`]s, so the steady state
+//!   allocates nothing per request.
 //!
 //! Completions land in a shared vector drained by the client
 //! ([`Server::drain_completions`]); [`Server::recycle`] closes the buffer
 //! loop.
+//!
+//! # The hand-off
+//!
+//! The paper's engine moves a line from compressor to staging buffer to
+//! PCIe with no software on the path. Here the path is software, so its
+//! cost is paid per *batch*, not per request, by three rules:
+//!
+//! 1. **Wake only sleepers.** A condvar notify is a `futex_wake` system
+//!    call whether or not anybody sleeps, so every sleeper registers
+//!    under the mutex its notifier already holds, and the notifier reads
+//!    the count in the same critical section as the change the sleeper
+//!    waits for. A worker counts itself into `idle` under the `state`
+//!    mutex after finding the scheduler empty under that same hold;
+//!    [`Server::submit`] enqueues and reads `idle` under it, and so does a
+//!    worker that pulled overflow a sibling could steal. A
+//!    [`Server::wait_drained`] caller counts itself into `waiters` under
+//!    the `completions` mutex, under which a publish appends, lowers
+//!    `outstanding` and — when that reached zero, the one value a waiter
+//!    waits for — reads `waiters`. One lock orders registration with the
+//!    enqueue or the push, so no wake-up is lost. Whoever notifies takes
+//!    the sleepers it wakes off the count, so a sleeper costs one system
+//!    call however many submits arrive while it wakes up; a sleeper that
+//!    the millisecond `wait_timeout` backstop woke takes itself off.
+//! 2. **Publish per batch.** A worker keeps finished jobs in a buffer of
+//!    its own, sized once at start, and publishes them in one flush: one
+//!    `state` acquisition releases their staging footprints and records
+//!    their accounting, one `completions` acquisition appends them and
+//!    lowers `outstanding` by their number. It flushes when the buffer
+//!    holds `dispatch_batch` jobs or `dispatch_batch × window_bytes` of
+//!    footprint, *before* starting a job that would take it past that
+//!    footprint, and whenever its own deque is empty. So a reservation
+//!    is held exactly until its completion is visible; a finished job
+//!    waits behind at most `dispatch_batch − 1` later jobs of less than a
+//!    batch of windows in all, never behind a multi-window job and never
+//!    behind a worker that pulls, steals, spins or parks; and at low load
+//!    every job publishes at once. Output buffers leave the pool the same
+//!    way, one lock per pulled batch.
+//! 3. **Spin before parking.** A worker with nothing to do polls the
+//!    lock-free `backlog` counter for `SPIN_BUDGET` (50 µs, derived at
+//!    its definition), yielding its core between looks, and only then
+//!    parks: a server left alone sleeps, a server under tens of thousands
+//!    of requests a second stops paying a futex wake-up per request. The
+//!    budget is a constant, not a knob: it is a property of what it
+//!    amortises (the host's wake-up latency), not of any workload, and no
+//!    caller has a second value to set it to.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -30,9 +76,30 @@ use cdma_gpusim::staging::StagingPool;
 use cdma_vdnn::LinkPolicy;
 
 use crate::error::ServeError;
-use crate::exec::{DefaultKernel, JobKernel, OutputBufs};
+use crate::exec::{execute_caught, DefaultKernel, JobKernel, OutputBufs};
 use crate::proto::{Request, Response};
 use crate::sched::{Job, TenantScheduler, TenantSpec};
+
+/// How long an idle worker polls for work before it parks.
+///
+/// Parking costs the *next* request a futex round trip: the submitter's
+/// `futex_wake` plus the kernel getting the worker back on a core, which
+/// `serve_4k` measured as its whole median latency (~20 µs of wake-up
+/// around a ~1 µs kernel). Polling for as long as parking costs is the
+/// ski-rental bound: an idle gap shorter than the budget costs the poll
+/// and no wake-up, a longer one costs the budget on top of the wake-up
+/// it would have paid anyway, so the worker never spends more than
+/// about twice the better choice in hindsight, and never more than the
+/// budget per idle period however long that lasts. Two round trips
+/// rather than one because the round trip is what the host makes it
+/// (longer when virtualised or busy). Arrivals less than the budget apart
+/// — 86% of Poisson arrivals at 40 k requests a second — never meet a
+/// parked worker.
+const SPIN_BUDGET: Duration = Duration::from_micros(50);
+
+/// Longest a parked worker or drain waiter sleeps before it looks again:
+/// the backstop behind the registered wake-ups.
+const PARK_BACKSTOP: Duration = Duration::from_millis(1);
 
 /// Static configuration of a [`Server`].
 #[derive(Debug, Clone)]
@@ -49,7 +116,8 @@ pub struct ServerConfig {
     /// budget every in-flight request reserves its uncompressed footprint
     /// from.
     pub staging_bytes: u64,
-    /// Jobs a worker pulls from the scheduler per lock acquisition.
+    /// Jobs a worker pulls from the scheduler per lock acquisition, and
+    /// the most finished jobs it publishes per lock acquisition.
     pub dispatch_batch: usize,
 }
 
@@ -77,7 +145,8 @@ pub struct Completion {
     pub response: Response,
     /// Submit time, seconds since server start.
     pub arrival_s: f64,
-    /// Completion time, seconds since server start.
+    /// Completion time, seconds since server start: when the response
+    /// became drainable (jobs published together share the stamp).
     pub finished_s: f64,
 }
 
@@ -88,7 +157,8 @@ impl Completion {
     }
 }
 
-/// Lifetime statistics returned by [`Server::shutdown`].
+/// Lifetime statistics, from [`Server::stats`] while the server runs and
+/// from [`Server::shutdown`] when it stops.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerStats {
     /// Jobs moved between workers by stealing.
@@ -97,26 +167,91 @@ pub struct ServerStats {
     pub buffer_pool: PoolStats,
     /// Staging-pool high-water mark in bytes.
     pub staging_high_water: u64,
+    /// Staging bytes reserved right now: the footprints of every admitted
+    /// job whose completion is not published yet. Zero whenever
+    /// [`Server::outstanding`] is.
+    pub staging_in_use: u64,
+    /// Times a worker went to sleep on the work condvar.
+    pub parks: u64,
+    /// Condvar notifies actually issued (to parked workers and drain
+    /// waiters); a saturated server issues next to none.
+    pub wakes: u64,
+    /// Flushes that made completions drainable; requests over this is
+    /// the mean publish batch.
+    pub completion_batches: u64,
+    /// Worker threads [`Server::shutdown`] found dead (a bug in the
+    /// server, not in a kernel: kernel panics are caught).
+    pub workers_lost: u64,
 }
 
 struct SchedState {
     sched: TenantScheduler,
     pool: StagingPool,
+    /// Workers asleep on `work_cv` that nobody has woken yet (hand-off
+    /// rule 1).
+    idle: usize,
+    parks: u64,
+    wakes: u64,
+}
+
+impl SchedState {
+    /// Takes one sleeping worker off the count, if there is one; the
+    /// caller owes it a `work_cv.notify_one()` once the lock is released.
+    fn wake_one(&mut self) -> bool {
+        let sleeper = self.idle > 0;
+        if sleeper {
+            self.idle -= 1;
+            self.wakes += 1;
+        }
+        sleeper
+    }
+}
+
+struct Completions {
+    list: Vec<Completion>,
+    /// [`Server::wait_drained`] callers asleep on `done_cv` that nobody
+    /// has woken yet (rule 1).
+    waiters: usize,
+    batches: u64,
+    wakes: u64,
+}
+
+/// A job that ran and whose completion is not published yet.
+struct Finished {
+    tenant: u16,
+    footprint: u64,
+    arrival_s: f64,
+    response: Response,
+}
+
+/// What a worker keeps between lock acquisitions (hand-off rule 2). Both
+/// vectors are sized once and never outgrow `dispatch_batch`.
+struct Local {
+    finished: Vec<Finished>,
+    /// Staging bytes the jobs in `finished` still hold.
+    footprint: u64,
+    /// Output buffers checked out for the jobs in the worker's deque.
+    bufs: Vec<OutputBufs>,
 }
 
 struct Shared {
     config: ServerConfig,
     start: Instant,
     state: Mutex<SchedState>,
-    /// Signalled on every admit; workers park here when idle.
+    /// Workers park here; notified only while `SchedState::idle > 0`.
     work_cv: Condvar,
     /// Per-worker deques: owner pops the front, thieves pop the back.
     deques: Vec<Mutex<VecDeque<Job>>>,
-    completions: Mutex<Vec<Completion>>,
-    /// Signalled on every completion; [`Server::wait_drained`] parks here.
+    completions: Mutex<Completions>,
+    /// [`Server::wait_drained`] parks here; notified only while
+    /// `Completions::waiters > 0`.
     done_cv: Condvar,
     /// Admitted jobs not yet in `completions`.
     outstanding: AtomicUsize,
+    /// The scheduler's backlog, for spinning workers to poll: written
+    /// under the `state` mutex, read without it. Relaxed — it publishes
+    /// nothing; whoever sees it rise takes the mutex to get the job.
+    backlog: AtomicUsize,
     shutdown: AtomicBool,
     steals: AtomicU64,
     out_pool: Mutex<Pool<OutputBufs>>,
@@ -124,100 +259,214 @@ struct Shared {
 }
 
 impl Shared {
-    fn finish(&self, job_tenant: u16, footprint: u64, arrival_s: f64, response: Response) {
-        let finished_s = self.start.elapsed().as_secs_f64();
-        {
-            let mut st = self.state.lock().unwrap();
-            st.pool.release(footprint);
-            st.sched
-                .complete(job_tenant, response.uncompressed_bytes, response.wire_bytes);
-        }
-        let mut done = self.completions.lock().unwrap();
-        done.push(Completion {
-            response,
-            arrival_s,
-            finished_s,
-        });
-        self.outstanding.fetch_sub(1, Ordering::AcqRel);
-        drop(done);
-        self.done_cv.notify_all();
+    /// Staging footprint at which a worker's finished jobs publish.
+    fn flush_bytes(&self) -> u64 {
+        (self.config.dispatch_batch * self.config.window_bytes) as u64
     }
 
-    fn run_job(&self, job: Job) {
-        let mut job = job;
+    /// Makes the worker's finished jobs drainable (hand-off rule 2).
+    fn publish(&self, local: &mut Local) {
+        let n = local.finished.len();
+        if n == 0 {
+            return;
+        }
+        {
+            let mut st = self.state.lock().unwrap();
+            for f in &local.finished {
+                st.pool.release(f.footprint);
+                st.sched.complete(
+                    f.tenant,
+                    f.response.uncompressed_bytes,
+                    f.response.wire_bytes,
+                );
+            }
+        }
+        local.footprint = 0;
+        let finished_s = self.start.elapsed().as_secs_f64();
+        let wake = {
+            let mut done = self.completions.lock().unwrap();
+            done.list
+                .extend(local.finished.drain(..).map(|f| Completion {
+                    response: f.response,
+                    arrival_s: f.arrival_s,
+                    finished_s,
+                }));
+            // Lowered under the lock a drain waiter registers under, and
+            // after the push: whoever reads the new count finds the
+            // completions.
+            let drained = self.outstanding.fetch_sub(n, Ordering::AcqRel) == n;
+            done.batches += 1;
+            // A waiter waits for zero and nothing else.
+            let wake = drained && done.waiters > 0;
+            if wake {
+                done.waiters = 0;
+                done.wakes += 1;
+            }
+            wake
+        };
+        if wake {
+            self.done_cv.notify_all();
+        }
+    }
+
+    /// Tops the worker's output buffers up to `want`, one lock for all.
+    /// Only the buffer the next job needs is worth a pool miss; the rest
+    /// are taken if they are there.
+    fn checkout(&self, local: &mut Local, want: usize) {
+        if local.bufs.len() < want {
+            let mut pool = self.out_pool.lock().unwrap();
+            while local.bufs.len() < want && (local.bufs.is_empty() || pool.idle() > 0) {
+                local.bufs.push(pool.get());
+            }
+        }
+    }
+
+    fn run_job(&self, mut job: Job, local: &mut Local) {
+        // A finished job never waits behind more than a batch of windows.
+        if local.footprint + job.footprint > self.flush_bytes() {
+            self.publish(local);
+        }
         let req = job.req.take().expect("job carries its request");
-        let bufs = self.out_pool.lock().unwrap().get();
+        self.checkout(local, 1);
+        let bufs = local.bufs.pop().expect("checked out above");
         let window_elems = (self.config.window_bytes / 4).max(1);
         // Codec choice travels in the frame; the kernel resolves it.
-        let response = self.kernel.execute(req, window_elems, bufs);
-        self.finish(job.tenant, job.footprint, job.arrival_s, response);
+        let response = execute_caught(&*self.kernel, req, window_elems, bufs);
+        local.footprint += job.footprint;
+        local.finished.push(Finished {
+            tenant: job.tenant,
+            footprint: job.footprint,
+            arrival_s: job.arrival_s,
+            response,
+        });
+        if local.finished.len() >= self.config.dispatch_batch
+            || local.footprint >= self.flush_bytes()
+        {
+            self.publish(local);
+        }
     }
 
-    /// Pulls up to `dispatch_batch` jobs; runs the first inline, parks the
-    /// rest in the worker's own deque. Returns whether anything ran.
-    fn pull_and_run(&self, me: usize) -> bool {
-        let mut batch: Option<Job> = None;
-        {
+    /// Pulls up to `dispatch_batch` jobs from the scheduler: returns the
+    /// first, leaves the rest in the worker's own deque, and checks out an
+    /// output buffer for each.
+    fn pull(&self, me: usize, local: &mut Local) -> Option<Job> {
+        let (first, pulled, wake) = {
             let mut st = self.state.lock().unwrap();
-            if let Some(first) = st.sched.pop_next() {
-                batch = Some(first);
+            let first = st.sched.pop_next()?;
+            let mut pulled = 1;
+            {
                 let mut mine = self.deques[me].lock().unwrap();
-                for _ in 1..self.config.dispatch_batch {
+                while pulled < self.config.dispatch_batch {
                     match st.sched.pop_next() {
                         Some(j) => mine.push_back(j),
                         None => break,
                     }
+                    pulled += 1;
                 }
             }
+            let left = st.sched.backlog();
+            self.backlog.store(left, Ordering::Relaxed);
+            // A sleeper is worth a system call only if there is
+            // something for it: overflow to steal, or backlog left.
+            let wake = (pulled > 1 || left > 0) && st.wake_one();
+            (first, pulled, wake)
+        };
+        if wake {
+            self.work_cv.notify_one();
         }
-        match batch {
-            Some(job) => {
-                // Others may be parked while our deque has the overflow.
-                self.work_cv.notify_one();
-                self.run_job(job);
-                true
-            }
-            None => false,
+        self.checkout(local, pulled);
+        Some(first)
+    }
+
+    /// The next job for worker `me`, from wherever there is one.
+    fn next_job(&self, me: usize, local: &mut Local) -> Option<Job> {
+        // 1. Own deque, front (FIFO within a worker).
+        let own = self.deques[me].lock().unwrap().pop_front();
+        if own.is_some() {
+            return own;
+        }
+        // Own deque empty: nothing finished waits behind a pull, a
+        // steal, the spin, a park or the exit.
+        self.publish(local);
+        // 2. The scheduler (fairness decisions live there).
+        if let Some(job) = self.pull(me, local) {
+            return Some(job);
+        }
+        // 3. Steal from the back of a sibling's deque.
+        let n = self.deques.len();
+        let stolen = (0..n)
+            .filter(|&i| i != me)
+            .find_map(|i| self.deques[(me + 1 + i) % n].lock().unwrap().pop_back());
+        if stolen.is_some() {
+            self.steals.fetch_add(1, Ordering::Relaxed);
+        }
+        stolen
+    }
+
+    /// Polls for work without a lock, for at most [`SPIN_BUDGET`]
+    /// (hand-off rule 3).
+    fn spin(&self) {
+        let t0 = Instant::now();
+        while self.backlog.load(Ordering::Relaxed) == 0
+            && !self.shutdown.load(Ordering::Acquire)
+            && t0.elapsed() < SPIN_BUDGET
+        {
+            // Not `spin_loop`: the kernel likes to wake a worker on the
+            // core of the submitter that woke it, and a worker that
+            // busy-waits there keeps off the core the only thread that
+            // can end its wait. Measured on two cores with a submitter
+            // that never sleeps: every job then cost a wake-up plus the
+            // whole budget (~85 us a job against ~20 us with no spin at
+            // all); yielding, the same loop never parks.
+            thread::yield_now();
         }
     }
 
-    fn worker_loop(self: &Arc<Self>, me: usize) {
+    /// Sleeps until woken or [`PARK_BACKSTOP`], unless work arrived in
+    /// the meantime. Returns whether the worker should exit instead.
+    fn park(&self) -> bool {
+        let mut st = self.state.lock().unwrap();
+        if st.sched.backlog() > 0 {
+            return false;
+        }
+        if self.shutdown.load(Ordering::Acquire) {
+            drop(st);
+            // A sibling's deque may still hold overflow it pulled before
+            // the flag went up: stay to steal it.
+            return self.deques.iter().all(|d| d.lock().unwrap().is_empty());
+        }
+        st.idle += 1;
+        st.parks += 1;
+        let (mut st, backstop) = self.work_cv.wait_timeout(st, PARK_BACKSTOP).unwrap();
+        if backstop.timed_out() {
+            // Nobody woke this sleeper, so nobody took it off the count.
+            st.idle = st.idle.saturating_sub(1);
+        }
+        false
+    }
+
+    fn worker_loop(&self, me: usize) {
+        let batch = self.config.dispatch_batch;
+        let mut local = Local {
+            finished: Vec::with_capacity(batch),
+            footprint: 0,
+            bufs: Vec::with_capacity(batch),
+        };
         loop {
-            // 1. Own deque, front (FIFO within a worker).
-            let own = self.deques[me].lock().unwrap().pop_front();
-            if let Some(job) = own {
-                self.run_job(job);
-                continue;
-            }
-            // 2. The scheduler (fairness decisions live there).
-            if self.pull_and_run(me) {
-                continue;
-            }
-            // 3. Steal from the back of a sibling's deque.
-            let n = self.deques.len();
-            let stolen = (0..n)
-                .filter(|&i| i != me)
-                .find_map(|i| self.deques[(me + 1 + i) % n].lock().unwrap().pop_back());
-            if let Some(job) = stolen {
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                self.run_job(job);
-                continue;
-            }
-            // 4. Nothing anywhere: exit on shutdown, else park briefly.
-            let st = self.state.lock().unwrap();
-            if st.sched.backlog() == 0 && self.shutdown.load(Ordering::Acquire) {
-                // Deques might still hold work parked by a sibling that
-                // died between our checks; re-verify before exiting.
-                drop(st);
-                if self.deques.iter().all(|d| d.lock().unwrap().is_empty()) {
-                    return;
+            let job = self.next_job(me, &mut local).or_else(|| {
+                // Nothing anywhere: spin, then look everywhere once more —
+                // a sibling's overflow does not show in `backlog`.
+                self.spin();
+                self.next_job(me, &mut local)
+            });
+            match job {
+                Some(job) => self.run_job(job, &mut local),
+                None => {
+                    if self.park() {
+                        return;
+                    }
                 }
-                continue;
             }
-            let _ = self
-                .work_cv
-                .wait_timeout(st, Duration::from_millis(1))
-                .unwrap();
         }
     }
 }
@@ -261,7 +510,9 @@ impl Server {
     /// that lets inference (or any future job kind) share this server's
     /// admission control, work stealing, and buffer recycling instead of
     /// standing up a second service. The kernel runs on every worker
-    /// thread.
+    /// thread; if it panics, that request completes with
+    /// [`KERNEL_PANICKED`](crate::proto::KERNEL_PANICKED) and the worker
+    /// carries on.
     ///
     /// # Panics
     ///
@@ -286,14 +537,26 @@ impl Server {
             (config.staging_bytes / config.window_bytes.max(1) as u64) as usize + config.workers;
         let shared = Arc::new(Shared {
             start: Instant::now(),
-            state: Mutex::new(SchedState { sched, pool }),
+            state: Mutex::new(SchedState {
+                sched,
+                pool,
+                idle: 0,
+                parks: 0,
+                wakes: 0,
+            }),
             work_cv: Condvar::new(),
             deques: (0..config.workers)
                 .map(|_| Mutex::new(VecDeque::with_capacity(config.dispatch_batch * 2)))
                 .collect(),
-            completions: Mutex::new(Vec::with_capacity(max_live)),
+            completions: Mutex::new(Completions {
+                list: Vec::with_capacity(max_live),
+                waiters: 0,
+                batches: 0,
+                wakes: 0,
+            }),
             done_cv: Condvar::new(),
             outstanding: AtomicUsize::new(0),
+            backlog: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             steals: AtomicU64::new(0),
             out_pool: Mutex::new(Pool::with_capacity(config.workers * 2)),
@@ -330,13 +593,21 @@ impl Server {
             return Err((ServeError::ShuttingDown, req));
         }
         let arrival_s = self.now_s();
-        let seq = {
+        let (seq, wake) = {
             let mut st = self.shared.state.lock().unwrap();
-            let SchedState { sched, pool } = &mut *st;
-            sched.try_enqueue(req, arrival_s, pool)?
+            let SchedState { sched, pool, .. } = &mut *st;
+            let seq = sched.try_enqueue(req, arrival_s, pool)?;
+            self.shared
+                .backlog
+                .store(sched.backlog(), Ordering::Relaxed);
+            // Counted before a worker can see the job, so a publish never
+            // lowers the count below zero.
+            self.shared.outstanding.fetch_add(1, Ordering::AcqRel);
+            (seq, st.wake_one())
         };
-        self.shared.outstanding.fetch_add(1, Ordering::AcqRel);
-        self.shared.work_cv.notify_one();
+        if wake {
+            self.shared.work_cv.notify_one();
+        }
         Ok(seq)
     }
 
@@ -344,7 +615,7 @@ impl Server {
     /// cleared). Pre-reserve `out` to keep the drain allocation-free.
     pub fn drain_completions(&self, out: &mut Vec<Completion>) {
         let mut done = self.shared.completions.lock().unwrap();
-        out.append(&mut done);
+        out.append(&mut done.list);
     }
 
     /// Admitted jobs not yet drained into a completion.
@@ -356,12 +627,17 @@ impl Server {
     pub fn wait_drained(&self) {
         let mut done = self.shared.completions.lock().unwrap();
         while self.shared.outstanding.load(Ordering::Acquire) > 0 {
-            let (guard, _) = self
+            done.waiters += 1;
+            let (woken, backstop) = self
                 .shared
                 .done_cv
-                .wait_timeout(done, Duration::from_millis(1))
+                .wait_timeout(done, PARK_BACKSTOP)
                 .unwrap();
-            done = guard;
+            done = woken;
+            if backstop.timed_out() {
+                // Nobody woke this waiter, so nobody took it off the count.
+                done.waiters = done.waiters.saturating_sub(1);
+            }
         }
     }
 
@@ -390,21 +666,54 @@ impl Server {
         self.shared.state.lock().unwrap().pool.high_water()
     }
 
-    /// Stops accepting work, drains the backlog, joins the workers, and
-    /// returns lifetime statistics.
-    pub fn shutdown(self) -> ServerStats {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.work_cv.notify_all();
-        for h in self.handles {
-            // Workers re-check the flag at most one park interval later.
-            self.shared.work_cv.notify_all();
-            h.join().expect("worker panicked");
-        }
-        let st = self.shared.state.lock().unwrap();
+    /// Statistics so far.
+    pub fn stats(&self) -> ServerStats {
+        let shared = &*self.shared;
+        let (staging_in_use, staging_high_water, parks, work_wakes) = {
+            let st = shared.state.lock().unwrap();
+            (st.pool.in_use(), st.pool.high_water(), st.parks, st.wakes)
+        };
+        let (completion_batches, done_wakes) = {
+            let done = shared.completions.lock().unwrap();
+            (done.batches, done.wakes)
+        };
         ServerStats {
-            steals: self.shared.steals.load(Ordering::Relaxed),
-            buffer_pool: self.shared.out_pool.lock().unwrap().stats(),
-            staging_high_water: st.pool.high_water(),
+            steals: shared.steals.load(Ordering::Relaxed),
+            buffer_pool: shared.out_pool.lock().unwrap().stats(),
+            staging_high_water,
+            staging_in_use,
+            parks,
+            wakes: work_wakes + done_wakes,
+            completion_batches,
+            workers_lost: 0,
+        }
+    }
+
+    /// Stops accepting work, drains the backlog, joins the workers, and
+    /// returns lifetime statistics. A worker that died is counted in
+    /// [`ServerStats::workers_lost`], not re-raised.
+    pub fn shutdown(mut self) -> ServerStats {
+        self.shared.shutdown.store(true, Ordering::Release);
+        // A worker reads the flag under `state` before it registers, so
+        // either it saw the flag or it is counted here: one notify, no
+        // lost wake-up to paper over.
+        let sleepers = {
+            let mut st = self.shared.state.lock().unwrap();
+            let sleepers = std::mem::take(&mut st.idle) > 0;
+            st.wakes += u64::from(sleepers);
+            sleepers
+        };
+        if sleepers {
+            self.shared.work_cv.notify_all();
+        }
+        let workers_lost = self
+            .handles
+            .drain(..)
+            .map(|h| u64::from(h.join().is_err()))
+            .sum();
+        ServerStats {
+            workers_lost,
+            ..self.stats()
         }
     }
 }

@@ -285,6 +285,7 @@ pub fn run_schedule_with_kernel(
         tenants,
         staging_high_water: pool.high_water(),
         staging_capacity: pool.capacity(),
+        server: None,
     }
 }
 
