@@ -12,12 +12,17 @@
 //!
 //! What the probe costs: a sparse window is two counting passes and one
 //! RLE or ZVC call; a dense window is one DEFLATE call written straight
-//! into the output (and truncated away if it loses), ~60 µs for 4 KB on
-//! the development container. It used to be ~650 µs — not because LZ77 on
-//! 4 KB is slow, but because each DEFLATE call built its Huffman codes
-//! with a package-merge that cloned a leaf list per node (see
-//! `deflate::huffman`). With that gone the picker compresses at 0.18 GB/s
-//! at the paper's average density (was 0.013), between `Huff` and `Zlib`.
+//! into the output (and truncated away if it loses), ~28 µs for 4 KB on
+//! the development container — 16 µs of it the LZ77 search, the rest
+//! counting, two Huffman codes, the block header and the token bits (see
+//! `deflate`). On the benchmark's AlexNet activations the picker averages
+//! 16.5 µs a window, 0.25 GB/s, between `Huff` (6.3 µs) and `Zlib`
+//! (28 µs). The probe is not worth second-guessing there: it runs on 382
+//! of 880 windows and DEFLATE wins 366 of them (seed 41), so a bound
+//! that skipped every losing probe would save 4% of the picker's time.
+//! Should that change, the exact size of the block is known before a bit
+//! of it is written (`deflate::encode` prices stored, fixed and dynamic
+//! from the token histogram), so a losing probe could stop there.
 //!
 //! Wire format: per window, one tag byte (0 = RLE, 1 = ZVC, 2 = DEFLATE)
 //! followed by that codec's complete stream for the window's words. Each

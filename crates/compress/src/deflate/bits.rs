@@ -9,72 +9,91 @@
 use crate::DecodeError;
 
 /// Reverses the low `len` bits of `code` (Huffman codes enter the
-/// LSB-first stream most-significant-bit first).
+/// LSB-first stream most-significant-bit first). Shifts in two steps, so
+/// that `len == 0` needs no branch: everything is shifted out.
 #[inline]
 pub(crate) fn reverse_bits(code: u32, len: u8) -> u32 {
-    if len == 0 {
-        return 0;
-    }
-    code.reverse_bits() >> (32 - len as u32)
+    code.reverse_bits() >> 1 >> (31 - len as u32)
 }
 
-/// LSB-first bit writer appending to a caller's byte buffer.
+/// Bytes a writer's buffer must hold past the last byte it is asked to
+/// write: [`LsbWriter::flush`] stores the whole accumulator every time.
+pub(crate) const WRITER_SLACK: usize = 8;
+
+/// LSB-first bit writer over a buffer its caller sized beforehand.
 ///
-/// Bits collect in a 64-bit accumulator and leave four bytes at a time;
-/// [`LsbWriter::align_byte`] (or [`LsbWriter::finish`]) flushes the rest.
+/// Every encoder knows the exact bit count of a block before its first
+/// code goes out, so the output is grown once, by the caller, and the
+/// writer only stores into it: codes are ORed into a 64-bit accumulator
+/// ([`LsbWriter::push`]) and [`LsbWriter::flush`] stores all eight bytes
+/// of it at the cursor, then moves the cursor past the whole ones. No
+/// write grows anything and none branches on how full the accumulator is.
 pub(crate) struct LsbWriter<'a> {
-    out: &'a mut Vec<u8>,
+    /// [`WRITER_SLACK`] bytes longer than what will be written; what it
+    /// holds beforehand does not matter.
+    buf: &'a mut [u8],
+    /// Where the accumulator's low byte belongs.
+    pos: usize,
     bitbuf: u64,
-    /// Pending bits in `bitbuf`; below 32 between calls.
+    /// Pending bits in `bitbuf`; below 8 after a flush.
     nbits: u32,
 }
 
 impl<'a> LsbWriter<'a> {
-    /// Starts writing at the end of `out`.
-    pub(crate) fn new(out: &'a mut Vec<u8>) -> Self {
+    /// Most bits that may be [`LsbWriter::push`]ed between two flushes:
+    /// with the up to seven a flush leaves behind they fill the
+    /// accumulator short of one.
+    pub(crate) const MAX_PENDING: u32 = 56;
+
+    /// Starts writing at the front of `buf`.
+    pub(crate) fn new(buf: &'a mut [u8]) -> Self {
         LsbWriter {
-            out,
+            buf,
+            pos: 0,
             bitbuf: 0,
             nbits: 0,
         }
     }
 
-    /// Writes the low `n` bits of `val`, LSB first (`n <= 32`). Huffman
-    /// codes go through here already bit-reversed
-    /// ([`super::huffman::lsb_codes`]).
+    /// Adds the low `n` bits of `val` (which has no others set), LSB
+    /// first, to the accumulator. Huffman codes go through here already
+    /// bit-reversed ([`super::huffman::lsb_codes`]).
+    #[inline(always)]
+    pub(crate) fn push(&mut self, val: u64, n: u32) {
+        debug_assert!(n <= Self::MAX_PENDING && val >> n == 0);
+        debug_assert!(self.nbits + n < 64, "flush every MAX_PENDING bits");
+        self.bitbuf |= val << self.nbits;
+        self.nbits += n;
+    }
+
+    /// [`LsbWriter::push`] of a symbol's `code | len << 16` entry.
+    #[inline(always)]
+    pub(crate) fn push_code(&mut self, entry: u32) {
+        self.push((entry & 0xFFFF) as u64, entry >> 16);
+    }
+
+    /// Stores the accumulator at the cursor and keeps what is left of its
+    /// last, partial byte.
+    #[inline(always)]
+    pub(crate) fn flush(&mut self) {
+        self.buf[self.pos..self.pos + 8].copy_from_slice(&self.bitbuf.to_le_bytes());
+        self.pos += (self.nbits >> 3) as usize;
+        self.bitbuf >>= self.nbits & !7;
+        self.nbits &= 7;
+    }
+
+    /// Writes the low `n` bits of `val`, LSB first (`n <= 32`).
     #[inline]
     pub(crate) fn write_bits(&mut self, val: u32, n: u32) {
-        debug_assert!(n <= 32);
-        debug_assert!(n == 32 || (val as u64) < (1u64 << n));
-        self.bitbuf |= (val as u64) << self.nbits;
-        self.nbits += n;
-        if self.nbits >= 32 {
-            self.out
-                .extend_from_slice(&(self.bitbuf as u32).to_le_bytes());
-            self.bitbuf >>= 32;
-            self.nbits -= 32;
-        }
+        self.push(val as u64, n);
+        self.flush();
     }
 
-    /// Pads the current partial byte with zero bits and flushes every
-    /// pending byte.
-    pub(crate) fn align_byte(&mut self) {
-        let pending = self.nbits.div_ceil(8) as usize;
-        self.out
-            .extend_from_slice(&self.bitbuf.to_le_bytes()[..pending]);
-        self.bitbuf = 0;
-        self.nbits = 0;
-    }
-
-    /// Appends whole bytes; the writer must be byte-aligned.
-    pub(crate) fn write_bytes(&mut self, bytes: &[u8]) {
-        debug_assert_eq!(self.nbits, 0, "write_bytes requires align_byte first");
-        self.out.extend_from_slice(bytes);
-    }
-
-    /// Flushes the final partial byte.
-    pub(crate) fn finish(mut self) {
-        self.align_byte();
+    /// Pads the current partial byte with zero bits and returns how many
+    /// bytes were written.
+    pub(crate) fn finish(mut self) -> usize {
+        self.flush();
+        self.pos + usize::from(self.nbits > 0)
     }
 }
 
@@ -249,16 +268,26 @@ impl<'a> LsbReader<'a> {
 mod tests {
     use super::*;
 
+    /// What `write` writes, in a buffer of `bytes` bytes and the slack.
+    fn written(bytes: usize, write: impl FnOnce(&mut LsbWriter<'_>)) -> Vec<u8> {
+        let mut buf = vec![0u8; bytes + WRITER_SLACK];
+        let mut w = LsbWriter::new(&mut buf);
+        write(&mut w);
+        let n = w.finish();
+        buf.truncate(n);
+        buf
+    }
+
     #[test]
     fn lsb_roundtrip_mixed_widths() {
-        let mut bytes = Vec::new();
-        let mut w = LsbWriter::new(&mut bytes);
-        w.write_bits(0b1, 1);
-        w.write_bits(0b01, 2);
-        w.write_bits(0x5A, 8);
-        w.write_bits(0x1FFFF, 17);
-        w.write_bits(0xFFFF_FFFF, 32);
-        w.finish();
+        let bytes = written(8, |w| {
+            w.write_bits(0b1, 1);
+            w.write_bits(0b01, 2);
+            w.write_bits(0x5A, 8);
+            w.write_bits(0x1FFFF, 17);
+            w.write_bits(0xFFFF_FFFF, 32);
+        });
+        assert_eq!(bytes.len(), 8);
         let mut r = LsbReader::new(&bytes);
         assert_eq!(r.read_bits(1).unwrap(), 0b1);
         assert_eq!(r.read_bits(2).unwrap(), 0b01);
@@ -271,12 +300,11 @@ mod tests {
     #[test]
     fn first_bit_lands_in_the_low_bit() {
         // RFC 1951 §3.1.1: bits fill each byte starting at bit 0.
-        let mut bytes = Vec::new();
-        let mut w = LsbWriter::new(&mut bytes);
-        w.write_bits(1, 1);
-        w.write_bits(0, 2);
-        w.write_bits(0b101, 3);
-        w.finish();
+        let bytes = written(1, |w| {
+            w.write_bits(1, 1);
+            w.write_bits(0, 2);
+            w.write_bits(0b101, 3);
+        });
         assert_eq!(bytes, vec![0b0010_1001]);
     }
 
@@ -284,18 +312,13 @@ mod tests {
     fn reverse_bits_matches_manual() {
         assert_eq!(reverse_bits(0b110, 3), 0b011);
         assert_eq!(reverse_bits(0b1, 1), 0b1);
-        assert_eq!(reverse_bits(0, 0), 0);
+        assert_eq!(reverse_bits(0b101, 0), 0);
         assert_eq!(reverse_bits(0x0001, 16), 0x8000);
     }
 
     #[test]
     fn align_and_bytes_interleave() {
-        let mut bytes = Vec::new();
-        let mut w = LsbWriter::new(&mut bytes);
-        w.write_bits(0b11, 2);
-        w.align_byte();
-        w.write_bytes(&[0xAB, 0xCD]);
-        w.finish();
+        let bytes = [0b11, 0xAB, 0xCD];
         let mut r = LsbReader::new(&bytes);
         assert_eq!(r.read_bits(2).unwrap(), 0b11);
         r.align_byte();

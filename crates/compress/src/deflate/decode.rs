@@ -412,12 +412,14 @@ mod tests {
     /// A zlib stream of one block written by `block` that decodes to
     /// `payload`.
     fn zlib_stream(payload: &[u8], block: impl FnOnce(&mut LsbWriter<'_>)) -> Vec<u8> {
-        let mut stream = vec![0x78, 0x9C];
-        let mut w = LsbWriter::new(&mut stream);
+        // Room for the worst these tests spell: 15-bit literals, a header.
+        let mut stream = vec![0u8; 2 * payload.len() + 1024];
+        stream[..2].copy_from_slice(&[0x78, 0x9C]);
+        let mut w = LsbWriter::new(&mut stream[2..]);
         block(&mut w);
-        w.align_byte();
-        w.write_bytes(&super::super::adler::adler32(payload).to_be_bytes());
-        w.finish();
+        let end = 2 + w.finish();
+        stream.truncate(end);
+        stream.extend(super::super::adler::adler32(payload).to_be_bytes());
         stream
     }
 

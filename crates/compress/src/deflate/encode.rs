@@ -16,7 +16,7 @@
 
 use std::cell::RefCell;
 
-use super::bits::LsbWriter;
+use super::bits::{LsbWriter, WRITER_SLACK};
 use super::huffman::{code_lengths, lsb_codes, MAX_CODE_LEN};
 use super::lz77::{self, Matcher, Token, EOB, NUM_DIST, NUM_LITLEN};
 use super::CLCODE_ORDER;
@@ -97,7 +97,7 @@ struct DynHeader {
     hdist: usize,
     hclen: usize,
     cl_lens: [u8; 19],
-    cl_codes: [u16; 19],
+    cl_codes: [u32; 19],
     syms: [ClSym; MAX_HEADER_LENS],
     sym_count: usize,
     header_bits: usize,
@@ -117,7 +117,7 @@ fn plan_dynamic(lit_lens: &[u8], dist_lens: &[u8]) -> DynHeader {
     }
     let mut cl_lens = [0u8; 19];
     code_lengths(&cl_freq, 7, &mut cl_lens);
-    let mut cl_codes = [0u16; 19];
+    let mut cl_codes = [0u32; 19];
     lsb_codes(&cl_lens, &mut cl_codes);
     let hclen = CLCODE_ORDER
         .iter()
@@ -152,35 +152,28 @@ fn coded_bits(freq: &[u64], lens: &[u8]) -> usize {
 }
 
 /// Writes `tokens` and the end-of-block code under the canonical codes
-/// of `lit_lens`/`dist_lens`.
+/// of `lit_lens`/`dist_lens`, one flush a token: a match is at most
+/// 15 + 5 + 15 + 13 bits.
 fn emit_tokens(w: &mut LsbWriter<'_>, tokens: &[Token], lit_lens: &[u8], dist_lens: &[u8]) {
-    let (mut lit_codes, mut dist_codes) = ([0u16; 288], [0u16; 32]);
+    let (mut lit_codes, mut dist_codes) = ([0u32; 288], [0u32; 32]);
     lsb_codes(lit_lens, &mut lit_codes[..lit_lens.len()]);
     lsb_codes(dist_lens, &mut dist_codes[..dist_lens.len()]);
     for t in tokens {
         match *t {
-            Token::Literal(b) => {
-                w.write_bits(lit_codes[b as usize] as u32, lit_lens[b as usize] as u32);
-            }
-            // A code and its extra bits go out in one write (at most
-            // 15 + 13 bits).
+            Token::Literal(b) => w.push_code(lit_codes[b as usize]),
             Token::Match { len, dist } => {
                 let (lc, lex, lexbits) = lz77::length_to_code(len as usize);
-                let bits = lit_lens[lc] as u32;
-                w.write_bits(
-                    lit_codes[lc] as u32 | (lex as u32) << bits,
-                    bits + lexbits as u32,
-                );
+                w.push_code(lit_codes[lc]);
+                w.push(lex as u64, lexbits as u32);
                 let (dc, dex, dexbits) = lz77::distance_to_code(dist as usize);
-                let bits = dist_lens[dc] as u32;
-                w.write_bits(
-                    dist_codes[dc] as u32 | (dex as u32) << bits,
-                    bits + dexbits as u32,
-                );
+                w.push_code(dist_codes[dc]);
+                w.push(dex as u64, dexbits as u32);
             }
         }
+        w.flush();
     }
-    w.write_bits(lit_codes[EOB] as u32, lit_lens[EOB] as u32);
+    w.push_code(lit_codes[EOB]);
+    w.flush();
 }
 
 /// One final fixed-Huffman block of `tokens`.
@@ -208,7 +201,7 @@ fn emit_dynamic(
         w.write_bits(p.cl_lens[s] as u32, 3);
     }
     for &(s, eb, ev) in &p.syms[..p.sym_count] {
-        w.write_bits(p.cl_codes[s as usize] as u32, p.cl_lens[s as usize] as u32);
+        w.push_code(p.cl_codes[s as usize]);
         w.write_bits(ev as u32, eb as u32);
     }
     emit_tokens(w, tokens, lit_lens, dist_lens);
@@ -233,18 +226,22 @@ pub(super) fn emit_dynamic_with(
     );
 }
 
-fn emit_stored(w: &mut LsbWriter<'_>, data: &[u8]) {
+/// Stored blocks of `data` at the front of `out` (a stored block is whole
+/// bytes: the three header bits padded out, LEN, its complement, the
+/// data); returns the bytes written.
+fn emit_stored(out: &mut [u8], data: &[u8]) -> usize {
     let blocks = data.len().div_ceil(STORED_MAX).max(1);
+    let mut pos = 0usize;
     for i in 0..blocks {
         let chunk = &data[i * STORED_MAX..data.len().min((i + 1) * STORED_MAX)];
-        w.write_bits(u32::from(i == blocks - 1), 1);
-        w.write_bits(0, 2); // BTYPE=00
-        w.align_byte();
         let len = chunk.len() as u16;
-        w.write_bytes(&len.to_le_bytes());
-        w.write_bytes(&(!len).to_le_bytes());
-        w.write_bytes(chunk);
+        out[pos] = u8::from(i == blocks - 1); // BFINAL, BTYPE=00
+        out[pos + 1..pos + 3].copy_from_slice(&len.to_le_bytes());
+        out[pos + 3..pos + 5].copy_from_slice(&(!len).to_le_bytes());
+        out[pos + 5..pos + 5 + chunk.len()].copy_from_slice(chunk);
+        pos += 5 + chunk.len();
     }
+    pos
 }
 
 /// Input bytes up to which a thread's scratch keeps its buffers between
@@ -296,11 +293,6 @@ fn compress_with(
     max_chain: usize,
     out: &mut Vec<u8>,
 ) {
-    let mut w = LsbWriter::new(out);
-    // CMF/FLG: CM=8 (deflate), CINFO=7 (32K window), FLEVEL=2, FCHECK
-    // making the pair divisible by 31 — the standard 0x78 0x9C header.
-    w.write_bytes(&[0x78, 0x9C]);
-
     matcher.tokenize(data, max_chain, tokens);
     let mut lit_freq = [0u64; NUM_LITLEN];
     let mut dist_freq = [0u64; NUM_DIST];
@@ -346,15 +338,154 @@ fn compress_with(
     let stored_blocks = data.len().div_ceil(STORED_MAX).max(1);
     let stored_bits = (data.len() + 5 * stored_blocks) * 8;
 
-    if stored_bits <= dyn_bits && stored_bits <= fixed_bits {
-        emit_stored(&mut w, data);
-    } else if dyn_bits <= fixed_bits {
-        let p = dyn_plan.expect("dynamic cost is finite only when planned");
-        emit_dynamic(&mut w, &p, tokens, &lit_lens, &dist_lens);
+    // Every block's size is known here, to the bit, so the output grows
+    // once: the two header bytes, the block padded to a whole byte, the
+    // Adler-32 of the input.
+    let block_bits = stored_bits.min(dyn_bits).min(fixed_bits);
+    let start = out.len();
+    let end = start + 2 + block_bits.div_ceil(8) + 4;
+    out.resize(end + WRITER_SLACK, 0);
+    // CMF/FLG: CM=8 (deflate), CINFO=7 (32K window), FLEVEL=2, FCHECK
+    // making the pair divisible by 31 — the standard 0x78 0x9C header.
+    out[start..start + 2].copy_from_slice(&[0x78, 0x9C]);
+    let block = &mut out[start + 2..];
+    let written = if stored_bits == block_bits {
+        emit_stored(block, data)
     } else {
-        emit_fixed(&mut w, tokens);
+        let mut w = LsbWriter::new(block);
+        if dyn_bits <= fixed_bits {
+            let p = dyn_plan.expect("dynamic cost is finite only when planned");
+            emit_dynamic(&mut w, &p, tokens, &lit_lens, &dist_lens);
+        } else {
+            emit_fixed(&mut w, tokens);
+        }
+        w.finish()
+    };
+    debug_assert_eq!(written, block_bits.div_ceil(8), "block priced wrongly");
+    out.truncate(end);
+    out[end - 4..].copy_from_slice(&super::adler::adler32(data).to_be_bytes());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::oracle::{self, GrowingWriter};
+    use super::*;
+
+    /// The dynamic block this module used to write — every field its own
+    /// `write_bits` on a vector that grows as it goes, a code and its
+    /// extra bits fused into one write — kept as the oracle of the
+    /// pre-sized writer.
+    fn dynamic_block_oracle(tokens: &[Token], lit_lens: &[u8], dist_lens: &[u8]) -> Vec<u8> {
+        let p = plan_dynamic(lit_lens, dist_lens);
+        let (mut lit_codes, mut dist_codes) = ([0u32; NUM_LITLEN], [0u32; NUM_DIST]);
+        lsb_codes(lit_lens, &mut lit_codes);
+        lsb_codes(dist_lens, &mut dist_codes);
+        let mut out = Vec::new();
+        let mut w = GrowingWriter::new(&mut out);
+        w.write_bits(1, 1);
+        w.write_bits(2, 2);
+        w.write_bits((p.hlit - 257) as u32, 5);
+        w.write_bits((p.hdist - 1) as u32, 5);
+        w.write_bits((p.hclen - 4) as u32, 4);
+        for &s in CLCODE_ORDER.iter().take(p.hclen) {
+            w.write_bits(p.cl_lens[s] as u32, 3);
+        }
+        for &(s, eb, ev) in &p.syms[..p.sym_count] {
+            w.write_bits(
+                p.cl_codes[s as usize] & 0xFFFF,
+                p.cl_lens[s as usize] as u32,
+            );
+            w.write_bits(ev as u32, eb as u32);
+        }
+        let code = |w: &mut GrowingWriter<'_>, entry: u32, extra: u16, extra_bits: u8| {
+            let bits = entry >> 16;
+            w.write_bits(
+                (entry & 0xFFFF) | (extra as u32) << bits,
+                bits + extra_bits as u32,
+            );
+        };
+        for t in tokens {
+            match *t {
+                Token::Literal(b) => code(&mut w, lit_codes[b as usize], 0, 0),
+                Token::Match { len, dist } => {
+                    let (lc, lex, lexbits) = lz77::length_to_code(len as usize);
+                    code(&mut w, lit_codes[lc], lex, lexbits);
+                    let (dc, dex, dexbits) = lz77::distance_to_code(dist as usize);
+                    code(&mut w, dist_codes[dc], dex, dexbits);
+                }
+            }
+        }
+        code(&mut w, lit_codes[EOB], 0, 0);
+        w.finish();
+        out
     }
-    w.align_byte();
-    w.write_bytes(&super::adler::adler32(data).to_be_bytes());
-    w.finish();
+
+    fn dynamic_block(
+        tokens: &[Token],
+        lit_lens: &[u8; NUM_LITLEN],
+        dist_lens: &[u8; NUM_DIST],
+    ) -> Vec<u8> {
+        let mut out = vec![0u8; 512 + 6 * tokens.len() + WRITER_SLACK];
+        let mut w = LsbWriter::new(&mut out);
+        emit_dynamic_with(&mut w, tokens, lit_lens, dist_lens);
+        let written = w.finish();
+        out.truncate(written);
+        out
+    }
+
+    #[test]
+    fn the_longest_tokens_fit_one_flush_in_every_phase() {
+        // Nothing but 15-bit codes, every match with the most extra bits
+        // there are (5 on the length, 13 on the distance): 48 bits a
+        // match, on top of whatever the last flush left. Literals between
+        // them walk the leftover through all eight phases.
+        let (lit_lens, dist_lens) = ([MAX_CODE_LEN; NUM_LITLEN], [MAX_CODE_LEN; NUM_DIST]);
+        let mut tokens = Vec::new();
+        for k in 0..64u16 {
+            tokens.push(Token::Match {
+                len: 131 + (k * 37) % 127,
+                dist: 16385 + (k * 1021) % 16384,
+            });
+            tokens.extend((0..k % 4).map(|i| Token::Literal((k * 5 + i) as u8)));
+            tokens.push(Token::Match {
+                len: 257,
+                dist: 32768 - k,
+            });
+        }
+        let block = dynamic_block(&tokens, &lit_lens, &dist_lens);
+        assert_eq!(block, dynamic_block_oracle(&tokens, &lit_lens, &dist_lens));
+        assert!(block.len() * 8 > 128 * 48, "the matches are in there");
+    }
+
+    #[test]
+    fn activation_windows_come_out_as_the_growing_writer_wrote_them() {
+        let mut matcher = Matcher::new();
+        let mut tokens = Vec::new();
+        for density in oracle::DENSITIES {
+            let data = oracle::tensor(density);
+            for window in data.chunks(1024).step_by(5) {
+                let bytes: Vec<u8> = window.iter().flat_map(|v| v.to_le_bytes()).collect();
+                matcher.tokenize(&bytes, 64, &mut tokens);
+                let (mut lit_freq, mut dist_freq) = ([0u64; NUM_LITLEN], [0u64; NUM_DIST]);
+                lit_freq[EOB] = 1;
+                for t in &tokens {
+                    match *t {
+                        Token::Literal(b) => lit_freq[b as usize] += 1,
+                        Token::Match { len, dist } => {
+                            lit_freq[lz77::length_to_code(len as usize).0] += 1;
+                            dist_freq[lz77::distance_to_code(dist as usize).0] += 1;
+                        }
+                    }
+                }
+                let (mut lit_lens, mut dist_lens) = ([0u8; NUM_LITLEN], [0u8; NUM_DIST]);
+                code_lengths(&lit_freq, MAX_CODE_LEN, &mut lit_lens);
+                code_lengths(&dist_freq, MAX_CODE_LEN, &mut dist_lens);
+                assert_eq!(
+                    dynamic_block(&tokens, &lit_lens, &dist_lens),
+                    dynamic_block_oracle(&tokens, &lit_lens, &dist_lens),
+                    "density {density}"
+                );
+            }
+        }
+    }
 }

@@ -1,9 +1,11 @@
 //! Length-limited canonical Huffman coding shared by the DEFLATE
 //! encoder/decoder and the [`crate::Huff`] sparse codec.
 //!
-//! Code lengths come from the package-merge construction (optimal under a
-//! length limit); code values are the canonical assignment of RFC 1951
-//! §3.2.2.
+//! Code lengths are optimal under a length limit: Huffman's construction
+//! where the limit leaves it alone (every 4 KB window so far), the
+//! package-merge construction where it binds ([`code_lengths`] says why
+//! the two agree symbol for symbol); code values are the canonical
+//! assignment of RFC 1951 §3.2.2.
 //!
 //! Decoding is table-driven and sized to the 4 KB window a call decodes,
 //! where building the table costs as much as a few hundred lookups. A
@@ -44,45 +46,41 @@ pub(crate) const MAX_SYMBOLS: usize = 288;
 /// Longest code length any caller asks for (DEFLATE's and `Huff`'s limit).
 pub(crate) const MAX_CODE_LEN: u8 = 15;
 
-/// Computes length-limited code lengths for `freqs` into `lens` using the
-/// package-merge algorithm. Symbols with zero frequency get length 0
+/// Computes length-limited code lengths for `freqs` into `lens`: optimal
+/// under the limit `max_len`. Symbols with zero frequency get length 0
 /// (absent from the code); a single used symbol gets length 1. For two or
-/// more used symbols the construction yields a complete code (Kraft sum
-/// exactly 1).
+/// more used symbols the result is a complete code (Kraft sum exactly 1).
 ///
-/// Package-merge builds `max_len` sorted lists: the first is the leaves by
-/// ascending frequency, each next one merges the leaves with the
-/// *packages* (adjacent pairs) of the list before it, and a symbol's code
-/// length is how often it occurs under the first `2n - 2` nodes of the
-/// last list. Within one list the leaves appear in sorted order, so "the
-/// leaves under the first `t` nodes" is always a prefix of the sorted
-/// leaves plus the packages' share one list down. Each list therefore
-/// only has to remember, per node, whether it is a leaf — one byte — and
-/// the lengths fall out of one walk back down the lists. No node carries
-/// its leaf set, and nothing is allocated.
+/// Two constructions share the sorted leaves. Plain Huffman
+/// ([`huffman_depths`]) runs first and is the answer whenever its deepest
+/// leaf is within the limit — on a 4 KB window, always. Only when the
+/// limit binds does [`package_merge`] run, as it used to for every code.
 ///
 /// Ties are part of the wire format (they decide which of two equally
-/// frequent symbols gets the shorter code): leaves sort by `(frequency,
-/// symbol)`, and a leaf goes before a package of equal weight.
+/// frequent symbols gets the shorter code), so the two must break them
+/// alike: leaves sort by `(frequency, symbol)`, a leaf goes before a
+/// package of equal weight, and lengths are handed out along the sorted
+/// leaves, longest to the lightest. Under a slack limit package-merge's
+/// lists are the levels of the Huffman tree built that way, so the two
+/// agree symbol for symbol (the differential test holds them to it, and
+/// fails within a few vectors if the tie rule is turned around).
 pub(crate) fn code_lengths(freqs: &[u64], max_len: u8, lens: &mut [u8]) {
     assert!(freqs.len() <= MAX_SYMBOLS && max_len <= MAX_CODE_LEN);
     assert_eq!(freqs.len(), lens.len());
     lens.fill(0);
-    // The used symbols, packed as `frequency << 16 | symbol` so that one
-    // integer sort orders them by (frequency, symbol). Frequencies are
-    // symbol counts of an input in memory, far below 2^48.
-    const SYMBOL_BITS: u32 = 16;
-    let weight = |leaf: u64| leaf >> SYMBOL_BITS;
-    let symbol = |leaf: u64| (leaf & ((1 << SYMBOL_BITS) - 1)) as usize;
+    // The used symbols, packed as `frequency << 16 | symbol` so that
+    // integer order is (frequency, symbol) order. Frequencies are symbol
+    // counts of an input in memory, far below 2^48.
     let mut leaves = [0u64; MAX_SYMBOLS];
     let mut n = 0usize;
+    let mut all = 0u64;
     for (s, &f) in freqs.iter().enumerate() {
-        if f > 0 {
-            assert!(f < 1 << (64 - SYMBOL_BITS), "frequency out of range");
-            leaves[n] = f << SYMBOL_BITS | s as u64;
-            n += 1;
-        }
+        // Branch-free: unused symbols are overwritten by the next one.
+        leaves[n.min(MAX_SYMBOLS - 1)] = f << SYMBOL_BITS | s as u64;
+        n += usize::from(f > 0);
+        all |= f;
     }
+    assert!(all < 1 << (64 - SYMBOL_BITS), "frequency out of range");
     let leaves = &mut leaves[..n];
     match n {
         0 => return,
@@ -96,8 +94,136 @@ pub(crate) fn code_lengths(freqs: &[u64], max_len: u8, lens: &mut [u8]) {
         (1usize << max_len) >= n,
         "alphabet too large for max code length"
     );
-    leaves.sort_unstable();
+    sort_leaves(leaves);
 
+    // `ends[c]`: how many code-length steps end after the `c` lightest
+    // leaves — the length of a leaf is the number of steps it is under.
+    let mut ends = [0u8; MAX_SYMBOLS + 1];
+    if !huffman_depths(leaves, max_len, &mut ends) {
+        ends.fill(0);
+        package_merge(leaves, max_len, &mut ends);
+    }
+    let mut len = 0u8;
+    for (rank, &leaf) in leaves.iter().enumerate().rev() {
+        len += ends[rank + 1];
+        lens[symbol(leaf)] = len;
+    }
+    debug_assert!(kraft_ok(lens));
+}
+
+/// Bits of a packed leaf (`frequency << 16 | symbol`) that hold the symbol.
+const SYMBOL_BITS: u32 = 16;
+
+fn weight(leaf: u64) -> u64 {
+    leaf >> SYMBOL_BITS
+}
+
+fn symbol(leaf: u64) -> usize {
+    (leaf & ((1 << SYMBOL_BITS) - 1)) as usize
+}
+
+/// Sorts packed leaves, gathered in symbol order, by `(frequency,
+/// symbol)`. Nearly every count of a 4 KB window is below 256: those
+/// leaves are bucketed by frequency in one stable pass, which keeps equal
+/// frequencies in symbol order, and only the few heavier ones, which
+/// share the last bucket, are left to a comparison sort.
+fn sort_leaves(leaves: &mut [u64]) {
+    /// Frequencies from here on share a bucket.
+    const HEAVY: usize = 256;
+    /// Below this many leaves the buckets cost more than comparing.
+    const BUCKETS_MIN: usize = 48;
+    if leaves.len() < BUCKETS_MIN {
+        leaves.sort_unstable();
+        return;
+    }
+    let bucket = |leaf: u64| (weight(leaf) as usize).min(HEAVY);
+    let mut at = [0u16; HEAVY + 1];
+    for &leaf in leaves.iter() {
+        at[bucket(leaf)] += 1;
+    }
+    let mut start = 0u16;
+    for slot in &mut at {
+        (*slot, start) = (start, start + *slot);
+    }
+    let heavy = at[HEAVY] as usize;
+    let mut sorted = [0u64; MAX_SYMBOLS];
+    for &leaf in leaves.iter() {
+        let slot = &mut at[bucket(leaf)];
+        sorted[*slot as usize] = leaf;
+        *slot += 1;
+    }
+    leaves.copy_from_slice(&sorted[..leaves.len()]);
+    leaves[heavy..].sort_unstable();
+}
+
+/// Huffman's construction over `leaves` (sorted) by the two-queue method:
+/// the two lightest of the unmerged leaves and the packages made so far
+/// (which come out in ascending order, so a FIFO holds them) make the
+/// next package, a leaf going first on equal weight. Counts into `ends`
+/// the depth steps of the resulting tree (see [`code_lengths`]) and
+/// returns `true`, or returns `false` if a leaf lies deeper than `max_len`.
+fn huffman_depths(leaves: &[u64], max_len: u8, ends: &mut [u8; MAX_SYMBOLS + 1]) -> bool {
+    let n = leaves.len();
+    // A package not made yet is heavier than any leaf.
+    let mut package = [u64::MAX; MAX_SYMBOLS];
+    // The package each package went into.
+    let mut parent = [0u16; MAX_SYMBOLS];
+    let (mut a, mut b) = (0usize, 0usize);
+    for made in 0..n - 1 {
+        let mut sum = 0u64;
+        for _ in 0..2 {
+            if a < n && weight(leaves[a]) <= package[b] {
+                sum += weight(leaves[a]);
+                a += 1;
+            } else {
+                sum += package[b];
+                parent[b] = made as u16;
+                b += 1;
+            }
+        }
+        package[made] = sum;
+    }
+    // Level by level down from the root, the last package. Packages are
+    // used up in the order they were made, so an earlier one never lies
+    // higher than a later one and a level's packages are adjacent: those
+    // from `next` on are placed, `inner` of them one level up. Whatever
+    // they do not parent on this level is a leaf, and the leaves of a
+    // tree, deepest first, are the sorted leaves, lightest first.
+    let depth = &mut package;
+    depth[n - 2] = 0;
+    let (mut next, mut inner, mut above) = (n - 2, 1usize, 0usize);
+    for d in 1..=max_len as u64 {
+        let placed = next;
+        while next > 0 && depth[parent[next - 1] as usize] == d - 1 {
+            next -= 1;
+            depth[next] = d;
+        }
+        ends[n - above] += 1;
+        above += 2 * inner - (placed - next);
+        if above == n {
+            return true;
+        }
+        inner = placed - next;
+    }
+    false
+}
+
+/// Package-merge over `leaves` (sorted), the construction that is optimal
+/// under a binding length limit. Counts into `ends` the steps of the code
+/// lengths (see [`code_lengths`]).
+///
+/// Package-merge builds `max_len` sorted lists: the first is the leaves by
+/// ascending frequency, each next one merges the leaves with the
+/// *packages* (adjacent pairs) of the list before it, and a symbol's code
+/// length is how often it occurs under the first `2n - 2` nodes of the
+/// last list. Within one list the leaves appear in sorted order, so "the
+/// leaves under the first `t` nodes" is always a prefix of the sorted
+/// leaves plus the packages' share one list down. Each list therefore
+/// only has to remember, per node, whether it is a leaf — one byte — and
+/// the lengths fall out of one walk back down the lists. No node carries
+/// its leaf set, and nothing is allocated.
+fn package_merge(leaves: &[u64], max_len: u8, ends: &mut [u8; MAX_SYMBOLS + 1]) {
+    let n = leaves.len();
     // Only the first 2n - 2 nodes of a list are ever counted, and they
     // come from the first 2n - 2 nodes below, so lists stop there.
     const MAX_NODES: usize = 2 * MAX_SYMBOLS;
@@ -168,8 +294,6 @@ pub(crate) fn code_lengths(freqs: &[u64], max_len: u8, lens: &mut [u8]) {
     // Walk back down: the first `take` nodes of a list hold a prefix of
     // the sorted leaves (each one level deeper) and the first packages,
     // which are the first `2 * packages` nodes of the list below.
-    // `ends[c]` counts the lists whose prefix stopped after `c` leaves.
-    let mut ends = [0u8; MAX_SYMBOLS + 1];
     let mut take = 2 * n - 2;
     for level in (0..max_len as usize).rev() {
         let level = level.min(top);
@@ -178,12 +302,6 @@ pub(crate) fn code_lengths(freqs: &[u64], max_len: u8, lens: &mut [u8]) {
         ends[leaf_count] += 1;
         take = 2 * (take - leaf_count);
     }
-    let mut len = 0u8;
-    for (rank, &leaf) in leaves.iter().enumerate().rev() {
-        len += ends[rank + 1];
-        lens[symbol(leaf)] = len;
-    }
-    debug_assert!(kraft_ok(lens));
 }
 
 fn kraft_ok(lens: &[u8]) -> bool {
@@ -195,29 +313,52 @@ fn kraft_ok(lens: &[u8]) -> bool {
     sum <= 1.0 + 1e-9
 }
 
-/// Assigns canonical code values (RFC 1951 §3.2.2) given code lengths,
-/// already bit-reversed for the LSB-first stream: `codes[s]` goes straight
-/// into [`super::bits::LsbWriter::write_bits`] and is the first index of
-/// symbol `s` in a [`DecodeTable`].
-pub(crate) fn lsb_codes(lens: &[u8], codes: &mut [u16]) {
+/// Assigns canonical code values (RFC 1951 §3.2.2) given code lengths.
+/// `codes[s]` is symbol `s`'s `code | len << 16`, the code already
+/// bit-reversed for the LSB-first stream: the entry goes straight into
+/// [`super::bits::LsbWriter::push_code`], and its low half is the first
+/// index of the symbol in a [`DecodeTable`]. Unused symbols get 0.
+pub(crate) fn lsb_codes(lens: &[u8], codes: &mut [u32]) {
     assert_eq!(lens.len(), codes.len());
-    let mut count = [0u16; MAX_CODE_LEN as usize + 1];
-    for &l in lens {
-        count[l as usize] += 1;
+    const MAX: usize = MAX_CODE_LEN as usize;
+    // The two halves of the alphabet side by side, as in
+    // [`DecodeTable::build`]: neighbouring symbols tend to share a length,
+    // and one counter bumped twice in a row waits on itself.
+    let (low, high) = lens.split_at(lens.len() / 2);
+    let (mut next_low, mut next_high) = ([0u32; MAX + 1], [0u32; MAX + 1]);
+    for (&a, &b) in low.iter().zip(high) {
+        next_low[a as usize] += 1;
+        next_high[b as usize] += 1;
     }
-    count[0] = 0;
-    let mut next = [0u32; MAX_CODE_LEN as usize + 1];
+    if let Some(&b) = high.get(low.len()) {
+        next_high[b as usize] += 1;
+    }
+    // From counts to the first code of each length, by half. Length 0
+    // keeps a slot that counts up like the others and reverses to
+    // nothing, so unused symbols, which come and go without pattern,
+    // take no branch.
     let mut code = 0u32;
-    for l in 1..=MAX_CODE_LEN as usize {
-        code = (code + count[l - 1] as u32) << 1;
-        next[l] = code;
+    for (low, high) in next_low.iter_mut().zip(&mut next_high).skip(1) {
+        let (in_low, in_high) = (*low, *high);
+        (*low, *high) = (code, code + in_low);
+        code = (code + in_low + in_high) << 1;
     }
-    for (c, &l) in codes.iter_mut().zip(lens) {
-        *c = 0;
-        if l > 0 {
-            *c = reverse_bits(next[l as usize], l) as u16;
-            next[l as usize] += 1;
-        }
+    let assign = |next: &mut [u32; MAX + 1], l: u8| {
+        let code = reverse_bits(next[l as usize], l) | (l as u32) << 16;
+        next[l as usize] += 1;
+        code
+    };
+    let (codes_low, codes_high) = codes.split_at_mut(low.len());
+    for ((c, &a), (d, &b)) in codes_low
+        .iter_mut()
+        .zip(low)
+        .zip(codes_high.iter_mut().zip(high))
+    {
+        *c = assign(&mut next_low, a);
+        *d = assign(&mut next_high, b);
+    }
+    if let (Some(d), Some(&b)) = (codes_high.last_mut(), high.get(low.len())) {
+        *d = assign(&mut next_high, b);
     }
 }
 
@@ -589,7 +730,7 @@ pub(crate) fn with_tables<R>(f: impl FnOnce(&mut BlockTables) -> R) -> R {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deflate::bits::LsbWriter;
+    use crate::deflate::bits::{LsbWriter, WRITER_SLACK};
 
     /// The construction this module shipped with, kept as the oracle of
     /// the differential test: package-merge over nodes that each own a
@@ -721,6 +862,128 @@ mod tests {
         }
     }
 
+    /// Package-merge alone, which is how every code was built before
+    /// Huffman's construction went in front of it; also sorts the plain
+    /// way, so [`sort_leaves`] is held to `(frequency, symbol)` order.
+    /// `None` for fewer than two used symbols (neither construction runs).
+    fn package_merge_lengths(freqs: &[u64], max_len: u8) -> Option<(Vec<u8>, bool)> {
+        let mut leaves: Vec<u64> = (0..freqs.len())
+            .filter(|&s| freqs[s] > 0)
+            .map(|s| freqs[s] << SYMBOL_BITS | s as u64)
+            .collect();
+        if leaves.len() < 2 {
+            return None;
+        }
+        leaves.sort_unstable();
+        let mut ends = [0u8; MAX_SYMBOLS + 1];
+        let slack = huffman_depths(&leaves, max_len, &mut ends);
+        ends.fill(0);
+        package_merge(&leaves, max_len, &mut ends);
+        let mut lens = vec![0u8; freqs.len()];
+        let mut len = 0u8;
+        for (rank, &leaf) in leaves.iter().enumerate().rev() {
+            len += ends[rank + 1];
+            lens[symbol(leaf)] = len;
+        }
+        Some((lens, slack))
+    }
+
+    #[test]
+    fn huffman_when_the_limit_is_slack_equals_package_merge() {
+        // Seeded vectors of every alphabet size in tie-rich shapes: which
+        // of two equally frequent symbols gets the shorter code is wire
+        // format, and the two constructions agree on it only because they
+        // break ties alike (with `<` for `<=` in `huffman_depths`, 142 369
+        // of the 194 688 codes Huffman then decides come out different).
+        let vectors = if crate::deflate::oracle::THOROUGH {
+            300_000
+        } else {
+            4_000
+        };
+        let mut seed = 0x51AC_C0DE_0017u64;
+        let (mut slack, mut bound) = (0u32, 0u32);
+        for round in 0..vectors {
+            let n = 2 + (next(&mut seed) % 287) as usize;
+            let freqs: Vec<u64> = (0..n)
+                .map(|i| {
+                    let r = next(&mut seed);
+                    match round % 5 {
+                        0 => r % 4,
+                        1 => 1 + r % 17,
+                        2 => 1 << (r % 14),
+                        // A window's bytes: a few heavy, the rest light.
+                        3 if r.is_multiple_of(16) => (r >> 8) % 4096,
+                        3 => (r >> 8) % 8,
+                        // A Fibonacci-like spine under a light crowd.
+                        _ if i < 24 => (1u64 << i) / (1 + (r >> 8) % 3),
+                        _ => r % 3,
+                    }
+                })
+                .collect();
+            let used = freqs.iter().filter(|&&f| f > 0).count();
+            for max_len in [15u8, 7] {
+                if max_len == 7 && n > 19 {
+                    continue;
+                }
+                let Some((want, fits)) = package_merge_lengths(&freqs, max_len) else {
+                    continue;
+                };
+                assert_eq!(lengths(&freqs, max_len), want, "limit {max_len}: {freqs:?}");
+                *(if fits { &mut slack } else { &mut bound }) += 1;
+                assert!(fits || want.contains(&max_len), "{used} used: {freqs:?}");
+            }
+        }
+        // Both constructions have to have had their share.
+        assert!(
+            slack > vectors / 2 && bound > vectors / 10,
+            "{slack} {bound}"
+        );
+    }
+
+    #[test]
+    fn a_binding_limit_falls_back_to_package_merge() {
+        // Fibonacci frequencies make the deepest tree there is: one more
+        // level per symbol.
+        let mut fib = vec![1u64, 1];
+        while fib.len() < 40 {
+            fib.push(fib[fib.len() - 1] + fib[fib.len() - 2]);
+        }
+        for (n, max_len) in [(17, 15u8), (40, 15), (9, 7), (19, 7)] {
+            let (want, fits) = package_merge_lengths(&fib[..n], max_len).unwrap();
+            assert!(!fits, "{n} symbols fit {max_len} bits");
+            assert_eq!(lengths(&fib[..n], max_len), want);
+            assert_eq!(want, code_lengths_oracle(&fib[..n], max_len));
+            assert_eq!(want.iter().max(), Some(&max_len));
+        }
+        // One symbol fewer and the tree is exactly as deep as allowed.
+        for (n, max_len) in [(16, 15u8), (8, 7)] {
+            let (want, fits) = package_merge_lengths(&fib[..n], max_len).unwrap();
+            assert!(fits);
+            assert_eq!(lengths(&fib[..n], max_len), want);
+            assert_eq!(want.iter().max(), Some(&max_len));
+        }
+    }
+
+    #[test]
+    fn degenerate_alphabets_get_the_codes_they_always_got() {
+        for n in [2usize, 3, 4, 5, 47, 48, 49, 64, 255, 256, 286, 288] {
+            // All equal: ties everywhere, on both sides of the size at
+            // which `sort_leaves` starts bucketing.
+            for f in [1u64, 7, 255, 256, 1 << 20] {
+                let freqs = vec![f; n];
+                let want = package_merge_lengths(&freqs, 15).unwrap().0;
+                assert_eq!(lengths(&freqs, 15), want, "{n} x {f}");
+                assert_eq!(want, code_lengths_oracle(&freqs, 15), "{n} x {f}");
+            }
+            // Two used symbols, wherever they are: one bit each.
+            let mut freqs = vec![0u64; n];
+            (freqs[0], freqs[n - 1]) = (1, 1 << 40);
+            let lens = lengths(&freqs, 15);
+            assert_eq!((lens[0], lens[n - 1]), (1, 1));
+            assert_eq!(lens.iter().map(|&l| l as usize).sum::<usize>(), 2);
+        }
+    }
+
     #[test]
     fn lengths_equal_the_oracle_on_sparse_activation_histograms() {
         // The histograms `Huff` really codes: payload bytes of the non-zero
@@ -799,7 +1062,7 @@ mod tests {
     fn table_roundtrip_all_symbols() {
         let freqs: Vec<u64> = vec![90, 5, 5, 20, 1, 0, 64, 3];
         let lens = lengths(&freqs, 15);
-        let mut codes = [0u16; 8];
+        let mut codes = [0u32; 8];
         lsb_codes(&lens, &mut codes);
         let (dec, built) = plain_table(&lens);
         assert_eq!(built, Ok(Coverage::Complete));
@@ -807,11 +1070,12 @@ mod tests {
             if lens[s] == 0 {
                 continue;
             }
-            let mut bytes = Vec::new();
+            assert_eq!(codes[s] >> 16, lens[s] as u32);
+            let mut bytes = [0u8; 2 + WRITER_SLACK];
             let mut w = LsbWriter::new(&mut bytes);
-            w.write_bits(codes[s] as u32, lens[s] as u32);
-            w.finish();
-            let mut r = LsbReader::new(&bytes);
+            w.push_code(codes[s]);
+            let n = w.finish();
+            let mut r = LsbReader::new(&bytes[..n]);
             let e = dec.decode(&mut r).unwrap();
             assert_eq!(entry::value(e) as usize, s, "symbol {s}");
             assert_eq!(entry::code_len(e), lens[s] as u32, "symbol {s}");
@@ -1035,9 +1299,9 @@ mod tests {
         lens[144..256].fill(9);
         lens[256..280].fill(7);
         lens[280..].fill(8);
-        let mut lsb = [0u16; 288];
+        let mut lsb = [0u32; 288];
         lsb_codes(&lens, &mut lsb);
-        let code = |s: usize| reverse_bits(lsb[s] as u32, lens[s]);
+        let code = |s: usize| reverse_bits(lsb[s] & 0xFFFF, lens[s]);
         assert_eq!(code(0), 0b0011_0000);
         assert_eq!(code(143), 0b1011_1111);
         assert_eq!(code(144), 0b1_1001_0000);

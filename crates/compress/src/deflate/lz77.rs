@@ -242,52 +242,74 @@ impl Matcher {
                 floor = floor.saturating_sub(delta).max(1);
                 at -= delta;
             }
+            if i >= hash_end {
+                tokens.push(Token::Literal(data[i]));
+                i += 1;
+                continue;
+            }
+            // One hash and one chain head a position: the search walks
+            // on from them and the insert puts the position in front.
+            let h = hash(data, i);
+            let head = self.head[h];
             let mut best_len = 0usize;
             let mut best_dist = 0usize;
-            if i < hash_end {
-                let max_len = (data.len() - i).min(MAX_MATCH);
-                let mut cand = self.head[hash(data, i)];
-                let mut chain = max_chain;
-                while cand >= floor && chain > 0 {
-                    let dist = (at - cand) as usize;
-                    if dist > WINDOW {
-                        break;
-                    }
-                    let c = i - dist;
-                    // Only a longer match replaces the best one, and a
-                    // longer match agrees with the input at `best_len`.
-                    if data[c + best_len] == data[i + best_len] {
-                        let l = common_prefix(&data[c..], &data[i..], max_len);
-                        if l > best_len {
-                            best_len = l;
-                            best_dist = dist;
-                            if l == max_len {
-                                break;
-                            }
+            let max_len = (data.len() - i).min(MAX_MATCH);
+            let mut cand = head;
+            let mut chain = max_chain;
+            while cand >= floor && chain > 0 {
+                let dist = (at - cand) as usize;
+                if dist > WINDOW {
+                    break;
+                }
+                let c = i - dist;
+                // Only a longer match replaces the best one, and a
+                // longer match agrees with the input at `best_len`.
+                if data[c + best_len] == data[i + best_len] {
+                    let l = common_prefix(&data[c..], &data[i..], max_len);
+                    if l > best_len {
+                        best_len = l;
+                        best_dist = dist;
+                        if l == max_len {
+                            break;
                         }
                     }
-                    cand = self.prev[c % WINDOW];
-                    chain -= 1;
                 }
+                cand = self.prev[c % WINDOW];
+                chain -= 1;
             }
-            // A match enters every position it covers so later data can
-            // refer back inside it; a literal enters its own.
-            let step = if best_len >= MIN_MATCH {
-                tokens.push(Token::Match {
-                    len: best_len as u16,
-                    dist: best_dist as u16,
-                });
-                best_len
-            } else {
+            self.prev[i % WINDOW] = head;
+            self.head[h] = at;
+            if best_len < MIN_MATCH {
                 tokens.push(Token::Literal(data[i]));
-                1
-            };
-            for j in i..(i + step).min(hash_end) {
+                i += 1;
+                continue;
+            }
+            tokens.push(Token::Match {
+                len: best_len as u16,
+                dist: best_dist as u16,
+            });
+            // A match enters every position it covers so later data can
+            // refer back inside it.
+            let end = i + best_len;
+            let mut j = i + 1;
+            if best_dist == 1 {
+                // A run of one byte (every stretch of zero words is one):
+                // up to where three bytes reach past the match they hash
+                // like `i`, so each position's predecessor is the one
+                // before it and the chain head is the last of them.
+                let same = end - (MIN_MATCH - 1);
+                while j < same {
+                    self.prev[j % WINDOW] = ((j - 1) as u32).wrapping_add(origin);
+                    j += 1;
+                }
+                self.head[h] = ((same - 1) as u32).wrapping_add(origin);
+            }
+            for j in j..end.min(hash_end) {
                 let h = hash(data, j);
                 self.prev[j % WINDOW] = self.head[h];
                 self.head[h] = (j as u32).wrapping_add(origin);
             }
-            i += step;
+            i = end;
         }
         self.next = (data.len() as u32).wrapping_add(origin);
     }
@@ -465,6 +487,64 @@ mod tests {
                 assert!(tokens == want, "len={} start={start}", data.len());
                 assert!(matcher.next < start, "the tables slid down");
             }
+        }
+    }
+
+    /// Runs of one byte — `dist == 1` matches, whose insert is filled in
+    /// rather than hashed — of every length around the match limits,
+    /// between stretches of noise, with `tail` more bytes after the last.
+    fn runs(tail: usize) -> Vec<u8> {
+        let mut state = 0x0D15_7A1Du64;
+        let mut data = Vec::new();
+        for (k, len) in (1..=12)
+            .chain([257, 258, 259, 260, 261, 516, 517, 900])
+            .enumerate()
+        {
+            data.extend((0..1 + k % 5).map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (state >> 56) as u8 | 1
+            }));
+            data.extend(std::iter::repeat_n([0u8, 0, 0x80, 7][k % 4], len));
+        }
+        data.extend((0..tail).map(|i| 0xF0 | i as u8));
+        data
+    }
+
+    #[test]
+    fn filled_in_runs_leave_the_tables_as_hashing_every_byte_did() {
+        let mut matcher = Matcher::new();
+        let mut tokens = Vec::new();
+        let mut check = |matcher: &mut Matcher, data: &[u8], what: &str| {
+            for max_chain in [1usize, 3, 64] {
+                matcher.tokenize(data, max_chain, &mut tokens);
+                assert!(
+                    tokens == tokenize_oracle(data, max_chain),
+                    "{what}, max_chain={max_chain}"
+                );
+            }
+        };
+        // A run that ends 0, 1, 2, 3 bytes before the input does: on, at
+        // and short of `hash_end`, where inserts stop.
+        for tail in 0..=3 {
+            check(&mut matcher, &runs(tail), "run up to the end");
+        }
+        // One value for longer than the `prev` ring, from an offset that
+        // puts the wrap mid-match, then runs that refer back across it.
+        for lead in [0usize, 1, 77, 257] {
+            let mut data = runs(2)[..lead].to_vec();
+            data.extend(std::iter::repeat_n(0u8, WINDOW + 3 * MAX_MATCH + 11));
+            data.extend(runs(1));
+            check(&mut matcher, &data, "run across the ring wrap");
+        }
+        // The slide between two runs, inside the noise, and on the match
+        // right after a run.
+        let data = [runs(3), runs(0), runs(2)].concat();
+        let want = tokenize_oracle(&data, 16);
+        for before in [0u32, 1, 13, 300, 301, 600, data.len() as u32 - 1] {
+            matcher.next = SLIDE_AT - before;
+            matcher.tokenize(&data, 16, &mut tokens);
+            assert!(tokens == want, "slide {before} bytes in");
+            assert!(matcher.next < SLIDE_AT - before, "the tables slid down");
         }
     }
 

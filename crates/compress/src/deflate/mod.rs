@@ -11,20 +11,27 @@
 //! byte-for-byte against standard tooling in both directions.
 //!
 //! Module layout: [`bits`] is the LSB-first bit I/O layer (RFC 1951's
-//! bit order, §3.1.1), [`huffman`] the shared
-//! package-merge/canonical-code machinery and the two-level decode
-//! tables, `lz77` the hash-chained match stage, `encode`/`decode` the
-//! block encoder and the inflate state machine, `adler` the container
-//! checksum.
+//! bit order, §3.1.1), [`huffman`] the shared code-length construction
+//! (Huffman, package-merge under a binding limit), canonical codes and
+//! the two-level decode tables, `lz77` the hash-chained match stage,
+//! `encode`/`decode` the block encoder and the inflate state machine,
+//! `adler` the container checksum.
 //!
 //! The engine compresses and decompresses in 4 KB DMA windows, so the
 //! fixed cost per call is what throughput there comes down to. On the
 //! way out, code construction works in stack arrays and the match tables
-//! and token list are reused per thread (`encode`'s scratch); on the way
+//! and token list are reused per thread (`encode`'s scratch); a block is
+//! priced to the bit before it is written, so the output grows once and
+//! the bit writer only stores; a run of one byte — every stretch of zero
+//! words — enters the match tables without being hashed. On the way
 //! back, decode tables and the inflated payload are per-thread too and a
 //! coded block runs a check-free fast loop between its margins
 //! (`decode`'s module docs). A warm call allocates nothing in either
-//! direction.
+//! direction. What a window costs on the way out (development container,
+//! the benchmark's AlexNet activations): 27–29 µs, of which the match search
+//! is 16, the token bits 3.3, the dynamic header's plan 2.2, the two
+//! code-length constructions 2.0, the token histogram 1.7, canonical
+//! codes 0.8 and Adler-32 0.6.
 
 mod adler;
 pub(crate) mod bits;

@@ -5,8 +5,9 @@
 //! which is what the fast decoder has to reproduce, down to which
 //! [`DecodeError`] a damaged stream gets.
 //!
-//! Also here: the streams and the damage the differential tests of
-//! `decode` and of [`crate::Huff`] run over.
+//! Also here: the bit writer the encoders shipped with
+//! ([`GrowingWriter`]), and the streams and the damage the differential
+//! tests of `decode` and of [`crate::Huff`] run over.
 
 use cdma_sparsity::ActivationGen;
 use cdma_tensor::{Layout, Shape4};
@@ -17,6 +18,48 @@ use super::huffman::{lsb_codes, MAX_CODE_LEN, MAX_SYMBOLS};
 use super::lz77::{DIST_TABLE, EOB, LEN_TABLE, NUM_DIST, NUM_LITLEN};
 use super::CLCODE_ORDER;
 use crate::DecodeError;
+
+/// The bit writer the encoders shipped with, kept as the oracle of
+/// [`super::bits::LsbWriter`]: it appends to a vector that grows as it
+/// goes, four bytes whenever 32 bits have collected, so it needs to be
+/// told nothing about what is coming.
+pub(crate) struct GrowingWriter<'a> {
+    out: &'a mut Vec<u8>,
+    bitbuf: u64,
+    /// Pending bits in `bitbuf`; below 32 between calls.
+    nbits: u32,
+}
+
+impl<'a> GrowingWriter<'a> {
+    /// Starts writing at the end of `out`.
+    pub(crate) fn new(out: &'a mut Vec<u8>) -> Self {
+        GrowingWriter {
+            out,
+            bitbuf: 0,
+            nbits: 0,
+        }
+    }
+
+    /// Writes the low `n` bits of `val`, LSB first (`n <= 32`).
+    pub(crate) fn write_bits(&mut self, val: u32, n: u32) {
+        debug_assert!(n == 32 || (val as u64) < (1u64 << n));
+        self.bitbuf |= (val as u64) << self.nbits;
+        self.nbits += n;
+        if self.nbits >= 32 {
+            self.out
+                .extend_from_slice(&(self.bitbuf as u32).to_le_bytes());
+            self.bitbuf >>= 32;
+            self.nbits -= 32;
+        }
+    }
+
+    /// Pads the final partial byte with zero bits and flushes it.
+    pub(crate) fn finish(self) {
+        let pending = self.nbits.div_ceil(8) as usize;
+        self.out
+            .extend_from_slice(&self.bitbuf.to_le_bytes()[..pending]);
+    }
+}
 
 /// Flat-table canonical Huffman decoder: entry `i` answers "if the next
 /// `max_len` bits (LSB first) were `i`, which symbol starts here and how
@@ -44,7 +87,7 @@ impl FlatTable {
         if total > 1u64 << max_len {
             return Err(DecodeError::Corrupt("oversubscribed huffman code"));
         }
-        let mut codes = [0u16; MAX_SYMBOLS];
+        let mut codes = [0u32; MAX_SYMBOLS];
         lsb_codes(lens, &mut codes[..lens.len()]);
         let mut table = vec![0u16; 1usize << max_len];
         for (sym, &l) in lens.iter().enumerate() {
@@ -52,7 +95,7 @@ impl FlatTable {
                 continue;
             }
             let entry = ((l as u16) << 12) | sym as u16;
-            let mut i = codes[sym] as usize;
+            let mut i = (codes[sym] & 0xFFFF) as usize;
             while i < table.len() {
                 table[i] = entry;
                 i += 1usize << l;

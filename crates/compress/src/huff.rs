@@ -22,6 +22,15 @@
 //! The payload symbol count comes from the masks, so no end marker is
 //! needed and truncation/trailing bytes are detected exactly.
 //!
+//! Encoding is mask ∘ huffman in that order: the dispatched ZVC kernel
+//! ([`crate::Kernel`]) splits a chunk of words into masks and packed
+//! non-zero words — the vector compare and compaction it does anyway,
+//! where a scalar loop would branch on every word, wrongly half the time
+//! at the densities that matter — and the Huffman stage counts and codes
+//! the packed bytes without looking at a zero again. The counts price the
+//! stream to the byte, so the output grows once and the bit writer only
+//! stores.
+//!
 //! Decoding walks the set bits of each mask and decodes four symbols
 //! straight into that word of a zero-filled window. While the code is
 //! complete and at least [`FAST_INPUT`] payload bytes have not been
@@ -32,10 +41,13 @@
 //! careful loop — which is where every error comes from. Nothing is
 //! allocated: the table is this thread's, the masks are read in place.
 
-use crate::deflate::bits::{LsbReader, LsbWriter};
+use std::cell::RefCell;
+
+use crate::deflate::bits::{LsbReader, LsbWriter, WRITER_SLACK};
 use crate::deflate::huffman::{
     code_lengths, entry, lsb_codes, with_tables, Coverage, LitlenTable, MAX_CODE_LEN, PLAIN_SYMBOLS,
 };
+use crate::zvc::Kernel;
 use crate::{Compressor, DecodeError};
 
 // The 4-bit length table holds code lengths up to 15.
@@ -45,6 +57,29 @@ const _: () = assert!(MAX_CODE_LEN <= 0x0F);
 /// of its three refills at most loads up to seven bytes and must find
 /// eight.
 const FAST_INPUT: usize = 2 * 7 + 8;
+
+/// Words handed to the ZVC kernel at a time. A DMA window is one chunk
+/// and is packed once; a whole tensor is packed chunk by chunk, once to
+/// count its bytes and once to code them, so the thread never holds more
+/// than a chunk of it (17 KB, a quarter of what the DEFLATE scratch may
+/// keep).
+const CHUNK_WORDS: usize = 4096;
+
+thread_local! {
+    /// The ZVC stream of the chunk in hand.
+    static PACKED: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Calls `f` with the mask and the packed non-zero words of every
+/// 32-word group of a ZVC stream.
+#[inline(always)]
+fn for_each_group(mut zvc: &[u8], mut f: impl FnMut([u8; 4], &[u8])) {
+    while let Some((&mask, rest)) = zvc.split_first_chunk::<4>() {
+        let (words, rest) = rest.split_at(u32::from_le_bytes(mask).count_ones() as usize * 4);
+        f(mask, words);
+        zvc = rest;
+    }
+}
 
 /// The mask + Huffman-coded-payload sparse codec.
 ///
@@ -75,44 +110,76 @@ impl Compressor for Huff {
     }
 
     fn compress_append(&self, data: &[f32], out: &mut Vec<u8>) {
-        out.reserve(data.len().div_ceil(32) * 4);
-        let mut freq = [0u64; 256];
-        let mut nz = 0usize;
-        for chunk in data.chunks(32) {
-            let mut mask = 0u32;
-            for (i, w) in chunk.iter().enumerate() {
-                if w.to_bits() != 0 {
-                    mask |= 1 << i;
-                    nz += 1;
-                    for b in w.to_le_bytes() {
-                        freq[b as usize] += 1;
+        let kernel = Kernel::active();
+        PACKED.with_borrow_mut(|packed| {
+            // Byte `k` of every word has a histogram of its own: the
+            // exponent byte is the same word after word, and one counter
+            // bumped by every word waits on itself.
+            let mut freq = [0u64; 256];
+            for chunk in data.chunks(CHUNK_WORDS) {
+                packed.clear();
+                kernel.compress_append(chunk, packed);
+                let mut lanes = [[0u32; 256]; 4];
+                for_each_group(packed, |_, words| {
+                    for word in words.chunks_exact(4) {
+                        for (lane, &b) in lanes.iter_mut().zip(word) {
+                            lane[b as usize] += 1;
+                        }
                     }
+                });
+                for (s, f) in freq.iter_mut().enumerate() {
+                    *f += lanes.iter().map(|lane| lane[s] as u64).sum::<u64>();
                 }
             }
-            out.extend_from_slice(&mask.to_le_bytes());
-        }
-        if nz == 0 {
-            return;
-        }
-        let mut lens = [0u8; 256];
-        code_lengths(&freq, MAX_CODE_LEN, &mut lens);
-        let mut codes = [0u16; 256];
-        lsb_codes(&lens, &mut codes);
-        out.extend(lens.chunks_exact(2).map(|pair| pair[0] | (pair[1] << 4)));
-        let mut w = LsbWriter::new(out);
-        for v in data {
-            if v.to_bits() != 0 {
-                // Two codes of at most 15 bits fit one 32-bit write.
-                let [b0, b1, b2, b3] = v.to_le_bytes().map(usize::from);
-                for (lo, hi) in [(b0, b1), (b2, b3)] {
-                    w.write_bits(
-                        codes[lo] as u32 | (codes[hi] as u32) << lens[lo],
-                        (lens[lo] + lens[hi]) as u32,
-                    );
-                }
+            let mask_bytes = data.len().div_ceil(32) * 4;
+            let start = out.len();
+            if freq.iter().all(|&f| f == 0) {
+                out.resize(start + mask_bytes, 0);
+                return;
             }
-        }
-        w.finish();
+            let mut lens = [0u8; 256];
+            code_lengths(&freq, MAX_CODE_LEN, &mut lens);
+            let mut codes = [0u32; 256];
+            lsb_codes(&lens, &mut codes);
+            let payload_bits: u64 = freq.iter().zip(&lens).map(|(&f, &l)| f * l as u64).sum();
+            let payload_bytes = payload_bits.div_ceil(8) as usize;
+
+            // The stream's size is known to the byte: grow `out` once.
+            let end = start + mask_bytes + 128 + payload_bytes;
+            out.resize(end + WRITER_SLACK, 0);
+            let (masks, rest) = out[start..].split_at_mut(mask_bytes);
+            let (packed_lens, payload) = rest.split_at_mut(128);
+            for (b, pair) in packed_lens.iter_mut().zip(lens.chunks_exact(2)) {
+                *b = pair[0] | (pair[1] << 4);
+            }
+            let mut masks = masks.chunks_exact_mut(4);
+            let mut w = LsbWriter::new(payload);
+            for chunk in data.chunks(CHUNK_WORDS) {
+                if data.len() > CHUNK_WORDS {
+                    packed.clear();
+                    kernel.compress_append(chunk, packed);
+                }
+                for_each_group(packed, |mask, words| {
+                    masks
+                        .next()
+                        .expect("one mask per group")
+                        .copy_from_slice(&mask);
+                    for word in words.chunks_exact(4) {
+                        // Four 15-bit codes on top of the seven bits a
+                        // flush may leave do not fit the accumulator.
+                        w.push_code(codes[word[0] as usize]);
+                        w.push_code(codes[word[1] as usize]);
+                        w.push_code(codes[word[2] as usize]);
+                        w.flush();
+                        w.push_code(codes[word[3] as usize]);
+                        w.flush();
+                    }
+                });
+            }
+            let written = w.finish();
+            debug_assert_eq!(written, payload_bytes, "payload priced wrongly");
+            out.truncate(end);
+        });
     }
 
     fn decompress_append(
@@ -243,7 +310,7 @@ fn word_unchecked(table: &LitlenTable, r: &mut LsbReader<'_>) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deflate::oracle::{self, FlatTable};
+    use crate::deflate::oracle::{self, FlatTable, GrowingWriter};
     use crate::windowed::{WindowedStream, DEFAULT_WINDOW_BYTES};
 
     /// The decoder this codec shipped with, kept as the oracle of the
@@ -311,6 +378,86 @@ mod tests {
             }
         }
         Ok(vals)
+    }
+
+    /// The encoder this codec shipped with, kept as the oracle of the
+    /// one that runs on the ZVC kernel: a branch per word to build masks
+    /// and histogram, a branch per word again to code, into a vector that
+    /// grows as it goes.
+    fn compress_oracle(data: &[f32]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut freq = [0u64; 256];
+        for chunk in data.chunks(32) {
+            let mut mask = 0u32;
+            for (i, w) in chunk.iter().enumerate() {
+                if w.to_bits() != 0 {
+                    mask |= 1 << i;
+                    for b in w.to_le_bytes() {
+                        freq[b as usize] += 1;
+                    }
+                }
+            }
+            out.extend_from_slice(&mask.to_le_bytes());
+        }
+        if freq.iter().all(|&f| f == 0) {
+            return out;
+        }
+        let mut lens = [0u8; 256];
+        code_lengths(&freq, MAX_CODE_LEN, &mut lens);
+        let mut codes = [0u32; 256];
+        lsb_codes(&lens, &mut codes);
+        out.extend(lens.chunks_exact(2).map(|pair| pair[0] | (pair[1] << 4)));
+        let mut w = GrowingWriter::new(&mut out);
+        for v in data.iter().filter(|v| v.to_bits() != 0) {
+            for b in v.to_le_bytes() {
+                w.write_bits(codes[b as usize] & 0xFFFF, lens[b as usize] as u32);
+            }
+        }
+        w.finish();
+        out
+    }
+
+    #[test]
+    fn streams_equal_the_word_loop_encoder() {
+        let hf = Huff::new();
+        let mut out = vec![0xEE; 3];
+        let mut check = |data: &[f32], what: &str| {
+            // Appended after what is there already, as the engine does.
+            out.truncate(3);
+            hf.compress_append(data, &mut out);
+            assert!(
+                out[3..] == compress_oracle(data),
+                "{what}: {} words",
+                data.len()
+            );
+            assert_eq!(out[..3], [0xEE; 3]);
+        };
+        for density in oracle::DENSITIES {
+            let data = oracle::tensor(density);
+            // Whole (nine chunks for the kernel), as DMA windows, and cut
+            // to a partial last group on either side of a chunk's end.
+            check(&data, "whole tensor");
+            for window in data.chunks(DEFAULT_WINDOW_BYTES / 4) {
+                check(window, "window");
+            }
+            for n in [
+                1usize,
+                31,
+                33,
+                1000,
+                CHUNK_WORDS - 1,
+                CHUNK_WORDS + 1,
+                2 * CHUNK_WORDS + 45,
+            ] {
+                check(&data[data.len() - n..], "partial last group");
+            }
+        }
+        for n in [0usize, 1, 32, 1024, CHUNK_WORDS + 7] {
+            check(&vec![0.0; n], "all zero");
+            check(&vec![-0.0; n], "all dense, one value");
+            let dense: Vec<f32> = (0..n).map(|i| (i * 37 % 1013) as f32 + 0.25).collect();
+            check(&dense, "all dense");
+        }
     }
 
     /// Decoder and oracle on one stream: the same words bit for bit, or

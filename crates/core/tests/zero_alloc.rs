@@ -13,11 +13,16 @@
 //! decoders build their tables in per-thread arrays, inflate into a
 //! per-thread buffer and read `Huff`'s masks in place (`Huff` used to
 //! make three allocations a window and `Zlib` a dozen).
+//!
+//! Output growth: the entropy encoders price a stream before they write
+//! it, so a cold output vector is allocated once, at its final size, and
+//! what a whole-tensor `Huff` call leaves with the thread is a chunk's
+//! worth of scratch, not a copy of the tensor.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use cdma_compress::Algorithm;
+use cdma_compress::{Algorithm, Compressor, Huff, Zlib};
 use cdma_core::{CdmaEngine, OffloadScratch};
 use cdma_gpusim::SystemConfig;
 
@@ -25,21 +30,27 @@ struct Counting;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
+/// Bytes allocated and not freed yet.
+static LIVE: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        LIVE.fetch_add(new_size as u64, Ordering::Relaxed);
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -54,12 +65,61 @@ static COUNTER: Counting = Counting;
 fn offload_and_prefetch_steady_state_allocate_nothing() {
     for alg in [
         Algorithm::Zvc,
+        Algorithm::Rle,
         Algorithm::Huff,
         Algorithm::Zlib,
         Algorithm::Adaptive,
     ] {
         steady_state_allocates_nothing(CdmaEngine::new(SystemConfig::titan_x_pcie3(), alg));
     }
+    cold_outputs_are_allocated_once();
+    whole_tensor_huff_pins_a_chunk_not_the_tensor();
+}
+
+/// The encoders' scratch is warm (the engine ran them above); what is
+/// left to allocate is the caller's output, in one piece.
+fn cold_outputs_are_allocated_once() {
+    let window: Vec<f32> = (0..1024)
+        .map(|i| {
+            if i % 7 < 3 {
+                (i % 251) as f32 + 0.5
+            } else {
+                0.0
+            }
+        })
+        .collect();
+    let bytes: Vec<u8> = window.iter().flat_map(|v| v.to_le_bytes()).collect();
+    let before = allocations().0;
+    let hf = Huff::new().compress(&window);
+    assert_eq!(allocations().0 - before, 1, "HF: a cold output grows once");
+    let before = allocations().0;
+    let zl = Zlib::new().compress_bytes(&bytes);
+    assert_eq!(allocations().0 - before, 1, "ZL: a cold output grows once");
+    assert!(hf.len() < bytes.len() && zl.len() < bytes.len());
+}
+
+fn whole_tensor_huff_pins_a_chunk_not_the_tensor() {
+    /// `SCRATCH_KEEP` of `cdma_compress::deflate`: what a thread's codec
+    /// scratch may hold on to between calls.
+    const SCRATCH_KEEP: u64 = 64 * 1024;
+    let tensor: Vec<f32> = (0..512 * 1024)
+        .map(|i| {
+            if i % 5 < 2 {
+                (i % 97) as f32 - 3.5
+            } else {
+                0.0
+            }
+        })
+        .collect();
+    let live = LIVE.load(Ordering::SeqCst);
+    let stream = Huff::new().compress(&tensor);
+    assert!(stream.len() > 256 * 1024);
+    drop(stream);
+    let pinned = LIVE.load(Ordering::SeqCst).saturating_sub(live);
+    assert!(
+        pinned <= SCRATCH_KEEP,
+        "HF: {pinned} bytes stay with the thread after a 2 MB tensor"
+    );
 }
 
 fn allocations() -> (u64, u64) {
