@@ -1,16 +1,17 @@
-//! Append-only benchmark trajectory files (`BENCH_*.json`).
+//! The append-only bench trajectory file (`BENCH_infer.json`).
 //!
-//! Every recorded bench run becomes **one JSON line** — git revision,
-//! UTC date, and a flat `metrics` map — appended to a `BENCH_<name>.json`
-//! file at the workspace root. Append, never overwrite: the files are
-//! committed, so the repo's history carries the performance trajectory
-//! across PRs, and a regression shows up as a diff, not a lost number.
+//! Every recorded run of the `infer` bench becomes **one JSON line** — git
+//! revision, UTC date, and a flat `metrics` map — appended to
+//! `BENCH_infer.json` at the workspace root. Append, never overwrite: the
+//! file is committed, so the repo's history carries the trajectory across
+//! PRs. (Every other layer's numbers come from `bash benchmark/run.sh`;
+//! `infer` is the one lane it has no workload for.)
 //!
 //! ```text
-//! {"bench":"streaming","rev":"81e4d4c","utc_date":"2026-08-08","unix_s":...,"metrics":{...}}
+//! {"bench":"infer","rev":"81e4d4c","utc_date":"2026-08-08","unix_s":...,"metrics":{...}}
 //! ```
 //!
-//! The bench binaries call this behind a `--record` flag so ordinary
+//! The bench binary calls this behind a `--record` flag so ordinary
 //! `cargo bench` runs stay read-only.
 
 use std::fmt::Write as _;
@@ -19,8 +20,6 @@ use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::{SystemTime, UNIX_EPOCH};
-
-use crate::micro::Harness;
 
 /// The workspace root, resolved at compile time so records land in the
 /// same place no matter where `cargo bench` was invoked from.
@@ -80,14 +79,6 @@ impl Trajectory {
     /// Adds one scalar metric.
     pub fn metric(&mut self, label: &str, value: f64) -> &mut Self {
         self.metrics.push((label.to_owned(), value));
-        self
-    }
-
-    /// Copies a harness measurement's GB/s figure under its own label.
-    pub fn gbps_from(&mut self, h: &Harness, label: &str) -> &mut Self {
-        if let Some(v) = h.get(label).and_then(|m| m.gb_per_s()) {
-            self.metric(&format!("{label}_gbps"), v);
-        }
         self
     }
 

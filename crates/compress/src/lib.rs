@@ -68,8 +68,9 @@
 //! test oracle; seeded property loops and the per-tier differential suite
 //! pin every tier byte-identical to it, including on `-0.0`, NaN-payload,
 //! and subnormal inputs. See [`Zvc`] for the format and kernel details,
-//! and `cargo bench -p cdma-bench --bench streaming` for the density-sweep
-//! throughput table with its memcpy-fraction column.
+//! and `bash benchmark/run.sh --workload offload_zvc --trace 1` for the
+//! dispatched kernel's GB/s (`compress.zvc.*`) beside a plain copy of the
+//! same buffers (`bench.memcpy_gbps`).
 //!
 //! The engine compresses data in fixed-size *windows* (4 KB in the paper's
 //! evaluation, Section VII-A); [`windowed::WindowedStream`] reproduces that

@@ -11,8 +11,8 @@ use std::ops::Add;
 /// `CompressionStats` values add up, so summing per-layer stats yields the
 /// correctly-weighted network aggregate. (Ratios describe *bytes saved*,
 /// not time: ZVC's ratio depends only on density, while its *throughput*
-/// is density-sensitive — the streaming benchmark's density sweep reports
-/// the GB/s side of the story.)
+/// is density-sensitive — the benchmark's `offload_zvc` workload reports
+/// the GB/s side of the story, `compress.zvc.*`.)
 ///
 /// ```
 /// use cdma_compress::CompressionStats;

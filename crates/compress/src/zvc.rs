@@ -154,9 +154,8 @@ impl Compressor for Zvc {
 /// The pre-vectorization per-element ZVC codec, kept verbatim as the
 /// reference oracle: every kernel tier must produce byte-identical
 /// streams and identical error behaviour (the differential suite in
-/// `tests/kernel_tiers.rs` asserts exactly that, per tier), and the
-/// streaming benchmark uses it as its "before" baseline. Not part of the
-/// public API — hidden from docs and exempt from semver expectations.
+/// `tests/kernel_tiers.rs` asserts exactly that, per tier). Not part of
+/// the public API — hidden from docs and exempt from semver expectations.
 #[doc(hidden)]
 pub mod scalar_reference {
     use super::{DecodeError, ZVC_WINDOW_ELEMS};

@@ -271,8 +271,8 @@ impl Kernel {
 /// choice was forced by `CDMA_ZVC_KERNEL` rather than runtime-detected.
 ///
 /// Displays as e.g. `avx2 (runtime-detected)` or
-/// `portable (forced via CDMA_ZVC_KERNEL)` — benches print this so every
-/// recorded number names the code path that produced it.
+/// `portable (forced via CDMA_ZVC_KERNEL)`, so a recorded number can name
+/// the code path that produced it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelInfo {
     /// The active tier.

@@ -9,9 +9,12 @@
 //! truncation at every byte cut. Each case runs under **each** supported
 //! tier, so a lane-ordering bug in one shuffle LUT cannot hide behind the
 //! tier the test machine happens to auto-select.
+//!
+//! One test does read the variable: in CI's forced-tier lanes it checks
+//! that dispatch landed on the tier the lane names.
 
 use cdma_compress::scalar_reference as scalar;
-use cdma_compress::{Kernel, ZVC_WINDOW_ELEMS};
+use cdma_compress::{kernel_info, Kernel, ZVC_WINDOW_ELEMS};
 
 /// Adversarial payload words: values a naive `!= 0.0` or arithmetic codec
 /// would mangle. `-0.0` must survive as a *non-zero* word.
@@ -70,6 +73,21 @@ fn supported_always_ends_with_portable() {
     // On x86_64, SSE2 is baseline, so at least two tiers must appear.
     #[cfg(target_arch = "x86_64")]
     assert!(tiers.len() >= 2, "x86_64 guarantees SSE2");
+}
+
+/// With `CDMA_ZVC_KERNEL` set, everything dispatched runs the named tier
+/// and [`kernel_info`] says so — a forced lane that quietly fell back to
+/// auto-detection would re-test the default tier under another name.
+/// Nothing to check when the variable is unset.
+#[test]
+fn a_forced_tier_is_the_active_tier() {
+    let Ok(name) = std::env::var("CDMA_ZVC_KERNEL") else {
+        return;
+    };
+    let info = kernel_info();
+    assert!(info.forced, "{info}");
+    assert_eq!(info.tier.name(), name);
+    assert_eq!(Kernel::active().tier(), info.tier);
 }
 
 #[test]

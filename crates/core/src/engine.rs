@@ -21,9 +21,6 @@ pub struct CdmaEngine {
     cfg: SystemConfig,
     algorithm: Algorithm,
     window_bytes: usize,
-    /// Worker threads for window compression; 1 = sequential, 0 = one per
-    /// available core (resolved by the compress crate's worker pool).
-    threads: usize,
 }
 
 /// The result of a `cudaMemcpyCompressed()`-style offload: the compressed
@@ -119,7 +116,6 @@ impl CdmaEngine {
             cfg,
             algorithm,
             window_bytes: windowed::DEFAULT_WINDOW_BYTES,
-            threads: 1,
         }
     }
 
@@ -147,19 +143,6 @@ impl CdmaEngine {
             self.cfg.dma_buffer
         );
         self.window_bytes = window_bytes;
-        self
-    }
-
-    /// Opts in to parallel window compression with up to `threads` workers
-    /// (the software analogue of the engine's per-memory-controller
-    /// compressor units), run on the compress crate's persistent worker
-    /// pool. `threads == 0` resolves to one worker per available core —
-    /// the same convention as
-    /// [`windowed::WindowedStream::compress_parallel`]. Small transfers
-    /// still compress sequentially; the compressed stream is bit-identical
-    /// either way.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 
@@ -258,17 +241,9 @@ impl CdmaEngine {
     }
 
     /// The one window-compression dispatch: recompresses `data` into
-    /// `recycled` (cleared first), in parallel when opted in.
+    /// `recycled` (cleared first).
     fn compress_windows(&self, data: &[f32], recycled: &mut windowed::WindowedStream) {
-        let codec = self.algorithm.codec();
-        if self.threads == 1 {
-            recycled.recompress(&codec, data, self.window_bytes);
-        } else {
-            // 0 (auto) and >1 both go to the pool-backed pipeline, which
-            // resolves the auto convention and falls back sequentially for
-            // small inputs.
-            recycled.recompress_parallel(&codec, data, self.window_bytes, self.threads);
-        }
+        recycled.recompress(&self.algorithm.codec(), data, self.window_bytes);
     }
 
     /// The CPU→GPU prefetch direction: decompresses a copy back into
@@ -369,28 +344,6 @@ mod tests {
         assert_eq!(copy.transfer.compressed_bytes, copy.wire_bytes() as u64);
         assert_eq!(copy.transfer.uncompressed_bytes, (data.len() * 4) as u64);
         assert_eq!(copy.stats.compressed_bytes, copy.wire_bytes() as u64);
-    }
-
-    #[test]
-    fn parallel_offload_matches_sequential() {
-        let data = sparse_data(35, 1 << 20); // 4 MB: above the parallel floor
-        let cfg = SystemConfig::titan_x_pcie3();
-        for alg in Algorithm::ALL {
-            let seq = CdmaEngine::new(cfg, alg).memcpy_compressed(&data);
-            // 0 = auto (one per core); explicit counts exercise the pool.
-            for threads in [0usize, 4] {
-                let par = CdmaEngine::new(cfg, alg)
-                    .with_threads(threads)
-                    .memcpy_compressed(&data);
-                assert_eq!(seq.wire_bytes(), par.wire_bytes(), "{alg} x{threads}");
-                assert_eq!(seq.transfer, par.transfer, "{alg} x{threads}");
-                assert_eq!(
-                    par.stream().as_bytes(),
-                    seq.stream().as_bytes(),
-                    "{alg} x{threads} parallel stream must be bit-identical"
-                );
-            }
-        }
     }
 
     #[test]

@@ -252,8 +252,9 @@ impl Report for ServeLoadReport {
     }
 
     fn artifacts(&self) -> Vec<Artifact> {
-        // The full latency reports, one JSON document per phase — the
-        // same shape the `serve` bench writes to BENCH_serve.json.
+        // The full virtual-time latency reports, one JSON document per
+        // phase. (Wall-clock latency of the threaded server: `bash
+        // benchmark/run.sh --workload serve_4k`, `serve.server.p99_us_at_40k`.)
         let mut body = String::from("[\n");
         for (i, p) in self.phases.iter().enumerate() {
             body.push_str(&p.report.latency_json());

@@ -1161,6 +1161,31 @@ mod tests {
     }
 
     #[test]
+    fn parallel_measured_sweep_equals_sequential_bit_for_bit() {
+        // The runner reassembles results in scenario order and the
+        // measured streams live in the shared context, so fanning the
+        // line-granularity simulations out must not move a bit.
+        use crate::experiment::fidelity_row;
+        let ctx = Context::fast();
+        let sweep = ScenarioSet::builder()
+            .networks(["AlexNet", "SqueezeNet"])
+            .fidelities([Fidelity::MeasuredStream])
+            .build();
+        let seq = Runner::sequential().run(&sweep, |s| fidelity_row(&ctx, s));
+        let par = Runner::with_jobs(2).run(&sweep, |s| fidelity_row(&ctx, s));
+        assert_eq!(seq.len(), 2);
+        for (a, b) in seq.iter().zip(&par) {
+            assert_eq!(a.network, b.network);
+            assert_eq!(
+                (a.step_time.to_bits(), a.events),
+                (b.step_time.to_bits(), b.events),
+                "{}",
+                a.network
+            );
+        }
+    }
+
+    #[test]
     fn runner_runs_scenario_sets() {
         let grid = ScenarioSet::paper_grid();
         let labels = Runner::with_jobs(4).run(&grid, |s| s.label());

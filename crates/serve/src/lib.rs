@@ -28,8 +28,11 @@
 //! * [`sim`] — the same admission control and execution kernel on a
 //!   deterministic virtual clock (CI and property tests drive this).
 //! * [`loadgen`] — seeded open-loop arrival schedules.
-//! * [`harness`] / [`metrics`] — latency percentile reporting over
-//!   either driver.
+//! * [`metrics`] — latency percentile reporting over the virtual driver.
+//!
+//! The threaded server's wall-clock numbers come from the benchmark's
+//! open-loop driver: `bash benchmark/run.sh --workload serve_4k`
+//! (`serve_capacity_rps`, `serve.server.p99_us_at_40k`).
 //!
 //! ## Quick start
 //!
@@ -57,7 +60,6 @@
 
 pub mod error;
 mod exec;
-pub mod harness;
 pub mod loadgen;
 pub mod metrics;
 pub mod proto;
@@ -67,7 +69,6 @@ pub mod sim;
 
 pub use error::ServeError;
 pub use exec::{DefaultKernel, JobKernel, OutputBufs};
-pub use harness::run_wall;
 pub use loadgen::{fill_activations, Arrival, Schedule, TenantLoad};
 pub use metrics::{LatencyStats, LoadReport, TenantLoadReport};
 pub use proto::{JobKind, Request, Response, TenantId, KERNEL_PANICKED};

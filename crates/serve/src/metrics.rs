@@ -1,17 +1,17 @@
-//! Latency recording and the load-harness report.
+//! Latency recording and the virtual-time driver's report.
 //!
-//! Two outputs with different determinism contracts:
+//! Two outputs, both a pure function of `(config, loads, horizon, seed)`:
 //!
-//! * [`LoadReport::deterministic_summary_json`] — counts and bytes only.
-//!   On the virtual-time driver this is a pure function of the seed, so
-//!   CI runs the harness twice and `cmp`s the files.
+//! * [`LoadReport::deterministic_summary_json`] — counts and bytes only;
+//!   the `serve_load` experiment runs the driver twice and compares them.
 //! * [`LoadReport::latency_json`] — per-tenant p50/p95/p99/max plus
-//!   goodput and shed rate. Deterministic on the virtual driver, a real
-//!   measurement on the wall-clock driver (uploaded as a CI artifact,
-//!   never compared byte-for-byte).
+//!   goodput and shed rate, on the virtual clock.
+//!
+//! Wall-clock latency of the threaded server is the benchmark's business
+//! (`bash benchmark/run.sh --workload serve_4k`: `serve_capacity_rps`,
+//! `serve.server.*`).
 
 use crate::sched::TenantCounters;
-use crate::server::ServerStats;
 
 /// Collects per-request latencies for one tenant.
 ///
@@ -107,17 +107,15 @@ impl TenantLoadReport {
     }
 }
 
-/// The load harness's full result: one entry per tenant plus run-wide
-/// totals.
+/// The virtual-time driver's full result: one entry per tenant plus
+/// run-wide totals.
 #[derive(Debug, Clone)]
 pub struct LoadReport {
-    /// `"virtual"` or `"wall"` — which driver produced the numbers.
-    pub mode: &'static str,
     /// Arrival-schedule seed.
     pub seed: u64,
-    /// Worker count the run modeled or used.
+    /// Worker count the run modeled.
     pub workers: usize,
-    /// Wall/virtual seconds the run covered.
+    /// Virtual seconds the run covered.
     pub elapsed_s: f64,
     /// Per-tenant slices, in tenant-id order.
     pub tenants: Vec<TenantLoadReport>,
@@ -125,9 +123,6 @@ pub struct LoadReport {
     pub staging_high_water: u64,
     /// Staging-pool capacity in bytes.
     pub staging_capacity: u64,
-    /// The threaded server's lifetime statistics; `None` from the virtual
-    /// driver, which has no threads to steal, park or wake.
-    pub server: Option<ServerStats>,
 }
 
 impl LoadReport {
@@ -144,7 +139,7 @@ impl LoadReport {
             .sum()
     }
 
-    /// Served uncompressed bytes per second — the harness's goodput.
+    /// Served uncompressed bytes per second — the run's goodput.
     pub fn goodput_bytes_per_s(&self) -> f64 {
         if self.elapsed_s <= 0.0 {
             return 0.0;
@@ -166,12 +161,13 @@ impl LoadReport {
     }
 
     /// The timing-free summary: counts and bytes only, identical across
-    /// runs at the same seed on the virtual driver. CI compares two of
-    /// these byte-for-byte.
+    /// runs at the same seed.
     pub fn deterministic_summary_json(&self) -> String {
         let mut s = String::with_capacity(1024);
         s.push_str("{\n");
-        s.push_str(&format!("  \"mode\": \"{}\",\n", self.mode));
+        // The virtual clock is the only driver; the line keeps the
+        // document's shape for whoever compares it with a stored one.
+        s.push_str("  \"mode\": \"virtual\",\n");
         s.push_str(&format!("  \"seed\": {},\n", self.seed));
         s.push_str(&format!("  \"workers\": {},\n", self.workers));
         s.push_str(&format!(
@@ -209,7 +205,7 @@ impl LoadReport {
     pub fn latency_json(&self) -> String {
         let mut s = String::with_capacity(2048);
         s.push_str("{\n");
-        s.push_str(&format!("  \"mode\": \"{}\",\n", self.mode));
+        s.push_str("  \"mode\": \"virtual\",\n");
         s.push_str(&format!("  \"seed\": {},\n", self.seed));
         s.push_str(&format!("  \"workers\": {},\n", self.workers));
         s.push_str(&format!("  \"elapsed_s\": {:.6},\n", self.elapsed_s));
@@ -275,13 +271,6 @@ impl LoadReport {
                 max
             ));
         }
-        if let Some(st) = &self.server {
-            s.push_str(&format!(
-                "server: {} steals, {} parks, {} wakes, {} completion batches, \
-                 {} buffer-pool misses\n",
-                st.steals, st.parks, st.wakes, st.completion_batches, st.buffer_pool.misses
-            ));
-        }
         s
     }
 }
@@ -324,7 +313,6 @@ mod tests {
     #[test]
     fn summary_json_omits_timing() {
         let report = LoadReport {
-            mode: "virtual",
             seed: 7,
             workers: 4,
             elapsed_s: 1.25,
@@ -351,7 +339,6 @@ mod tests {
             }],
             staging_high_water: 8192,
             staging_capacity: 65536,
-            server: None,
         };
         let summary = report.deterministic_summary_json();
         assert!(summary.contains("\"completed\": 9"));

@@ -100,8 +100,8 @@ pub(crate) struct Job {
     pub tenant: u16,
     /// Reserved uncompressed footprint in bytes.
     pub footprint: u64,
-    /// Arrival time on the driver's clock, seconds (virtual driver) or
-    /// seconds since harness start (wall driver).
+    /// Arrival time in seconds: on the virtual driver's clock, or since
+    /// the threaded server started.
     pub arrival_s: f64,
     /// The payload. `Option` so completion paths can take it by value.
     pub req: Option<Request>,

@@ -691,30 +691,48 @@ impl Server {
 
     /// Stops accepting work, drains the backlog, joins the workers, and
     /// returns lifetime statistics. A worker that died is counted in
-    /// [`ServerStats::workers_lost`], not re-raised.
+    /// [`ServerStats::workers_lost`], not re-raised. Dropping the server
+    /// stops and joins the same way, without the statistics.
     pub fn shutdown(mut self) -> ServerStats {
-        self.shared.shutdown.store(true, Ordering::Release);
-        // A worker reads the flag under `state` before it registers, so
-        // either it saw the flag or it is counted here: one notify, no
-        // lost wake-up to paper over.
-        let sleepers = {
-            let mut st = self.shared.state.lock().unwrap();
-            let sleepers = std::mem::take(&mut st.idle) > 0;
-            st.wakes += u64::from(sleepers);
-            sleepers
-        };
-        if sleepers {
-            self.shared.work_cv.notify_all();
-        }
-        let workers_lost = self
-            .handles
-            .drain(..)
-            .map(|h| u64::from(h.join().is_err()))
-            .sum();
+        let workers_lost = self.stop_and_join();
         ServerStats {
             workers_lost,
             ..self.stats()
         }
+    }
+
+    /// Raises the shutdown flag, wakes every sleeper and joins the
+    /// workers (which drain the backlog first); returns how many of them
+    /// had died. Joins nothing the second time round, and never panics:
+    /// `Drop` runs it too.
+    fn stop_and_join(&mut self) -> u64 {
+        self.shared.shutdown.store(true, Ordering::Release);
+        // A worker reads the flag under `state` before it registers, so
+        // either it saw the flag or it is counted here: one notify, no
+        // lost wake-up to paper over. A poisoned `state` kills every
+        // worker that touches it, so there is nothing to count: notify
+        // whoever is still asleep and join.
+        let sleepers = self.shared.state.lock().map_or(true, |mut st| {
+            let sleepers = std::mem::take(&mut st.idle) > 0;
+            st.wakes += u64::from(sleepers);
+            sleepers
+        });
+        if sleepers {
+            self.shared.work_cv.notify_all();
+        }
+        self.handles
+            .drain(..)
+            .map(|h| u64::from(h.join().is_err()))
+            .sum()
+    }
+}
+
+/// A server dropped without [`Server::shutdown`] (an early return, a
+/// panicking caller) still stops and joins its workers instead of leaving
+/// them parked for the life of the process.
+impl Drop for Server {
+    fn drop(&mut self) {
+        self.stop_and_join();
     }
 }
 

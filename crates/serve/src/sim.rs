@@ -6,10 +6,11 @@
 //! simulated clock: service time comes from a [`ServiceModel`] instead
 //! of the host's scheduler, so every accept/shed decision, byte count,
 //! and latency percentile is a pure function of `(config, loads,
-//! horizon, seed)`. CI leans on this — run the harness twice, `cmp` the
-//! summaries — and so do the admission-control property tests, which
-//! need to provoke overload without depending on how fast the test
-//! machine happens to be.
+//! horizon, seed)`. CI leans on this — the `serve_load` experiment runs
+//! its overload phase twice and compares the summaries, and `experiments
+//! all` is `cmp`ed across runs — and so do the admission-control property
+//! tests, which need to provoke overload without depending on how fast
+//! the test machine happens to be.
 //!
 //! Compression still *really runs* (wire bytes in the report are
 //! measured, not modeled); only the clock is simulated.
@@ -278,14 +279,12 @@ pub fn run_schedule_with_kernel(
         })
         .collect();
     LoadReport {
-        mode: "virtual",
         seed: schedule.seed,
         workers: config.workers,
         elapsed_s,
         tenants,
         staging_high_water: pool.high_water(),
         staging_capacity: pool.capacity(),
-        server: None,
     }
 }
 

@@ -12,7 +12,9 @@
 //! 3. **the flush bound** — a finished job never waits behind a
 //!    multi-window job the same worker runs next;
 //! 4. **kernel panics** — a panicking [`JobKernel`] fails the requests it
-//!    panicked on and nothing else.
+//!    panicked on and nothing else;
+//! 5. **shutdown and drop** — either way the server serves what it
+//!    admitted and joins every worker.
 //!
 //! Interleavings a test depends on are forced with barriers; the rest
 //! hold under any schedule.
@@ -452,8 +454,9 @@ fn a_panicking_kernel_fails_one_request_not_the_pool() {
 fn shutdown_serves_what_was_admitted() {
     // No wait_drained: shutdown itself drains the backlog, and a worker
     // publishes what it holds before it exits — an unpublished job would
-    // still own its staging reservation.
-    for workers in [1usize, 4] {
+    // still own its staging reservation. A server that is only dropped
+    // stops the same way.
+    for (workers, dropped) in [(1usize, false), (4, false), (1, true), (4, true)] {
         let kernel = Arc::new(Flaky {
             every: u64::MAX,
             ran: AtomicUsize::new(0),
@@ -472,9 +475,21 @@ fn shutdown_serves_what_was_admitted() {
             admitted += usize::from(server.submit(request(0, id, 1)).is_ok());
         }
         assert!(admitted > 0);
-        let stats = server.shutdown();
+        if dropped {
+            drop(server);
+        } else {
+            let stats = server.shutdown();
+            assert_eq!(stats.staging_in_use, 0, "workers={workers}");
+            assert_eq!(stats.workers_lost, 0);
+        }
         assert_eq!(kernel.ran.load(Ordering::Relaxed), admitted);
-        assert_eq!(stats.staging_in_use, 0, "workers={workers}");
-        assert_eq!(stats.workers_lost, 0);
+        // The workers held the only other references to the kernel
+        // (through the state they share with the server): back to one
+        // means every one of them has exited.
+        assert_eq!(
+            Arc::strong_count(&kernel),
+            1,
+            "workers={workers} dropped={dropped}"
+        );
     }
 }

@@ -10,15 +10,21 @@
 //! * the **threaded server**: after a warm-up that sizes every pool,
 //!   deque and completion vector, a submit → drain → recycle cycle must
 //!   allocate exactly zero bytes, across all worker threads.
+//!
+//! The counters are process-wide but count only *armed* threads — the
+//! test's own and the server's workers. libtest's main thread allocates
+//! for its own bookkeeping whenever it likes, and "exactly zero" must
+//! not depend on when that is.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use cdma_compress::Algorithm;
 use cdma_serve::{
-    fill_activations, run_virtual, Request, Server, ServerConfig, ServiceModel, TenantId,
-    TenantLoad, TenantSpec,
+    fill_activations, run_virtual, DefaultKernel, JobKernel, OutputBufs, Request, Response, Server,
+    ServerConfig, ServiceModel, TenantId, TenantLoad, TenantSpec,
 };
 
 struct Counting;
@@ -26,10 +32,35 @@ struct Counting;
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Whether this thread's allocations are counted. `const` and without
+    /// a destructor, so reading it inside the allocator allocates nothing
+    /// and is valid for the whole life of the thread.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Counts the calling thread's allocations from here on.
+fn arm() {
+    ARMED.with(|armed| armed.set(true));
+}
+
+/// [`DefaultKernel`] on an armed thread: the kernel runs on the worker,
+/// so a worker is counted from its first job on.
+struct ArmedKernel;
+
+impl JobKernel for ArmedKernel {
+    fn execute(&self, req: Request, window_elems: usize, bufs: OutputBufs) -> Response {
+        arm();
+        DefaultKernel.execute(req, window_elems, bufs)
+    }
+}
+
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        if ARMED.with(Cell::get) {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        }
         unsafe { System.alloc(layout) }
     }
 
@@ -38,8 +69,10 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        if ARMED.with(Cell::get) {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        }
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -57,6 +90,7 @@ fn allocs() -> u64 {
 #[test]
 fn virtual_driver_allocations_do_not_scale_with_requests() {
     let _guard = SERIAL.lock().unwrap();
+    arm();
     let loads = vec![TenantLoad::new(TenantSpec::new("t"), 200_000.0)];
     let cfg = ServerConfig {
         workers: 2,
@@ -86,12 +120,14 @@ fn virtual_driver_allocations_do_not_scale_with_requests() {
 #[test]
 fn threaded_steady_state_allocates_zero_bytes_per_request() {
     let _guard = SERIAL.lock().unwrap();
-    let server = Server::start(
+    arm();
+    let server = Server::start_with_kernel(
         ServerConfig {
             workers: 2,
             ..ServerConfig::default()
         },
         vec![TenantSpec::new("t")],
+        Arc::new(ArmedKernel),
     );
     let mut done: Vec<cdma_serve::Completion> = Vec::with_capacity(16);
     let mut words_pool: Vec<Vec<f32>> = vec![vec![0.0f32; 1024]];
