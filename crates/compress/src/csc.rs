@@ -213,6 +213,75 @@ impl Iterator for CscNonzeros<'_> {
         }
         None
     }
+
+    /// The whole-stream walk behind `for_each`: the same sequence as
+    /// [`Iterator::next`] from wherever the iterator stands, with the
+    /// payload mode matched once and the nibble and payload cursors
+    /// advanced in step instead of re-indexed per entry.
+    fn fold<B, F>(self, init: B, f: F) -> B
+    where
+        F: FnMut(B, (usize, f32)) -> B,
+    {
+        let Parts {
+            codebook,
+            nibbles,
+            payload,
+            ..
+        } = self.parts;
+        let (entry, index) = (self.entry, self.index);
+        let nibbles = &nibbles[entry / 2..];
+        let word = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("four-byte chunk"));
+        match codebook {
+            None => {
+                let values = payload[4 * entry..].chunks_exact(4).map(word);
+                fold_entries(nibbles, entry % 2 == 1, index, values, init, f)
+            }
+            Some(table) => {
+                let values = payload[entry..].iter().map(|&c| {
+                    let c = usize::from(c);
+                    word(&table[4 * c..4 * c + 4])
+                });
+                fold_entries(nibbles, entry % 2 == 1, index, values, init, f)
+            }
+        }
+    }
+}
+
+/// Folds the entries whose value bits `values` yields, one per nibble of
+/// `nibbles` — starting at the first byte's high nibble when `skip_low` —
+/// over the element index `index`. `values` decides where the walk ends:
+/// an odd entry count leaves the last high nibble unread.
+fn fold_entries<B>(
+    nibbles: &[u8],
+    skip_low: bool,
+    mut index: usize,
+    mut values: impl Iterator<Item = u32>,
+    init: B,
+    mut f: impl FnMut(B, (usize, f32)) -> B,
+) -> B {
+    let mut step = |acc: B, run: u8, bits: u32| {
+        let at = index + usize::from(run);
+        index = at + 1;
+        if bits != 0 {
+            f(acc, (at, f32::from_bits(bits)))
+        } else {
+            acc
+        }
+    };
+    let mut acc = init;
+    let mut nibbles = nibbles.iter();
+    if skip_low {
+        if let (Some(&b), Some(bits)) = (nibbles.next(), values.next()) {
+            acc = step(acc, b >> 4, bits);
+        }
+    }
+    for &b in nibbles {
+        let Some(bits) = values.next() else { break };
+        acc = step(acc, b & 0xF, bits);
+        let Some(bits) = values.next() else { break };
+        acc = step(acc, b >> 4, bits);
+    }
+    acc
 }
 
 /// Fixed-capacity open-addressing set of value bit patterns: tracks the
@@ -575,6 +644,67 @@ mod tests {
             .collect();
         let got: Vec<_> = Csc::nonzeros(&bytes).unwrap().collect();
         assert_eq!(got, expect);
+    }
+
+    #[test]
+    fn fold_yields_the_next_sequence_from_any_position() {
+        // `from_fn` drains by `next()` alone; `for_each` goes through the
+        // `fold` override.
+        fn by_next(mut it: CscNonzeros<'_>) -> Vec<(usize, u32)> {
+            std::iter::from_fn(|| it.next())
+                .map(|(i, v)| (i, v.to_bits()))
+                .collect()
+        }
+        fn by_fold(it: CscNonzeros<'_>) -> Vec<(usize, u32)> {
+            let mut out = Vec::new();
+            it.for_each(|(i, v)| out.push((i, v.to_bits())));
+            out
+        }
+        // Gaps of 0..=49 zeros: runs past 15 insert padding entries, in
+        // both payload modes, at even and odd entry counts.
+        let column = |retained: usize, value: fn(usize) -> f32| -> Vec<f32> {
+            let mut col = Vec::new();
+            for k in 0..retained {
+                col.resize(col.len() + (k * 7) % 50, 0.0);
+                col.push(value(k));
+            }
+            col.resize(col.len() + 20, 0.0);
+            col
+        };
+        let raw: fn(usize) -> f32 = |k| -1.5 - k as f32;
+        let shared: fn(usize) -> f32 = |k| [0.5f32, -0.5, 2.0, -0.0][k % 4];
+        let mut streams = vec![
+            (Csc::new().compress(&[]), 0),
+            (Csc::new().compress(&[0.0; 64]), 0),
+        ];
+        // Past 256 distinct values the payload stays raw.
+        for retained in [1, 2, 299, 300] {
+            streams.push((Csc::new().compress(&column(retained, raw)), 0));
+        }
+        for retained in [39, 40] {
+            streams.push((Csc::new().compress(&column(retained, shared)), 1));
+        }
+        let mut odd_counts = 0;
+        let mut padded = 0;
+        for (bytes, mode) in &streams {
+            assert_eq!(bytes[4], *mode, "payload mode");
+            let entries = u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
+            let all = by_next(Csc::nonzeros(bytes).unwrap());
+            odd_counts += entries % 2;
+            padded += usize::from(entries > all.len());
+            for k in 0..=all.len() + 1 {
+                let mut it = Csc::nonzeros(bytes).unwrap();
+                for _ in 0..k {
+                    it.next();
+                }
+                assert_eq!(
+                    by_fold(it),
+                    all[k.min(all.len())..],
+                    "mode {mode}, {entries} entries, advanced {k}"
+                );
+            }
+        }
+        assert!(odd_counts >= 2 && padded >= 4, "the cases above exist");
     }
 
     #[test]

@@ -877,7 +877,7 @@ impl Context {
                 &self.ratio_table(),
             )
             .into(),
-            Fidelity::MeasuredStream => (*self.measured_stream(scenario)).clone().into(),
+            Fidelity::MeasuredStream => self.measured_stream(scenario).into(),
         }
     }
 

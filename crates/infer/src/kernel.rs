@@ -14,8 +14,14 @@ use crate::weights::CscMatrix;
 /// An infer request's `words` hold `batch` input vectors of
 /// [`CscMatrix::cols`] activations packed back to back, and its
 /// `elements` field must equal [`CscMatrix::rows`] (outputs per
-/// vector). Traffic accounting models a weight-and-activation transfer
-/// per request: `uncompressed_bytes` is what a dense engine would move
+/// vector). The batch is one [`CscMatrix::matvec_batch_into`] call
+/// straight into the recycled output buffer: each weight column is
+/// walked once per request and shared by every vector whose activation
+/// there is non-zero, and a warm worker allocates nothing per request
+/// (`tests/zero_alloc.rs`).
+///
+/// Traffic accounting models a weight-and-activation transfer per
+/// request: `uncompressed_bytes` is what a dense engine would move
 /// (dense weights + raw activations in and out), `wire_bytes` what this
 /// engine moves (CSC weights + ZVC-compressed input activations + raw
 /// outputs), making per-tenant compression ratios directly comparable
@@ -78,11 +84,7 @@ impl JobKernel for InferKernel {
                 "inference input is not a whole number of activation vectors",
             ));
         } else {
-            let mut y = Vec::new();
-            for x in req.words.chunks_exact(cols) {
-                self.matrix.matvec_into(x, &mut y);
-                words.extend_from_slice(&y);
-            }
+            self.matrix.matvec_batch_into(&req.words, &mut words);
             // Weights travel compressed, input activations under ZVC,
             // outputs raw.
             wire_bytes = self.matrix.compressed_bytes()

@@ -13,6 +13,7 @@
 //! | PE array, row-interleaved slices    | [`PeWorkload`] + [`PeArray`]             |
 //! | activation broadcast FIFOs          | [`PeArray::fifo_depth`] backpressure     |
 //! | leading-nonzero detection           | `skip_zeros` in [`PeArray::run`]         |
+//! | column fetched once, consumers share| [`CscMatrix::matvec_batch_into`]         |
 //! | load-imbalance-limited speedup      | [`PeTimeline::load_imbalance`]           |
 //! | accelerator as a service            | [`InferKernel`] on the `cdma-serve` pool |
 //!
@@ -21,13 +22,15 @@
 //! * [`CscMatrix`] ([`weights`]) — per-column CSC weight storage over
 //!   the codec layer's [`cdma_compress::Csc`] streams, with a streaming
 //!   column builder for zoo-sized layers, a bit-exact dense round-trip,
-//!   sparse matvec, and deep-compression codebook quantization.
+//!   a sparse matvec that walks each column once per batch, and
+//!   deep-compression codebook quantization.
 //! * [`PeArray`] ([`pe`]) — the cycle-level processing-element model:
 //!   broadcast/FIFO/imbalance timing with per-PE busy intervals that
 //!   feed the same Gantt-style reports as the link and pipeline models.
 //! * [`InferKernel`] ([`kernel`]) — a `cdma_serve::JobKernel` that runs
-//!   batched matvecs on the shared worker pool, so serving scenarios
-//!   reuse admission control, fairness, and the zero-alloc buffer loop.
+//!   a request's whole batch as one matvec call on the shared worker
+//!   pool, so serving scenarios reuse admission control, fairness, and
+//!   the zero-alloc buffer loop.
 //!
 //! The `fig_inference` experiment in `cdma-core` sweeps
 //! [`InferEngine`]s (dense / CSC / CSC+activation-skipping) over the

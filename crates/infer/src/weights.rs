@@ -1,7 +1,33 @@
 //! Per-column CSC weight storage and the sparse matvec it serves.
 
+use std::cell::RefCell;
+
 use cdma_compress::{Compressor, Csc, CscNonzeros};
 use cdma_models::LayerSpec;
+
+/// Accumulators a thread's matvec scratch keeps between calls: the
+/// zoo's tallest FC layer (4096 rows) at batch 64, so a serving worker
+/// re-allocates nothing from request to request while one outsized call
+/// does not pin its buffer to the thread for good.
+const SCRATCH_KEEP: usize = 4096 * 64;
+
+/// What one thread's [`CscMatrix::matvec_batch_into`] keeps between
+/// calls.
+struct Scratch {
+    /// The `(vector, activation)` pairs of the column being walked.
+    active: Vec<(usize, f32)>,
+    /// Batched accumulators, `rows x batch`.
+    acc: Vec<f32>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = const {
+        RefCell::new(Scratch {
+            active: Vec::new(),
+            acc: Vec::new(),
+        })
+    };
+}
 
 /// A pruned FC weight matrix stored as one [`Csc`] stream per column,
 /// packed back to back — EIE's weight memory. `y = W x` walks only the
@@ -151,22 +177,92 @@ impl CscMatrix {
 
     /// `y = W x` over the compressed store, appending nothing: `y` is
     /// cleared and resized to [`CscMatrix::rows`]. Zero activations are
-    /// skipped exactly (their column contributes nothing).
+    /// skipped exactly (their column contributes nothing). The
+    /// batch-of-one call of [`CscMatrix::matvec_batch_into`].
     ///
     /// # Panics
     ///
     /// Panics unless `x.len()` equals [`CscMatrix::cols`].
     pub fn matvec_into(&self, x: &[f32], y: &mut Vec<f32>) {
         assert_eq!(x.len(), self.cols, "input length must match columns");
-        y.clear();
-        y.resize(self.rows, 0.0);
-        for (c, &a) in x.iter().enumerate() {
-            if a == 0.0 {
+        self.matvec_batch_into(x, y);
+    }
+
+    /// `Y = W X` for a batch: `xs` holds whole activation vectors of
+    /// [`CscMatrix::cols`] elements back to back, `ys` is cleared and
+    /// resized to one [`CscMatrix::rows`]-long result per vector, in
+    /// the same order.
+    ///
+    /// A column's stream is walked **once per call**, not once per
+    /// vector: the vectors whose activation in that column is non-zero
+    /// are gathered first and every retained weight is applied to all
+    /// of them — EIE's broadcast, where one fetched weight column is
+    /// shared by every consumer of the activation. A column no vector
+    /// activates is not walked at all. Per `(vector, row)` the products
+    /// are the same `w * a` and arrive in the same ascending column
+    /// order as in a vector-at-a-time loop, so every output is
+    /// bit-identical to it.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `xs.len()` is a multiple of [`CscMatrix::cols`].
+    pub fn matvec_batch_into(&self, xs: &[f32], ys: &mut Vec<f32>) {
+        let (rows, cols) = (self.rows, self.cols);
+        assert!(
+            xs.len().is_multiple_of(cols),
+            "input must be whole activation vectors"
+        );
+        let batch = xs.len() / cols;
+        ys.clear();
+        ys.resize(batch * rows, 0.0);
+        SCRATCH.with_borrow_mut(|Scratch { active, acc }| {
+            if batch == 1 {
+                // One vector is already in accumulator order.
+                self.accumulate(xs, 1, active, ys);
+            } else {
+                acc.clear();
+                acc.resize(batch * rows, 0.0);
+                self.accumulate(xs, batch, active, acc);
+                for (b, y) in ys.chunks_exact_mut(rows).enumerate() {
+                    for (slot, row) in y.iter_mut().zip(acc.chunks_exact(batch)) {
+                        *slot = row[b];
+                    }
+                }
+                acc.shrink_to(SCRATCH_KEEP);
+            }
+        });
+    }
+
+    /// The one walk over the weight streams: adds `W X` into `acc`,
+    /// which is row-major over the batch (`acc[r * batch + b]`) so that
+    /// one retained weight updates neighbouring words instead of
+    /// `batch` words a whole result vector apart.
+    fn accumulate(
+        &self,
+        xs: &[f32],
+        batch: usize,
+        active: &mut Vec<(usize, f32)>,
+        acc: &mut [f32],
+    ) {
+        for c in 0..self.cols {
+            active.clear();
+            active.extend(
+                xs.iter()
+                    .skip(c)
+                    .step_by(self.cols)
+                    .enumerate()
+                    .filter(|(_, &a)| a != 0.0)
+                    .map(|(b, &a)| (b, a)),
+            );
+            if active.is_empty() {
                 continue;
             }
-            for (r, w) in self.column_nonzeros(c) {
-                y[r] += w * a;
-            }
+            self.column_nonzeros(c).for_each(|(r, w)| {
+                let row = &mut acc[r * batch..(r + 1) * batch];
+                for &(b, a) in active.iter() {
+                    row[b] += w * a;
+                }
+            });
         }
     }
 

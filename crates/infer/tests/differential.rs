@@ -1,7 +1,7 @@
 //! Differential suite: the CSC weight store and the serve-pool kernel
 //! against independent reimplementations.
 //!
-//! Three pins:
+//! Four pins:
 //!
 //! 1. **Byte identity** — every [`CscMatrix`] column is bit-for-bit the
 //!    stream the raw [`Csc`] codec emits for the same dense column, and
@@ -11,7 +11,11 @@
 //!    independently-written dense oracle (different loop order, f64
 //!    accumulation), and the PE workload slicing conserves every
 //!    column's nonzeros at every PE count.
-//! 3. **Pool sharing** — an inference tenant and a compress tenant run
+//! 3. **Batching** — [`CscMatrix::matvec_batch_into`] equals, bit for
+//!    bit, the vector-at-a-time loop it replaced (kept here as the
+//!    oracle) across batch sizes, weight densities and activation
+//!    densities, and on the inputs where the zero skip shows.
+//! 4. **Pool sharing** — an inference tenant and a compress tenant run
 //!    through the same virtual-time server, and the run is a pure
 //!    function of the seed (rerun bit-identical).
 
@@ -144,6 +148,129 @@ fn sparse_matvec_matches_the_dense_oracle_across_the_zoo() {
             }
         }
     }
+}
+
+/// The matvec `CscMatrix` shipped before the batched walker, one vector
+/// at a time: every active column re-walked per vector, entry by entry
+/// through `next()` (a `for` loop never takes the iterator's `fold`).
+fn per_vector_oracle(matrix: &CscMatrix, xs: &[f32]) -> Vec<f32> {
+    let mut ys = Vec::new();
+    for x in xs.chunks_exact(matrix.cols()) {
+        let mut y = vec![0.0f32; matrix.rows()];
+        for (c, &a) in x.iter().enumerate() {
+            if a == 0.0 {
+                continue;
+            }
+            for (r, w) in matrix.column_nonzeros(c) {
+                y[r] += w * a;
+            }
+        }
+        ys.extend_from_slice(&y);
+    }
+    ys
+}
+
+fn assert_batch_equals_oracle(matrix: &CscMatrix, xs: &[f32], ys: &mut Vec<f32>, what: &str) {
+    matrix.matvec_batch_into(xs, ys);
+    let want = per_vector_oracle(matrix, xs);
+    assert_eq!(ys.len(), want.len(), "{what}: output length");
+    for (i, (got, want)) in ys.iter().zip(&want).enumerate() {
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "{what}: vector {} row {}: {got} vs {want}",
+            i / matrix.rows(),
+            i % matrix.rows()
+        );
+    }
+}
+
+#[test]
+fn batched_matvec_equals_the_per_vector_oracle_bit_for_bit() {
+    const BATCHES: [usize; 4] = [1, 2, 7, 32];
+    const ACT_ZERO_DENSITIES: [f64; 3] = [0.0, 0.7, 1.0];
+    // One output buffer throughout: results of different shapes land in
+    // it back to back, so a stale word would show.
+    let mut ys = Vec::new();
+    for (shape_i, &(rows, cols)) in zoo_fc_shapes().iter().enumerate() {
+        for (d_i, &density) in DENSITIES.iter().enumerate() {
+            let seed = 0xBA7 + (shape_i as u64) * 41 + d_i as u64;
+            let picked = sampled(cols);
+            let n = picked.len();
+            let matrix = CscMatrix::from_columns(rows, n, |i, col| {
+                fill_weights(column_seed(seed, picked[i]), density, col);
+            });
+            for batch in BATCHES {
+                for zeros in ACT_ZERO_DENSITIES {
+                    // Signed activations, `zeros` of them exactly zero.
+                    let mut xs = vec![0.0f32; batch * n];
+                    fill_weights(seed ^ batch as u64, 1.0 - zeros, &mut xs);
+                    let what =
+                        format!("{rows}x{cols} @ {density}, batch {batch}, {zeros} zero acts");
+                    assert_batch_equals_oracle(&matrix, &xs, &mut ys, &what);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn batched_matvec_keeps_the_zero_skip_exactly() {
+    let (rows, cols, batch) = (48, 40, 5);
+    let mut dense = vec![0.0f32; rows * cols];
+    fill_weights(0x5C1, 0.3, &mut dense);
+    // Weights whose product with a zero is not a zero: a column that is
+    // skipped must stay skipped, per vector.
+    dense[3 * cols + 7] = f32::INFINITY;
+    dense[9 * cols + 7] = f32::from_bits(0x7FC0_1234);
+    dense[5 * cols + 11] = f32::NEG_INFINITY;
+    dense[6 * cols + 11] = -0.0; // a retained weight
+    for r in 0..rows {
+        dense[r * cols + 20] = 0.0; // an all-zero weight column
+    }
+    let matrix = CscMatrix::from_dense(rows, cols, &dense);
+    assert_eq!(matrix.column_nonzeros(20).count(), 0);
+
+    let mut xs = vec![0.0f32; batch * cols];
+    fill_weights(0xAC7, 0.6, &mut xs);
+    for b in 0..batch {
+        let x = &mut xs[b * cols..(b + 1) * cols];
+        // Column 7: some vectors hold +0.0, some -0.0, one is active.
+        x[7] = [0.0, -0.0, 0.5, -0.0, 0.0][b];
+        // Column 11: -0.0 everywhere but one vector.
+        x[11] = if b == 3 { -2.0 } else { -0.0 };
+        x[13] = 0.0; // a column no vector activates
+        x[20] = 1.0 + b as f32; // every vector activates the empty column
+    }
+    let mut ys = Vec::new();
+    assert_batch_equals_oracle(&matrix, &xs, &mut ys, "specials");
+    // The skip is per vector: only the vectors that activate column 7 see
+    // its infinity.
+    for b in 0..batch {
+        assert_eq!(ys[b * rows + 3].is_infinite(), b == 2, "vector {b}");
+        assert_eq!(ys[b * rows + 9].is_nan(), b == 2, "vector {b}");
+        assert_eq!(ys[b * rows + 5].is_infinite(), b == 3, "vector {b}");
+    }
+
+    // Codebook-mode streams go through the same walk.
+    let shared = CscMatrix::synth(96, 64, 0.25, 17).quantized(16);
+    assert!(
+        (0..shared.cols()).any(|c| shared.column(c)[4] == 1),
+        "16 shared values switch columns to codebook payloads"
+    );
+    let mut xs = vec![0.0f32; 7 * shared.cols()];
+    fill_weights(0xC0DE, 0.3, &mut xs);
+    assert_batch_equals_oracle(&shared, &xs, &mut ys, "quantized(16)");
+    // A batch of none is a result of none.
+    assert_batch_equals_oracle(&shared, &[], &mut ys, "empty batch");
+    assert!(ys.is_empty());
+}
+
+#[test]
+#[should_panic(expected = "whole activation vectors")]
+fn ragged_batch_input_panics() {
+    let matrix = CscMatrix::synth(8, 6, 0.5, 1);
+    matrix.matvec_batch_into(&[1.0; 13], &mut Vec::new());
 }
 
 #[test]

@@ -13,7 +13,10 @@
 //! the test machine happens to be.
 //!
 //! Compression still *really runs* (wire bytes in the report are
-//! measured, not modeled); only the clock is simulated.
+//! measured, not modeled); only the clock is simulated. A payload is
+//! synthesised when its request is dispatched to a worker — admission
+//! reads a request's size and nothing else, so a shed arrival is never
+//! filled.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -182,6 +185,8 @@ pub fn run_schedule_with_kernel(
 
     // Dispatch queued jobs onto free virtual workers at time `now`.
     // Compression runs for real here; only the service *time* is modeled.
+    // The payload is filled here, not at arrival: it is a pure function
+    // of the arrival, and the recycled buffer is overwritten end to end.
     macro_rules! dispatch {
         ($now:expr) => {
             while free > 0 {
@@ -189,7 +194,10 @@ pub fn run_schedule_with_kernel(
                     break;
                 };
                 free -= 1;
-                let req = job.req.take().expect("job carries its request");
+                let mut req = job.req.take().expect("job carries its request");
+                let origin = &schedule.arrivals[req.id as usize];
+                let zero_density = loads[origin.tenant as usize].zero_density;
+                fill_activations(origin.fill_seed, zero_density, &mut req.words);
                 let bufs = out_pool.get();
                 let response = kernel.execute(req, window_elems, bufs);
                 word_pool.put(response.input_words);
@@ -228,9 +236,9 @@ pub fn run_schedule_with_kernel(
             dispatch!(t);
         }
         let load = &loads[arrival.tenant as usize];
+        // Sized but unfilled: admission needs the footprint only.
         let mut words = word_pool.get();
         words.resize(arrival.elements, 0.0);
-        fill_activations(arrival.fill_seed, load.zero_density, &mut words);
         let req = match load.kind {
             JobKind::Infer => Request::infer(
                 TenantId(arrival.tenant),
@@ -291,6 +299,7 @@ pub fn run_schedule_with_kernel(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::Response;
     use crate::sched::TenantSpec;
 
     fn config(workers: usize, staging: u64) -> ServerConfig {
@@ -362,6 +371,69 @@ mod tests {
         assert_eq!(c.submitted, c.accepted + c.shed_staging + c.shed_queue);
         assert_eq!(c.accepted, c.completed, "accepted work is never dropped");
         assert_eq!(r.staging_high_water, 8192, "pool fills to capacity");
+    }
+
+    #[test]
+    fn every_executed_request_carries_its_own_arrivals_payload() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        /// Checks each request it runs against the payload its arrival
+        /// names, then runs it.
+        struct CheckedPayloads<'a> {
+            schedule: &'a Schedule,
+            loads: &'a [TenantLoad],
+            executed: AtomicU64,
+        }
+        impl JobKernel for CheckedPayloads<'_> {
+            fn execute(&self, req: Request, window_elems: usize, bufs: OutputBufs) -> Response {
+                let arrival = &self.schedule.arrivals[req.id as usize];
+                assert_eq!(req.tenant.0, arrival.tenant, "request {}", req.id);
+                let mut want = vec![0.0f32; arrival.elements];
+                let zero_density = self.loads[arrival.tenant as usize].zero_density;
+                fill_activations(arrival.fill_seed, zero_density, &mut want);
+                let bits = |w: &[f32]| w.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&req.words), bits(&want), "request {}", req.id);
+                self.executed.fetch_add(1, Ordering::Relaxed);
+                DefaultKernel.execute(req, window_elems, bufs)
+            }
+        }
+
+        // Three sizes, so a recycled buffer shrinks and grows between
+        // uses; two densities, so a payload filled for the wrong tenant
+        // shows; one worker behind a two-request pool, so most arrivals
+        // are shed and a request's id runs ahead of its admission order.
+        let mix = vec![(256, 1.0), (1024, 2.0), (4096, 1.0)];
+        let loads = vec![
+            TenantLoad::new(TenantSpec::new("a"), 300_000.0)
+                .size_mix(mix.clone())
+                .zero_density(0.3),
+            TenantLoad::new(TenantSpec::new("b").weight(2.0), 200_000.0)
+                .size_mix(mix)
+                .zero_density(0.8),
+        ];
+        let cfg = config(1, 32 * 1024);
+        let schedule = Schedule::generate(&loads, 0.01, 17);
+        let run = || {
+            let kernel = CheckedPayloads {
+                schedule: &schedule,
+                loads: &loads,
+                executed: AtomicU64::new(0),
+            };
+            let report =
+                run_schedule_with_kernel(&cfg, &loads, &schedule, ServiceModel::default(), &kernel);
+            (report, kernel.executed.into_inner())
+        };
+        let (report, executed) = run();
+        let accepted: u64 = report.tenants.iter().map(|t| t.counters.accepted).sum();
+        assert_eq!(executed, accepted, "every admitted request ran, once");
+        assert!(report.total_shed() > 0, "the schedule must overload");
+        assert!(executed > 100, "and still serve: {executed}");
+        let (again, _) = run();
+        assert_eq!(
+            report.deterministic_summary_json(),
+            again.deterministic_summary_json()
+        );
+        assert_eq!(report.latency_json(), again.latency_json());
     }
 
     #[test]

@@ -37,6 +37,8 @@
 //! memory-controller engines decompress at their aggregate throughput,
 //! whichever is slower. `CdmaEngine::prefetch_time` delegates here.
 
+use std::sync::Arc;
+
 use cdma_compress::Algorithm;
 use cdma_gpusim::{DmaPipeline, SystemConfig, ZvcEngine};
 use cdma_models::profiles::NetworkProfile;
@@ -232,8 +234,9 @@ pub enum FidelitySource {
     Uniform(UniformRatio),
     /// A [`ProfiledDensity`] source.
     Profiled(ProfiledDensity),
-    /// A [`MeasuredStream`] source.
-    Measured(MeasuredStream),
+    /// A [`MeasuredStream`] source, shared: a stream is up to millions of
+    /// line sizes, and whoever memoised it hands the same one out again.
+    Measured(Arc<MeasuredStream>),
 }
 
 impl FidelitySource {
@@ -250,7 +253,7 @@ impl FidelitySource {
         match self {
             FidelitySource::Uniform(s) => s,
             FidelitySource::Profiled(s) => s,
-            FidelitySource::Measured(s) => s,
+            FidelitySource::Measured(s) => s.as_ref(),
         }
     }
 }
@@ -283,6 +286,12 @@ impl From<ProfiledDensity> for FidelitySource {
 
 impl From<MeasuredStream> for FidelitySource {
     fn from(s: MeasuredStream) -> Self {
+        FidelitySource::Measured(Arc::new(s))
+    }
+}
+
+impl From<Arc<MeasuredStream>> for FidelitySource {
+    fn from(s: Arc<MeasuredStream>) -> Self {
         FidelitySource::Measured(s)
     }
 }
