@@ -23,7 +23,7 @@ use std::time::{SystemTime, UNIX_EPOCH};
 
 /// The workspace root, resolved at compile time so records land in the
 /// same place no matter where `cargo bench` was invoked from.
-pub fn workspace_root() -> PathBuf {
+fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
@@ -33,7 +33,7 @@ pub fn workspace_root() -> PathBuf {
 
 /// The short git revision of the working tree, or `"unknown"` outside a
 /// git checkout.
-pub fn git_rev() -> String {
+fn git_rev() -> String {
     Command::new("git")
         .args(["rev-parse", "--short", "HEAD"])
         .current_dir(workspace_root())
@@ -46,7 +46,7 @@ pub fn git_rev() -> String {
 }
 
 /// `YYYY-MM-DD` for a unix timestamp (days-to-civil conversion, UTC).
-pub fn utc_date(unix_s: u64) -> String {
+fn utc_date(unix_s: u64) -> String {
     let z = (unix_s / 86_400) as i64 + 719_468;
     let era = if z >= 0 { z } else { z - 146_096 } / 146_097;
     let doe = z - era * 146_097;
@@ -83,7 +83,7 @@ impl Trajectory {
     }
 
     /// The record as one JSON line (no trailing newline).
-    pub fn record_json(&self) -> String {
+    fn record_json(&self) -> String {
         let unix_s = SystemTime::now()
             .duration_since(UNIX_EPOCH)
             .map(|d| d.as_secs())
@@ -109,7 +109,7 @@ impl Trajectory {
 
     /// Appends the record as one line to `path`, creating the file if
     /// needed. Existing lines are never touched.
-    pub fn append_to(&self, path: &Path) -> io::Result<()> {
+    fn append_to(&self, path: &Path) -> io::Result<()> {
         let mut f = OpenOptions::new().create(true).append(true).open(path)?;
         writeln!(f, "{}", self.record_json())
     }

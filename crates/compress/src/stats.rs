@@ -58,12 +58,6 @@ impl CompressionStats {
         }
         self.compressed_bytes as f64 / self.uncompressed_bytes as f64
     }
-
-    /// Bytes saved by compression.
-    pub fn saved_bytes(&self) -> u64 {
-        self.uncompressed_bytes
-            .saturating_sub(self.compressed_bytes)
-    }
 }
 
 impl Add for CompressionStats {
@@ -104,7 +98,6 @@ mod tests {
         let s = CompressionStats::new(1024, 256);
         assert_eq!(s.ratio(), 4.0);
         assert_eq!(s.normalized_size(), 0.25);
-        assert_eq!(s.saved_bytes(), 768);
     }
 
     #[test]

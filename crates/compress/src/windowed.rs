@@ -90,8 +90,8 @@ pub fn compress_stats<C: Compressor + ?Sized>(
 
 /// Compresses `data` in `window_elems`-word windows appended straight to
 /// `bytes`, pushing the stream position after each window (and once up
-/// front) onto `offsets` — the `u32` offset-table convention of the
-/// `cdma-serve` wire format, whose exec path is the main caller. Windows
+/// front) onto `offsets` — the `u32` offset-table convention of a
+/// `cdma-serve` response, whose exec path is the main caller. Windows
 /// go through [`Compressor::compress_append`], so ZVC lands in the SIMD
 /// kernel tiers with no per-window allocation.
 ///

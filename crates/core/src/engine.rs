@@ -1,5 +1,5 @@
 use cdma_compress::{windowed, Algorithm, Codec, CompressionStats, DecodeError};
-use cdma_gpusim::{DmaPipeline, OffloadSim, OffloadSimResult, SystemConfig};
+use cdma_gpusim::{DmaPipeline, OffloadSimResult, SystemConfig};
 use cdma_tensor::Tensor;
 use cdma_vdnn::timeline::prefetch_seconds;
 
@@ -20,7 +20,6 @@ use cdma_vdnn::timeline::prefetch_seconds;
 pub struct CdmaEngine {
     cfg: SystemConfig,
     algorithm: Algorithm,
-    window_bytes: usize,
 }
 
 /// The result of a `cudaMemcpyCompressed()`-style offload: the compressed
@@ -77,14 +76,13 @@ fn stream_lines(stream: &windowed::WindowedStream) -> impl Iterator<Item = (u32,
 /// buffer plus one persistent [`DmaPipeline`], both recycled across
 /// offloads.
 ///
-/// [`CdmaEngine::memcpy_compressed`] builds a fresh stream and a fresh
-/// discrete-event pipeline per call, whose schedule ring regrows from
-/// empty every time — a steady allocation drip that a long-running
-/// service (one offload per request, thousands of requests per second)
-/// cannot afford. The scratch keeps both alive and
+/// A long-running service (one offload per request, thousands of requests
+/// per second) cannot afford a stream and a schedule ring that regrow from
+/// empty on every call. The scratch keeps both alive and
 /// [`DmaPipeline::reset`]s the pipeline instead, so repeated same-shape
 /// offloads allocate nothing (pinned by the workspace's
-/// counting-allocator test).
+/// counting-allocator test). [`CdmaEngine::memcpy_compressed`] is the same
+/// path on a scratch it builds and gives away.
 #[derive(Debug, Clone)]
 pub struct OffloadScratch {
     stream: windowed::WindowedStream,
@@ -112,38 +110,12 @@ impl OffloadScratch {
 impl CdmaEngine {
     /// Creates an engine with an explicit algorithm.
     pub fn new(cfg: SystemConfig, algorithm: Algorithm) -> Self {
-        CdmaEngine {
-            cfg,
-            algorithm,
-            window_bytes: windowed::DEFAULT_WINDOW_BYTES,
-        }
+        CdmaEngine { cfg, algorithm }
     }
 
     /// The paper's hardware design point: zero-value compression.
     pub fn zvc(cfg: SystemConfig) -> Self {
         CdmaEngine::new(cfg, Algorithm::Zvc)
-    }
-
-    /// Overrides the compression window (must be a positive multiple of
-    /// 4 bytes; the paper studied 4 KB–64 KB and found little difference).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window is larger than the platform's DMA staging
-    /// buffer: a window is one read request, which reserves its whole
-    /// uncompressed size there, so such a line could never issue.
-    pub fn with_window(mut self, window_bytes: usize) -> Self {
-        assert!(
-            window_bytes >= 4 && window_bytes.is_multiple_of(4),
-            "window must be a positive multiple of 4 bytes"
-        );
-        assert!(
-            window_bytes <= self.cfg.dma_buffer,
-            "window of {window_bytes} bytes cannot fit the {}-byte DMA buffer",
-            self.cfg.dma_buffer
-        );
-        self.window_bytes = window_bytes;
-        self
     }
 
     /// The platform configuration.
@@ -162,16 +134,14 @@ impl CdmaEngine {
     }
 
     /// Offloads an activation buffer GPU→CPU with on-the-fly compression:
-    /// the `cudaMemcpyCompressed()` analogue.
+    /// the `cudaMemcpyCompressed()` analogue. This is
+    /// [`CdmaEngine::offload_into`] on a fresh scratch whose stream the copy
+    /// keeps.
     pub fn memcpy_compressed(&self, data: &[f32]) -> CompressedCopy {
-        let mut stream = windowed::WindowedStream::default();
-        self.compress_windows(data, &mut stream);
-        let stats = stream.stats();
-        // Line table for the discrete-event pipeline, streamed straight off
-        // the window-offset table — no per-offload size vector is built.
-        let transfer = OffloadSim::new(self.cfg).run_line_iter(stream_lines(&stream));
+        let mut scratch = OffloadScratch::for_engine(self);
+        let (stats, transfer) = self.offload_into(data, &mut scratch);
         CompressedCopy {
-            stream,
+            stream: scratch.stream,
             algorithm: self.algorithm,
             stats,
             transfer,
@@ -183,23 +153,14 @@ impl CdmaEngine {
         self.memcpy_compressed(tensor.as_slice())
     }
 
-    /// Compresses `data` and returns only the byte accounting and the
+    /// Compresses `data` and reports only the byte accounting and the
     /// per-window `(uncompressed, compressed)` line table, skipping the
     /// transfer simulation — for callers that feed the lines into their own
     /// pipeline or timeline (e.g. `cdma_core::measured` building a
     /// [`cdma_vdnn::timeline::MeasuredStream`]) and would otherwise pay for
-    /// a discrete-event run whose timing they discard.
-    pub fn compress_lines(&self, data: &[f32]) -> (CompressionStats, Vec<(u32, u32)>) {
-        let mut scratch = windowed::WindowedStream::default();
-        let mut lines = Vec::new();
-        let stats = self.compress_lines_into(data, &mut scratch, &mut lines);
-        (stats, lines)
-    }
-
-    /// Streaming form of [`CdmaEngine::compress_lines`]: recompresses into
+    /// a discrete-event run whose timing they discard. Recompresses into
     /// the caller-owned `scratch` stream and rewrites `lines` in place
-    /// (cleared first, capacity kept), so loops that build line tables —
-    /// e.g. `cdma_core::measured` synthesizing one stream per layer —
+    /// (cleared first, capacity kept), so loops that build line tables
     /// recycle one stream buffer and one line vector across all calls.
     pub fn compress_lines_into(
         &self,
@@ -215,11 +176,9 @@ impl CdmaEngine {
 
     /// The fully-recycled offload: compresses `data` into the scratch's
     /// stream and times the transfer on the scratch's persistent
-    /// [`DmaPipeline`] (reset, not reallocated). Numerically identical to
-    /// [`CdmaEngine::memcpy_compressed`] — same stream bytes, same
-    /// [`OffloadSimResult`] — but with **zero** steady-state allocation,
-    /// which makes it the entry point the `cdma-serve` request loop and
-    /// any other per-request caller should use.
+    /// [`DmaPipeline`] (reset, not reallocated), with **zero** steady-state
+    /// allocation, which makes it the entry point the `cdma-serve` request
+    /// loop and any other per-request caller should use.
     ///
     /// If the scratch was built for a different platform configuration,
     /// its pipeline is rebuilt once (an allocation) and retained.
@@ -241,9 +200,13 @@ impl CdmaEngine {
     }
 
     /// The one window-compression dispatch: recompresses `data` into
-    /// `recycled` (cleared first).
+    /// `recycled` (cleared first) in 4 KB windows.
     fn compress_windows(&self, data: &[f32], recycled: &mut windowed::WindowedStream) {
-        recycled.recompress(&self.algorithm.codec(), data, self.window_bytes);
+        recycled.recompress(
+            &self.algorithm.codec(),
+            data,
+            windowed::DEFAULT_WINDOW_BYTES,
+        );
     }
 
     /// The CPU→GPU prefetch direction: decompresses a copy back into
@@ -300,6 +263,7 @@ impl CdmaEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdma_gpusim::OffloadSim;
     use cdma_sparsity::ActivationGen;
     use cdma_tensor::{Layout, Shape4};
 
@@ -373,7 +337,9 @@ mod tests {
         let engine = CdmaEngine::zvc(SystemConfig::titan_x_pcie3());
         let data = sparse_data(35, 40_000);
         let copy = engine.memcpy_compressed(&data);
-        let (stats, lines) = engine.compress_lines(&data);
+        let mut scratch = windowed::WindowedStream::default();
+        let mut lines = Vec::new();
+        let stats = engine.compress_lines_into(&data, &mut scratch, &mut lines);
         assert_eq!(stats, copy.stats);
         assert_eq!(lines, copy.lines().collect::<Vec<_>>());
     }
@@ -385,10 +351,10 @@ mod tests {
         let mut lines = Vec::new();
         for n in [40_000usize, 30_000, 50_000] {
             let data = sparse_data(35, n);
-            let (fresh_stats, fresh_lines) = engine.compress_lines(&data);
+            let fresh = engine.memcpy_compressed(&data);
             let stats = engine.compress_lines_into(&data, &mut scratch, &mut lines);
-            assert_eq!(stats, fresh_stats);
-            assert_eq!(lines, fresh_lines);
+            assert_eq!(stats, fresh.stats);
+            assert_eq!(lines, fresh.lines().collect::<Vec<_>>());
         }
         // Steady state: a second same-sized pass allocates nothing.
         let data = sparse_data(35, 50_000);
@@ -398,17 +364,28 @@ mod tests {
         assert_eq!(lines.capacity(), cap);
     }
 
+    /// `memcpy_compressed` is `offload_into` on a fresh scratch, so a warm,
+    /// previously-used scratch (bigger and smaller streams before it) must
+    /// give the same stream bytes, `stats` and `transfer` — nothing may leak
+    /// through `DmaPipeline::reset` — and both must equal a pipeline built
+    /// from nothing for that one transfer.
     #[test]
     fn offload_into_matches_memcpy_compressed() {
-        let engine = CdmaEngine::zvc(SystemConfig::titan_x_pcie3());
-        let mut scratch = OffloadScratch::for_engine(&engine);
-        for n in [40_000usize, 25_000, 60_000] {
-            let data = sparse_data(35, n);
-            let fresh = engine.memcpy_compressed(&data);
-            let (stats, transfer) = engine.offload_into(&data, &mut scratch);
-            assert_eq!(stats, fresh.stats);
-            assert_eq!(transfer, fresh.transfer);
-            assert_eq!(scratch.stream().as_bytes(), fresh.stream().as_bytes());
+        for alg in [Algorithm::Zvc, Algorithm::Rle] {
+            let engine = CdmaEngine::new(SystemConfig::titan_x_pcie3(), alg);
+            let mut scratch = OffloadScratch::for_engine(&engine);
+            for (density, n) in [(35, 40_000usize), (90, 25_000), (10, 60_000)] {
+                let data = sparse_data(density, n);
+                let fresh = engine.memcpy_compressed(&data);
+                let (stats, transfer) = engine.offload_into(&data, &mut scratch);
+                assert_eq!(stats, fresh.stats);
+                assert_eq!(transfer, fresh.transfer);
+                assert_eq!(scratch.stream().as_bytes(), fresh.stream().as_bytes());
+                assert_eq!(
+                    transfer,
+                    OffloadSim::new(engine.config()).run_lines(fresh.lines())
+                );
+            }
         }
     }
 
@@ -430,32 +407,6 @@ mod tests {
         let t = engine.prefetch_time(&copy);
         let link_time = copy.stats.compressed_bytes as f64 / 12.8e9;
         assert!((t - link_time).abs() / link_time < 1e-6);
-    }
-
-    #[test]
-    fn window_override_changes_nothing_for_zvc() {
-        let data = sparse_data(40, 65_536);
-        let cfg = SystemConfig::titan_x_pcie3();
-        let a = CdmaEngine::zvc(cfg).memcpy_compressed(&data);
-        let b = CdmaEngine::zvc(cfg)
-            .with_window(16 * 1024)
-            .memcpy_compressed(&data);
-        assert_eq!(a.stats.compressed_bytes, b.stats.compressed_bytes);
-    }
-
-    #[test]
-    fn largest_studied_window_offloads() {
-        let data = sparse_data(40, 65_536);
-        let engine = CdmaEngine::zvc(SystemConfig::titan_x_pcie3()).with_window(64 * 1024);
-        let copy = engine.memcpy_compressed(&data);
-        assert_eq!(copy.lines().count(), 4);
-        assert_eq!(engine.memcpy_decompressed(&copy).unwrap(), data);
-    }
-
-    #[test]
-    #[should_panic(expected = "window of 131072 bytes cannot fit the 71680-byte DMA buffer")]
-    fn window_larger_than_the_dma_buffer_is_rejected_up_front() {
-        let _ = CdmaEngine::zvc(SystemConfig::titan_x_pcie3()).with_window(128 * 1024);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use cdma_compress::Algorithm;
 use cdma_gpusim::SystemConfig;
 use cdma_tensor::Layout;
-use cdma_vdnn::{traffic, ComputeModel, CudnnVersion, StepSim, TransferPolicy};
+use cdma_vdnn::{traffic, ComputeModel, CudnnVersion, TimelineSim, TransferPolicy, UniformRatio};
 
 use crate::report::{Cell, Report, Table};
 use crate::scenario::{Context, Runner, ScenarioFilter, ScenarioSet};
@@ -287,11 +287,11 @@ pub fn fig13(ctx: &Context, runner: &Runner, filter: &ScenarioFilter) -> Fig13Re
             .filter(|s| &s.network == network)
             .collect();
         let cfg = cells[0].config;
-        let sim = StepSim::new(cfg, ComputeModel::titan_x(CudnnVersion::V5));
+        let sim = TimelineSim::new(cfg, ComputeModel::titan_x(CudnnVersion::V5));
         let mut rows = vec![Fig13Row {
             network: network.clone(),
             config: PerfConfig::Vdnn,
-            performance: sim.normalized_performance(&spec, TransferPolicy::uniform(&spec, 1.0)),
+            performance: sim.normalized_performance(&spec, &UniformRatio::uniform(&spec, 1.0)),
         }];
         for s in cells {
             let t = ctx.traffic(&s.network, s.algorithm, s.layout);
@@ -299,7 +299,10 @@ pub fn fig13(ctx: &Context, runner: &Runner, filter: &ScenarioFilter) -> Fig13Re
             rows.push(Fig13Row {
                 network: network.clone(),
                 config: PerfConfig::Cdma(s.algorithm),
-                performance: sim.normalized_performance(&spec, TransferPolicy::OffloadAll(ratios)),
+                performance: sim.normalized_performance(
+                    &spec,
+                    &UniformRatio::new(&spec, TransferPolicy::OffloadAll(ratios)),
+                ),
             });
         }
         rows.push(Fig13Row {
@@ -427,13 +430,13 @@ pub fn fig03(ctx: &Context, runner: &Runner, filter: &ScenarioFilter) -> Fig03Re
             .into_iter()
             .map(|v| {
                 let model = ComputeModel::titan_x(v);
-                let sim = StepSim::new(cfg, model);
+                let sim = TimelineSim::new(cfg, model);
                 Fig3Row {
                     network: network.clone(),
                     version: v,
                     speedup_vs_v1: t1 / model.step_compute_time(&spec),
                     vdnn_performance: sim
-                        .normalized_performance(&spec, TransferPolicy::uniform(&spec, 1.0)),
+                        .normalized_performance(&spec, &UniformRatio::uniform(&spec, 1.0)),
                 }
             })
             .collect::<Vec<_>>()
@@ -514,15 +517,18 @@ pub fn headline(ctx: &Context, cfg: SystemConfig) -> Headline {
     let mut ratios = Vec::new();
     let mut max_ratio = 0f64;
     let mut improvements = Vec::new();
-    let sim = StepSim::new(cfg, ComputeModel::titan_x(CudnnVersion::V5));
+    let sim = TimelineSim::new(cfg, ComputeModel::titan_x(CudnnVersion::V5));
     for spec in ctx.specs() {
         let t = ctx.traffic(spec.name(), Algorithm::Zvc, Layout::Nchw);
         ratios.push(t.avg_ratio());
         max_ratio = max_ratio.max(t.max_layer_ratio());
-        let vdnn = sim.normalized_performance(spec, TransferPolicy::uniform(spec, 1.0));
+        let vdnn = sim.normalized_performance(spec, &UniformRatio::uniform(spec, 1.0));
         let cdma = sim.normalized_performance(
             spec,
-            TransferPolicy::OffloadAll(traffic::per_layer_ratios(&t)),
+            &UniformRatio::new(
+                spec,
+                TransferPolicy::OffloadAll(traffic::per_layer_ratios(&t)),
+            ),
         );
         improvements.push(cdma / vdnn - 1.0);
     }

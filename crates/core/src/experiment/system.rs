@@ -9,7 +9,9 @@ use cdma_gpusim::energy::EnergyModel;
 use cdma_gpusim::{OffloadSim, SystemConfig, ZvcEngine};
 use cdma_sparsity::ActivationGen;
 use cdma_tensor::{Layout, Shape4};
-use cdma_vdnn::{memory, traffic, ComputeModel, CudnnVersion, StepSim, TransferPolicy};
+use cdma_vdnn::{
+    memory, traffic, ComputeModel, CudnnVersion, TimelineSim, TransferPolicy, UniformRatio,
+};
 
 use super::grid::headline;
 use crate::report::{Cell, Report, Table};
@@ -57,7 +59,7 @@ pub fn overheads(ctx: &Context) -> OverheadsReport {
             dma_buffer: buffer_kb * 1024,
             ..cfg
         };
-        let r = OffloadSim::new(sized).run_line_iter(
+        let r = OffloadSim::new(sized).run_lines(
             (0..stream.layer_count()).flat_map(|i| stream.layer_lines(i).iter().copied()),
         );
         buffer_sweep.push(BufferPoint {
@@ -535,9 +537,9 @@ fn ablation_link(ctx: &Context) -> Table {
         ),
     ] {
         let h = headline(ctx, cfg);
-        let sim = StepSim::new(cfg, ComputeModel::titan_x(CudnnVersion::V5));
+        let sim = TimelineSim::new(cfg, ComputeModel::titan_x(CudnnVersion::V5));
         let spec = ctx.spec("SqueezeNet");
-        let vdnn_perf = sim.normalized_performance(&spec, TransferPolicy::uniform(&spec, 1.0));
+        let vdnn_perf = sim.normalized_performance(&spec, &UniformRatio::uniform(&spec, 1.0));
         table.row([
             name.into(),
             Cell::Num(cfg.pcie_bw / 1e9),
@@ -551,17 +553,19 @@ fn ablation_link(ctx: &Context) -> Table {
 /// Offload-all vs conv-only policy.
 fn ablation_policy(ctx: &Context, runner: &Runner) -> Table {
     let cfg = SystemConfig::titan_x_pcie3();
-    let sim = StepSim::new(cfg, ComputeModel::titan_x(CudnnVersion::V5));
+    let sim = TimelineSim::new(cfg, ComputeModel::titan_x(CudnnVersion::V5));
     let rows = runner.map(ctx.specs(), |spec| {
         let t = ctx.traffic(spec.name(), Algorithm::Zvc, Layout::Nchw);
         let ratios = traffic::per_layer_ratios(&t);
-        let all_plain = sim.normalized_performance(spec, TransferPolicy::uniform(spec, 1.0));
-        let conv_plain = sim.normalized_performance(
+        let conv_only = |ratios| UniformRatio::new(spec, TransferPolicy::OffloadConv(ratios));
+        let all_plain = sim.normalized_performance(spec, &UniformRatio::uniform(spec, 1.0));
+        let conv_plain =
+            sim.normalized_performance(spec, &conv_only(vec![1.0; spec.layers().len()]));
+        let all_zv = sim.normalized_performance(
             spec,
-            TransferPolicy::OffloadConv(vec![1.0; spec.layers().len()]),
+            &UniformRatio::new(spec, TransferPolicy::OffloadAll(ratios.clone())),
         );
-        let all_zv = sim.normalized_performance(spec, TransferPolicy::OffloadAll(ratios.clone()));
-        let conv_zv = sim.normalized_performance(spec, TransferPolicy::OffloadConv(ratios));
+        let conv_zv = sim.normalized_performance(spec, &conv_only(ratios));
         (
             spec.name().to_owned(),
             all_plain,

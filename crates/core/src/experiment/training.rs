@@ -9,7 +9,9 @@ use cdma_models::rnn::{self, RnnActivation};
 use cdma_models::{tiny, zoo};
 use cdma_sparsity::TRAINING_CHECKPOINTS;
 use cdma_tensor::Layout;
-use cdma_vdnn::{ComputeModel, CudnnVersion, StepSim, TransferPolicy};
+use cdma_vdnn::{
+    ComputeModel, CudnnVersion, ProfiledDensity, TimelineSim, TransferPolicy, UniformRatio,
+};
 
 use crate::report::{Cell, Report, Table};
 use crate::scenario::{Context, Runner, ScenarioFilter};
@@ -156,12 +158,12 @@ pub struct TrainingRunSummary {
 
 impl TrainingRunSummary {
     /// Whole-run speedup of cDMA over vDNN.
-    pub fn cdma_speedup(&self) -> f64 {
+    fn cdma_speedup(&self) -> f64 {
         self.vdnn_hours / self.cdma_hours
     }
 
     /// Training days saved by cDMA vs vDNN.
-    pub fn days_saved(&self) -> f64 {
+    fn days_saved(&self) -> f64 {
         (self.vdnn_hours - self.cdma_hours) / 24.0
     }
 }
@@ -179,7 +181,7 @@ pub struct TrainingRunReport {
 /// steps are faster then — averaging would hide that).
 pub fn training_runs(ctx: &Context, runner: &Runner, filter: &ScenarioFilter) -> TrainingRunReport {
     let cfg = cdma_gpusim::SystemConfig::titan_x_pcie3();
-    let sim = StepSim::new(cfg, ComputeModel::titan_x(CudnnVersion::V5));
+    let sim = TimelineSim::new(cfg, ComputeModel::titan_x(CudnnVersion::V5));
     let buckets = 10usize;
     let table = ctx.ratio_table();
     let pairs: Vec<(&cdma_models::NetworkSpec, zoo::TableOneRow)> = ctx
@@ -193,28 +195,24 @@ pub fn training_runs(ctx: &Context, runner: &Runner, filter: &ScenarioFilter) ->
         let profile = ctx.profile(spec.name());
         let iterations = row.trained_kiter as u64 * 1000;
         let per_bucket = iterations as f64 / buckets as f64;
-        let oracle_step = sim.step_time(spec, TransferPolicy::Oracle).total();
+        let oracle_step = sim
+            .simulate(spec, &UniformRatio::new(spec, TransferPolicy::Oracle))
+            .total();
         let vdnn_step = sim
-            .step_time(spec, TransferPolicy::uniform(spec, 1.0))
+            .simulate(spec, &UniformRatio::uniform(spec, 1.0))
             .total();
         let mut cdma_secs = 0.0;
         for k in 0..buckets {
             let t = (k as f64 + 0.5) / buckets as f64;
-            let ratios: Vec<f64> = spec
-                .layers()
-                .iter()
-                .map(|l| {
-                    let d = profile
-                        .trajectory(&l.name)
-                        .expect("profiled layer")
-                        .density_at(t);
-                    table.ratio(Algorithm::Zvc, Layout::Nchw, d)
-                })
-                .collect();
-            let step = sim
-                .step_time(spec, TransferPolicy::OffloadAll(ratios))
-                .total();
-            cdma_secs += step * per_bucket;
+            let source = ProfiledDensity::at_checkpoint(
+                spec,
+                &profile,
+                t,
+                Algorithm::Zvc,
+                Layout::Nchw,
+                &table,
+            );
+            cdma_secs += sim.simulate(spec, &source).total() * per_bucket;
         }
         TrainingRunSummary {
             network: spec.name().to_owned(),

@@ -7,7 +7,7 @@
 //! * [`capture_training_step`] — the genuine article: runs one minibatch of
 //!   a real `cdma-dnn` network through the [`Trainer`]'s offload hook,
 //!   pushes every layer's actual output tensor through
-//!   [`CdmaEngine::memcpy_compressed`], and collects the resulting line
+//!   [`CdmaEngine::compress_lines_into`], and collects the resulting line
 //!   tables. This is the software analogue of cDMA sitting on the offload
 //!   path during training.
 //! * [`synthesized_stream`] — the scalable stand-in for ImageNet-scale
@@ -63,15 +63,20 @@ pub fn capture_training_step(
         spec.layers().len(),
         "one probe layer per spec layer required"
     );
-    let (_, input) = engine.compress_lines(images.as_slice());
+    // One compressed-stream scratch for the whole step; each finished line
+    // table is moved out of `lines`.
+    let mut scratch = WindowedStream::default();
+    let mut lines = Vec::new();
+    engine.compress_lines_into(images.as_slice(), &mut scratch, &mut lines);
+    let input = std::mem::take(&mut lines);
 
     let mut per_layer: Vec<Option<Vec<(u32, u32)>>> = vec![None; probe_names.len()];
     let mut ratios: Vec<f64> = vec![0.0; probe_names.len()];
     let loss = trainer.train_step_probed(images, labels, &mut |name, _, out| {
         if let Some(i) = probe_names.iter().position(|p| *p == name) {
-            let (stats, lines) = engine.compress_lines(out.as_slice());
+            let stats = engine.compress_lines_into(out.as_slice(), &mut scratch, &mut lines);
             ratios[i] = stats.ratio();
-            per_layer[i] = Some(lines);
+            per_layer[i] = Some(std::mem::take(&mut lines));
         }
     });
 

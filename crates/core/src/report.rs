@@ -212,7 +212,7 @@ impl Table {
     }
 
     /// Renders the table as aligned text.
-    pub fn render_text(&self) -> String {
+    fn render_text(&self) -> String {
         let cells: Vec<Vec<String>> = self
             .rows
             .iter()
@@ -246,7 +246,7 @@ impl Table {
     }
 
     /// Renders the table as a CSV block (header row + data rows).
-    pub fn render_csv(&self) -> String {
+    fn render_csv(&self) -> String {
         let mut out = String::new();
         let header: Vec<String> = self.columns.iter().map(|c| csv_field(c)).collect();
         out.push_str(&header.join(","));
@@ -303,7 +303,7 @@ pub struct Artifact {
 
 /// The common interface of every experiment result: a machine id, a human
 /// title, tables, and optional notes/artifacts. Render one with
-/// [`render`] (or [`render_text`] / [`render_csv`] / [`render_json`]).
+/// [`render`] (or [`render_json`]).
 pub trait Report {
     /// Stable machine name (the CLI experiment name, e.g. `"fig11"`).
     fn name(&self) -> &'static str;
@@ -371,7 +371,7 @@ pub fn render(report: &dyn Report, format: Format) -> String {
 
 /// Renders a report as human-readable text: a banner, each table aligned,
 /// then the notes.
-pub fn render_text(report: &dyn Report) -> String {
+fn render_text(report: &dyn Report) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "=== {} [{}] ===", report.title(), report.name());
     for table in report.tables() {
@@ -391,7 +391,7 @@ pub fn render_text(report: &dyn Report) -> String {
 /// Renders a report as CSV: each table as a `# <report>: <table>` comment
 /// line followed by its header + data block, blocks separated by blank
 /// lines. Notes and artifacts are omitted.
-pub fn render_csv(report: &dyn Report) -> String {
+fn render_csv(report: &dyn Report) -> String {
     let mut out = String::new();
     for (i, table) in report.tables().iter().enumerate() {
         if i > 0 {

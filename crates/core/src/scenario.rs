@@ -324,6 +324,7 @@ impl ScenarioBuilder {
     /// assert_eq!(set.scenarios()[0].link_policy, LinkPolicy::BandwidthShare);
     /// assert_eq!(set.scenarios()[1].link_policy.label(), "round-robin");
     /// ```
+    // pub: a sweep axis of the builder; its doctest is the caller
     pub fn link_policies<I: IntoIterator<Item = LinkPolicy>>(mut self, policies: I) -> Self {
         self.link_policies = policies.into_iter().collect();
         self
@@ -401,6 +402,7 @@ impl ScenarioBuilder {
     /// assert_eq!(set.len(), 2);
     /// assert!(set.scenarios()[1].label().ends_with("churn"));
     /// ```
+    // pub: a sweep axis of the builder; its doctest is the caller
     pub fn tenancies<I: IntoIterator<Item = Tenancy>>(mut self, tenancies: I) -> Self {
         self.tenancies = tenancies.into_iter().collect();
         self

@@ -37,12 +37,6 @@ impl Sequential {
         self
     }
 
-    /// Appends a boxed layer.
-    pub fn push_boxed(&mut self, layer: Box<dyn Layer>) -> &mut Self {
-        self.layers.push(layer);
-        self
-    }
-
     /// Number of layers.
     pub fn len(&self) -> usize {
         self.layers.len()
@@ -51,11 +45,6 @@ impl Sequential {
     /// Whether the network has no layers.
     pub fn is_empty(&self) -> bool {
         self.layers.is_empty()
-    }
-
-    /// Layer names in execution order.
-    pub fn layer_names(&self) -> Vec<String> {
-        self.layers.iter().map(|l| l.name().to_owned()).collect()
     }
 
     /// Runs forward, invoking `probe(name, kind, output)` after every layer
@@ -151,11 +140,6 @@ impl Parallel {
             branch_channels: Vec::new(),
             input_shape: None,
         }
-    }
-
-    /// Number of branches.
-    pub fn branch_count(&self) -> usize {
-        self.branches.len()
     }
 }
 
@@ -300,7 +284,6 @@ mod tests {
             Shape4::new(2, 4, 3, 3)
         );
         assert_eq!(net.len(), 3);
-        assert_eq!(net.layer_names(), vec!["c0", "r0", "c1"]);
     }
 
     #[test]
@@ -352,7 +335,6 @@ mod tests {
         let mut b2 = Sequential::named("b2");
         b2.push(Conv2d::new("b2c", 3, 6, 3, 1, 1, 1));
         let mut inception = Parallel::new("inc", vec![b1, b2]);
-        assert_eq!(inception.branch_count(), 2);
         let x = pattern_input();
         assert_eq!(inception.output_shape(x.shape()), Shape4::new(2, 10, 4, 4));
         let y = inception.forward(&x, Mode::Train);

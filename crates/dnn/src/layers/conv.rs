@@ -75,6 +75,7 @@ impl Conv2d {
     }
 
     /// Switches the forward/backward implementation.
+    // pub: the only way to select the reference implementation `ConvImpl::Direct`
     pub fn with_impl(mut self, implementation: ConvImpl) -> Self {
         self.implementation = implementation;
         self
@@ -83,11 +84,6 @@ impl Conv2d {
     /// Kernel size.
     pub fn kernel(&self) -> usize {
         self.kernel
-    }
-
-    /// Output channels.
-    pub fn out_channels(&self) -> usize {
-        self.out_c
     }
 
     fn out_extent(&self, input: usize) -> usize {

@@ -49,11 +49,6 @@ impl Pool {
         }
     }
 
-    /// AlexNet-style overlapping 3×3/stride-2 max pool.
-    pub fn max3x3s2(name: &str) -> Self {
-        Pool::new(name, PoolKind::Max, 3, 2)
-    }
-
     fn out_extent(&self, input: usize) -> usize {
         assert!(
             input >= self.window,
@@ -209,7 +204,7 @@ mod tests {
     #[test]
     fn output_shape_alexnet_pool0() {
         // AlexNet pool0: (96, 55, 55) -> (96, 27, 27) with 3x3 s2.
-        let p = Pool::max3x3s2("pool0");
+        let p = Pool::new("pool0", PoolKind::Max, 3, 2);
         assert_eq!(
             p.output_shape(Shape4::new(1, 96, 55, 55)),
             Shape4::new(1, 96, 27, 27)

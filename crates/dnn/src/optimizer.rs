@@ -33,18 +33,13 @@ impl Sgd {
         }
     }
 
-    /// The paper's setup: lr 0.01, momentum 0.9, light weight decay.
-    pub fn paper_defaults() -> Self {
-        Sgd::new(0.01, 0.9, 5e-4)
-    }
-
     /// Current learning rate.
-    pub fn lr(&self) -> f64 {
+    fn lr(&self) -> f64 {
         self.lr
     }
 
     /// Overrides the learning rate (used by the plateau schedule).
-    pub fn set_lr(&mut self, lr: f64) {
+    fn set_lr(&mut self, lr: f64) {
         assert!(lr > 0.0, "learning rate must be positive, got {lr}");
         self.lr = lr;
     }
@@ -117,11 +112,6 @@ impl PlateauSchedule {
             best: f64::INFINITY,
             since_best: 0,
         }
-    }
-
-    /// The paper's setup: reduce by 0.1, stop below 1e-5.
-    pub fn paper_defaults() -> Self {
-        PlateauSchedule::new(0.1, 3, 1e-5)
     }
 
     /// Observes a validation loss (lower is better). Reduces the optimizer

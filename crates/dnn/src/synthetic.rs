@@ -62,7 +62,7 @@ impl SyntheticImages {
     }
 
     /// Generates one image per provided label.
-    pub fn batch_for_labels(&mut self, labels: &[usize]) -> Tensor {
+    fn batch_for_labels(&mut self, labels: &[usize]) -> Tensor {
         let shape = self.shape(labels.len());
         let mut out = Tensor::zeros(shape, Layout::Nchw);
         for (n, &label) in labels.iter().enumerate() {

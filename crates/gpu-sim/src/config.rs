@@ -8,14 +8,6 @@ pub enum LinkKind {
 }
 
 impl LinkKind {
-    /// Peak data transfer bandwidth in bytes/second.
-    pub fn peak_bw(&self) -> f64 {
-        match self {
-            LinkKind::PcieGen3 => 16e9,
-            LinkKind::NvLink => 80e9,
-        }
-    }
-
     /// Effective DMA bandwidth in bytes/second. The paper measures
     /// 12.8 GB/s achieved on PCIe gen3 (Section III); NVLink sustains
     /// close to peak.
@@ -105,7 +97,7 @@ impl SystemConfig {
     /// (`COMP_BW / PCIe`); beyond this, compressed data cannot be produced
     /// fast enough and the paper inflates the transfer latency by
     /// `ratio / max_ratio`.
-    pub fn max_exploitable_ratio(&self) -> f64 {
+    fn max_exploitable_ratio(&self) -> f64 {
         self.usable_comp_bw() / self.pcie_bw
     }
 
@@ -181,7 +173,6 @@ mod tests {
 
     #[test]
     fn link_kinds_expose_bandwidths() {
-        assert_eq!(LinkKind::PcieGen3.peak_bw(), 16e9);
         assert!(LinkKind::NvLink.effective_bw() > LinkKind::PcieGen3.effective_bw());
     }
 }

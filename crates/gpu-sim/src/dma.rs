@@ -186,7 +186,8 @@ impl DmaPipeline {
     /// read issues no earlier than `not_before` (the moment the transfer is
     /// requested — e.g. the start of the layer's compute stage), subject to
     /// read-path pacing and buffer backpressure. Returns the line's
-    /// schedule; [`DmaPipeline::completion_time`] moves to its drain end.
+    /// schedule; the transfer's `total_time` ([`DmaPipeline::result`]) moves
+    /// to its drain end.
     ///
     /// The backpressure search steps through the pipeline's own events:
     /// every pass either consumes one in-flight arrival or computes the
@@ -342,7 +343,8 @@ impl DmaPipeline {
 
     /// When the link finishes draining everything pushed so far (0 when
     /// nothing was pushed).
-    pub fn completion_time(&self) -> f64 {
+    #[cfg(test)]
+    fn completion_time(&self) -> f64 {
         self.drain_free
     }
 
@@ -391,29 +393,18 @@ impl OffloadSim {
             remaining -= u;
             sizes.push((u as u32, (u as f64 / ratio).ceil() as u32));
         }
-        self.run_lines(&sizes)
+        self.run_lines(sizes)
     }
 
     /// Offloads explicit `(uncompressed, compressed)` line sizes — e.g. the
-    /// per-window sizes of a real ZVC stream.
+    /// per-window sizes of a real ZVC stream, consumed as they are produced
+    /// (no line table need be materialized).
     ///
     /// # Panics
     ///
     /// Panics if any uncompressed line exceeds the DMA buffer capacity (it
     /// could never be issued).
-    pub fn run_lines(&self, lines: &[(u32, u32)]) -> OffloadSimResult {
-        self.run_line_iter(lines.iter().copied())
-    }
-
-    /// Streaming form of [`OffloadSim::run_lines`]: consumes line sizes as
-    /// they are produced (e.g. zipped straight off a compressed stream's
-    /// window-size iterator) without materializing a line table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any uncompressed line exceeds the DMA buffer capacity (it
-    /// could never be issued).
-    pub fn run_line_iter(&self, lines: impl IntoIterator<Item = (u32, u32)>) -> OffloadSimResult {
+    pub fn run_lines(&self, lines: impl IntoIterator<Item = (u32, u32)>) -> OffloadSimResult {
         let mut pipeline = DmaPipeline::new(self.cfg);
         for (u, c) in lines {
             pipeline.push_line(0.0, u, c);
@@ -546,7 +537,7 @@ mod tests {
                 (u, c)
             })
             .collect();
-        let r = OffloadSim::new(cfg()).run_lines(&lines);
+        let r = OffloadSim::new(cfg()).run_lines(lines.iter().copied());
         assert_eq!(r.uncompressed_bytes, 4096 * 1000);
         // i % 3 == 0 occurs 334 times in 0..1000; the others 333 each.
         assert_eq!(r.compressed_bytes, 334 * 128 + 333 * 1575 + 333 * 4096);
@@ -578,7 +569,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot fit")]
     fn oversized_line_rejected() {
-        let _ = OffloadSim::new(cfg()).run_lines(&[(100_000, 50_000)]);
+        let _ = OffloadSim::new(cfg()).run_lines([(100_000, 50_000)]);
     }
 
     /// Deterministic LCG for adversarial line mixes.
@@ -610,7 +601,7 @@ mod tests {
                 _ => (64, 64),       // sub-line runt
             });
         }
-        let r = OffloadSim::new(small).run_lines(&lines);
+        let r = OffloadSim::new(small).run_lines(lines.iter().copied());
         let cap = small.dma_buffer as f64;
         assert!(
             r.max_buffer_occupancy <= cap + 1.0,
@@ -637,7 +628,7 @@ mod tests {
                     (u, c)
                 })
                 .collect();
-            let batch = OffloadSim::new(cfg()).run_lines(&lines);
+            let batch = OffloadSim::new(cfg()).run_lines(lines.iter().copied());
             let mut pipe = DmaPipeline::new(cfg());
             let mut last_issue = 0.0;
             for (i, &(u, c)) in lines.iter().enumerate() {
@@ -670,7 +661,7 @@ mod tests {
     #[test]
     fn reset_pipeline_matches_fresh_and_keeps_capacity() {
         let lines: Vec<(u32, u32)> = (0..500).map(|i| (4096, 512 + (i % 7) * 512)).collect();
-        let fresh = OffloadSim::new(cfg()).run_lines(&lines);
+        let fresh = OffloadSim::new(cfg()).run_lines(lines.iter().copied());
         let mut pipe = DmaPipeline::new(cfg());
         for &(u, c) in &lines {
             pipe.push_line(0.0, u, c);

@@ -34,21 +34,17 @@ fn for_each_case(seed: u64, mut check: impl FnMut(u64, &mut StdRng)) {
     }
 }
 
-/// Byte accounting is conserved: the sim reports exactly the bytes fed,
-/// whether the lines arrive as a slice or as a streamed iterator.
+/// Byte accounting is conserved: the sim reports exactly the bytes fed.
 #[test]
 fn byte_conservation() {
     for_each_case(0xB17E5, |case, rng| {
         let lines = line_set(rng);
         let sim = OffloadSim::new(SystemConfig::titan_x_pcie3());
-        let r = sim.run_lines(&lines);
+        let r = sim.run_lines(lines.iter().copied());
         let u: u64 = lines.iter().map(|&(u, _)| u as u64).sum();
         let c: u64 = lines.iter().map(|&(_, c)| c as u64).sum();
         assert_eq!(r.uncompressed_bytes, u, "case {case}");
         assert_eq!(r.compressed_bytes, c, "case {case}");
-        // The iterator entry point is the same simulation.
-        let r2 = sim.run_line_iter(lines.iter().copied());
-        assert_eq!(r, r2, "case {case}: slice vs iterator");
     });
 }
 
@@ -60,7 +56,7 @@ fn physical_lower_bounds() {
     for_each_case(0xB007, |case, rng| {
         let lines = line_set(rng);
         let cfg = SystemConfig::titan_x_pcie3();
-        let r = OffloadSim::new(cfg).run_lines(&lines);
+        let r = OffloadSim::new(cfg).run_lines(lines.iter().copied());
         let link = r.compressed_bytes as f64 / cfg.pcie_bw;
         let read = r.uncompressed_bytes as f64 / cfg.usable_comp_bw();
         assert!(
@@ -80,7 +76,7 @@ fn buffer_capacity_respected() {
     for_each_case(0xCAFE, |case, rng| {
         let lines = line_set(rng);
         let cfg = SystemConfig::titan_x_pcie3();
-        let r = OffloadSim::new(cfg).run_lines(&lines);
+        let r = OffloadSim::new(cfg).run_lines(lines.iter().copied());
         assert!(
             r.max_buffer_occupancy <= cfg.dma_buffer as f64 + 1.0,
             "case {case}: occupancy {} > buffer {}",

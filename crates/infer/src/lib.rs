@@ -60,5 +60,5 @@ pub mod weights;
 
 pub use engine::InferEngine;
 pub use kernel::InferKernel;
-pub use pe::{BusyIntervals, PeArray, PeTimeline, PeTrace, PeWorkload};
+pub use pe::{BusyIntervals, PeArray, PeTimeline, PeWorkload};
 pub use weights::{column_seed, fc_weight_dims, fill_weights, CscMatrix};

@@ -105,8 +105,8 @@ impl PeWorkload {
     }
 
     /// Mutable access for property tests that perturb one slice.
-    #[doc(hidden)]
-    pub fn col_pe_nnz_mut(&mut self, c: usize, k: usize) -> &mut u32 {
+    #[cfg(test)]
+    fn col_pe_nnz_mut(&mut self, c: usize, k: usize) -> &mut u32 {
         &mut self.nnz[c * self.pes + k]
     }
 }
@@ -152,21 +152,13 @@ impl PeTimeline {
         self.busy_cycles.iter().sum::<u64>() as f64
             / (self.cycles as f64 * self.busy_cycles.len() as f64)
     }
-
-    /// PE `k`'s busy intervals in seconds at `clock_hz`, ready for the
-    /// Gantt renderers that plot link/pipeline spans.
-    pub fn busy_seconds(&self, k: usize, clock_hz: f64) -> Vec<(f64, f64)> {
-        self.intervals[k]
-            .iter()
-            .map(|&(a, b)| (a as f64 / clock_hz, b as f64 / clock_hz))
-            .collect()
-    }
 }
 
 /// Execution trace kept by [`PeArray::run_traced`] for invariant checks:
 /// exact broadcast and per-PE start/finish times per column.
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq)]
-pub struct PeTrace {
+struct PeTrace {
     /// Cycle each processed column was broadcast at.
     pub broadcast_cycles: Vec<u64>,
     /// `spans[k][n] = (start, finish)` of PE `k` on the `n`-th processed
@@ -234,8 +226,9 @@ impl PeArray {
     }
 
     /// [`PeArray::run`] keeping a full [`PeTrace`] — quadratic memory in
-    /// the matrix size, meant for tests and small Gantt renders.
-    pub fn run_traced(
+    /// the matrix size, meant for tests.
+    #[cfg(test)]
+    fn run_traced(
         &self,
         workload: &PeWorkload,
         acts: &[f32],
@@ -503,9 +496,6 @@ mod tests {
             assert!(iv.windows(2).all(|p| p[0].1 < p[1].0), "coalesced + sorted");
             let busy: u64 = iv.iter().map(|&(a, b)| b - a).sum();
             assert_eq!(busy, t.busy_cycles[k]);
-            let secs = t.busy_seconds(k, 800e6);
-            assert_eq!(secs.len(), iv.len());
-            assert!(secs.iter().all(|&(a, b)| b > a && a >= 0.0));
         }
     }
 }

@@ -78,14 +78,6 @@ impl NetworkProfile {
             .sum();
         nonzero / total as f64
     }
-
-    /// Per-layer `(name, density)` at training progress `t`.
-    pub fn densities_at(&self, t: f64) -> Vec<(String, f64)> {
-        self.layers
-            .iter()
-            .map(|l| (l.layer.clone(), l.trajectory.density_at(t)))
-            .collect()
-    }
 }
 
 /// Training-averaged, element-weighted target density per network. These
@@ -93,7 +85,7 @@ impl NetworkProfile {
 /// is explicitly 49.4% sparse (Section IV-A); the 1×1-heavy and very deep
 /// networks (SqueezeNet, GoogLeNet) sit at the sparse end, producing the
 /// network spread behind Fig. 11's per-network compression ratios.
-pub fn target_mean_density(network: &str) -> f64 {
+fn target_mean_density(network: &str) -> f64 {
     match network {
         "AlexNet" => 0.506,
         "OverFeat" => 0.380,
@@ -383,8 +375,9 @@ mod tests {
     fn densities_at_lists_every_layer() {
         let spec = zoo::alexnet();
         let profile = density_profile(&spec);
-        let ds = profile.densities_at(0.5);
-        assert_eq!(ds.len(), spec.layers().len());
-        assert!(ds.iter().all(|(_, d)| (0.0..=1.0).contains(d)));
+        for layer in spec.layers() {
+            let d = profile.trajectory(&layer.name).unwrap().density_at(0.5);
+            assert!((0.0..=1.0).contains(&d), "{}: {d}", layer.name);
+        }
     }
 }

@@ -14,9 +14,8 @@
 //! per-layer trajectories from the fc-layer family.
 
 use cdma_sparsity::DensityTrajectory;
-use cdma_tensor::Shape4;
 
-use crate::{LayerSpec, NetworkSpec, SpecBuilder};
+use crate::{NetworkSpec, SpecBuilder};
 
 /// Activation function family of an RNN spec.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,18 +72,11 @@ pub fn bptt_activation_bytes(spec: &NetworkSpec) -> u64 {
     spec.total_activation_bytes()
 }
 
-/// Per-layer output shape sanity helper.
-pub fn hidden_shape(spec: &NetworkSpec) -> Shape4 {
-    spec.layers()
-        .first()
-        .map(|l: &LayerSpec| l.out)
-        .expect("rnn has layers")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::profiles;
+    use cdma_tensor::Shape4;
 
     fn deep_speech_like(act: RnnActivation) -> NetworkSpec {
         // 5 recurrent layers, 50 timesteps, 1760-wide hidden state,
@@ -96,7 +88,7 @@ mod tests {
     fn unrolled_structure() {
         let spec = deep_speech_like(RnnActivation::Relu);
         assert_eq!(spec.layers().len(), 5 * 50);
-        assert_eq!(hidden_shape(&spec), Shape4::fc(1, 1760));
+        assert_eq!(spec.layers()[0].out, Shape4::fc(1, 1760));
         assert!(spec.layers().iter().all(|l| l.is_fc()));
     }
 

@@ -133,16 +133,6 @@ impl NetworkSpec {
             .sum()
     }
 
-    /// Activation bytes of convolution-layer outputs only (the `vDNN-conv`
-    /// policy of the original vDNN paper).
-    pub fn conv_activation_bytes(&self) -> u64 {
-        self.layers
-            .iter()
-            .filter(|l| l.is_conv())
-            .map(|l| l.activation_bytes(self.batch))
-            .sum()
-    }
-
     /// Total trainable parameters of the network.
     pub fn total_params(&self) -> u64 {
         self.layers.iter().map(|l| l.params).sum()
@@ -457,8 +447,15 @@ mod tests {
             .pool("p0", PoolFlavor::Max, 2, 2)
             .fc("fc", 10, false);
         let spec = b.build();
-        assert!(spec.conv_activation_bytes() < spec.total_activation_bytes());
-        assert_eq!(spec.conv_activation_bytes(), 2 * 8 * 8 * 4);
+        // The `vDNN-conv` policy of the original vDNN paper: conv outputs only.
+        let conv_bytes: u64 = spec
+            .layers()
+            .iter()
+            .filter(|l| l.is_conv())
+            .map(|l| l.activation_bytes(spec.batch()))
+            .sum();
+        assert!(conv_bytes < spec.total_activation_bytes());
+        assert_eq!(conv_bytes, 2 * 8 * 8 * 4);
     }
 
     #[test]

@@ -99,6 +99,7 @@ pub fn alexnet() -> NetworkSpec {
 }
 
 /// OverFeat (Sermanet et al. 2013; "fast" model, batch 256).
+// pub: one of the six paper networks; `all_networks` is how callers reach it
 pub fn overfeat() -> NetworkSpec {
     let mut b = SpecBuilder::new("OverFeat", 256, (3, 231, 231));
     b.conv("conv1", 96, 11, 4, 0, true)

@@ -20,8 +20,8 @@
 //!
 //! ## Layers
 //!
-//! * [`proto`] — [`Request`]/[`Response`] frames with a defined wire
-//!   encoding, so a socket transport can be layered on later.
+//! * [`proto`] — the in-process [`Request`]/[`Response`] types (owned
+//!   buffers moved, never serialized).
 //! * [`sched`] — per-tenant bounded queues, byte quotas, and the
 //!   weighted-fairness dispatch policy.
 //! * [`server`] — the real threaded worker pool with work stealing.

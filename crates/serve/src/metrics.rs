@@ -96,7 +96,7 @@ pub struct TenantLoadReport {
 
 impl TenantLoadReport {
     /// Sheds of any kind over submissions, in `[0, 1]`.
-    pub fn shed_rate(&self) -> f64 {
+    fn shed_rate(&self) -> f64 {
         let c = &self.counters;
         let sheds = c.shed_queue + c.shed_staging + c.quota_rejected;
         if c.submitted == 0 {

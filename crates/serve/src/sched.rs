@@ -195,11 +195,6 @@ impl TenantScheduler {
         }
     }
 
-    /// Number of configured tenants.
-    pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
-    }
-
     /// The tenant's configured spec.
     pub fn spec(&self, tenant: TenantId) -> Option<&TenantSpec> {
         self.tenants.get(tenant.0 as usize).map(|t| &t.spec)

@@ -122,19 +122,9 @@ pub fn run_virtual_with_kernel(
     run_schedule_with_kernel(config, loads, &schedule, model, kernel)
 }
 
-/// Replays an existing [`Schedule`] (useful when the caller also wants
-/// to inspect or replay the exact arrival stream).
-pub fn run_schedule(
-    config: &ServerConfig,
-    loads: &[TenantLoad],
-    schedule: &Schedule,
-    model: ServiceModel,
-) -> LoadReport {
-    run_schedule_with_kernel(config, loads, schedule, model, &DefaultKernel)
-}
-
-/// [`run_schedule`] with a custom [`JobKernel`].
-pub fn run_schedule_with_kernel(
+/// Replays an existing [`Schedule`] (the tests inspect the exact arrival
+/// stream beside the report).
+fn run_schedule_with_kernel(
     config: &ServerConfig,
     loads: &[TenantLoad],
     schedule: &Schedule,

@@ -1,7 +1,5 @@
 use std::fmt;
 
-use cdma_tensor::Tensor;
-
 /// Density accounting for one activation map (or an aggregate of several).
 ///
 /// The paper defines per-layer average output activation density
@@ -19,7 +17,8 @@ pub struct DensityStats {
 
 impl DensityStats {
     /// Measures a tensor.
-    pub fn of_tensor(t: &Tensor) -> Self {
+    #[cfg(test)]
+    fn of_tensor(t: &cdma_tensor::Tensor) -> Self {
         DensityStats {
             nonzero: t.count_nonzero() as u64,
             total: t.len() as u64,
@@ -27,7 +26,8 @@ impl DensityStats {
     }
 
     /// Measures a raw activation slice.
-    pub fn of_slice(data: &[f32]) -> Self {
+    #[cfg(test)]
+    fn of_slice(data: &[f32]) -> Self {
         DensityStats {
             nonzero: data.iter().filter(|v| v.to_bits() != 0).count() as u64,
             total: data.len() as u64,
@@ -36,7 +36,8 @@ impl DensityStats {
 
     /// Builds stats from a known density and element count (for modelled
     /// rather than measured layers).
-    pub fn from_density(density: f64, total: u64) -> Self {
+    #[cfg(test)]
+    fn from_density(density: f64, total: u64) -> Self {
         assert!(
             (0.0..=1.0).contains(&density),
             "density must be in [0, 1], got {density}"
@@ -118,7 +119,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdma_tensor::{Layout, Shape4};
+    use cdma_tensor::{Layout, Shape4, Tensor};
 
     #[test]
     fn of_tensor_counts_zeros() {

@@ -44,7 +44,8 @@ impl Default for SpatialClustering {
 impl SpatialClustering {
     /// No spatial structure at all — i.i.d. activations. Useful as the
     /// control case: with this setting RLE gains nothing from any layout.
-    pub fn unstructured() -> Self {
+    #[cfg(test)]
+    fn unstructured() -> Self {
         SpatialClustering {
             blobs_per_plane: 0,
             radius_frac: 0.0,
@@ -88,7 +89,8 @@ impl ActivationGen {
     }
 
     /// Creates a generator with explicit clustering parameters.
-    pub fn with_clustering(seed: u64, clustering: SpatialClustering) -> Self {
+    #[cfg(test)]
+    fn with_clustering(seed: u64, clustering: SpatialClustering) -> Self {
         ActivationGen {
             rng: StdRng::seed_from_u64(seed),
             clustering,

@@ -75,7 +75,8 @@ impl Shape4 {
     }
 
     /// The same shape with a different minibatch size.
-    pub fn with_batch(&self, n: usize) -> Self {
+    #[cfg(test)]
+    fn with_batch(&self, n: usize) -> Self {
         Shape4::new(n, self.c, self.h, self.w)
     }
 }

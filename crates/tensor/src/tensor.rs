@@ -213,7 +213,8 @@ impl Tensor {
 
     /// Applies ReLU in place (thresholds negatives to zero) — the operation
     /// that creates the sparsity cDMA exploits.
-    pub fn relu_in_place(&mut self) {
+    #[cfg(test)]
+    fn relu_in_place(&mut self) {
         for v in &mut self.data {
             if *v < 0.0 {
                 *v = 0.0;

@@ -20,8 +20,7 @@
 //!
 //! * a **single-GPU single-tenant** cluster on a flat fabric takes the
 //!   dedicated-link fast path and is *bit-identical* to `TimelineSim` —
-//!   event log included — exactly as `StepSim` wraps the timeline
-//!   (`tests/cluster_differential.rs`);
+//!   event log included (`tests/cluster_differential.rs`);
 //! * in the contention-free symmetric case the fluid
 //!   bandwidth-share arbitration reduces to the paper's static `PCIe/g`
 //!   split, so the cluster matches an independent reimplementation of
@@ -141,12 +140,6 @@ impl GradientAllReduce {
         self.total_wire_bytes as f64 / self.gpus as f64
     }
 
-    /// Seconds the ring needs on a dedicated link of `link_bw`
-    /// bytes/second.
-    pub fn seconds_at(&self, link_bw: f64) -> f64 {
-        self.total_wire_bytes as f64 / link_bw
-    }
-
     /// The ring traffic split into per-layer gradient chunks (the
     /// overlapped all-reduce submits one per layer as backward retires
     /// it), with the same overflow-checked arithmetic as the total.
@@ -156,7 +149,7 @@ impl GradientAllReduce {
     /// Panics if a layer's chunk overflows `u64` or the chunks do not sum
     /// to [`GradientAllReduce::total_wire_bytes`] exactly (i.e. `spec` is
     /// not the network this ring was built for).
-    pub fn per_layer_wire_bytes(&self, spec: &NetworkSpec) -> Vec<u64> {
+    fn per_layer_wire_bytes(&self, spec: &NetworkSpec) -> Vec<u64> {
         let rounds = 2 * (self.gpus as u64 - 1);
         let wires: Vec<u64> = spec
             .layers()
@@ -475,9 +468,9 @@ impl ClusterSim {
         }
         // Dedicated fast path: one tenant on one GPU of a *flat* fabric
         // has nothing to arbitrate, so the cluster IS the single-GPU
-        // timeline — bit-identically, the same way StepSim wraps
-        // TimelineSim. A hierarchical fabric still arbitrates (node tier
-        // plus spine), so it always takes the shared path.
+        // timeline — bit-identically. A hierarchical fabric still
+        // arbitrates (node tier plus spine), so it always takes the shared
+        // path.
         if let [t] = tenants {
             if t.gpus == 1 && self.fabric.is_flat() {
                 return self.dedicated(t);
@@ -668,8 +661,7 @@ impl SharedEngine {
             let allreduce = (t.gpus > 1).then(|| GradientAllReduce::ring(t.spec, t.gpus));
             // Gradient rings cross between nodes: spine-only traffic on
             // any fabric.
-            let allreduce_flow =
-                allreduce.map(|_| links.flow(&format!("{}.allreduce", t.spec.name()), None));
+            let allreduce_flow = allreduce.map(|_| links.flow(None));
             // Overlap mode splits the same checked ring total into
             // per-layer chunks — both modes go through the one audited
             // weight-count-to-bytes conversion.
@@ -693,9 +685,9 @@ impl SharedEngine {
                 allreduce_start: None,
                 allreduce_end: 0.0,
             });
-            for k in 0..t.gpus {
+            for _ in 0..t.gpus {
                 let node = fabric.node_of(gpus.len());
-                let flow = links.flow(&format!("{}.gpu{k}", t.spec.name()), node);
+                let flow = links.flow(node);
                 gpus.push(GpuRun {
                     tenant: ti,
                     flow,
@@ -1046,7 +1038,7 @@ mod tests {
         let ring = GradientAllReduce::ring(&spec, 4);
         assert_eq!(ring.total_wire_bytes(), spec.total_params() * 4 * 6);
         let ar = tl.tenants()[0].allreduce;
-        let expect = ring.seconds_at(SystemConfig::titan_x_pcie3().pcie_bw);
+        let expect = ring.total_wire_bytes() as f64 / SystemConfig::titan_x_pcie3().pcie_bw;
         assert!(
             (ar - expect).abs() / expect < 1e-9,
             "all-reduce {ar} vs checked bytes {expect}"

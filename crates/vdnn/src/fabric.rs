@@ -67,8 +67,8 @@
 //!     2, 2, 10.0, LinkPolicy::BandwidthShare, 10.0, LinkPolicy::BandwidthShare,
 //! );
 //! let mut fab = FluidFabric::new(spec);
-//! let a = fab.flow("n0.gpu0", Some(0));
-//! let b = fab.flow("n1.gpu0", Some(1));
+//! let a = fab.flow(Some(0));
+//! let b = fab.flow(Some(1));
 //! let ra = fab.submit(a, 0.0, 40.0, f64::INFINITY);
 //! let rb = fab.submit(b, 0.0, 40.0, f64::INFINITY);
 //! fab.run_until_idle();
@@ -325,7 +325,6 @@ impl FabricSpec {
 
 #[derive(Debug)]
 struct Flow {
-    label: String,
     /// `Some(k)` — traverses node tier `k` then the spine; `None` —
     /// directly on the spine: every flow of a flat fabric, and
     /// inter-node traffic (gradient all-reduce) on a tiered one.
@@ -427,8 +426,8 @@ struct Scratch {
 /// use cdma_vdnn::timeline::LinkPolicy;
 ///
 /// let mut link = FluidFabric::new(FabricSpec::flat(10.0, LinkPolicy::BandwidthShare));
-/// let a = link.flow("gpu0", None);
-/// let b = link.flow("gpu1", None);
+/// let a = link.flow(None);
+/// let b = link.flow(None);
 /// let ra = link.submit(a, 0.0, 40.0, f64::INFINITY);
 /// let rb = link.submit(b, 0.0, 40.0, f64::INFINITY);
 /// link.run_until_idle();
@@ -504,12 +503,11 @@ impl FluidFabric {
     /// # Panics
     ///
     /// Panics if `node` names a tier outside the fabric.
-    pub fn flow(&mut self, label: &str, node: Option<usize>) -> FlowId {
+    pub fn flow(&mut self, node: Option<usize>) -> FlowId {
         if let Some(k) = node {
             assert!(k < self.spec.nodes, "node {k} outside the fabric");
         }
         self.flows.push(Flow {
-            label: label.to_owned(),
             node,
             queue: VecDeque::new(),
             offered: 0.0,
@@ -559,11 +557,6 @@ impl FluidFabric {
     /// The fabric's clock.
     pub fn now(&self) -> f64 {
         self.now
-    }
-
-    /// The label a flow was registered with.
-    pub fn flow_label(&self, flow: FlowId) -> &str {
-        &self.flows[flow.index()].label
     }
 
     /// Wire bytes submitted on `flow` so far.
@@ -1410,8 +1403,8 @@ mod tests {
         // Two nodes of 10 B/s each feed a 10 B/s spine: one flow per
         // node could do 10 B/s locally but the spine halves both.
         let mut fab = FluidFabric::new(two_tier(LinkPolicy::BandwidthShare));
-        let a = fab.flow("n0", Some(0));
-        let b = fab.flow("n1", Some(1));
+        let a = fab.flow(Some(0));
+        let b = fab.flow(Some(1));
         let ra = fab.submit(a, 0.0, 40.0, f64::INFINITY);
         let rb = fab.submit(b, 0.0, 40.0, f64::INFINITY);
         fab.run_until_idle();
@@ -1436,8 +1429,8 @@ mod tests {
             LinkPolicy::BandwidthShare,
         );
         let mut fab = FluidFabric::new(spec);
-        let a = fab.flow("n0.g0", Some(0));
-        let b = fab.flow("n0.g1", Some(0));
+        let a = fab.flow(Some(0));
+        let b = fab.flow(Some(0));
         let ra = fab.submit(a, 0.0, 40.0, f64::INFINITY);
         let rb = fab.submit(b, 0.0, 40.0, f64::INFINITY);
         fab.run_until_idle();
@@ -1450,7 +1443,7 @@ mod tests {
     #[test]
     fn spine_only_flows_skip_the_node_tiers() {
         let mut fab = FluidFabric::new(two_tier(LinkPolicy::BandwidthShare));
-        let ar = fab.flow("allreduce", None);
+        let ar = fab.flow(None);
         let r = fab.submit(ar, 0.0, 50.0, f64::INFINITY);
         fab.run_until_idle();
         // Full spine bandwidth, node tiers untouched.
@@ -1473,9 +1466,7 @@ mod tests {
             LinkPolicy::BandwidthShare,
         );
         let mut fab = FluidFabric::new(spec);
-        let flows: Vec<FlowId> = (0..3)
-            .map(|i| fab.flow(&format!("g{i}"), Some(0)))
-            .collect();
+        let flows: Vec<FlowId> = (0..3).map(|_| fab.flow(Some(0))).collect();
         let reqs: Vec<RequestId> = flows
             .iter()
             .map(|&f| fab.submit(f, 0.0, 40.0, f64::INFINITY))
@@ -1499,8 +1490,8 @@ mod tests {
             LinkPolicy::BandwidthShare,
         );
         let mut fab = FluidFabric::new(spec);
-        let a = fab.flow("capped", Some(0));
-        let b = fab.flow("open", Some(0));
+        let a = fab.flow(Some(0));
+        let b = fab.flow(Some(0));
         let ra = fab.submit(a, 0.0, 4.0, 2.0);
         let rb = fab.submit(b, 0.0, 16.0, f64::INFINITY);
         fab.run_until_idle();
@@ -1511,8 +1502,8 @@ mod tests {
     #[test]
     fn busy_intervals_stay_disjoint_per_tier() {
         let mut fab = FluidFabric::new(two_tier(LinkPolicy::BandwidthShare));
-        let a = fab.flow("n0", Some(0));
-        let b = fab.flow("n1", Some(1));
+        let a = fab.flow(Some(0));
+        let b = fab.flow(Some(1));
         fab.submit(a, 0.0, 10.0, f64::INFINITY);
         fab.submit(b, 3.0, 10.0, f64::INFINITY);
         fab.submit(a, 9.0, 5.0, f64::INFINITY);

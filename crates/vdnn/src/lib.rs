@@ -25,23 +25,20 @@
 //!   for one [`FluidFabric`] under a [`LinkPolicy`] ([`ClusterSim`]);
 //! * [`fabric`] — that one link arbiter, over a flat topology (the
 //!   paper's single shared link) or node tiers under a spine, plus
-//!   trace-driven tenant churn ([`FabricSim`]);
-//! * [`StepSim`] — the legacy layer-by-layer forward/backward interface
-//!   (Fig. 3b and Fig. 13), now a thin wrapper over the timeline with the
-//!   [`UniformRatio`] source.
+//!   trace-driven tenant churn ([`FabricSim`]).
 //!
 //! ```
 //! use cdma_models::zoo;
 //! use cdma_gpusim::SystemConfig;
-//! use cdma_vdnn::{ComputeModel, CudnnVersion, StepSim, TransferPolicy};
+//! use cdma_vdnn::{ComputeModel, CudnnVersion, TimelineSim, TransferPolicy, UniformRatio};
 //!
 //! let spec = zoo::alexnet();
-//! let sim = StepSim::new(
+//! let sim = TimelineSim::new(
 //!     SystemConfig::titan_x_pcie3(),
 //!     ComputeModel::titan_x(CudnnVersion::V5),
 //! );
-//! let oracle = sim.step_time(&spec, TransferPolicy::Oracle);
-//! let vdnn = sim.step_time(&spec, TransferPolicy::uniform(&spec, 1.0));
+//! let oracle = sim.simulate(&spec, &UniformRatio::new(&spec, TransferPolicy::Oracle));
+//! let vdnn = sim.simulate(&spec, &UniformRatio::uniform(&spec, 1.0));
 //! assert!(vdnn.total() >= oracle.total());
 //! ```
 
@@ -53,7 +50,6 @@ mod compute;
 pub mod fabric;
 pub mod memory;
 mod ratio;
-mod schedule;
 pub mod timeline;
 pub mod traffic;
 
@@ -65,8 +61,7 @@ pub use fabric::{
     JobTemplate, RunStats, StepStat, Tenancy,
 };
 pub use ratio::RatioTable;
-pub use schedule::{StepBreakdown, StepSim, TransferPolicy};
 pub use timeline::{
-    Fidelity, FidelitySource, LinkPolicy, MeasuredStream, Payload, ProfiledDensity, StepTimeline,
-    TimelineSim, TransferSource, UniformRatio,
+    Fidelity, FidelitySource, LinkPolicy, MeasuredStream, Payload, ProfiledDensity, StepBreakdown,
+    StepTimeline, TimelineSim, TransferPolicy, TransferSource, UniformRatio,
 };

@@ -3,18 +3,17 @@
 //! [`TimelineSim`] simulates one training step as a stream of timestamped
 //! events over three shared resources — the GPU **compute** stream, the
 //! cDMA **read path** (DRAM fetch + per-memory-controller compression), and
-//! the **PCIe link** — replacing the closed-form per-layer
-//! `max(compute, offload)` arithmetic that [`StepSim`](crate::StepSim) used
-//! to hard-code. [`StepSim`](crate::StepSim) is now a thin wrapper over
-//! this timeline with the [`UniformRatio`] source, so its numbers are
-//! unchanged.
+//! the **PCIe link**. With the [`UniformRatio`] source it reproduces the
+//! closed-form per-layer `max(compute, offload)` arithmetic of vDNN's
+//! Fig. 2b model exactly (`tests/timeline_cross_validation.rs` keeps the
+//! closed form).
 //!
 //! What crosses the link is abstracted behind the [`TransferSource`] trait,
 //! giving the same timeline **three fidelity levels**:
 //!
 //! | source | transfer payload | used by |
 //! |---|---|---|
-//! | [`UniformRatio`] | the paper's analytic model: per-layer scalar ratios through [`SystemConfig::effective_offload_bw`] | Fig. 3b, Fig. 13, every legacy `StepSim` caller |
+//! | [`UniformRatio`] | the paper's analytic model: per-layer scalar ratios through [`SystemConfig::effective_offload_bw`] | Fig. 3b, Fig. 13 |
 //! | [`ProfiledDensity`] | analytic ratios derived from `cdma-sparsity` density trajectories at a training checkpoint | Fig. 13 per-checkpoint variants, training-run projections |
 //! | [`MeasuredStream`] | real per-window `(uncompressed, compressed)` line sizes produced by `CdmaEngine::memcpy_compressed` on actual activations, driven through the incremental [`DmaPipeline`] | Fig. 2 timeline, measured-fidelity experiments |
 //!
@@ -46,7 +45,7 @@ use cdma_models::NetworkSpec;
 use cdma_tensor::Layout;
 
 use crate::calendar::CalendarQueue;
-use crate::{ComputeModel, RatioTable, StepBreakdown, TransferPolicy};
+use crate::{ComputeModel, RatioTable};
 
 /// Seconds to move `compressed_bytes` CPU→GPU and re-inflate them to
 /// `uncompressed_bytes`: the link drains the compressed stream while the
@@ -296,6 +295,52 @@ impl From<Arc<MeasuredStream>> for FidelitySource {
     }
 }
 
+/// What travels over the CPU–GPU link during a training step.
+#[derive(Debug, Clone)]
+pub enum TransferPolicy {
+    /// No transfers (the paper's "orac" baseline: offload/prefetch latency
+    /// always hidden).
+    Oracle,
+    /// Offload every layer output; element `i` is the compression ratio of
+    /// layer `i`'s activations (1.0 everywhere = plain vDNN).
+    OffloadAll(Vec<f64>),
+    /// Offload only convolution-layer outputs (vDNN's memory-saving
+    /// alternative policy), with per-layer ratios as above.
+    OffloadConv(Vec<f64>),
+}
+
+impl TransferPolicy {
+    /// Offload-all with one uniform ratio (1.0 reproduces baseline vDNN).
+    pub fn uniform(spec: &NetworkSpec, ratio: f64) -> Self {
+        TransferPolicy::OffloadAll(vec![ratio; spec.layers().len()])
+    }
+}
+
+/// Timing breakdown of one simulated training step.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StepBreakdown {
+    /// Forward compute + stalls, seconds.
+    pub forward: f64,
+    /// Backward compute + stalls, seconds.
+    pub backward: f64,
+    /// Seconds of forward time attributable to offload stalls.
+    pub forward_stall: f64,
+    /// Seconds of backward time attributable to prefetch stalls.
+    pub backward_stall: f64,
+}
+
+impl StepBreakdown {
+    /// Total step latency.
+    pub fn total(&self) -> f64 {
+        self.forward + self.backward
+    }
+
+    /// Fraction of the step spent stalled on PCIe.
+    pub fn stall_fraction(&self) -> f64 {
+        (self.forward_stall + self.backward_stall) / self.total()
+    }
+}
+
 /// What one transfer moves across the link.
 #[derive(Debug, Clone, Copy)]
 pub enum Payload<'a> {
@@ -329,9 +374,9 @@ pub trait TransferSource {
     fn layer_payload(&self, spec: &NetworkSpec, layer: usize) -> Payload<'_>;
 }
 
-/// The analytic fidelity level: preserves [`StepSim`](crate::StepSim)'s
-/// historic behavior exactly. Wraps a [`TransferPolicy`] (oracle, uniform
-/// or per-layer scalar ratios, offload-all or conv-only).
+/// The analytic fidelity level (the vDNN Fig. 2b / Fig. 13 model). Wraps a
+/// [`TransferPolicy`] (oracle, uniform or per-layer scalar ratios,
+/// offload-all or conv-only).
 #[derive(Debug, Clone)]
 pub struct UniformRatio {
     policy: TransferPolicy,
@@ -413,20 +458,6 @@ pub struct ProfiledDensity {
 }
 
 impl ProfiledDensity {
-    /// Ratios from explicit per-layer values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length does not match the layer count of `spec`.
-    pub fn from_ratios(spec: &NetworkSpec, ratios: Vec<f64>) -> Self {
-        assert_eq!(
-            ratios.len(),
-            spec.layers().len(),
-            "one compression ratio per layer required"
-        );
-        ProfiledDensity { ratios }
-    }
-
     /// Ratios at training checkpoint `t` in `[0, 1]`: each layer's density
     /// trajectory is sampled at `t` and mapped through the ratio table.
     ///
@@ -503,11 +534,6 @@ impl MeasuredStream {
     /// Line table of layer `i`'s output.
     pub fn layer_lines(&self, i: usize) -> &[(u32, u32)] {
         &self.layers[i]
-    }
-
-    /// Line table of the network input.
-    pub fn input_lines(&self) -> &[(u32, u32)] {
-        &self.input
     }
 
     /// Number of layer tables.
@@ -679,8 +705,7 @@ impl StageRecord {
 /// intervals.
 #[derive(Debug, Clone)]
 pub struct StepTimeline {
-    /// Timing breakdown, identical in meaning to the legacy
-    /// [`StepSim`](crate::StepSim) result.
+    /// Timing breakdown of the step.
     pub breakdown: StepBreakdown,
     fidelity: &'static str,
     events: Vec<Event>,
@@ -942,6 +967,13 @@ impl TimelineSim {
         }
     }
 
+    /// Performance with `source`'s transfers normalized to the oracle
+    /// baseline (the y-axis of Fig. 13; 1.0 = no virtualization overhead).
+    pub fn normalized_performance(&self, spec: &NetworkSpec, source: &dyn TransferSource) -> f64 {
+        let oracle = self.simulate(spec, &UniformRatio::new(spec, TransferPolicy::Oracle));
+        oracle.total() / self.simulate(spec, source).total()
+    }
+
     /// Starts an offload at stage start `t`; returns the transfer's
     /// duration measured from `t`.
     fn offload(
@@ -989,9 +1021,8 @@ impl TimelineSim {
         let dur = match payload {
             Payload::None => 0.0,
             // The analytic levels keep the paper's symmetric-bandwidth
-            // model so legacy StepSim numbers are preserved exactly; the
-            // whole duration books the link (the analytic model does not
-            // separate wire time from decompression).
+            // model; the whole duration books the link (the analytic model
+            // does not separate wire time from decompression).
             Payload::Analytic { bytes, ratio } => {
                 let dur = bytes as f64 / self.cfg.effective_offload_bw(ratio);
                 rec.busy(Resource::Link, t, t + dur);
@@ -1023,10 +1054,129 @@ mod tests {
     use cdma_models::zoo;
 
     fn sim() -> TimelineSim {
-        TimelineSim::new(
-            SystemConfig::titan_x_pcie3(),
-            ComputeModel::titan_x(CudnnVersion::V5),
+        sim_at(CudnnVersion::V5)
+    }
+
+    fn sim_at(v: CudnnVersion) -> TimelineSim {
+        TimelineSim::new(SystemConfig::titan_x_pcie3(), ComputeModel::titan_x(v))
+    }
+
+    /// The breakdown of one step at the analytic level.
+    fn step(spec: &NetworkSpec, policy: TransferPolicy) -> StepBreakdown {
+        sim()
+            .simulate(spec, &UniformRatio::new(spec, policy))
+            .breakdown
+    }
+
+    /// Plain vDNN's normalized performance (every ratio 1.0).
+    fn vdnn_performance(sim: TimelineSim, spec: &NetworkSpec) -> f64 {
+        sim.normalized_performance(spec, &UniformRatio::uniform(spec, 1.0))
+    }
+
+    #[test]
+    fn oracle_equals_pure_compute() {
+        let spec = zoo::alexnet();
+        let oracle = step(&spec, TransferPolicy::Oracle);
+        let compute = ComputeModel::titan_x(CudnnVersion::V5).step_compute_time(&spec);
+        assert!((oracle.total() - compute).abs() / compute < 1e-9);
+        assert_eq!(oracle.forward_stall, 0.0);
+        assert_eq!(oracle.backward_stall, 0.0);
+    }
+
+    #[test]
+    fn vdnn_is_never_faster_than_oracle() {
+        for spec in zoo::all_networks() {
+            let perf = vdnn_performance(sim(), &spec);
+            assert!(perf <= 1.0 + 1e-9, "{}: {perf}", spec.name());
+        }
+    }
+
+    #[test]
+    fn vdnn_overhead_matches_paper_band_on_v5() {
+        // Section I / Fig. 3b: vDNN loses 31% on average (worst 52%)
+        // versus the oracle on cuDNN v5-class compute.
+        let perfs: Vec<f64> = zoo::all_networks()
+            .iter()
+            .map(|spec| vdnn_performance(sim(), spec))
+            .collect();
+        let avg_loss = 1.0 - perfs.iter().sum::<f64>() / perfs.len() as f64;
+        let worst_loss = 1.0 - perfs.iter().cloned().fold(f64::INFINITY, f64::min);
+        assert!(
+            (0.18..0.45).contains(&avg_loss),
+            "avg vDNN loss {avg_loss:.3}, paper ~0.31 (perfs {perfs:?})"
+        );
+        assert!(
+            (0.35..0.65).contains(&worst_loss),
+            "worst vDNN loss {worst_loss:.3}, paper ~0.52"
+        );
+    }
+
+    #[test]
+    fn overhead_grows_with_cudnn_version() {
+        // Fig. 3(b): faster compute shrinks the overlap window, so the
+        // vDNN penalty grows from v1 to v5.
+        let spec = zoo::squeezenet();
+        let mut prev_perf = 0.0;
+        for v in CudnnVersion::ALL {
+            let perf = vdnn_performance(sim_at(v), &spec);
+            if prev_perf > 0.0 {
+                assert!(
+                    perf <= prev_perf + 1e-9,
+                    "{}: perf {perf} should not exceed {prev_perf}",
+                    v.label()
+                );
+            }
+            prev_perf = perf;
+        }
+    }
+
+    #[test]
+    fn compression_recovers_performance() {
+        for spec in zoo::all_networks() {
+            let vdnn = vdnn_performance(sim(), &spec);
+            let cdma = sim().normalized_performance(&spec, &UniformRatio::uniform(&spec, 2.6));
+            assert!(
+                cdma > vdnn,
+                "{}: cDMA {cdma} should beat vDNN {vdnn}",
+                spec.name()
+            );
+        }
+    }
+
+    #[test]
+    fn infinite_compression_approaches_oracle() {
+        let spec = zoo::vgg();
+        // Ratio beyond COMP_BW/PCIe: transfers still take bytes/COMP_BW, so
+        // performance approaches but does not exceed the oracle.
+        let perf = sim().normalized_performance(&spec, &UniformRatio::uniform(&spec, 1000.0));
+        assert!(perf > 0.9 && perf <= 1.0 + 1e-9, "perf {perf}");
+    }
+
+    #[test]
+    fn conv_only_policy_transfers_less() {
+        let spec = zoo::vgg();
+        let all = step(&spec, TransferPolicy::uniform(&spec, 1.0)).total();
+        let conv = step(
+            &spec,
+            TransferPolicy::OffloadConv(vec![1.0; spec.layers().len()]),
         )
+        .total();
+        assert!(conv <= all);
+    }
+
+    #[test]
+    fn stall_fraction_is_consistent() {
+        let spec = zoo::squeezenet();
+        let b = step(&spec, TransferPolicy::uniform(&spec, 1.0));
+        assert!(b.stall_fraction() > 0.0 && b.stall_fraction() < 1.0);
+        assert!(b.forward_stall <= b.forward);
+    }
+
+    #[test]
+    #[should_panic(expected = "one compression ratio per layer")]
+    fn wrong_conv_ratio_length_rejected() {
+        let spec = zoo::alexnet();
+        let _ = step(&spec, TransferPolicy::OffloadConv(vec![1.0; 3]));
     }
 
     #[test]

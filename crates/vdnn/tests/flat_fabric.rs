@@ -190,7 +190,7 @@ fn run_fabric(load: &[Vec<(f64, f64, f64)>]) -> Vec<((usize, usize), f64)> {
     let mut link = FluidFabric::new(FabricSpec::flat(BW, LinkPolicy::BandwidthShare));
     let mut ids = Vec::new();
     for (f, items) in load.iter().enumerate() {
-        let flow = link.flow(&format!("flow{f}"), None);
+        let flow = link.flow(None);
         for (k, &(at, bytes, cap)) in items.iter().enumerate() {
             let req = link.submit(flow, at, bytes, cap);
             ids.push((req, (f, k)));
@@ -276,8 +276,8 @@ fn flat_fabric_is_one_link_with_no_node_tiers() {
     assert_eq!(spec.node_of(0), None);
     assert_eq!(spec.node_of(1023), None);
     let mut link = FluidFabric::new(spec);
-    let a = link.flow("gpu0", None);
-    let b = link.flow("gpu1", None);
+    let a = link.flow(None);
+    let b = link.flow(None);
     link.submit(a, 0.0, 40.0, f64::INFINITY);
     link.submit(b, 0.0, 20.0, f64::INFINITY);
     link.run_until_idle();
@@ -312,7 +312,7 @@ fn flat_fabric_is_one_link_with_no_node_tiers() {
 #[should_panic(expected = "outside the fabric")]
 fn flat_fabric_rejects_flows_on_a_node_tier() {
     let mut link = FluidFabric::new(FabricSpec::flat(10.0, LinkPolicy::BandwidthShare));
-    link.flow("gpu0", Some(0));
+    link.flow(Some(0));
 }
 
 #[test]
@@ -321,8 +321,8 @@ fn round_robin_is_quantum_exact_when_flat_and_fluid_when_tiered() {
     // 10 B/s — a, b, a — so b finishes at 2 s and a at 3 s.
     let flat = FabricSpec::flat(10.0, LinkPolicy::RoundRobin);
     let mut link = FluidFabric::with_quantum(flat, 10.0);
-    let a = link.flow("a", None);
-    let b = link.flow("b", None);
+    let a = link.flow(None);
+    let b = link.flow(None);
     let ra = link.submit(a, 0.0, 20.0, f64::INFINITY);
     let rb = link.submit(b, 0.0, 10.0, f64::INFINITY);
     link.advance_to(1.5);
@@ -347,8 +347,8 @@ fn round_robin_is_quantum_exact_when_flat_and_fluid_when_tiered() {
         LinkPolicy::RoundRobin,
     );
     let mut fab = FluidFabric::with_quantum(tiered, 10.0);
-    let a = fab.flow("a", Some(0));
-    let b = fab.flow("b", Some(0));
+    let a = fab.flow(Some(0));
+    let b = fab.flow(Some(0));
     let ra = fab.submit(a, 0.0, 20.0, f64::INFINITY);
     let rb = fab.submit(b, 0.0, 10.0, f64::INFINITY);
     fab.advance_to(1.5);
@@ -362,8 +362,8 @@ fn round_robin_is_quantum_exact_when_flat_and_fluid_when_tiered() {
 #[test]
 fn a_submission_after_next_event_is_replanned() {
     let mut link = FluidFabric::new(FabricSpec::flat(10.0, LinkPolicy::BandwidthShare));
-    let a = link.flow("a", None);
-    let b = link.flow("b", None);
+    let a = link.flow(None);
+    let b = link.flow(None);
     let ra = link.submit(a, 0.0, 40.0, f64::INFINITY);
     assert_eq!(link.next_event(), Some(4.0));
     // The rates `next_event` just solved are stale once b arrives.

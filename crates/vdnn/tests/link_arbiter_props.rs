@@ -51,9 +51,7 @@ fn workload(seed: &mut u64, flows: usize, capped: bool) -> Vec<Vec<(f64, f64, f6
 /// Runs a workload to completion; returns per-request completion times,
 /// flow-major.
 fn run(arb: &mut FluidFabric, load: &[Vec<(f64, f64, f64)>]) -> Vec<Vec<(RequestId, f64)>> {
-    let flows: Vec<_> = (0..load.len())
-        .map(|i| arb.flow(&format!("flow{i}"), None))
-        .collect();
+    let flows: Vec<_> = (0..load.len()).map(|_| arb.flow(None)).collect();
     let mut reqs: Vec<Vec<RequestId>> = Vec::new();
     for (f, items) in flows.iter().zip(load) {
         reqs.push(
@@ -80,9 +78,7 @@ fn bytes_are_conserved_under_both_policies() {
         for policy in LinkPolicy::ALL {
             let load = workload(&mut seed, 2 + round % 4, true);
             let mut arb = FluidFabric::with_quantum(FabricSpec::flat(BW, policy), 64.0);
-            let flows: Vec<_> = (0..load.len())
-                .map(|i| arb.flow(&format!("flow{i}"), None))
-                .collect();
+            let flows: Vec<_> = (0..load.len()).map(|_| arb.flow(None)).collect();
             for (f, items) in flows.iter().zip(&load) {
                 for &(at, bytes, cap) in items {
                     arb.submit(*f, at, bytes, cap);
@@ -157,9 +153,7 @@ fn round_robin_fairness_is_bounded_by_one_quantum() {
         let sizes: Vec<f64> = (0..flows).map(|_| 400.0 + lcg(&mut seed) * 800.0).collect();
         let mut arb =
             FluidFabric::with_quantum(FabricSpec::flat(BW, LinkPolicy::RoundRobin), quantum);
-        let ids: Vec<_> = (0..flows)
-            .map(|i| arb.flow(&format!("f{i}"), None))
-            .collect();
+        let ids: Vec<_> = (0..flows).map(|_| arb.flow(None)).collect();
         let reqs: Vec<_> = ids
             .iter()
             .zip(&sizes)

@@ -7,7 +7,9 @@
 
 use cdma_gpusim::SystemConfig;
 use cdma_models::{PoolFlavor, SpecBuilder};
-use cdma_vdnn::{ComputeModel, CudnnVersion, StepSim, TransferPolicy};
+use cdma_vdnn::{
+    ComputeModel, CudnnVersion, StepBreakdown, TimelineSim, TransferPolicy, UniformRatio,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -33,11 +35,17 @@ fn random_spec(rng: &mut StdRng) -> cdma_models::NetworkSpec {
     b.build()
 }
 
-fn sim() -> StepSim {
-    StepSim::new(
+fn sim() -> TimelineSim {
+    TimelineSim::new(
         SystemConfig::titan_x_pcie3(),
         ComputeModel::titan_x(CudnnVersion::V5),
     )
+}
+
+fn step_time(spec: &cdma_models::NetworkSpec, policy: TransferPolicy) -> StepBreakdown {
+    sim()
+        .simulate(spec, &UniformRatio::new(spec, policy))
+        .breakdown
 }
 
 fn for_each_case(seed: u64, mut check: impl FnMut(u64, &mut StdRng)) {
@@ -53,14 +61,9 @@ fn oracle_is_a_lower_bound() {
     for_each_case(0x04AC1E, |case, rng| {
         let spec = random_spec(rng);
         let ratio = rng.gen_range(1.0f64..20.0);
-        let s = sim();
-        let oracle = s.step_time(&spec, TransferPolicy::Oracle).total();
-        let vdnn = s
-            .step_time(&spec, TransferPolicy::uniform(&spec, 1.0))
-            .total();
-        let cdma = s
-            .step_time(&spec, TransferPolicy::uniform(&spec, ratio))
-            .total();
+        let oracle = step_time(&spec, TransferPolicy::Oracle).total();
+        let vdnn = step_time(&spec, TransferPolicy::uniform(&spec, 1.0)).total();
+        let cdma = step_time(&spec, TransferPolicy::uniform(&spec, ratio)).total();
         assert!(oracle <= vdnn * 1.000001, "case {case}");
         assert!(oracle <= cdma * 1.000001, "case {case}");
     });
@@ -74,13 +77,8 @@ fn compression_monotone() {
         let r1 = rng.gen_range(1.0f64..16.0);
         let r2 = rng.gen_range(1.0f64..16.0);
         let (lo, hi) = if r1 <= r2 { (r1, r2) } else { (r2, r1) };
-        let s = sim();
-        let t_lo = s
-            .step_time(&spec, TransferPolicy::uniform(&spec, lo))
-            .total();
-        let t_hi = s
-            .step_time(&spec, TransferPolicy::uniform(&spec, hi))
-            .total();
+        let t_lo = step_time(&spec, TransferPolicy::uniform(&spec, lo)).total();
+        let t_hi = step_time(&spec, TransferPolicy::uniform(&spec, hi)).total();
         assert!(t_hi <= t_lo * 1.000001, "case {case}");
     });
 }
@@ -91,8 +89,7 @@ fn compression_monotone() {
 fn breakdown_is_consistent() {
     for_each_case(0xB4EAD, |case, rng| {
         let spec = random_spec(rng);
-        let s = sim();
-        let b = s.step_time(&spec, TransferPolicy::uniform(&spec, 1.0));
+        let b = step_time(&spec, TransferPolicy::uniform(&spec, 1.0));
         assert!(b.forward_stall <= b.forward + 1e-12, "case {case}");
         assert!(b.backward_stall <= b.backward + 1e-12, "case {case}");
         assert!(
@@ -110,14 +107,9 @@ fn conv_only_never_slower() {
     for_each_case(0xC04F, |case, rng| {
         let spec = random_spec(rng);
         let ratio = rng.gen_range(1.0f64..8.0);
-        let s = sim();
         let n = spec.layers().len();
-        let all = s
-            .step_time(&spec, TransferPolicy::OffloadAll(vec![ratio; n]))
-            .total();
-        let conv = s
-            .step_time(&spec, TransferPolicy::OffloadConv(vec![ratio; n]))
-            .total();
+        let all = step_time(&spec, TransferPolicy::OffloadAll(vec![ratio; n])).total();
+        let conv = step_time(&spec, TransferPolicy::OffloadConv(vec![ratio; n])).total();
         assert!(conv <= all * 1.000001, "case {case}");
     });
 }
@@ -128,8 +120,7 @@ fn normalized_performance_bounded() {
     for_each_case(0x904B, |case, rng| {
         let spec = random_spec(rng);
         let ratio = rng.gen_range(1.0f64..32.0);
-        let s = sim();
-        let p = s.normalized_performance(&spec, TransferPolicy::uniform(&spec, ratio));
+        let p = sim().normalized_performance(&spec, &UniformRatio::uniform(&spec, ratio));
         assert!(p > 0.0 && p <= 1.0 + 1e-9, "case {case}: perf {p}");
     });
 }

@@ -1,21 +1,20 @@
 //! Cross-validation of the event-driven timeline against the legacy
-//! closed-form `StepSim` arithmetic, plus seeded property loops over the
+//! closed-form step arithmetic, plus seeded property loops over the
 //! timeline's structural invariants.
 //!
-//! `StepSim` itself is now a wrapper over the timeline, so the closed-form
-//! per-layer `max(compute, offload)` formula it used to implement is
-//! reproduced *independently* here and compared against the timeline on
-//! every network in the zoo — the acceptance bar is agreement within 1e-9
-//! on every field of the breakdown.
+//! The closed-form per-layer `max(compute, offload)` formula (vDNN's
+//! Fig. 2b model) is reproduced *independently* here and compared against
+//! the timeline's `UniformRatio` level on every network in the zoo — the
+//! acceptance bar is agreement within 1e-9 on every field of the
+//! breakdown.
 
 use cdma_gpusim::SystemConfig;
 use cdma_models::{zoo, NetworkSpec};
 use cdma_vdnn::timeline::{MeasuredStream, Resource, TimelineSim, UniformRatio};
-use cdma_vdnn::{ComputeModel, CudnnVersion, StepBreakdown, StepSim, TransferPolicy};
+use cdma_vdnn::{ComputeModel, CudnnVersion, StepBreakdown, TransferPolicy};
 
 /// Independent reimplementation of the legacy closed-form step model
-/// (verbatim the arithmetic `StepSim::step_time` shipped before the
-/// timeline refactor).
+/// (verbatim the arithmetic shipped before the timeline refactor).
 fn legacy_step_time(
     cfg: &SystemConfig,
     compute: &ComputeModel,
@@ -107,7 +106,7 @@ fn uniform_ratio_matches_legacy_on_every_zoo_network() {
     let cfg = SystemConfig::titan_x_pcie3();
     for version in CudnnVersion::ALL {
         let model = ComputeModel::titan_x(version);
-        let sim = StepSim::new(cfg, model);
+        let sim = TimelineSim::new(cfg, model);
         for spec in zoo::all_networks() {
             let policies = [
                 TransferPolicy::Oracle,
@@ -117,7 +116,9 @@ fn uniform_ratio_matches_legacy_on_every_zoo_network() {
                 TransferPolicy::OffloadConv(vec![1.0; spec.layers().len()]),
             ];
             for policy in policies {
-                let timeline = sim.step_time(&spec, policy.clone());
+                let timeline = sim
+                    .simulate(&spec, &UniformRatio::new(&spec, policy.clone()))
+                    .breakdown;
                 let legacy = legacy_step_time(&cfg, &model, &spec, &policy);
                 assert_matches(
                     &timeline,
@@ -133,7 +134,7 @@ fn uniform_ratio_matches_legacy_on_every_zoo_network() {
 fn seeded_per_layer_ratios_match_legacy() {
     let cfg = SystemConfig::titan_x_pcie3();
     let model = ComputeModel::titan_x(CudnnVersion::V5);
-    let sim = StepSim::new(cfg, model);
+    let sim = TimelineSim::new(cfg, model);
     let mut seed = 0x5EED;
     for round in 0..25 {
         for spec in zoo::all_networks() {
@@ -146,7 +147,9 @@ fn seeded_per_layer_ratios_match_legacy() {
                 TransferPolicy::OffloadAll(ratios.clone()),
                 TransferPolicy::OffloadConv(ratios.clone()),
             ] {
-                let timeline = sim.step_time(&spec, policy.clone());
+                let timeline = sim
+                    .simulate(&spec, &UniformRatio::new(&spec, policy.clone()))
+                    .breakdown;
                 let legacy = legacy_step_time(&cfg, &model, &spec, &policy);
                 assert_matches(
                     &timeline,

@@ -10,11 +10,13 @@ use cdma::gpusim::SystemConfig;
 use cdma::models::{profiles, zoo};
 use cdma::tensor::Layout;
 use cdma::vdnn::traffic;
-use cdma::vdnn::{ComputeModel, CudnnVersion, RatioTable, StepSim, TransferPolicy};
+use cdma::vdnn::{
+    ComputeModel, CudnnVersion, RatioTable, TimelineSim, TransferPolicy, UniformRatio,
+};
 
 fn main() {
     let cfg = SystemConfig::titan_x_pcie3();
-    let sim = StepSim::new(cfg, ComputeModel::titan_x(CudnnVersion::V5));
+    let sim = TimelineSim::new(cfg, ComputeModel::titan_x(CudnnVersion::V5));
     let table = RatioTable::build_fast(42);
 
     println!(
@@ -26,9 +28,13 @@ fn main() {
         let t = traffic::network_traffic(&spec, &profile, Algorithm::Zvc, Layout::Nchw, &table);
         let ratios = traffic::per_layer_ratios(&t);
 
-        let oracle = sim.step_time(&spec, TransferPolicy::Oracle);
-        let vdnn = sim.step_time(&spec, TransferPolicy::uniform(&spec, 1.0));
-        let cdma = sim.step_time(&spec, TransferPolicy::OffloadAll(ratios));
+        let step = |policy| {
+            sim.simulate(&spec, &UniformRatio::new(&spec, policy))
+                .breakdown
+        };
+        let oracle = step(TransferPolicy::Oracle);
+        let vdnn = step(TransferPolicy::uniform(&spec, 1.0));
+        let cdma = step(TransferPolicy::OffloadAll(ratios));
 
         println!(
             "{:<11} {:>7.0}ms {:>7.0}ms {:>7.0}ms {:>7.0}% {:>7.0}% {:>6.0}%",

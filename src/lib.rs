@@ -57,7 +57,7 @@
 //! [`vdnn::timeline::Fidelity`] — and
 //! [`core::scenario::Context::transfer_source`] turns it into the matching
 //! [`vdnn::timeline::TransferSource`]: [`vdnn::timeline::UniformRatio`]
-//! (the analytic model; `StepSim` wraps it),
+//! (the analytic model),
 //! [`vdnn::timeline::ProfiledDensity`] (ratios from density trajectories),
 //! and [`vdnn::timeline::MeasuredStream`] (real per-window line sizes —
 //! capture one from a live training step with

@@ -2,8 +2,8 @@
 //! **bit-identical** to the single-GPU `TimelineSim` on the same scenario
 //! — breakdown, stage records, busy intervals and the full event log —
 //! across all three fidelity levels and both link policies. The cluster's
-//! dedicated fast path is the same relationship `StepSim` has to the
-//! timeline: a wrapper, not a reimplementation.
+//! dedicated fast path is a wrapper over the timeline, not a
+//! reimplementation.
 
 use cdma::core::scenario::{Context, ScenarioSet};
 use cdma::vdnn::cluster::{ClusterSim, Tenant};

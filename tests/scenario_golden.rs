@@ -10,7 +10,9 @@ use cdma::core::scenario::{Context, Runner, ScenarioFilter};
 use cdma::gpusim::SystemConfig;
 use cdma::models::{profiles, zoo};
 use cdma::tensor::Layout;
-use cdma::vdnn::{traffic, ComputeModel, CudnnVersion, RatioTable, StepSim, TransferPolicy};
+use cdma::vdnn::{
+    traffic, ComputeModel, CudnnVersion, RatioTable, TimelineSim, TransferPolicy, UniformRatio,
+};
 
 fn table() -> RatioTable {
     // Deterministic: two builds with the same seed are identical.
@@ -92,14 +94,14 @@ fn fig12_matches_the_legacy_driver_bit_for_bit() {
 fn fig13_matches_the_legacy_driver_bit_for_bit() {
     let cfg = SystemConfig::titan_x_pcie3();
     let t = table();
-    let sim = StepSim::new(cfg, ComputeModel::titan_x(CudnnVersion::V5));
+    let sim = TimelineSim::new(cfg, ComputeModel::titan_x(CudnnVersion::V5));
     let mut legacy: Vec<(String, PerfConfig, f64)> = Vec::new();
     for spec in zoo::all_networks() {
         let profile = profiles::density_profile(&spec);
         legacy.push((
             spec.name().to_owned(),
             PerfConfig::Vdnn,
-            sim.normalized_performance(&spec, TransferPolicy::uniform(&spec, 1.0)),
+            sim.normalized_performance(&spec, &UniformRatio::uniform(&spec, 1.0)),
         ));
         for alg in Algorithm::ALL {
             let nt = traffic::network_traffic(&spec, &profile, alg, Layout::Nchw, &t);
@@ -107,7 +109,10 @@ fn fig13_matches_the_legacy_driver_bit_for_bit() {
             legacy.push((
                 spec.name().to_owned(),
                 PerfConfig::Cdma(alg),
-                sim.normalized_performance(&spec, TransferPolicy::OffloadAll(ratios)),
+                sim.normalized_performance(
+                    &spec,
+                    &UniformRatio::new(&spec, TransferPolicy::OffloadAll(ratios)),
+                ),
             ));
         }
         legacy.push((spec.name().to_owned(), PerfConfig::Oracle, 1.0));
@@ -136,16 +141,19 @@ fn headline_matches_the_legacy_computation_bit_for_bit() {
     let mut ratios = Vec::new();
     let mut max_ratio = 0f64;
     let mut improvements = Vec::new();
-    let sim = StepSim::new(cfg, ComputeModel::titan_x(CudnnVersion::V5));
+    let sim = TimelineSim::new(cfg, ComputeModel::titan_x(CudnnVersion::V5));
     for spec in &nets {
         let profile = profiles::density_profile(spec);
         let nt = traffic::network_traffic(spec, &profile, Algorithm::Zvc, Layout::Nchw, &t);
         ratios.push(nt.avg_ratio());
         max_ratio = max_ratio.max(nt.max_layer_ratio());
-        let vdnn = sim.normalized_performance(spec, TransferPolicy::uniform(spec, 1.0));
+        let vdnn = sim.normalized_performance(spec, &UniformRatio::uniform(spec, 1.0));
         let cdma = sim.normalized_performance(
             spec,
-            TransferPolicy::OffloadAll(traffic::per_layer_ratios(&nt)),
+            &UniformRatio::new(
+                spec,
+                TransferPolicy::OffloadAll(traffic::per_layer_ratios(&nt)),
+            ),
         );
         improvements.push(cdma / vdnn - 1.0);
     }
