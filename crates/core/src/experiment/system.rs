@@ -59,9 +59,8 @@ pub fn overheads(ctx: &Context) -> OverheadsReport {
             dma_buffer: buffer_kb * 1024,
             ..cfg
         };
-        let r = OffloadSim::new(sized).run_lines(
-            (0..stream.layer_count()).flat_map(|i| stream.layer_lines(i).iter().copied()),
-        );
+        let r = OffloadSim::new(sized)
+            .run_lines((0..stream.layer_count()).flat_map(|i| stream.layer_lines(i)));
         buffer_sweep.push(BufferPoint {
             buffer_bytes: buffer_kb * 1024,
             peak_occupancy: r.max_buffer_occupancy,

@@ -255,7 +255,12 @@ pub fn fig02_timeline(ctx: &Context, filter: &ScenarioFilter) -> Fig02Report {
         events: vdnn.events_processed(),
     }];
     for s in base_set.scenarios() {
-        totals.push(fidelity_row(ctx, s));
+        // The measured scenario's step is `cdma`, already simulated above.
+        totals.push(if s.fidelity == Fidelity::MeasuredStream {
+            FidelityRow::from_timeline(spec.name(), &cdma)
+        } else {
+            fidelity_row(ctx, s)
+        });
     }
     let oracle = sim.simulate(&spec, &UniformRatio::new(&spec, TransferPolicy::Oracle));
     totals.push(FidelityRow {

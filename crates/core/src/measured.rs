@@ -13,8 +13,8 @@
 //! * [`synthesized_stream`] — the scalable stand-in for ImageNet-scale
 //!   networks that cannot be trained here: per layer, one image's worth of
 //!   clustered activations is generated at the layer's profiled density,
-//!   compressed for real, and the per-image line table is replicated across
-//!   the minibatch (activations are i.i.d. across images in the
+//!   compressed for real, and the per-image line table is repeated across
+//!   the minibatch (stored once; activations are i.i.d. across images in the
 //!   generator, so the replication preserves the line-size distribution;
 //!   window boundaries reset per image rather than spanning the batch
 //!   buffer).
@@ -132,22 +132,18 @@ pub fn synthesized_stream_with_layout(
     seed: u64,
 ) -> MeasuredStream {
     let mut gen = ActivationGen::seeded(seed);
-    let batch = spec.batch();
-    // One compressed-stream scratch buffer and one per-image line table,
-    // recycled across every layer of the synthesis loop — the per-layer
-    // cost is the word-at-a-time ZVC kernels plus one memcpy, nothing else.
+    // One compressed-stream scratch buffer recycled across every layer of
+    // the synthesis loop — the per-layer cost is the word-at-a-time ZVC
+    // kernels, nothing else. Each per-image line table is stored once; the
+    // stream repeats it across the minibatch.
     let mut scratch = WindowedStream::default();
-    let mut per_image: Vec<(u32, u32)> = Vec::new();
-    let mut replicate = |tensor: &Tensor| -> Vec<(u32, u32)> {
-        engine.compress_lines_into(tensor.as_slice(), &mut scratch, &mut per_image);
-        let mut lines = Vec::with_capacity(per_image.len() * batch);
-        for _ in 0..batch {
-            lines.extend_from_slice(&per_image);
-        }
+    let mut per_image = |tensor: &Tensor| -> Vec<(u32, u32)> {
+        let mut lines = Vec::new();
+        engine.compress_lines_into(tensor.as_slice(), &mut scratch, &mut lines);
         lines
     };
 
-    let input = replicate(&gen.generate(spec.input(), layout, 1.0));
+    let input = per_image(&gen.generate(spec.input(), layout, 1.0));
     let layers = spec
         .layers()
         .iter()
@@ -157,10 +153,10 @@ pub fn synthesized_stream_with_layout(
                 .unwrap_or_else(|| panic!("profile missing layer {}", layer.name))
                 .density_at(t);
             let shape = Shape4::new(1, layer.out.c, layer.out.h, layer.out.w);
-            replicate(&gen.generate(shape, layout, density))
+            per_image(&gen.generate(shape, layout, density))
         })
         .collect();
-    MeasuredStream::new(input, layers)
+    MeasuredStream::replicated(input, layers, spec.batch())
 }
 
 #[cfg(test)]
@@ -194,8 +190,7 @@ mod tests {
             let (u, c): (u64, u64) = cap
                 .stream
                 .layer_lines(i)
-                .iter()
-                .fold((0, 0), |(u, c), &(lu, lc)| (u + lu as u64, c + lc as u64));
+                .fold((0, 0), |(u, c), (lu, lc)| (u + lu as u64, c + lc as u64));
             assert_eq!(u, layer.activation_bytes(batch), "{}", layer.name);
             assert!(c > 0);
         }

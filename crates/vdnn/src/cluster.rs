@@ -343,8 +343,8 @@ fn offload_demand(cfg: &SystemConfig, payload: Payload<'_>, scale: f64) -> Optio
                 max_rate: cfg.usable_comp_bw() / ratio,
             })
         }
-        Payload::Lines(lines) => {
-            let (u, c) = line_totals(lines);
+        Payload::Lines { lines, repeat } => {
+            let (u, c) = line_totals(lines, repeat);
             if c == 0 || u == 0 {
                 return None;
             }
@@ -364,8 +364,8 @@ fn prefetch_demand(cfg: &SystemConfig, payload: Payload<'_>, scale: f64) -> Opti
         // The analytic levels keep the paper's symmetric-bandwidth model,
         // same as the dedicated timeline.
         Payload::Analytic { .. } => offload_demand(cfg, payload, scale),
-        Payload::Lines(lines) => {
-            let (u, c) = line_totals(lines);
+        Payload::Lines { lines, repeat } => {
+            let (u, c) = line_totals(lines, repeat);
             if c == 0 || u == 0 {
                 return None;
             }

@@ -356,8 +356,13 @@ pub enum Payload<'a> {
         ratio: f64,
     },
     /// Measured per-window `(uncompressed, compressed)` line sizes of a
-    /// real compressed stream.
-    Lines(&'a [(u32, u32)]),
+    /// real compressed stream: `lines`, back to back `repeat` times.
+    Lines {
+        /// One pass of the line table.
+        lines: &'a [(u32, u32)],
+        /// How many passes cross the link.
+        repeat: usize,
+    },
 }
 
 /// Supplies the transfer payloads of one simulated training step — the
@@ -518,22 +523,36 @@ impl TransferSource for ProfiledDensity {
 /// activation data. Offloads run line by line through the shared
 /// [`DmaPipeline`]; prefetches use [`prefetch_seconds`] on the table's byte
 /// totals.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct MeasuredStream {
     input: Vec<(u32, u32)>,
     layers: Vec<Vec<(u32, u32)>>,
+    /// Every table stands for this many back-to-back copies of itself.
+    repeat: usize,
 }
 
 impl MeasuredStream {
     /// Builds a stream from the input's line table and one line table per
     /// layer (in layer order).
     pub fn new(input: Vec<(u32, u32)>, layers: Vec<Vec<(u32, u32)>>) -> Self {
-        MeasuredStream { input, layers }
+        MeasuredStream::replicated(input, layers, 1)
     }
 
-    /// Line table of layer `i`'s output.
-    pub fn layer_lines(&self, i: usize) -> &[(u32, u32)] {
-        &self.layers[i]
+    /// A stream whose every table is `repeat` back-to-back copies of the
+    /// given one — a minibatch of `repeat` images with the same per-image
+    /// line table, stored once.
+    pub fn replicated(input: Vec<(u32, u32)>, layers: Vec<Vec<(u32, u32)>>, repeat: usize) -> Self {
+        MeasuredStream {
+            input,
+            layers,
+            repeat,
+        }
+    }
+
+    /// The lines of layer `i`'s output, every repeat included.
+    pub fn layer_lines(&self, i: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let table = &self.layers[i];
+        (0..self.repeat).flat_map(move |_| table.iter().copied())
     }
 
     /// Number of layer tables.
@@ -554,7 +573,7 @@ impl MeasuredStream {
     fn tables(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         std::iter::once(&self.input)
             .chain(self.layers.iter())
-            .map(|t| line_totals(t))
+            .map(|t| line_totals(t, self.repeat))
     }
 }
 
@@ -575,11 +594,13 @@ pub(crate) fn push_busy(v: &mut Vec<(f64, f64)>, start: f64, end: f64) {
     v.push((start, end));
 }
 
-///`(uncompressed, compressed)` byte totals of a line table.
-pub(crate) fn line_totals(lines: &[(u32, u32)]) -> (u64, u64) {
-    lines.iter().fold((0u64, 0u64), |(u, c), &(lu, lc)| {
+/// `(uncompressed, compressed)` byte totals of `repeat` passes of a line
+/// table.
+pub(crate) fn line_totals(lines: &[(u32, u32)], repeat: usize) -> (u64, u64) {
+    let (u, c) = lines.iter().fold((0u64, 0u64), |(u, c), &(lu, lc)| {
         (u + lu as u64, c + lc as u64)
-    })
+    });
+    (u * repeat as u64, c * repeat as u64)
 }
 
 impl TransferSource for MeasuredStream {
@@ -588,7 +609,10 @@ impl TransferSource for MeasuredStream {
     }
 
     fn input_payload(&self, _spec: &NetworkSpec) -> Payload<'_> {
-        Payload::Lines(&self.input)
+        Payload::Lines {
+            lines: &self.input,
+            repeat: self.repeat,
+        }
     }
 
     fn layer_payload(&self, spec: &NetworkSpec, layer: usize) -> Payload<'_> {
@@ -599,7 +623,10 @@ impl TransferSource for MeasuredStream {
             self.layers.len(),
             spec.layers().len()
         );
-        Payload::Lines(&self.layers[layer])
+        Payload::Lines {
+            lines: &self.layers[layer],
+            repeat: self.repeat,
+        }
     }
 }
 
@@ -995,20 +1022,22 @@ impl TimelineSim {
                 }
                 dur
             }
-            Payload::Lines(lines) => {
-                if lines.is_empty() {
+            Payload::Lines { lines, repeat } => {
+                if lines.is_empty() || repeat == 0 {
                     return 0.0;
                 }
                 rec.schedule(t, EventKind::OffloadStart { layer });
                 let mut end = t;
-                for &(u, c) in lines {
-                    let s = pipeline.push_line(t, u, c);
-                    rec.busy(Resource::DmaRead, s.issue, s.read_done);
-                    rec.busy(Resource::Link, s.drain_start, s.drain_end);
-                    end = end.max(s.drain_end);
-                    // Issue, arrival and drain of the line each count as a
-                    // processed pipeline event.
-                    rec.events_processed += 3;
+                for _ in 0..repeat {
+                    for &(u, c) in lines {
+                        let s = pipeline.push_line(t, u, c);
+                        rec.busy(Resource::DmaRead, s.issue, s.read_done);
+                        rec.busy(Resource::Link, s.drain_start, s.drain_end);
+                        end = end.max(s.drain_end);
+                        // Issue, arrival and drain of the line each count
+                        // as a processed pipeline event.
+                        rec.events_processed += 3;
+                    }
                 }
                 rec.schedule(end, EventKind::OffloadEnd { layer });
                 end - t
@@ -1028,8 +1057,8 @@ impl TimelineSim {
                 rec.busy(Resource::Link, t, t + dur);
                 dur
             }
-            Payload::Lines(lines) => {
-                let (u, c) = line_totals(lines);
+            Payload::Lines { lines, repeat } => {
+                let (u, c) = line_totals(lines, repeat);
                 let dur = prefetch_seconds(&self.cfg, u, c);
                 // The link is busy only while compressed bytes cross it;
                 // the engines at the memory controllers hold the
@@ -1273,6 +1302,45 @@ mod tests {
         assert!(tl.total() >= oracle.total() - 1e-12);
         // Line-level pipeline events dominate the processed-event count.
         assert!(tl.events_processed() > tl.events().len() as u64);
+    }
+
+    #[test]
+    fn a_repeated_table_simulates_as_its_materialised_copies() {
+        // A minibatch of `k` images sharing per-image line tables, stored
+        // once, against the same tables written out `k` times.
+        let spec = zoo::alexnet();
+        let k = 5;
+        let table = |seed: u32, lines: u32| -> Vec<(u32, u32)> {
+            (0..lines)
+                .map(|i| (4096, 256 + (i + seed).wrapping_mul(2_654_435_761) % 3841))
+                .collect()
+        };
+        let input = table(1, 37);
+        let layers: Vec<_> = (0..spec.layers().len() as u32)
+            .map(|l| table(l + 2, 11 + 7 * l))
+            .collect();
+        let copies = |t: &Vec<(u32, u32)>| t.repeat(k);
+        let materialised = MeasuredStream::new(copies(&input), layers.iter().map(copies).collect());
+        let repeated = MeasuredStream::replicated(input, layers, k);
+        assert_eq!(
+            repeated.total_uncompressed(),
+            materialised.total_uncompressed()
+        );
+        assert_eq!(repeated.total_compressed(), materialised.total_compressed());
+        for i in 0..spec.layers().len() {
+            assert!(repeated.layer_lines(i).eq(materialised.layer_lines(i)));
+        }
+
+        let a = sim().simulate(&spec, &repeated);
+        let b = sim().simulate(&spec, &materialised);
+        assert_eq!(a.total().to_bits(), b.total().to_bits());
+        assert_eq!(a.breakdown, b.breakdown);
+        assert_eq!(a.events_processed(), b.events_processed());
+        assert_eq!(a.events(), b.events());
+        assert_eq!(a.stages(), b.stages());
+        for r in [Resource::Compute, Resource::DmaRead, Resource::Link] {
+            assert_eq!(a.busy(r), b.busy(r), "{r:?}");
+        }
     }
 
     #[test]

@@ -34,12 +34,7 @@ fn real_training_activations_drive_the_measured_timeline() {
 
     // The captured stream accounts for exactly the bytes vDNN would move.
     for (i, layer) in spec.layers().iter().enumerate() {
-        let u: u64 = cap
-            .stream
-            .layer_lines(i)
-            .iter()
-            .map(|&(lu, _)| lu as u64)
-            .sum();
+        let u: u64 = cap.stream.layer_lines(i).map(|(lu, _)| lu as u64).sum();
         assert_eq!(u, layer.activation_bytes(batch), "{}", layer.name);
     }
     // Real ReLU activations compress (the net is partially trained, so
