@@ -76,7 +76,7 @@
 //! evaluation, Section VII-A); [`windowed::WindowedStream`] reproduces that
 //! accounting with all windows packed into one contiguous buffer, an O(1)
 //! borrowed per-window size table, and an opt-in multi-threaded compression
-//! path ([`windowed::WindowedStream::compress_parallel`]) for multi-megabyte
+//! path ([`windowed::WindowedStream::recompress_parallel`]) for multi-megabyte
 //! activation maps.
 //!
 //! For callers that keep *many* buffers in flight at once (the
@@ -116,7 +116,6 @@ pub mod pool;
 mod rle;
 mod stats;
 pub mod windowed;
-pub(crate) mod workers;
 mod zvc;
 
 pub use adaptive::{Adaptive, WINDOW_WORDS as ADAPTIVE_WINDOW_WORDS};

@@ -20,42 +20,20 @@
 //! Window payloads are produced by [`Compressor::compress_append`]
 //! straight into the contiguous buffer, so ZVC windows go through the
 //! SIMD kernel tiers (see [`crate::Zvc`]) with no per-window
-//! allocation — sequentially, or fanned out over the persistent worker
-//! pool by [`WindowedStream::compress_parallel`] with bit-identical
-//! output.
-//!
-//! # The parallel pipeline
-//!
-//! The parallel paths shard the input into contiguous window runs and hand
-//! the shards to the process-wide worker pool (spawned once, parked
-//! between jobs — no per-call thread creation). The calling thread does
-//! not compress: it **stitches** — as each shard's private buffer
-//! completes, in index order, it is appended to the contiguous stream and
-//! its entries added to the offset table, overlapping offset-table
-//! emission with the compression of later shards. Because windows are
-//! compressed independently either way, the stitched stream is
-//! bit-identical to the sequential path's.
-//!
-//! The `threads` knob on these paths follows one convention: **`0` means
-//! one thread per available core** (`std::thread::available_parallelism`),
-//! `1` forces the sequential path, and any other value is used as given.
+//! allocation — sequentially, or split over scoped threads by
+//! [`WindowedStream::recompress_parallel`] with bit-identical output
+//! (windows are compressed independently either way).
 
-use std::sync::{Condvar, Mutex};
+use std::panic::resume_unwind;
 
-use crate::{workers, CompressionStats, Compressor, DecodeError};
+use crate::{CompressionStats, Compressor, DecodeError};
 
 /// The paper's default window: 4 KB = 1024 activation words.
 pub const DEFAULT_WINDOW_BYTES: usize = 4 * 1024;
 
-/// Inputs below this size are not worth spreading across threads: the
-/// pool handshake and shard stitching rival the compression time itself.
+/// Inputs below this size are not worth spreading across threads:
+/// spawning and joining them rivals the compression time itself.
 const PARALLEL_MIN_BYTES: usize = 1 << 20;
-
-/// Target shards per worker in the parallel paths: enough slack that the
-/// stitcher always has a completed shard to fold in while later shards
-/// are still compressing, without shrinking shards below the point where
-/// per-shard bookkeeping shows up.
-const SHARDS_PER_WORKER: usize = 4;
 
 fn assert_window(window_bytes: usize) {
     assert!(
@@ -193,46 +171,23 @@ impl WindowedStream {
         }
     }
 
-    /// Compresses `data` with the windows spread over the persistent worker
-    /// pool — the opt-in path for multi-megabyte activation maps. `threads
-    /// == 0` resolves to one per available core (see the module docs for
-    /// the convention).
+    /// Parallel counterpart of [`WindowedStream::recompress`] — the
+    /// opt-in path for multi-megabyte activation maps. `data` is split
+    /// into at most `threads` contiguous runs of whole windows (`0` means
+    /// one per available core); this thread compresses the first run in
+    /// place while scoped threads compress the others, and their bytes
+    /// and rebased offsets are appended in order, reusing this stream's
+    /// buffers. No thread outlives the call.
     ///
-    /// Falls back to the sequential path when the resolved thread count is
-    /// 1, when the input is too small to amortize the pool handshake
-    /// (< 1 MB), or when it spans a single window. The output is
-    /// bit-identical to [`WindowedStream::compress`]: windows are
-    /// compressed independently either way, so only wall-clock time
-    /// changes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window_bytes` is not a positive multiple of 4.
-    pub fn compress_parallel<C: Compressor + Sync + ?Sized>(
-        codec: &C,
-        data: &[f32],
-        window_bytes: usize,
-        threads: usize,
-    ) -> Self {
-        let mut stream = WindowedStream::default();
-        stream.recompress_parallel(codec, data, window_bytes, threads);
-        stream
-    }
-
-    /// Parallel counterpart of [`WindowedStream::recompress`]: compresses
-    /// on the worker pool (`threads == 0` = one per core) while reusing
-    /// this stream's byte buffer and offset table for the stitched result.
-    ///
-    /// This is a true pipeline: pool workers compress contiguous shards of
-    /// windows into private buffers while this thread stitches completed
-    /// shards — in index order, as they finish — into the contiguous
-    /// stream and emits their offset-table entries, so table emission
-    /// overlaps compression instead of running after it.
+    /// Falls back to [`WindowedStream::recompress`] when that leaves one
+    /// thread, when the input is too small to amortize the spawns
+    /// (< 1 MB), or when it spans a single window. The stream is
+    /// bit-identical either way; only wall-clock time changes.
     ///
     /// # Panics
     ///
     /// Panics if `window_bytes` is not a positive multiple of 4, or to
-    /// re-raise a compression panic from a pool worker.
+    /// re-raise a codec panic from one of the threads.
     pub fn recompress_parallel<C: Compressor + Sync + ?Sized>(
         &mut self,
         codec: &C,
@@ -241,96 +196,35 @@ impl WindowedStream {
         threads: usize,
     ) {
         assert_window(window_bytes);
-        let threads = workers::resolve_threads(threads);
+        let threads = match threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        };
         let window_elems = window_bytes / 4;
         let window_count = data.len().div_ceil(window_elems);
         if threads <= 1 || data.len() * 4 < PARALLEL_MIN_BYTES || window_count <= 1 {
             self.recompress(codec, data, window_bytes);
             return;
         }
-
-        // Deal contiguous runs of windows into shards — several per worker,
-        // so the stitcher below always has completed shards to fold in
-        // while later ones are still compressing.
-        let limit = threads.min(window_count);
-        let windows_per_shard = window_count.div_ceil(limit * SHARDS_PER_WORKER);
-        let elems_per_shard = windows_per_shard * window_elems;
-        let shard_count = data.len().div_ceil(elems_per_shard);
-
-        // Per-shard result slots plus completion flags; a worker fills its
-        // slot, then flips its flag under the progress lock. The drop guard
-        // flips the flag even if the codec panics, so the stitcher can
-        // never be left waiting on a shard that will not arrive.
-        // One shard's output: the compressed bytes plus per-window sizes.
-        type ShardSlot = Mutex<Option<(Vec<u8>, Vec<usize>)>>;
-        let results: Vec<ShardSlot> = (0..shard_count).map(|_| Mutex::new(None)).collect();
-        let progress = Mutex::new(vec![false; shard_count]);
-        let arrived = Condvar::new();
-
-        struct DoneGuard<'a> {
-            progress: &'a Mutex<Vec<bool>>,
-            arrived: &'a Condvar,
-            index: usize,
-        }
-        impl Drop for DoneGuard<'_> {
-            fn drop(&mut self) {
-                self.progress.lock().unwrap()[self.index] = true;
-                self.arrived.notify_all();
-            }
-        }
-
-        let body = |i: usize| {
-            let guard = DoneGuard {
-                progress: &progress,
-                arrived: &arrived,
-                index: i,
-            };
-            let start = i * elems_per_shard;
-            let shard = &data[start..(start + elems_per_shard).min(data.len())];
-            let mut bytes = Vec::new();
-            let mut sizes = Vec::with_capacity(windows_per_shard);
-            for chunk in shard.chunks(window_elems) {
-                let before = bytes.len();
-                codec.compress_append(chunk, &mut bytes);
-                sizes.push(bytes.len() - before);
-            }
-            *results[guard.index].lock().unwrap() = Some((bytes, sizes));
-        };
-
-        self.bytes.clear();
-        self.offsets.clear();
-        self.offsets.reserve(window_count + 1);
-        self.offsets.push(0);
-        // SAFETY: `body` and everything it borrows outlive `handle`, which
-        // is waited on before this scope ends.
-        let handle = unsafe { workers::launch(shard_count, limit, &body) };
-        let mut missing = false;
-        for i in 0..shard_count {
-            let mut flags = progress.lock().unwrap();
-            while !flags[i] {
-                flags = arrived.wait(flags).unwrap();
-            }
-            drop(flags);
-            match results[i].lock().unwrap().take() {
-                Some((shard_bytes, sizes)) => {
-                    self.bytes.extend_from_slice(&shard_bytes);
-                    for s in sizes {
-                        let last = *self.offsets.last().expect("offsets starts non-empty");
-                        self.offsets.push(last + s);
-                    }
-                }
-                None => {
-                    // The shard's guard fired without a result: its worker
-                    // panicked. Stop stitching; `wait` re-raises below.
-                    missing = true;
-                    break;
-                }
-            }
-        }
-        handle.wait();
-        assert!(!missing, "compression worker produced no shard result");
-        self.window_elems = window_elems;
+        let (head, tail) = data.split_at(window_count.div_ceil(threads) * window_elems);
+        let shards: Vec<WindowedStream> = std::thread::scope(|scope| {
+            let spawned: Vec<_> = tail
+                .chunks(head.len())
+                .map(|run| scope.spawn(move || WindowedStream::compress(codec, run, window_bytes)))
+                .collect();
+            self.recompress(codec, head, window_bytes);
+            spawned
+                .into_iter()
+                .map(|shard| shard.join().unwrap_or_else(|p| resume_unwind(p)))
+                .collect()
+        });
         self.element_count = data.len();
+        for shard in &shards {
+            let base = self.bytes.len();
+            self.bytes.extend_from_slice(&shard.bytes);
+            self.offsets
+                .extend(shard.offsets[1..].iter().map(|end| base + end));
+        }
     }
 
     /// Total compressed payload bytes (what crosses PCIe).
@@ -441,6 +335,12 @@ mod tests {
             .collect()
     }
 
+    fn parallel<C: Compressor + Sync>(codec: &C, data: &[f32], threads: usize) -> WindowedStream {
+        let mut stream = WindowedStream::default();
+        stream.recompress_parallel(codec, data, 4096, threads);
+        stream
+    }
+
     #[test]
     fn windowed_roundtrip_all_algorithms() {
         let data = sparse_data(5000); // not a multiple of the window
@@ -508,7 +408,7 @@ mod tests {
             let codec = alg.codec();
             let seq = WindowedStream::compress(&codec, &data, 4096);
             for threads in [2, 3, 8] {
-                let par = WindowedStream::compress_parallel(&codec, &data, 4096, threads);
+                let par = parallel(&codec, &data, threads);
                 assert_eq!(par.as_bytes(), seq.as_bytes(), "{alg} x{threads}");
                 assert_eq!(
                     par.offsets, seq.offsets,
@@ -523,7 +423,7 @@ mod tests {
     fn parallel_small_input_falls_back_to_sequential() {
         let data = sparse_data(2000); // < 1 MB
         let zvc = Zvc::new();
-        let par = WindowedStream::compress_parallel(&zvc, &data, 4096, 8);
+        let par = parallel(&zvc, &data, 8);
         let seq = WindowedStream::compress(&zvc, &data, 4096);
         assert_eq!(par.as_bytes(), seq.as_bytes());
     }
@@ -534,7 +434,7 @@ mod tests {
         // the stream must be bit-identical to the sequential path.
         let data = sparse_data(300_000);
         let zvc = Zvc::new();
-        let auto = WindowedStream::compress_parallel(&zvc, &data, 4096, 0);
+        let auto = parallel(&zvc, &data, 0);
         let seq = WindowedStream::compress(&zvc, &data, 4096);
         assert_eq!(auto.as_bytes(), seq.as_bytes());
         assert_eq!(auto.offsets, seq.offsets);
@@ -617,7 +517,7 @@ mod tests {
         let data = sparse_data(300_000); // above the parallel floor
         let zvc = Zvc::new();
         let seq = WindowedStream::compress(&zvc, &data, 4096);
-        let mut stream = WindowedStream::compress_parallel(&zvc, &data, 4096, 4);
+        let mut stream = parallel(&zvc, &data, 4);
         assert_eq!(stream.as_bytes(), seq.as_bytes());
         let cap_bytes = stream.bytes.capacity();
         let cap_offsets = stream.offsets.capacity();
@@ -625,6 +525,53 @@ mod tests {
         assert_eq!(stream.bytes.capacity(), cap_bytes, "byte buffer recycled");
         assert_eq!(stream.offsets.capacity(), cap_offsets, "offsets recycled");
         assert_eq!(stream.as_bytes(), seq.as_bytes());
+    }
+
+    #[test]
+    fn codec_panic_reaches_the_caller_and_the_stream_stays_usable() {
+        /// ZVC, except that a window opening with the marker word panics.
+        struct Tripwire;
+        const MARKER: f32 = -12345.0;
+        impl Compressor for Tripwire {
+            fn name(&self) -> &'static str {
+                "TW"
+            }
+            fn compress_append(&self, data: &[f32], out: &mut Vec<u8>) {
+                assert!(data.first() != Some(&MARKER), "tripwire window");
+                Zvc::new().compress_append(data, out);
+            }
+            fn decompress_append(
+                &self,
+                bytes: &[u8],
+                element_count: usize,
+                out: &mut Vec<f32>,
+            ) -> Result<(), DecodeError> {
+                Zvc::new().decompress_append(bytes, element_count, out)
+            }
+        }
+
+        let clean = sparse_data(300_000);
+        let seq = WindowedStream::compress(&Zvc::new(), &clean, 4096);
+        let mut stream = WindowedStream::default();
+        // Two threads: window 3 is the caller's own run, window 196 a
+        // spawned thread's.
+        for window in [3, 196] {
+            let mut data = clean.clone();
+            data[window * 1024] = MARKER;
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                stream.recompress_parallel(&Tripwire, &data, 4096, 2);
+            }));
+            let payload = caught.expect_err("the codec's panic must reach the caller");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"tripwire window"),
+                "window {window}: the panic keeps its own message"
+            );
+            stream.recompress_parallel(&Tripwire, &clean, 4096, 2);
+            assert_eq!(stream.as_bytes(), seq.as_bytes());
+            assert_eq!(stream.offsets, seq.offsets);
+            assert_eq!(stream.decompress(&Tripwire).unwrap(), clean);
+        }
     }
 
     #[test]

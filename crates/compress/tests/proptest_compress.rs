@@ -143,7 +143,8 @@ fn parallel_compression_is_equivalent() {
         for alg in Algorithm::ALL {
             let codec = alg.codec();
             let seq = windowed::WindowedStream::compress(&codec, &data, 4096);
-            let par = windowed::WindowedStream::compress_parallel(&codec, &data, 4096, threads);
+            let mut par = windowed::WindowedStream::default();
+            par.recompress_parallel(&codec, &data, 4096, threads);
             assert_eq!(
                 seq.as_bytes(),
                 par.as_bytes(),

@@ -12,6 +12,7 @@ use cdma_vdnn::cluster::{ClusterSim, ClusterTimeline, Tenant};
 use cdma_vdnn::timeline::Resource;
 use cdma_vdnn::{ComputeModel, CudnnVersion, Fidelity, FidelitySource, LinkPolicy, UniformRatio};
 
+use super::gantt_row;
 use crate::report::{Artifact, Cell, Report, Table};
 use crate::scenario::{Context, Runner, Scenario, ScenarioFilter, ScenarioSet};
 
@@ -129,20 +130,6 @@ pub struct MultiGpuReport {
     pub mix_makespan_overlapped: f64,
     /// Link-utilisation Gantt of the tenant mix (the report artifact).
     pub gantt: String,
-}
-
-/// Renders one row of the Gantt: '#' columns where any of `spans`
-/// overlaps the bucket.
-pub(super) fn gantt_row(label: &str, spans: &[(f64, f64)], makespan: f64, cols: usize) -> String {
-    let mut chars = vec![' '; cols];
-    for &(s, e) in spans {
-        let lo = ((s / makespan) * cols as f64).floor() as usize;
-        let hi = (((e / makespan) * cols as f64).ceil() as usize).clamp(lo + 1, cols);
-        for c in chars.iter_mut().take(hi).skip(lo.min(cols - 1)) {
-            *c = '#';
-        }
-    }
-    format!("{label:<22} |{}|", chars.into_iter().collect::<String>())
 }
 
 /// Builds the heavy-traffic mix: every mix network the filter admits

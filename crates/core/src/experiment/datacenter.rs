@@ -21,7 +21,7 @@ use cdma_vdnn::cluster::{ClusterSim, Tenant};
 use cdma_vdnn::fabric::{churn_trace, FabricShape, FabricSim, Job, JobOutcome};
 use cdma_vdnn::{ComputeModel, CudnnVersion, FidelitySource, LinkPolicy};
 
-use super::cluster::gantt_row;
+use super::gantt_row;
 use crate::report::{Artifact, Cell, Report, Table};
 use crate::scenario::{Context, Runner, Scenario, ScenarioFilter, ScenarioSet};
 

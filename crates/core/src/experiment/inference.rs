@@ -28,6 +28,7 @@ use cdma_serve::{
     fill_activations, run_virtual_with_kernel, ServerConfig, ServiceModel, TenantLoad, TenantSpec,
 };
 
+use super::gantt_row;
 use crate::report::{Artifact, Cell, Report, Table};
 use crate::scenario::{Context, Runner, ScenarioFilter, ScenarioSet};
 
@@ -326,20 +327,6 @@ fn energy_rows(traffic: &[InferTrafficRow]) -> Vec<InferEnergyRow> {
             }
         })
         .collect()
-}
-
-/// Renders one row of the Gantt: '#' columns where any of `spans`
-/// overlaps the bucket (same convention as the cluster link Gantt).
-fn gantt_row(label: &str, spans: &[(f64, f64)], makespan: f64, cols: usize) -> String {
-    let mut chars = vec![' '; cols];
-    for &(s, e) in spans {
-        let lo = ((s / makespan) * cols as f64).floor() as usize;
-        let hi = (((e / makespan) * cols as f64).ceil() as usize).clamp(lo + 1, cols);
-        for c in chars.iter_mut().take(hi).skip(lo.min(cols - 1)) {
-            *c = '#';
-        }
-    }
-    format!("{label:<22} |{}|", chars.into_iter().collect::<String>())
 }
 
 fn pe_gantt(ctx: &Context) -> String {

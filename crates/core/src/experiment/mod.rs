@@ -70,6 +70,20 @@ pub use training::{
 use crate::report::Report;
 use crate::scenario::{Context, Runner, ScenarioFilter};
 
+/// Renders one row of a Gantt artifact: '#' columns where any of `spans`
+/// overlaps the bucket.
+fn gantt_row(label: &str, spans: &[(f64, f64)], makespan: f64, cols: usize) -> String {
+    let mut chars = vec![' '; cols];
+    for &(s, e) in spans {
+        let lo = ((s / makespan) * cols as f64).floor() as usize;
+        let hi = (((e / makespan) * cols as f64).ceil() as usize).clamp(lo + 1, cols);
+        for c in chars.iter_mut().take(hi).skip(lo.min(cols - 1)) {
+            *c = '#';
+        }
+    }
+    format!("{label:<22} |{}|", chars.into_iter().collect::<String>())
+}
+
 /// One catalogue entry: the stable experiment name plus what it
 /// regenerates.
 #[derive(Debug, Clone, Copy)]

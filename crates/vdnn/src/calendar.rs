@@ -1,10 +1,11 @@
 //! # Indexed calendar event queue
 //!
-//! [`CalendarQueue`] is the priority queue behind the event-driven
-//! simulators: a classic Brown-style *calendar queue* — an array of time
+//! [`CalendarQueue`] is the priority queue behind the cluster simulator's
+//! stage starts: a classic Brown-style *calendar queue* — an array of time
 //! buckets of width `w`, where an event at time `t` lives in bucket
-//! `⌊t/w⌋ mod n` — replacing the `BinaryHeap` the timeline and cluster
-//! simulators used to carry. Each bucket is kept sorted by `(time, seq)`,
+//! `⌊t/w⌋ mod n` — replacing the `BinaryHeap` it used to carry (the
+//! single-GPU timeline needs no queue: it appends its events and sorts
+//! them once). Each bucket is kept sorted by `(time, seq)`,
 //! so the bucket minimum is always its front: near-future pops touch one
 //! deque end instead of re-heapifying, and a batch of simultaneous events
 //! (a synchronized 1000-GPU stage boundary queues ~1000 entries at one

@@ -67,7 +67,7 @@ use crate::calendar::CalendarQueue;
 use crate::fabric::{FabricSpec, FluidFabric};
 use crate::timeline::{
     line_totals, push_busy, Event, EventKind, FlowId, LinkPolicy, Payload, Phase, RequestId,
-    Resource, StageRecord, StepTimeline, TimelineSim, TransferSource,
+    Resource, Stage, StageRecord, StepTimeline, TimelineSim, Transfer, TransferSource,
 };
 use crate::{ComputeModel, StepBreakdown};
 
@@ -307,19 +307,12 @@ impl ClusterTimeline {
     }
 }
 
-/// One planned pipeline stage of a tenant's per-GPU program.
+/// One stage of a tenant's per-GPU program: the schedule's [`Stage`] with
+/// its batch-linear quantities scaled by `1/gpus`.
 struct StagePlan {
-    phase: Phase,
-    layer: usize,
+    stage: Stage,
     compute: f64,
     demand: Option<Demand>,
-    /// `OffloadStart{layer}` / `PrefetchStart{layer}` discriminator.
-    offload: bool,
-    /// The offloaded layer for event labelling (`None` = network input).
-    event_layer: Option<usize>,
-    /// Whether the stage emits a [`StageRecord`] (the serial head
-    /// prefetch does not, mirroring `TimelineSim`).
-    record: bool,
 }
 
 /// A transfer as the fabric sees it: wire bytes plus the engine-side
@@ -385,7 +378,6 @@ fn prefetch_demand(cfg: &SystemConfig, payload: Payload<'_>, scale: f64) -> Opti
 pub struct ClusterSim {
     cfg: SystemConfig,
     compute: ComputeModel,
-    policy: LinkPolicy,
     overlap_allreduce: bool,
     fabric: FabricSpec,
     record: bool,
@@ -400,7 +392,6 @@ impl ClusterSim {
         ClusterSim {
             cfg,
             compute,
-            policy,
             overlap_allreduce: false,
             fabric: FabricSpec::flat(cfg.pcie_bw, policy),
             record: true,
@@ -450,9 +441,9 @@ impl ClusterSim {
         self.compute
     }
 
-    /// The link arbitration policy.
+    /// The arbitration policy of the shared tier (the fabric's spine).
     pub fn policy(&self) -> LinkPolicy {
-        self.policy
+        self.fabric.spine_policy
     }
 
     /// Simulates one synchronized training step (plus gradient
@@ -503,71 +494,33 @@ impl ClusterSim {
             node_wire_bytes: Vec::new(),
             makespan: total,
             events_processed,
-            policy: self.policy,
+            policy: self.policy(),
         }
     }
 
-    /// Builds the per-GPU stage program of one tenant, mirroring
-    /// `TimelineSim::simulate`'s forward/backward structure with all
-    /// batch-linear quantities scaled by `1/gpus`.
+    /// Builds the per-GPU stage program of one tenant.
     fn plan(&self, t: &Tenant<'_>) -> Vec<StagePlan> {
-        let spec = t.spec;
-        let batch = spec.batch();
-        let layers = spec.layers();
         let scale = 1.0 / t.gpus as f64;
-        let mut plan = Vec::with_capacity(2 * layers.len() + 1);
-        for (i, layer) in layers.iter().enumerate() {
-            let payload = if i == 0 {
-                t.source.input_payload(spec)
-            } else {
-                t.source.layer_payload(spec, i - 1)
-            };
-            plan.push(StagePlan {
-                phase: Phase::Forward,
-                layer: i,
-                compute: self.compute.forward_time(layer, batch) * scale,
-                demand: offload_demand(&self.cfg, payload, scale),
-                offload: true,
-                event_layer: if i > 0 { Some(i - 1) } else { None },
-                record: true,
-            });
-        }
-        if !layers.is_empty() {
-            // Serial head prefetch of the deepest offloaded input.
-            let head = layers.len().saturating_sub(2);
-            plan.push(StagePlan {
-                phase: Phase::Backward,
-                layer: head,
-                compute: 0.0,
-                demand: prefetch_demand(&self.cfg, t.source.layer_payload(spec, head), scale),
-                offload: false,
-                event_layer: Some(head),
-                record: false,
-            });
-            for (i, layer) in layers.iter().enumerate().rev() {
-                let demand = if i >= 2 {
-                    prefetch_demand(&self.cfg, t.source.layer_payload(spec, i - 2), scale)
-                } else {
-                    None
-                };
-                plan.push(StagePlan {
-                    phase: Phase::Backward,
-                    layer: i,
-                    compute: self.compute.backward_time(layer, batch) * scale,
-                    demand,
-                    offload: false,
-                    event_layer: if i >= 2 { Some(i - 2) } else { None },
-                    record: true,
-                });
-            }
-        }
-        plan
+        Stage::program(t.spec.layers().len())
+            .map(|stage| {
+                let payload = stage.payload(t.spec, t.source);
+                StagePlan {
+                    stage,
+                    compute: stage.compute(&self.compute, t.spec) * scale,
+                    demand: match stage.transfer {
+                        Transfer::Idle => None,
+                        Transfer::Offload(_) => offload_demand(&self.cfg, payload, scale),
+                        Transfer::Prefetch(_) => prefetch_demand(&self.cfg, payload, scale),
+                    },
+                }
+            })
+            .collect()
     }
 
     fn shared(&self, tenants: &[Tenant<'_>]) -> ClusterTimeline {
         let mut engine = SharedEngine::new(self, tenants);
         engine.run();
-        engine.finish(self.policy)
+        engine.finish(self.policy())
     }
 }
 
@@ -757,8 +710,8 @@ impl SharedEngine {
     fn start_stage(&mut self, gpu: usize, t: f64) {
         let run = &mut self.gpus[gpu];
         let plan = &self.plans[run.tenant][run.next_stage];
+        let Stage { phase, layer, .. } = plan.stage;
         if plan.compute > 0.0 {
-            let (phase, layer) = (plan.phase, plan.layer);
             run.push_event(t, EventKind::ComputeStart { phase, layer });
             run.push_event(t + plan.compute, EventKind::ComputeEnd { phase, layer });
             if run.record {
@@ -775,14 +728,10 @@ impl SharedEngine {
                 self.finish_stage(gpu, t, compute_end, None);
             }
             Some(d) => {
-                let start_kind = if plan.offload {
-                    EventKind::OffloadStart {
-                        layer: plan.event_layer,
-                    }
-                } else {
-                    EventKind::PrefetchStart {
-                        layer: plan.event_layer.expect("prefetches name a layer"),
-                    }
+                let start_kind = match plan.stage.transfer {
+                    Transfer::Offload(layer) => EventKind::OffloadStart { layer },
+                    Transfer::Prefetch(layer) => EventKind::PrefetchStart { layer },
+                    Transfer::Idle => unreachable!("an idle stage has no demand"),
                 };
                 run.push_event(t, start_kind);
                 run.waiting = Some(Waiting {
@@ -804,14 +753,10 @@ impl SharedEngine {
         let plan = &self.plans[run.tenant][run.next_stage];
         let transfer = match transfer_end {
             Some(tc) => {
-                let end_kind = if plan.offload {
-                    EventKind::OffloadEnd {
-                        layer: plan.event_layer,
-                    }
-                } else {
-                    EventKind::PrefetchEnd {
-                        layer: plan.event_layer.expect("prefetches name a layer"),
-                    }
+                let end_kind = match plan.stage.transfer {
+                    Transfer::Offload(layer) => EventKind::OffloadEnd { layer },
+                    Transfer::Prefetch(layer) => EventKind::PrefetchEnd { layer },
+                    Transfer::Idle => unreachable!("an idle stage has no transfer"),
                 };
                 run.push_event(tc, end_kind);
                 if run.record {
@@ -823,7 +768,8 @@ impl SharedEngine {
         };
         let dur = end - start;
         let stall = (transfer - plan.compute).max(0.0);
-        match plan.phase {
+        let stage = plan.stage;
+        match stage.phase {
             Phase::Forward => {
                 run.breakdown.forward += dur;
                 run.breakdown.forward_stall += stall;
@@ -833,10 +779,10 @@ impl SharedEngine {
                 run.breakdown.backward_stall += stall;
             }
         }
-        if plan.record && run.record {
+        if stage.record && run.record {
             run.stages.push(StageRecord {
-                phase: plan.phase,
-                layer: plan.layer,
+                phase: stage.phase,
+                layer: stage.layer,
                 start,
                 compute: plan.compute,
                 transfer,
@@ -844,7 +790,7 @@ impl SharedEngine {
             });
         }
         let backward_layer =
-            (self.overlap && plan.record && plan.phase == Phase::Backward).then_some(plan.layer);
+            (self.overlap && stage.record && stage.phase == Phase::Backward).then_some(stage.layer);
         let tenant = run.tenant;
         run.next_stage += 1;
         let retired = run.next_stage == self.plans[tenant].len();
@@ -1043,6 +989,27 @@ mod tests {
             (ar - expect).abs() / expect < 1e-9,
             "all-reduce {ar} vs checked bytes {expect}"
         );
+    }
+
+    #[test]
+    fn reported_policy_is_the_fabrics() {
+        // `with_fabric` replaces the link the constructor's policy built;
+        // what is reported must be what ran.
+        let bw = SystemConfig::titan_x_pcie3().pcie_bw;
+        let sim = sim(LinkPolicy::BandwidthShare)
+            .with_fabric(FabricSpec::flat(bw, LinkPolicy::RoundRobin));
+        assert_eq!(sim.policy(), LinkPolicy::RoundRobin);
+        let spec = zoo::alexnet();
+        let source = UniformRatio::uniform(&spec, 2.6);
+        // One GPU takes the dedicated path, two the shared one.
+        for gpus in [1, 2] {
+            let tl = sim.simulate(&[Tenant {
+                spec: &spec,
+                source: &source,
+                gpus,
+            }]);
+            assert_eq!(tl.policy(), LinkPolicy::RoundRobin, "{gpus} GPU(s)");
+        }
     }
 
     #[test]

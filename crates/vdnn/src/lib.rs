@@ -15,8 +15,8 @@
 //!   density) obtained by running the real codecs from `cdma-compress` on
 //!   clustered activations from `cdma-sparsity`;
 //! * [`traffic`] — offloaded-byte accounting per network (Fig. 11/12);
-//! * [`timeline`] — the event-driven training-step simulator: a shared
-//!   event queue over the GPU compute stream, the cDMA read path and the
+//! * [`timeline`] — the event-driven training-step simulator: one event
+//!   log over the GPU compute stream, the cDMA read path and the
 //!   PCIe link, fed by a [`TransferSource`] at one of three fidelity levels
 //!   ([`UniformRatio`] analytic ratios, [`ProfiledDensity`] trajectory
 //!   ratios, [`MeasuredStream`] real compressed line sizes);

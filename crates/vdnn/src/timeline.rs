@@ -44,7 +44,6 @@ use cdma_models::profiles::NetworkProfile;
 use cdma_models::NetworkSpec;
 use cdma_tensor::Layout;
 
-use crate::calendar::CalendarQueue;
 use crate::{ComputeModel, RatioTable};
 
 /// Seconds to move `compressed_bytes` CPU→GPU and re-inflate them to
@@ -790,48 +789,117 @@ impl StepTimeline {
         &self.busy[r as usize]
     }
 
-    /// Total events processed through the queue, including line-granularity
-    /// DMA pipeline events at the measured fidelity level (the
+    /// Total events processed: the log plus the line-granularity DMA
+    /// pipeline events of the measured fidelity level (the
     /// "events/second" denominator of the timeline micro-benchmark).
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
 }
 
-/// The shared event queue plus the record-keeping the simulation threads
-/// through every stage. Events pop from the [`CalendarQueue`] in time
-/// order, ties broken by insertion sequence, so the log is deterministic
-/// (the exact order the retired `BinaryHeap` produced).
+/// What rides the link during one stage of the schedule.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Transfer {
+    /// Nothing: backward stages 1 and 0 have no input left to fetch.
+    Idle,
+    /// GPU→CPU offload of a layer's output (`None` = the network input).
+    Offload(Option<usize>),
+    /// CPU→GPU prefetch of a layer's output.
+    Prefetch(usize),
+}
+
+/// One stage of vDNN's per-GPU schedule (Fig. 2 of the paper): the layer
+/// it computes and the transfer it overlaps, closed by a barrier on both.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Stage {
+    pub(crate) phase: Phase,
+    pub(crate) layer: usize,
+    pub(crate) transfer: Transfer,
+    /// Whether the stage computes and emits a [`StageRecord`]; only the
+    /// serial head prefetch does neither.
+    pub(crate) record: bool,
+}
+
+impl Stage {
+    /// The stage program of a `layers`-deep network, in execution order:
+    /// forward stage *i* computes layer *i* while offloading its input
+    /// (layer *i−1*'s output; the network input for stage 0 — the last
+    /// layer's output feeds the loss directly and is never offloaded);
+    /// then a serial prefetch of the deepest offloaded input, with nothing
+    /// to overlap; then backward stage *i* computes layer *i* while
+    /// prefetching the input of layer *i−1* (= the output of layer *i−2*).
+    pub(crate) fn program(layers: usize) -> impl Iterator<Item = Stage> {
+        let forward = (0..layers).map(|i| Stage {
+            phase: Phase::Forward,
+            layer: i,
+            transfer: Transfer::Offload(i.checked_sub(1)),
+            record: true,
+        });
+        let head = (layers > 0).then(|| Stage {
+            phase: Phase::Backward,
+            layer: layers.saturating_sub(2),
+            transfer: Transfer::Prefetch(layers.saturating_sub(2)),
+            record: false,
+        });
+        let backward = (0..layers).rev().map(|i| Stage {
+            phase: Phase::Backward,
+            layer: i,
+            transfer: i.checked_sub(2).map_or(Transfer::Idle, Transfer::Prefetch),
+            record: true,
+        });
+        forward.chain(head).chain(backward)
+    }
+
+    /// Full-batch seconds of the stage's computation (0 for the head).
+    pub(crate) fn compute(&self, model: &ComputeModel, spec: &NetworkSpec) -> f64 {
+        if !self.record {
+            return 0.0;
+        }
+        let layer = &spec.layers()[self.layer];
+        match self.phase {
+            Phase::Forward => model.forward_time(layer, spec.batch()),
+            Phase::Backward => model.backward_time(layer, spec.batch()),
+        }
+    }
+
+    /// What `source` moves during the stage.
+    pub(crate) fn payload<'a>(
+        &self,
+        spec: &NetworkSpec,
+        source: &'a dyn TransferSource,
+    ) -> Payload<'a> {
+        match self.transfer {
+            Transfer::Idle => Payload::None,
+            Transfer::Offload(None) => source.input_payload(spec),
+            Transfer::Offload(Some(layer)) | Transfer::Prefetch(layer) => {
+                source.layer_payload(spec, layer)
+            }
+        }
+    }
+}
+
+/// The record-keeping the simulation threads through every stage.
 struct Recorder {
-    queue: CalendarQueue<EventKind>,
+    /// In scheduling order; [`TimelineSim::simulate`] sorts them by time.
     events: Vec<Event>,
     stages: Vec<StageRecord>,
     busy: [Vec<(f64, f64)>; 3],
-    events_processed: u64,
+    /// Line-granularity DMA pipeline events, which never enter the log.
+    line_events: u64,
 }
 
 impl Recorder {
     fn new() -> Self {
         Recorder {
-            queue: CalendarQueue::new(),
             events: Vec::new(),
             stages: Vec::new(),
             busy: [Vec::new(), Vec::new(), Vec::new()],
-            events_processed: 0,
+            line_events: 0,
         }
     }
 
     fn schedule(&mut self, time: f64, kind: EventKind) {
-        self.queue.push(time, kind);
-    }
-
-    /// Pops every queued event up to and including `t` into the log.
-    fn drain_until(&mut self, t: f64) {
-        while self.queue.min_time().is_some_and(|t0| t0 <= t) {
-            let (time, kind) = self.queue.pop().expect("peeked");
-            self.events_processed += 1;
-            self.events.push(Event { time, kind });
-        }
+        self.events.push(Event { time, kind });
     }
 
     /// Records a busy interval, coalescing with the previous one when they
@@ -868,129 +936,66 @@ impl TimelineSim {
     /// Simulates one training step of `spec` with transfers supplied by
     /// `source`.
     pub fn simulate(&self, spec: &NetworkSpec, source: &dyn TransferSource) -> StepTimeline {
-        let batch = spec.batch();
-        let layers = spec.layers();
         let mut rec = Recorder::new();
         // One pipeline for the whole step: layer offloads contend for the
         // read path and the staging buffer across stage boundaries.
         let mut pipeline = DmaPipeline::new(self.cfg);
 
         let mut t = 0.0f64;
-        let mut forward = 0.0f64;
-        let mut forward_stall = 0.0f64;
-        for (i, layer) in layers.iter().enumerate() {
-            let compute = self.compute.forward_time(layer, batch);
-            // Stage i overlaps layer i's compute with the offload of its
-            // input (the previous layer's output; the dense network input
-            // for stage 0).
-            let (payload, src) = if i == 0 {
-                (source.input_payload(spec), None)
-            } else {
-                (source.layer_payload(spec, i - 1), Some(i - 1))
+        let mut breakdown = StepBreakdown {
+            forward: 0.0,
+            backward: 0.0,
+            forward_stall: 0.0,
+            backward_stall: 0.0,
+        };
+        for stage in Stage::program(spec.layers().len()) {
+            let Stage { phase, layer, .. } = stage;
+            let compute = stage.compute(&self.compute, spec);
+            let payload = stage.payload(spec, source);
+            let transfer = match stage.transfer {
+                Transfer::Idle => 0.0,
+                Transfer::Offload(src) => {
+                    pipeline.advance_to(t);
+                    self.offload(&mut rec, &mut pipeline, t, src, payload)
+                }
+                Transfer::Prefetch(src) => self.prefetch(&mut rec, t, src, payload),
             };
-            pipeline.advance_to(t);
-            let transfer = self.offload(&mut rec, &mut pipeline, t, src, payload);
             if compute > 0.0 {
-                rec.schedule(
-                    t,
-                    EventKind::ComputeStart {
-                        phase: Phase::Forward,
-                        layer: i,
-                    },
-                );
-                rec.schedule(
-                    t + compute,
-                    EventKind::ComputeEnd {
-                        phase: Phase::Forward,
-                        layer: i,
-                    },
-                );
+                rec.schedule(t, EventKind::ComputeStart { phase, layer });
+                rec.schedule(t + compute, EventKind::ComputeEnd { phase, layer });
                 rec.busy(Resource::Compute, t, t + compute);
             }
-            // The stage barrier: layer i+1 may start only when both the
-            // computation and the offload have finished.
+            // The stage barrier: the next stage may start only when both
+            // the computation and the transfer have finished.
             let dur = compute.max(transfer);
-            forward += dur;
-            forward_stall += (transfer - compute).max(0.0);
-            rec.stages.push(StageRecord {
-                phase: Phase::Forward,
-                layer: i,
-                start: t,
-                compute,
-                transfer,
-                end: t + dur,
-            });
-            t += dur;
-            rec.drain_until(t);
-        }
-        // The last layer's output feeds the loss directly; no offload.
-
-        let mut backward = 0.0f64;
-        let mut backward_stall = 0.0f64;
-        if !layers.is_empty() {
-            // The deepest offloaded input must be prefetched before its
-            // backward stage can run: a serial head with nothing to overlap.
-            let head = layers.len().saturating_sub(2);
-            let p = self.prefetch(&mut rec, t, head, source.layer_payload(spec, head));
-            backward += p;
-            backward_stall += p;
-            t += p;
-            rec.drain_until(t);
-            for (i, layer) in layers.iter().enumerate().rev() {
-                let compute = self.compute.backward_time(layer, batch);
-                // While computing layer i's backward, prefetch the input of
-                // layer i-1 (= the output of layer i-2).
-                let transfer = if i >= 2 {
-                    self.prefetch(&mut rec, t, i - 2, source.layer_payload(spec, i - 2))
-                } else {
-                    0.0
-                };
-                if compute > 0.0 {
-                    rec.schedule(
-                        t,
-                        EventKind::ComputeStart {
-                            phase: Phase::Backward,
-                            layer: i,
-                        },
-                    );
-                    rec.schedule(
-                        t + compute,
-                        EventKind::ComputeEnd {
-                            phase: Phase::Backward,
-                            layer: i,
-                        },
-                    );
-                    rec.busy(Resource::Compute, t, t + compute);
-                }
-                let dur = compute.max(transfer);
-                backward += dur;
-                backward_stall += (transfer - compute).max(0.0);
+            let (total, stall) = match phase {
+                Phase::Forward => (&mut breakdown.forward, &mut breakdown.forward_stall),
+                Phase::Backward => (&mut breakdown.backward, &mut breakdown.backward_stall),
+            };
+            *total += dur;
+            *stall += (transfer - compute).max(0.0);
+            if stage.record {
                 rec.stages.push(StageRecord {
-                    phase: Phase::Backward,
-                    layer: i,
+                    phase,
+                    layer,
                     start: t,
                     compute,
                     transfer,
                     end: t + dur,
                 });
-                t += dur;
-                rec.drain_until(t);
             }
+            t += dur;
         }
-        rec.drain_until(f64::INFINITY);
+        // Time order, ties in scheduling order (the sort is stable).
+        rec.events.sort_by(|a, b| a.time.total_cmp(&b.time));
 
         StepTimeline {
-            breakdown: StepBreakdown {
-                forward,
-                backward,
-                forward_stall,
-                backward_stall,
-            },
+            breakdown,
             fidelity: source.fidelity(),
+            events_processed: rec.events.len() as u64 + rec.line_events,
             events: rec.events,
             stages: rec.stages,
             busy: rec.busy,
-            events_processed: rec.events_processed,
         }
     }
 
@@ -1036,7 +1041,7 @@ impl TimelineSim {
                         end = end.max(s.drain_end);
                         // Issue, arrival and drain of the line each count
                         // as a processed pipeline event.
-                        rec.events_processed += 3;
+                        rec.line_events += 3;
                     }
                 }
                 rec.schedule(end, EventKind::OffloadEnd { layer });

@@ -80,7 +80,7 @@
 //!   compressed in independent 4 KB windows, stored as **one contiguous
 //!   byte buffer** plus an O(1) offset table (`window_sizes()` borrows; it
 //!   does not allocate), with an opt-in multi-threaded path
-//!   (`compress_parallel`) for multi-megabyte maps.
+//!   (`recompress_parallel`) for multi-megabyte maps.
 //! * [`core::CdmaEngine`] — `offload_into` recycles an `OffloadScratch`'s
 //!   stream storage and DMA pipeline and `memcpy_decompressed_into`
 //!   prefetches into a reusable buffer, so a steady-state training loop's

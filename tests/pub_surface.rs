@@ -4,6 +4,9 @@
 //! `// pub: <reason>` note on the line above. Types are exempt (a
 //! returned struct is reachable without being named), and so are the
 //! hardware models the tests pin against the paper, which stay whole.
+//!
+//! The `unsafe` surface is the ZVC kernels': the word occurs in
+//! `crates/*/src` only under `crates/compress/src/zvc/`.
 
 use std::collections::HashSet;
 use std::fs;
@@ -76,5 +79,30 @@ fn every_pub_fn_and_const_is_named_in_another_file() {
         found.is_empty(),
         "`pub fn` / `pub const` named in no other file (delete, drop `pub`, or note \
          `// pub: <reason>` on the line above):\n{found}"
+    );
+}
+
+#[test]
+fn unsafe_occurs_only_beside_the_zvc_kernels() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(&root.join("crates"), &mut files);
+    files.sort();
+    let mut found = Vec::new();
+    for file in &files {
+        let rel = file.strip_prefix(root).expect("walk started at the root");
+        let in_src = rel.iter().nth(2) == Some("src".as_ref());
+        if !in_src || rel.starts_with("crates/compress/src/zvc") {
+            continue;
+        }
+        let text = fs::read_to_string(file).expect("a .rs file the walk just listed");
+        if text.split(|c| !is_word(c)).any(|w| w == "unsafe") {
+            found.push(rel.display().to_string());
+        }
+    }
+    assert!(
+        found.is_empty(),
+        "`unsafe` outside crates/compress/src/zvc/ (comments count: say it another way):\n{}",
+        found.join("\n")
     );
 }
