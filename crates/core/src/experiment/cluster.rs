@@ -10,9 +10,9 @@ use cdma_gpusim::SystemConfig;
 use cdma_models::NetworkSpec;
 use cdma_vdnn::cluster::{ClusterSim, ClusterTimeline, Tenant};
 use cdma_vdnn::timeline::Resource;
-use cdma_vdnn::{ComputeModel, CudnnVersion, Fidelity, FidelitySource, LinkPolicy, UniformRatio};
+use cdma_vdnn::{Fidelity, FidelitySource, LinkPolicy, UniformRatio};
 
-use super::gantt_row;
+use super::{compute_model, gantt_row};
 use crate::report::{Artifact, Cell, Report, Table};
 use crate::scenario::{Context, Runner, Scenario, ScenarioFilter, ScenarioSet};
 
@@ -62,11 +62,7 @@ pub struct TenantRow {
 }
 
 fn cluster_sim(scenario: &Scenario) -> ClusterSim {
-    ClusterSim::new(
-        scenario.config,
-        ComputeModel::titan_x(CudnnVersion::V5),
-        scenario.link_policy,
-    )
+    ClusterSim::new(scenario.config, compute_model(), scenario.link_policy)
 }
 
 /// Simulates one scenario's cluster (its network, data-parallel across
@@ -96,18 +92,29 @@ fn vdnn_total(ctx: &Context, scenario: &Scenario) -> f64 {
 }
 
 fn row_with_baseline(ctx: &Context, scenario: &Scenario, vdnn_step: f64) -> MultiGpuRow {
-    let cdma = cluster_timeline(ctx, scenario);
-    let tc = &cdma.tenants()[0];
+    // g = 1 *is* the single-GPU step — `ClusterSim` hands a lone GPU on a
+    // flat link to `TimelineSim` bit for bit — so it comes from the step
+    // memo; the cluster starts at g = 2.
+    let (fidelity, cdma_step, allreduce, link_utilisation) = if scenario.gpus == 1 {
+        let step = ctx.step(scenario);
+        let link = step.busy_seconds(Resource::Link);
+        (step.fidelity(), step.total(), 0.0, link / step.total())
+    } else {
+        let cdma = cluster_timeline(ctx, scenario);
+        let tc = &cdma.tenants()[0];
+        let fidelity = cdma.gpu(0).fidelity();
+        (fidelity, tc.total, tc.allreduce, cdma.link_utilisation())
+    };
     MultiGpuRow {
         network: scenario.network.clone(),
-        fidelity: cdma.gpu(0).fidelity(),
+        fidelity,
         gpus: scenario.gpus,
         link_share_gbps: scenario.config.pcie_bw / scenario.gpus as f64 / 1e9,
         vdnn_step,
-        cdma_step: tc.total,
-        allreduce: tc.allreduce,
-        speedup: vdnn_step / tc.total,
-        link_utilisation: cdma.link_utilisation(),
+        cdma_step,
+        allreduce,
+        speedup: vdnn_step / cdma_step,
+        link_utilisation,
     }
 }
 
@@ -191,7 +198,7 @@ pub fn fig_multi_gpu(ctx: &Context, runner: &Runner, filter: &ScenarioFilter) ->
     // platform, one wire.
     let sim = ClusterSim::new(
         SystemConfig::titan_x_pcie3(),
-        ComputeModel::titan_x(CudnnVersion::V5),
+        compute_model(),
         LinkPolicy::BandwidthShare,
     );
     let members = mix_members(ctx, filter);

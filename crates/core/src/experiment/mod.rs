@@ -67,8 +67,19 @@ pub use training::{
     TrainingRunReport, TrainingRunSummary,
 };
 
+use cdma_vdnn::{ComputeModel, CudnnVersion};
+
 use crate::report::Report;
 use crate::scenario::{Context, Runner, ScenarioFilter};
+
+/// The compute model of every step the catalogue shares between
+/// experiments: Titan X on cuDNN v5. [`Context::step`] memoises on it
+/// without keying it, so whoever compares against a memoised step — the
+/// cluster sweep, Fig. 2's baselines — must build its simulator from this
+/// function too.
+pub(crate) fn compute_model() -> ComputeModel {
+    ComputeModel::titan_x(CudnnVersion::V5)
+}
 
 /// Renders one row of a Gantt artifact: '#' columns where any of `spans`
 /// overlaps the bucket.

@@ -2,13 +2,13 @@
 //! and the fidelity sweep cross-validating the timeline's three transfer
 //! sources. Fidelity is selected *by value* — each scenario names a
 //! [`Fidelity`] level and [`Context::transfer_source`] builds the source
-//! at a single call site.
+//! at a single call site, inside [`Context::step`], which simulates each
+//! scenario's step once however many experiments report it.
 
-use cdma_vdnn::timeline::Phase;
-use cdma_vdnn::{
-    ComputeModel, CudnnVersion, Fidelity, StepTimeline, TimelineSim, TransferPolicy, UniformRatio,
-};
+use cdma_vdnn::timeline::{Phase, StageRecord};
+use cdma_vdnn::{Fidelity, TimelineSim, TransferPolicy, UniformRatio};
 
+use super::compute_model;
 use crate::report::{Cell, Report, Table};
 use crate::scenario::{Context, Runner, Scenario, ScenarioFilter, ScenarioSet};
 
@@ -30,26 +30,18 @@ pub struct FidelityRow {
     pub events: u64,
 }
 
-impl FidelityRow {
-    fn from_timeline(network: &str, tl: &StepTimeline) -> Self {
-        FidelityRow {
-            network: network.to_owned(),
-            fidelity: tl.fidelity(),
-            step_time: tl.total(),
-            stall_fraction: tl.breakdown.stall_fraction(),
-            events: tl.events_processed(),
-        }
-    }
-}
-
-/// Simulates one scenario's training step through the timeline at the
-/// scenario's fidelity level — the whole fidelity dispatch is the
-/// [`Context::transfer_source`] call.
+/// One scenario's training step through the timeline at the scenario's
+/// fidelity level — [`Context::step`], which simulates it the first time
+/// any experiment asks.
 pub fn fidelity_row(ctx: &Context, scenario: &Scenario) -> FidelityRow {
-    let spec = ctx.spec(&scenario.network);
-    let sim = TimelineSim::new(scenario.config, ComputeModel::titan_x(CudnnVersion::V5));
-    let source = ctx.transfer_source(scenario);
-    FidelityRow::from_timeline(spec.name(), &sim.simulate(&spec, &source))
+    let step = ctx.step(scenario);
+    FidelityRow {
+        network: ctx.spec(&scenario.network).name().to_owned(),
+        fidelity: step.fidelity(),
+        step_time: step.total(),
+        stall_fraction: step.breakdown.stall_fraction(),
+        events: step.events_processed(),
+    }
 }
 
 /// The fidelity-sweep report.
@@ -196,20 +188,21 @@ pub fn fig02_timeline(ctx: &Context, filter: &ScenarioFilter) -> Fig02Report {
         .build();
     let spec = ctx.spec(&network);
     let cfg = base_set.scenarios()[0].config;
-    let sim = TimelineSim::new(cfg, ComputeModel::titan_x(CudnnVersion::V5));
+    let sim = TimelineSim::new(cfg, compute_model());
 
     // Uncompressed vDNN at the analytic level; cDMA at the measured level
-    // (real ZVC line sizes of profiled activations, mid-training).
+    // (real ZVC line sizes of profiled activations, mid-training) — the
+    // step `fidelity_sweep` and `fig_multi_gpu` report too.
     let vdnn = sim.simulate(&spec, &UniformRatio::uniform(&spec, 1.0));
     let measured_scenario = base_set
         .scenarios()
         .iter()
         .find(|s| s.fidelity == Fidelity::MeasuredStream)
         .expect("all fidelities built");
-    let cdma = sim.simulate(&spec, &ctx.transfer_source(measured_scenario));
+    let cdma = ctx.step(measured_scenario);
 
-    let forward = |tl: &StepTimeline, i: usize| {
-        *tl.stages()
+    let forward = |stages: &[StageRecord], i: usize| {
+        *stages
             .iter()
             .find(|s| s.phase == Phase::Forward && s.layer == i)
             .expect("forward stage")
@@ -219,8 +212,8 @@ pub fn fig02_timeline(ctx: &Context, filter: &ScenarioFilter) -> Fig02Report {
     let ms_per_col = 2.0e-3; // one column = 2 ms
     let cols = |t: f64| (t / ms_per_col).round() as usize;
     for (i, layer) in spec.layers().iter().enumerate().take(14) {
-        let sv = forward(&vdnn, i);
-        let sc = forward(&cdma, i);
+        let sv = forward(vdnn.stages(), i);
+        let sc = forward(cdma.stages(), i);
         stages.push(Fig02Stage {
             layer: layer.name.clone(),
             compute: sv.compute,
@@ -254,14 +247,7 @@ pub fn fig02_timeline(ctx: &Context, filter: &ScenarioFilter) -> Fig02Report {
         stall_fraction: vdnn.breakdown.stall_fraction(),
         events: vdnn.events_processed(),
     }];
-    for s in base_set.scenarios() {
-        // The measured scenario's step is `cdma`, already simulated above.
-        totals.push(if s.fidelity == Fidelity::MeasuredStream {
-            FidelityRow::from_timeline(spec.name(), &cdma)
-        } else {
-            fidelity_row(ctx, s)
-        });
-    }
+    totals.extend(base_set.scenarios().iter().map(|s| fidelity_row(ctx, s)));
     let oracle = sim.simulate(&spec, &UniformRatio::new(&spec, TransferPolicy::Oracle));
     totals.push(FidelityRow {
         network: network.clone(),

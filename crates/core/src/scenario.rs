@@ -12,7 +12,8 @@
 //!   drivers used to re-implement as copy-pasted triple loops;
 //! * [`Context`] — a thread-safe memo of the expensive shared inputs
 //!   (network specs, density profiles, the measured [`RatioTable`],
-//!   per-cell [`NetworkTraffic`], synthesized measured streams), so a
+//!   per-cell [`NetworkTraffic`], synthesized measured streams) and of
+//!   the simulated single-GPU step itself ([`Context::step`]), so a
 //!   sweep computes each intermediate once instead of once per cell —
 //!   and [`Context::transfer_source`] is the *single* call site that
 //!   turns a scenario's [`Fidelity`] value into a live
@@ -49,12 +50,12 @@ use cdma_tensor::Layout;
 use cdma_vdnn::timeline::MeasuredStream;
 use cdma_vdnn::traffic::{self, NetworkTraffic};
 use cdma_vdnn::{
-    FabricShape, Fidelity, FidelitySource, LinkPolicy, ProfiledDensity, RatioTable, Tenancy,
-    UniformRatio,
+    FabricShape, Fidelity, FidelitySource, LinkPolicy, ProfiledDensity, RatioTable, StepSummary,
+    Tenancy, TimelineSim, UniformRatio,
 };
 
-use crate::measured;
 use crate::CdmaEngine;
+use crate::{experiment, measured};
 
 /// One cell of the evaluation grid: which network, under which layout,
 /// algorithm, fidelity level, training checkpoint, seed and platform.
@@ -691,11 +692,13 @@ enum TableKind {
 
 /// The shared, thread-safe memo of everything expensive a sweep touches
 /// more than once: network specs, density profiles, the measured
-/// [`RatioTable`], per-cell traffic summaries, and synthesized measured
-/// streams. One `Context` outlives a whole `experiments all` run, so
-/// e.g. the ratio table is built once and shared by all 19 experiments
-/// (the deleted per-figure `cdma-bench` bins each rebuilt it from
-/// scratch).
+/// [`RatioTable`], per-cell traffic summaries, synthesized measured
+/// streams, and the summaries of simulated single-GPU steps. One
+/// `Context` outlives a whole `experiments all` run, so e.g. the ratio
+/// table is built once and shared by all 23 experiments (the deleted
+/// per-figure `cdma-bench` bins each rebuilt it from scratch), and a
+/// measured step that three of them report is replayed line by line
+/// once.
 ///
 /// All methods take `&self`; a `Context` is `Sync` and is shared by the
 /// [`Runner`]'s worker threads.
@@ -708,6 +711,7 @@ pub struct Context {
     profiles: Mutex<HashMap<String, Arc<NetworkProfile>>>,
     traffic: Mutex<HashMap<TrafficKey, Arc<NetworkTraffic>>>,
     streams: Mutex<HashMap<StreamKey, Arc<MeasuredStream>>>,
+    steps: Mutex<HashMap<StepKey, Arc<StepSummary>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -715,8 +719,40 @@ pub struct Context {
 /// Traffic memo key: network × algorithm × layout.
 type TrafficKey = (String, Algorithm, Layout);
 /// Measured-stream memo key: network × algorithm × layout × checkpoint
-/// bits × seed (the platform does not affect stream contents).
+/// bits × seed. No platform here: a stream is the compressed size of
+/// every fixed 4 KB window, and no [`SystemConfig`] field enters that.
 type StreamKey = (String, Algorithm, Layout, u64, u64);
+/// Step-summary memo key: the stream key's axes plus the fidelity level
+/// and the platform ([`config_bits`]), which sets every duration of the
+/// step. The compute model is not an axis: [`Context::step`] simulates on
+/// [`experiment::compute_model`] alone.
+type StepKey = (String, Fidelity, Algorithm, Layout, u64, u64, [u64; 8]);
+
+/// Every field of a platform configuration as key bits. The destructuring
+/// is exhaustive on purpose: a field added to [`SystemConfig`] does not
+/// compile until it is part of the step key.
+fn config_bits(cfg: &SystemConfig) -> [u64; 8] {
+    let SystemConfig {
+        dram_bw,
+        compute_dram_bw,
+        comp_bw,
+        pcie_bw,
+        mem_latency,
+        dma_buffer,
+        mem_controllers,
+        engine_clock,
+    } = *cfg;
+    [
+        dram_bw.to_bits(),
+        compute_dram_bw.to_bits(),
+        comp_bw.to_bits(),
+        pcie_bw.to_bits(),
+        mem_latency.to_bits(),
+        dma_buffer as u64,
+        mem_controllers as u64,
+        engine_clock.to_bits(),
+    ]
+}
 
 impl Default for Context {
     fn default() -> Self {
@@ -734,6 +770,7 @@ impl Context {
             profiles: Mutex::new(HashMap::new()),
             traffic: Mutex::new(HashMap::new()),
             streams: Mutex::new(HashMap::new()),
+            steps: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -881,6 +918,33 @@ impl Context {
             .into(),
             Fidelity::MeasuredStream => self.measured_stream(scenario).into(),
         }
+    }
+
+    /// The single-GPU training step of `scenario` (memoized by network,
+    /// fidelity, algorithm, layout, checkpoint, seed and platform): one
+    /// [`TimelineSim`] run on the catalogue's compute model with the
+    /// scenario's [`Context::transfer_source`], kept as a [`StepSummary`]
+    /// — the busy-interval lists are summed and dropped before the insert,
+    /// so the memo holds a few hundred entries per step, not the millions
+    /// a measured replay records. `gpus`, the link policy and the
+    /// inference / fabric axes are not part of a single-GPU step and not
+    /// part of the key.
+    pub fn step(&self, scenario: &Scenario) -> Arc<StepSummary> {
+        let spec = self.spec(&scenario.network);
+        let key = (
+            spec.name().to_owned(),
+            scenario.fidelity,
+            scenario.algorithm,
+            scenario.layout,
+            scenario.checkpoint.to_bits(),
+            scenario.seed,
+            config_bits(&scenario.config),
+        );
+        self.memo(&self.steps, key, || {
+            TimelineSim::new(scenario.config, experiment::compute_model())
+                .simulate(&spec, &self.transfer_source(scenario))
+                .into()
+        })
     }
 
     /// Cache counters (hits vs computed misses) across every memoized

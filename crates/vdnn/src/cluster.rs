@@ -66,8 +66,8 @@ use cdma_models::NetworkSpec;
 use crate::calendar::CalendarQueue;
 use crate::fabric::{FabricSpec, FluidFabric};
 use crate::timeline::{
-    line_totals, push_busy, Event, EventKind, FlowId, LinkPolicy, Payload, Phase, RequestId,
-    Resource, Stage, StageRecord, StepTimeline, TimelineSim, Transfer, TransferSource,
+    busy_total, line_totals, push_busy, Event, EventKind, FlowId, LinkPolicy, Payload, Phase,
+    RequestId, Resource, Stage, StageRecord, StepTimeline, TimelineSim, Transfer, TransferSource,
 };
 use crate::{ComputeModel, StepBreakdown};
 
@@ -289,8 +289,7 @@ impl ClusterTimeline {
         if self.makespan <= 0.0 {
             return 0.0;
         }
-        let busy: f64 = self.link_busy.iter().map(|&(s, e)| e - s).sum();
-        busy / self.makespan
+        busy_total(&self.link_busy) / self.makespan
     }
 
     /// Events processed across the shared queue: the fabric's service

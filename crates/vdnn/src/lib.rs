@@ -63,5 +63,5 @@ pub use fabric::{
 pub use ratio::RatioTable;
 pub use timeline::{
     Fidelity, FidelitySource, LinkPolicy, MeasuredStream, Payload, ProfiledDensity, StepBreakdown,
-    StepTimeline, TimelineSim, TransferPolicy, TransferSource, UniformRatio,
+    StepSummary, StepTimeline, TimelineSim, TransferPolicy, TransferSource, UniformRatio,
 };

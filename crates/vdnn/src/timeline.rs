@@ -593,6 +593,14 @@ pub(crate) fn push_busy(v: &mut Vec<(f64, f64)>, start: f64, end: f64) {
     v.push((start, end));
 }
 
+/// Seconds covered by a busy-interval list, added in time order. The one
+/// statement of that sum: a link utilisation printed from a
+/// [`StepSummary`] and one printed from the cluster's interval list agree
+/// to the bit because both come through here.
+pub(crate) fn busy_total(v: &[(f64, f64)]) -> f64 {
+    v.iter().map(|&(s, e)| e - s).sum()
+}
+
 /// `(uncompressed, compressed)` byte totals of `repeat` passes of a line
 /// table.
 pub(crate) fn line_totals(lines: &[(u32, u32)], repeat: usize) -> (u64, u64) {
@@ -792,6 +800,71 @@ impl StepTimeline {
     /// Total events processed: the log plus the line-granularity DMA
     /// pipeline events of the measured fidelity level (the
     /// "events/second" denominator of the timeline micro-benchmark).
+    pub fn events_processed(&self) -> u64 {
+        self.events_processed
+    }
+}
+
+/// What a memo keeps of a finished [`StepTimeline`]: the breakdown, the
+/// event log and the stage records (a few hundred entries), and each
+/// resource's total busy seconds in place of its interval list — a
+/// measured step's `DmaRead` list runs to millions of entries, its sum
+/// is one number. It is a type of its own so that nobody can ask a
+/// summary for intervals it no longer holds.
+#[derive(Debug, Clone)]
+pub struct StepSummary {
+    /// Timing breakdown of the step.
+    pub breakdown: StepBreakdown,
+    fidelity: &'static str,
+    events: Vec<Event>,
+    stages: Vec<StageRecord>,
+    busy_seconds: [f64; 3],
+    events_processed: u64,
+}
+
+impl From<StepTimeline> for StepSummary {
+    /// Sums each resource's intervals in time order — the sum
+    /// [`ClusterTimeline::link_utilisation`](crate::cluster::ClusterTimeline::link_utilisation)
+    /// takes of the same list — and drops them.
+    fn from(tl: StepTimeline) -> Self {
+        StepSummary {
+            breakdown: tl.breakdown,
+            fidelity: tl.fidelity,
+            busy_seconds: tl.busy.map(|v| busy_total(&v)),
+            events: tl.events,
+            stages: tl.stages,
+            events_processed: tl.events_processed,
+        }
+    }
+}
+
+impl StepSummary {
+    /// Total step latency.
+    pub fn total(&self) -> f64 {
+        self.breakdown.total()
+    }
+
+    /// Fidelity label of the source that produced the step.
+    pub fn fidelity(&self) -> &'static str {
+        self.fidelity
+    }
+
+    /// The chronological event log.
+    pub fn events(&self) -> &[Event] {
+        &self.events
+    }
+
+    /// Per-stage records in execution order.
+    pub fn stages(&self) -> &[StageRecord] {
+        &self.stages
+    }
+
+    /// Seconds one resource was busy over the step.
+    pub fn busy_seconds(&self, r: Resource) -> f64 {
+        self.busy_seconds[r as usize]
+    }
+
+    /// Total events processed, line-granularity pipeline events included.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
