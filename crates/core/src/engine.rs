@@ -77,7 +77,7 @@ fn stream_lines(stream: &windowed::WindowedStream) -> impl Iterator<Item = (u32,
 /// offloads.
 ///
 /// A long-running service (one offload per request, thousands of requests
-/// per second) cannot afford a stream and a schedule ring that regrow from
+/// per second) cannot afford a stream and a line schedule that regrow from
 /// empty on every call. The scratch keeps both alive and
 /// [`DmaPipeline::reset`]s the pipeline instead, so repeated same-shape
 /// offloads allocate nothing (pinned by the workspace's

@@ -1,5 +1,3 @@
-use std::collections::VecDeque;
-
 use crate::staging;
 use crate::SystemConfig;
 
@@ -51,6 +49,9 @@ struct Line {
     compressed: f64,
     drain_start: f64,
     drain_end: f64,
+    /// `drain_end - drain_start`, the denominator of the pro-rata term of
+    /// [`occupancy`], taken once at push.
+    drain_time: f64,
 }
 
 /// The computed schedule of one pushed line (all times absolute seconds).
@@ -103,17 +104,21 @@ pub struct DmaPipeline {
     t_read_free: f64,
     /// When the link finishes draining everything pushed so far.
     drain_free: f64,
-    /// Issued lines not yet fully drained at the issue clock, in issue
-    /// order. A ring: [`DmaPipeline::retire`] pops a line the moment the
-    /// issue clock passes its drain end, so it holds the resident and
-    /// in-flight lines and nothing older.
-    sched: VecDeque<Line>,
-    /// Issue-clock cursor: `sched[..arrived]` have landed in the buffer,
-    /// `sched[arrived..]` are reads still in flight.
+    /// Issued lines in issue order, read through three forward-only
+    /// cursors, `head <= arrived` and `head <= peak_head`. Lines stay where
+    /// they were pushed; only a push that finds the storage full, with at
+    /// least half of it drained, moves the live `sched[head..]` to the
+    /// front ([`DmaPipeline::compact`]).
+    sched: Vec<Line>,
+    /// Issue-clock cursor: `sched[..head]` have fully drained at the issue
+    /// clock and are dead.
+    head: usize,
+    /// Issue-clock cursor: `sched[head..arrived]` have landed in the
+    /// buffer, `sched[arrived..]` are reads still in flight.
     arrived: usize,
     /// Uncompressed reservations of the in-flight `sched[arrived..]`.
     reserved: f64,
-    /// Compressed bytes of the landed `sched[..arrived]`.
+    /// Compressed bytes of the landed `sched[head..arrived]`.
     resident: f64,
     /// Arrival-clock cursor: `sched[..peak_head]` are fully drained at the
     /// newest line's arrival instant, where the high-water mark is read.
@@ -137,7 +142,8 @@ impl DmaPipeline {
             now: 0.0,
             t_read_free: 0.0,
             drain_free: 0.0,
-            sched: VecDeque::new(),
+            sched: Vec::new(),
+            head: 0,
             arrived: 0,
             reserved: 0.0,
             resident: 0.0,
@@ -152,8 +158,9 @@ impl DmaPipeline {
 
     /// Moves the issue clock to `t`: reads that arrived by `t` swap their
     /// uncompressed reservation for their compressed footprint, and lines
-    /// fully drained by `t` leave the ring. Both cursors only move forward
-    /// (issue times are monotone), so a line is visited once by each.
+    /// fully drained by `t` fall behind `head`. The cursors only move
+    /// forward (issue times are monotone), so a line is visited once by
+    /// each.
     fn retire(&mut self, t: f64) {
         while let Some(e) = self.sched.get(self.arrived) {
             if e.arrival > t {
@@ -163,23 +170,31 @@ impl DmaPipeline {
             self.resident += e.compressed;
             self.arrived += 1;
         }
-        while let Some(&e) = self.sched.front() {
+        while let Some(e) = self.sched.get(self.head) {
             if e.drain_end > t {
                 break;
             }
-            self.sched.pop_front();
             self.resident -= e.compressed;
-            self.arrived -= 1;
             // The arrival clock runs a memory latency ahead of the issue
             // clock except across an idle gap or an `advance_to`, where it
             // lags until the next push: a line it has not passed yet leaves
-            // its sum here instead.
-            if self.peak_head > 0 {
-                self.peak_head -= 1;
-            } else {
+            // its sum here, and `peak_head` is carried up to `head` below.
+            if self.peak_head <= self.head {
                 self.peak_resident -= e.compressed;
             }
+            self.head += 1;
         }
+        self.peak_head = self.peak_head.max(self.head);
+    }
+
+    /// Moves the live `sched[head..]` to the front of the storage, so the
+    /// next push reuses the slots of drained lines instead of growing it.
+    fn compact(&mut self) {
+        let dead = self.head;
+        self.sched.drain(..dead);
+        self.head = 0;
+        self.arrived -= dead;
+        self.peak_head -= dead;
     }
 
     /// Pushes one `(uncompressed, compressed)` line into the pipeline. The
@@ -196,8 +211,11 @@ impl DmaPipeline {
     /// iteration bound required. A pass costs O(1): issue and arrival times
     /// are monotone and the link drains in issue order, so the buffer's
     /// content at the issue clock is an exact running byte sum between two
-    /// forward-only cursors, and a pushed line is amortised O(1) however
-    /// many lines are resident.
+    /// forward-only cursors. Storing the line is amortised O(1) too: when
+    /// the storage is full and at least half its lines have drained, the
+    /// live ones move to the front (at most one move per push, amortised),
+    /// and otherwise it grows — so it never exceeds four times the most
+    /// lines ever live at once, however many are pushed.
     ///
     /// That sum plus one pro-rata term agrees with adding up the resident
     /// lines one by one to rounding in the last place, not bit for bit. So
@@ -236,7 +254,7 @@ impl DmaPipeline {
         let mut t = self.t_read_free.max(not_before).max(self.now);
         loop {
             self.retire(t);
-            let occ = occupancy(self.resident, self.sched.front(), t);
+            let occ = occupancy(self.resident, self.sched.get(self.head), t);
             // The single admission rule shared with the real-queue
             // [`staging::StagingPool`]: in-flight uncompressed
             // reservations plus resident compressed bytes plus the
@@ -280,12 +298,16 @@ impl DmaPipeline {
         let drain_start = self.drain_free.max(arrival);
         let drain_end = drain_start + c / self.link_bw;
         self.drain_free = drain_end;
-        self.sched.push_back(Line {
+        if self.sched.len() == self.sched.capacity() && 2 * self.head >= self.sched.len() {
+            self.compact();
+        }
+        self.sched.push(Line {
             arrival,
             uncompressed: u,
             compressed: c,
             drain_start,
             drain_end,
+            drain_time: drain_end - drain_start,
         });
         self.reserved += u;
         // Occupancy peaks at arrival instants, and every line pushed so far
@@ -310,15 +332,16 @@ impl DmaPipeline {
     }
 
     /// Returns the pipeline to its idle initial state while keeping the
-    /// capacity of its schedule ring — so a long-running
-    /// caller (one offload per request, thousands of requests per second)
-    /// reruns transfers with zero per-run allocation. The platform
-    /// configuration is retained.
+    /// capacity of its schedule storage — so a long-running caller (one
+    /// offload per request, thousands of requests per second) reruns
+    /// transfers with zero per-run allocation. The platform configuration
+    /// is retained.
     pub fn reset(&mut self) {
         self.now = 0.0;
         self.t_read_free = 0.0;
         self.drain_free = 0.0;
         self.sched.clear();
+        self.head = 0;
         self.arrived = 0;
         self.reserved = 0.0;
         self.resident = 0.0;
@@ -385,15 +408,11 @@ impl OffloadSim {
     /// Panics if `ratio` is not positive.
     pub fn run_uniform(&self, bytes: u64, ratio: f64) -> OffloadSimResult {
         assert!(ratio > 0.0, "ratio must be positive, got {ratio}");
-        let lines = (bytes as usize).div_ceil(LINE_BYTES);
-        let mut sizes = Vec::with_capacity(lines);
-        let mut remaining = bytes as usize;
-        for _ in 0..lines {
-            let u = remaining.min(LINE_BYTES);
-            remaining -= u;
-            sizes.push((u as u32, (u as f64 / ratio).ceil() as u32));
-        }
-        self.run_lines(sizes)
+        let line = LINE_BYTES as u64;
+        self.run_lines((0..bytes.div_ceil(line)).map(|i| {
+            let u = (bytes - i * line).min(line) as u32;
+            (u, (u as f64 / ratio).ceil() as u32)
+        }))
     }
 
     /// Offloads explicit `(uncompressed, compressed)` line sizes — e.g. the
@@ -421,7 +440,7 @@ impl OffloadSim {
 fn occupancy(sum: f64, oldest: Option<&Line>, t: f64) -> f64 {
     match oldest {
         Some(e) if e.drain_start < t => {
-            (sum - e.compressed) + e.compressed * (e.drain_end - t) / (e.drain_end - e.drain_start)
+            (sum - e.compressed) + e.compressed * (e.drain_end - t) / e.drain_time
         }
         _ => sum,
     }
@@ -678,31 +697,88 @@ mod tests {
         assert_eq!(pipe.result(), fresh, "rerun after reset is bit-identical");
     }
 
+    /// Lines not yet fully drained at the issue clock.
+    fn live(pipe: &DmaPipeline) -> usize {
+        pipe.sched.len() - pipe.head
+    }
+
+    /// The most lines a `capacity`-byte buffer can hold live at once under
+    /// [`push_zvc_lines`]: a live line either holds its 4 KB reservation
+    /// (in flight) or at least 1 KB of the buffer (resident; the one
+    /// part-way out on the link may hold less), and the admission rule
+    /// caps the two sums at the capacity.
+    fn live_bound(capacity: usize) -> usize {
+        capacity / 4096 + capacity / 1024 + 1
+    }
+
+    /// Pushes `n` ZVC-shaped 4 KB lines (4x compressible up to expanded by
+    /// their mask bits), with no `advance_to` anywhere. With `burst`, every
+    /// `burst` lines form a transfer released a microsecond after the
+    /// previous one has fully drained, so the buffer empties between them.
+    /// Returns the most lines live at once.
+    fn push_zvc_lines(pipe: &mut DmaPipeline, n: usize, burst: Option<usize>) -> usize {
+        let mut seed = 0xB0B;
+        let mut release = 0.0;
+        let mut peak = 0;
+        for i in 0..n {
+            let gap = burst.is_some_and(|b| i % b == 0);
+            if gap {
+                release = pipe.result().total_time + 1e-6;
+            }
+            let c = 1024 + (lcg(&mut seed) % (4096 + 128 - 1024 + 1)) as u32;
+            pipe.push_line(release, 4096, c);
+            if gap {
+                assert_eq!(live(pipe), 1, "line {i} issued into a non-empty buffer");
+            }
+            peak = peak.max(live(pipe));
+        }
+        peak
+    }
+
     #[test]
     fn schedule_ring_stays_at_the_resident_plus_in_flight_bound() {
-        // A million ZVC-shaped 4 KB lines (4x compressible up to expanded
-        // by their mask bits) through one pipeline, with no `advance_to`
-        // anywhere. A line in the ring either holds its 4 KB reservation
-        // (in flight) or at least 1 KB of the buffer (resident; the one
-        // part-way out on the link may hold less), and the admission rule
-        // caps the two sums at the capacity.
-        let capacity = cfg().dma_buffer;
-        let bound = capacity / 4096 + capacity / 1024 + 1;
+        // A million lines through one pipeline: the live lines stay under
+        // the bound, and compacting drained lines away keeps the storage
+        // under twice that.
+        let bound = live_bound(cfg().dma_buffer);
         let mut pipe = DmaPipeline::new(cfg());
-        let mut seed = 0xB0B;
-        let mut peak = 0;
-        for _ in 0..1_000_000 {
-            let c = 1024 + (lcg(&mut seed) % (4096 + 128 - 1024 + 1)) as u32;
-            pipe.push_line(0.0, 4096, c);
-            peak = peak.max(pipe.sched.len());
-        }
+        let peak = push_zvc_lines(&mut pipe, 1_000_000, None);
         assert_eq!(pipe.lines_pushed(), 1_000_000);
-        assert!(peak <= bound, "ring reached {peak} lines, bound {bound}");
+        assert!(peak <= bound, "{peak} lines live, bound {bound}");
         assert!(
             pipe.sched.capacity() < 2 * bound,
-            "ring storage grew to {} lines",
+            "schedule storage grew to {} lines",
             pipe.sched.capacity()
         );
+    }
+
+    #[test]
+    fn schedule_storage_holds_its_bound_at_8_kb_across_idle_gaps_and_resets() {
+        // The regimes compaction sees differently: a buffer that holds a
+        // dozen lines, transfers that leave the buffer empty between them
+        // (every stored line is dead when each one starts), and a rerun
+        // after `reset()`, which must neither grow the storage nor move a
+        // bit of the result.
+        let small = SystemConfig {
+            dma_buffer: 8 * 1024,
+            ..cfg()
+        };
+        for platform in [cfg(), small] {
+            let bound = live_bound(platform.dma_buffer);
+            for burst in [None, Some(97)] {
+                let what = format!("{} B buffer, burst {burst:?}", platform.dma_buffer);
+                let mut pipe = DmaPipeline::new(platform);
+                let peak = push_zvc_lines(&mut pipe, 200_000, burst);
+                assert!(peak <= bound, "{what}: {peak} lines live, bound {bound}");
+                let cap = pipe.sched.capacity();
+                assert!(cap < 2 * bound, "{what}: storage grew to {cap} lines");
+                let first = pipe.result();
+                pipe.reset();
+                assert_eq!(push_zvc_lines(&mut pipe, 200_000, burst), peak, "{what}");
+                assert_eq!(pipe.result(), first, "{what}: rerun after reset");
+                assert_eq!(pipe.sched.capacity(), cap, "{what}: reset keeps storage");
+            }
+        }
     }
 
     #[test]

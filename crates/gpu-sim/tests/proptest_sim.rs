@@ -294,6 +294,85 @@ fn rel_close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-12 * a.abs().max(b.abs())
 }
 
+/// Seed of the stepping suites' mixes.
+const MIX_SEED: u64 = 0x0DD5_CA11;
+/// Lines each stepping case pushes.
+const MIX_LINES: u32 = 8_000;
+
+/// The platform of one stepping case: PCIe and NVLink alternate, and
+/// every other pair runs an 8 KB buffer instead of the 70 KB one.
+fn mix_config(case: u64) -> SystemConfig {
+    let mut cfg = if case.is_multiple_of(2) {
+        SystemConfig::titan_x_pcie3()
+    } else {
+        SystemConfig::titan_x_nvlink()
+    };
+    if case % 4 >= 2 {
+        cfg.dma_buffer = 8 * 1024;
+    }
+    cfg
+}
+
+/// The seeded traffic of the stepping suites: adversarial lines with
+/// uniform stretches, transfers released at scattered instants, and the
+/// caller's clock moved mid-flight.
+struct Mix {
+    buffer: u32,
+    /// The longest any one line of the mix holds the link.
+    line_time: f64,
+    release: f64,
+    line: (u32, u32),
+    run: u32,
+}
+
+/// One step of a [`Mix`]: move the caller's clock first (if `advance`),
+/// then push `line` released at `release`.
+struct MixStep {
+    advance: Option<f64>,
+    release: f64,
+    line: (u32, u32),
+}
+
+impl Mix {
+    fn new(cfg: &SystemConfig) -> Self {
+        let buffer = cfg.dma_buffer as u32;
+        Mix {
+            buffer,
+            line_time: (buffer + buffer.div_ceil(32)) as f64 / cfg.pcie_bw,
+            release: 0.0,
+            line: (4096, 4096),
+            run: 0,
+        }
+    }
+
+    /// The next step, given the pipeline's last issue time and the instant
+    /// its link finishes draining everything pushed so far.
+    fn next(&mut self, rng: &mut StdRng, last_issue: f64, drain_free: f64) -> MixStep {
+        let mut advance = None;
+        match rng.gen_range(0u32..64) {
+            // A new transfer, released while the previous one is still
+            // draining or well after the pipeline has idled.
+            0 => self.release = last_issue + rng.gen_range(0.0..4.0) * self.line_time,
+            // The caller's clock moves to an arbitrary instant between
+            // the last issue and just past the last drain.
+            1 => advance = Some(last_issue + rng.gen_range(0.0..1.1) * (drain_free - last_issue)),
+            // A uniform stretch, where arrivals and drains fall into
+            // step with each other.
+            2 => self.run = rng.gen_range(64u32..512),
+            _ => {}
+        }
+        if self.run == 0 {
+            self.line = mixed_line(rng, self.buffer);
+        }
+        self.run = self.run.saturating_sub(1);
+        MixStep {
+            advance,
+            release: self.release,
+            line: self.line,
+        }
+    }
+}
+
 /// The O(1) stepping is the scan-based stepping: the same seeded mixes
 /// through both, pushed with the same release times and advanced at the
 /// same mid-flight instants. Bytes and lines agree exactly and the
@@ -304,50 +383,23 @@ fn rel_close(a: f64, b: f64) -> bool {
 fn running_sum_stepping_matches_the_scan_oracle() {
     let mut total_lines = 0u64;
     let mut identical = 0u64;
-    for_each_case(0x0DD5_CA11, |case, rng| {
-        let mut cfg = if case % 2 == 0 {
-            SystemConfig::titan_x_pcie3()
-        } else {
-            SystemConfig::titan_x_nvlink()
-        };
-        if case % 4 >= 2 {
-            cfg.dma_buffer = 8 * 1024;
-        }
-        let buffer = cfg.dma_buffer as u32;
-        // The longest any one line of the mix holds the link.
-        let line_time = (buffer + buffer.div_ceil(32)) as f64 / cfg.pcie_bw;
+    for_each_case(MIX_SEED, |case, rng| {
+        let cfg = mix_config(case);
+        let mut mix = Mix::new(&cfg);
+        let line_time = mix.line_time;
 
         let mut fast = DmaPipeline::new(cfg);
         let mut oracle = ScanPipeline::new(cfg);
-        let mut release = 0.0f64;
         let mut last_issue = 0.0f64;
-        let mut line = (4096, 4096);
-        let mut run = 0u32;
-        for i in 0..8_000u32 {
-            match rng.gen_range(0u32..64) {
-                // A new transfer, released while the previous one is still
-                // draining or well after the pipeline has idled.
-                0 => release = last_issue + rng.gen_range(0.0..4.0) * line_time,
-                // The caller's clock moves to an arbitrary instant between
-                // the last issue and just past the last drain.
-                1 => {
-                    let now =
-                        last_issue + rng.gen_range(0.0..1.1) * (oracle.drain_free - last_issue);
-                    fast.advance_to(now);
-                    oracle.advance_to(now);
-                }
-                // A uniform stretch, where arrivals and drains fall into
-                // step with each other.
-                2 => run = rng.gen_range(64u32..512),
-                _ => {}
+        for i in 0..MIX_LINES {
+            let step = mix.next(rng, last_issue, oracle.drain_free);
+            if let Some(now) = step.advance {
+                fast.advance_to(now);
+                oracle.advance_to(now);
             }
-            if run == 0 {
-                line = mixed_line(rng, buffer);
-            }
-            run = run.saturating_sub(1);
-            let (u, c) = line;
-            let got = fast.push_line(release, u, c);
-            let want = oracle.push_line(release, u, c);
+            let (u, c) = step.line;
+            let got = fast.push_line(step.release, u, c);
+            let want = oracle.push_line(step.release, u, c);
             total_lines += 1;
             last_issue = want.issue;
             if got == want {
@@ -369,7 +421,7 @@ fn running_sum_stepping_matches_the_scan_oracle() {
         }
 
         let (got, want) = (fast.result(), oracle.result());
-        assert_eq!(fast.lines_pushed(), 8_000, "case {case}");
+        assert_eq!(fast.lines_pushed(), MIX_LINES as u64, "case {case}");
         assert_eq!(
             got.uncompressed_bytes, want.uncompressed_bytes,
             "case {case}"
@@ -393,4 +445,67 @@ fn running_sum_stepping_matches_the_scan_oracle() {
         identical * 100 >= total_lines * 99,
         "only {identical} of {total_lines} line schedules are bit-identical to the oracle"
     );
+}
+
+/// Folds the little-endian bytes of a sequence of words into the FNV-1a
+/// state `h`.
+fn fnv(mut h: u64, words: impl IntoIterator<Item = u64>) -> u64 {
+    for w in words {
+        for b in w.to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+    h
+}
+
+/// Digest of [`DmaPipeline`]'s schedules over the stepping mixes,
+/// recorded before the schedule storage went from a ring to a linear
+/// buffer compacted in place.
+const SCHEDULE_DIGEST: u64 = 0xC3F8_DE70_EB1C_4D19;
+
+/// The scan oracle's mixes through `DmaPipeline` alone, bit for bit:
+/// every `LineSchedule` field and the `OffloadSimResult` of each run folded
+/// into one FNV-1a digest, with a `reset()` halfway through every case
+/// (the second half restarts its mix from a clock of zero). The oracle
+/// suite's tolerances absorb a schedule moved by a rounding; this does not.
+#[test]
+fn stepping_schedules_are_pinned_bit_for_bit() {
+    let mut digest = 0xCBF2_9CE4_8422_2325u64;
+    for_each_case(MIX_SEED, |case, rng| {
+        let cfg = mix_config(case);
+        let mut pipe = DmaPipeline::new(cfg);
+        for half in 0..2 {
+            if half == 1 {
+                pipe.reset();
+            }
+            let mut mix = Mix::new(&cfg);
+            let mut last_issue = 0.0f64;
+            for _ in 0..MIX_LINES / 2 {
+                let step = mix.next(rng, last_issue, pipe.result().total_time);
+                if let Some(now) = step.advance {
+                    pipe.advance_to(now);
+                }
+                let (u, c) = step.line;
+                let s = pipe.push_line(step.release, u, c);
+                last_issue = s.issue;
+                digest = fnv(
+                    digest,
+                    [s.issue, s.read_done, s.arrival, s.drain_start, s.drain_end].map(f64::to_bits),
+                );
+            }
+            assert_eq!(pipe.lines_pushed(), (MIX_LINES / 2) as u64, "case {case}");
+            let r = pipe.result();
+            digest = fnv(
+                digest,
+                [
+                    r.uncompressed_bytes,
+                    r.compressed_bytes,
+                    r.total_time.to_bits(),
+                    r.link_busy.to_bits(),
+                    r.max_buffer_occupancy.to_bits(),
+                ],
+            );
+        }
+    });
+    assert_eq!(digest, SCHEDULE_DIGEST, "got {digest:#018x}");
 }
