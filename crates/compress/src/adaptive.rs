@@ -5,12 +5,12 @@
 //! clustered near-zero windows, ZVC on scattered-sparse ones, and DEFLATE
 //! is the only one that compresses *dense* windows at all. [`Adaptive`]
 //! slices the input into [`WINDOW_WORDS`]-word windows and probes each
-//! one: the exact RLE and ZVC sizes are closed-form O(n) functions of the
-//! zero runs and the zero count, and only when the window is dense
+//! one: the exact RLE and ZVC sizes are the codecs' own closed-form
+//! [`Compressor::compressed_size`]s, and only when the window is dense
 //! (non-zero density ≥ ½ — where neither sparse codec can win big) does
 //! the probe pay for a real DEFLATE pass, keeping it when it beats both.
 //!
-//! What the probe costs: a sparse window is two counting passes and one
+//! What the probe costs: a sparse window is three counting passes and one
 //! RLE or ZVC call; a dense window is one DEFLATE call written straight
 //! into the output (and truncated away if it loses), ~28 µs for 4 KB on
 //! the development container — 16 µs of it the LZ77 search, the rest
@@ -24,20 +24,30 @@
 //! of it is written (`deflate::encode` prices stored, fixed and dynamic
 //! from the token histogram), so a losing probe could stop there.
 //!
-//! Wire format: per window, one tag byte (0 = RLE, 1 = ZVC, 2 = DEFLATE)
-//! followed by that codec's complete stream for the window's words. Each
-//! sub-stream's length is recovered on decode by walking its headers
-//! (RLE records, ZVC masks) or its self-delimiting zlib container, so no
-//! per-window length field is stored.
+//! Wire format: per window, one tag byte — an index into [`PICKS`] —
+//! followed by that codec's complete stream for the window's words. Every
+//! codec's stream is self-delimiting ([`Compressor::decompress_prefix`]),
+//! so no per-window length field is stored and nothing here knows another
+//! codec's format: decoding a window is what finds where it ends.
 
-use crate::{deflate, extend_f32_le, Compressor, DecodeError, Rle, Zlib, Zvc};
+use crate::{Algorithm, Compressor, DecodeError, Rle, Zvc};
 
 /// Words per adaptive window (4 KB of f32 — the paper's DMA window size).
 pub const WINDOW_WORDS: usize = 1024;
 
+/// The codec behind each window tag: a window's tag byte is its codec's
+/// index here.
+pub const PICKS: [Algorithm; 3] = [Algorithm::Rle, Algorithm::Zvc, Algorithm::Zlib];
+
 const TAG_RLE: u8 = 0;
 const TAG_ZVC: u8 = 1;
 const TAG_DEFLATE: u8 = 2;
+
+/// Appends `chunk` as one window: `tag`, then `PICKS[tag]`'s stream.
+fn push_window(tag: u8, chunk: &[f32], out: &mut Vec<u8>) {
+    out.push(tag);
+    PICKS[tag as usize].codec().compress_append(chunk, out);
+}
 
 /// The per-window adaptive picker codec.
 ///
@@ -60,79 +70,6 @@ impl Adaptive {
     }
 }
 
-/// Exact RLE stream size for `words`, mirroring [`Rle`]'s record format:
-/// one byte per ≤128-word zero run, `1 + 4·n` bytes per ≤128-word
-/// literal run.
-fn rle_exact_size(words: &[f32]) -> usize {
-    let mut size = 0usize;
-    let mut i = 0usize;
-    while i < words.len() {
-        let zero = words[i].to_bits() == 0;
-        let mut n = 0usize;
-        while i + n < words.len() && (words[i + n].to_bits() == 0) == zero {
-            n += 1;
-        }
-        i += n;
-        size += n.div_ceil(128);
-        if !zero {
-            size += 4 * n;
-        }
-    }
-    size
-}
-
-/// Exact ZVC stream size: one `u32` mask per ≤32-word group plus the
-/// packed non-zero words.
-fn zvc_exact_size(words: &[f32], nonzeros: usize) -> usize {
-    words.len().div_ceil(32) * 4 + 4 * nonzeros
-}
-
-/// Walks one RLE sub-stream covering exactly `words` words, returning its
-/// byte length.
-fn rle_walk(bytes: &[u8], words: usize) -> Result<usize, DecodeError> {
-    let mut decoded = 0usize;
-    let mut pos = 0usize;
-    while decoded < words {
-        let h = *bytes
-            .get(pos)
-            .ok_or(DecodeError::Corrupt("truncated adaptive window"))?;
-        pos += 1;
-        let n = (h & 0x7F) as usize + 1;
-        if h & 0x80 == 0 {
-            pos += 4 * n;
-            if pos > bytes.len() {
-                return Err(DecodeError::Corrupt("truncated adaptive window"));
-            }
-        }
-        decoded += n;
-    }
-    if decoded != words {
-        return Err(DecodeError::Corrupt("adaptive window overrun"));
-    }
-    Ok(pos)
-}
-
-/// Walks one ZVC sub-stream covering exactly `words` words, returning its
-/// byte length (masks are trusted only for popcounts; the real decode
-/// re-validates them).
-fn zvc_walk(bytes: &[u8], words: usize) -> Result<usize, DecodeError> {
-    let mut pos = 0usize;
-    let mut remaining = words;
-    while remaining > 0 {
-        let mask_end = pos + 4;
-        if mask_end > bytes.len() {
-            return Err(DecodeError::Corrupt("truncated adaptive window"));
-        }
-        let m = u32::from_le_bytes(bytes[pos..mask_end].try_into().unwrap());
-        pos = mask_end + 4 * m.count_ones() as usize;
-        if pos > bytes.len() {
-            return Err(DecodeError::Corrupt("truncated adaptive window"));
-        }
-        remaining -= remaining.min(32);
-    }
-    Ok(pos)
-}
-
 impl Compressor for Adaptive {
     fn name(&self) -> &'static str {
         "AD"
@@ -141,36 +78,34 @@ impl Compressor for Adaptive {
     fn compress_append(&self, data: &[f32], out: &mut Vec<u8>) {
         for chunk in data.chunks(WINDOW_WORDS) {
             let nz = chunk.iter().filter(|w| w.to_bits() != 0).count();
-            let rle_size = rle_exact_size(chunk);
-            let zvc_size = zvc_exact_size(chunk, nz);
+            let rle_size = Rle::new().compressed_size(chunk);
+            let zvc_size = Zvc::compressed_size(chunk);
             if nz * 2 >= chunk.len() {
                 // Dense window: the sparse codecs are near their floor, so
                 // a DEFLATE probe is the only path to real compression.
                 // It is written in place and taken back if it loses.
                 let start = out.len();
-                out.push(TAG_DEFLATE);
-                Zlib::new().compress_append(chunk, out);
+                push_window(TAG_DEFLATE, chunk, out);
                 if out.len() - (start + 1) < rle_size.min(zvc_size) {
                     continue;
                 }
                 out.truncate(start);
             }
-            if rle_size <= zvc_size {
-                out.push(TAG_RLE);
-                Rle::new().compress_append(chunk, out);
+            let tag = if rle_size <= zvc_size {
+                TAG_RLE
             } else {
-                out.push(TAG_ZVC);
-                Zvc::new().compress_append(chunk, out);
-            }
+                TAG_ZVC
+            };
+            push_window(tag, chunk, out);
         }
     }
 
-    fn decompress_append(
+    fn decompress_prefix(
         &self,
         bytes: &[u8],
         element_count: usize,
         vals: &mut Vec<f32>,
-    ) -> Result<(), DecodeError> {
+    ) -> Result<usize, DecodeError> {
         let mut pos = 0usize;
         let mut done = 0usize;
         while done < element_count {
@@ -178,43 +113,21 @@ impl Compressor for Adaptive {
             let tag = *bytes
                 .get(pos)
                 .ok_or(DecodeError::Corrupt("truncated adaptive stream"))?;
+            let pick = PICKS
+                .get(tag as usize)
+                .ok_or(DecodeError::Corrupt("unknown adaptive window tag"))?;
             pos += 1;
-            match tag {
-                TAG_RLE => {
-                    let consumed = rle_walk(&bytes[pos..], w)?;
-                    Rle::new().decompress_append(&bytes[pos..pos + consumed], w, vals)?;
-                    pos += consumed;
-                }
-                TAG_ZVC => {
-                    let consumed = zvc_walk(&bytes[pos..], w)?;
-                    Zvc::new().decompress_append(&bytes[pos..pos + consumed], w, vals)?;
-                    pos += consumed;
-                }
-                TAG_DEFLATE => {
-                    pos += deflate::inflate_with(&bytes[pos..], w * 4, |payload, consumed| {
-                        if payload.len() != w * 4 {
-                            return Err(DecodeError::Corrupt("adaptive window size mismatch"));
-                        }
-                        extend_f32_le(vals, payload);
-                        Ok(consumed)
-                    })?;
-                }
-                _ => return Err(DecodeError::Corrupt("unknown adaptive window tag")),
-            }
+            pos += pick.codec().decompress_prefix(&bytes[pos..], w, vals)?;
             done += w;
         }
-        if pos != bytes.len() {
-            return Err(DecodeError::TrailingData {
-                expected: element_count,
-            });
-        }
-        Ok(())
+        Ok(pos)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Zlib;
 
     fn roundtrip(data: &[f32]) -> usize {
         let ad = Adaptive::new();
@@ -308,24 +221,26 @@ mod tests {
 
     #[test]
     fn all_three_tags_appear_on_mixed_data() {
+        assert_eq!(
+            [TAG_RLE, TAG_ZVC, TAG_DEFLATE].map(|t| PICKS[t as usize]),
+            [Algorithm::Rle, Algorithm::Zvc, Algorithm::Zlib]
+        );
         let data = mixed_stream();
         let bytes = Adaptive::new().compress(&data);
-        // Walk the stream, collecting tags.
+        // Walk the stream, collecting tags; each window is the stream its
+        // codec wrote for exactly that window's words.
         let mut tags = std::collections::BTreeSet::new();
         let mut pos = 0usize;
-        let mut done = 0usize;
-        while done < data.len() {
-            let w = (data.len() - done).min(WINDOW_WORDS);
+        for chunk in data.chunks(WINDOW_WORDS) {
             let tag = bytes[pos];
             tags.insert(tag);
-            pos += 1;
-            pos += match tag {
-                TAG_RLE => rle_walk(&bytes[pos..], w).unwrap(),
-                TAG_ZVC => zvc_walk(&bytes[pos..], w).unwrap(),
-                TAG_DEFLATE => deflate::inflate_with(&bytes[pos..], w * 4, |_, n| Ok(n)).unwrap(),
-                _ => unreachable!(),
-            };
-            done += w;
+            let codec = PICKS[tag as usize].codec();
+            let mut words = Vec::new();
+            let len = codec
+                .decompress_prefix(&bytes[pos + 1..], chunk.len(), &mut words)
+                .unwrap();
+            assert_eq!(bytes[pos + 1..pos + 1 + len], codec.compress(chunk));
+            pos += 1 + len;
         }
         assert_eq!(pos, bytes.len());
         assert!(

@@ -14,10 +14,9 @@ use crate::{Adaptive, Csc, DecodeError, Huff, Rle, Zlib, Zvc};
 /// Three tiers, fastest first:
 ///
 /// 1. [`compress_append`](Compressor::compress_append) /
-///    [`decompress_append`](Compressor::decompress_append) — the required
-///    primitives; append to a caller-owned buffer without clearing it, so
-///    the windowed packer lays thousands of 4 KB windows back to back with
-///    zero copies.
+///    [`decompress_append`](Compressor::decompress_append) — append to a
+///    caller-owned buffer without clearing it, so the windowed packer lays
+///    thousands of 4 KB windows back to back with zero copies.
 /// 2. [`compress_into`](Compressor::compress_into) /
 ///    [`decompress_into`](Compressor::decompress_into) — clear-and-reuse a
 ///    buffer; the right call in any hot loop (per window, per layer, per
@@ -25,8 +24,21 @@ use crate::{Adaptive, Csc, DecodeError, Huff, Rle, Zlib, Zvc};
 /// 3. [`compress`](Compressor::compress) /
 ///    [`decompress`](Compressor::decompress) — one-shot conveniences that
 ///    allocate a fresh buffer per call.
+///
+/// # The decoder contract
+///
+/// Every stream is self-delimiting: given the element count, a decoder
+/// knows where its stream ends. [`decompress_prefix`](Compressor::decompress_prefix)
+/// is the one decode primitive a codec writes — it decodes from the front
+/// of its input and reports how many bytes the stream used — and every
+/// other decode method is built on it here, so the rule that a whole-input
+/// decode rejects bytes after the stream is stated once, in
+/// [`decompress_append`](Compressor::decompress_append). Framings that lay
+/// streams back to back ([`Adaptive`]) find each stream's end by decoding
+/// it.
 pub trait Compressor {
-    /// Two-letter name used in the paper's figures: `RL`, `ZV` or `ZL`.
+    /// Two-letter name used in the paper's figures: `RL`, `ZV`, `ZL`, `CS`,
+    /// `HF` or `AD`.
     fn name(&self) -> &'static str;
 
     /// Compresses `data` and appends the self-contained byte stream to
@@ -38,9 +50,27 @@ pub trait Compressor {
     /// (clears first, so a dirty buffer is safe to reuse).
     fn compress_append(&self, data: &[f32], out: &mut Vec<u8>);
 
+    /// Decodes the stream of `element_count` words at the front of
+    /// `bytes`, appending the words to `out` **without clearing it**, and
+    /// returns how many bytes of `bytes` the stream used. Bytes after the
+    /// stream are neither read as words nor an error here.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`DecodeError`] if the stream is truncated, corrupt, or
+    /// disagrees with `element_count`; `out` may hold a partial decode on
+    /// error.
+    fn decompress_prefix(
+        &self,
+        bytes: &[u8],
+        element_count: usize,
+        out: &mut Vec<f32>,
+    ) -> Result<usize, DecodeError>;
+
     /// Decompresses a stream produced by
-    /// [`compress_append`](Compressor::compress_append), appending the
-    /// recovered words to `out` **without clearing it**.
+    /// [`compress_append`](Compressor::compress_append) that fills all of
+    /// `bytes`, appending the recovered words to `out` **without clearing
+    /// it**.
     ///
     /// `element_count` is the number of `f32` words originally compressed;
     /// like a real DMA descriptor, the transfer length is metadata carried
@@ -50,14 +80,23 @@ pub trait Compressor {
     /// # Errors
     ///
     /// Returns a [`DecodeError`] if the stream is truncated, corrupt, or
-    /// disagrees with `element_count`; `out` may hold a partial decode on
-    /// error.
+    /// disagrees with `element_count`, and
+    /// [`DecodeError::TrailingData`] if bytes follow the stream; `out` may
+    /// hold a partial decode on error.
     fn decompress_append(
         &self,
         bytes: &[u8],
         element_count: usize,
         out: &mut Vec<f32>,
-    ) -> Result<(), DecodeError>;
+    ) -> Result<(), DecodeError> {
+        let consumed = self.decompress_prefix(bytes, element_count, out)?;
+        if consumed != bytes.len() {
+            return Err(DecodeError::TrailingData {
+                expected: element_count,
+            });
+        }
+        Ok(())
+    }
 
     /// Compresses `data` into `out` after clearing it.
     ///
@@ -114,7 +153,7 @@ pub trait Compressor {
 
     /// Compressed size in bytes without keeping the stream. The default
     /// materializes the compressed buffer; codecs with an analytic size
-    /// (ZVC) override this.
+    /// (RLE, ZVC, CSC) override this.
     fn compressed_size(&self, data: &[f32]) -> usize {
         self.compress(data).len()
     }
@@ -129,7 +168,7 @@ pub trait Compressor {
     }
 }
 
-/// Statically-dispatched codec: the three algorithms behind one concrete
+/// Statically-dispatched codec: the six algorithms behind one concrete
 /// type, so selecting an algorithm at runtime does not force a heap
 /// allocation or vtable indirection per call site.
 ///
@@ -206,19 +245,19 @@ impl Compressor for Codec {
         }
     }
 
-    fn decompress_append(
+    fn decompress_prefix(
         &self,
         bytes: &[u8],
         element_count: usize,
         out: &mut Vec<f32>,
-    ) -> Result<(), DecodeError> {
+    ) -> Result<usize, DecodeError> {
         match self {
-            Codec::Rle(c) => c.decompress_append(bytes, element_count, out),
-            Codec::Zvc(c) => c.decompress_append(bytes, element_count, out),
-            Codec::Zlib(c) => c.decompress_append(bytes, element_count, out),
-            Codec::Csc(c) => c.decompress_append(bytes, element_count, out),
-            Codec::Huff(c) => c.decompress_append(bytes, element_count, out),
-            Codec::Adaptive(c) => c.decompress_append(bytes, element_count, out),
+            Codec::Rle(c) => c.decompress_prefix(bytes, element_count, out),
+            Codec::Zvc(c) => c.decompress_prefix(bytes, element_count, out),
+            Codec::Zlib(c) => c.decompress_prefix(bytes, element_count, out),
+            Codec::Csc(c) => c.decompress_prefix(bytes, element_count, out),
+            Codec::Huff(c) => c.decompress_prefix(bytes, element_count, out),
+            Codec::Adaptive(c) => c.decompress_prefix(bytes, element_count, out),
         }
     }
 
@@ -234,7 +273,9 @@ impl Compressor for Codec {
     }
 }
 
-/// Algorithm selector covering the paper's three candidates.
+/// Algorithm selector covering the paper's three candidates
+/// ([`Algorithm::ALL`]) and the three extension codecs
+/// ([`Algorithm::EXTENDED`]).
 ///
 /// ```
 /// use cdma_compress::{Algorithm, Compressor};
@@ -389,10 +430,28 @@ mod tests {
 
     #[test]
     fn default_compressed_size_matches_compress() {
-        let data = vec![1.0f32; 100];
-        for alg in Algorithm::ALL {
+        // Zero and literal runs on either side of RLE's 128-word record,
+        // back to back and alone (the fuzz suite runs its corpus too).
+        let mut shapes = vec![vec![1.0f32; 100]];
+        for run in [1usize, 127, 128, 129, 256, 257] {
+            shapes.push(vec![0.0; run]);
+            shapes.push(vec![2.5; run]);
+            let mut mixed = vec![0.0; run];
+            mixed.extend(std::iter::repeat_n(-0.0, run + 1));
+            mixed.extend(std::iter::repeat_n(0.0, 3));
+            shapes.push(mixed);
+        }
+        for alg in Algorithm::EXTENDED {
             let codec = alg.codec();
-            assert_eq!(codec.compressed_size(&data), codec.compress(&data).len());
+            for data in &shapes {
+                let size = codec.compressed_size(data);
+                assert_eq!(
+                    size,
+                    codec.compress(data).len(),
+                    "{alg}, {} words",
+                    data.len()
+                );
+            }
         }
     }
 

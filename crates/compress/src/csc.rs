@@ -96,7 +96,14 @@ impl Csc {
     /// assert_eq!(nz, vec![(2, 3.5), (4, -1.25)]);
     /// ```
     pub fn nonzeros(bytes: &[u8]) -> Result<CscNonzeros<'_>, DecodeError> {
-        let parts = Parts::parse(bytes)?;
+        let (parts, len) = Parts::parse(bytes)?;
+        if len != bytes.len() {
+            // No element count travels with this call: the field carries
+            // the stream's entry count, the only count it has.
+            return Err(DecodeError::TrailingData {
+                expected: parts.entries,
+            });
+        }
         Ok(CscNonzeros {
             parts,
             entry: 0,
@@ -116,10 +123,11 @@ struct Parts<'a> {
 }
 
 impl<'a> Parts<'a> {
-    /// Splits and structurally validates a stream; `decompress_append`
-    /// and [`Csc::nonzeros`] share this so they accept exactly the same
-    /// streams.
-    fn parse(bytes: &'a [u8]) -> Result<Self, DecodeError> {
+    /// Splits and structurally validates the stream at the front of
+    /// `bytes`, returning it with the byte length its header describes;
+    /// `decompress_prefix` and [`Csc::nonzeros`] share this so they accept
+    /// exactly the same streams.
+    fn parse(bytes: &'a [u8]) -> Result<(Self, usize), DecodeError> {
         if bytes.len() < HEADER {
             return Err(DecodeError::Corrupt("CSC header truncated"));
         }
@@ -145,15 +153,12 @@ impl<'a> Parts<'a> {
         };
         let nib_bytes = entries.div_ceil(2);
         let payload_bytes = entries * if codebook.is_some() { 1 } else { 4 };
-        let expected = pos + nib_bytes + payload_bytes;
-        if bytes.len() < expected {
+        let len = pos + nib_bytes + payload_bytes;
+        if bytes.len() < len {
             return Err(DecodeError::Corrupt("CSC stream truncated"));
         }
-        if bytes.len() > expected {
-            return Err(DecodeError::TrailingData { expected: entries });
-        }
         let nibbles = &bytes[pos..pos + nib_bytes];
-        let payload = &bytes[pos + nib_bytes..];
+        let payload = &bytes[pos + nib_bytes..len];
         // Canonical form: an odd entry count leaves the last high nibble
         // unused, and encoders write it as zero.
         if entries % 2 == 1 && nibbles[nib_bytes - 1] >> 4 != 0 {
@@ -165,12 +170,13 @@ impl<'a> Parts<'a> {
                 return Err(DecodeError::Corrupt("CSC codebook index out of range"));
             }
         }
-        Ok(Parts {
+        let parts = Parts {
             entries,
             codebook,
             nibbles,
             payload,
-        })
+        };
+        Ok((parts, len))
     }
 
     fn run(&self, i: usize) -> u32 {
@@ -435,13 +441,13 @@ impl Compressor for Csc {
         }
     }
 
-    fn decompress_append(
+    fn decompress_prefix(
         &self,
         bytes: &[u8],
         element_count: usize,
         out: &mut Vec<f32>,
-    ) -> Result<(), DecodeError> {
-        let parts = Parts::parse(bytes)?;
+    ) -> Result<usize, DecodeError> {
+        let (parts, len) = Parts::parse(bytes)?;
         out.reserve(element_count);
         let mut emitted = 0usize;
         for i in 0..parts.entries {
@@ -464,7 +470,7 @@ impl Compressor for Csc {
         // Trailing zeros are implicit: the descriptor's element count,
         // not the stream, says how many.
         out.resize(out.len() + (element_count - emitted), 0.0);
-        Ok(())
+        Ok(len)
     }
 
     /// Analytic size: one scan, no allocation — the traffic sweeps call
@@ -598,10 +604,15 @@ mod tests {
             assert!(csc.decompress_append(&bytes[..cut], 64, &mut out).is_err());
             out.clear();
         }
-        // Trailing garbage.
+        // Trailing garbage: the caller's element count in the error, and
+        // the iterator, which has none, still refuses it.
         let mut long = bytes.clone();
         long.push(0);
-        assert!(csc.decompress(&long, 64).is_err());
+        assert_eq!(
+            csc.decompress(&long, 64),
+            Err(DecodeError::TrailingData { expected: 64 })
+        );
+        assert!(Csc::nonzeros(&long).is_err());
         // Unknown mode byte.
         let mut bad = bytes.clone();
         bad[4] = 7;

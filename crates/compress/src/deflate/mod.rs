@@ -42,8 +42,6 @@ mod lz77;
 #[cfg(test)]
 pub(crate) mod oracle;
 
-pub(crate) use decode::inflate_with;
-
 use crate::{extend_f32_le, Compressor, DecodeError};
 
 /// The order code-length-code lengths appear in a dynamic block header
@@ -133,19 +131,14 @@ impl Compressor for Zlib {
         encode::compress_words(data, self.max_chain, out);
     }
 
-    fn decompress_append(
+    fn decompress_prefix(
         &self,
         bytes: &[u8],
         element_count: usize,
         vals: &mut Vec<f32>,
-    ) -> Result<(), DecodeError> {
+    ) -> Result<usize, DecodeError> {
         let target = element_count * 4;
-        inflate_with(bytes, target, |payload, consumed| {
-            if consumed < bytes.len() {
-                return Err(DecodeError::TrailingData {
-                    expected: element_count,
-                });
-            }
+        decode::inflate_with(bytes, target, |payload, consumed| {
             if payload.len() != target {
                 return Err(DecodeError::Truncated {
                     expected: element_count,
@@ -153,7 +146,7 @@ impl Compressor for Zlib {
                 });
             }
             extend_f32_le(vals, payload);
-            Ok(())
+            Ok(consumed)
         })
     }
 }

@@ -15,7 +15,8 @@ pub enum DecodeError {
         /// Elements recovered before the stream ran out.
         decoded: usize,
     },
-    /// The stream decodes to more elements than `element_count`.
+    /// Bytes follow the stream of `element_count` elements, or the stream
+    /// decodes to more elements than that.
     TrailingData {
         /// Elements expected by the caller.
         expected: usize,

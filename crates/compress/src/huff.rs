@@ -20,7 +20,8 @@
 //!   zero-padded to a byte boundary.
 //!
 //! The payload symbol count comes from the masks, so no end marker is
-//! needed and truncation/trailing bytes are detected exactly.
+//! needed: the stream ends with the byte that holds its last code's last
+//! bit, and truncation is detected exactly.
 //!
 //! Encoding is mask ∘ huffman in that order: the dispatched ZVC kernel
 //! ([`crate::Kernel`]) splits a chunk of words into masks and packed
@@ -182,12 +183,12 @@ impl Compressor for Huff {
         });
     }
 
-    fn decompress_append(
+    fn decompress_prefix(
         &self,
         bytes: &[u8],
         element_count: usize,
         vals: &mut Vec<f32>,
-    ) -> Result<(), DecodeError> {
+    ) -> Result<usize, DecodeError> {
         let mask_bytes = element_count.div_ceil(32) * 4;
         if bytes.len() < mask_bytes {
             return Err(DecodeError::Corrupt("truncated mask section"));
@@ -206,13 +207,8 @@ impl Compressor for Huff {
         }
         let base = vals.len();
         if nz == 0 {
-            if !rest.is_empty() {
-                return Err(DecodeError::TrailingData {
-                    expected: element_count,
-                });
-            }
             vals.resize(base + element_count, 0.0);
-            return Ok(());
+            return Ok(mask_bytes);
         }
         if rest.len() < 128 {
             return Err(DecodeError::Corrupt("truncated code-length table"));
@@ -250,12 +246,7 @@ impl Compressor for Huff {
             for at in positions {
                 window[at] = f32::from_bits(word_checked(table, &mut r)?);
             }
-            if r.bytes_consumed() < payload.len() {
-                return Err(DecodeError::TrailingData {
-                    expected: element_count,
-                });
-            }
-            Ok(())
+            Ok(mask_bytes + packed_lens.len() + r.bytes_consumed())
         })
     }
 }

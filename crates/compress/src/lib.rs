@@ -27,7 +27,7 @@
 //!   recovering much of DEFLATE's ratio at a fraction of its hardware cost.
 //! * [`Adaptive`] — a per-4 KB-window picker that probes each window's
 //!   density and chooses RLE, ZVC or DEFLATE for it, at one tag byte per
-//!   window.
+//!   window ([`ADAPTIVE_PICKS`] maps tags to codecs).
 //!
 //! All six are wired through [`Algorithm::EXTENDED`], but only the paper's
 //! three live in [`Algorithm::ALL`], so the paper-grid figures stay pinned
@@ -118,7 +118,7 @@ mod stats;
 pub mod windowed;
 mod zvc;
 
-pub use adaptive::{Adaptive, WINDOW_WORDS as ADAPTIVE_WINDOW_WORDS};
+pub use adaptive::{Adaptive, PICKS as ADAPTIVE_PICKS, WINDOW_WORDS as ADAPTIVE_WINDOW_WORDS};
 pub use algorithm::{Algorithm, Codec, Compressor};
 pub use csc::{Csc, CscNonzeros};
 pub use deflate::Zlib;

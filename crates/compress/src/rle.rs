@@ -82,12 +82,12 @@ impl Compressor for Rle {
         }
     }
 
-    fn decompress_append(
+    fn decompress_prefix(
         &self,
         bytes: &[u8],
         element_count: usize,
         out: &mut Vec<f32>,
-    ) -> Result<(), DecodeError> {
+    ) -> Result<usize, DecodeError> {
         out.reserve(element_count);
         let base = out.len();
         let mut pos = 0usize;
@@ -117,12 +117,25 @@ impl Compressor for Rle {
                 pos += len * 4;
             }
         }
-        if pos != bytes.len() {
-            return Err(DecodeError::TrailingData {
-                expected: element_count,
-            });
+        Ok(pos)
+    }
+
+    /// Closed form of the stream `compress_append` writes: one header per
+    /// record of at most 128 words, zero run or literal, and four bytes per
+    /// literal word.
+    fn compressed_size(&self, data: &[f32]) -> usize {
+        let mut size = 0usize;
+        let mut i = 0usize;
+        while i < data.len() {
+            let zero = data[i].to_bits() == 0;
+            let run = data[i..]
+                .iter()
+                .take_while(|w| (w.to_bits() == 0) == zero)
+                .count();
+            size += run.div_ceil(MAX_RUN) + if zero { 0 } else { 4 * run };
+            i += run;
         }
-        Ok(())
+        size
     }
 }
 

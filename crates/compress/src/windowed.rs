@@ -540,13 +540,13 @@ mod tests {
                 assert!(data.first() != Some(&MARKER), "tripwire window");
                 Zvc::new().compress_append(data, out);
             }
-            fn decompress_append(
+            fn decompress_prefix(
                 &self,
                 bytes: &[u8],
                 element_count: usize,
                 out: &mut Vec<f32>,
-            ) -> Result<(), DecodeError> {
-                Zvc::new().decompress_append(bytes, element_count, out)
+            ) -> Result<usize, DecodeError> {
+                Zvc::new().decompress_prefix(bytes, element_count, out)
             }
         }
 

@@ -130,13 +130,13 @@ impl Compressor for Zvc {
         Kernel::active().compress_append(data, out);
     }
 
-    fn decompress_append(
+    fn decompress_prefix(
         &self,
         bytes: &[u8],
         element_count: usize,
         out: &mut Vec<f32>,
-    ) -> Result<(), DecodeError> {
-        Kernel::active().decompress_append(bytes, element_count, out)
+    ) -> Result<usize, DecodeError> {
+        Kernel::active().decompress_prefix(bytes, element_count, out)
     }
 
     fn compressed_size(&self, data: &[f32]) -> usize {
@@ -188,7 +188,7 @@ pub mod scalar_reference {
     /// # Errors
     ///
     /// Returns the same [`DecodeError`]s, with the same fields and partial
-    /// output, as the kernel-tier decoders.
+    /// output, as [`Zvc`](super::Zvc)'s decoder on every kernel tier.
     pub fn decompress_append(
         bytes: &[u8],
         element_count: usize,

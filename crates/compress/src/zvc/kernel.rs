@@ -4,10 +4,11 @@
 //! whole-stream compress kernel and a single-window decompress kernel —
 //! and a [`Kernel`] bundles a tier's pair behind a name. The stream-level
 //! *driver* logic (worst-case output reservation, mask parsing, corruption
-//! and truncation handling) lives here, **once**, tier-independent: the
-//! tiers only differ in how verified windows move, so a corrupt or
-//! truncated stream takes byte-for-byte the same path whichever tier is
-//! active, and error behaviour cannot drift between tiers.
+//! and truncation handling, where the stream ends) lives here, **once**,
+//! tier-independent: the tiers only differ in how verified windows move,
+//! so a corrupt or truncated stream takes byte-for-byte the same path
+//! whichever tier is active, and error behaviour cannot drift between
+//! tiers.
 //!
 //! [`Kernel::active`] picks the widest tier the running CPU supports, once,
 //! via `is_x86_feature_detected!` (NEON is baseline on AArch64). The
@@ -191,21 +192,26 @@ impl Kernel {
         unsafe { (self.compress)(data, out) };
     }
 
-    /// Decodes a ZVC stream of `element_count` words, appending to `out`.
-    /// The driver loop here owns all validation; the tier kernel is only
-    /// ever handed windows whose mask and payload are in bounds.
+    /// Decodes the ZVC stream of `element_count` words at the front of
+    /// `bytes`, appending to `out`, and returns the stream's length in
+    /// bytes. The driver loop here owns all validation; the tier kernel is
+    /// only ever handed windows whose mask and payload are in bounds.
     ///
     /// # Errors
     ///
-    /// Exactly the scalar reference decoder's errors, with the same fields
-    /// and the same partial output left in `out` — tier-independent,
-    /// because truncated and corrupt windows never reach the tier kernel.
-    pub fn decompress_append(
+    /// Exactly the scalar reference decoder's errors short of its
+    /// trailing-data check (which [`Compressor::decompress_append`]
+    /// makes), with the same fields and the same partial output left in
+    /// `out` — tier-independent, because truncated and corrupt windows
+    /// never reach the tier kernel.
+    ///
+    /// [`Compressor::decompress_append`]: crate::Compressor::decompress_append
+    pub fn decompress_prefix(
         &self,
         bytes: &[u8],
         element_count: usize,
         out: &mut Vec<f32>,
-    ) -> Result<(), DecodeError> {
+    ) -> Result<usize, DecodeError> {
         out.reserve(element_count);
         let base = out.len();
         let mut pos = 0usize;
@@ -258,12 +264,7 @@ impl Kernel {
             unsafe { (self.decompress_window)(mask, window, &bytes[pos..], payload, out) };
             pos += payload;
         }
-        if pos != bytes.len() {
-            return Err(DecodeError::TrailingData {
-                expected: element_count,
-            });
-        }
-        Ok(())
+        Ok(pos)
     }
 }
 

@@ -9,7 +9,7 @@
 //! in a *valid* zlib header, which reaches the block-parsing state
 //! machine rather than bouncing off the header checks.
 
-use cdma_compress::{Algorithm, Compressor};
+use cdma_compress::{Algorithm, Compressor, DecodeError};
 
 /// xorshift64* — deterministic, seeded, no external crates.
 struct Rng(u64);
@@ -64,9 +64,12 @@ fn corpus() -> Vec<Vec<f32>> {
 }
 
 /// Every prefix of a valid stream must decode or error — never panic —
-/// and an over-long stream must be rejected.
+/// and an over-long stream must be rejected. Every stream is also
+/// self-delimiting: with bytes after it, the prefix decode stops at its
+/// end, and the whole-input decode names the caller's element count.
 #[test]
 fn truncation_at_every_byte_never_panics() {
+    let mut rng = Rng(0x5EED_0005);
     for alg in Algorithm::EXTENDED {
         let codec = alg.codec();
         for data in corpus() {
@@ -76,9 +79,40 @@ fn truncation_at_every_byte_never_panics() {
             }
             let mut padded = good.clone();
             padded.push(0);
-            assert!(
-                padded.len() == good.len() + 1 && codec.decompress(&padded, data.len()).is_err(),
-                "{alg}: trailing byte accepted"
+            assert_eq!(
+                codec.decompress(&padded, data.len()),
+                Err(DecodeError::TrailingData {
+                    expected: data.len()
+                }),
+                "{alg}: trailing byte"
+            );
+            padded.extend((0..8).map(|_| rng.byte()));
+            let want = codec.decompress(&good, data.len()).unwrap();
+            let mut got = Vec::new();
+            assert_eq!(
+                codec.decompress_prefix(&padded, data.len(), &mut got),
+                Ok(good.len()),
+                "{alg}: {} words",
+                data.len()
+            );
+            let bits = |words: &[f32]| words.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{alg}: {} words", data.len());
+        }
+    }
+}
+
+/// Every codec's size without the stream — closed form or not — is the
+/// stream's length.
+#[test]
+fn compressed_size_is_the_stream_length() {
+    for alg in Algorithm::EXTENDED {
+        let codec = alg.codec();
+        for data in corpus() {
+            assert_eq!(
+                codec.compressed_size(&data),
+                codec.compress(&data).len(),
+                "{alg}: {} words",
+                data.len()
             );
         }
     }

@@ -14,7 +14,7 @@
 //! that dispatch landed on the tier the lane names.
 
 use cdma_compress::scalar_reference as scalar;
-use cdma_compress::{kernel_info, Kernel, ZVC_WINDOW_ELEMS};
+use cdma_compress::{kernel_info, Compressor, Kernel, Zvc, ZVC_WINDOW_ELEMS};
 
 /// Adversarial payload words: values a naive `!= 0.0` or arithmetic codec
 /// would mangle. `-0.0` must survive as a *non-zero* word.
@@ -48,9 +48,10 @@ fn assert_tier_matches_scalar(kernel: &Kernel, data: &[f32], what: &str) {
     assert_eq!(fast, reference, "{tier}: stream mismatch on {what}");
 
     let mut fast_back = Vec::new();
-    kernel
-        .decompress_append(&fast, data.len(), &mut fast_back)
+    let consumed = kernel
+        .decompress_prefix(&fast, data.len(), &mut fast_back)
         .unwrap_or_else(|e| panic!("{tier}: decode failed on {what}: {e:?}"));
+    assert_eq!(consumed, fast.len(), "{tier}: stream length on {what}");
     assert_eq!(fast_back.len(), data.len(), "{tier}: length on {what}");
     for (i, (a, b)) in fast_back.iter().zip(data).enumerate() {
         assert_eq!(a.to_bits(), b.to_bits(), "{tier}: word {i} of {what}");
@@ -229,7 +230,9 @@ fn truncation_at_every_cut_matches_scalar_on_every_tier() {
     for_every_tier(|kernel| {
         for cut in 0..bytes.len() {
             let mut fast_out = Vec::new();
-            let fast = kernel.decompress_append(&bytes[..cut], data.len(), &mut fast_out);
+            let fast = kernel
+                .decompress_prefix(&bytes[..cut], data.len(), &mut fast_out)
+                .map(drop);
             let mut scalar_out = Vec::new();
             let reference = scalar::decompress_append(&bytes[..cut], data.len(), &mut scalar_out);
             assert_eq!(fast, reference, "{}: cut at {cut}", kernel.tier());
@@ -252,7 +255,7 @@ fn corrupt_tail_mask_rejected_identically_on_every_tier() {
     let expected = scalar::decompress_append(&bytes, 1, &mut expected_out);
     for_every_tier(|kernel| {
         let mut out = Vec::new();
-        let got = kernel.decompress_append(&bytes, 1, &mut out);
+        let got = kernel.decompress_prefix(&bytes, 1, &mut out).map(drop);
         assert_eq!(got, expected, "{}", kernel.tier());
         assert_eq!(out.len(), expected_out.len(), "{}", kernel.tier());
     });
@@ -260,16 +263,24 @@ fn corrupt_tail_mask_rejected_identically_on_every_tier() {
 
 #[test]
 fn trailing_data_rejected_identically_on_every_tier() {
+    // Every tier stops at the stream's end and decodes what the oracle
+    // decodes; the rejection itself is the codec's (`Compressor`'s
+    // trailing-data rule), the same error with the same partial output.
     let mut bytes = Vec::new();
     scalar::compress_append(&[1.0; 8], &mut bytes);
+    let stream_len = bytes.len();
     bytes.extend_from_slice(&[0u8; 4]);
     let mut expected_out = Vec::new();
     let expected = scalar::decompress_append(&bytes, 8, &mut expected_out);
     for_every_tier(|kernel| {
         let mut out = Vec::new();
-        let got = kernel.decompress_append(&bytes, 8, &mut out);
-        assert_eq!(got, expected, "{}", kernel.tier());
+        let got = kernel.decompress_prefix(&bytes, 8, &mut out);
+        assert_eq!(got, Ok(stream_len), "{}", kernel.tier());
+        assert_eq!(out, expected_out, "{}", kernel.tier());
     });
+    let mut out = Vec::new();
+    assert_eq!(Zvc::new().decompress_append(&bytes, 8, &mut out), expected);
+    assert_eq!(out, expected_out);
 }
 
 #[test]
@@ -284,7 +295,7 @@ fn tiers_append_after_existing_content() {
         assert_eq!(&bytes[..2], &[0xAB, 0xCD], "{}", kernel.tier());
         let mut words = vec![9.0f32];
         kernel
-            .decompress_append(&bytes[2..], data.len(), &mut words)
+            .decompress_prefix(&bytes[2..], data.len(), &mut words)
             .unwrap();
         assert_eq!(words[0], 9.0, "{}", kernel.tier());
         assert_eq!(words.len(), 1 + data.len(), "{}", kernel.tier());

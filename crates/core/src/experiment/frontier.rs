@@ -18,7 +18,7 @@
 //! seeded probe tensor, so it degrades smoothly from ZVC-speed on
 //! sparse streams toward DEFLATE-speed where dense windows dominate.
 
-use cdma_compress::{Algorithm, Compressor, ADAPTIVE_WINDOW_WORDS};
+use cdma_compress::{Algorithm, Compressor, ADAPTIVE_PICKS, ADAPTIVE_WINDOW_WORDS};
 use cdma_gpusim::SystemConfig;
 use cdma_sparsity::ActivationGen;
 use cdma_tensor::{Layout, Shape4};
@@ -68,14 +68,14 @@ pub struct FrontierReport {
     pub rows: Vec<FrontierRow>,
 }
 
-/// Fraction of input words the adaptive picker hands to each engine at
-/// one density, probed by compressing each seeded 4 KB window separately
-/// and reading its tag byte (0 = RLE, 1 = ZVC, 2 = DEFLATE).
-fn adaptive_pick_fractions(density: f64, seed: u64) -> [f64; 3] {
+/// Fraction of input words the adaptive picker hands to each of
+/// [`ADAPTIVE_PICKS`] at one density, probed by compressing each seeded
+/// 4 KB window separately and reading its tag byte.
+fn adaptive_pick_fractions(density: f64, seed: u64) -> [f64; ADAPTIVE_PICKS.len()] {
     let mut gen = ActivationGen::seeded(seed);
     let t = gen.generate(Shape4::new(1, 16, 32, 32), Layout::Nchw, density);
     let codec = Algorithm::Adaptive.codec();
-    let mut counts = [0usize; 3];
+    let mut counts = [0usize; ADAPTIVE_PICKS.len()];
     let mut windows = 0usize;
     for chunk in t.as_slice().chunks(ADAPTIVE_WINDOW_WORDS) {
         let stream = codec.compress(chunk);
@@ -103,11 +103,7 @@ pub fn fig_frontier(ctx: &Context, runner: &Runner, filter: &ScenarioFilter) -> 
                     // picker selected (each window's bytes move at its
                     // engine's rate, so rates combine harmonically).
                     let fracs = adaptive_pick_fractions(density, 42);
-                    let rates = [
-                        engine_bw(Algorithm::Rle, &cfg),
-                        engine_bw(Algorithm::Zvc, &cfg),
-                        engine_bw(Algorithm::Zlib, &cfg),
-                    ];
+                    let rates = ADAPTIVE_PICKS.map(|a| engine_bw(a, &cfg));
                     1.0 / fracs.iter().zip(rates).map(|(f, r)| f / r).sum::<f64>()
                 } else {
                     engine_bw(alg, &cfg)

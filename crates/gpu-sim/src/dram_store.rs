@@ -15,7 +15,7 @@
 //! `popcount(mask)` sector reads — quantified by
 //! [`CompressedDramStore::line_read_sectors`].
 
-use cdma_compress::ZVC_WINDOW_ELEMS;
+use cdma_compress::{Compressor, Zvc, ZVC_WINDOW_ELEMS};
 
 /// Data-sector granularity (one DRAM burst).
 pub const SECTOR_BYTES: usize = 32;
@@ -68,15 +68,12 @@ impl CompressedDramStore {
     pub fn store(data: &[f32]) -> Self {
         let mut table = Vec::with_capacity(data.len().div_ceil(ZVC_WINDOW_ELEMS));
         let mut sectors: Vec<[u8; SECTOR_BYTES]> = Vec::new();
+        let mut zvc = Vec::with_capacity(4 + LINE_BYTES);
         for line in data.chunks(ZVC_WINDOW_ELEMS) {
-            let mut mask = 0u32;
-            let mut payload: Vec<u8> = Vec::with_capacity(LINE_BYTES);
-            for (i, v) in line.iter().enumerate() {
-                if v.to_bits() != 0 {
-                    mask |= 1 << i;
-                    payload.extend_from_slice(&v.to_le_bytes());
-                }
-            }
+            // One line is one ZVC window: its mask, then its payload.
+            Zvc::new().compress_into(line, &mut zvc);
+            let (mask, payload) = zvc.split_at(4);
+            let mask = u32::from_le_bytes(mask.try_into().expect("a 4-byte mask"));
             let sector_base = sectors.len() as u32;
             for chunk in payload.chunks(SECTOR_BYTES) {
                 let mut s = [0u8; SECTOR_BYTES];
@@ -141,25 +138,15 @@ impl CompressedDramStore {
         } else {
             ZVC_WINDOW_ELEMS
         };
-        let mut out = Vec::with_capacity(words_in_line);
-        let mut payload_idx = 0usize;
-        for i in 0..words_in_line {
-            if meta.mask & (1 << i) != 0 {
-                let sector = meta.sector_base as usize + payload_idx * 4 / SECTOR_BYTES;
-                let offset = (payload_idx * 4) % SECTOR_BYTES;
-                let s = &self.sectors[sector];
-                out.push(f32::from_le_bytes([
-                    s[offset],
-                    s[offset + 1],
-                    s[offset + 2],
-                    s[offset + 3],
-                ]));
-                payload_idx += 1;
-            } else {
-                out.push(0.0);
-            }
-        }
-        out
+        let payload_bytes = meta.mask.count_ones() as usize * 4;
+        let base = meta.sector_base as usize;
+        let sectors = &self.sectors[base..base + payload_bytes.div_ceil(SECTOR_BYTES)];
+        let mut zvc = Vec::with_capacity(4 + payload_bytes);
+        zvc.extend_from_slice(&meta.mask.to_le_bytes());
+        zvc.extend_from_slice(&sectors.as_flattened()[..payload_bytes]);
+        Zvc::new()
+            .decompress(&zvc, words_in_line)
+            .expect("a stored line is a well-formed ZVC window")
     }
 
     /// Reads the whole buffer back (the prefetch path).
