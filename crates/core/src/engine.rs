@@ -263,7 +263,6 @@ impl CdmaEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdma_gpusim::OffloadSim;
     use cdma_sparsity::ActivationGen;
     use cdma_tensor::{Layout, Shape4};
 
@@ -381,10 +380,10 @@ mod tests {
                 assert_eq!(stats, fresh.stats);
                 assert_eq!(transfer, fresh.transfer);
                 assert_eq!(scratch.stream().as_bytes(), fresh.stream().as_bytes());
-                assert_eq!(
-                    transfer,
-                    OffloadSim::new(engine.config()).run_lines(fresh.lines())
-                );
+                let lines: Vec<(u32, u32)> = fresh.lines().collect();
+                let mut pipeline = DmaPipeline::new(engine.config());
+                pipeline.push_table(0.0, &lines, 1);
+                assert_eq!(transfer, pipeline.result());
             }
         }
     }

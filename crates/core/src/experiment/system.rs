@@ -6,7 +6,7 @@ use cdma_compress::{windowed, Algorithm};
 use cdma_gpusim::area::AreaModel;
 use cdma_gpusim::dram_store::CompressedDramStore;
 use cdma_gpusim::energy::EnergyModel;
-use cdma_gpusim::{OffloadSim, SystemConfig, ZvcEngine};
+use cdma_gpusim::{DmaPipeline, SystemConfig, ZvcEngine, LINE_BYTES};
 use cdma_sparsity::ActivationGen;
 use cdma_tensor::{Layout, Shape4};
 use cdma_vdnn::{
@@ -51,16 +51,20 @@ pub fn overheads(ctx: &Context) -> OverheadsReport {
     let base = &set.scenarios()[0];
     let cfg = base.config;
     // Real ZVC line sizes (SqueezeNet at the sparsity dip) through the
-    // event-stepped pipeline, at several staging-buffer sizes.
+    // event-stepped pipeline, every layer's minibatch back to back, at
+    // several staging-buffer sizes.
     let stream = ctx.measured_stream(base);
     let mut buffer_sweep = Vec::new();
     for buffer_kb in [8usize, 32, 70, 256] {
-        let sized = SystemConfig {
+        let mut pipeline = DmaPipeline::new(SystemConfig {
             dma_buffer: buffer_kb * 1024,
             ..cfg
-        };
-        let r = OffloadSim::new(sized)
-            .run_lines((0..stream.layer_count()).flat_map(|i| stream.layer_lines(i)));
+        });
+        for i in 0..stream.layer_count() {
+            let (lines, repeat) = stream.layer_table(i);
+            pipeline.push_table(0.0, lines, repeat);
+        }
+        let r = pipeline.result();
         buffer_sweep.push(BufferPoint {
             buffer_bytes: buffer_kb * 1024,
             peak_occupancy: r.max_buffer_occupancy,
@@ -499,7 +503,11 @@ fn ablation_buffer(runner: &Runner) -> Table {
             dma_buffer: kb * 1024,
             ..SystemConfig::titan_x_pcie3()
         };
-        let r = OffloadSim::new(cfg).run_uniform(32 << 20, 13.8);
+        // 32 MB as 8 192 4 KB lines, each compressed to 297 bytes.
+        let line = (LINE_BYTES as u32, (LINE_BYTES as f64 / 13.8).ceil() as u32);
+        let mut pipeline = DmaPipeline::new(cfg);
+        pipeline.push_table(0.0, &[line], (32 << 20) / LINE_BYTES);
+        let r = pipeline.result();
         (kb, r.effective_bw(), r.link_utilization())
     });
     let mut table = Table::new(

@@ -17,9 +17,10 @@ use cdma_core::experiment::{
     cluster_timeline, fidelity_sweep, fig02_timeline, fig_multi_gpu, FidelityRow, MultiGpuRow,
 };
 use cdma_core::scenario::{Context, Runner, Scenario, ScenarioFilter, ScenarioSet};
-use cdma_gpusim::SystemConfig;
+use cdma_gpusim::{fs_to_seconds, SystemConfig};
+use cdma_models::NetworkSpec;
 use cdma_vdnn::cluster::{ClusterSim, Tenant};
-use cdma_vdnn::timeline::{Resource, StageRecord};
+use cdma_vdnn::timeline::{Event, EventKind, Payload, Resource, StageRecord, TransferSource};
 use cdma_vdnn::{
     ComputeModel, CudnnVersion, Fidelity, RatioTable, StepBreakdown, TimelineSim, UniformRatio,
 };
@@ -50,7 +51,8 @@ fn a_memoised_step_equals_a_fresh_simulation_in_bits() {
     for s in &sweep {
         let what = format!("{}/{}", s.network, s.fidelity);
         let spec = ctx.spec(&s.network);
-        let fresh = TimelineSim::new(s.config, model()).simulate(&spec, &ctx.transfer_source(s));
+        let source = ctx.transfer_source(s);
+        let fresh = TimelineSim::new(s.config, model()).simulate(&spec, &source);
         let step = ctx.step(s);
 
         assert_eq!(
@@ -76,23 +78,63 @@ fn a_memoised_step_equals_a_fresh_simulation_in_bits() {
         }
 
         // Busy seconds: the in-order sum of the intervals the summary
-        // dropped. Addition order is part of the contract — the link
-        // column of `fig_multi_gpu` is this number over the step time.
+        // dropped, plus the offloaded lines' exact total. Addition order is
+        // part of the contract — the link column of `fig_multi_gpu` is
+        // this number over the step time.
+        let lines = line_seconds(s, &spec, &source, fresh.events());
         for r in [Resource::Compute, Resource::DmaRead, Resource::Link] {
             let in_order: f64 = fresh.busy(r).iter().map(|&(s, e)| e - s).sum();
-            assert_bits(
-                step.busy_seconds(r),
-                in_order,
-                &format!("{what} {r:?} busy"),
-            );
+            let want = in_order + lines[r as usize];
+            assert_bits(fresh.busy_seconds(r), want, &format!("{what} {r:?} fresh"));
+            assert_bits(step.busy_seconds(r), want, &format!("{what} {r:?} memo"));
         }
         let link = fresh.busy(Resource::Link);
-        let reversed: f64 = link.iter().rev().map(|&(s, e)| e - s).sum();
-        order_shows |= reversed.to_bits() != step.busy_seconds(Resource::Link).to_bits();
+        let lines = lines[Resource::Link as usize];
+        let in_order = link.iter().map(|&(s, e)| e - s).sum::<f64>() + lines;
+        let reversed = link.iter().rev().map(|&(s, e)| e - s).sum::<f64>() + lines;
+        order_shows |= reversed.to_bits() != in_order.to_bits();
     }
-    // The corpus can tell the orders apart (7 of the 18 steps do): a
-    // summary that added the link's intervals back to front fails above.
+    // The corpus can tell the orders apart: a timeline that added the
+    // link's intervals back to front fails above.
     assert!(order_shows, "no step's link sum depends on addition order");
+}
+
+/// Seconds the DMA pipeline's offload lines keep each resource busy over
+/// a step, worked out from the offloads its log starts: every line's read
+/// time at the platform's compression bandwidth and its drain time at the
+/// link's, each a whole number of femtoseconds per byte on PCIe.
+fn line_seconds(
+    s: &Scenario,
+    spec: &NetworkSpec,
+    source: &dyn TransferSource,
+    events: &[Event],
+) -> [f64; 3] {
+    let fs_per_byte = |bw: f64| {
+        let fs = 1e15 / bw;
+        assert_eq!(fs, fs.trunc(), "{bw} B/s is not whole femtoseconds a byte");
+        fs as u64
+    };
+    let (read, drain) = (
+        fs_per_byte(s.config.usable_comp_bw()),
+        fs_per_byte(s.config.pcie_bw),
+    );
+    let mut fs = [0u64; 3];
+    for e in events {
+        let EventKind::OffloadStart { layer } = e.kind else {
+            continue;
+        };
+        let payload = match layer {
+            None => source.input_payload(spec),
+            Some(l) => source.layer_payload(spec, l),
+        };
+        if let Payload::Lines { lines, repeat } = payload {
+            for &(u, c) in lines {
+                fs[Resource::DmaRead as usize] += u64::from(u) * read * repeat as u64;
+                fs[Resource::Link as usize] += u64::from(c) * drain * repeat as u64;
+            }
+        }
+    }
+    fs.map(fs_to_seconds)
 }
 
 /// `fig_multi_gpu`'s row as it was built before the memo: the scenario's

@@ -5,6 +5,40 @@ use crate::SystemConfig;
 /// per request, matching the evaluation's compression window).
 pub const LINE_BYTES: usize = 4 * 1024;
 
+/// Ticks of [`DmaPipeline`]'s clock per second: it counts femtoseconds,
+/// which puts five hours in a `u64`.
+const FS_PER_S: f64 = 1e15;
+
+/// Seconds of `fs` femtoseconds — a [`DmaPipeline`] clock reading or busy
+/// total in the unit the rest of the workspace keeps time in.
+pub fn fs_to_seconds(fs: u64) -> f64 {
+    fs as f64 * 1e-15
+}
+
+/// The femtosecond nearest `s` seconds (0 for a negative time).
+fn seconds_to_fs(s: f64) -> u64 {
+    (s * FS_PER_S + 0.5) as u64
+}
+
+/// Femtoseconds `bytes` take at `fs_per_byte`, to the nearest tick. Adding
+/// a half and truncating keeps a libm `round` off the per-line path.
+fn duration(bytes: u32, fs_per_byte: f64) -> u64 {
+    (bytes as f64 * fs_per_byte + 0.5) as i64 as u64
+}
+
+/// `fs` (positive) rounded up to a whole tick.
+fn ceil_fs(fs: f64) -> u64 {
+    let whole = fs as i64;
+    (whole + i64::from((whole as f64) < fs)) as u64
+}
+
+/// A byte count or a time difference as `f64`. These stay far below 2^63,
+/// so the one-instruction signed conversion serves; `u64`'s takes several
+/// on x86-64, and this runs a few times per line.
+fn small_f64(x: u64) -> f64 {
+    x as i64 as f64
+}
+
 /// Result of one simulated offload.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OffloadSimResult {
@@ -40,18 +74,14 @@ impl OffloadSimResult {
     }
 }
 
-/// One issued line of the link schedule. Byte counts are exact integers
-/// held as `f64`, so the running sums over them never round.
-#[derive(Debug, Clone, Copy)]
+/// One issued line of the link schedule, times in femtoseconds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Line {
-    arrival: f64,
-    uncompressed: f64,
-    compressed: f64,
-    drain_start: f64,
-    drain_end: f64,
-    /// `drain_end - drain_start`, the denominator of the pro-rata term of
-    /// [`occupancy`], taken once at push.
-    drain_time: f64,
+    arrival: u64,
+    drain_start: u64,
+    drain_end: u64,
+    uncompressed: u32,
+    compressed: u32,
 }
 
 /// The computed schedule of one pushed line (all times absolute seconds).
@@ -67,6 +97,36 @@ pub struct LineSchedule {
     pub drain_start: f64,
     /// When the line's last byte leaves on the link.
     pub drain_end: f64,
+}
+
+/// What [`DmaPipeline::push_table`] did with a repeated line table.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TableRun {
+    /// When everything pushed so far, the table's last line included,
+    /// has left on the link (absolute seconds).
+    pub end: f64,
+    /// Femtoseconds the read path spent issuing the table: each line's
+    /// read time, times the repeat count.
+    pub read_busy_fs: u64,
+    /// Femtoseconds the link spent draining the table, likewise.
+    pub link_busy_fs: u64,
+    /// Repeats pushed line by line; the rest were extrapolated.
+    pub stepped: usize,
+}
+
+/// The pipeline's state relative to its read clock at the start of one
+/// repeat of a table: everything a push reads once the read clock has
+/// passed the table's release time, with every instant stored as its
+/// (wrapping) offset from that clock.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Snapshot {
+    drain_free: u64,
+    /// `arrived - head` and `peak_head - head`.
+    cursors: (usize, usize),
+    /// `reserved`, `resident` and `peak_resident`.
+    bytes: (u64, u64, u64),
+    /// `sched[head..]`.
+    live: Vec<Line>,
 }
 
 /// Incremental, event-stepped form of the cDMA offload path (Section V-B).
@@ -85,25 +145,39 @@ pub struct LineSchedule {
 /// throttles the read stream and starves PCIe exactly as Section V-C
 /// predicts.
 ///
-/// Unlike the batch wrapper [`OffloadSim`], the pipeline is *incremental*:
-/// lines are pushed one at a time, each with a release time (`not_before`),
-/// so callers — notably `cdma_vdnn`'s event-driven training-step timeline —
-/// schedule transfers on a shared simulation clock, overlapping them with
-/// compute events instead of timing each transfer as an isolated
-/// standalone run.
+/// The pipeline is a clocked unit, like the engine it models: it keeps
+/// time in integer femtoseconds and bytes in integers. Each line's read
+/// and drain times are rounded to a tick once, when it is pushed (on PCIe
+/// they are exact: 5 000 fs a byte read, 78 125 fs a byte on the link, a
+/// 350 000 000 fs latency); times cross into seconds only at the API.
+/// Every step after that reads time differences only, so a schedule
+/// shifted in time evolves as the same schedule shifted — which is what
+/// lets [`DmaPipeline::push_table`] replay a repeated table once.
+///
+/// The pipeline is *incremental*: lines are pushed with a release time
+/// (`not_before`), so callers — notably `cdma_vdnn`'s event-driven
+/// training-step timeline — schedule transfers on a shared simulation
+/// clock, overlapping them with compute events instead of timing each
+/// transfer as an isolated standalone run.
 #[derive(Debug, Clone)]
 pub struct DmaPipeline {
-    read_bw: f64,
-    link_bw: f64,
-    capacity: f64,
-    latency: f64,
+    /// Femtoseconds the read path takes per uncompressed byte.
+    read_fs_per_byte: f64,
+    /// Femtoseconds the link takes per compressed byte.
+    link_fs_per_byte: f64,
+    /// Its inverse, the link rate per femtosecond.
+    link_bytes_per_fs: f64,
+    capacity: u64,
+    /// `capacity`, for the admission rule's arithmetic.
+    capacity_f64: f64,
+    latency: u64,
     /// High-water mark of [`DmaPipeline::advance_to`]: state before this
     /// time has been retired, so no line may issue earlier.
-    now: f64,
+    now: u64,
     /// When the read path can issue the next request.
-    t_read_free: f64,
+    t_read_free: u64,
     /// When the link finishes draining everything pushed so far.
-    drain_free: f64,
+    drain_free: u64,
     /// Issued lines in issue order, read through three forward-only
     /// cursors, `head <= arrived` and `head <= peak_head`. Lines stay where
     /// they were pushed; only a push that finds the storage full, with at
@@ -117,42 +191,47 @@ pub struct DmaPipeline {
     /// buffer, `sched[arrived..]` are reads still in flight.
     arrived: usize,
     /// Uncompressed reservations of the in-flight `sched[arrived..]`.
-    reserved: f64,
+    reserved: u64,
     /// Compressed bytes of the landed `sched[head..arrived]`.
-    resident: f64,
+    resident: u64,
     /// Arrival-clock cursor: `sched[..peak_head]` are fully drained at the
     /// newest line's arrival instant, where the high-water mark is read.
     peak_head: usize,
     /// Compressed bytes of `sched[peak_head..]`.
-    peak_resident: f64,
+    peak_resident: u64,
     max_occ: f64,
     total_u: u64,
     total_c: u64,
     lines: u64,
+    /// Femtoseconds the link has spent draining.
+    link_fs: u64,
 }
 
 impl DmaPipeline {
     /// Creates an idle pipeline over a platform configuration.
     pub fn new(cfg: SystemConfig) -> Self {
         DmaPipeline {
-            read_bw: cfg.usable_comp_bw(),
-            link_bw: cfg.pcie_bw,
-            capacity: cfg.dma_buffer as f64,
-            latency: cfg.mem_latency,
-            now: 0.0,
-            t_read_free: 0.0,
-            drain_free: 0.0,
+            read_fs_per_byte: FS_PER_S / cfg.usable_comp_bw(),
+            link_fs_per_byte: FS_PER_S / cfg.pcie_bw,
+            link_bytes_per_fs: cfg.pcie_bw / FS_PER_S,
+            capacity: cfg.dma_buffer as u64,
+            capacity_f64: cfg.dma_buffer as f64,
+            latency: seconds_to_fs(cfg.mem_latency),
+            now: 0,
+            t_read_free: 0,
+            drain_free: 0,
             sched: Vec::new(),
             head: 0,
             arrived: 0,
-            reserved: 0.0,
-            resident: 0.0,
+            reserved: 0,
+            resident: 0,
             peak_head: 0,
-            peak_resident: 0.0,
+            peak_resident: 0,
             max_occ: 0.0,
             total_u: 0,
             total_c: 0,
             lines: 0,
+            link_fs: 0,
         }
     }
 
@@ -161,26 +240,26 @@ impl DmaPipeline {
     /// fully drained by `t` fall behind `head`. The cursors only move
     /// forward (issue times are monotone), so a line is visited once by
     /// each.
-    fn retire(&mut self, t: f64) {
+    fn retire(&mut self, t: u64) {
         while let Some(e) = self.sched.get(self.arrived) {
             if e.arrival > t {
                 break;
             }
-            self.reserved -= e.uncompressed;
-            self.resident += e.compressed;
+            self.reserved -= e.uncompressed as u64;
+            self.resident += e.compressed as u64;
             self.arrived += 1;
         }
         while let Some(e) = self.sched.get(self.head) {
             if e.drain_end > t {
                 break;
             }
-            self.resident -= e.compressed;
+            self.resident -= e.compressed as u64;
             // The arrival clock runs a memory latency ahead of the issue
             // clock except across an idle gap or an `advance_to`, where it
             // lags until the next push: a line it has not passed yet leaves
             // its sum here, and `peak_head` is carried up to `head` below.
             if self.peak_head <= self.head {
-                self.peak_resident -= e.compressed;
+                self.peak_resident -= e.compressed as u64;
             }
             self.head += 1;
         }
@@ -211,37 +290,151 @@ impl DmaPipeline {
     /// iteration bound required. A pass costs O(1): issue and arrival times
     /// are monotone and the link drains in issue order, so the buffer's
     /// content at the issue clock is an exact running byte sum between two
-    /// forward-only cursors. Storing the line is amortised O(1) too: when
-    /// the storage is full and at least half its lines have drained, the
-    /// live ones move to the front (at most one move per push, amortised),
-    /// and otherwise it grows — so it never exceeds four times the most
-    /// lines ever live at once, however many are pushed.
-    ///
-    /// That sum plus one pro-rata term agrees with adding up the resident
-    /// lines one by one to rounding in the last place, not bit for bit. So
-    /// when an in-flight arrival lands within that rounding of the computed
-    /// drain instant, the `ta < t_drain` tie below can fall either way: the
-    /// line issues at the arrival, or at the drain instant without seeing
-    /// it. Both are schedules of the same admission rule at the same
-    /// instant; they part by less than one line's link time (the arrival's
-    /// expansion, if any, still has to drain in the first) and rejoin once
-    /// the link is the bottleneck again.
+    /// forward-only cursors, plus what is left of the one line part-way
+    /// out on the link. Storing the line is amortised O(1) too: when the
+    /// storage is full and at least half its lines have drained, the live
+    /// ones move to the front (at most one move per push, amortised), and
+    /// otherwise it grows — so it never exceeds four times the most lines
+    /// ever live at once, however many are pushed.
     ///
     /// # Panics
     ///
     /// Panics if the uncompressed line exceeds the DMA buffer capacity (it
     /// could never be issued).
+    // Inlined so that a caller which ignores the schedule (the engine, the
+    // benchmark) does not pay for converting it to seconds.
+    #[inline]
     pub fn push_line(
         &mut self,
         not_before: f64,
         uncompressed: u32,
         compressed: u32,
     ) -> LineSchedule {
-        let u = uncompressed as f64;
-        let c = compressed as f64;
+        let (issue, line) = self.push(seconds_to_fs(not_before), uncompressed, compressed);
+        LineSchedule {
+            issue: fs_to_seconds(issue),
+            read_done: fs_to_seconds(self.t_read_free),
+            arrival: fs_to_seconds(line.arrival),
+            drain_start: fs_to_seconds(line.drain_start),
+            drain_end: fs_to_seconds(line.drain_end),
+        }
+    }
+
+    /// Pushes `repeat` back-to-back copies of the line table `lines`, all
+    /// released at `not_before` — a minibatch of images sharing one
+    /// per-image table. Leaves the pipeline exactly as pushing every line
+    /// with [`DmaPipeline::push_line`] would, usually without doing so.
+    ///
+    /// Once the read clock has passed `not_before` (and the last
+    /// [`DmaPipeline::advance_to`]), every push reads time differences
+    /// only, so a repeat is a function of the state it starts in, taken
+    /// relative to the read clock. From then on each repeat starts with a
+    /// snapshot of that state. When one equals the snapshot before it
+    /// (integer for integer), the schedule has turned periodic: every
+    /// repeat left is the one just stepped, shifted by the interval it
+    /// took. They are then skipped — the clocks and the live lines move by
+    /// that interval times the repeats left, the byte and line counts grow
+    /// by the table's, and the high-water mark already holds, since the
+    /// repeat just stepped saw every occupancy the skipped ones would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a line exceeds the DMA buffer capacity, as
+    /// [`DmaPipeline::push_line`] does.
+    pub fn push_table(&mut self, not_before: f64, lines: &[(u32, u32)], repeat: usize) -> TableRun {
+        let not_before = seconds_to_fs(not_before);
+        let (mut table_u, mut table_c, mut read_fs, mut drain_fs) = (0u64, 0u64, 0u64, 0u64);
+        for &(u, c) in lines {
+            table_u += u as u64;
+            table_c += c as u64;
+            read_fs += duration(u, self.read_fs_per_byte);
+            drain_fs += duration(c, self.link_fs_per_byte);
+        }
+        // The previous repeat's snapshot and the read clock it was taken
+        // at, and this repeat's.
+        let (mut prev, mut snap) = (Snapshot::default(), Snapshot::default());
+        let mut prev_start = None;
+        let mut stepped = 0;
+        while stepped < repeat && !lines.is_empty() {
+            let start = self.t_read_free;
+            if start >= not_before.max(self.now) {
+                self.snapshot(&mut snap);
+                if let Some(t) = prev_start.filter(|_| snap == prev) {
+                    let left = (repeat - stepped) as u64;
+                    self.shift((start - t) * left);
+                    self.total_u += table_u * left;
+                    self.total_c += table_c * left;
+                    self.lines += lines.len() as u64 * left;
+                    self.link_fs += drain_fs * left;
+                    break;
+                }
+                std::mem::swap(&mut prev, &mut snap);
+                prev_start = Some(start);
+            }
+            for &(u, c) in lines {
+                self.push(not_before, u, c);
+            }
+            stepped += 1;
+        }
+        TableRun {
+            end: fs_to_seconds(self.drain_free),
+            read_busy_fs: read_fs * repeat as u64,
+            link_busy_fs: drain_fs * repeat as u64,
+            stepped,
+        }
+    }
+
+    /// Compressed bytes resident in the buffer at time `t`, from `sum`, the
+    /// exact byte count of the lines that have arrived and not fully
+    /// drained by `t`, and the oldest such line. The link drains in issue
+    /// order, so only that one can be part-way out; what is left of it is
+    /// its remaining drain time at the link rate (a multiply: this runs
+    /// once or twice a line).
+    fn occupancy(&self, sum: u64, oldest: Option<&Line>, t: u64) -> f64 {
+        match oldest {
+            Some(e) if e.drain_start < t => {
+                let left = small_f64(e.drain_end - t) * self.link_bytes_per_fs;
+                small_f64(sum - e.compressed as u64) + left
+            }
+            _ => small_f64(sum),
+        }
+    }
+
+    /// Records the state relative to the read clock into `into`.
+    fn snapshot(&self, into: &mut Snapshot) {
+        let origin = self.t_read_free;
+        let rel = |t: u64| t.wrapping_sub(origin);
+        into.drain_free = rel(self.drain_free);
+        into.cursors = (self.arrived - self.head, self.peak_head - self.head);
+        into.bytes = (self.reserved, self.resident, self.peak_resident);
+        into.live.clear();
+        into.live
+            .extend(self.sched[self.head..].iter().map(|e| Line {
+                arrival: rel(e.arrival),
+                drain_start: rel(e.drain_start),
+                drain_end: rel(e.drain_end),
+                ..*e
+            }));
+    }
+
+    /// Moves the read clock, the link clock and every live line `by`
+    /// femtoseconds later.
+    fn shift(&mut self, by: u64) {
+        self.t_read_free += by;
+        self.drain_free += by;
+        for e in &mut self.sched[self.head..] {
+            e.arrival += by;
+            e.drain_start += by;
+            e.drain_end += by;
+        }
+    }
+
+    /// [`DmaPipeline::push_line`] on the clock: issues one line released at
+    /// `not_before` and returns its issue instant and its stored line.
+    fn push(&mut self, not_before: u64, uncompressed: u32, compressed: u32) -> (u64, Line) {
         assert!(
-            u <= self.capacity,
-            "line of {u} bytes cannot fit the {}-byte DMA buffer",
+            uncompressed as u64 <= self.capacity,
+            "line of {uncompressed} bytes cannot fit the {}-byte DMA buffer",
             self.capacity
         );
         self.total_u += uncompressed as u64;
@@ -251,15 +444,16 @@ impl DmaPipeline {
         // Find the earliest issue time satisfying buffer backpressure. A
         // release time before the last `advance_to` is clamped to it:
         // earlier state has been retired, so time cannot rewind.
+        let u = uncompressed as f64;
         let mut t = self.t_read_free.max(not_before).max(self.now);
         loop {
             self.retire(t);
-            let occ = occupancy(self.resident, self.sched.get(self.head), t);
+            let occ = self.occupancy(self.resident, self.sched.get(self.head), t);
             // The single admission rule shared with the real-queue
             // [`staging::StagingPool`]: in-flight uncompressed
             // reservations plus resident compressed bytes plus the
             // incoming line must fit the buffer.
-            let need = staging::shortfall(self.reserved, occ, u, self.capacity);
+            let need = staging::shortfall(small_f64(self.reserved), occ, u, self.capacity_f64);
             if need <= staging::ADMIT_TOLERANCE {
                 break;
             }
@@ -269,10 +463,11 @@ impl DmaPipeline {
             if need <= occ + staging::ADMIT_TOLERANCE {
                 // Every arrived line's drain chains directly onto its
                 // predecessor's, so resident bytes leave back-to-back at
-                // the link rate and the shortfall is met after exactly
-                // `need / link_bw` seconds — unless an in-flight arrival
-                // lands first and re-shapes the buffer.
-                let t_drain = t + need / self.link_bw;
+                // the link rate and the shortfall is met once `need` bytes
+                // have drained — rounded up to a tick, so the admission
+                // rule holds at the instant found — unless an in-flight
+                // arrival lands first and re-shapes the buffer.
+                let t_drain = t + ceil_fs(need * self.link_fs_per_byte);
                 match next_arrival {
                     Some(ta) if ta < t_drain => t = ta,
                     _ => {
@@ -293,42 +488,39 @@ impl DmaPipeline {
         // Issue the read; it arrives after the memory latency and is queued
         // for the link drain.
         let issue = t;
-        self.t_read_free = issue + u / self.read_bw;
+        self.t_read_free = issue + duration(uncompressed, self.read_fs_per_byte);
         let arrival = issue + self.latency;
         let drain_start = self.drain_free.max(arrival);
-        let drain_end = drain_start + c / self.link_bw;
+        let drain = duration(compressed, self.link_fs_per_byte);
+        let drain_end = drain_start + drain;
         self.drain_free = drain_end;
+        self.link_fs += drain;
         if self.sched.len() == self.sched.capacity() && 2 * self.head >= self.sched.len() {
             self.compact();
         }
-        self.sched.push(Line {
+        let line = Line {
             arrival,
-            uncompressed: u,
-            compressed: c,
             drain_start,
             drain_end,
-            drain_time: drain_end - drain_start,
-        });
-        self.reserved += u;
+            uncompressed,
+            compressed,
+        };
+        self.sched.push(line);
+        self.reserved += uncompressed as u64;
         // Occupancy peaks at arrival instants, and every line pushed so far
         // has arrived by this one's.
-        self.peak_resident += c;
+        self.peak_resident += compressed as u64;
         while let Some(e) = self.sched.get(self.peak_head) {
             if e.drain_end > arrival {
                 break;
             }
-            self.peak_resident -= e.compressed;
+            self.peak_resident -= e.compressed as u64;
             self.peak_head += 1;
         }
-        let occ_at_arrival = occupancy(self.peak_resident, self.sched.get(self.peak_head), arrival);
+        let occ_at_arrival =
+            self.occupancy(self.peak_resident, self.sched.get(self.peak_head), arrival);
         self.max_occ = self.max_occ.max(occ_at_arrival);
-        LineSchedule {
-            issue,
-            read_done: self.t_read_free,
-            arrival,
-            drain_start,
-            drain_end,
-        }
+        (issue, line)
     }
 
     /// Returns the pipeline to its idle initial state while keeping the
@@ -337,41 +529,35 @@ impl DmaPipeline {
     /// transfers with zero per-run allocation. The platform configuration
     /// is retained.
     pub fn reset(&mut self) {
-        self.now = 0.0;
-        self.t_read_free = 0.0;
-        self.drain_free = 0.0;
+        self.now = 0;
+        self.t_read_free = 0;
+        self.drain_free = 0;
         self.sched.clear();
         self.head = 0;
         self.arrived = 0;
-        self.reserved = 0.0;
-        self.resident = 0.0;
+        self.reserved = 0;
+        self.resident = 0;
         self.peak_head = 0;
-        self.peak_resident = 0.0;
+        self.peak_resident = 0;
         self.max_occ = 0.0;
         self.total_u = 0;
         self.total_c = 0;
         self.lines = 0;
+        self.link_fs = 0;
     }
 
-    /// Moves the pipeline's clock to `now`, retiring the lines that have
-    /// drained by then. Advancing the clock is one-way: a subsequent push
-    /// whose `not_before` lies earlier than the latest `advance_to` issues
-    /// no earlier than that point (the state needed to schedule it in the
-    /// past has been discarded). Memory does not depend on calling this:
-    /// every push retires up to its own issue time.
+    /// Moves the pipeline's clock to `now` (seconds), retiring the lines
+    /// that have drained by then. Advancing the clock is one-way: a
+    /// subsequent push whose `not_before` lies earlier than the latest
+    /// `advance_to` issues no earlier than that point (the state needed to
+    /// schedule it in the past has been discarded). Memory does not depend
+    /// on calling this: every push retires up to its own issue time.
     pub fn advance_to(&mut self, now: f64) {
-        self.now = self.now.max(now);
+        self.now = self.now.max(seconds_to_fs(now));
         self.retire(self.now);
     }
 
-    /// When the link finishes draining everything pushed so far (0 when
-    /// nothing was pushed).
-    #[cfg(test)]
-    fn completion_time(&self) -> f64 {
-        self.drain_free
-    }
-
-    /// Lines pushed so far.
+    /// Lines pushed so far, extrapolated ones included.
     pub fn lines_pushed(&self) -> u64 {
         self.lines
     }
@@ -381,68 +567,10 @@ impl DmaPipeline {
         OffloadSimResult {
             uncompressed_bytes: self.total_u,
             compressed_bytes: self.total_c,
-            total_time: self.drain_free,
-            link_busy: self.total_c as f64 / self.link_bw,
+            total_time: fs_to_seconds(self.drain_free),
+            link_busy: fs_to_seconds(self.link_fs),
             max_buffer_occupancy: self.max_occ,
         }
-    }
-}
-
-/// Batch wrapper over [`DmaPipeline`]: runs a whole transfer to completion
-/// and reports its aggregate timing (Section V-B's standalone experiments).
-#[derive(Debug, Clone, Copy)]
-pub struct OffloadSim {
-    cfg: SystemConfig,
-}
-
-impl OffloadSim {
-    /// Creates a simulator over a platform configuration.
-    pub fn new(cfg: SystemConfig) -> Self {
-        OffloadSim { cfg }
-    }
-
-    /// Offloads `bytes` of data that compresses uniformly by `ratio`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ratio` is not positive.
-    pub fn run_uniform(&self, bytes: u64, ratio: f64) -> OffloadSimResult {
-        assert!(ratio > 0.0, "ratio must be positive, got {ratio}");
-        let line = LINE_BYTES as u64;
-        self.run_lines((0..bytes.div_ceil(line)).map(|i| {
-            let u = (bytes - i * line).min(line) as u32;
-            (u, (u as f64 / ratio).ceil() as u32)
-        }))
-    }
-
-    /// Offloads explicit `(uncompressed, compressed)` line sizes — e.g. the
-    /// per-window sizes of a real ZVC stream, consumed as they are produced
-    /// (no line table need be materialized).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any uncompressed line exceeds the DMA buffer capacity (it
-    /// could never be issued).
-    pub fn run_lines(&self, lines: impl IntoIterator<Item = (u32, u32)>) -> OffloadSimResult {
-        let mut pipeline = DmaPipeline::new(self.cfg);
-        for (u, c) in lines {
-            pipeline.push_line(0.0, u, c);
-        }
-        pipeline.result()
-    }
-}
-
-/// Compressed bytes resident in the buffer at time `t`, from `sum`, the
-/// exact byte count of the lines that have arrived and not fully drained by
-/// `t`, and the oldest such line. The link drains in issue order, so only
-/// that one can be part-way out; it counts pro-rata of its remaining drain
-/// time.
-fn occupancy(sum: f64, oldest: Option<&Line>, t: f64) -> f64 {
-    match oldest {
-        Some(e) if e.drain_start < t => {
-            (sum - e.compressed) + e.compressed * (e.drain_end - t) / e.drain_time
-        }
-        _ => sum,
     }
 }
 
@@ -456,9 +584,40 @@ mod tests {
 
     const MB64: u64 = 64 << 20;
 
+    /// A whole transfer of `bytes` that compresses uniformly by `ratio`:
+    /// its full 4 KB lines as one repeated table, then the tail line.
+    fn run_uniform(cfg: SystemConfig, bytes: u64, ratio: f64) -> OffloadSimResult {
+        let line = LINE_BYTES as u64;
+        let compressed = |u: u64| (u as f64 / ratio).ceil() as u32;
+        let mut pipe = DmaPipeline::new(cfg);
+        pipe.push_table(
+            0.0,
+            &[(line as u32, compressed(line))],
+            (bytes / line) as usize,
+        );
+        let tail = bytes % line;
+        if tail > 0 {
+            pipe.push_line(0.0, tail as u32, compressed(tail));
+        }
+        pipe.result()
+    }
+
+    /// A whole transfer of explicit `(uncompressed, compressed)` lines,
+    /// pushed one by one.
+    fn run_lines(
+        cfg: SystemConfig,
+        lines: impl IntoIterator<Item = (u32, u32)>,
+    ) -> OffloadSimResult {
+        let mut pipe = DmaPipeline::new(cfg);
+        for (u, c) in lines {
+            pipe.push_line(0.0, u, c);
+        }
+        pipe.result()
+    }
+
     #[test]
     fn incompressible_data_moves_at_link_rate() {
-        let r = OffloadSim::new(cfg()).run_uniform(MB64, 1.0);
+        let r = run_uniform(cfg(), MB64, 1.0);
         let ideal = MB64 as f64 / cfg().pcie_bw;
         assert!(
             (r.total_time - ideal) / ideal < 0.01,
@@ -471,7 +630,7 @@ mod tests {
 
     #[test]
     fn compressible_data_saturates_link_with_compressed_bytes() {
-        let r = OffloadSim::new(cfg()).run_uniform(MB64, 2.6);
+        let r = run_uniform(cfg(), MB64, 2.6);
         // Effective uncompressed bandwidth ~= 2.6x the link.
         let speedup = r.effective_bw() / cfg().pcie_bw;
         assert!(
@@ -486,7 +645,7 @@ mod tests {
         // At 32x compression, the engine would need 32 x 12.8 = 410 GB/s of
         // reads; only 200 GB/s is provisioned, so the effective bandwidth
         // caps at COMP_BW and the link goes partly idle.
-        let r = OffloadSim::new(cfg()).run_uniform(MB64, 32.0);
+        let r = run_uniform(cfg(), MB64, 32.0);
         let eff = r.effective_bw();
         assert!(
             (eff - 200e9).abs() / 200e9 < 0.05,
@@ -498,7 +657,7 @@ mod tests {
     #[test]
     fn buffer_never_exceeds_capacity() {
         for ratio in [1.0, 1.5, 2.6, 8.0, 13.8, 32.0] {
-            let r = OffloadSim::new(cfg()).run_uniform(8 << 20, ratio);
+            let r = run_uniform(cfg(), 8 << 20, ratio);
             assert!(
                 r.max_buffer_occupancy <= cfg().dma_buffer as f64 + 1.0,
                 "ratio {ratio}: occupancy {} exceeds buffer",
@@ -517,8 +676,8 @@ mod tests {
             dma_buffer: 8 * 1024,
             ..cfg()
         };
-        let full = OffloadSim::new(cfg()).run_uniform(MB64, 13.8);
-        let starved = OffloadSim::new(small).run_uniform(MB64, 13.8);
+        let full = run_uniform(cfg(), MB64, 13.8);
+        let starved = run_uniform(small, MB64, 13.8);
         assert!(
             starved.effective_bw() < 0.5 * full.effective_bw(),
             "starved {:.3e} vs full {:.3e}",
@@ -527,7 +686,7 @@ mod tests {
         );
         // On incompressible data the small buffer is harmless (the link is
         // the bottleneck anyway, 12.8 GB/s x 350 ns = 4.5 KB).
-        let ok = OffloadSim::new(small).run_uniform(MB64, 1.0);
+        let ok = run_uniform(small, MB64, 1.0);
         assert!(ok.link_utilization() > 0.95);
     }
 
@@ -535,7 +694,7 @@ mod tests {
     fn seventy_kb_buffer_is_sufficient_for_max_observed_ratio() {
         // The design point: 70 KB suffices to run the paper's maximum
         // observed per-layer ratio (13.8x) at near-full link utilization.
-        let r = OffloadSim::new(cfg()).run_uniform(MB64, 13.8);
+        let r = run_uniform(cfg(), MB64, 13.8);
         assert!(
             r.link_utilization() > 0.9,
             "utilization {}",
@@ -556,7 +715,7 @@ mod tests {
                 (u, c)
             })
             .collect();
-        let r = OffloadSim::new(cfg()).run_lines(lines.iter().copied());
+        let r = run_lines(cfg(), lines.iter().copied());
         assert_eq!(r.uncompressed_bytes, 4096 * 1000);
         // i % 3 == 0 occurs 334 times in 0..1000; the others 333 each.
         assert_eq!(r.compressed_bytes, 334 * 128 + 333 * 1575 + 333 * 4096);
@@ -569,7 +728,7 @@ mod tests {
         // With an 72 GB/s effective link, COMP_BW/link = 2.8: even moderate
         // ratios hit the read-bandwidth wall.
         let nv = SystemConfig::titan_x_nvlink();
-        let r = OffloadSim::new(nv).run_uniform(MB64, 8.0);
+        let r = run_uniform(nv, MB64, 8.0);
         let eff = r.effective_bw();
         assert!(
             (eff - 200e9).abs() / 200e9 < 0.1,
@@ -579,7 +738,7 @@ mod tests {
 
     #[test]
     fn zero_byte_transfer_is_trivial() {
-        let r = OffloadSim::new(cfg()).run_uniform(0, 2.0);
+        let r = run_uniform(cfg(), 0, 2.0);
         assert_eq!(r.total_time, 0.0);
         assert_eq!(r.uncompressed_bytes, 0);
         assert_eq!(r.link_utilization(), 1.0);
@@ -588,7 +747,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot fit")]
     fn oversized_line_rejected() {
-        let _ = OffloadSim::new(cfg()).run_lines([(100_000, 50_000)]);
+        let _ = run_lines(cfg(), [(100_000, 50_000)]);
     }
 
     /// Deterministic LCG for adversarial line mixes.
@@ -620,7 +779,7 @@ mod tests {
                 _ => (64, 64),       // sub-line runt
             });
         }
-        let r = OffloadSim::new(small).run_lines(lines.iter().copied());
+        let r = run_lines(small, lines.iter().copied());
         let cap = small.dma_buffer as f64;
         assert!(
             r.max_buffer_occupancy <= cap + 1.0,
@@ -637,7 +796,7 @@ mod tests {
     fn seeded_mixes_match_between_batch_and_incremental_forms() {
         // `advance_to` compaction must be an implementation detail: pushing
         // the same lines through a periodically-compacted pipeline gives
-        // bit-identical results to the batch wrapper.
+        // bit-identical results to one whole-transfer run.
         let mut seed = 0xC0FFEE;
         for case in 0..8 {
             let lines: Vec<(u32, u32)> = (0..600)
@@ -647,7 +806,7 @@ mod tests {
                     (u, c)
                 })
                 .collect();
-            let batch = OffloadSim::new(cfg()).run_lines(lines.iter().copied());
+            let batch = run_lines(cfg(), lines.iter().copied());
             let mut pipe = DmaPipeline::new(cfg());
             let mut last_issue = 0.0;
             for (i, &(u, c)) in lines.iter().enumerate() {
@@ -670,7 +829,7 @@ mod tests {
         // its release time.
         let b = pipe.push_line(1.0, 4096, 1024);
         assert_eq!(b.issue, 1.0);
-        assert!(pipe.completion_time() >= b.drain_end - 1e-15);
+        assert!(pipe.result().total_time >= b.drain_end - 1e-15);
         // A line released in the past cannot issue before the read path
         // frees.
         let c = pipe.push_line(0.0, 4096, 1024);
@@ -680,7 +839,7 @@ mod tests {
     #[test]
     fn reset_pipeline_matches_fresh_and_keeps_capacity() {
         let lines: Vec<(u32, u32)> = (0..500).map(|i| (4096, 512 + (i % 7) * 512)).collect();
-        let fresh = OffloadSim::new(cfg()).run_lines(lines.iter().copied());
+        let fresh = run_lines(cfg(), lines.iter().copied());
         let mut pipe = DmaPipeline::new(cfg());
         for &(u, c) in &lines {
             pipe.push_line(0.0, u, c);
@@ -808,6 +967,110 @@ mod tests {
             assert!(s.drain_end >= s.drain_start);
             prev_drain_end = s.drain_end;
         }
-        assert_eq!(pipe.completion_time(), prev_drain_end);
+        assert_eq!(pipe.result().total_time, prev_drain_end);
+    }
+
+    #[test]
+    fn pcie_line_times_are_whole_femtoseconds() {
+        let pipe = DmaPipeline::new(cfg());
+        assert_eq!(pipe.read_fs_per_byte, 5_000.0);
+        assert_eq!(pipe.link_fs_per_byte, 78_125.0);
+        assert_eq!(pipe.latency, 350_000_000);
+        assert_eq!(duration(4096, pipe.link_fs_per_byte), 4096 * 78_125);
+        assert_eq!(ceil_fs(2.0), 2);
+        assert_eq!(ceil_fs(2.25), 3);
+    }
+
+    /// Everything a later push or `result()` can read, absolute.
+    fn state(p: &DmaPipeline) -> impl PartialEq + std::fmt::Debug {
+        (
+            (p.t_read_free, p.drain_free, p.now),
+            (p.arrived - p.head, p.peak_head - p.head),
+            (p.reserved, p.resident, p.peak_resident),
+            p.sched[p.head..].to_vec(),
+            (p.total_u, p.total_c, p.lines, p.link_fs),
+            p.max_occ.to_bits(),
+        )
+    }
+
+    #[test]
+    fn a_repeated_table_leaves_the_state_its_lines_pushed_one_by_one_leave() {
+        // A ZVC-shaped per-image table behind earlier traffic still on the
+        // link, on buffers that saturate (8 KB) and that keep up (70 KB).
+        let table: Vec<(u32, u32)> = (0..37u32)
+            .map(|i| (4096, 256 + i.wrapping_mul(2_654_435_761) % 3970))
+            .collect();
+        let small = SystemConfig {
+            dma_buffer: 8 * 1024,
+            ..cfg()
+        };
+        for platform in [cfg(), small, SystemConfig::titan_x_nvlink()] {
+            let mut extrapolated = DmaPipeline::new(platform);
+            for i in 0..50 {
+                extrapolated.push_line(0.0, 4096, 64 + 80 * i);
+            }
+            let mut stepped = extrapolated.clone();
+            let release = 2e-6;
+            let run = extrapolated.push_table(release, &table, 300);
+            for _ in 0..300 {
+                for &(u, c) in &table {
+                    stepped.push_line(release, u, c);
+                }
+            }
+            let what = format!(
+                "{} B buffer at {} B/s",
+                platform.dma_buffer, platform.pcie_bw
+            );
+            assert!(
+                run.stepped < 300,
+                "{what}: stepped all {} repeats",
+                run.stepped
+            );
+            assert_eq!(state(&extrapolated), state(&stepped), "{what}");
+            assert_eq!(run.end, stepped.result().total_time, "{what}");
+            assert_eq!(extrapolated.result(), stepped.result(), "{what}");
+            assert_eq!(
+                extrapolated.push_line(0.0, 4096, 1000),
+                stepped.push_line(0.0, 4096, 1000),
+                "{what}: the next line"
+            );
+        }
+    }
+
+    #[test]
+    fn a_table_whose_schedule_alternates_is_stepped_in_full() {
+        // One 13.8x line into an 8 KB buffer: the schedule repeats every
+        // other line, so no repeat starts as the one before it did.
+        let small = SystemConfig {
+            dma_buffer: 8 * 1024,
+            ..cfg()
+        };
+        let mut whole = DmaPipeline::new(small);
+        let mut stepped = whole.clone();
+        let run = whole.push_table(0.0, &[(4096, 297)], 1000);
+        for _ in 0..1000 {
+            stepped.push_line(0.0, 4096, 297);
+        }
+        assert_eq!(run.stepped, 1000);
+        assert_eq!(state(&whole), state(&stepped));
+    }
+
+    #[test]
+    fn a_table_steps_until_its_period_shows_and_counts_busy_time_exactly() {
+        // The first repeat starts at the release, ahead of the read clock:
+        // not a snapshot. The second is the first snapshot, so nothing can
+        // recur before the third.
+        let mut pipe = DmaPipeline::new(cfg());
+        let run = pipe.push_table(1e-3, &[(4096, 1024)], 2);
+        assert_eq!(run.stepped, 2);
+        assert_eq!(pipe.lines_pushed(), 2);
+        // Reads outpace the link 4:1, so the buffer fills (about 170
+        // lines) before the schedule turns periodic.
+        let busy = pipe.push_table(0.0, &[(4096, 1024); 3], 1000);
+        assert_eq!(busy.read_busy_fs, 3000 * 4096 * 5_000);
+        assert_eq!(busy.link_busy_fs, 3000 * 1024 * 78_125);
+        assert!(busy.stepped < 100, "stepped {}", busy.stepped);
+        assert_eq!(pipe.lines_pushed(), 3002);
+        assert_eq!(pipe.result().total_time, busy.end);
     }
 }

@@ -13,12 +13,13 @@
 //!   decompression counterpart;
 //! * [`DmaPipeline`] — an incremental, event-stepped simulation of the
 //!   offload path (DRAM fetch → per-MC compression → crossbar → DMA buffer
-//!   → PCIe): lines are pushed one at a time with a release time, so the
-//!   `cdma-vdnn` training-step timeline can interleave DMA traffic with
-//!   compute events. Reproduces the buffer-sizing and
+//!   → PCIe) on an integer femtosecond clock: lines are pushed with a
+//!   release time, so the `cdma-vdnn` training-step timeline can
+//!   interleave DMA traffic with compute events, and a minibatch's
+//!   repeated line table is stepped only until one repeat starts as the
+//!   one before it did
+//!   ([`DmaPipeline::push_table`]). Reproduces the buffer-sizing and
 //!   bandwidth-provisioning analysis of Sections V-B/V-C;
-//! * [`OffloadSim`] — the batch wrapper: one whole transfer, run to
-//!   completion;
 //! * [`area`] — the FreePDK45-scaled engine area and CACTI-style buffer
 //!   area estimates (0.31 mm² + 0.21 mm² vs a 600 mm² die);
 //! * [`energy`] — the per-bit transfer-energy comparison of Section VII-C;
@@ -29,11 +30,17 @@
 //!   typed overload error when the pool is exhausted).
 //!
 //! ```
-//! use cdma_gpusim::{OffloadSim, SystemConfig};
+//! use cdma_gpusim::{DmaPipeline, SystemConfig, LINE_BYTES};
 //!
 //! let cfg = SystemConfig::titan_x_pcie3();
-//! // Offload 64 MB of 2.6x-compressible activations.
-//! let result = OffloadSim::new(cfg).run_uniform(64 << 20, 2.6);
+//! // Offload 64 MB of 2.6x-compressible activations: one 4 KB line,
+//! // compressed to 1576 bytes, 16 384 times.
+//! let mut pipeline = DmaPipeline::new(cfg);
+//! let run = pipeline.push_table(0.0, &[(LINE_BYTES as u32, 1576)], 16_384);
+//! // The pipeline settles into a steady state after a few repeats and
+//! // skips the rest.
+//! assert!(run.stepped < 16_384);
+//! let result = pipeline.result();
 //! // The PCIe link, not DRAM, is the bottleneck: the transfer completes
 //! // ~2.6x faster than an uncompressed copy would.
 //! let uncompressed = (64u64 << 20) as f64 / cfg.pcie_bw;
@@ -52,7 +59,7 @@ pub mod pipeline;
 pub mod staging;
 
 pub use config::{LinkKind, SystemConfig};
-pub use dma::{DmaPipeline, LineSchedule, OffloadSim, OffloadSimResult, LINE_BYTES};
+pub use dma::{fs_to_seconds, DmaPipeline, LineSchedule, OffloadSimResult, TableRun, LINE_BYTES};
 pub use dram_store::CompressedDramStore;
 pub use engine::ZvcEngine;
 pub use pipeline::{ZvcCompressPipeline, ZvcDecompressPipeline};

@@ -8,12 +8,20 @@
 use std::collections::VecDeque;
 
 use cdma_gpusim::{
-    staging, DmaPipeline, LineSchedule, OffloadSim, OffloadSimResult, SystemConfig, ZvcEngine,
+    staging, DmaPipeline, LineSchedule, OffloadSimResult, SystemConfig, ZvcEngine, LINE_BYTES,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const CASES: u64 = 48;
+/// Cases of the table-extrapolation suite: ten times as many in an
+/// optimised build, which steps them in about the time a debug build takes
+/// for the base count.
+const TABLE_CASES: u64 = if cfg!(debug_assertions) {
+    CASES
+} else {
+    10 * CASES
+};
 
 fn line_set(rng: &mut StdRng) -> Vec<(u32, u32)> {
     let n = rng.gen_range(1usize..200);
@@ -27,8 +35,40 @@ fn line_set(rng: &mut StdRng) -> Vec<(u32, u32)> {
         .collect()
 }
 
-fn for_each_case(seed: u64, mut check: impl FnMut(u64, &mut StdRng)) {
-    for case in 0..CASES {
+/// A whole transfer of explicit `(uncompressed, compressed)` lines,
+/// pushed one by one.
+fn run_lines(cfg: SystemConfig, lines: &[(u32, u32)]) -> OffloadSimResult {
+    let mut pipe = DmaPipeline::new(cfg);
+    for &(u, c) in lines {
+        pipe.push_line(0.0, u, c);
+    }
+    pipe.result()
+}
+
+/// A whole transfer of `bytes` that compresses uniformly by `ratio`: its
+/// full 4 KB lines as one repeated table, then the tail line.
+fn run_uniform(cfg: SystemConfig, bytes: u64, ratio: f64) -> OffloadSimResult {
+    let line = LINE_BYTES as u64;
+    let compressed = |u: u64| (u as f64 / ratio).ceil() as u32;
+    let mut pipe = DmaPipeline::new(cfg);
+    pipe.push_table(
+        0.0,
+        &[(line as u32, compressed(line))],
+        (bytes / line) as usize,
+    );
+    let tail = bytes % line;
+    if tail > 0 {
+        pipe.push_line(0.0, tail as u32, compressed(tail));
+    }
+    pipe.result()
+}
+
+fn for_each_case(seed: u64, check: impl FnMut(u64, &mut StdRng)) {
+    for_cases(CASES, seed, check);
+}
+
+fn for_cases(cases: u64, seed: u64, mut check: impl FnMut(u64, &mut StdRng)) {
+    for case in 0..cases {
         let mut rng = StdRng::seed_from_u64(seed ^ (case.wrapping_mul(0x9E3779B97F4A7C15)));
         check(case, &mut rng);
     }
@@ -39,8 +79,7 @@ fn for_each_case(seed: u64, mut check: impl FnMut(u64, &mut StdRng)) {
 fn byte_conservation() {
     for_each_case(0xB17E5, |case, rng| {
         let lines = line_set(rng);
-        let sim = OffloadSim::new(SystemConfig::titan_x_pcie3());
-        let r = sim.run_lines(lines.iter().copied());
+        let r = run_lines(SystemConfig::titan_x_pcie3(), &lines);
         let u: u64 = lines.iter().map(|&(u, _)| u as u64).sum();
         let c: u64 = lines.iter().map(|&(_, c)| c as u64).sum();
         assert_eq!(r.uncompressed_bytes, u, "case {case}");
@@ -56,7 +95,7 @@ fn physical_lower_bounds() {
     for_each_case(0xB007, |case, rng| {
         let lines = line_set(rng);
         let cfg = SystemConfig::titan_x_pcie3();
-        let r = OffloadSim::new(cfg).run_lines(lines.iter().copied());
+        let r = run_lines(cfg, &lines);
         let link = r.compressed_bytes as f64 / cfg.pcie_bw;
         let read = r.uncompressed_bytes as f64 / cfg.usable_comp_bw();
         assert!(
@@ -76,7 +115,7 @@ fn buffer_capacity_respected() {
     for_each_case(0xCAFE, |case, rng| {
         let lines = line_set(rng);
         let cfg = SystemConfig::titan_x_pcie3();
-        let r = OffloadSim::new(cfg).run_lines(lines.iter().copied());
+        let r = run_lines(cfg, &lines);
         assert!(
             r.max_buffer_occupancy <= cfg.dma_buffer as f64 + 1.0,
             "case {case}: occupancy {} > buffer {}",
@@ -94,9 +133,9 @@ fn monotone_in_ratio() {
         let r1 = rng.gen_range(1.0f64..4.0);
         let r2 = rng.gen_range(1.0f64..4.0);
         let (lo, hi) = if r1 <= r2 { (r1, r2) } else { (r2, r1) };
-        let sim = OffloadSim::new(SystemConfig::titan_x_pcie3());
-        let t_lo = sim.run_uniform(bytes, lo).total_time;
-        let t_hi = sim.run_uniform(bytes, hi).total_time;
+        let cfg = SystemConfig::titan_x_pcie3();
+        let t_lo = run_uniform(cfg, bytes, lo).total_time;
+        let t_hi = run_uniform(cfg, bytes, hi).total_time;
         assert!(
             t_hi <= t_lo * 1.001,
             "case {case}: ratio {hi} slower than {lo}: {t_hi} vs {t_lo}"
@@ -116,8 +155,8 @@ fn monotone_in_buffer() {
             dma_buffer: kb * 1024,
             ..base
         };
-        let t_small = OffloadSim::new(small).run_uniform(bytes, ratio).total_time;
-        let t_big = OffloadSim::new(base).run_uniform(bytes, ratio).total_time;
+        let t_small = run_uniform(small, bytes, ratio).total_time;
+        let t_big = run_uniform(base, bytes, ratio).total_time;
         assert!(t_big <= t_small * 1.001, "case {case}");
     });
 }
@@ -136,10 +175,11 @@ fn engine_cycles_pipeline_properly() {
     });
 }
 
-/// The stepping `DmaPipeline` replaced, kept as the oracle: every issued
-/// line stays in a table and the buffer's occupancy is re-summed line by
-/// line at each backpressure pass and each arrival. O(resident lines) a
-/// pass, obviously the model of Section V-B — which is what it is for.
+/// The stepping `DmaPipeline` replaced, kept as the oracle: time in `f64`
+/// seconds, every issued line kept in a table and the buffer's occupancy
+/// re-summed line by line at each backpressure pass and each arrival.
+/// O(resident lines) a pass, obviously the model of Section V-B — which is
+/// what it is for.
 struct ScanPipeline {
     read_bw: f64,
     link_bw: f64,
@@ -290,10 +330,6 @@ fn mixed_line(rng: &mut StdRng, buffer: u32) -> (u32, u32) {
     (u, c)
 }
 
-fn rel_close(a: f64, b: f64) -> bool {
-    (a - b).abs() <= 1e-12 * a.abs().max(b.abs())
-}
-
 /// Seed of the stepping suites' mixes.
 const MIX_SEED: u64 = 0x0DD5_CA11;
 /// Lines each stepping case pushes.
@@ -373,16 +409,25 @@ impl Mix {
     }
 }
 
-/// The O(1) stepping is the scan-based stepping: the same seeded mixes
-/// through both, pushed with the same release times and advanced at the
-/// same mid-flight instants. Bytes and lines agree exactly and the
-/// aggregates to 1e-12; schedules are bit-identical on all but the few
-/// lines downstream of a last-place rounding difference or of the tie
-/// `push_line` documents, and those stay within one line's link time.
+/// How far apart two schedules of the same line may be and still count as
+/// agreeing: the integer clock rounds each NVLink line's drain time by up
+/// to half a femtosecond, and a busy link carries that into every later
+/// drain of the chain (a few hundred femtoseconds over these mixes).
+const AGREE_S: f64 = 1e-12;
+
+/// The integer-clock stepping against the `f64` scan oracle: the same
+/// seeded mixes through both, pushed with the same release times and
+/// advanced at the same mid-flight instants. Bytes and lines agree
+/// exactly. A schedule agrees to within [`AGREE_S`] except downstream of a
+/// tie the two clocks break differently (an arrival landing within their
+/// rounding of the instant the buffer would have drained enough): the
+/// line issues at the arrival or at the drain instant, both schedules of
+/// the same admission rule. Those are counted and bounded, and stay within one
+/// line's link time. The aggregates agree to the clock's rounding.
 #[test]
 fn running_sum_stepping_matches_the_scan_oracle() {
     let mut total_lines = 0u64;
-    let mut identical = 0u64;
+    let mut apart = 0u64;
     for_each_case(MIX_SEED, |case, rng| {
         let cfg = mix_config(case);
         let mut mix = Mix::new(&cfg);
@@ -402,10 +447,7 @@ fn running_sum_stepping_matches_the_scan_oracle() {
             let want = oracle.push_line(step.release, u, c);
             total_lines += 1;
             last_issue = want.issue;
-            if got == want {
-                identical += 1;
-                continue;
-            }
+            let mut worst = 0.0f64;
             for (name, g, w) in [
                 ("issue", got.issue, want.issue),
                 ("read_done", got.read_done, want.read_done),
@@ -417,7 +459,9 @@ fn running_sum_stepping_matches_the_scan_oracle() {
                     (g - w).abs() <= line_time,
                     "case {case} line {i}: {name} {g:e} vs oracle {w:e}"
                 );
+                worst = worst.max((g - w).abs());
             }
+            apart += u64::from(worst > AGREE_S);
         }
 
         let (got, want) = (fast.result(), oracle.result());
@@ -427,23 +471,28 @@ fn running_sum_stepping_matches_the_scan_oracle() {
             "case {case}"
         );
         assert_eq!(got.compressed_bytes, want.compressed_bytes, "case {case}");
-        assert_eq!(got.link_busy, want.link_busy, "case {case}");
-        assert!(
-            rel_close(got.total_time, want.total_time),
-            "case {case}: total_time {:e} vs {:e}",
-            got.total_time,
-            want.total_time
-        );
-        assert!(
-            rel_close(got.max_buffer_occupancy, want.max_buffer_occupancy),
-            "case {case}: max occupancy {} vs {}",
-            got.max_buffer_occupancy,
-            want.max_buffer_occupancy
-        );
+        // The link's busy time is every line's rounded drain time; a 1-byte
+        // NVLink runt rounds by 4e-5 of itself.
+        for (name, g, w, rel) in [
+            ("link_busy", got.link_busy, want.link_busy, 1e-7),
+            ("total_time", got.total_time, want.total_time, 1e-9),
+            (
+                "max_buffer_occupancy",
+                got.max_buffer_occupancy,
+                want.max_buffer_occupancy,
+                1e-12,
+            ),
+        ] {
+            assert!(
+                (g - w).abs() <= rel * g.abs().max(w.abs()),
+                "case {case}: {name} {g:e} vs {w:e}"
+            );
+        }
     });
+    // 4 of the 384 000 lines today.
     assert!(
-        identical * 100 >= total_lines * 99,
-        "only {identical} of {total_lines} line schedules are bit-identical to the oracle"
+        apart <= 16,
+        "{apart} of {total_lines} line schedules are more than {AGREE_S:e} s from the oracle"
     );
 }
 
@@ -459,9 +508,9 @@ fn fnv(mut h: u64, words: impl IntoIterator<Item = u64>) -> u64 {
 }
 
 /// Digest of [`DmaPipeline`]'s schedules over the stepping mixes,
-/// recorded before the schedule storage went from a ring to a linear
-/// buffer compacted in place.
-const SCHEDULE_DIGEST: u64 = 0xC3F8_DE70_EB1C_4D19;
+/// recorded when the pipeline moved to its integer femtosecond clock
+/// (`0xC3F8_DE70_EB1C_4D19` on the `f64` clock before it).
+const SCHEDULE_DIGEST: u64 = 0xC26D_40A6_6C67_BFC7;
 
 /// The scan oracle's mixes through `DmaPipeline` alone, bit for bit:
 /// every `LineSchedule` field and the `OffloadSimResult` of each run folded
@@ -508,4 +557,89 @@ fn stepping_schedules_are_pinned_bit_for_bit() {
         }
     });
     assert_eq!(digest, SCHEDULE_DIGEST, "got {digest:#018x}");
+}
+
+/// Every field of a result, as bits.
+fn result_bits(r: OffloadSimResult) -> [u64; 5] {
+    [
+        r.uncompressed_bytes,
+        r.compressed_bytes,
+        r.total_time.to_bits(),
+        r.link_busy.to_bits(),
+        r.max_buffer_occupancy.to_bits(),
+    ]
+}
+
+/// `push_table` is its lines pushed one by one, bit for bit. Each case
+/// runs a stretch of its stepping mix (scattered releases, `advance_to`s
+/// and all), then pushes a table of the mix's next lines `k <= 512` times
+/// at a release drawn around the read clock: through `push_table` on the
+/// pipeline and line by line on a clone. The results, the table's end and
+/// the schedules of the mix lines after it must be identical.
+#[test]
+fn a_repeated_table_extrapolates_to_its_lines_pushed_one_by_one() {
+    let mut extrapolated = 0;
+    for_cases(TABLE_CASES, MIX_SEED ^ 0x7AB1E, |case, rng| {
+        let cfg = mix_config(case);
+        let mut mix = Mix::new(&cfg);
+        let mut pipe = DmaPipeline::new(cfg);
+        let mut last_issue = 0.0f64;
+        for _ in 0..rng.gen_range(0..2000) {
+            let step = mix.next(rng, last_issue, pipe.result().total_time);
+            if let Some(now) = step.advance {
+                pipe.advance_to(now);
+            }
+            last_issue = pipe.push_line(step.release, step.line.0, step.line.1).issue;
+        }
+        let table: Vec<(u32, u32)> = (0..rng.gen_range(1..48))
+            .map(|_| mix.next(rng, last_issue, 0.0).line)
+            .collect();
+        let k = rng.gen_range(1usize..=512);
+        let release = last_issue + rng.gen_range(0.0..4.0) * mix.line_time;
+
+        let mut stepped = pipe.clone();
+        let run = pipe.push_table(release, &table, k);
+        for _ in 0..k {
+            for &(u, c) in &table {
+                stepped.push_line(release, u, c);
+            }
+        }
+        let what = format!("case {case}: {} lines x {k}", table.len());
+        assert!(run.stepped <= k, "{what}");
+        assert_eq!(
+            result_bits(pipe.result()),
+            result_bits(stepped.result()),
+            "{what}"
+        );
+        assert_eq!(
+            run.end.to_bits(),
+            stepped.result().total_time.to_bits(),
+            "{what}"
+        );
+        assert_eq!(pipe.lines_pushed(), stepped.lines_pushed(), "{what}");
+        for i in 0..256 {
+            let step = mix.next(rng, last_issue, stepped.result().total_time);
+            if let Some(now) = step.advance {
+                pipe.advance_to(now);
+                stepped.advance_to(now);
+            }
+            let (u, c) = step.line;
+            let s = stepped.push_line(step.release, u, c);
+            assert_eq!(
+                pipe.push_line(step.release, u, c),
+                s,
+                "{what}: line {i} after"
+            );
+            last_issue = s.issue;
+        }
+        extrapolated += usize::from(run.stepped < k);
+    });
+    // 26 of the 48 debug cases today, 312 of the 480 release ones; the
+    // rest never start two repeats in a row alike (their schedule cycles
+    // over several repeats, or `k` is too small to show it) and are
+    // stepped in full.
+    assert!(
+        extrapolated * 2 >= TABLE_CASES as usize,
+        "only {extrapolated} of {TABLE_CASES} tables extrapolated"
+    );
 }

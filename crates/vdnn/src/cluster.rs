@@ -223,6 +223,10 @@ pub struct ClusterTimeline {
     gpu_tenant: Vec<usize>,
     tenants: Vec<TenantResult>,
     link_busy: Vec<(f64, f64)>,
+    /// Busy seconds of the shared tier that `link_busy` has no interval
+    /// for: the dedicated path's measured DMA lines, which the pipeline
+    /// books as one total; zero on a shared run.
+    link_line_seconds: f64,
     node_busy: Vec<Vec<(f64, f64)>>,
     spine_wire_bytes: f64,
     node_wire_bytes: Vec<f64>,
@@ -253,9 +257,20 @@ impl ClusterTimeline {
     }
 
     /// Aggregate busy intervals of the shared tier, coalesced: the one
-    /// link on a flat fabric, the spine on a hierarchical one.
+    /// link on a flat fabric, the spine on a hierarchical one. On the
+    /// dedicated single-GPU path these are the timeline's link intervals,
+    /// which leave out measured offload lines (see
+    /// [`StepTimeline::busy`]): add [`ClusterTimeline::link_line_seconds`]
+    /// to their sum for the tier's busy time.
     pub fn link_busy(&self) -> &[(f64, f64)] {
         &self.link_busy
+    }
+
+    /// Busy seconds of the shared tier outside [`ClusterTimeline::link_busy`]:
+    /// the measured offload lines of a dedicated single-GPU run, zero on a
+    /// shared one.
+    pub fn link_line_seconds(&self) -> f64 {
+        self.link_line_seconds
     }
 
     /// Per-node-tier busy intervals of a hierarchical fabric (empty on a
@@ -289,7 +304,7 @@ impl ClusterTimeline {
         if self.makespan <= 0.0 {
             return 0.0;
         }
-        busy_total(&self.link_busy) / self.makespan
+        (busy_total(&self.link_busy) + self.link_line_seconds) / self.makespan
     }
 
     /// Events processed across the shared queue: the fabric's service
@@ -482,12 +497,14 @@ impl ClusterSim {
             total,
         };
         let link_busy = tl.busy(Resource::Link).to_vec();
+        let link_line_seconds = tl.line_busy_seconds(Resource::Link);
         let events_processed = tl.events_processed();
         ClusterTimeline {
             gpus: vec![tl],
             gpu_tenant: vec![0],
             tenants: vec![result],
             link_busy,
+            link_line_seconds,
             node_busy: Vec::new(),
             spine_wire_bytes: 0.0,
             node_wire_bytes: Vec::new(),
@@ -933,6 +950,7 @@ impl SharedEngine {
             gpu_tenant,
             tenants: results,
             link_busy: self.links.spine_busy().to_vec(),
+            link_line_seconds: 0.0,
             node_busy: self.links.node_busy().to_vec(),
             spine_wire_bytes: self.links.spine_bytes(),
             node_wire_bytes: self.links.node_bytes().to_vec(),

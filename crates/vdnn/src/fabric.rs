@@ -1093,6 +1093,10 @@ pub struct FabricRun {
     /// Shared-tier (spine) busy intervals across the whole run, absolute
     /// time, coalesced.
     pub spine_busy: Vec<(f64, f64)>,
+    /// Spine busy seconds `spine_busy` has no interval for: the measured
+    /// offload lines of steps that ran on the dedicated single-GPU path
+    /// ([`ClusterTimeline::link_busy`](crate::cluster::ClusterTimeline::link_busy)).
+    pub spine_line_busy: f64,
     /// Streaming per-GPU-step aggregates.
     pub stats: RunStats,
     /// When the last admitted work drained.
@@ -1108,7 +1112,7 @@ impl FabricRun {
             return 0.0;
         }
         let busy: f64 = self.spine_busy.iter().map(|&(s, e)| e - s).sum();
-        busy / self.makespan
+        (busy + self.spine_line_busy) / self.makespan
     }
 }
 
@@ -1186,6 +1190,7 @@ impl FabricSim {
         let mut clock = 0.0f64;
         let mut steps: Vec<StepStat> = Vec::new();
         let mut spine_busy: Vec<(f64, f64)> = Vec::new();
+        let mut spine_line_busy = 0.0;
         let mut stats = RunStats::default();
         let mut events_processed = 0u64;
         loop {
@@ -1266,6 +1271,7 @@ impl FabricSim {
             for &(s, e) in tl.link_busy() {
                 push_busy(&mut spine_busy, clock + s, clock + e);
             }
+            spine_line_busy += tl.link_line_seconds();
             clock += tl.makespan();
             active.retain(|&j| {
                 outcomes[j].steps_completed += 1;
@@ -1280,6 +1286,7 @@ impl FabricSim {
             steps,
             jobs: outcomes,
             spine_busy,
+            spine_line_busy,
             stats,
             makespan: clock,
             events_processed,
@@ -1372,7 +1379,7 @@ pub fn churn_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timeline::UniformRatio;
+    use crate::timeline::{MeasuredStream, UniformRatio};
     use crate::{ComputeModel, CudnnVersion};
     use cdma_models::zoo;
 
@@ -1601,5 +1608,39 @@ mod tests {
         assert!(run.spine_utilisation() > 0.0 && run.spine_utilisation() <= 1.0 + 1e-12);
         let folded: u64 = run.steps.iter().map(|s| s.gpus as u64).sum();
         assert_eq!(run.stats.gpu_steps, folded, "streaming fold missed a GPU");
+    }
+
+    #[test]
+    fn a_lone_gpu_books_its_measured_lines_on_the_spine() {
+        // One 1-GPU job on a flat fabric takes the dedicated path, whose
+        // link intervals leave out the offload lines: the run must still
+        // count them, or the spine reads idle while it drains.
+        let spec = zoo::alexnet();
+        let table = vec![(4096, 1024); 8];
+        let stream =
+            MeasuredStream::replicated(table.clone(), vec![table; spec.layers().len()], 16);
+        let checkpoints = [FidelitySource::Measured(stream.into())];
+        let cluster = ClusterSim::new(
+            SystemConfig::titan_x_pcie3(),
+            ComputeModel::titan_x(CudnnVersion::V5),
+            LinkPolicy::BandwidthShare,
+        );
+        let step = cluster.simulate(&[Tenant {
+            spec: &spec,
+            source: &checkpoints[0],
+            gpus: 1,
+        }]);
+        assert!(step.link_line_seconds() > 0.0);
+        let run = FabricSim::new(cluster).run(&[Job {
+            spec: &spec,
+            gpus: 1,
+            arrival: 0.0,
+            steps: 2,
+            departure: None,
+            checkpoints: &checkpoints,
+        }]);
+        assert_eq!(run.spine_line_busy, 2.0 * step.link_line_seconds());
+        let (got, want) = (run.spine_utilisation(), step.link_utilisation());
+        assert!((got - want).abs() <= 1e-12 * want, "{got} vs {want}");
     }
 }

@@ -23,7 +23,11 @@
 //! overlaps that layer's compute, rather than being timed as an isolated
 //! standalone run. (Under vDNN's stage barrier the pipeline always drains
 //! before the next stage begins; the incremental form is what lets looser
-//! schedules interleave lines across stages.)
+//! schedules interleave lines across stages.) A layer's payload is a
+//! per-image line table repeated once per image of the minibatch, and
+//! [`DmaPipeline::push_table`] steps it only until its schedule turns
+//! periodic; the offload's read-path and link busy time come back as exact
+//! femtosecond totals rather than per-line intervals.
 //!
 //! The simulation reproduces vDNN's synchronization (Fig. 2 of the paper):
 //! forward stage *n* computes layer *n* while offloading layer *n−1*'s
@@ -39,7 +43,7 @@
 use std::sync::Arc;
 
 use cdma_compress::Algorithm;
-use cdma_gpusim::{DmaPipeline, SystemConfig, ZvcEngine};
+use cdma_gpusim::{fs_to_seconds, DmaPipeline, SystemConfig, ZvcEngine};
 use cdma_models::profiles::NetworkProfile;
 use cdma_models::NetworkSpec;
 use cdma_tensor::Layout;
@@ -554,6 +558,11 @@ impl MeasuredStream {
         (0..self.repeat).flat_map(move |_| table.iter().copied())
     }
 
+    /// Layer `i`'s per-image line table and how many times it repeats.
+    pub fn layer_table(&self, i: usize) -> (&[(u32, u32)], usize) {
+        (&self.layers[i], self.repeat)
+    }
+
     /// Number of layer tables.
     pub fn layer_count(&self) -> usize {
         self.layers.len()
@@ -593,10 +602,9 @@ pub(crate) fn push_busy(v: &mut Vec<(f64, f64)>, start: f64, end: f64) {
     v.push((start, end));
 }
 
-/// Seconds covered by a busy-interval list, added in time order. The one
-/// statement of that sum: a link utilisation printed from a
-/// [`StepSummary`] and one printed from the cluster's interval list agree
-/// to the bit because both come through here.
+/// Seconds covered by a busy-interval list, added in time order: the
+/// interval half of [`StepTimeline::busy_seconds`], and the whole of a
+/// shared cluster run's link busy time.
 pub(crate) fn busy_total(v: &[(f64, f64)]) -> f64 {
     v.iter().map(|&(s, e)| e - s).sum()
 }
@@ -736,7 +744,7 @@ impl StageRecord {
 
 /// The result of one simulated training step: the timing breakdown plus the
 /// full chronological event log, per-stage records and per-resource busy
-/// intervals.
+/// time.
 #[derive(Debug, Clone)]
 pub struct StepTimeline {
     /// Timing breakdown of the step.
@@ -745,7 +753,11 @@ pub struct StepTimeline {
     events: Vec<Event>,
     stages: Vec<StageRecord>,
     busy: [Vec<(f64, f64)>; 3],
+    /// Busy femtoseconds of the DMA pipeline's lines, which keep no
+    /// intervals.
+    busy_fs: [u64; 3],
     events_processed: u64,
+    lines_stepped: u64,
 }
 
 impl StepTimeline {
@@ -765,7 +777,9 @@ impl StepTimeline {
             events,
             stages,
             busy,
+            busy_fs: [0; 3],
             events_processed,
+            lines_stepped: 0,
         }
     }
 
@@ -792,9 +806,28 @@ impl StepTimeline {
 
     /// Busy intervals of one resource, in time order, coalesced where they
     /// touch — intervals never overlap (a resource does one thing at a
-    /// time).
+    /// time). The measured level's offload lines are not among them: the
+    /// DMA pipeline reports their busy time as one exact total, which
+    /// [`StepTimeline::busy_seconds`] adds.
     pub fn busy(&self, r: Resource) -> &[(f64, f64)] {
         &self.busy[r as usize]
+    }
+
+    /// Seconds one resource was busy over the step: its intervals, added
+    /// in time order, plus the DMA pipeline's total for the offload lines
+    /// no interval covers. A link
+    /// utilisation printed from a [`StepSummary`] and one printed from the
+    /// cluster's dedicated path take this same sum, so they agree to the
+    /// bit.
+    pub fn busy_seconds(&self, r: Resource) -> f64 {
+        busy_total(&self.busy[r as usize]) + self.line_busy_seconds(r)
+    }
+
+    /// Seconds of one resource's busy time that no interval of
+    /// [`StepTimeline::busy`] covers: the DMA pipeline's femtosecond total
+    /// for the measured level's offload lines.
+    pub(crate) fn line_busy_seconds(&self, r: Resource) -> f64 {
+        fs_to_seconds(self.busy_fs[r as usize])
     }
 
     /// Total events processed: the log plus the line-granularity DMA
@@ -802,6 +835,14 @@ impl StepTimeline {
     /// "events/second" denominator of the timeline micro-benchmark).
     pub fn events_processed(&self) -> u64 {
         self.events_processed
+    }
+
+    /// DMA lines the pipeline stepped one at a time. The rest of each
+    /// repeated line table was extrapolated from its period
+    /// ([`DmaPipeline::push_table`]); they count in
+    /// [`StepTimeline::events_processed`] all the same.
+    pub fn lines_stepped(&self) -> u64 {
+        self.lines_stepped
     }
 }
 
@@ -823,14 +864,14 @@ pub struct StepSummary {
 }
 
 impl From<StepTimeline> for StepSummary {
-    /// Sums each resource's intervals in time order — the sum
-    /// [`ClusterTimeline::link_utilisation`](crate::cluster::ClusterTimeline::link_utilisation)
-    /// takes of the same list — and drops them.
+    /// Keeps each resource's [`StepTimeline::busy_seconds`] and drops the
+    /// intervals.
     fn from(tl: StepTimeline) -> Self {
         StepSummary {
             breakdown: tl.breakdown,
             fidelity: tl.fidelity,
-            busy_seconds: tl.busy.map(|v| busy_total(&v)),
+            busy_seconds: [Resource::Compute, Resource::DmaRead, Resource::Link]
+                .map(|r| tl.busy_seconds(r)),
             events: tl.events,
             stages: tl.stages,
             events_processed: tl.events_processed,
@@ -957,8 +998,10 @@ struct Recorder {
     events: Vec<Event>,
     stages: Vec<StageRecord>,
     busy: [Vec<(f64, f64)>; 3],
+    busy_fs: [u64; 3],
     /// Line-granularity DMA pipeline events, which never enter the log.
     line_events: u64,
+    lines_stepped: u64,
 }
 
 impl Recorder {
@@ -967,7 +1010,9 @@ impl Recorder {
             events: Vec::new(),
             stages: Vec::new(),
             busy: [Vec::new(), Vec::new(), Vec::new()],
+            busy_fs: [0; 3],
             line_events: 0,
+            lines_stepped: 0,
         }
     }
 
@@ -976,7 +1021,7 @@ impl Recorder {
     }
 
     /// Records a busy interval, coalescing with the previous one when they
-    /// touch (back-to-back DMA line drains collapse into one interval).
+    /// touch.
     fn busy(&mut self, r: Resource, start: f64, end: f64) {
         push_busy(&mut self.busy[r as usize], start, end);
     }
@@ -1069,6 +1114,8 @@ impl TimelineSim {
             events: rec.events,
             stages: rec.stages,
             busy: rec.busy,
+            busy_fs: rec.busy_fs,
+            lines_stepped: rec.lines_stepped,
         }
     }
 
@@ -1105,20 +1152,15 @@ impl TimelineSim {
                     return 0.0;
                 }
                 rec.schedule(t, EventKind::OffloadStart { layer });
-                let mut end = t;
-                for _ in 0..repeat {
-                    for &(u, c) in lines {
-                        let s = pipeline.push_line(t, u, c);
-                        rec.busy(Resource::DmaRead, s.issue, s.read_done);
-                        rec.busy(Resource::Link, s.drain_start, s.drain_end);
-                        end = end.max(s.drain_end);
-                        // Issue, arrival and drain of the line each count
-                        // as a processed pipeline event.
-                        rec.line_events += 3;
-                    }
-                }
-                rec.schedule(end, EventKind::OffloadEnd { layer });
-                end - t
+                let run = pipeline.push_table(t, lines, repeat);
+                rec.busy_fs[Resource::DmaRead as usize] += run.read_busy_fs;
+                rec.busy_fs[Resource::Link as usize] += run.link_busy_fs;
+                // Issue, arrival and drain of every line each count as a
+                // processed pipeline event, extrapolated lines included.
+                rec.line_events += 3 * (lines.len() * repeat) as u64;
+                rec.lines_stepped += (lines.len() * run.stepped) as u64;
+                rec.schedule(run.end, EventKind::OffloadEnd { layer });
+                run.end - t
             }
         }
     }
@@ -1371,8 +1413,16 @@ mod tests {
         );
         let tl = sim().simulate(&spec, &stream);
         assert_eq!(tl.fidelity(), "measured-stream");
-        assert!(!tl.busy(Resource::DmaRead).is_empty());
-        assert!(!tl.busy(Resource::Link).is_empty());
+        // Offloads keep the read path busy for exactly their lines' read
+        // time, 4096 B at 5 000 fs a byte each (three events a line); the
+        // interval list holds only the prefetches.
+        let lines = (tl.events_processed() - tl.events().len() as u64) / 3;
+        assert_eq!(
+            tl.busy_seconds(Resource::DmaRead),
+            busy_total(tl.busy(Resource::DmaRead)) + fs_to_seconds(lines * 4096 * 5_000)
+        );
+        assert!(tl.busy_seconds(Resource::Link) > busy_total(tl.busy(Resource::Link)));
+        assert!(tl.lines_stepped() > 0);
         // 2x compression beats uncompressed vDNN, loses to the oracle.
         let vdnn = sim().simulate(&spec, &UniformRatio::uniform(&spec, 1.0));
         let oracle = sim().simulate(&spec, &UniformRatio::new(&spec, TransferPolicy::Oracle));
@@ -1385,9 +1435,11 @@ mod tests {
     #[test]
     fn a_repeated_table_simulates_as_its_materialised_copies() {
         // A minibatch of `k` images sharing per-image line tables, stored
-        // once, against the same tables written out `k` times.
+        // once, against the same tables written out `k` times: the first
+        // replays each table until its period shows, the second steps every
+        // line.
         let spec = zoo::alexnet();
-        let k = 5;
+        let k = 128;
         let table = |seed: u32, lines: u32| -> Vec<(u32, u32)> {
             (0..lines)
                 .map(|i| (4096, 256 + (i + seed).wrapping_mul(2_654_435_761) % 3841))
@@ -1418,7 +1470,22 @@ mod tests {
         assert_eq!(a.stages(), b.stages());
         for r in [Resource::Compute, Resource::DmaRead, Resource::Link] {
             assert_eq!(a.busy(r), b.busy(r), "{r:?}");
+            assert_eq!(
+                a.busy_seconds(r).to_bits(),
+                b.busy_seconds(r).to_bits(),
+                "{r:?}"
+            );
         }
+        assert_eq!(
+            b.lines_stepped() * 3,
+            b.events_processed() - b.events().len() as u64
+        );
+        assert!(
+            a.lines_stepped() * 4 < b.lines_stepped(),
+            "{} of {} lines stepped",
+            a.lines_stepped(),
+            b.lines_stepped()
+        );
     }
 
     #[test]

@@ -79,7 +79,13 @@ fn assert_identical(cluster: &StepTimeline, single: &StepTimeline, what: &str) {
             assert_bits(cs, ss, &format!("{what} {r:?} interval {i} start"));
             assert_bits(ce, se, &format!("{what} {r:?} interval {i} end"));
         }
+        assert_bits(
+            cluster.busy_seconds(r),
+            single.busy_seconds(r),
+            &format!("{what} {r:?} busy seconds"),
+        );
     }
+    assert_eq!(cluster.lines_stepped(), single.lines_stepped(), "{what}");
 }
 
 #[test]
@@ -120,8 +126,14 @@ fn single_gpu_cluster_is_bit_identical_to_the_timeline_across_fidelities() {
                     &format!("{what} makespan"),
                 );
                 // The shared-link profile degenerates to the timeline's
-                // link busy intervals.
+                // link busy intervals, and its utilisation to the
+                // timeline's link busy seconds, DMA lines included.
                 assert_eq!(cluster.link_busy(), single.busy(Resource::Link), "{what}");
+                assert_bits(
+                    cluster.link_utilisation(),
+                    single.busy_seconds(Resource::Link) / single.total(),
+                    &format!("{what} link utilisation"),
+                );
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Section-by-section claims of the paper, verified across crates.
 
 use cdma::compress::{windowed, Algorithm, Compressor, Zvc};
-use cdma::gpusim::{OffloadSim, SystemConfig, ZvcEngine};
+use cdma::gpusim::{DmaPipeline, OffloadSimResult, SystemConfig, ZvcEngine, LINE_BYTES};
 use cdma::models::{profiles, zoo};
 use cdma::sparsity::{ActivationGen, DensityTrajectory};
 use cdma::tensor::{Layout, Shape4};
@@ -81,6 +81,15 @@ fn bandwidth_provisioning_arithmetic() {
     assert!(cfg.usable_comp_bw() <= cfg.leftover_dram_bw());
 }
 
+/// 16 MB of 13.8x-compressible data through the DMA pipeline: 4 096
+/// 4 KB lines of 297 bytes each.
+fn offload_16_mb_at_13_8x(cfg: SystemConfig) -> OffloadSimResult {
+    let line = (LINE_BYTES as u32, (LINE_BYTES as f64 / 13.8).ceil() as u32);
+    let mut pipeline = DmaPipeline::new(cfg);
+    pipeline.push_table(0.0, &[line], (16 << 20) / LINE_BYTES);
+    pipeline.result()
+}
+
 /// Section V-C: buffer sizing — 70 KB covers the bandwidth-delay product,
 /// and the event simulation confirms both sufficiency and necessity.
 #[test]
@@ -88,13 +97,13 @@ fn buffer_sizing_is_tight() {
     let cfg = SystemConfig::titan_x_pcie3();
     let bdp = cfg.bandwidth_delay_bytes();
     assert!((bdp / 1024.0 - 68.4) < 2.0, "bdp {bdp}");
-    let full = OffloadSim::new(cfg).run_uniform(16 << 20, 13.8);
+    let full = offload_16_mb_at_13_8x(cfg);
     assert!(full.link_utilization() > 0.9);
     let half = SystemConfig {
         dma_buffer: 35 * 1024,
         ..cfg
     };
-    let starved = OffloadSim::new(half).run_uniform(16 << 20, 13.8);
+    let starved = offload_16_mb_at_13_8x(half);
     assert!(starved.effective_bw() < 0.75 * full.effective_bw());
 }
 

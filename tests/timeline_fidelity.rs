@@ -54,7 +54,8 @@ fn real_training_activations_drive_the_measured_timeline() {
 
     assert_eq!(measured.fidelity(), "measured-stream");
     // The measured run exercises the DMA read path at line granularity.
-    assert!(!measured.busy(Resource::DmaRead).is_empty());
+    assert!(measured.lines_stepped() > 0);
+    assert!(measured.busy_seconds(Resource::DmaRead) > 0.0);
     assert!(measured.events_processed() > vdnn.events_processed());
 
     // Compression ordering: oracle <= measured <= uncompressed vDNN.
