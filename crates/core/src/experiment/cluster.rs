@@ -62,7 +62,7 @@ pub struct TenantRow {
 }
 
 fn cluster_sim(scenario: &Scenario) -> ClusterSim {
-    ClusterSim::new(scenario.config, compute_model(), scenario.link_policy)
+    ClusterSim::new(scenario.config, compute_model(), LinkPolicy::BandwidthShare)
 }
 
 /// Simulates one scenario's cluster (its network, data-parallel across
@@ -233,7 +233,7 @@ pub fn fig_multi_gpu(ctx: &Context, runner: &Runner, filter: &ScenarioFilter) ->
         format!(
             "link occupancy over one shared step ({} tenants x 2 GPUs, {}; makespan {:.1} ms)",
             tenant_rows.len(),
-            shared.policy(),
+            LinkPolicy::BandwidthShare,
             makespan * 1e3
         ),
         format!(

@@ -116,13 +116,14 @@ pub struct DatacenterReport {
 fn datacenter_row(ctx: &Context, scenario: &Scenario) -> DatacenterRow {
     let spec = ctx.spec(&scenario.network);
     let source = ctx.transfer_source(scenario);
-    let fabric = scenario
-        .fabric
-        .spec_for(&scenario.config, scenario.gpus, scenario.link_policy);
+    let fabric =
+        scenario
+            .fabric
+            .spec_for(&scenario.config, scenario.gpus, LinkPolicy::BandwidthShare);
     let mut sim = ClusterSim::new(
         scenario.config,
         ComputeModel::titan_x(CudnnVersion::V5),
-        scenario.link_policy,
+        LinkPolicy::BandwidthShare,
     )
     .record_events(false);
     if let Some(f) = fabric {

@@ -50,8 +50,8 @@ use cdma_tensor::Layout;
 use cdma_vdnn::timeline::MeasuredStream;
 use cdma_vdnn::traffic::{self, NetworkTraffic};
 use cdma_vdnn::{
-    FabricShape, Fidelity, FidelitySource, LinkPolicy, ProfiledDensity, RatioTable, StepSummary,
-    Tenancy, TimelineSim, UniformRatio,
+    FabricShape, Fidelity, FidelitySource, ProfiledDensity, RatioTable, StepSummary, TimelineSim,
+    UniformRatio,
 };
 
 use crate::CdmaEngine;
@@ -79,9 +79,6 @@ pub struct Scenario {
     /// Data-parallel GPU count sharing the host link (1 = the dedicated
     /// single-GPU platform of the core figures).
     pub gpus: usize,
-    /// Shared-link arbitration policy (only observable when `gpus > 1` or
-    /// tenants share the link).
-    pub link_policy: LinkPolicy,
     /// Inference engine (only observable in the inference experiments;
     /// the training figures run at the `Dense` default).
     pub engine: InferEngine,
@@ -91,9 +88,6 @@ pub struct Scenario {
     /// Fabric topology (only observable in the datacenter experiments;
     /// everything else runs on the [`FabricShape::Flat`] default).
     pub fabric: FabricShape,
-    /// Tenancy model (static residents by default; churn runs a
-    /// trace-driven arrival/departure schedule).
-    pub tenancy: Tenancy,
 }
 
 impl Scenario {
@@ -120,9 +114,6 @@ impl Scenario {
         }
         if self.fabric != FabricShape::Flat {
             base = format!("{base} {}", self.fabric.label());
-        }
-        if self.tenancy != Tenancy::Static {
-            base = format!("{base} {}", self.tenancy.label());
         }
         base
     }
@@ -203,7 +194,7 @@ impl<'a> IntoIterator for &'a ScenarioSet {
 
 /// Cartesian sweep builder for [`ScenarioSet`]: the product of every
 /// axis, nested network → layout → algorithm → fidelity → checkpoint →
-/// GPU count → link policy.
+/// GPU count → engine → batch → fabric.
 #[derive(Debug, Clone)]
 pub struct ScenarioBuilder {
     networks: Vec<String>,
@@ -214,11 +205,9 @@ pub struct ScenarioBuilder {
     seed: u64,
     config: SystemConfig,
     gpu_counts: Vec<usize>,
-    link_policies: Vec<LinkPolicy>,
     engines: Vec<InferEngine>,
     batches: Vec<usize>,
     fabrics: Vec<FabricShape>,
-    tenancies: Vec<Tenancy>,
 }
 
 impl Default for ScenarioBuilder {
@@ -235,11 +224,9 @@ impl Default for ScenarioBuilder {
             seed: 42,
             config: SystemConfig::titan_x_pcie3(),
             gpu_counts: vec![1],
-            link_policies: vec![LinkPolicy::BandwidthShare],
             engines: vec![InferEngine::Dense],
             batches: vec![1],
             fabrics: vec![FabricShape::Flat],
-            tenancies: vec![Tenancy::Static],
         }
     }
 }
@@ -310,27 +297,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the shared-link arbitration-policy axis.
-    ///
-    /// ```
-    /// use cdma_core::scenario::ScenarioSet;
-    /// use cdma_vdnn::LinkPolicy;
-    ///
-    /// let set = ScenarioSet::builder()
-    ///     .networks(["AlexNet"])
-    ///     .gpu_counts([4])
-    ///     .link_policies(LinkPolicy::ALL)
-    ///     .build();
-    /// assert_eq!(set.len(), 2);
-    /// assert_eq!(set.scenarios()[0].link_policy, LinkPolicy::BandwidthShare);
-    /// assert_eq!(set.scenarios()[1].link_policy.label(), "round-robin");
-    /// ```
-    // pub: a sweep axis of the builder; its doctest is the caller
-    pub fn link_policies<I: IntoIterator<Item = LinkPolicy>>(mut self, policies: I) -> Self {
-        self.link_policies = policies.into_iter().collect();
-        self
-    }
-
     /// Sets the inference-engine axis (the `fig_inference` sweep passes
     /// [`InferEngine::ALL`]).
     ///
@@ -390,25 +356,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the tenancy axis (static residents vs trace-driven churn).
-    ///
-    /// ```
-    /// use cdma_core::scenario::ScenarioSet;
-    /// use cdma_vdnn::Tenancy;
-    ///
-    /// let set = ScenarioSet::builder()
-    ///     .networks(["AlexNet"])
-    ///     .tenancies(Tenancy::ALL)
-    ///     .build();
-    /// assert_eq!(set.len(), 2);
-    /// assert!(set.scenarios()[1].label().ends_with("churn"));
-    /// ```
-    // pub: a sweep axis of the builder; its doctest is the caller
-    pub fn tenancies<I: IntoIterator<Item = Tenancy>>(mut self, tenancies: I) -> Self {
-        self.tenancies = tenancies.into_iter().collect();
-        self
-    }
-
     /// Materializes the cartesian product.
     pub fn build(self) -> ScenarioSet {
         let mut scenarios = Vec::with_capacity(
@@ -418,11 +365,9 @@ impl ScenarioBuilder {
                 * self.fidelities.len()
                 * self.checkpoints.len()
                 * self.gpu_counts.len()
-                * self.link_policies.len()
                 * self.engines.len()
                 * self.batches.len()
-                * self.fabrics.len()
-                * self.tenancies.len(),
+                * self.fabrics.len(),
         );
         for network in &self.networks {
             for &layout in &self.layouts {
@@ -430,28 +375,22 @@ impl ScenarioBuilder {
                     for &fidelity in &self.fidelities {
                         for &checkpoint in &self.checkpoints {
                             for &gpus in &self.gpu_counts {
-                                for &link_policy in &self.link_policies {
-                                    for &engine in &self.engines {
-                                        for &batch in &self.batches {
-                                            for &fabric in &self.fabrics {
-                                                for &tenancy in &self.tenancies {
-                                                    scenarios.push(Scenario {
-                                                        network: network.clone(),
-                                                        layout,
-                                                        algorithm,
-                                                        fidelity,
-                                                        checkpoint,
-                                                        seed: self.seed,
-                                                        config: self.config,
-                                                        gpus,
-                                                        link_policy,
-                                                        engine,
-                                                        batch,
-                                                        fabric,
-                                                        tenancy,
-                                                    });
-                                                }
-                                            }
+                                for &engine in &self.engines {
+                                    for &batch in &self.batches {
+                                        for &fabric in &self.fabrics {
+                                            scenarios.push(Scenario {
+                                                network: network.clone(),
+                                                layout,
+                                                algorithm,
+                                                fidelity,
+                                                checkpoint,
+                                                seed: self.seed,
+                                                config: self.config,
+                                                gpus,
+                                                engine,
+                                                batch,
+                                                fabric,
+                                            });
                                         }
                                     }
                                 }
@@ -475,7 +414,6 @@ pub struct ScenarioFilter {
     engines: Vec<InferEngine>,
     batches: Vec<usize>,
     fabrics: Vec<FabricShape>,
-    tenancies: Vec<Tenancy>,
 }
 
 impl ScenarioFilter {
@@ -528,11 +466,10 @@ impl ScenarioFilter {
                     "engine" => filter.engines.push(parse_engine(value)?),
                     "batch" => filter.batches.push(parse_batch(value)?),
                     "fabric" => filter.fabrics.push(parse_fabric(value)?),
-                    "tenancy" => filter.tenancies.push(parse_tenancy(value)?),
                     other => {
                         return Err(format!(
                             "unknown filter key {other:?} \
-                             (expected net|layout|alg|engine|batch|fabric|tenancy)"
+                             (expected net|layout|alg|engine|batch|fabric)"
                         ))
                     }
                 }
@@ -578,12 +515,6 @@ impl ScenarioFilter {
         self
     }
 
-    /// Restricts the tenancy axis (builder-style convenience).
-    pub fn tenancy(mut self, tenancy: Tenancy) -> Self {
-        self.tenancies.push(tenancy);
-        self
-    }
-
     /// Whether every axis is unrestricted.
     pub fn is_empty(&self) -> bool {
         self.networks.is_empty()
@@ -592,7 +523,6 @@ impl ScenarioFilter {
             && self.engines.is_empty()
             && self.batches.is_empty()
             && self.fabrics.is_empty()
-            && self.tenancies.is_empty()
     }
 
     /// Whether `scenario` passes every axis.
@@ -603,7 +533,6 @@ impl ScenarioFilter {
             && (self.engines.is_empty() || self.engines.contains(&scenario.engine))
             && (self.batches.is_empty() || self.batches.contains(&scenario.batch))
             && (self.fabrics.is_empty() || self.fabrics.contains(&scenario.fabric))
-            && (self.tenancies.is_empty() || self.tenancies.contains(&scenario.tenancy))
     }
 
     /// Whether the network axis admits `name` (for drivers that loop over
@@ -666,10 +595,6 @@ fn parse_batch(s: &str) -> Result<usize, String> {
 
 fn parse_fabric(s: &str) -> Result<FabricShape, String> {
     s.to_ascii_lowercase().parse::<FabricShape>()
-}
-
-fn parse_tenancy(s: &str) -> Result<Tenancy, String> {
-    s.to_ascii_lowercase().parse::<Tenancy>()
 }
 
 /// Cache-effectiveness counters of a [`Context`].
@@ -926,7 +851,7 @@ impl Context {
     /// scenario's [`Context::transfer_source`], kept as a [`StepSummary`]
     /// — the busy-interval lists are summed and dropped before the insert,
     /// so the memo holds a few hundred entries per step, not the millions
-    /// a measured replay records. `gpus`, the link policy and the
+    /// a measured replay records. `gpus` and the
     /// inference / fabric axes are not part of a single-GPU step and not
     /// part of the key.
     pub fn step(&self, scenario: &Scenario) -> Arc<StepSummary> {
@@ -1134,13 +1059,12 @@ mod tests {
         assert!(ScenarioFilter::parse(&["net=AlexNte"]).is_err());
         assert!(ScenarioFilter::all().matches(&ScenarioSet::paper_grid().scenarios()[0]));
 
-        // The datacenter axes parse, validate and match.
-        let f = ScenarioFilter::parse(&["fabric=node8", "tenancy=churn"]).unwrap();
+        // The fabric axis parses, validates and matches.
+        let f = ScenarioFilter::parse(&["fabric=node8"]).unwrap();
         assert!(!f.is_empty());
         let set = ScenarioSet::builder()
             .networks(["AlexNet"])
             .fabrics(FabricShape::ALL)
-            .tenancies(Tenancy::ALL)
             .build();
         let hits: Vec<_> = set.scenarios().iter().filter(|s| f.matches(s)).collect();
         assert_eq!(hits.len(), 1);
@@ -1148,9 +1072,12 @@ mod tests {
             hits[0].fabric,
             FabricShape::Hierarchical { gpus_per_node: 8 }
         );
-        assert_eq!(hits[0].tenancy, Tenancy::Churn);
         assert!(ScenarioFilter::parse(&["fabric=mesh"]).is_err());
-        assert!(ScenarioFilter::parse(&["tenancy=rotating"]).is_err());
+
+        // No scenario sets a tenancy, so the key is unknown rather than a
+        // filter that empties every sweep; the error lists the keys left.
+        let err = ScenarioFilter::parse(&["tenancy=churn"]).unwrap_err();
+        assert!(err.contains("net|layout|alg|engine|batch|fabric)"), "{err}");
     }
 
     #[test]

@@ -20,7 +20,9 @@ use cdma_core::scenario::{Context, Runner, Scenario, ScenarioFilter, ScenarioSet
 use cdma_gpusim::{fs_to_seconds, SystemConfig};
 use cdma_models::NetworkSpec;
 use cdma_vdnn::cluster::{ClusterSim, Tenant};
-use cdma_vdnn::timeline::{Event, EventKind, Payload, Resource, StageRecord, TransferSource};
+use cdma_vdnn::timeline::{
+    Event, EventKind, LinkPolicy, Payload, Resource, StageRecord, TransferSource,
+};
 use cdma_vdnn::{
     ComputeModel, CudnnVersion, Fidelity, RatioTable, StepBreakdown, TimelineSim, UniformRatio,
 };
@@ -141,7 +143,7 @@ fn line_seconds(
 /// cluster against the uncompressed-vDNN cluster on the same platform.
 fn cluster_row(ctx: &Context, s: &Scenario) -> MultiGpuRow {
     let spec = ctx.spec(&s.network);
-    let vdnn = ClusterSim::new(s.config, model(), s.link_policy).simulate(&[Tenant {
+    let vdnn = ClusterSim::new(s.config, model(), LinkPolicy::BandwidthShare).simulate(&[Tenant {
         spec: &spec,
         source: &UniformRatio::uniform(&spec, 1.0),
         gpus: s.gpus,
@@ -245,7 +247,7 @@ fn three_experiments_simulate_each_step_once() {
     assert_bits(row(&fig02.totals), first.total(), "fig02 total");
     assert_bits(row(&sweep.rows), first.total(), "sweep row");
 
-    // `gpus` and the link policy are not part of a single-GPU step...
+    // `gpus` is not part of a single-GPU step...
     let mut wide = alexnet.clone();
     wide.gpus = 8;
     assert!(Arc::ptr_eq(&alexnet_step, &ctx.step(&wide)));

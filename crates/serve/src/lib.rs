@@ -12,7 +12,6 @@
 //! | read stream stalls when full        | typed [`ServeError::Overloaded`] shed        |
 //! | PCIe arbiter across DMA flows       | [`TenantScheduler`] across tenant queues     |
 //! | `BandwidthShare` link fairness      | start-time-fair virtual-time dispatch        |
-//! | `RoundRobin` link quantum           | byte-quantum turns between tenant queues     |
 //! | fixed staging storage, no mallocs   | [`pool::Pool`]-recycled buffers, zero-alloc  |
 //!
 //! [`StagingPool`]: cdma_gpusim::staging::StagingPool

@@ -4,15 +4,10 @@
 //! The scheduler plays the role of the paper's PCIe arbiter, lifted from
 //! wire bandwidth to engine time: where
 //! [`LinkPolicy::BandwidthShare`](cdma_vdnn::LinkPolicy) splits a shared
-//! link among DMA flows by weight, [`TenantScheduler`] splits the worker
-//! pool among tenants by weight. [`LinkPolicy::BandwidthShare`] maps to
-//! start-time-fair virtual-time scheduling (each tenant's virtual clock
-//! advances by `footprint / weight` per dispatched job; the backlogged
-//! tenant with the smallest clock goes next), and
-//! [`LinkPolicy::RoundRobin`] maps to the same byte quantum the link
-//! arbiter uses ([`cdma_vdnn::timeline::DEFAULT_LINK_QUANTUM`]):
-//! a tenant keeps the turn until it has dispatched a quantum's worth of
-//! bytes, then the cursor moves on.
+//! link among DMA flows, [`TenantScheduler`] splits the worker pool among
+//! tenants by weight, as start-time-fair virtual-time scheduling (each
+//! tenant's virtual clock advances by `footprint / weight` per dispatched
+//! job; the backlogged tenant with the smallest clock goes next).
 //!
 //! Admission runs in strict order **quota → queue depth → staging pool**,
 //! so a rejection at any stage needs no unwinding of earlier stages, and
@@ -22,8 +17,6 @@
 use std::collections::VecDeque;
 
 use cdma_gpusim::staging::StagingPool;
-use cdma_vdnn::timeline::DEFAULT_LINK_QUANTUM;
-use cdma_vdnn::LinkPolicy;
 
 use crate::error::ServeError;
 use crate::proto::{Request, TenantId};
@@ -33,8 +26,8 @@ use crate::proto::{Request, TenantId};
 pub struct TenantSpec {
     /// Human-readable label used in reports.
     pub name: String,
-    /// Fairness weight under [`LinkPolicy::BandwidthShare`] (relative
-    /// share of engine throughput when saturated). Must be positive.
+    /// Fairness weight (relative share of engine throughput when
+    /// saturated). Must be positive.
     pub weight: f64,
     /// Lifetime uncompressed-byte quota, or `None` for unlimited.
     pub quota_bytes: Option<u64>,
@@ -134,7 +127,7 @@ struct TenantState {
     queue: VecDeque<Job>,
     /// Uncompressed bytes counted against the quota so far.
     quota_used: u64,
-    /// Virtual finish time under bandwidth-share (bytes / weight).
+    /// Virtual finish time (bytes / weight).
     vtime: f64,
     counters: TenantCounters,
 }
@@ -148,13 +141,7 @@ struct TenantState {
 /// byte-identical in their accept/shed/dispatch sequences.
 #[derive(Debug)]
 pub struct TenantScheduler {
-    policy: LinkPolicy,
-    quantum: f64,
     tenants: Vec<TenantState>,
-    /// Round-robin position.
-    cursor: usize,
-    /// Bytes left in the current round-robin turn.
-    quantum_left: f64,
     /// Jobs admitted and not yet dispatched, across all tenants.
     backlog: usize,
     /// Global virtual clock: vtime of the last dispatched job. New
@@ -170,7 +157,7 @@ impl TenantScheduler {
     /// # Panics
     ///
     /// Panics if `tenants` is empty or has more than `u16::MAX` entries.
-    pub fn new(tenants: Vec<TenantSpec>, policy: LinkPolicy) -> Self {
+    pub fn new(tenants: Vec<TenantSpec>) -> Self {
         assert!(!tenants.is_empty(), "need at least one tenant");
         assert!(tenants.len() <= u16::MAX as usize, "too many tenants");
         let tenants = tenants
@@ -184,11 +171,7 @@ impl TenantScheduler {
             })
             .collect();
         TenantScheduler {
-            policy,
-            quantum: DEFAULT_LINK_QUANTUM,
             tenants,
-            cursor: 0,
-            quantum_left: DEFAULT_LINK_QUANTUM,
             backlog: 0,
             vclock: 0.0,
             seq: 0,
@@ -286,63 +269,28 @@ impl TenantScheduler {
         Ok(seq)
     }
 
-    /// Picks and dequeues the next job per the fairness policy, or `None`
-    /// when every queue is empty.
+    /// Picks and dequeues the next job — the backlogged tenant with the
+    /// smallest virtual time, lowest index on ties (for determinism) — or
+    /// `None` when every queue is empty.
     pub(crate) fn pop_next(&mut self) -> Option<Job> {
         if self.backlog == 0 {
             return None;
         }
-        let idx = match self.policy {
-            LinkPolicy::BandwidthShare => {
-                // Backlogged tenant with the smallest virtual time;
-                // lowest index breaks ties for determinism.
-                let mut best: Option<usize> = None;
-                for (i, t) in self.tenants.iter().enumerate() {
-                    if t.queue.is_empty() {
-                        continue;
-                    }
-                    if best.is_none_or(|b| t.vtime < self.tenants[b].vtime) {
-                        best = Some(i);
-                    }
-                }
-                best?
+        let mut best: Option<usize> = None;
+        for (i, t) in self.tenants.iter().enumerate() {
+            if t.queue.is_empty() {
+                continue;
             }
-            LinkPolicy::RoundRobin => {
-                // Advance the cursor to a backlogged tenant; a fresh turn
-                // gets a fresh quantum.
-                if self.tenants[self.cursor].queue.is_empty() || self.quantum_left <= 0.0 {
-                    let n = self.tenants.len();
-                    let mut next = None;
-                    for step in 0..n {
-                        let i = (self.cursor + 1 + step) % n;
-                        if !self.tenants[i].queue.is_empty() {
-                            next = Some(i);
-                            break;
-                        }
-                    }
-                    let next = match next {
-                        Some(i) => i,
-                        None if !self.tenants[self.cursor].queue.is_empty() => self.cursor,
-                        None => return None,
-                    };
-                    self.cursor = next;
-                    self.quantum_left = self.quantum;
-                }
-                self.cursor
-            }
-        };
-        let job = self.tenants[idx].queue.pop_front()?;
-        self.backlog -= 1;
-        match self.policy {
-            LinkPolicy::BandwidthShare => {
-                let t = &mut self.tenants[idx];
-                t.vtime += job.footprint as f64 / t.spec.weight;
-                self.vclock = self.vclock.max(t.vtime);
-            }
-            LinkPolicy::RoundRobin => {
-                self.quantum_left -= job.footprint as f64;
+            if best.is_none_or(|b| t.vtime < self.tenants[b].vtime) {
+                best = Some(i);
             }
         }
+        let idx = best?;
+        let job = self.tenants[idx].queue.pop_front()?;
+        self.backlog -= 1;
+        let t = &mut self.tenants[idx];
+        t.vtime += job.footprint as f64 / t.spec.weight;
+        self.vclock = self.vclock.max(t.vtime);
         Some(job)
     }
 
@@ -372,7 +320,7 @@ mod tests {
     #[test]
     fn admission_order_quota_queue_pool() {
         let spec = TenantSpec::new("t").quota_bytes(8192).queue_depth(1);
-        let mut sched = TenantScheduler::new(vec![spec], LinkPolicy::BandwidthShare);
+        let mut sched = TenantScheduler::new(vec![spec]);
         let mut pool = StagingPool::new(4096);
         // Quota fires before the queue or pool are even consulted.
         let (e, r) = sched
@@ -404,8 +352,7 @@ mod tests {
 
     #[test]
     fn unknown_tenant_is_typed() {
-        let mut sched =
-            TenantScheduler::new(vec![TenantSpec::new("only")], LinkPolicy::BandwidthShare);
+        let mut sched = TenantScheduler::new(vec![TenantSpec::new("only")]);
         let mut pool = StagingPool::new(1 << 20);
         let (e, _) = sched
             .try_enqueue(req(5, 0, 16), 0.0, &mut pool)
@@ -420,7 +367,7 @@ mod tests {
             TenantSpec::new("heavy").weight(3.0).queue_depth(4096),
             TenantSpec::new("light").weight(1.0).queue_depth(4096),
         ];
-        let mut sched = TenantScheduler::new(specs, LinkPolicy::BandwidthShare);
+        let mut sched = TenantScheduler::new(specs);
         let mut pool = StagingPool::new(1 << 30);
         for i in 0..400 {
             sched.try_enqueue(req(0, i, 1024), 0.0, &mut pool).unwrap();
@@ -438,7 +385,7 @@ mod tests {
             TenantSpec::new("busy").queue_depth(4096),
             TenantSpec::new("late").queue_depth(4096),
         ];
-        let mut sched = TenantScheduler::new(specs, LinkPolicy::BandwidthShare);
+        let mut sched = TenantScheduler::new(specs);
         let mut pool = StagingPool::new(1 << 30);
         // Tenant 0 runs alone for a while, advancing the virtual clock.
         for i in 0..100 {
@@ -466,53 +413,8 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_serves_quantum_bursts() {
-        let specs = vec![
-            TenantSpec::new("a").queue_depth(4096),
-            TenantSpec::new("b").queue_depth(4096),
-        ];
-        let mut sched = TenantScheduler::new(specs, LinkPolicy::RoundRobin);
-        let mut pool = StagingPool::new(1 << 30);
-        // 4 KB jobs; the default quantum is 16 lines of 4 KB.
-        for i in 0..64 {
-            sched.try_enqueue(req(0, i, 1024), 0.0, &mut pool).unwrap();
-            sched.try_enqueue(req(1, i, 1024), 0.0, &mut pool).unwrap();
-        }
-        let order = pop_ids(&mut sched, 64);
-        // Bursts of 16 per turn, alternating tenants.
-        for (i, chunk) in order.chunks(16).enumerate() {
-            let want = (i % 2) as u16;
-            assert!(
-                chunk.iter().all(|&t| t == want),
-                "turn {i} not a clean quantum burst: {chunk:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn round_robin_skips_idle_tenants() {
-        let specs = vec![
-            TenantSpec::new("a"),
-            TenantSpec::new("idle"),
-            TenantSpec::new("c"),
-        ];
-        let mut sched = TenantScheduler::new(specs, LinkPolicy::RoundRobin);
-        let mut pool = StagingPool::new(1 << 30);
-        for i in 0..32 {
-            sched.try_enqueue(req(0, i, 1024), 0.0, &mut pool).unwrap();
-            sched.try_enqueue(req(2, i, 1024), 0.0, &mut pool).unwrap();
-        }
-        let order = pop_ids(&mut sched, 64);
-        assert!(order.iter().all(|&t| t != 1));
-        assert_eq!(order.iter().filter(|&&t| t == 0).count(), 32);
-    }
-
-    #[test]
     fn completion_accounting_is_per_tenant() {
-        let mut sched = TenantScheduler::new(
-            vec![TenantSpec::new("a"), TenantSpec::new("b")],
-            LinkPolicy::BandwidthShare,
-        );
+        let mut sched = TenantScheduler::new(vec![TenantSpec::new("a"), TenantSpec::new("b")]);
         sched.complete(1, 4096, 1000);
         sched.complete(1, 4096, 900);
         let c = sched.counters(TenantId(1)).unwrap();

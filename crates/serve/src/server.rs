@@ -73,7 +73,6 @@ use std::time::{Duration, Instant};
 use cdma_compress::pool::{Pool, PoolStats};
 use cdma_compress::Algorithm;
 use cdma_gpusim::staging::StagingPool;
-use cdma_vdnn::LinkPolicy;
 
 use crate::error::ServeError;
 use crate::exec::{execute_caught, DefaultKernel, JobKernel, OutputBufs};
@@ -110,8 +109,6 @@ pub struct ServerConfig {
     pub window_bytes: usize,
     /// Worker threads.
     pub workers: usize,
-    /// Fairness policy across tenants.
-    pub policy: LinkPolicy,
     /// Shared staging-pool capacity in bytes — the admission-control
     /// budget every in-flight request reserves its uncompressed footprint
     /// from.
@@ -127,7 +124,6 @@ impl Default for ServerConfig {
             algorithm: Algorithm::Zvc,
             window_bytes: 4096,
             workers: 4,
-            policy: LinkPolicy::BandwidthShare,
             // Sixteen default staging buffers' worth (Section V-C sizes
             // one engine's buffer at 70 KB): room for ~280 four-KB
             // windows in flight.
@@ -528,7 +524,7 @@ impl Server {
             config.window_bytes >= 4,
             "window must hold at least one word"
         );
-        let sched = TenantScheduler::new(tenants, config.policy);
+        let sched = TenantScheduler::new(tenants);
         let pool = StagingPool::new(config.staging_bytes);
         // Enough buffer sets for every admissible 4 KB-window job plus
         // one in flight per worker, so a bounded steady state never

@@ -133,7 +133,7 @@ fn run_schedule_with_kernel(
 ) -> LoadReport {
     assert!(config.workers > 0, "need at least one worker");
     let specs: Vec<_> = loads.iter().map(|l| l.spec.clone()).collect();
-    let mut sched = TenantScheduler::new(specs, config.policy);
+    let mut sched = TenantScheduler::new(specs);
     let mut pool = StagingPool::new(config.staging_bytes);
     let window_elems = (config.window_bytes / 4).max(1);
 

@@ -13,7 +13,6 @@ use cdma_serve::{
     fill_activations, run_virtual, Request, ServeError, Server, ServerConfig, ServiceModel,
     TenantId, TenantLoad, TenantScheduler, TenantSpec,
 };
-use cdma_vdnn::LinkPolicy;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -67,10 +66,7 @@ fn sheds_happen_only_when_the_pool_is_genuinely_full() {
     for trial in 0..50u64 {
         let capacity = 4096 * rng.gen_range(1u64..20);
         let mut pool = StagingPool::new(capacity);
-        let mut sched = TenantScheduler::new(
-            vec![TenantSpec::new("t").queue_depth(1 << 20)],
-            LinkPolicy::BandwidthShare,
-        );
+        let mut sched = TenantScheduler::new(vec![TenantSpec::new("t").queue_depth(1 << 20)]);
         let mut id = 0u64;
         loop {
             let elems = 256 * rng.gen_range(1usize..9); // 1 KB..8 KB

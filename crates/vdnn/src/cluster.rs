@@ -8,9 +8,8 @@
 //! [`ClusterSim`] grows that scenario onto the event-driven timeline: each
 //! GPU of each [`Tenant`] runs the vDNN stage machine of
 //! [`TimelineSim`], but its offloads and
-//! prefetches contend for one [`FluidFabric`] under a
-//! [`LinkPolicy`], together with one gradient
-//! all-reduce stream per data-parallel tenant. The fabric is the
+//! prefetches contend for one bandwidth-shared [`FluidFabric`], together
+//! with one gradient all-reduce stream per data-parallel tenant. The fabric is the
 //! platform's one flat link unless [`ClusterSim::with_fabric`] stacks
 //! node tiers under a spine. Heterogeneous tenants
 //! (independent networks and checkpoints on one link) model the
@@ -232,7 +231,6 @@ pub struct ClusterTimeline {
     node_wire_bytes: Vec<f64>,
     makespan: f64,
     events_processed: u64,
-    policy: LinkPolicy,
 }
 
 impl ClusterTimeline {
@@ -314,11 +312,6 @@ impl ClusterTimeline {
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
-
-    /// The arbitration policy the link ran.
-    pub fn policy(&self) -> LinkPolicy {
-        self.policy
-    }
 }
 
 /// One stage of a tenant's per-GPU program: the schedule's [`Stage`] with
@@ -399,15 +392,15 @@ pub struct ClusterSim {
 
 impl ClusterSim {
     /// Creates a cluster simulator over `cfg`'s link — a flat fabric of
-    /// `cfg.pcie_bw` — with `policy` arbitration. The gradient all-reduce
-    /// serializes after the step by default (the paper's conservative
-    /// assumption).
-    pub fn new(cfg: SystemConfig, compute: ComputeModel, policy: LinkPolicy) -> Self {
+    /// `cfg.pcie_bw`. `_policy` is ignored: bandwidth sharing is the only
+    /// arbitration. The gradient all-reduce serializes after the step by
+    /// default (the paper's conservative assumption).
+    pub fn new(cfg: SystemConfig, compute: ComputeModel, _policy: LinkPolicy) -> Self {
         ClusterSim {
             cfg,
             compute,
             overlap_allreduce: false,
-            fabric: FabricSpec::flat(cfg.pcie_bw, policy),
+            fabric: FabricSpec::flat(cfg.pcie_bw),
             record: true,
         }
     }
@@ -453,11 +446,6 @@ impl ClusterSim {
     /// The compute model.
     pub fn compute_model(&self) -> ComputeModel {
         self.compute
-    }
-
-    /// The arbitration policy of the shared tier (the fabric's spine).
-    pub fn policy(&self) -> LinkPolicy {
-        self.fabric.spine_policy
     }
 
     /// Simulates one synchronized training step (plus gradient
@@ -510,7 +498,6 @@ impl ClusterSim {
             node_wire_bytes: Vec::new(),
             makespan: total,
             events_processed,
-            policy: self.policy(),
         }
     }
 
@@ -536,7 +523,7 @@ impl ClusterSim {
     fn shared(&self, tenants: &[Tenant<'_>]) -> ClusterTimeline {
         let mut engine = SharedEngine::new(self, tenants);
         engine.run();
-        engine.finish(self.policy())
+        engine.finish()
     }
 }
 
@@ -896,7 +883,7 @@ impl SharedEngine {
         }
     }
 
-    fn finish(self, policy: LinkPolicy) -> ClusterTimeline {
+    fn finish(self) -> ClusterTimeline {
         let mut gpu_timelines = Vec::with_capacity(self.gpus.len());
         let mut gpu_tenant = Vec::with_capacity(self.gpus.len());
         let mut per_tenant_worst: Vec<Option<StepBreakdown>> = vec![None; self.tenants.len()];
@@ -956,7 +943,6 @@ impl SharedEngine {
             node_wire_bytes: self.links.node_bytes().to_vec(),
             makespan,
             events_processed: arbiter_events,
-            policy,
         }
     }
 }
@@ -968,11 +954,11 @@ mod tests {
     use crate::CudnnVersion;
     use cdma_models::zoo;
 
-    fn sim(policy: LinkPolicy) -> ClusterSim {
+    fn sim() -> ClusterSim {
         ClusterSim::new(
             SystemConfig::titan_x_pcie3(),
             ComputeModel::titan_x(CudnnVersion::V5),
-            policy,
+            LinkPolicy::BandwidthShare,
         )
     }
 
@@ -993,7 +979,7 @@ mod tests {
         // bytes over the full link (g flows at 1/g share each).
         let spec = zoo::alexnet();
         let source = UniformRatio::uniform(&spec, 1.0);
-        let tl = sim(LinkPolicy::BandwidthShare).simulate(&[Tenant {
+        let tl = sim().simulate(&[Tenant {
             spec: &spec,
             source: &source,
             gpus: 4,
@@ -1009,31 +995,10 @@ mod tests {
     }
 
     #[test]
-    fn reported_policy_is_the_fabrics() {
-        // `with_fabric` replaces the link the constructor's policy built;
-        // what is reported must be what ran.
-        let bw = SystemConfig::titan_x_pcie3().pcie_bw;
-        let sim = sim(LinkPolicy::BandwidthShare)
-            .with_fabric(FabricSpec::flat(bw, LinkPolicy::RoundRobin));
-        assert_eq!(sim.policy(), LinkPolicy::RoundRobin);
-        let spec = zoo::alexnet();
-        let source = UniformRatio::uniform(&spec, 2.6);
-        // One GPU takes the dedicated path, two the shared one.
-        for gpus in [1, 2] {
-            let tl = sim.simulate(&[Tenant {
-                spec: &spec,
-                source: &source,
-                gpus,
-            }]);
-            assert_eq!(tl.policy(), LinkPolicy::RoundRobin, "{gpus} GPU(s)");
-        }
-    }
-
-    #[test]
     fn symmetric_gpus_finish_together_under_fair_share() {
         let spec = zoo::squeezenet();
         let source = UniformRatio::uniform(&spec, 2.6);
-        let tl = sim(LinkPolicy::BandwidthShare).simulate(&[Tenant {
+        let tl = sim().simulate(&[Tenant {
             spec: &spec,
             source: &source,
             gpus: 4,
@@ -1058,7 +1023,7 @@ mod tests {
         let source = UniformRatio::uniform(&spec, 1.0);
         let mut prev = 0.0;
         for g in [1usize, 2, 4, 8] {
-            let tl = sim(LinkPolicy::BandwidthShare).simulate(&[Tenant {
+            let tl = sim().simulate(&[Tenant {
                 spec: &spec,
                 source: &source,
                 gpus: g,
@@ -1078,32 +1043,30 @@ mod tests {
         let b = zoo::vgg();
         let sa = UniformRatio::uniform(&a, 2.0);
         let sb = UniformRatio::uniform(&b, 2.0);
-        for policy in LinkPolicy::ALL {
-            let alone = sim(policy).simulate(&[Tenant {
+        let alone = sim().simulate(&[Tenant {
+            spec: &a,
+            source: &sa,
+            gpus: 2,
+        }]);
+        let shared = sim().simulate(&[
+            Tenant {
                 spec: &a,
                 source: &sa,
                 gpus: 2,
-            }]);
-            let shared = sim(policy).simulate(&[
-                Tenant {
-                    spec: &a,
-                    source: &sa,
-                    gpus: 2,
-                },
-                Tenant {
-                    spec: &b,
-                    source: &sb,
-                    gpus: 2,
-                },
-            ]);
-            assert!(
-                shared.tenants()[0].total >= alone.tenants()[0].total - 1e-9,
-                "{policy}: tenant sped up under contention"
-            );
-            assert_eq!(shared.gpus().len(), 4);
-            assert_eq!(shared.tenant_of(0), 0);
-            assert_eq!(shared.tenant_of(2), 1);
-        }
+            },
+            Tenant {
+                spec: &b,
+                source: &sb,
+                gpus: 2,
+            },
+        ]);
+        assert!(
+            shared.tenants()[0].total >= alone.tenants()[0].total - 1e-9,
+            "tenant sped up under contention"
+        );
+        assert_eq!(shared.gpus().len(), 4);
+        assert_eq!(shared.tenant_of(0), 0);
+        assert_eq!(shared.tenant_of(2), 1);
     }
 
     #[test]
@@ -1115,10 +1078,8 @@ mod tests {
             source: &source,
             gpus: 4,
         }];
-        let serial = sim(LinkPolicy::BandwidthShare).simulate(&tenant);
-        let overlapped = sim(LinkPolicy::BandwidthShare)
-            .overlap_allreduce(true)
-            .simulate(&tenant);
+        let serial = sim().simulate(&tenant);
+        let overlapped = sim().overlap_allreduce(true).simulate(&tenant);
         assert!(overlapped.tenants()[0].total <= serial.tenants()[0].total + 1e-9);
         // AlexNet is weight-heavy: hiding the ring behind backward must
         // actually help, not just tie.
@@ -1133,25 +1094,23 @@ mod tests {
     fn per_gpu_busy_intervals_never_overlap() {
         let spec = zoo::googlenet();
         let source = UniformRatio::uniform(&spec, 1.3);
-        for policy in LinkPolicy::ALL {
-            let tl = sim(policy).simulate(&[Tenant {
-                spec: &spec,
-                source: &source,
-                gpus: 3,
-            }]);
-            for g in tl.gpus() {
-                for r in [Resource::Compute, Resource::DmaRead, Resource::Link] {
-                    let mut prev = f64::NEG_INFINITY;
-                    for &(s, e) in g.busy(r) {
-                        assert!(e > s && s >= prev - 1e-12, "{policy}: {r:?} double-booked");
-                        prev = e;
-                    }
+        let tl = sim().simulate(&[Tenant {
+            spec: &spec,
+            source: &source,
+            gpus: 3,
+        }]);
+        for g in tl.gpus() {
+            for r in [Resource::Compute, Resource::DmaRead, Resource::Link] {
+                let mut prev = f64::NEG_INFINITY;
+                for &(s, e) in g.busy(r) {
+                    assert!(e > s && s >= prev - 1e-12, "{r:?} double-booked");
+                    prev = e;
                 }
-                let mut prev = 0.0;
-                for e in g.events() {
-                    assert!(e.time >= prev, "{policy}: event log out of order");
-                    prev = e.time;
-                }
+            }
+            let mut prev = 0.0;
+            for e in g.events() {
+                assert!(e.time >= prev, "event log out of order");
+                prev = e.time;
             }
         }
     }

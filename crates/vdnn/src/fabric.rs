@@ -9,7 +9,7 @@
 //!
 //! * [`FabricSpec`] / [`FabricShape`] — the topology: [`FabricSpec::flat`]
 //!   (one link) or [`FabricSpec::new`] (`n` nodes × `g` GPUs each,
-//!   per-tier bandwidth and [`LinkPolicy`]);
+//!   per-tier bandwidth);
 //! * [`FluidFabric`] — the arbiter every [`ClusterSim`] runs on: each
 //!   transfer traverses its node tier (if any) *and* the spine, and its
 //!   instantaneous service rate is the max-min fair allocation across
@@ -21,34 +21,20 @@
 //!   [`FidelitySource`] checkpoints (the §IV
 //!   trajectories), and depart mid-run — with per-step results folded
 //!   into streaming [`RunStats`] so a long run stays in bounded memory;
-//! * [`churn_trace`] — the seeded random job-mix generator behind the
-//!   `tenancy=churn` scenario axis.
+//! * [`churn_trace`] — the seeded random job-mix generator behind
+//!   `fig_datacenter`'s churn run.
 //!
 //! ## Tier composition model
 //!
 //! Rates are *fluid*: at every schedule change the fabric solves a
-//! max-min fair allocation by progressive filling. A
-//! [`LinkPolicy::BandwidthShare`] tier is a shared pipe filled
-//! water-filling style. Gradient all-reduce streams are inter-node
+//! max-min fair allocation by progressive filling: every tier is a shared
+//! pipe filled water-filling style ([`LinkPolicy::BandwidthShare`], the
+//! one arbitration). Gradient all-reduce streams are inter-node
 //! traffic: they traverse the spine only (`node = None`), while per-GPU
 //! offload/prefetch flows traverse their node tier and then the spine.
 //! Every tier keeps its own busy profile and wire-byte counter, so the
 //! conservation invariant `spine bytes = Σ node bytes + all-reduce bytes`
 //! is checkable after any run.
-//!
-//! [`LinkPolicy::RoundRobin`] has two models, picked by the topology and
-//! by nothing else:
-//!
-//! * on a **flat** fabric the link is *quantum-serialised*: it serves one
-//!   flow at a time, at most one quantum of wire bytes
-//!   ([`DEFAULT_LINK_QUANTUM`], or [`FluidFabric::with_quantum`]) per
-//!   turn, cycling over backlogged flows in registration order — what a
-//!   real DMA engine does, chunk boundaries and cursor re-phasing
-//!   included;
-//! * on a **tiered** fabric each round-robin tier is an equal-slice
-//!   ceiling (`tier_bw / active_flows`, no redistribution of unused
-//!   slices) — the fluid limit of that quantum scheduler under persistent
-//!   backlog, which is what composes with max-min filling across tiers.
 //!
 //! A flat bandwidth-share fabric and a one-node fabric with both tiers at
 //! the same bandwidth run the same solver on the same constraints and are
@@ -60,12 +46,9 @@
 //!
 //! ```
 //! use cdma_vdnn::fabric::{FabricSpec, FluidFabric};
-//! use cdma_vdnn::timeline::LinkPolicy;
 //!
 //! // 2 nodes × 10 B/s, spine of 10 B/s shared by both.
-//! let spec = FabricSpec::new(
-//!     2, 2, 10.0, LinkPolicy::BandwidthShare, 10.0, LinkPolicy::BandwidthShare,
-//! );
+//! let spec = FabricSpec::new(2, 2, 10.0, 10.0);
 //! let mut fab = FluidFabric::new(spec);
 //! let a = fab.flow(Some(0));
 //! let b = fab.flow(Some(1));
@@ -84,9 +67,7 @@ use cdma_gpusim::SystemConfig;
 use cdma_models::NetworkSpec;
 
 use crate::cluster::{ClusterSim, Tenant};
-use crate::timeline::{
-    push_busy, FidelitySource, FlowId, LinkPolicy, RequestId, DEFAULT_LINK_QUANTUM,
-};
+use crate::timeline::{push_busy, FidelitySource, FlowId, LinkPolicy, RequestId};
 
 /// The fabric topology of a scenario, as a parseable axis value
 /// (`fabric=flat`, `fabric=node8`).
@@ -123,12 +104,13 @@ impl FabricShape {
     /// [`ClusterSim`] already runs on the platform's one flat link —
     /// and `Hierarchical` gets `⌈gpus / gpus_per_node⌉` nodes at the
     /// platform's PCIe bandwidth each, feeding a 2:1-oversubscribed
-    /// spine (`node_bw · max(nodes/2, 1)`), both tiers under `policy`.
+    /// spine (`node_bw · max(nodes/2, 1)`). `_policy` is ignored: bandwidth
+    /// sharing is the only arbitration.
     pub fn spec_for(
         &self,
         cfg: &SystemConfig,
         gpus: usize,
-        policy: LinkPolicy,
+        _policy: LinkPolicy,
     ) -> Option<FabricSpec> {
         match *self {
             FabricShape::Flat => None,
@@ -137,14 +119,7 @@ impl FabricShape {
                 let nodes = gpus.div_ceil(gpus_per_node).max(1);
                 let node_bw = cfg.pcie_bw;
                 let spine_bw = node_bw * (nodes as f64 / 2.0).max(1.0);
-                Some(FabricSpec::new(
-                    nodes,
-                    gpus_per_node,
-                    node_bw,
-                    policy,
-                    spine_bw,
-                    policy,
-                ))
+                Some(FabricSpec::new(nodes, gpus_per_node, node_bw, spine_bw))
             }
         }
     }
@@ -180,53 +155,10 @@ impl std::str::FromStr for FabricShape {
     }
 }
 
-/// The tenancy model of a scenario, as a parseable axis value
-/// (`tenancy=static`, `tenancy=churn`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Tenancy {
-    /// Every tenant present for the whole run (the legacy shape).
-    Static,
-    /// Trace-driven arrival/departure via [`churn_trace`] and
-    /// [`FabricSim`].
-    Churn,
-}
-
-impl Tenancy {
-    /// Both tenancy models, static first.
-    pub const ALL: [Tenancy; 2] = [Tenancy::Static, Tenancy::Churn];
-
-    /// The stable label used in scenario keys.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Tenancy::Static => "static",
-            Tenancy::Churn => "churn",
-        }
-    }
-}
-
-impl std::fmt::Display for Tenancy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-impl std::str::FromStr for Tenancy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "static" => Ok(Tenancy::Static),
-            "churn" => Ok(Tenancy::Churn),
-            other => Err(format!("unknown tenancy {other:?} (expected static|churn)")),
-        }
-    }
-}
-
 /// A concrete fabric: one shared spine of `spine_bw` bytes/second, fed
 /// either directly by every flow (the **flat** form, `nodes == 0`: 4–8
 /// GPUs on one PCIe switch) or through `nodes` node links of `node_bw`
-/// bytes/second each (fan-in `gpus_per_node`), each tier under its own
-/// [`LinkPolicy`].
+/// bytes/second each (fan-in `gpus_per_node`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FabricSpec {
     /// Node count (node-tier arbiter count); zero on a flat fabric.
@@ -236,12 +168,8 @@ pub struct FabricSpec {
     pub gpus_per_node: usize,
     /// Per-node link bandwidth, wire bytes/second (unused when flat).
     pub node_bw: f64,
-    /// Node-tier arbitration (unused when flat).
-    pub node_policy: LinkPolicy,
     /// Spine bandwidth, wire bytes/second.
     pub spine_bw: f64,
-    /// Spine arbitration.
-    pub spine_policy: LinkPolicy,
 }
 
 impl FabricSpec {
@@ -251,14 +179,7 @@ impl FabricSpec {
     ///
     /// Panics if `nodes` or `gpus_per_node` is zero, or a bandwidth is
     /// not positive and finite.
-    pub fn new(
-        nodes: usize,
-        gpus_per_node: usize,
-        node_bw: f64,
-        node_policy: LinkPolicy,
-        spine_bw: f64,
-        spine_policy: LinkPolicy,
-    ) -> Self {
+    pub fn new(nodes: usize, gpus_per_node: usize, node_bw: f64, spine_bw: f64) -> Self {
         assert!(nodes > 0, "need at least one node");
         assert!(gpus_per_node > 0, "need at least one GPU per node");
         assert!(
@@ -273,20 +194,18 @@ impl FabricSpec {
             nodes,
             gpus_per_node,
             node_bw,
-            node_policy,
             spine_bw,
-            spine_policy,
         }
     }
 
     /// The flat fabric: no node tiers, every flow directly on one shared
-    /// link of `bw` wire bytes/second under `policy` — what
+    /// link of `bw` wire bytes/second — what
     /// [`ClusterSim::new`] runs on.
     ///
     /// # Panics
     ///
     /// Panics if `bw` is not positive and finite.
-    pub fn flat(bw: f64, policy: LinkPolicy) -> Self {
+    pub fn flat(bw: f64) -> Self {
         assert!(
             bw > 0.0 && bw.is_finite(),
             "link bandwidth must be positive"
@@ -295,9 +214,7 @@ impl FabricSpec {
             nodes: 0,
             gpus_per_node: 0,
             node_bw: bw,
-            node_policy: policy,
             spine_bw: bw,
-            spine_policy: policy,
         }
     }
 
@@ -344,15 +261,6 @@ struct Request {
     max_rate: f64,
     remaining: f64,
     completion: Option<f64>,
-}
-
-/// One chunk of quantum round-robin service in flight (flat links only).
-#[derive(Debug, Clone, Copy)]
-struct Serving {
-    req: usize,
-    start: f64,
-    end: f64,
-    bytes: f64,
 }
 
 /// One active head-of-line request in the fluid schedule's working set.
@@ -404,9 +312,9 @@ struct Scratch {
 ///
 /// Flows submit transfers as *wire bytes* (compressed size for offloads)
 /// plus a per-transfer rate cap modelling the compression/decompression
-/// engines; the fabric advances a fluid or (flat round-robin) quantum
-/// service schedule — see the [module docs](self) — records per-tier busy
-/// intervals and wire bytes, and reports completions.
+/// engines; the fabric advances a fluid service schedule — see the
+/// [module docs](self) — records per-tier busy intervals and wire bytes,
+/// and reports completions.
 ///
 /// Invariants (pinned by the seeded property loops in
 /// `crates/vdnn/tests/link_arbiter_props.rs`):
@@ -415,17 +323,13 @@ struct Scratch {
 ///   offered bytes once drained;
 /// * **work conservation** — the link never idles while an uncapped flow
 ///   is backlogged;
-/// * **round-robin fairness** — continuously backlogged flows' delivered
-///   bytes never diverge by more than one quantum;
 /// * **monotonicity** — adding a flow never completes an existing
-///   transfer earlier (strictly under bandwidth-share; within a few
-///   quanta of cursor re-phasing under round-robin).
+///   transfer earlier.
 ///
 /// ```
 /// use cdma_vdnn::fabric::{FabricSpec, FluidFabric};
-/// use cdma_vdnn::timeline::LinkPolicy;
 ///
-/// let mut link = FluidFabric::new(FabricSpec::flat(10.0, LinkPolicy::BandwidthShare));
+/// let mut link = FluidFabric::new(FabricSpec::flat(10.0));
 /// let a = link.flow(None);
 /// let b = link.flow(None);
 /// let ra = link.submit(a, 0.0, 40.0, f64::INFINITY);
@@ -438,13 +342,9 @@ struct Scratch {
 #[derive(Debug)]
 pub struct FluidFabric {
     spec: FabricSpec,
-    quantum: f64,
     now: f64,
     flows: Vec<Flow>,
     requests: Vec<Request>,
-    /// Quantum round-robin state (flat round-robin links only).
-    serving: Option<Serving>,
-    rr_cursor: usize,
     /// Per-node-tier busy intervals, coalesced.
     node_busy: Vec<Vec<(f64, f64)>>,
     spine_busy: Vec<(f64, f64)>,
@@ -458,33 +358,13 @@ pub struct FluidFabric {
 }
 
 impl FluidFabric {
-    /// An idle fabric of `spec`'s shape, with the
-    /// [`DEFAULT_LINK_QUANTUM`] round-robin burst.
+    /// An idle fabric of `spec`'s shape.
     pub fn new(spec: FabricSpec) -> Self {
-        FluidFabric::with_quantum(spec, DEFAULT_LINK_QUANTUM)
-    }
-
-    /// A fabric with an explicit round-robin quantum in wire bytes per
-    /// turn (the same unit as [`DEFAULT_LINK_QUANTUM`]). Only a flat
-    /// round-robin link serves in quanta; every other topology is fluid
-    /// and ignores it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `quantum` is not positive and finite.
-    pub fn with_quantum(spec: FabricSpec, quantum: f64) -> Self {
-        assert!(
-            quantum > 0.0 && quantum.is_finite(),
-            "round-robin quantum must be positive"
-        );
         FluidFabric {
             spec,
-            quantum,
             now: 0.0,
             flows: Vec::new(),
             requests: Vec::new(),
-            serving: None,
-            rr_cursor: 0,
             node_busy: vec![Vec::new(); spec.nodes],
             spine_busy: Vec::new(),
             node_bytes: vec![0.0; spec.nodes],
@@ -564,8 +444,7 @@ impl FluidFabric {
         self.flows[flow.index()].offered
     }
 
-    /// Wire bytes delivered for `flow` so far (quantum round-robin counts
-    /// service at chunk completion).
+    /// Wire bytes delivered for `flow` so far.
     pub fn delivered(&self, flow: FlowId) -> f64 {
         self.flows[flow.index()].delivered
     }
@@ -604,11 +483,9 @@ impl FluidFabric {
     /// events/s rates divide by it), so it is fixed here rather than
     /// unified:
     ///
-    /// * flat, fluid — one per schedule-loop iteration of
+    /// * flat — one per schedule-loop iteration of
     ///   [`advance_to`](Self::advance_to): each rate-change interval,
     ///   each idle jump to an arrival, and the final idle check;
-    /// * flat, quantum round-robin — one per chunk drained and one per
-    ///   idle jump;
     /// * tiered — one per active flow per rate-change interval, plus one
     ///   per idle jump.
     pub fn events_processed(&self) -> u64 {
@@ -623,11 +500,6 @@ impl FluidFabric {
     /// Whether any submitted transfer still has bytes to move.
     pub fn has_backlog(&self) -> bool {
         self.flows.iter().any(|f| !f.queue.is_empty())
-    }
-
-    /// Whether this fabric serves in quanta rather than fluid rates.
-    fn quantised(&self) -> bool {
-        self.spec.is_flat() && self.spec.spine_policy == LinkPolicy::RoundRobin
     }
 
     /// One pass over the flows: collects the head-of-line request of
@@ -673,11 +545,10 @@ impl FluidFabric {
     /// Max-min fair rates of the freshly scanned `scratch.heads` across
     /// every tier, by progressive filling.
     ///
-    /// Per-flow ceilings start at the request's rate cap; a round-robin
-    /// tier adds its equal-slice ceiling (`tier_bw / active_in_tier`).
-    /// Then all open flows' rates rise together until one hits its
-    /// ceiling or a bandwidth-share tier saturates, whose member flows
-    /// freeze; repeat until every flow is frozen. The bottleneck tier of
+    /// Per-flow ceilings start at the request's rate cap. Then all open
+    /// flows' rates rise together until one hits its ceiling or a tier
+    /// saturates, whose member flows freeze; repeat until every flow is
+    /// frozen. The bottleneck tier of
     /// each flow's path therefore determines its rate; with no node tiers
     /// this is water-filling on the one link. A round is two passes over
     /// the heads plus one over the tiers, and there are at most as many
@@ -691,10 +562,6 @@ impl FluidFabric {
         } = self;
         let n = s.heads.len();
         let tiered = !spec.is_flat();
-        let node_rr = tiered && spec.node_policy == LinkPolicy::RoundRobin;
-        let node_bs = tiered && spec.node_policy == LinkPolicy::BandwidthShare;
-        let spine_rr = spec.spine_policy == LinkPolicy::RoundRobin;
-        let spine_bs = spec.spine_policy == LinkPolicy::BandwidthShare;
 
         s.tiers.clear();
         s.tiers.resize(spec.nodes, Tier::default());
@@ -702,24 +569,14 @@ impl FluidFabric {
             s.tiers[k].open += 1;
         }
         for h in &mut s.heads {
+            // A tier also caps a lone flow: no amount of filling can
+            // exceed the tier, so fold it into the ceiling (this keeps the
+            // symmetric case exact instead of tolerance-frozen).
             let mut c = requests[h.req].max_rate;
-            if let (true, Some(k)) = (node_rr, h.tier) {
-                c = c.min(spec.node_bw / s.tiers[k].open as f64);
-            }
-            if spine_rr {
-                c = c.min(spec.spine_bw / n as f64);
-            }
-            // A bandwidth-share tier also caps a lone flow: no amount of
-            // filling can exceed the tier, so fold it into the ceiling
-            // (this keeps the symmetric case exact instead of
-            // tolerance-frozen).
-            if node_bs && h.tier.is_some() {
+            if h.tier.is_some() {
                 c = c.min(spec.node_bw);
             }
-            if spine_bs {
-                c = c.min(spec.spine_bw);
-            }
-            h.ceil = c;
+            h.ceil = c.min(spec.spine_bw);
         }
         let mut open_count = n;
         // Rate allocated on the spine: the sum of the rates in head order,
@@ -736,14 +593,12 @@ impl FluidFabric {
             for h in s.heads.iter().filter(|h| h.open) {
                 delta = delta.min(h.ceil - h.rate);
             }
-            if node_bs {
+            if tiered {
                 for tier in s.tiers.iter().filter(|tier| tier.open > 0) {
                     delta = delta.min((spec.node_bw - tier.used) / tier.open as f64);
                 }
             }
-            if spine_bs {
-                delta = delta.min((spec.spine_bw - spine_used) / open_count as f64);
-            }
+            delta = delta.min((spec.spine_bw - spine_used) / open_count as f64);
             let delta = delta.max(0.0);
             // Raise the open flows and freeze those at their ceilings
             // (snapping exactly, so a capped flow gets its cap
@@ -765,9 +620,9 @@ impl FluidFabric {
                     s.tiers[k].open += usize::from(h.open);
                 }
             }
-            // Freeze members of saturated bandwidth-share tiers at their
-            // current (fair) rates.
-            if node_bs {
+            // Freeze members of saturated node tiers at their current
+            // (fair) rates.
+            if tiered {
                 for h in s.heads.iter_mut().filter(|h| h.open) {
                     let Some(tier) = h.tier.map(|k| &mut s.tiers[k]) else {
                         continue;
@@ -779,32 +634,20 @@ impl FluidFabric {
                     }
                 }
             }
-            if spine_bs && spec.spine_bw - spine_used <= spec.spine_bw * 1e-12 {
+            if spec.spine_bw - spine_used <= spec.spine_bw * 1e-12 {
                 break;
             }
         }
     }
 
     /// The earliest future time at which the schedule changes on its own
-    /// (a completion, a chunk boundary, or a queued arrival becoming
-    /// active), or `None` when fully drained.
+    /// (a completion or a queued arrival becoming active), or `None` when
+    /// fully drained.
     pub fn next_event(&mut self) -> Option<f64> {
-        if let Some(s) = self.serving {
-            return Some(s.end);
-        }
-        let quantised = self.quantised();
-        if quantised {
-            self.scan();
-        } else {
-            self.plan();
-        }
+        self.plan();
         let s = &self.scratch;
         if s.heads.is_empty() {
             return s.next_arrival;
-        }
-        if quantised {
-            // A chunk is ready to start the moment we advance.
-            return Some(self.now);
         }
         let dt = s
             .heads
@@ -815,20 +658,6 @@ impl FluidFabric {
         // change even while heads are in service.
         let completion = self.now + dt;
         Some(s.next_arrival.map_or(completion, |a| completion.min(a)))
-    }
-
-    /// Advances the service schedule to `t` (monotone).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` precedes the fabric clock.
-    pub fn advance_to(&mut self, t: f64) {
-        assert!(t >= self.now, "cannot advance backwards");
-        if self.quantised() {
-            self.advance_quanta(t);
-        } else {
-            self.advance_fluid(t);
-        }
     }
 
     /// Runs the schedule until every submitted transfer has drained;
@@ -852,7 +681,13 @@ impl FluidFabric {
         self.completions.push((RequestId::from_index(req), at));
     }
 
-    fn advance_fluid(&mut self, t: f64) {
+    /// Advances the service schedule to `t` (monotone).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` precedes the fabric clock.
+    pub fn advance_to(&mut self, t: f64) {
+        assert!(t >= self.now, "cannot advance backwards");
         let flat = self.spec.is_flat();
         loop {
             self.plan();
@@ -917,65 +752,6 @@ impl FluidFabric {
             self.now = step_to;
             if self.now >= t {
                 return;
-            }
-        }
-    }
-
-    fn advance_quanta(&mut self, t: f64) {
-        loop {
-            if let Some(s) = self.serving {
-                if s.end > t {
-                    self.now = t;
-                    return;
-                }
-                // The chunk drains.
-                self.events_processed += 1;
-                push_busy(&mut self.spine_busy, s.start, s.end);
-                self.now = s.end;
-                let req = s.req;
-                let flow = self.requests[req].flow;
-                self.flows[flow].delivered += s.bytes;
-                self.spine_bytes += s.bytes;
-                self.requests[req].remaining -= s.bytes;
-                if self.requests[req].remaining <= 1e-9 {
-                    let dust = self.requests[req].remaining;
-                    self.flows[flow].delivered += dust;
-                    self.spine_bytes += dust;
-                    self.complete(req, s.end);
-                }
-                self.serving = None;
-                continue;
-            }
-            // Pick the next backlogged flow, cycling from the cursor.
-            let n = self.flows.len();
-            let pick = (0..n).map(|k| (self.rr_cursor + k) % n).find(|&f| {
-                self.flows[f]
-                    .queue
-                    .front()
-                    .is_some_and(|&r| self.requests[r].arrival <= self.now)
-            });
-            match pick {
-                Some(f) => {
-                    self.rr_cursor = (f + 1) % n;
-                    let req = *self.flows[f].queue.front().expect("picked backlogged");
-                    let bytes = self.quantum.min(self.requests[req].remaining);
-                    let rate = self.spec.spine_bw.min(self.requests[req].max_rate);
-                    self.serving = Some(Serving {
-                        req,
-                        start: self.now,
-                        end: self.now + bytes / rate,
-                        bytes,
-                    });
-                }
-                None => {
-                    self.scan();
-                    let Some(a) = self.scratch.next_arrival.filter(|&a| a <= t) else {
-                        self.now = t;
-                        return;
-                    };
-                    self.events_processed += 1;
-                    self.now = a;
-                }
             }
         }
     }
@@ -1383,8 +1159,8 @@ mod tests {
     use crate::{ComputeModel, CudnnVersion};
     use cdma_models::zoo;
 
-    fn two_tier(policy: LinkPolicy) -> FabricSpec {
-        FabricSpec::new(2, 2, 10.0, policy, 10.0, policy)
+    fn two_tier() -> FabricSpec {
+        FabricSpec::new(2, 2, 10.0, 10.0)
     }
 
     #[test]
@@ -1397,19 +1173,15 @@ mod tests {
             let label = shape.label();
             assert_eq!(label.parse::<FabricShape>().unwrap(), shape);
         }
-        for t in Tenancy::ALL {
-            assert_eq!(t.label().parse::<Tenancy>().unwrap(), t);
-        }
         assert!("node0".parse::<FabricShape>().is_err());
         assert!("mesh".parse::<FabricShape>().is_err());
-        assert!("dynamic".parse::<Tenancy>().is_err());
     }
 
     #[test]
     fn spine_is_the_bottleneck_when_oversubscribed() {
         // Two nodes of 10 B/s each feed a 10 B/s spine: one flow per
         // node could do 10 B/s locally but the spine halves both.
-        let mut fab = FluidFabric::new(two_tier(LinkPolicy::BandwidthShare));
+        let mut fab = FluidFabric::new(two_tier());
         let a = fab.flow(Some(0));
         let b = fab.flow(Some(1));
         let ra = fab.submit(a, 0.0, 40.0, f64::INFINITY);
@@ -1427,14 +1199,7 @@ mod tests {
     fn node_tier_is_the_bottleneck_when_flows_share_a_node() {
         // Both flows on node 0: its 10 B/s link halves them even though
         // the spine has headroom; node 1 stays idle.
-        let spec = FabricSpec::new(
-            2,
-            2,
-            10.0,
-            LinkPolicy::BandwidthShare,
-            100.0,
-            LinkPolicy::BandwidthShare,
-        );
+        let spec = FabricSpec::new(2, 2, 10.0, 100.0);
         let mut fab = FluidFabric::new(spec);
         let a = fab.flow(Some(0));
         let b = fab.flow(Some(0));
@@ -1449,7 +1214,7 @@ mod tests {
 
     #[test]
     fn spine_only_flows_skip_the_node_tiers() {
-        let mut fab = FluidFabric::new(two_tier(LinkPolicy::BandwidthShare));
+        let mut fab = FluidFabric::new(two_tier());
         let ar = fab.flow(None);
         let r = fab.submit(ar, 0.0, 50.0, f64::INFINITY);
         fab.run_until_idle();
@@ -1461,41 +1226,10 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_tiers_are_equal_slice_ceilings() {
-        // Three flows on one round-robin node of 12 B/s: 4 B/s each,
-        // even though the bandwidth-share spine would allow more.
-        let spec = FabricSpec::new(
-            1,
-            4,
-            12.0,
-            LinkPolicy::RoundRobin,
-            100.0,
-            LinkPolicy::BandwidthShare,
-        );
-        let mut fab = FluidFabric::new(spec);
-        let flows: Vec<FlowId> = (0..3).map(|_| fab.flow(Some(0))).collect();
-        let reqs: Vec<RequestId> = flows
-            .iter()
-            .map(|&f| fab.submit(f, 0.0, 40.0, f64::INFINITY))
-            .collect();
-        fab.run_until_idle();
-        for r in reqs {
-            assert_eq!(fab.completion(r), Some(10.0));
-        }
-    }
-
-    #[test]
     fn rate_caps_leave_bandwidth_to_uncapped_flows() {
         // A capped flow (2 B/s) shares a 10 B/s spine with an uncapped
         // one: water-filling gives the uncapped flow the remaining 8.
-        let spec = FabricSpec::new(
-            1,
-            2,
-            100.0,
-            LinkPolicy::BandwidthShare,
-            10.0,
-            LinkPolicy::BandwidthShare,
-        );
+        let spec = FabricSpec::new(1, 2, 100.0, 10.0);
         let mut fab = FluidFabric::new(spec);
         let a = fab.flow(Some(0));
         let b = fab.flow(Some(0));
@@ -1508,7 +1242,7 @@ mod tests {
 
     #[test]
     fn busy_intervals_stay_disjoint_per_tier() {
-        let mut fab = FluidFabric::new(two_tier(LinkPolicy::BandwidthShare));
+        let mut fab = FluidFabric::new(two_tier());
         let a = fab.flow(Some(0));
         let b = fab.flow(Some(1));
         fab.submit(a, 0.0, 10.0, f64::INFINITY);
@@ -1559,9 +1293,7 @@ mod tests {
             2,
             2,
             SystemConfig::titan_x_pcie3().pcie_bw,
-            LinkPolicy::BandwidthShare,
             SystemConfig::titan_x_pcie3().pcie_bw,
-            LinkPolicy::BandwidthShare,
         ));
         let jobs: Vec<Job<'_>> = vec![
             Job {

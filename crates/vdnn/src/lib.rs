@@ -22,7 +22,7 @@
 //!   ratios, [`MeasuredStream`] real compressed line sizes);
 //! * [`cluster`] — the multi-GPU shared-link layer (Section IX): per-GPU
 //!   step timelines and per-tenant gradient all-reduce streams contending
-//!   for one [`FluidFabric`] under a [`LinkPolicy`] ([`ClusterSim`]);
+//!   for one bandwidth-shared [`FluidFabric`] ([`ClusterSim`]);
 //! * [`fabric`] — that one link arbiter, over a flat topology (the
 //!   paper's single shared link) or node tiers under a spine, plus
 //!   trace-driven tenant churn ([`FabricSim`]).
@@ -58,7 +58,7 @@ pub use cluster::{ClusterSim, ClusterTimeline, GradientAllReduce, Tenant, Tenant
 pub use compute::{ComputeModel, CudnnVersion};
 pub use fabric::{
     churn_trace, FabricRun, FabricShape, FabricSim, FabricSpec, FluidFabric, Job, JobOutcome,
-    JobTemplate, RunStats, StepStat, Tenancy,
+    JobTemplate, RunStats, StepStat,
 };
 pub use ratio::RatioTable;
 pub use timeline::{

@@ -63,58 +63,22 @@ pub fn prefetch_seconds(cfg: &SystemConfig, uncompressed_bytes: u64, compressed_
     link.max(decompress)
 }
 
-/// Arbitration policy of a host link shared by several DMA streams
-/// (Section IX: 4–8 GPUs on one channel).
-///
-/// The policy decides how a tier of the
-/// [`FluidFabric`](crate::fabric::FluidFabric) splits its wire among
-/// concurrently backlogged flows; [`LinkPolicy::BandwidthShare`] is the
-/// idealized fair split whose contention-free symmetric case reduces to
-/// the paper's static `PCIe / g` division, [`LinkPolicy::RoundRobin`] is
-/// the quantum-serialized arbitration real DMA engines implement.
+/// Arbitration of a host link shared by several DMA streams (Section IX:
+/// 4–8 GPUs on one channel). Bandwidth sharing is the only policy: each
+/// tier of the [`FluidFabric`](crate::fabric::FluidFabric) splits its wire
+/// fairly among concurrently backlogged flows, and the contention-free
+/// symmetric case reduces to the paper's static `PCIe / g` division.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkPolicy {
     /// Fluid fair sharing: backlogged flows split the wire evenly, with
     /// water-filling redistribution when a flow is capped below its fair
     /// share (e.g. its compression engine cannot feed the link faster).
     BandwidthShare,
-    /// Quantum round-robin: the link serves one flow at a time, a bounded
-    /// burst per turn, cycling over backlogged flows in submission order.
-    /// Quantum-exact on a flat fabric; the tiers of a hierarchical one
-    /// run its fluid limit (see [`fabric`](crate::fabric)).
-    RoundRobin,
-}
-
-impl LinkPolicy {
-    /// Every policy, in sweep order.
-    pub const ALL: [LinkPolicy; 2] = [LinkPolicy::BandwidthShare, LinkPolicy::RoundRobin];
-
-    /// The stable label used in scenario keys and experiment tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            LinkPolicy::BandwidthShare => "bandwidth-share",
-            LinkPolicy::RoundRobin => "round-robin",
-        }
-    }
 }
 
 impl std::fmt::Display for LinkPolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-impl std::str::FromStr for LinkPolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "bandwidth-share" | "share" | "fair" => Ok(LinkPolicy::BandwidthShare),
-            "round-robin" | "rr" => Ok(LinkPolicy::RoundRobin),
-            other => Err(format!(
-                "unknown link policy {other:?} (expected bandwidth-share|round-robin)"
-            )),
-        }
+        f.write_str("bandwidth-share")
     }
 }
 
@@ -152,21 +116,6 @@ impl RequestId {
         self.0
     }
 }
-
-/// Default round-robin quantum in **wire bytes per turn**: 65536 bytes,
-/// i.e. sixteen 4 KB DMA lines. Every quantum in this module is measured
-/// in wire bytes (the compressed size for offloads), never in lines or
-/// flits — [`FluidFabric::with_quantum`](crate::fabric::FluidFabric::with_quantum)
-/// takes the same unit.
-///
-/// ```
-/// use cdma_vdnn::timeline::DEFAULT_LINK_QUANTUM;
-///
-/// // The unit is wire bytes: sixteen 4 KB lines, not 16 "flits".
-/// assert_eq!(DEFAULT_LINK_QUANTUM, 65536.0);
-/// assert_eq!(DEFAULT_LINK_QUANTUM, 16.0 * 4096.0);
-/// ```
-pub const DEFAULT_LINK_QUANTUM: f64 = 16.0 * 4096.0;
 
 /// The timeline's fidelity level as a first-class value.
 ///

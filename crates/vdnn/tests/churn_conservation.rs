@@ -54,9 +54,7 @@ fn cluster(nodes: usize, gpus_per_node: usize) -> ClusterSim {
         nodes,
         gpus_per_node,
         cfg.pcie_bw,
-        LinkPolicy::BandwidthShare,
         cfg.pcie_bw * (nodes as f64 / 2.0).max(1.0),
-        LinkPolicy::BandwidthShare,
     ))
 }
 

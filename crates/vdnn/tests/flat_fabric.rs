@@ -187,7 +187,7 @@ impl OracleLink {
 /// Runs `load` on a flat bandwidth-share fabric; same output shape as
 /// [`OracleLink::run`].
 fn run_fabric(load: &[Vec<(f64, f64, f64)>]) -> Vec<((usize, usize), f64)> {
-    let mut link = FluidFabric::new(FabricSpec::flat(BW, LinkPolicy::BandwidthShare));
+    let mut link = FluidFabric::new(FabricSpec::flat(BW));
     let mut ids = Vec::new();
     for (f, items) in load.iter().enumerate() {
         let flow = link.flow(None);
@@ -270,7 +270,7 @@ fn uncapped_and_equal_cap_loads_are_bit_equal() {
 
 #[test]
 fn flat_fabric_is_one_link_with_no_node_tiers() {
-    let spec = FabricSpec::flat(10.0, LinkPolicy::BandwidthShare);
+    let spec = FabricSpec::flat(10.0);
     assert!(spec.is_flat());
     assert_eq!(spec.capacity(), usize::MAX, "a flat link has no slots");
     assert_eq!(spec.node_of(0), None);
@@ -311,57 +311,13 @@ fn flat_fabric_is_one_link_with_no_node_tiers() {
 #[test]
 #[should_panic(expected = "outside the fabric")]
 fn flat_fabric_rejects_flows_on_a_node_tier() {
-    let mut link = FluidFabric::new(FabricSpec::flat(10.0, LinkPolicy::BandwidthShare));
+    let mut link = FluidFabric::new(FabricSpec::flat(10.0));
     link.flow(Some(0));
 }
 
 #[test]
-fn round_robin_is_quantum_exact_when_flat_and_fluid_when_tiered() {
-    // Flat: one flow at a time, 10 bytes per turn at the full
-    // 10 B/s — a, b, a — so b finishes at 2 s and a at 3 s.
-    let flat = FabricSpec::flat(10.0, LinkPolicy::RoundRobin);
-    let mut link = FluidFabric::with_quantum(flat, 10.0);
-    let a = link.flow(None);
-    let b = link.flow(None);
-    let ra = link.submit(a, 0.0, 20.0, f64::INFINITY);
-    let rb = link.submit(b, 0.0, 10.0, f64::INFINITY);
-    link.advance_to(1.5);
-    assert_eq!(link.delivered(a), 10.0, "service counts at chunk end");
-    assert_eq!(link.delivered(b), 0.0);
-    link.run_until_idle();
-    assert_eq!(link.completion(rb), Some(2.0));
-    assert_eq!(link.completion(ra), Some(3.0));
-    assert_eq!(link.events_processed(), 3, "one per chunk");
-    assert!((link.spine_bytes() - 30.0).abs() < 1e-9);
-
-    // One node tier over the same wire: the fluid limit. Both flows
-    // run at once on equal 5 B/s slices until b leaves at 2 s, then
-    // a's slice is the whole tier — the same completions, but not
-    // the same progress in between.
-    let tiered = FabricSpec::new(
-        1,
-        2,
-        10.0,
-        LinkPolicy::RoundRobin,
-        10.0,
-        LinkPolicy::RoundRobin,
-    );
-    let mut fab = FluidFabric::with_quantum(tiered, 10.0);
-    let a = fab.flow(Some(0));
-    let b = fab.flow(Some(0));
-    let ra = fab.submit(a, 0.0, 20.0, f64::INFINITY);
-    let rb = fab.submit(b, 0.0, 10.0, f64::INFINITY);
-    fab.advance_to(1.5);
-    assert_eq!(fab.delivered(a), 7.5, "fluid: both flows progress");
-    assert_eq!(fab.delivered(b), 7.5);
-    fab.run_until_idle();
-    assert_eq!(fab.completion(rb), Some(2.0));
-    assert_eq!(fab.completion(ra), Some(3.0));
-}
-
-#[test]
 fn a_submission_after_next_event_is_replanned() {
-    let mut link = FluidFabric::new(FabricSpec::flat(10.0, LinkPolicy::BandwidthShare));
+    let mut link = FluidFabric::new(FabricSpec::flat(10.0));
     let a = link.flow(None);
     let b = link.flow(None);
     let ra = link.submit(a, 0.0, 40.0, f64::INFINITY);

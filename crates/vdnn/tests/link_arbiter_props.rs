@@ -1,18 +1,16 @@
 //! Seeded property loops over the flat [`FluidFabric`] invariants, ≥1000
-//! iterations total across the four properties:
+//! iterations total across the three properties:
 //!
 //! 1. **byte conservation** — per flow, delivered bytes equal offered
 //!    bytes once the link drains (and every request completes);
 //! 2. **no idle while backlogged** — with link-bound flows, the wire is
 //!    busy for exactly `total_bytes / bw` seconds and covers every
 //!    request's `[arrival, completion]` span;
-//! 3. **round-robin fairness** — continuously backlogged flows' delivered
-//!    bytes never diverge by more than one quantum;
-//! 4. **monotonicity** — adding a flow (a tenant's worth of traffic)
+//! 3. **monotonicity** — adding a flow (a tenant's worth of traffic)
 //!    never completes an existing transfer earlier.
 
 use cdma_vdnn::fabric::{FabricSpec, FluidFabric};
-use cdma_vdnn::timeline::{LinkPolicy, RequestId};
+use cdma_vdnn::timeline::RequestId;
 
 /// Deterministic LCG in [0, 1).
 fn lcg(state: &mut u64) -> f64 {
@@ -23,6 +21,9 @@ fn lcg(state: &mut u64) -> f64 {
 }
 
 const BW: f64 = 100.0;
+
+/// Rounds per property: three properties, ≥1000 iterations in all.
+const ROUNDS: usize = 350;
 
 /// One random workload: per flow, FIFO-ordered `(arrival, bytes,
 /// max_rate)` triples. `capped` draws engine-bound rate caps; otherwise
@@ -72,36 +73,37 @@ fn run(arb: &mut FluidFabric, load: &[Vec<(f64, f64, f64)>]) -> Vec<Vec<(Request
 }
 
 #[test]
-fn bytes_are_conserved_under_both_policies() {
+fn bytes_are_conserved() {
     let mut seed = 0xB17E5;
-    for round in 0..150 {
-        for policy in LinkPolicy::ALL {
-            let load = workload(&mut seed, 2 + round % 4, true);
-            let mut arb = FluidFabric::with_quantum(FabricSpec::flat(BW, policy), 64.0);
-            let flows: Vec<_> = (0..load.len()).map(|_| arb.flow(None)).collect();
-            for (f, items) in flows.iter().zip(&load) {
-                for &(at, bytes, cap) in items {
-                    arb.submit(*f, at, bytes, cap);
-                }
+    for round in 0..ROUNDS {
+        let load = workload(&mut seed, 2 + round % 4, true);
+        let mut arb = FluidFabric::new(FabricSpec::flat(BW));
+        let flows: Vec<_> = (0..load.len()).map(|_| arb.flow(None)).collect();
+        for (f, items) in flows.iter().zip(&load) {
+            for &(at, bytes, cap) in items {
+                arb.submit(*f, at, bytes, cap);
             }
-            arb.run_until_idle();
-            assert!(!arb.has_backlog(), "{policy} round {round}: backlog left");
-            for (i, f) in flows.iter().enumerate() {
-                let offered: f64 = load[i].iter().map(|&(_, b, _)| b).sum();
-                assert!(
-                    (arb.delivered(*f) - offered).abs() <= 1e-6 * offered.max(1.0),
-                    "{policy} round {round} flow {i}: delivered {} of {} offered",
-                    arb.delivered(*f),
-                    offered
-                );
-                assert!((arb.offered(*f) - offered).abs() < 1e-12);
-            }
-            // Busy intervals are sorted and disjoint.
-            let mut prev = f64::NEG_INFINITY;
-            for &(s, e) in arb.spine_busy() {
-                assert!(e > s && s >= prev - 1e-12, "{policy}: busy list corrupt");
-                prev = e;
-            }
+        }
+        arb.run_until_idle();
+        assert!(!arb.has_backlog(), "round {round}: backlog left");
+        for (i, f) in flows.iter().enumerate() {
+            let offered: f64 = load[i].iter().map(|&(_, b, _)| b).sum();
+            assert!(
+                (arb.delivered(*f) - offered).abs() <= 1e-6 * offered.max(1.0),
+                "round {round} flow {i}: delivered {} of {} offered",
+                arb.delivered(*f),
+                offered
+            );
+            assert!((arb.offered(*f) - offered).abs() < 1e-12);
+        }
+        // Busy intervals are sorted and disjoint.
+        let mut prev = f64::NEG_INFINITY;
+        for &(s, e) in arb.spine_busy() {
+            assert!(
+                e > s && s >= prev - 1e-12,
+                "round {round}: busy list corrupt"
+            );
+            prev = e;
         }
     }
 }
@@ -109,119 +111,63 @@ fn bytes_are_conserved_under_both_policies() {
 #[test]
 fn link_never_idles_while_backlogged() {
     let mut seed = 0x1D1E;
-    for round in 0..150 {
-        for policy in LinkPolicy::ALL {
-            // Link-bound flows only: with a rate cap the wire legitimately
-            // idles (the engine cannot feed it), so work conservation is
-            // asserted on uncapped workloads.
-            let load = workload(&mut seed, 2 + round % 3, false);
-            let mut arb = FluidFabric::with_quantum(FabricSpec::flat(BW, policy), 64.0);
-            let completions = run(&mut arb, &load);
-            let total: f64 = load.iter().flatten().map(|&(_, b, _)| b).sum();
-            let busy: f64 = arb.spine_busy().iter().map(|&(s, e)| e - s).sum();
-            assert!(
-                (busy - total / BW).abs() <= 1e-6 * (total / BW),
-                "{policy} round {round}: busy {busy}s for {total} bytes at {BW} B/s"
-            );
-            // Every request's in-flight span is covered by busy time: a
-            // backlogged request never watches an idle wire.
-            for (items, comps) in load.iter().zip(&completions) {
-                for (&(at, _, _), &(_, done)) in items.iter().zip(comps) {
-                    let covered: f64 = arb
-                        .spine_busy()
-                        .iter()
-                        .map(|&(s, e)| (e.min(done) - s.max(at)).max(0.0))
-                        .sum();
-                    assert!(
-                        (covered - (done - at)).abs() <= 1e-6 * (done - at).max(1e-9),
-                        "{policy} round {round}: idle wire inside [{at}, {done}]"
-                    );
-                }
+    for round in 0..ROUNDS {
+        // Link-bound flows only: with a rate cap the wire legitimately
+        // idles (the engine cannot feed it), so work conservation is
+        // asserted on uncapped workloads.
+        let load = workload(&mut seed, 2 + round % 3, false);
+        let mut arb = FluidFabric::new(FabricSpec::flat(BW));
+        let completions = run(&mut arb, &load);
+        let total: f64 = load.iter().flatten().map(|&(_, b, _)| b).sum();
+        let busy: f64 = arb.spine_busy().iter().map(|&(s, e)| e - s).sum();
+        assert!(
+            (busy - total / BW).abs() <= 1e-6 * (total / BW),
+            "round {round}: busy {busy}s for {total} bytes at {BW} B/s"
+        );
+        // Every request's in-flight span is covered by busy time: a
+        // backlogged request never watches an idle wire.
+        for (items, comps) in load.iter().zip(&completions) {
+            for (&(at, _, _), &(_, done)) in items.iter().zip(comps) {
+                let covered: f64 = arb
+                    .spine_busy()
+                    .iter()
+                    .map(|&(s, e)| (e.min(done) - s.max(at)).max(0.0))
+                    .sum();
+                assert!(
+                    (covered - (done - at)).abs() <= 1e-6 * (done - at).max(1e-9),
+                    "round {round}: idle wire inside [{at}, {done}]"
+                );
             }
-        }
-    }
-}
-
-#[test]
-fn round_robin_fairness_is_bounded_by_one_quantum() {
-    let mut seed = 0xFA1;
-    let quantum = 32.0;
-    for round in 0..200 {
-        let flows = 2 + round % 3;
-        // One big transfer per flow, all arriving at t=0: continuously
-        // backlogged until each completes.
-        let sizes: Vec<f64> = (0..flows).map(|_| 400.0 + lcg(&mut seed) * 800.0).collect();
-        let mut arb =
-            FluidFabric::with_quantum(FabricSpec::flat(BW, LinkPolicy::RoundRobin), quantum);
-        let ids: Vec<_> = (0..flows).map(|_| arb.flow(None)).collect();
-        let reqs: Vec<_> = ids
-            .iter()
-            .zip(&sizes)
-            .map(|(f, &b)| arb.submit(*f, 0.0, b, f64::INFINITY))
-            .collect();
-        // Probe delivered counters at random instants.
-        let mut t = 0.0;
-        for _ in 0..6 {
-            t += lcg(&mut seed) * 3.0;
-            arb.advance_to(t);
-            for i in 0..flows {
-                for j in (i + 1)..flows {
-                    let both_backlogged = arb.completion(reqs[i]).is_none_or(|c| c > t)
-                        && arb.completion(reqs[j]).is_none_or(|c| c > t);
-                    if both_backlogged {
-                        let diff = (arb.delivered(ids[i]) - arb.delivered(ids[j])).abs();
-                        assert!(
-                            diff <= quantum + 1e-9,
-                            "round {round}: flows {i},{j} diverged by {diff} > quantum at t={t}"
-                        );
-                    }
-                }
-            }
-        }
-        arb.run_until_idle();
-        for (req, &size) in reqs.iter().zip(&sizes) {
-            assert!(arb.completion(*req).expect("drained") >= size / BW - 1e-9);
         }
     }
 }
 
 #[test]
 fn adding_a_tenant_never_speeds_up_an_existing_one() {
-    let quantum = 64.0;
     let mut seed = 0x7E4A47;
-    for round in 0..150 {
-        for policy in LinkPolicy::ALL {
-            let flows = 2 + round % 3;
-            // Fluid fair sharing is strictly monotone: a new flow only
-            // lowers the water level, so every rate drops and every
-            // completion moves later (or stays). Quantum round-robin has
-            // bounded scheduling anomalies instead — a new flow can
-            // re-phase the service cursor, handing an existing flow its
-            // turn up to a rotation earlier each time it re-enters the
-            // backlog — so its bound is a few quanta, not zero.
-            let (capped, slack) = match policy {
-                LinkPolicy::BandwidthShare => (true, 1e-9),
-                LinkPolicy::RoundRobin => (false, 4.0 * (flows + 1) as f64 * quantum / BW),
-            };
-            let base_load = workload(&mut seed, flows, capped);
-            let extra = workload(&mut seed, 1, capped);
+    for round in 0..ROUNDS {
+        // Fluid fair sharing is strictly monotone: a new flow only lowers
+        // the water level, so every rate drops and every completion moves
+        // later (or stays), capped flows included.
+        let flows = 2 + round % 3;
+        let base_load = workload(&mut seed, flows, true);
+        let extra = workload(&mut seed, 1, true);
 
-            let mut base = FluidFabric::with_quantum(FabricSpec::flat(BW, policy), quantum);
-            let base_done = run(&mut base, &base_load);
+        let mut base = FluidFabric::new(FabricSpec::flat(BW));
+        let base_done = run(&mut base, &base_load);
 
-            let mut contended_load = base_load.clone();
-            contended_load.extend(extra);
-            let mut contended = FluidFabric::with_quantum(FabricSpec::flat(BW, policy), quantum);
-            let contended_done = run(&mut contended, &contended_load);
+        let mut contended_load = base_load.clone();
+        contended_load.extend(extra);
+        let mut contended = FluidFabric::new(FabricSpec::flat(BW));
+        let contended_done = run(&mut contended, &contended_load);
 
-            for (f, (b, c)) in base_done.iter().zip(&contended_done).enumerate() {
-                for ((_, tb), (_, tc)) in b.iter().zip(c) {
-                    assert!(
-                        *tc >= *tb - slack,
-                        "{policy} round {round} flow {f}: completion moved \
-                         earlier under contention ({tc} < {tb} - {slack})"
-                    );
-                }
+        for (f, (b, c)) in base_done.iter().zip(&contended_done).enumerate() {
+            for ((_, tb), (_, tc)) in b.iter().zip(c) {
+                assert!(
+                    *tc >= *tb - 1e-9,
+                    "round {round} flow {f}: completion moved earlier under \
+                     contention ({tc} < {tb})"
+                );
             }
         }
     }

@@ -171,14 +171,7 @@ fn fabric_matches_the_analytic_formula_for_every_net_and_algorithm() {
                             node_bw,
                             spine_bw,
                         );
-                        let fabric = FabricSpec::new(
-                            nodes,
-                            gpus_per_node,
-                            node_bw,
-                            LinkPolicy::BandwidthShare,
-                            spine_bw,
-                            LinkPolicy::BandwidthShare,
-                        );
+                        let fabric = FabricSpec::new(nodes, gpus_per_node, node_bw, spine_bw);
                         let gpus = nodes * gpus_per_node;
                         let tl = ClusterSim::new(cfg, model, LinkPolicy::BandwidthShare)
                             .with_fabric(fabric)
@@ -231,14 +224,7 @@ fn single_node_fabric_is_bit_identical_to_the_flat_cluster() {
                 }];
                 let flat =
                     ClusterSim::new(cfg, model, LinkPolicy::BandwidthShare).simulate(&tenants);
-                let fabric = FabricSpec::new(
-                    1,
-                    gpus,
-                    cfg.pcie_bw,
-                    LinkPolicy::BandwidthShare,
-                    cfg.pcie_bw,
-                    LinkPolicy::BandwidthShare,
-                );
+                let fabric = FabricSpec::new(1, gpus, cfg.pcie_bw, cfg.pcie_bw);
                 let hier = ClusterSim::new(cfg, model, LinkPolicy::BandwidthShare)
                     .with_fabric(fabric)
                     .simulate(&tenants);
