@@ -71,10 +71,6 @@ impl Adaptive {
 }
 
 impl Compressor for Adaptive {
-    fn name(&self) -> &'static str {
-        "AD"
-    }
-
     fn compress_append(&self, data: &[f32], out: &mut Vec<u8>) {
         for chunk in data.chunks(WINDOW_WORDS) {
             let nz = chunk.iter().filter(|w| w.to_bits() != 0).count();

@@ -37,10 +37,6 @@ use crate::{Adaptive, Csc, DecodeError, Huff, Rle, Zlib, Zvc};
 /// streams back to back ([`Adaptive`]) find each stream's end by decoding
 /// it.
 pub trait Compressor {
-    /// Two-letter name used in the paper's figures: `RL`, `ZV`, `ZL`, `CS`,
-    /// `HF` or `AD`.
-    fn name(&self) -> &'static str;
-
     /// Compresses `data` and appends the self-contained byte stream to
     /// `out` **without clearing it** — the innermost primitive, which lets
     /// the windowed packer lay many windows back to back in one contiguous
@@ -223,17 +219,6 @@ impl Codec {
 }
 
 impl Compressor for Codec {
-    fn name(&self) -> &'static str {
-        match self {
-            Codec::Rle(c) => c.name(),
-            Codec::Zvc(c) => c.name(),
-            Codec::Zlib(c) => c.name(),
-            Codec::Csc(c) => c.name(),
-            Codec::Huff(c) => c.name(),
-            Codec::Adaptive(c) => c.name(),
-        }
-    }
-
     fn compress_append(&self, data: &[f32], out: &mut Vec<u8>) {
         match self {
             Codec::Rle(c) => c.compress_append(data, out),
@@ -398,7 +383,6 @@ mod tests {
     #[test]
     fn labels_match_codec_names() {
         for alg in Algorithm::EXTENDED {
-            assert_eq!(alg.label(), alg.codec().name());
             assert_eq!(alg.to_string(), alg.label());
             assert_eq!(alg.codec().algorithm(), alg);
         }

@@ -376,10 +376,6 @@ fn scan(data: &[f32]) -> Scan {
 }
 
 impl Compressor for Csc {
-    fn name(&self) -> &'static str {
-        "CS"
-    }
-
     fn compress_append(&self, data: &[f32], out: &mut Vec<u8>) {
         let plan = scan(data);
         assert!(

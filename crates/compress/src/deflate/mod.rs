@@ -123,10 +123,6 @@ impl Zlib {
 }
 
 impl Compressor for Zlib {
-    fn name(&self) -> &'static str {
-        "ZL"
-    }
-
     fn compress_append(&self, data: &[f32], out: &mut Vec<u8>) {
         encode::compress_words(data, self.max_chain, out);
     }

@@ -106,10 +106,6 @@ impl Huff {
 }
 
 impl Compressor for Huff {
-    fn name(&self) -> &'static str {
-        "HF"
-    }
-
     fn compress_append(&self, data: &[f32], out: &mut Vec<u8>) {
         let kernel = Kernel::active();
         PACKED.with_borrow_mut(|packed| {

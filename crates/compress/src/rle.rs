@@ -42,10 +42,6 @@ impl Rle {
 const ZERO_RUN_FLAG: u8 = 0x80;
 
 impl Compressor for Rle {
-    fn name(&self) -> &'static str {
-        "RL"
-    }
-
     fn compress_append(&self, data: &[f32], out: &mut Vec<u8>) {
         // O(1) worst-case bound: all-literal data costs 4 bytes per word
         // plus one header per 128 words; every other pattern is smaller.

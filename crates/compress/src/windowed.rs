@@ -533,9 +533,6 @@ mod tests {
         struct Tripwire;
         const MARKER: f32 = -12345.0;
         impl Compressor for Tripwire {
-            fn name(&self) -> &'static str {
-                "TW"
-            }
             fn compress_append(&self, data: &[f32], out: &mut Vec<u8>) {
                 assert!(data.first() != Some(&MARKER), "tripwire window");
                 Zvc::new().compress_append(data, out);

@@ -122,10 +122,6 @@ impl Zvc {
 }
 
 impl Compressor for Zvc {
-    fn name(&self) -> &'static str {
-        "ZV"
-    }
-
     fn compress_append(&self, data: &[f32], out: &mut Vec<u8>) {
         Kernel::active().compress_append(data, out);
     }

@@ -118,12 +118,6 @@ fn row_with_baseline(ctx: &Context, scenario: &Scenario, vdnn_step: f64) -> Mult
     }
 }
 
-/// One cell of the per-g sweep: the scenario's cDMA cluster against the
-/// uncompressed-vDNN baseline on the same platform.
-pub fn multi_gpu_row(ctx: &Context, scenario: &Scenario) -> MultiGpuRow {
-    row_with_baseline(ctx, scenario, vdnn_total(ctx, scenario))
-}
-
 /// The fig_multi_gpu report.
 #[derive(Debug, Clone)]
 pub struct MultiGpuReport {
@@ -416,24 +410,6 @@ mod tests {
             .iter()
             .filter(|r| r.gpus == 1)
             .all(|r| r.allreduce == 0.0));
-        // The standalone convenience row matches the sweep's cell bit for
-        // bit (same shared baseline arithmetic).
-        let scenario = ScenarioSet::builder()
-            .networks(["SqueezeNet"])
-            .fidelities([Fidelity::UniformRatio])
-            .gpu_counts([4])
-            .build()
-            .scenarios()[0]
-            .clone();
-        let one = multi_gpu_row(&ctx(), &scenario);
-        let cell = report
-            .rows
-            .iter()
-            .find(|r| r.fidelity == "uniform-ratio" && r.gpus == 4)
-            .expect("sweep covers the cell");
-        assert_eq!(one.vdnn_step.to_bits(), cell.vdnn_step.to_bits());
-        assert_eq!(one.speedup.to_bits(), cell.speedup.to_bits());
-        assert_eq!(one.link_share_gbps, 12.8 / 4.0);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::report::{Artifact, Cell, Report, Table};
 use crate::scenario::{Context, Runner, Scenario, ScenarioFilter, ScenarioSet};
 
 /// The GPU counts of the datacenter sweep (fast contexts stop at 64).
-pub const DATACENTER_GPU_SWEEP: [usize; 4] = [8, 64, 256, 1024];
+const DATACENTER_GPU_SWEEP: [usize; 4] = [8, 64, 256, 1024];
 
 /// The churn trace's tenant population (the heavy-traffic mix of
 /// `fig_multi_gpu`).

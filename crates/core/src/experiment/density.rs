@@ -4,7 +4,6 @@
 
 use cdma_compress::windowed::WindowedStream;
 use cdma_gpusim::DmaPipeline;
-use cdma_models::profiles::NetworkProfile;
 use cdma_models::NetworkSpec;
 use cdma_sparsity::visual::{ascii_grid, density_bar, pgm_grid};
 use cdma_sparsity::{ActivationGen, LossCurve, TRAINING_CHECKPOINTS};
@@ -27,12 +26,8 @@ pub struct DensityFigure {
 }
 
 /// Generates the per-layer density-over-training figure for a network.
-pub fn density_figure(spec: &NetworkSpec, ctx: &Context) -> DensityFigure {
-    density_figure_from_profile(spec, &ctx.profile(spec.name()))
-}
-
-/// Same, from a pre-built profile.
-pub fn density_figure_from_profile(spec: &NetworkSpec, profile: &NetworkProfile) -> DensityFigure {
+fn density_figure(spec: &NetworkSpec, ctx: &Context) -> DensityFigure {
+    let profile = ctx.profile(spec.name());
     let checkpoints: Vec<f64> = (0..=10).map(|i| i as f64 / 10.0).collect();
     let mut layers = Vec::new();
     for layer in spec.layers() {

@@ -36,15 +36,12 @@ mod timeline;
 mod training;
 
 pub use cluster::{
-    cluster_timeline, fig_multi_gpu, multi_gpu_row, MultiGpuReport, MultiGpuRow, TenantRow,
-    GPU_SWEEP,
+    cluster_timeline, fig_multi_gpu, MultiGpuReport, MultiGpuRow, TenantRow, GPU_SWEEP,
 };
-pub use datacenter::{
-    fig_datacenter, ChurnSummary, DatacenterReport, DatacenterRow, DATACENTER_GPU_SWEEP,
-};
+pub use datacenter::{fig_datacenter, ChurnSummary, DatacenterReport, DatacenterRow};
 pub use density::{
-    density_figure, density_figure_from_profile, fig04, fig05, fig06, fig07, DensityFigure,
-    Fig04Report, Fig05Report, Fig06Report, Fig07Report, Fig7Data,
+    fig04, fig05, fig06, fig07, DensityFigure, Fig04Report, Fig05Report, Fig06Report, Fig07Report,
+    Fig7Data,
 };
 pub use frontier::{fig_frontier, FrontierReport, FrontierRow};
 pub use grid::{
@@ -63,8 +60,8 @@ pub use timeline::{
     fidelity_row, fidelity_sweep, fig02_timeline, FidelityRow, FidelitySweepReport, Fig02Report,
 };
 pub use training::{
-    fig5_checkpoints, rnn_traffic, table1, training_runs, RnnTrafficReport, Table1Report,
-    TrainingRunReport, TrainingRunSummary,
+    rnn_traffic, table1, training_runs, RnnTrafficReport, Table1Report, TrainingRunReport,
+    TrainingRunSummary,
 };
 
 use cdma_vdnn::{ComputeModel, CudnnVersion};

@@ -7,7 +7,6 @@ use cdma_dnn::synthetic::SyntheticImages;
 use cdma_dnn::{Sgd, Trainer};
 use cdma_models::rnn::{self, RnnActivation};
 use cdma_models::{tiny, zoo};
-use cdma_sparsity::TRAINING_CHECKPOINTS;
 use cdma_tensor::Layout;
 use cdma_vdnn::{
     ComputeModel, CudnnVersion, ProfiledDensity, TimelineSim, TransferPolicy, UniformRatio,
@@ -15,11 +14,6 @@ use cdma_vdnn::{
 
 use crate::report::{Cell, Report, Table};
 use crate::scenario::{Context, Runner, ScenarioFilter};
-
-/// The standard training checkpoints of Fig. 5 (0%, 20%, …, 100%).
-pub fn fig5_checkpoints() -> Vec<f64> {
-    TRAINING_CHECKPOINTS.to_vec()
-}
 
 /// One trained tiny-counterpart result.
 #[derive(Debug, Clone)]
@@ -398,12 +392,5 @@ mod tests {
         let sat = &rows[1];
         assert!(relu.zvc_ratio > 2.0, "ReLU ratio {}", relu.zvc_ratio);
         assert!(sat.zvc_ratio < 1.1, "saturating ratio {}", sat.zvc_ratio);
-    }
-
-    #[test]
-    fn fig5_checkpoints_span_training() {
-        let cps = fig5_checkpoints();
-        assert_eq!(cps.first(), Some(&0.0));
-        assert_eq!(cps.last(), Some(&1.0));
     }
 }

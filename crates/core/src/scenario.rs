@@ -203,7 +203,6 @@ pub struct ScenarioBuilder {
     fidelities: Vec<Fidelity>,
     checkpoints: Vec<f64>,
     seed: u64,
-    config: SystemConfig,
     gpu_counts: Vec<usize>,
     engines: Vec<InferEngine>,
     batches: Vec<usize>,
@@ -222,7 +221,6 @@ impl Default for ScenarioBuilder {
             fidelities: vec![Fidelity::ProfiledDensity],
             checkpoints: vec![0.5],
             seed: 42,
-            config: SystemConfig::titan_x_pcie3(),
             gpu_counts: vec![1],
             engines: vec![InferEngine::Dense],
             batches: vec![1],
@@ -269,12 +267,6 @@ impl ScenarioBuilder {
     /// Sets the activation-synthesis seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the platform configuration.
-    pub fn config(mut self, config: SystemConfig) -> Self {
-        self.config = config;
         self
     }
 
@@ -385,7 +377,7 @@ impl ScenarioBuilder {
                                                 fidelity,
                                                 checkpoint,
                                                 seed: self.seed,
-                                                config: self.config,
+                                                config: SystemConfig::titan_x_pcie3(),
                                                 gpus,
                                                 engine,
                                                 batch,

@@ -23,8 +23,6 @@ pub enum LayerKind {
     Pool,
     /// Fully-connected / classifier layer.
     FullyConnected,
-    /// Local response normalization.
-    Norm,
     /// Dropout.
     Dropout,
     /// Structural fan-out (inception module).

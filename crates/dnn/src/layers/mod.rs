@@ -1,9 +1,7 @@
 //! Layer implementations (one module per layer type, Section II-A).
 
-pub(crate) mod activation_fns;
 pub(crate) mod conv;
 pub(crate) mod dropout;
 pub(crate) mod fc;
-pub(crate) mod lrn;
 pub(crate) mod pool;
 pub(crate) mod relu;

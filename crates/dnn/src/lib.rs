@@ -7,11 +7,10 @@
 //! paper's workloads use, on the CPU:
 //!
 //! * layers: [`Conv2d`] (direct and im2col-GEMM paths, cross-checked),
-//!   [`Relu`], [`Pool`] (max/avg), [`FullyConnected`], [`Lrn`], [`Dropout`],
+//!   [`Relu`], [`Pool`] (max/avg), [`FullyConnected`], [`Dropout`],
 //!   [`Parallel`] (inception-style fan-out + channel concat);
 //! * [`SoftmaxCrossEntropy`] loss;
-//! * [`Sgd`] with momentum, weight decay and the paper's
-//!   reduce-on-plateau learning-rate schedule (Section VI);
+//! * [`Sgd`] with momentum and weight decay (Section VI);
 //! * [`Sequential`] networks with density probes after every layer;
 //! * a [`synthetic`] procedurally-generated image-classification dataset, so
 //!   small networks can actually be trained end-to-end in tests and
@@ -47,13 +46,11 @@ mod train;
 pub use graph::{Parallel, Sequential};
 pub use init::WeightInit;
 pub use layer::{Layer, LayerKind, Mode, ParamRef};
-pub use layers::activation_fns::{Saturating, SaturatingKind};
 pub use layers::conv::Conv2d;
 pub use layers::dropout::Dropout;
 pub use layers::fc::FullyConnected;
-pub use layers::lrn::Lrn;
 pub use layers::pool::{Pool, PoolKind};
 pub use layers::relu::Relu;
 pub use loss::{chance_loss, SoftmaxCrossEntropy};
-pub use optimizer::{PlateauSchedule, Sgd};
-pub use train::{DensityTrace, TrainReport, Trainer};
+pub use optimizer::Sgd;
+pub use train::{DensityTrace, Trainer};

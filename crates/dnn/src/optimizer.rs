@@ -33,17 +33,6 @@ impl Sgd {
         }
     }
 
-    /// Current learning rate.
-    fn lr(&self) -> f64 {
-        self.lr
-    }
-
-    /// Overrides the learning rate (used by the plateau schedule).
-    fn set_lr(&mut self, lr: f64) {
-        assert!(lr > 0.0, "learning rate must be positive, got {lr}");
-        self.lr = lr;
-    }
-
     /// Applies one update step to the given parameter groups.
     ///
     /// # Panics
@@ -75,64 +64,6 @@ impl Sgd {
                 *w += *v;
             }
         }
-    }
-}
-
-/// Reduce-on-plateau learning-rate schedule, as in Section VI: "we manually
-/// reduce the learning rate by a factor of 0.1 or 0.5 ... when the
-/// validation error plateaus", terminating "when the validation accuracy
-/// does not improve further beyond a learning rate smaller than 1e-5".
-#[derive(Debug, Clone)]
-pub struct PlateauSchedule {
-    factor: f64,
-    patience: usize,
-    min_lr: f64,
-    best: f64,
-    since_best: usize,
-}
-
-impl PlateauSchedule {
-    /// Creates a schedule that multiplies the lr by `factor` after
-    /// `patience` observations without improvement, stopping below
-    /// `min_lr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `factor` is in `(0, 1)` and `patience > 0`.
-    pub fn new(factor: f64, patience: usize, min_lr: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&factor) && factor > 0.0,
-            "factor must be in (0, 1)"
-        );
-        assert!(patience > 0, "patience must be positive");
-        PlateauSchedule {
-            factor,
-            patience,
-            min_lr,
-            best: f64::INFINITY,
-            since_best: 0,
-        }
-    }
-
-    /// Observes a validation loss (lower is better). Reduces the optimizer
-    /// lr on plateau. Returns `true` when training should stop (lr has
-    /// fallen below `min_lr`).
-    pub fn observe(&mut self, validation_loss: f64, sgd: &mut Sgd) -> bool {
-        if validation_loss < self.best - 1e-9 {
-            self.best = validation_loss;
-            self.since_best = 0;
-            return false;
-        }
-        self.since_best += 1;
-        if self.since_best >= self.patience {
-            self.since_best = 0;
-            let new_lr = sgd.lr() * self.factor;
-            if new_lr < self.min_lr {
-                return true;
-            }
-            sgd.set_lr(new_lr);
-        }
-        false
     }
 }
 
@@ -188,35 +119,6 @@ mod tests {
             sgd.step(param_group(&mut w, &mut g));
         }
         assert!((w[0] - 3.0).abs() < 1e-3, "w = {}", w[0]);
-    }
-
-    #[test]
-    fn plateau_schedule_reduces_then_stops() {
-        let mut sgd = Sgd::new(0.01, 0.0, 0.0);
-        let mut sched = PlateauSchedule::new(0.1, 2, 1e-5);
-        assert!(!sched.observe(1.0, &mut sgd)); // improvement
-        assert!(!sched.observe(1.0, &mut sgd)); // plateau 1
-        assert!(!sched.observe(1.0, &mut sgd)); // plateau 2 -> reduce
-        assert!((sgd.lr() - 1e-3).abs() < 1e-12);
-        assert!(!sched.observe(1.0, &mut sgd));
-        assert!(!sched.observe(1.0, &mut sgd)); // -> 1e-4
-        assert!((sgd.lr() - 1e-4).abs() < 1e-12);
-        assert!(!sched.observe(1.0, &mut sgd));
-        assert!(!sched.observe(1.0, &mut sgd)); // -> 1e-5
-        assert!(!sched.observe(1.0, &mut sgd));
-        // Next reduction would go below min_lr: stop.
-        assert!(sched.observe(1.0, &mut sgd));
-    }
-
-    #[test]
-    fn improvement_resets_patience() {
-        let mut sgd = Sgd::new(0.01, 0.0, 0.0);
-        let mut sched = PlateauSchedule::new(0.5, 2, 1e-5);
-        assert!(!sched.observe(1.0, &mut sgd));
-        assert!(!sched.observe(1.0, &mut sgd)); // plateau 1
-        assert!(!sched.observe(0.5, &mut sgd)); // improvement resets
-        assert!(!sched.observe(0.5, &mut sgd)); // plateau 1
-        assert!((sgd.lr() - 0.01).abs() < 1e-12, "no reduction yet");
     }
 
     #[test]

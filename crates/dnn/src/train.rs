@@ -82,17 +82,6 @@ impl DensityTrace {
     }
 }
 
-/// Summary of a training run.
-#[derive(Debug, Clone, Default)]
-pub struct TrainReport {
-    /// Mean loss per recorded interval.
-    pub losses: Vec<f64>,
-    /// Final evaluation accuracy in `[0, 1]`.
-    pub final_accuracy: f64,
-    /// Total minibatch steps taken.
-    pub steps: usize,
-}
-
 /// Couples a [`Sequential`] network with its loss and optimizer and runs the
 /// paper's three-step training pass (Fig. 1): forward propagation, loss
 /// computation, backward propagation.

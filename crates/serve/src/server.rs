@@ -46,15 +46,16 @@
 //!    `state` acquisition releases their staging footprints and records
 //!    their accounting, one `completions` acquisition appends them and
 //!    lowers `outstanding` by their number. It flushes when the buffer
-//!    holds `dispatch_batch` jobs or `dispatch_batch × window_bytes` of
-//!    footprint, *before* starting a job that would take it past that
-//!    footprint, and whenever its own deque is empty. So a reservation
-//!    is held exactly until its completion is visible; a finished job
-//!    waits behind at most `dispatch_batch − 1` later jobs of less than a
-//!    batch of windows in all, never behind a multi-window job and never
-//!    behind a worker that pulls, steals, spins or parks; and at low load
-//!    every job publishes at once. Output buffers leave the pool the same
-//!    way, one lock per pulled batch.
+//!    holds `dispatch_batch` jobs or `dispatch_batch` windows of
+//!    footprint (`DEFAULT_WINDOW_BYTES`, 4 KB, each), *before* starting a
+//!    job that would take it past that footprint, and whenever its own
+//!    deque is empty. So a reservation is held exactly until its
+//!    completion is visible; a finished job waits behind at most
+//!    `dispatch_batch − 1` later jobs of less than a batch of windows in
+//!    all, never behind a multi-window job and never behind a worker that
+//!    pulls, steals, spins or parks; and at low load every job publishes
+//!    at once. Output buffers leave the pool the same way, one lock per
+//!    pulled batch.
 //! 3. **Spin before parking.** A worker with nothing to do polls the
 //!    lock-free `backlog` counter for `SPIN_BUDGET` (50 µs, derived at
 //!    its definition), yielding its core between looks, and only then
@@ -71,6 +72,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use cdma_compress::pool::{Pool, PoolStats};
+use cdma_compress::windowed::DEFAULT_WINDOW_BYTES;
 use cdma_compress::Algorithm;
 use cdma_gpusim::staging::StagingPool;
 
@@ -105,8 +107,6 @@ const PARK_BACKSTOP: Duration = Duration::from_millis(1);
 pub struct ServerConfig {
     /// Codec applied to every job.
     pub algorithm: Algorithm,
-    /// Window size for compress jobs, in bytes (the paper evaluates 4 KB).
-    pub window_bytes: usize,
     /// Worker threads.
     pub workers: usize,
     /// Shared staging-pool capacity in bytes — the admission-control
@@ -122,7 +122,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             algorithm: Algorithm::Zvc,
-            window_bytes: 4096,
             workers: 4,
             // Sixteen default staging buffers' worth (Section V-C sizes
             // one engine's buffer at 70 KB): room for ~280 four-KB
@@ -257,7 +256,7 @@ struct Shared {
 impl Shared {
     /// Staging footprint at which a worker's finished jobs publish.
     fn flush_bytes(&self) -> u64 {
-        (self.config.dispatch_batch * self.config.window_bytes) as u64
+        (self.config.dispatch_batch * DEFAULT_WINDOW_BYTES) as u64
     }
 
     /// Makes the worker's finished jobs drainable (hand-off rule 2).
@@ -325,7 +324,7 @@ impl Shared {
         let req = job.req.take().expect("job carries its request");
         self.checkout(local, 1);
         let bufs = local.bufs.pop().expect("checked out above");
-        let window_elems = (self.config.window_bytes / 4).max(1);
+        let window_elems = DEFAULT_WINDOW_BYTES / 4;
         // Codec choice travels in the frame; the kernel resolves it.
         let response = execute_caught(&*self.kernel, req, window_elems, bufs);
         local.footprint += job.footprint;
@@ -496,8 +495,8 @@ impl Server {
     ///
     /// # Panics
     ///
-    /// Panics on a zero worker count, zero dispatch batch, a window under
-    /// 4 bytes, or an empty/oversized tenant table.
+    /// Panics on a zero worker count, zero dispatch batch, or an
+    /// empty/oversized tenant table.
     pub fn start(config: ServerConfig, tenants: Vec<TenantSpec>) -> Self {
         Server::start_with_kernel(config, tenants, Arc::new(DefaultKernel))
     }
@@ -520,17 +519,13 @@ impl Server {
     ) -> Self {
         assert!(config.workers > 0, "need at least one worker");
         assert!(config.dispatch_batch > 0, "dispatch batch must be positive");
-        assert!(
-            config.window_bytes >= 4,
-            "window must hold at least one word"
-        );
         let sched = TenantScheduler::new(tenants);
         let pool = StagingPool::new(config.staging_bytes);
         // Enough buffer sets for every admissible 4 KB-window job plus
         // one in flight per worker, so a bounded steady state never
         // misses the pool.
         let max_live =
-            (config.staging_bytes / config.window_bytes.max(1) as u64) as usize + config.workers;
+            (config.staging_bytes / DEFAULT_WINDOW_BYTES as u64) as usize + config.workers;
         let shared = Arc::new(Shared {
             start: Instant::now(),
             state: Mutex::new(SchedState {

@@ -22,6 +22,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use cdma_compress::pool::Pool;
+use cdma_compress::windowed::DEFAULT_WINDOW_BYTES;
 use cdma_gpusim::staging::StagingPool;
 
 use crate::exec::{DefaultKernel, JobKernel, OutputBufs};
@@ -135,7 +136,7 @@ fn run_schedule_with_kernel(
     let specs: Vec<_> = loads.iter().map(|l| l.spec.clone()).collect();
     let mut sched = TenantScheduler::new(specs);
     let mut pool = StagingPool::new(config.staging_bytes);
-    let window_elems = (config.window_bytes / 4).max(1);
+    let window_elems = DEFAULT_WINDOW_BYTES / 4;
 
     // Per-tenant latency recorders sized to the offered load.
     let mut recorders: Vec<LatencyRecorder> = loads

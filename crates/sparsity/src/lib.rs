@@ -4,8 +4,6 @@
 //! activation sparsity during training. This crate reproduces that study's
 //! machinery:
 //!
-//! * [`DensityStats`] — the paper's `AVGdensity` metric (non-zero fraction),
-//!   aggregated with correct per-layer byte weighting;
 //! * [`DensityTrajectory`] — the **U-shaped density curve** over training
 //!   time (Fig. 4/6/7): density drops sharply while the network prunes
 //!   unimportant features, then partially recovers as accuracy improves;
@@ -34,12 +32,10 @@
 
 #![deny(missing_docs)]
 
-mod density;
 pub mod fit;
 mod gen;
 mod trajectory;
 pub mod visual;
 
-pub use density::{weighted_average_density, DensityStats};
 pub use gen::{ActivationGen, SpatialClustering};
 pub use trajectory::{DensityTrajectory, LossCurve, TRAINING_CHECKPOINTS};

@@ -32,14 +32,10 @@
 
 #![deny(missing_docs)]
 
-mod error;
 mod layout;
 mod shape;
 mod tensor;
-mod view;
 
-pub use error::ShapeMismatchError;
 pub use layout::Layout;
 pub use shape::Shape4;
 pub use tensor::Tensor;
-pub use view::ChannelPlane;

@@ -1,4 +1,4 @@
-use crate::{ChannelPlane, Layout, Shape4, ShapeMismatchError};
+use crate::{Layout, Shape4};
 
 /// An owned 4-D `f32` activation tensor with an explicit memory [`Layout`].
 ///
@@ -178,28 +178,6 @@ impl Tensor {
         out
     }
 
-    /// Copies data from `src`, which must have the same shape (layouts may
-    /// differ; data is transposed as needed).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeMismatchError`] when the shapes differ.
-    pub fn checked_copy_from(&mut self, src: &Tensor) -> Result<(), ShapeMismatchError> {
-        if src.shape != self.shape {
-            return Err(ShapeMismatchError {
-                expected: self.shape,
-                actual: src.shape,
-            });
-        }
-        if src.layout == self.layout {
-            self.data.copy_from_slice(&src.data);
-        } else {
-            let converted = src.to_layout(self.layout);
-            self.data.copy_from_slice(&converted.data);
-        }
-        Ok(())
-    }
-
     /// Number of non-zero elements.
     pub fn count_nonzero(&self) -> usize {
         self.data.iter().filter(|&&v| v != 0.0).count()
@@ -220,16 +198,6 @@ impl Tensor {
                 *v = 0.0;
             }
         }
-    }
-
-    /// A borrowed view of one `(n, c)` channel plane, used by the Fig. 5
-    /// visualizations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` or `c` is out of bounds.
-    pub fn plane(&self, n: usize, c: usize) -> ChannelPlane<'_> {
-        ChannelPlane::new(self, n, c)
     }
 }
 
@@ -307,22 +275,6 @@ mod tests {
         );
         t.relu_in_place();
         assert_eq!(t.as_slice(), &[0.0, 2.0, 0.0, 0.5]);
-    }
-
-    #[test]
-    fn checked_copy_from_converts_layout() {
-        let src = sample(Layout::Nhwc);
-        let mut dst = Tensor::zeros(src.shape(), Layout::Nchw);
-        dst.checked_copy_from(&src).unwrap();
-        assert_eq!(dst.get(1, 2, 3, 4), 1234.0);
-    }
-
-    #[test]
-    fn checked_copy_from_rejects_mismatch() {
-        let src = Tensor::zeros(Shape4::new(1, 1, 1, 2), Layout::Nchw);
-        let mut dst = Tensor::zeros(Shape4::new(1, 1, 2, 1), Layout::Nchw);
-        let err = dst.checked_copy_from(&src).unwrap_err();
-        assert_eq!(err.actual, src.shape());
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! The `pub fn` / `pub const` surface of `crates/*/src` is the called
 //! surface: every such name must appear, as a whole word, in some *other*
 //! `.rs` file of the workspace (or `benchmark/src`), or carry a
-//! `// pub: <reason>` note on the line above. Types are exempt (a
-//! returned struct is reachable without being named), and so are the
-//! hardware models the tests pin against the paper, which stay whole.
+//! `// pub: <reason>` note on the line above. A `pub use` re-export names
+//! an item without using it, so it does not count; a `use … X as Y`
+//! credits every use of `Y` to `X`. Types are exempt (a returned struct
+//! is reachable without being named), and so are the hardware models the
+//! tests pin against the paper, which stay whole.
 //!
 //! The `unsafe` surface is the ZVC kernels': the word occurs in
 //! `crates/*/src` only under `crates/compress/src/zvc/`.
@@ -30,6 +32,37 @@ fn is_word(c: char) -> bool {
     c.is_ascii_alphanumeric() || c == '_'
 }
 
+/// `text` without its `pub use` statements; the `(item, alias)` pair of
+/// every `X as Y` in its `use` statements, re-exports included, goes to
+/// `aliases`.
+fn strip_reexports(text: &str, aliases: &mut Vec<(String, String)>) -> String {
+    let mut kept = String::with_capacity(text.len());
+    // The `use` statement being read: whether it re-exports, and its text.
+    let mut stmt: Option<(bool, String)> = None;
+    for line in text.lines() {
+        let t = line.trim_start();
+        if stmt.is_none() && (t.starts_with("use ") || t.starts_with("pub use ")) {
+            stmt = Some((t.starts_with("pub "), String::new()));
+        }
+        if !matches!(stmt, Some((true, _))) {
+            kept.push_str(line);
+            kept.push('\n');
+        }
+        let Some((_, words)) = &mut stmt else {
+            continue;
+        };
+        words.push_str(line);
+        words.push(' ');
+        if line.contains(';') {
+            let w: Vec<&str> = words.split(|c| !is_word(c)).collect();
+            let renames = w.windows(3).filter(|w| w[1] == "as");
+            aliases.extend(renames.map(|w| (w[0].to_owned(), w[2].to_owned())));
+            stmt = None;
+        }
+    }
+    kept
+}
+
 /// The name a `pub fn` / `pub const` line declares, if it is one.
 fn declared(line: &str) -> Option<&str> {
     let rest = line.trim_start().strip_prefix("pub ")?;
@@ -49,7 +82,12 @@ fn every_pub_fn_and_const_is_named_in_another_file() {
     files.sort();
     let read = |f| fs::read_to_string(f).expect("a .rs file the walk just listed");
     let texts: Vec<String> = files.iter().map(read).collect();
-    let words: Vec<HashSet<&str>> = texts
+    let mut aliases = Vec::new();
+    let uses: Vec<String> = texts
+        .iter()
+        .map(|t| strip_reexports(t, &mut aliases))
+        .collect();
+    let words: Vec<HashSet<&str>> = uses
         .iter()
         .map(|t| t.split(|c| !is_word(c)).collect())
         .collect();
@@ -69,7 +107,13 @@ fn every_pub_fn_and_const_is_named_in_another_file() {
             let noted = above.trim_start().starts_with("// pub: ");
             above = line;
             let Some(name) = declared(line) else { continue };
-            if !noted && !(0..files.len()).any(|j| j != i && words[j].contains(name)) {
+            let aliased = aliases
+                .iter()
+                .filter(|(x, _)| x == name)
+                .map(|(_, y)| y.as_str());
+            let names: Vec<&str> = std::iter::once(name).chain(aliased).collect();
+            let named_in = |j: usize| names.iter().any(|n| words[j].contains(n));
+            if !noted && !(0..files.len()).any(|j| j != i && named_in(j)) {
                 unreferenced.push(format!("{}: {name}", rel.display()));
             }
         }
