@@ -386,12 +386,15 @@ mod tests {
         let w = PeWorkload::from_matrix(&m, 1);
         let acts = vec![1.0f32; 20];
         let t = PeArray::new(1).run(&w, &acts, false);
-        assert_eq!(t.busy_cycles[0], m.nnz());
+        let nnz: u64 = (0..m.cols())
+            .map(|c| m.column_nonzeros(c).count() as u64)
+            .sum();
+        assert_eq!(t.busy_cycles[0], nnz);
         // One PE: makespan is total work plus any cycles where a column
         // broadcast outpaces an empty slice.
-        assert!(t.cycles >= m.nnz());
+        assert!(t.cycles >= nnz);
         assert_eq!(t.load_imbalance(), 1.0);
-        assert_eq!(t.utilization(), m.nnz() as f64 / t.cycles as f64);
+        assert_eq!(t.utilization(), nnz as f64 / t.cycles as f64);
     }
 
     #[test]

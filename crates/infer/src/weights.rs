@@ -39,14 +39,13 @@ thread_local! {
 ///
 /// // W = [[1, 0], [0, 2], [0, 3]]  (3x2, row-major)
 /// let w = CscMatrix::from_dense(3, 2, &[1.0, 0.0, 0.0, 2.0, 0.0, 3.0]);
-/// assert_eq!(w.nnz(), 3);
+/// assert_eq!(w.column_nonzeros(1).collect::<Vec<_>>(), [(1, 2.0), (2, 3.0)]);
 /// assert_eq!(w.matvec(&[10.0, 100.0]), vec![10.0, 200.0, 300.0]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct CscMatrix {
     rows: usize,
     cols: usize,
-    nnz: u64,
     /// All column streams, back to back.
     bytes: Vec<u8>,
     /// `cols + 1` byte offsets into `bytes`.
@@ -87,17 +86,14 @@ impl CscMatrix {
         let mut bytes = Vec::new();
         let mut col_offsets = Vec::with_capacity(cols + 1);
         col_offsets.push(0);
-        let mut nnz = 0u64;
         for c in 0..cols {
             fill(c, &mut scratch);
-            nnz += scratch.iter().filter(|v| v.to_bits() != 0).count() as u64;
             csc.compress_append(&scratch, &mut bytes);
             col_offsets.push(bytes.len());
         }
         CscMatrix {
             rows,
             cols,
-            nnz,
             bytes,
             col_offsets,
         }
@@ -121,11 +117,6 @@ impl CscMatrix {
     /// Input features (matrix columns / input length).
     pub fn cols(&self) -> usize {
         self.cols
-    }
-
-    /// Retained (nonzero) weights across the whole matrix.
-    pub fn nnz(&self) -> u64 {
-        self.nnz
     }
 
     /// The CSC stream of column `c`.
@@ -388,10 +379,6 @@ mod tests {
         for (a, b) in back.iter().zip(&dense) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        assert_eq!(
-            m.nnz(),
-            dense.iter().filter(|v| v.to_bits() != 0).count() as u64
-        );
     }
 
     #[test]
@@ -425,7 +412,16 @@ mod tests {
     fn quantization_bounds_error_and_shrinks_store() {
         let m = CscMatrix::synth(128, 96, 0.25, 11);
         let q = m.quantized(16);
-        assert_eq!(q.nnz(), m.nnz(), "quantization must preserve structure");
+        let rows_of = |m: &CscMatrix| -> Vec<Vec<usize>> {
+            (0..m.cols())
+                .map(|c| m.column_nonzeros(c).map(|(r, _)| r).collect())
+                .collect()
+        };
+        assert_eq!(
+            rows_of(&q),
+            rows_of(&m),
+            "quantization must preserve structure"
+        );
         assert!(
             q.compressed_bytes() < m.compressed_bytes(),
             "16 shared values switch columns to codebook payloads"

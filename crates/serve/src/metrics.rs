@@ -35,11 +35,6 @@ impl LatencyRecorder {
         self.samples.push(seconds);
     }
 
-    /// Number of recorded samples.
-    pub fn count(&self) -> usize {
-        self.samples.len()
-    }
-
     /// Sorts the samples and summarises them; `None` if nothing was
     /// recorded.
     pub fn stats(&mut self) -> Option<LatencyStats> {

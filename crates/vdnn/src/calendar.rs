@@ -1,27 +1,25 @@
 //! # Indexed calendar event queue
 //!
-//! [`CalendarQueue`] is the priority queue behind the cluster simulator's
-//! stage starts: a classic Brown-style *calendar queue* — an array of time
-//! buckets of width `w`, where an event at time `t` lives in bucket
-//! `⌊t/w⌋ mod n` — replacing the `BinaryHeap` it used to carry (the
-//! single-GPU timeline needs no queue: it appends its events and sorts
-//! them once). Each bucket is kept sorted by `(time, seq)`,
-//! so the bucket minimum is always its front: near-future pops touch one
+//! [`CalendarQueue`] is a classic Brown-style *calendar queue* — an array
+//! of time buckets of width `w`, where an event at time `t` lives in
+//! bucket `⌊t/w⌋ mod n`. Each bucket is kept sorted by `(time, seq)`, so
+//! the bucket minimum is always its front: near-future pops touch one
 //! deque end instead of re-heapifying, and a batch of simultaneous events
-//! (a synchronized 1000-GPU stage boundary queues ~1000 entries at one
-//! instant) drains in O(1) per event instead of rescanning the bucket —
-//! which is what keeps the 1000-GPU cluster steps at tens of millions of
-//! events per second.
+//! drains in O(1) per event instead of rescanning the bucket.
+//!
+//! No simulator uses it. It held the cluster simulator's stage starts
+//! until those moved to a `BinaryHeap` with a FIFO lane for same-instant
+//! starts (`StartQueue` in `cluster.rs`), which pops in the same order at
+//! a lower cost. The queue stays because the benchmark's `sim_step`
+//! workload times it (`vdnn.calendar.mops_per_s`, a hold model).
 //!
 //! ## Ordering contract
 //!
-//! Pop order is **exactly** the order the replaced heaps produced: the
-//! minimum by `(time, seq)` where times compare with [`f64::total_cmp`]
-//! and `seq` is the insertion sequence number the queue assigns
-//! monotonically. Ties in time therefore pop in insertion order, and the
-//! flat-fabric cluster results stay bit-identical to the pre-calendar
-//! simulator (pinned by `tests/fabric_cross_validation.rs` and the seeded
-//! oracle suite in `crates/vdnn/tests/calendar_queue_props.rs`).
+//! Pop order is **exactly** a binary heap's: the minimum by `(time,
+//! seq)` where times compare with [`f64::total_cmp`] and `seq` is the
+//! insertion sequence number the queue assigns monotonically. Ties in
+//! time therefore pop in insertion order (pinned against a `BinaryHeap`
+//! oracle by `crates/vdnn/tests/calendar_queue_props.rs`).
 //!
 //! ## Robustness
 //!

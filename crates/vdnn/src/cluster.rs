@@ -57,16 +57,16 @@
 //! assert!((t.total - tl.makespan()).abs() < 1e-12);
 //! ```
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use cdma_gpusim::{SystemConfig, ZvcEngine};
 use cdma_models::NetworkSpec;
 
-use crate::calendar::CalendarQueue;
 use crate::fabric::{FabricSpec, FluidFabric};
 use crate::timeline::{
     busy_total, line_totals, push_busy, Event, EventKind, FlowId, LinkPolicy, Payload, Phase,
-    RequestId, Resource, Stage, StageRecord, StepTimeline, TimelineSim, Transfer, TransferSource,
+    Resource, Stage, StageRecord, StepTimeline, TimelineSim, Transfer, TransferSource,
 };
 use crate::{ComputeModel, StepBreakdown};
 
@@ -534,6 +534,94 @@ enum Owner {
     AllReduce { tenant: usize },
 }
 
+/// Registers a flow on `links` and records what its completions belong
+/// to, so `owners` stays indexed by [`FlowId`].
+fn register(
+    links: &mut FluidFabric,
+    owners: &mut Vec<Owner>,
+    node: Option<usize>,
+    owner: Owner,
+) -> FlowId {
+    let flow = links.flow(node);
+    debug_assert_eq!(flow.index(), owners.len(), "owners indexed by flow");
+    owners.push(owner);
+    flow
+}
+
+/// Stage starts, popped earliest first with ties in push order — the
+/// order of `(time, seq)`. Times are never negative, and for a
+/// sign-positive `f64` the bits order as the value does. A start pushed
+/// at the instant the loop is handling (a transfer-bound stage ends
+/// exactly at the completion that closes it) goes to a FIFO lane rather
+/// than the heap, so a boundary at which every GPU finishes costs O(1)
+/// per start. Every lane entry carries the lane's instant and a rising
+/// seq, so the lane is sorted, and popping the lesser of its front and
+/// the heap's top keeps the order exact.
+#[derive(Default)]
+struct StartQueue {
+    /// `(time.to_bits(), seq, gpu)`, least first.
+    heap: BinaryHeap<Reverse<(u64, u64, usize)>>,
+    /// `(seq, gpu)` of the starts at `instant`, in push order.
+    lane: VecDeque<(u64, usize)>,
+    /// The bits of the lane's instant.
+    instant: u64,
+    seq: u64,
+}
+
+impl StartQueue {
+    /// Makes `t` the lane's instant; starts left in the lane from an
+    /// earlier one move to the heap.
+    fn open_instant(&mut self, t: f64) {
+        for (seq, gpu) in self.lane.drain(..) {
+            self.heap.push(Reverse((self.instant, seq, gpu)));
+        }
+        self.instant = t.to_bits();
+    }
+
+    fn push(&mut self, time: f64, gpu: usize) {
+        debug_assert!(time.is_sign_positive(), "stage start {time} before 0");
+        let key = time.to_bits();
+        if key == self.instant {
+            self.lane.push_back((self.seq, gpu));
+        } else {
+            self.heap.push(Reverse((key, self.seq, gpu)));
+        }
+        self.seq += 1;
+    }
+
+    /// Whether the least start is the lane's front rather than the
+    /// heap's top.
+    fn lane_first(&self) -> bool {
+        match (self.heap.peek(), self.lane.front()) {
+            (Some(&Reverse((key, seq, _))), Some(&(lane_seq, _))) => {
+                (self.instant, lane_seq) < (key, seq)
+            }
+            (None, lane) => lane.is_some(),
+            (Some(_), None) => false,
+        }
+    }
+
+    fn min_time(&self) -> Option<f64> {
+        if self.lane_first() {
+            Some(f64::from_bits(self.instant))
+        } else {
+            self.heap
+                .peek()
+                .map(|&Reverse((key, _, _))| f64::from_bits(key))
+        }
+    }
+
+    fn pop(&mut self) -> Option<(f64, usize)> {
+        if self.lane_first() {
+            let (_, gpu) = self.lane.pop_front()?;
+            Some((f64::from_bits(self.instant), gpu))
+        } else {
+            let Reverse((key, _, gpu)) = self.heap.pop()?;
+            Some((f64::from_bits(key), gpu))
+        }
+    }
+}
+
 struct Waiting {
     start: f64,
     compute_end: f64,
@@ -572,8 +660,9 @@ struct TenantRun {
     allreduce_flow: Option<FlowId>,
     /// Per-layer ring wire bytes (overlap mode).
     layer_wire: Vec<f64>,
-    /// GPUs still owing each backward layer (overlap mode).
-    layer_pending: HashMap<usize, (usize, f64)>,
+    /// Per backward layer (overlap mode): the GPUs still owing it and
+    /// the latest time a GPU has finished it.
+    layer_pending: Vec<(usize, f64)>,
     chunks_in_flight: usize,
     allreduce_start: Option<f64>,
     allreduce_end: f64,
@@ -588,10 +677,10 @@ struct SharedEngine {
     links: FluidFabric,
     gpus: Vec<GpuRun>,
     tenants: Vec<TenantRun>,
-    owners: HashMap<RequestId, Owner>,
-    /// Stage-start events: pops the earliest start first, ties by
-    /// insertion order (the calendar queue's sequence numbers).
-    starts: CalendarQueue<usize>,
+    /// What each flow's completions belong to, by [`FlowId`]: a GPU
+    /// flow has one transfer in flight, a gradient flow one tenant.
+    owners: Vec<Owner>,
+    starts: StartQueue,
     overlap: bool,
 }
 
@@ -610,6 +699,7 @@ impl SharedEngine {
         let mut plans = Vec::new();
         let mut fidelities = Vec::new();
         let mut networks = Vec::new();
+        let mut owners = Vec::new();
         for (ti, t) in tenants.iter().enumerate() {
             plans.push(sim.plan(t));
             fidelities.push(t.source.fidelity());
@@ -617,7 +707,14 @@ impl SharedEngine {
             let allreduce = (t.gpus > 1).then(|| GradientAllReduce::ring(t.spec, t.gpus));
             // Gradient rings cross between nodes: spine-only traffic on
             // any fabric.
-            let allreduce_flow = allreduce.map(|_| links.flow(None));
+            let allreduce_flow = allreduce.map(|_| {
+                register(
+                    &mut links,
+                    &mut owners,
+                    None,
+                    Owner::AllReduce { tenant: ti },
+                )
+            });
             // Overlap mode splits the same checked ring total into
             // per-layer chunks — both modes go through the one audited
             // weight-count-to-bytes conversion.
@@ -635,15 +732,16 @@ impl SharedEngine {
                 step_end: 0.0,
                 allreduce,
                 allreduce_flow,
+                layer_pending: vec![(t.gpus, 0.0); layer_wire.len()],
                 layer_wire,
-                layer_pending: HashMap::new(),
                 chunks_in_flight: 0,
                 allreduce_start: None,
                 allreduce_end: 0.0,
             });
             for _ in 0..t.gpus {
                 let node = fabric.node_of(gpus.len());
-                let flow = links.flow(node);
+                let owner = Owner::Stage { gpu: gpus.len() };
+                let flow = register(&mut links, &mut owners, node, owner);
                 gpus.push(GpuRun {
                     tenant: ti,
                     flow,
@@ -671,20 +769,17 @@ impl SharedEngine {
             links,
             gpus,
             tenants: tenant_runs,
-            owners: HashMap::new(),
-            starts: CalendarQueue::new(),
+            owners,
+            starts: StartQueue::default(),
             overlap: sim.overlap_allreduce,
         }
     }
 
-    fn push_start(&mut self, time: f64, gpu: usize) {
-        self.starts.push(time, gpu);
-    }
-
     fn run(&mut self) {
         for gpu in 0..self.gpus.len() {
-            self.push_start(0.0, gpu);
+            self.starts.push(0.0, gpu);
         }
+        let mut done = Vec::new();
         loop {
             let t_start = self.starts.min_time();
             let t_arb = self.links.next_event();
@@ -699,8 +794,13 @@ impl SharedEngine {
             // completions only at exactly `t` — follow-on submissions
             // can never land in the past.
             self.links.advance_to(t.max(self.links.now()));
-            for (req, tc) in self.links.take_completions() {
-                self.handle_completion(req, tc);
+            // A transfer-bound stage ends at its completion, at `t`: the
+            // starts that completions release take the queue's lane.
+            self.starts.open_instant(t);
+            self.links.drain_completions(&mut done);
+            for (req, tc) in done.drain(..) {
+                let flow = self.links.flow_of(req);
+                self.handle_completion(flow, tc);
             }
             while self.starts.min_time().is_some_and(|t0| t0 <= t) {
                 let (time, gpu) = self.starts.pop().expect("peeked");
@@ -742,8 +842,7 @@ impl SharedEngine {
                     compute_end,
                 });
                 let flow = run.flow;
-                let req = self.links.submit(flow, t, d.wire_bytes, d.max_rate);
-                self.owners.insert(req, Owner::Stage { gpu });
+                self.links.submit(flow, t, d.wire_bytes, d.max_rate);
             }
         }
     }
@@ -800,7 +899,7 @@ impl SharedEngine {
         if retired {
             run.finished_at = Some(end);
         } else {
-            self.push_start(end, gpu);
+            self.starts.push(end, gpu);
         }
         if let Some(layer) = backward_layer {
             self.gradient_ready(tenant, layer, end);
@@ -823,14 +922,13 @@ impl SharedEngine {
         if tr.layer_wire.is_empty() {
             return;
         }
-        let gpus = tr.gpus;
-        let entry = tr.layer_pending.entry(layer).or_insert((gpus, 0.0));
-        entry.0 -= 1;
-        entry.1 = entry.1.max(at);
-        if entry.0 > 0 {
+        let pending = &mut tr.layer_pending[layer];
+        pending.0 -= 1;
+        pending.1 = pending.1.max(at);
+        if pending.0 > 0 {
             return;
         }
-        let (_, ready_at) = tr.layer_pending.remove(&layer).expect("entry present");
+        let (_, ready_at) = std::mem::replace(pending, (tr.gpus, 0.0));
         let wire = tr.layer_wire[layer];
         if wire <= 0.0 {
             return;
@@ -838,10 +936,8 @@ impl SharedEngine {
         let flow = tr.allreduce_flow.expect("overlap implies a gradient flow");
         tr.chunks_in_flight += 1;
         tr.allreduce_start = Some(tr.allreduce_start.map_or(ready_at, |s| s.min(ready_at)));
-        let req = self
-            .links
+        self.links
             .submit(flow, ready_at.max(self.links.now()), wire, f64::INFINITY);
-        self.owners.insert(req, Owner::AllReduce { tenant });
     }
 
     /// Every GPU of the tenant finished its step: launch the serialized
@@ -860,16 +956,11 @@ impl SharedEngine {
         tr.chunks_in_flight += 1;
         tr.allreduce_start = Some(tr.step_end);
         let at = tr.step_end.max(self.links.now());
-        let req = self.links.submit(flow, at, wire, f64::INFINITY);
-        self.owners.insert(req, Owner::AllReduce { tenant });
+        self.links.submit(flow, at, wire, f64::INFINITY);
     }
 
-    fn handle_completion(&mut self, req: RequestId, tc: f64) {
-        match self
-            .owners
-            .remove(&req)
-            .expect("completed request is owned")
-        {
+    fn handle_completion(&mut self, flow: FlowId, tc: f64) {
+        match self.owners[flow.index()] {
             Owner::Stage { gpu } => {
                 let w = self.gpus[gpu].waiting.take().expect("stage in flight");
                 let end = w.compute_end.max(tc);
@@ -1112,6 +1203,101 @@ mod tests {
                 assert!(e.time >= prev, "event log out of order");
                 prev = e.time;
             }
+        }
+    }
+
+    /// The order `StartQueue` must reproduce: `(time, seq)` under
+    /// `f64::total_cmp`, least first out of a max-heap.
+    struct OracleStart(f64, u64);
+
+    impl Ord for OracleStart {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            other.0.total_cmp(&self.0).then(other.1.cmp(&self.1))
+        }
+    }
+
+    impl PartialOrd for OracleStart {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl PartialEq for OracleStart {
+        fn eq(&self, other: &Self) -> bool {
+            self.cmp(other).is_eq()
+        }
+    }
+
+    impl Eq for OracleStart {}
+
+    #[test]
+    fn start_queue_pops_in_time_then_push_order() {
+        let mut state = 0x5EED_u64;
+        let mut next = move |n: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        for case in 0..1200 {
+            let mut q = StartQueue::default();
+            let mut oracle = BinaryHeap::new();
+            let mut seq = 0u64;
+            let mut now = 0.0f64;
+            // A start at the current instant, or at a coarse future time
+            // (ties across pushes).
+            let mut push = |q: &mut StartQueue, oracle: &mut BinaryHeap<_>, now: f64, r: u64| {
+                let time = if r.is_multiple_of(2) {
+                    now
+                } else {
+                    now + (1 + r % 5) as f64 * 0.25
+                };
+                q.push(time, seq as usize);
+                oracle.push(OracleStart(time, seq));
+                seq += 1;
+            };
+            let check_pop = |q: &mut StartQueue, oracle: &mut BinaryHeap<OracleStart>| {
+                let want = oracle.pop().map(|o| (o.0.to_bits(), o.1 as usize));
+                let got = q.pop().map(|(t, gpu)| (t.to_bits(), gpu));
+                assert_eq!(got, want, "case {case}: pop order");
+            };
+            for _ in 0..40 {
+                match next(4) {
+                    // A tie storm, or a few future starts.
+                    0 | 1 => {
+                        for _ in 0..=next(24) {
+                            push(&mut q, &mut oracle, now, next(1 << 20));
+                        }
+                    }
+                    // A pop outside any drain.
+                    2 => check_pop(&mut q, &mut oracle),
+                    // The engine's step: open the earliest instant and
+                    // drain it, pushing mid-drain; sometimes stop early,
+                    // leaving the lane to the next instant.
+                    _ => {
+                        let Some(t) = oracle.peek().map(|o| o.0) else {
+                            continue;
+                        };
+                        now = t;
+                        q.open_instant(t);
+                        while oracle.peek().is_some_and(|o| o.0 <= t) && next(16) != 0 {
+                            assert_eq!(
+                                q.min_time().map(f64::to_bits),
+                                oracle.peek().map(|o| o.0.to_bits()),
+                                "case {case}: min_time"
+                            );
+                            check_pop(&mut q, &mut oracle);
+                            if next(3) == 0 {
+                                push(&mut q, &mut oracle, now, next(1 << 20));
+                            }
+                        }
+                    }
+                }
+            }
+            while !oracle.is_empty() {
+                check_pop(&mut q, &mut oracle);
+            }
+            assert_eq!(q.pop(), None, "case {case}: drained");
         }
     }
 }

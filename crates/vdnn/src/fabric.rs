@@ -492,9 +492,15 @@ impl FluidFabric {
         self.events_processed
     }
 
-    /// Completions produced since the last call, in completion order.
-    pub fn take_completions(&mut self) -> Vec<(RequestId, f64)> {
-        std::mem::take(&mut self.completions)
+    /// Moves the completions produced since the last call onto the end
+    /// of `out`, in completion order; `out` is the caller's to reuse.
+    pub fn drain_completions(&mut self, out: &mut Vec<(RequestId, f64)>) {
+        out.append(&mut self.completions);
+    }
+
+    /// The flow `req` was submitted on.
+    pub(crate) fn flow_of(&self, req: RequestId) -> FlowId {
+        FlowId::from_index(self.requests[req.index()].flow)
     }
 
     /// Whether any submitted transfer still has bytes to move.

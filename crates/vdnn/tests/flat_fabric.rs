@@ -198,8 +198,9 @@ fn run_fabric(load: &[Vec<(f64, f64, f64)>]) -> Vec<((usize, usize), f64)> {
     }
     link.run_until_idle();
     assert!(!link.has_backlog(), "drained");
-    link.take_completions()
-        .into_iter()
+    let mut done = Vec::new();
+    link.drain_completions(&mut done);
+    done.into_iter()
         .map(|(req, at)| {
             let &(_, id) = ids.iter().find(|(r, _)| *r == req).expect("submitted");
             (id, at)
