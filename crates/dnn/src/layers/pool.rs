@@ -23,8 +23,9 @@ pub struct Pool {
     kind: PoolKind,
     window: usize,
     stride: usize,
-    /// For max pooling: flat input index chosen per output element.
-    argmax: Option<Vec<usize>>,
+    /// For max pooling: flat input index chosen per output element by the
+    /// last forward pass (its buffer reused by the next).
+    argmax: Vec<usize>,
     input_shape: Option<Shape4>,
 }
 
@@ -44,7 +45,7 @@ impl Pool {
             kind,
             window,
             stride,
-            argmax: None,
+            argmax: Vec::new(),
             input_shape: None,
         }
     }
@@ -82,54 +83,48 @@ impl Layer for Pool {
         let s = input.shape();
         let os = self.output_shape(s);
         let xs = input.as_slice();
-        let (xsn, xsc, xsh, _) = Layout::Nchw.strides(s);
+        let (_, xsc, xsh, _) = Layout::Nchw.strides(s);
+        let (window, stride) = (self.window, self.stride);
         let mut y = Tensor::zeros(os, Layout::Nchw);
-        let mut argmax = vec![0usize; os.len()];
-        {
-            let ys = y.as_mut_slice();
-            let mut oi = 0usize;
-            for n in 0..s.n {
-                for c in 0..s.c {
-                    let base = n * xsn + c * xsc;
-                    for oh in 0..os.h {
-                        for ow in 0..os.w {
-                            match self.kind {
-                                PoolKind::Max => {
-                                    let mut best = f32::NEG_INFINITY;
-                                    let mut best_idx = 0usize;
-                                    for kh in 0..self.window {
-                                        for kw in 0..self.window {
-                                            let idx = base
-                                                + (oh * self.stride + kh) * xsh
-                                                + (ow * self.stride + kw);
-                                            if xs[idx] > best {
-                                                best = xs[idx];
-                                                best_idx = idx;
-                                            }
-                                        }
-                                    }
-                                    ys[oi] = best;
-                                    argmax[oi] = best_idx;
-                                }
-                                PoolKind::Avg => {
-                                    let mut acc = 0f32;
-                                    for kh in 0..self.window {
-                                        for kw in 0..self.window {
-                                            acc += xs[base
-                                                + (oh * self.stride + kh) * xsh
-                                                + (ow * self.stride + kw)];
-                                        }
-                                    }
-                                    ys[oi] = acc / (self.window * self.window) as f32;
-                                }
-                            }
-                            oi += 1;
+        let mut argmax = std::mem::take(&mut self.argmax);
+        argmax.clear();
+        if self.kind == PoolKind::Max {
+            argmax.resize(os.len(), 0);
+        }
+        // One output row at a time: image-channel plane `r / os.h`, row
+        // `r % os.h`.
+        for (r, yrow) in y.as_mut_slice().chunks_exact_mut(os.w).enumerate() {
+            let top = (r / os.h) * xsc + (r % os.h) * stride * xsh;
+            match self.kind {
+                PoolKind::Max => {
+                    let arow = &mut argmax[r * os.w..][..os.w];
+                    let outputs = yrow.iter_mut().zip(arow).enumerate();
+                    if window == 2 {
+                        // The tiny networks' windows, unrolled.
+                        for (ow, (out, a)) in outputs {
+                            (*out, *a) = window_max(xs, top + ow * stride, xsh, 2);
                         }
+                    } else {
+                        for (ow, (out, a)) in outputs {
+                            (*out, *a) = window_max(xs, top + ow * stride, xsh, window);
+                        }
+                    }
+                }
+                PoolKind::Avg => {
+                    for (ow, out) in yrow.iter_mut().enumerate() {
+                        let mut acc = 0f32;
+                        for kh in 0..window {
+                            let at = top + kh * xsh + ow * stride;
+                            for &v in &xs[at..at + window] {
+                                acc += v;
+                            }
+                        }
+                        *out = acc / (window * window) as f32;
                     }
                 }
             }
         }
-        self.argmax = Some(argmax);
+        self.argmax = argmax;
         self.input_shape = Some(s);
         y
     }
@@ -148,8 +143,7 @@ impl Layer for Pool {
         let dxs = dx.as_mut_slice();
         match self.kind {
             PoolKind::Max => {
-                let argmax = self.argmax.as_ref().expect("argmax cached");
-                for (oi, &src) in argmax.iter().enumerate() {
+                for (oi, &src) in self.argmax.iter().enumerate() {
                     dxs[src] += gs[oi];
                 }
             }
@@ -179,6 +173,24 @@ impl Layer for Pool {
         }
         dx
     }
+}
+
+/// The first strict maximum of the window whose top-left input is
+/// `corner`, and its flat index, by selects: a `NaN` never wins, and a
+/// window no tap beats gives `(-inf, 0)`.
+#[inline(always)]
+fn window_max(xs: &[f32], corner: usize, row_stride: usize, window: usize) -> (f32, usize) {
+    let mut best = f32::NEG_INFINITY;
+    let mut best_idx = 0usize;
+    for kh in 0..window {
+        let row = corner + kh * row_stride;
+        for (idx, &v) in (row..).zip(&xs[row..row + window]) {
+            let take = v > best;
+            best = if take { v } else { best };
+            best_idx = if take { idx } else { best_idx };
+        }
+    }
+    (best, best_idx)
 }
 
 #[cfg(test)]
@@ -275,10 +287,46 @@ mod tests {
         assert_eq!(dx.as_slice(), &[0.0, 0.0, 2.0, 0.0]);
     }
 
+    /// Ties keep the first maximum in window order, in bits (`-0.0` and
+    /// `+0.0` are a tie, in either order), and the gradient goes to that
+    /// element; `NaN` never wins.
+    #[test]
+    fn max_pool_keeps_the_first_maximum_on_ties() {
+        let mut p = Pool::new("p", PoolKind::Max, 2, 2);
+        #[rustfmt::skip]
+        let x = Tensor::from_vec(
+            Shape4::new(1, 1, 2, 8),
+            Layout::Nchw,
+            vec![
+                1.0, 3.0,  -0.0, 0.0,  f32::NAN, -1.0,  0.0, -0.0,
+                3.0, 2.0,  0.0, 0.0,   -2.0, -1.0,      -0.0, -0.0,
+            ],
+        );
+        let y = p.forward(&x, Mode::Train);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(y.as_slice()), bits(&[3.0, -0.0, -1.0, 0.0]));
+        let g = Tensor::from_vec(
+            Shape4::new(1, 1, 1, 4),
+            Layout::Nchw,
+            vec![1.0, 2.0, 4.0, 8.0],
+        );
+        let dx = p.backward(&g);
+        #[rustfmt::skip]
+        assert_eq!(
+            dx.as_slice(),
+            &[
+                0.0, 1.0,  2.0, 0.0,  0.0, 4.0,  8.0, 0.0,
+                0.0, 0.0,  0.0, 0.0,  0.0, 0.0,  0.0, 0.0,
+            ]
+        );
+    }
+
     #[test]
     fn gradcheck_max_pool() {
         let mut p = Pool::new("p", PoolKind::Max, 2, 2);
         gradcheck::check_input_gradient(&mut p, &input(3), 2e-2);
+        let mut p = Pool::new("p", PoolKind::Max, 3, 1);
+        gradcheck::check_input_gradient(&mut p, &input(4), 2e-2);
     }
 
     #[test]

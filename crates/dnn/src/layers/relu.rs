@@ -12,7 +12,8 @@ use crate::{Layer, LayerKind, Mode};
 #[derive(Debug)]
 pub struct Relu {
     name: String,
-    /// Mask of positive inputs from the last forward pass.
+    /// Mask of positive inputs from the last forward pass; its buffer is
+    /// reused by the next.
     mask: Option<Vec<bool>>,
 }
 
@@ -40,15 +41,13 @@ impl Layer for Relu {
     }
 
     fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
-        let mut out = input.clone();
-        let mask: Vec<bool> = input.as_slice().iter().map(|&v| v > 0.0).collect();
-        for (v, &keep) in out.as_mut_slice().iter_mut().zip(&mask) {
-            if !keep {
-                *v = 0.0;
-            }
-        }
+        let xs = input.as_slice();
+        let mut mask = self.mask.take().unwrap_or_default();
+        mask.clear();
+        mask.extend(xs.iter().map(|&v| v > 0.0));
         self.mask = Some(mask);
-        out
+        let out = xs.iter().map(|&v| if v > 0.0 { v } else { 0.0 }).collect();
+        Tensor::from_vec(input.shape(), input.layout(), out)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -61,9 +60,7 @@ impl Layer for Relu {
         );
         let mut dx = grad_out.clone();
         for (g, &keep) in dx.as_mut_slice().iter_mut().zip(mask) {
-            if !keep {
-                *g = 0.0;
-            }
+            *g = if keep { *g } else { 0.0 };
         }
         dx
     }
@@ -115,6 +112,34 @@ mod tests {
         let y = relu.forward(&x, Mode::Train);
         let d = y.density();
         assert!((d - 0.5).abs() < 0.02, "density {d}");
+    }
+
+    /// The forward in bits: `-0.0` and `NaN` map to `+0.0`, `+inf` and a
+    /// subnormal to themselves; the gradient is gated on `x > 0` and passes
+    /// through in bits where it is open.
+    #[test]
+    fn edge_values_map_in_bits() {
+        let sub = f32::from_bits(1);
+        let xs = vec![
+            -0.0,
+            f32::NAN,
+            f32::INFINITY,
+            sub,
+            -sub,
+            f32::NEG_INFINITY,
+            0.0,
+            2.5,
+        ];
+        let shape = Shape4::new(1, 1, 1, xs.len());
+        let mut relu = Relu::new("r");
+        let y = relu.forward(&Tensor::from_vec(shape, Layout::Nchw, xs), Mode::Train);
+        let want = [0.0, 0.0, f32::INFINITY, sub, 0.0, 0.0, 0.0, 2.5];
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(y.as_slice()), bits(&want));
+        let g = vec![1.0, 1.0, -0.0, f32::NAN, 1.0, 1.0, 1.0, -3.0];
+        let dx = relu.backward(&Tensor::from_vec(shape, Layout::Nchw, g));
+        let want = [0.0, 0.0, -0.0, f32::NAN, 0.0, 0.0, 0.0, -3.0];
+        assert_eq!(bits(dx.as_slice()), bits(&want));
     }
 
     #[test]

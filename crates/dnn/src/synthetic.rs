@@ -75,18 +75,12 @@ impl SyntheticImages {
             let contrast = self.rng.gen_range(0.6..1.4);
             let offset_h = self.rng.gen_range(-2i64..=2) as f64;
             let offset_w = self.rng.gen_range(-2i64..=2) as f64;
+            let offset = (offset_h, offset_w);
             for c in 0..self.channels {
+                let plane = class_plane(label, self.classes, c, self.size, offset, phase);
                 for h in 0..self.size {
                     for w in 0..self.size {
-                        let sig = class_signal(
-                            label,
-                            self.classes,
-                            c,
-                            h as f64 + offset_h,
-                            w as f64 + offset_w,
-                            self.size as f64,
-                            phase,
-                        );
+                        let sig = plane[h * self.size + w];
                         let noise = self.rng.gen_range(-1.0..1.0) * self.noise;
                         out.set(n, c, h, w, ((sig * contrast) + noise) as f32);
                     }
@@ -94,6 +88,63 @@ impl SyntheticImages {
             }
         }
         out
+    }
+}
+
+/// [`class_signal`] over one `size`×`size` channel plane whose coordinates
+/// are shifted by `offset`, row-major. A factor that depends only on the
+/// row, the column or a diagonal is evaluated once per row, column or
+/// diagonal: the same calls with the same arguments, because the shifted
+/// coordinates are small integers (exact in `f64`), so `h + w` and `h − w`
+/// depend only on the diagonal. The blob family is evaluated per pixel.
+fn class_plane(
+    label: usize,
+    classes: usize,
+    channel: usize,
+    size: usize,
+    (offset_h, offset_w): (f64, f64),
+    phase: f64,
+) -> Vec<f64> {
+    let extent = size as f64;
+    let (row, col) = (
+        |h: usize| h as f64 + offset_h,
+        |w: usize| w as f64 + offset_w,
+    );
+    let variant = (label / 4 + 1) as f64;
+    let freq = std::f64::consts::TAU * (1.0 + variant) / extent;
+    let ch_flip = if channel.is_multiple_of(2) { 1.0 } else { -1.0 };
+    let pixels = (0..size * size).map(|i| (i / size, i % size));
+    match label % 4 {
+        0 => {
+            let rows: Vec<f64> = (0..size)
+                .map(|h| (freq * row(h) + phase).sin() * ch_flip)
+                .collect();
+            pixels.map(|(h, _)| rows[h]).collect()
+        }
+        1 => {
+            let cols: Vec<f64> = (0..size)
+                .map(|w| (freq * col(w) + phase).sin() * ch_flip)
+                .collect();
+            pixels.map(|(_, w)| cols[w]).collect()
+        }
+        2 => {
+            // Anti-diagonal `h + w = d`; diagonal `h − w = d − (size − 1)`.
+            let last = size - 1;
+            let sums: Vec<f64> = (0..2 * size - 1)
+                .map(|d| (freq * (row(d.min(last)) + col(d - d.min(last))) / 1.5 + phase).sin())
+                .collect();
+            let diffs: Vec<f64> = (0..2 * size - 1)
+                .map(|d| {
+                    (freq * (row(d.saturating_sub(last)) - col(last.saturating_sub(d))) / 1.5).cos()
+                })
+                .collect();
+            pixels
+                .map(|(h, w)| (sums[h + w] * diffs[h + last - w]) * ch_flip)
+                .collect()
+        }
+        _ => pixels
+            .map(|(h, w)| class_signal(label, classes, channel, row(h), col(w), extent, phase))
+            .collect(),
     }
 }
 
@@ -190,6 +241,35 @@ mod tests {
         let c2 = mean_image(&mut gen, 2);
         assert!(dist(&c0a, &c1) > 2.5 * dist(&c0a, &c0b));
         assert!(dist(&c1, &c2) > 2.5 * dist(&c0a, &c0b));
+    }
+
+    #[test]
+    fn class_plane_equals_the_per_pixel_signal_in_bits() {
+        for size in [8, 13, 16] {
+            for label in 0..8 {
+                for channel in 0..2 {
+                    for (offset_h, offset_w) in [(-2.0, 1.0), (0.0, 0.0), (2.0, -2.0)] {
+                        for phase in [0.0, 0.137, 0.29] {
+                            let plane =
+                                class_plane(label, 8, channel, size, (offset_h, offset_w), phase);
+                            for (i, v) in plane.iter().enumerate() {
+                                let (h, w) = ((i / size) as f64, (i % size) as f64);
+                                let want = class_signal(
+                                    label,
+                                    8,
+                                    channel,
+                                    h + offset_h,
+                                    w + offset_w,
+                                    size as f64,
+                                    phase,
+                                );
+                                assert_eq!(v.to_bits(), want.to_bits(), "label {label} pixel {i}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
