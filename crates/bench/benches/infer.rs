@@ -5,7 +5,6 @@
 //! ```text
 //! cargo bench -p cdma-bench --bench infer                 # full run
 //! cargo bench -p cdma-bench --bench infer -- --fast       # CI smoke
-//! cargo bench -p cdma-bench --bench infer -- --record     # append BENCH_infer.json
 //! ```
 //!
 //! Acceptance bars asserted here:
@@ -19,35 +18,30 @@
 //!   schedule by ≥ 5× at 10% weights × 30% acts;
 //! * the virtual-time serving run (InferKernel next to a compress
 //!   tenant) replays bit-identically.
+//!
+//! The exact values it prints at full size (the PE array's speedups and
+//! imbalance, the serving run's infer ratio and completed count) are
+//! pinned in bits by `crates/infer/tests/bench_pins.rs`.
 
 use std::time::Instant;
 
-use cdma_bench::trajectory::Trajectory;
 use cdma_compress::Algorithm;
 use cdma_infer::{CscMatrix, InferKernel, PeArray, PeWorkload};
 use cdma_serve::{
     fill_activations, run_virtual_with_kernel, ServerConfig, ServiceModel, TenantLoad, TenantSpec,
 };
 
-struct Args {
-    fast: bool,
-    record: bool,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        fast: false,
-        record: false,
-    };
+/// Whether `--fast` was passed (the CI smoke size).
+fn parse_fast() -> bool {
+    let mut fast = false;
     for a in std::env::args().skip(1) {
         match a.as_str() {
-            "--fast" => args.fast = true,
-            "--record" => args.record = true,
+            "--fast" => fast = true,
             "--bench" => {} // passed by `cargo bench`
             other => panic!("unknown flag {other:?}"),
         }
     }
-    args
+    fast
 }
 
 const SEED: u64 = 42;
@@ -72,9 +66,9 @@ fn time_per_call(budget_s: f64, mut f: impl FnMut()) -> f64 {
 }
 
 fn main() {
-    let args = parse_args();
-    let (rows, cols) = if args.fast { (512, 512) } else { (1024, 1024) };
-    let budget = if args.fast { 0.05 } else { 0.3 };
+    let fast = parse_fast();
+    let (rows, cols) = if fast { (512, 512) } else { (1024, 1024) };
+    let budget = if fast { 0.05 } else { 0.3 };
 
     let matrix = CscMatrix::synth(rows, cols, DENSITY, SEED);
     let dense = matrix.to_dense();
@@ -154,7 +148,7 @@ fn main() {
     );
 
     // --- Serving determinism: the kernel on the shared virtual pool.
-    let kernel = InferKernel::new(CscMatrix::synth(rows, cols, DENSITY, SEED));
+    let kernel = InferKernel::new(matrix);
     let cfg = ServerConfig {
         algorithm: Algorithm::Csc,
         ..ServerConfig::default()
@@ -166,7 +160,7 @@ fn main() {
             .inference(rows as u32),
         TenantLoad::new(TenantSpec::new("trainer"), 20_000.0),
     ];
-    let horizon = if args.fast { 0.002 } else { 0.01 };
+    let horizon = if fast { 0.002 } else { 0.01 };
     let run = || {
         run_virtual_with_kernel(
             &cfg,
@@ -190,24 +184,4 @@ fn main() {
         "serving: {} infer + {} compress requests, infer wire ratio {ratio:.2}x, rerun bit-identical",
         infer.counters.completed, virt.tenants[1].counters.completed
     );
-
-    if args.record {
-        let mut t = Trajectory::new("infer");
-        t.metric("rows", rows as f64)
-            .metric("matvec_dense_us", dense_s * 1e6)
-            .metric("matvec_csc_us", csc_s * 1e6)
-            .metric("matvec_wall_speedup", wall_speedup)
-            .metric("matvec_csc_batch32_us", batch_s * 1e6)
-            .metric("batch32_wall_speedup", batch_speedup)
-            .metric(
-                "pe_speedup_csc",
-                dense_cycles as f64 / csc_t.cycles.max(1) as f64,
-            )
-            .metric("pe_speedup_csc_act", pe_speedup)
-            .metric("pe_imbalance", act_t.load_imbalance())
-            .metric("serve_infer_ratio", ratio)
-            .metric("serve_completed", virt.total_completed() as f64);
-        let path = t.append_default().expect("append BENCH_infer.json");
-        println!("recorded trajectory point in {}", path.display());
-    }
 }

@@ -10,14 +10,14 @@
 //! cargo run -p cdma-bench --release -- experiments all --format json --jobs 4
 //! ```
 //!
-//! [`cli`] parses the command line; [`trajectory`] appends recorded runs
-//! of the one `cargo bench` target, `infer` (CSC matvec, PE array, shared
-//! serving pool), to the committed `BENCH_infer.json`. Throughput and
-//! latency of every other layer are measured by the standalone benchmark:
+//! [`cli`] parses the command line. The one `cargo bench` target,
+//! `infer` (CSC matvec, PE array, shared serving pool), asserts its bars
+//! and prints its numbers; `cdma-infer`'s `tests/bench_pins.rs` pins the
+//! exact ones. Throughput and latency of every other layer are measured
+//! by the standalone benchmark:
 //! `bash benchmark/run.sh --workload offload_zvc | offload_entropy |
 //! serve_4k | sim_step | repro_all` (metrics declared in `BENCHMARK.json`).
 
 #![deny(missing_docs)]
 
 pub mod cli;
-pub mod trajectory;

@@ -13,9 +13,17 @@
 //!    activations. The headline is the zoo-wide reduction.
 //! 3. **serving** — the [`InferKernel`] on the `cdma-serve` worker pool
 //!    next to a compress tenant, batch-1 latency against batched
-//!    throughput, through the deterministic virtual-time harness.
+//!    throughput, through the deterministic virtual-time harness. The
+//!    view reads traffic ratios and modeled latencies only, so the twin
+//!    asks the kernel for each job's traffic and no matvec runs.
 //! 4. **energy** — the Section VII-C transfer-energy model applied to
 //!    the zoo traffic totals per engine.
+//!
+//! The synthetic weight layer of each density is built once, on first
+//! use, and shared by the sweep's engines, the serving view and the
+//! Gantt.
+
+use std::sync::OnceLock;
 
 use cdma_compress::{Algorithm, Compressor, Csc, Zvc};
 use cdma_gpusim::energy::EnergyModel;
@@ -155,6 +163,40 @@ fn pe_counts(ctx: &Context) -> &'static [usize] {
     }
 }
 
+/// The sweep's weight layers, one per density, each synthesized on
+/// first use: the dense engine's sweep builds none, and the serving
+/// view and the Gantt share the [`WEIGHT_DENSITY`] layer with the CSC
+/// engines' sweeps.
+struct SweepWeights {
+    rows: usize,
+    cols: usize,
+    built: Vec<(f64, OnceLock<CscMatrix>)>,
+}
+
+impl SweepWeights {
+    fn new(ctx: &Context) -> Self {
+        let (rows, cols) = sweep_dims(ctx);
+        SweepWeights {
+            rows,
+            cols,
+            built: densities(ctx)
+                .iter()
+                .map(|&d| (d, OnceLock::new()))
+                .collect(),
+        }
+    }
+
+    /// The layer at `density`, one of [`densities`].
+    fn at(&self, density: f64) -> &CscMatrix {
+        let (_, cell) = self
+            .built
+            .iter()
+            .find(|(d, _)| *d == density)
+            .expect("a swept density");
+        cell.get_or_init(|| CscMatrix::synth(self.rows, self.cols, density, SEED))
+    }
+}
+
 /// Broadcast activations for the sweep: ~30% nonzero, seeded.
 fn sweep_acts(cols: usize) -> Vec<f32> {
     let mut acts = vec![0.0f32; cols];
@@ -162,19 +204,21 @@ fn sweep_acts(cols: usize) -> Vec<f32> {
     acts
 }
 
-fn speedup_rows(ctx: &Context, engine: InferEngine) -> Vec<InferSpeedupRow> {
-    let (rows, cols) = sweep_dims(ctx);
+fn speedup_rows(
+    ctx: &Context,
+    weights: &SweepWeights,
+    engine: InferEngine,
+) -> Vec<InferSpeedupRow> {
+    let (rows, cols) = (weights.rows, weights.cols);
     let acts = sweep_acts(cols);
     let mut out = Vec::new();
     for &density in densities(ctx) {
-        // Synthesized once per density, re-sliced per PE count. The dense
-        // engine ignores pruning: its workload is every weight.
-        let matrix = engine
-            .compressed_weights()
-            .then(|| CscMatrix::synth(rows, cols, density, SEED));
+        // Re-sliced per PE count. The dense engine ignores pruning: its
+        // workload is every weight.
+        let matrix = engine.compressed_weights().then(|| weights.at(density));
         for &pes in pe_counts(ctx) {
             let arr = PeArray::new(pes);
-            let workload = match &matrix {
+            let workload = match matrix {
                 Some(m) => PeWorkload::from_matrix(m, pes),
                 None => PeWorkload::dense(rows, cols, pes),
             };
@@ -248,9 +292,13 @@ fn traffic_rows(ctx: &Context, filter: &ScenarioFilter) -> Vec<InferTrafficRow> 
     out
 }
 
-fn serving_rows(ctx: &Context, filter: &ScenarioFilter) -> Vec<InferServeRow> {
-    let (rows, cols) = sweep_dims(ctx);
-    let kernel = InferKernel::new(CscMatrix::synth(rows, cols, WEIGHT_DENSITY, SEED));
+fn serving_rows(
+    ctx: &Context,
+    weights: &SweepWeights,
+    filter: &ScenarioFilter,
+) -> Vec<InferServeRow> {
+    let (rows, cols) = (weights.rows, weights.cols);
+    let mut kernel = None;
     let horizon = if ctx.is_fast() { 0.002 } else { 0.01 };
     let cfg = ServerConfig {
         algorithm: Algorithm::Csc,
@@ -273,14 +321,10 @@ fn serving_rows(ctx: &Context, filter: &ScenarioFilter) -> Vec<InferServeRow> {
                 .inference(rows as u32),
             TenantLoad::new(TenantSpec::new("trainer"), SERVE_RATE),
         ];
-        let report = run_virtual_with_kernel(
-            &cfg,
-            &loads,
-            horizon,
-            SEED,
-            ServiceModel::default(),
-            &kernel,
-        );
+        let kernel =
+            kernel.get_or_insert_with(|| InferKernel::new(weights.at(WEIGHT_DENSITY).clone()));
+        let report =
+            run_virtual_with_kernel(&cfg, &loads, horizon, SEED, ServiceModel::default(), kernel);
         for t in &report.tenants {
             let c = &t.counters;
             let (p50, p99) = match &t.latency {
@@ -329,13 +373,12 @@ fn energy_rows(traffic: &[InferTrafficRow]) -> Vec<InferEnergyRow> {
         .collect()
 }
 
-fn pe_gantt(ctx: &Context) -> String {
-    let (rows, cols) = sweep_dims(ctx);
+fn pe_gantt(ctx: &Context, weights: &SweepWeights) -> String {
+    let (rows, cols) = (weights.rows, weights.cols);
     let pes = pe_counts(ctx)[0];
-    let matrix = CscMatrix::synth(rows, cols, WEIGHT_DENSITY, SEED);
     let arr = PeArray::new(pes);
     let t = arr.run(
-        &PeWorkload::from_matrix(&matrix, pes),
+        &PeWorkload::from_matrix(weights.at(WEIGHT_DENSITY), pes),
         &sweep_acts(cols),
         true,
     );
@@ -378,13 +421,14 @@ pub fn fig_inference(ctx: &Context, runner: &Runner, filter: &ScenarioFilter) ->
         .engines(InferEngine::ALL)
         .build()
         .filtered(filter);
+    let weights = SweepWeights::new(ctx);
     let speedups: Vec<InferSpeedupRow> = runner
-        .run(&set, |s| speedup_rows(ctx, s.engine))
+        .run(&set, |s| speedup_rows(ctx, &weights, s.engine))
         .into_iter()
         .flatten()
         .collect();
     let traffic = traffic_rows(ctx, filter);
-    let serving = serving_rows(ctx, filter);
+    let serving = serving_rows(ctx, &weights, filter);
     let energy = energy_rows(&traffic);
     let dense: u64 = traffic.iter().map(|r| r.dense_bytes).sum();
     let csc_act: u64 = traffic.iter().map(|r| r.csc_act_bytes).sum();
@@ -394,7 +438,7 @@ pub fn fig_inference(ctx: &Context, runner: &Runner, filter: &ScenarioFilter) ->
         serving,
         energy,
         headline_reduction: dense as f64 / csc_act.max(1) as f64,
-        gantt: pe_gantt(ctx),
+        gantt: pe_gantt(ctx, &weights),
     }
 }
 

@@ -1,7 +1,7 @@
 //! The inference [`JobKernel`] for the `cdma-serve` worker pool.
 
 use cdma_compress::{Compressor, DecodeError, Zvc};
-use cdma_serve::{DefaultKernel, JobKernel, JobKind, OutputBufs, Request, Response};
+use cdma_serve::{DefaultKernel, JobKernel, JobKind, OutputBufs, Request, Response, Traffic};
 
 use crate::weights::CscMatrix;
 
@@ -25,7 +25,11 @@ use crate::weights::CscMatrix;
 /// (dense weights + raw activations in and out), `wire_bytes` what this
 /// engine moves (CSC weights + ZVC-compressed input activations + raw
 /// outputs), making per-tenant compression ratios directly comparable
-/// with the compress/decompress jobs sharing the pool.
+/// with the compress/decompress jobs sharing the pool. Both counts
+/// follow from the request's shape and its input words, never from the
+/// result, so [`JobKernel::traffic`] — the virtual-time twin's one
+/// call — answers an infer job from the same accounting without running
+/// the matvec (`tests/traffic.rs` holds it equal to `execute`).
 ///
 /// ```
 /// use std::sync::Arc;
@@ -59,6 +63,38 @@ impl InferKernel {
     pub fn matrix(&self) -> &CscMatrix {
         &self.matrix
     }
+
+    /// The one statement of an infer job's traffic: `(uncompressed,
+    /// wire)` bytes, and the shape error that rejects the job, if any.
+    /// A rejected job puts nothing on the wire.
+    fn account(&self, req: &Request) -> (u64, u64, Option<DecodeError>) {
+        let (rows, cols) = (self.matrix.rows(), self.matrix.cols());
+        let batch = req.words.len() / cols;
+        let uncompressed =
+            self.matrix.dense_bytes() + (req.words.len() * 4) as u64 + (batch * rows * 4) as u64;
+        let error = if req.elements as usize != rows {
+            Some(DecodeError::Corrupt(
+                "inference output size does not match the resident matrix",
+            ))
+        } else if !req.words.len().is_multiple_of(cols) {
+            Some(DecodeError::Corrupt(
+                "inference input is not a whole number of activation vectors",
+            ))
+        } else {
+            None
+        };
+        let wire = match error {
+            Some(_) => 0,
+            // Weights travel compressed, input activations under ZVC,
+            // outputs raw.
+            None => {
+                self.matrix.compressed_bytes()
+                    + Zvc::new().compressed_size(&req.words) as u64
+                    + (batch * rows * 4) as u64
+            }
+        };
+        (uncompressed, wire, error)
+    }
 }
 
 impl JobKernel for InferKernel {
@@ -72,28 +108,10 @@ impl JobKernel for InferKernel {
             mut words,
         } = bufs;
         words.clear();
-        let (rows, cols) = (self.matrix.rows(), self.matrix.cols());
-        let mut error = None;
-        let mut wire_bytes = 0;
-        if req.elements as usize != rows {
-            error = Some(DecodeError::Corrupt(
-                "inference output size does not match the resident matrix",
-            ));
-        } else if !req.words.len().is_multiple_of(cols) {
-            error = Some(DecodeError::Corrupt(
-                "inference input is not a whole number of activation vectors",
-            ));
-        } else {
+        let (uncompressed_bytes, wire_bytes, error) = self.account(&req);
+        if error.is_none() {
             self.matrix.matvec_batch_into(&req.words, &mut words);
-            // Weights travel compressed, input activations under ZVC,
-            // outputs raw.
-            wire_bytes = self.matrix.compressed_bytes()
-                + Zvc::new().compressed_size(&req.words) as u64
-                + (words.len() * 4) as u64;
         }
-        let batch = req.words.len() / cols;
-        let uncompressed_bytes =
-            self.matrix.dense_bytes() + (req.words.len() * 4) as u64 + (batch * rows * 4) as u64;
         Response {
             tenant: req.tenant,
             id: req.id,
@@ -106,6 +124,19 @@ impl JobKernel for InferKernel {
             error,
             input_words: std::mem::take(&mut req.words),
             input_bytes: std::mem::take(&mut req.bytes),
+        }
+    }
+
+    fn traffic(&self, req: Request, window_elems: usize, bufs: OutputBufs) -> Traffic {
+        if req.kind != JobKind::Infer {
+            return DefaultKernel.traffic(req, window_elems, bufs);
+        }
+        let (uncompressed_bytes, wire_bytes, _) = self.account(&req);
+        Traffic {
+            uncompressed_bytes,
+            wire_bytes,
+            input_words: req.words,
+            bufs,
         }
     }
 }

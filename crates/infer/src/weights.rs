@@ -320,6 +320,12 @@ pub fn column_seed(seed: u64, col: usize) -> u64 {
 /// Fills `out` with synthetic pruned weights: a `density` fraction of
 /// signed nonzero values, the rest exact zeros. Pure function of
 /// `(seed, density, out.len())`.
+///
+/// Each word is built without a branch: the magnitude's bits, or-ed
+/// with the draw's sign bit moved to bit 31, and-ed with an all-ones
+/// mask when the draw survives the density cut (an all-zero one, `+0.0`,
+/// when it does not). The cut and the sign are random per word, so a
+/// branch on either mispredicts often.
 pub fn fill_weights(seed: u64, density: f64, out: &mut [f32]) {
     let mut state = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut next = || {
@@ -333,17 +339,11 @@ pub fn fill_weights(seed: u64, density: f64, out: &mut [f32]) {
     let threshold = (density * (1u64 << 53) as f64) as u64;
     for slot in out.iter_mut() {
         let r = next() >> 11;
-        *slot = if r >= threshold {
-            0.0
-        } else {
-            // Signed weight in [-1, 1] \ {0}.
-            let mag = (((r & 0xFFFF) + 1) as f32) / 65536.0;
-            if r & 0x1_0000 == 0 {
-                mag
-            } else {
-                -mag
-            }
-        };
+        // Signed weight in [-1, 1] \ {0}, kept below the threshold.
+        let mag = (((r & 0xFFFF) + 1) as f32) / 65536.0;
+        let sign = ((r & 0x1_0000) as u32) << 15;
+        let keep = u32::from(r < threshold).wrapping_neg();
+        *slot = f32::from_bits((mag.to_bits() | sign) & keep);
     }
 }
 
@@ -449,6 +449,49 @@ mod tests {
                 .map(|(r, &v)| (r, v))
                 .collect();
             assert_eq!(nz, want);
+        }
+    }
+
+    /// The branchy loop `fill_weights` replaced: a zero above the
+    /// density cut, else the magnitude negated on the draw's sign bit.
+    fn fill_weights_branchy(seed: u64, density: f64, out: &mut [f32]) {
+        let mut state = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut next = || {
+            let mut z = state;
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let threshold = (density * (1u64 << 53) as f64) as u64;
+        for slot in out.iter_mut() {
+            let r = next() >> 11;
+            *slot = if r >= threshold {
+                0.0
+            } else {
+                let mag = (((r & 0xFFFF) + 1) as f32) / 65536.0;
+                if r & 0x1_0000 == 0 {
+                    mag
+                } else {
+                    -mag
+                }
+            };
+        }
+    }
+
+    #[test]
+    fn fill_weights_equals_the_branchy_loop_in_bits() {
+        let bits = |w: &[f32]| w.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for density in [0.0, 0.1, 0.5, 1.0] {
+            for len in [0, 1, 7, 255, 1023] {
+                for seed in 0..64u64 {
+                    let seed = seed.wrapping_mul(0xD1B5_4A32_D192_ED03) ^ len as u64;
+                    let (mut got, mut want) = (vec![1.0f32; len], vec![1.0f32; len]);
+                    fill_weights(seed, density, &mut got);
+                    fill_weights_branchy(seed, density, &mut want);
+                    assert_eq!(bits(&got), bits(&want), "{density} {len} {seed}");
+                }
+            }
         }
     }
 

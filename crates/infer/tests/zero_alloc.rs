@@ -1,7 +1,9 @@
 //! Counting-allocator proof that a warm [`InferKernel`] allocates
 //! nothing per request: the result is written once into the recycled
 //! output buffer and the batched walk's scratch (active list,
-//! accumulators) belongs to the thread, not the request.
+//! accumulators) belongs to the thread, not the request. And the
+//! virtual-time twin, which asks the kernel for each job's traffic,
+//! allocates nothing per request either.
 //!
 //! Same method as `crates/serve/tests/zero_alloc.rs`: the counters are
 //! process-wide but count only *armed* threads, so libtest's main
@@ -10,10 +12,14 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use cdma_compress::Algorithm;
 use cdma_infer::{CscMatrix, InferKernel};
-use cdma_serve::{fill_activations, JobKernel, OutputBufs, Request, TenantId};
+use cdma_serve::{
+    fill_activations, run_virtual_with_kernel, JobKernel, OutputBufs, Request, ServerConfig,
+    ServiceModel, TenantId, TenantLoad, TenantSpec,
+};
 
 struct Counting;
 
@@ -55,8 +61,12 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static COUNTER: Counting = Counting;
 
+/// The tests share the global counters; serialize them.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 #[test]
 fn warm_batched_requests_allocate_zero_bytes() {
+    let _guard = SERIAL.lock().unwrap();
     // `fig_inference`'s batched serving phase: 1024 x 1024 at 10%
     // weights, 32 vectors a request at 70% zero activations.
     let (rows, cols, batch) = (1024, 1024, 32);
@@ -92,5 +102,47 @@ fn warm_batched_requests_allocate_zero_bytes() {
     assert_eq!(
         after, before,
         "a warm batch-32 request must allocate zero bytes"
+    );
+}
+
+#[test]
+fn the_twins_allocations_do_not_scale_with_infer_requests() {
+    let _guard = SERIAL.lock().unwrap();
+    // `fig_inference`'s batched serving phase at a quarter of its layer:
+    // 32 vectors an infer request beside a compress tenant.
+    let (rows, cols, batch) = (256, 256, 32);
+    let kernel = InferKernel::new(CscMatrix::synth(rows, cols, 0.1, 42));
+    let cfg = ServerConfig {
+        algorithm: Algorithm::Csc,
+        ..ServerConfig::default()
+    };
+    let loads = vec![
+        TenantLoad::new(TenantSpec::new("infer").weight(2.0), 20_000.0)
+            .size_mix(vec![(cols * batch, 1.0)])
+            .zero_density(0.7)
+            .inference(rows as u32),
+        TenantLoad::new(TenantSpec::new("trainer"), 20_000.0),
+    ];
+    ARMED.with(|armed| armed.set(true));
+    let run = |horizon: f64| {
+        let before = ALLOCS.load(Ordering::SeqCst);
+        let r =
+            run_virtual_with_kernel(&cfg, &loads, horizon, 42, ServiceModel::default(), &kernel);
+        (
+            ALLOCS.load(Ordering::SeqCst) - before,
+            r.tenants[0].counters.completed,
+        )
+    };
+    // Prime once, then a short and a 4x run.
+    run(0.005);
+    let (short_allocs, short_done) = run(0.005);
+    let (long_allocs, long_done) = run(0.02);
+    assert!(long_done > 3 * short_done, "4x horizon serves ~4x requests");
+    // Vector doubling and report formatting only: a bounded constant.
+    let delta = long_allocs.saturating_sub(short_allocs);
+    assert!(
+        delta < 64,
+        "serving {} extra infer requests allocated {delta} extra times",
+        long_done - short_done
     );
 }

@@ -2,8 +2,8 @@
 //! out, using only caller-supplied (recycled) output buffers.
 //!
 //! Both drivers — the threaded server's workers and the virtual-time
-//! simulator — call the same [`JobKernel`], so the bytes a job produces
-//! are identical whichever driver ran it. [`DefaultKernel`] handles the
+//! simulator — call the same [`JobKernel`], so the traffic a job reports
+//! is identical whichever driver ran it. [`DefaultKernel`] handles the
 //! compress/decompress kinds; crates that add new job kinds (e.g.
 //! `cdma-infer`'s CSC matvec for [`JobKind::Infer`]) implement
 //! [`JobKernel`] themselves, typically delegating the stock kinds back
@@ -12,6 +12,11 @@
 //! [`run_virtual_with_kernel`](crate::sim::run_virtual_with_kernel) —
 //! inference then shares the worker pool, admission control, and
 //! zero-alloc buffer recycling instead of needing a second server.
+//!
+//! The virtual-time twin asks a kernel one question,
+//! [`JobKernel::traffic`]: what a job moved, not what it computed. A
+//! kernel whose output nobody on the twin reads can answer that without
+//! producing it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -51,11 +56,50 @@ impl cdma_compress::pool::Reusable for OutputBufs {
 /// [`Algorithm`](cdma_compress::Algorithm), and what it means (which
 /// stream the bytes decode as, which weight store an infer job reads) is
 /// the kernel's business.
+///
+/// The threaded server calls [`JobKernel::execute`]; the virtual-time
+/// twin calls [`JobKernel::traffic`] and nothing else. Its default runs
+/// `execute` and reads the two byte counts off the response, so a
+/// compress or decompress job still runs its codec and its wire bytes
+/// stay measured. A kernel may override it only with the counts
+/// `execute` would report for the same arguments.
 pub trait JobKernel: Send + Sync {
     /// Runs `req` to completion, producing output in the recycled
     /// buffers of `bufs` and handing the request's input buffers back
     /// inside the [`Response`].
     fn execute(&self, req: Request, window_elems: usize, bufs: OutputBufs) -> Response;
+
+    /// The traffic `req` moves: the [`Response::uncompressed_bytes`] and
+    /// [`Response::wire_bytes`] that [`JobKernel::execute`] reports, with
+    /// the request's input words and the output buffers handed back for
+    /// recycling. The output itself is not part of the answer.
+    fn traffic(&self, req: Request, window_elems: usize, bufs: OutputBufs) -> Traffic {
+        let resp = self.execute(req, window_elems, bufs);
+        Traffic {
+            uncompressed_bytes: resp.uncompressed_bytes,
+            wire_bytes: resp.wire_bytes,
+            input_words: resp.input_words,
+            bufs: OutputBufs {
+                bytes: resp.bytes,
+                offsets: resp.offsets,
+                words: resp.words,
+            },
+        }
+    }
+}
+
+/// What [`JobKernel::traffic`] reports of one job: its two byte counts,
+/// and the buffers the driver recycles.
+#[derive(Debug)]
+pub struct Traffic {
+    /// Uncompressed bytes the job covered.
+    pub uncompressed_bytes: u64,
+    /// Bytes the job put on the wire.
+    pub wire_bytes: u64,
+    /// The request's input word buffer, handed back for recycling.
+    pub input_words: Vec<f32>,
+    /// The output buffers, handed back for recycling.
+    pub bufs: OutputBufs,
 }
 
 /// The stock kernel: windowed compress and decompress via the request's

@@ -67,7 +67,7 @@ pub mod server;
 pub mod sim;
 
 pub use error::ServeError;
-pub use exec::{DefaultKernel, JobKernel, OutputBufs};
+pub use exec::{DefaultKernel, JobKernel, OutputBufs, Traffic};
 pub use loadgen::{fill_activations, Arrival, Schedule, TenantLoad};
 pub use metrics::{LatencyStats, LoadReport, TenantLoadReport};
 pub use proto::{JobKind, Request, Response, TenantId, KERNEL_PANICKED};

@@ -1,22 +1,26 @@
 //! The deterministic virtual-time driver.
 //!
 //! Replays a [`Schedule`] through the *same* admission control
-//! ([`TenantScheduler`] + [`StagingPool`]) and the *same* execution
-//! kernel (`exec::execute`) as the threaded server, but on a
-//! simulated clock: service time comes from a [`ServiceModel`] instead
-//! of the host's scheduler, so every accept/shed decision, byte count,
-//! and latency percentile is a pure function of `(config, loads,
-//! horizon, seed)`. CI leans on this — the `serve_load` experiment runs
-//! its overload phase twice and compares the summaries, and `experiments
-//! all` is `cmp`ed across runs — and so do the admission-control property
-//! tests, which need to provoke overload without depending on how fast
-//! the test machine happens to be.
+//! ([`TenantScheduler`] + [`StagingPool`]) and the *same* [`JobKernel`]
+//! as the threaded server, but on a simulated clock: service time comes
+//! from a [`ServiceModel`] instead of the host's scheduler, so every
+//! accept/shed decision, byte count, and latency percentile is a pure
+//! function of `(config, loads, horizon, seed)`. CI leans on this — the
+//! `serve_load` experiment runs its overload phase twice and compares
+//! the summaries, and `experiments all` is `cmp`ed across runs — and so
+//! do the admission-control property tests, which need to provoke
+//! overload without depending on how fast the test machine happens to
+//! be.
 //!
-//! Compression still *really runs* (wire bytes in the report are
-//! measured, not modeled); only the clock is simulated. A payload is
-//! synthesised when its request is dispatched to a worker — admission
-//! reads a request's size and nothing else, so a shed arrival is never
-//! filled.
+//! The twin records a job's *traffic*, not its output: each dispatched
+//! job is one [`JobKernel::traffic`] call, which returns the job's
+//! uncompressed and wire bytes. By default that runs the kernel's
+//! `execute`, so compression still really runs and its wire bytes are
+//! measured, not modeled; a kernel whose counts do not depend on its
+//! output (`cdma_infer::InferKernel`) answers without computing it. Only
+//! the clock is simulated. A payload is synthesised when its request is
+//! dispatched to a worker — admission reads a request's size and
+//! nothing else, so a shed arrival is never filled.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -175,7 +179,8 @@ fn run_schedule_with_kernel(
     }
 
     // Dispatch queued jobs onto free virtual workers at time `now`.
-    // Compression runs for real here; only the service *time* is modeled.
+    // The kernel reports each job's traffic; only the service *time* is
+    // modeled.
     // The payload is filled here, not at arrival: it is a pure function
     // of the arrival, and the recycled buffer is overwritten end to end.
     macro_rules! dispatch {
@@ -189,24 +194,18 @@ fn run_schedule_with_kernel(
                 let origin = &schedule.arrivals[req.id as usize];
                 let zero_density = loads[origin.tenant as usize].zero_density;
                 fill_activations(origin.fill_seed, zero_density, &mut req.words);
-                let bufs = out_pool.get();
-                let response = kernel.execute(req, window_elems, bufs);
-                word_pool.put(response.input_words);
-                let ev = Ev {
+                let traffic = kernel.traffic(req, window_elems, out_pool.get());
+                word_pool.put(traffic.input_words);
+                out_pool.put(traffic.bufs);
+                events.push(Ev {
                     t: $now + model.service_s(job.footprint),
                     seq: job.seq,
                     tenant: job.tenant,
                     footprint: job.footprint,
                     arrival_s: job.arrival_s,
-                    uncompressed: response.uncompressed_bytes,
-                    wire: response.wire_bytes,
-                };
-                out_pool.put(OutputBufs {
-                    bytes: response.bytes,
-                    offsets: response.offsets,
-                    words: response.words,
+                    uncompressed: traffic.uncompressed_bytes,
+                    wire: traffic.wire_bytes,
                 });
-                events.push(ev);
             }
         };
     }
