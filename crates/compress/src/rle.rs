@@ -84,7 +84,10 @@ impl Compressor for Rle {
         element_count: usize,
         out: &mut Vec<f32>,
     ) -> Result<usize, DecodeError> {
-        out.reserve(element_count);
+        // One header byte expands to at most `MAX_RUN` words, so a count
+        // past that is a claim the stream cannot back: reserve for what
+        // it can encode.
+        out.reserve(element_count.min(bytes.len().saturating_mul(MAX_RUN)));
         let base = out.len();
         let mut pos = 0usize;
         while out.len() - base < element_count {

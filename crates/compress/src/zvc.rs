@@ -190,7 +190,9 @@ pub mod scalar_reference {
         element_count: usize,
         out: &mut Vec<f32>,
     ) -> Result<(), DecodeError> {
-        out.reserve(element_count);
+        // Every window spends a 4-byte mask: reserve for what the stream
+        // can encode, not for a bare count.
+        out.reserve(element_count.min(super::kernel::max_decoded_words(bytes.len())));
         let base = out.len();
         let mut pos = 0usize;
         while out.len() - base < element_count {

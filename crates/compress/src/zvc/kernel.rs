@@ -1,14 +1,22 @@
 //! ZVC kernel descriptors and one-time runtime dispatch.
 //!
-//! Every tier implements the same two function-pointer contracts — a
-//! whole-stream compress kernel and a single-window decompress kernel —
-//! and a [`Kernel`] bundles a tier's pair behind a name. The stream-level
-//! *driver* logic (worst-case output reservation, mask parsing, corruption
-//! and truncation handling, where the stream ends) lives here, **once**,
-//! tier-independent: the tiers only differ in how verified windows move,
-//! so a corrupt or truncated stream takes byte-for-byte the same path
-//! whichever tier is active, and error behaviour cannot drift between
-//! tiers.
+//! Every tier implements the same two whole-stream function-pointer
+//! contracts — compress a slice, decompress a stream — and a [`Kernel`]
+//! bundles a tier's pair behind a name, so a call pays one indirect call
+//! per stream in either direction, never one per window.
+//!
+//! The decompress *driver* — the up-front output reservation, mask
+//! parsing, tail-window validation, truncation and corruption errors,
+//! where the stream ends — is written **once**, here, as
+//! [`decompress_stream`]: an `#[inline(always)]` loop generic over a
+//! tier's window move, which each SIMD tier's `#[target_feature]` entry
+//! (and the portable kernel, which SSE2 shares) instantiates so the move
+//! inlines into it. The tiers differ only in how a verified full window
+//! moves. Every other window — a partial final window, a window that runs
+//! past the stream, a corrupt tail — takes the driver's checked path,
+//! which no tier touches, so a corrupt or truncated stream yields
+//! byte-for-byte the same error and partial output whichever tier is
+//! active.
 //!
 //! [`Kernel::active`] picks the widest tier the running CPU supports, once,
 //! via `is_x86_feature_detected!` (NEON is baseline on AArch64). The
@@ -38,13 +46,13 @@ use super::neon;
 /// [`worst_case_bytes`]`(data.len())`.
 type CompressFn = unsafe fn(&[f32], &mut Vec<u8>);
 
-/// Single-window decompress kernel: `(mask, window, rest, payload_len,
-/// out)` where `rest` is the remaining stream starting at this window's
-/// payload. The contract (enforced by the driver before the call):
-/// `payload_len == mask.count_ones() * 4`, `rest.len() >= payload_len`,
-/// and `out` has at least `window` elements of spare capacity. Kernels may
-/// read past `payload_len` but never past `rest`.
-type DecompressWindowFn = unsafe fn(u32, usize, &[u8], usize, &mut Vec<f32>);
+/// Whole-stream decompress kernel: decodes the ZVC stream of
+/// `element_count` words at the front of `bytes`, appends them to `out`
+/// and returns the stream's length in bytes — [`Kernel::decompress_prefix`]
+/// exactly. Every tier's entry is [`decompress_stream`] with the tier's
+/// window move; calling it is only unsafe because the entry is compiled
+/// for the tier's instruction set, which the CPU must support.
+type DecompressFn = unsafe fn(&[u8], usize, &mut Vec<f32>) -> Result<usize, DecodeError>;
 
 /// Worst-case ZVC output size for `len` activation words: every word
 /// non-zero (4 bytes each) plus one 4-byte mask per (possibly partial)
@@ -91,7 +99,8 @@ impl std::fmt::Display for KernelTier {
     }
 }
 
-/// One ZVC kernel tier: a named (compress, decompress-window) pair.
+/// One ZVC kernel tier: a named (compress, decompress) pair of
+/// whole-stream kernels.
 ///
 /// All tiers produce byte-identical streams and identical
 /// [`DecodeError`]s; they differ only in throughput.
@@ -99,7 +108,7 @@ impl std::fmt::Display for KernelTier {
 pub struct Kernel {
     tier: KernelTier,
     compress: CompressFn,
-    decompress_window: DecompressWindowFn,
+    decompress: DecompressFn,
 }
 
 impl Kernel {
@@ -124,23 +133,23 @@ impl Kernel {
                     tiers.push(Kernel {
                         tier: KernelTier::Avx512,
                         compress: x86::compress_avx512,
-                        decompress_window: x86::decompress_window_avx512,
+                        decompress: x86::decompress_avx512,
                     });
                 }
                 if std::arch::is_x86_feature_detected!("avx2") {
                     tiers.push(Kernel {
                         tier: KernelTier::Avx2,
                         compress: x86::compress_avx2,
-                        decompress_window: x86::decompress_window_avx2,
+                        decompress: x86::decompress_avx2,
                     });
                 }
                 if std::arch::is_x86_feature_detected!("sse2") {
                     tiers.push(Kernel {
                         tier: KernelTier::Sse2,
                         compress: x86::compress_sse2,
-                        // SSE2 has no lane-compaction shuffle; decompress
-                        // stays on the portable run decoder.
-                        decompress_window: portable::decompress_window,
+                        // SSE2 has no lane-expansion shuffle, and the run
+                        // decoder needs no feature: the portable kernel.
+                        decompress: portable::decompress,
                     });
                 }
             }
@@ -150,14 +159,14 @@ impl Kernel {
                     tiers.push(Kernel {
                         tier: KernelTier::Neon,
                         compress: neon::compress,
-                        decompress_window: neon::decompress_window,
+                        decompress: neon::decompress,
                     });
                 }
             }
             tiers.push(Kernel {
                 tier: KernelTier::Portable,
                 compress: portable::compress,
-                decompress_window: portable::decompress_window,
+                decompress: portable::decompress,
             });
             tiers
         })
@@ -194,8 +203,12 @@ impl Kernel {
 
     /// Decodes the ZVC stream of `element_count` words at the front of
     /// `bytes`, appending to `out`, and returns the stream's length in
-    /// bytes. The driver loop here owns all validation; the tier kernel is
-    /// only ever handed windows whose mask and payload are in bounds.
+    /// bytes. One call into the tier's whole-stream kernel, whose driver
+    /// (`decompress_stream`) owns all validation.
+    ///
+    /// The output reservation is capped by what `bytes` can encode — a
+    /// stream spends at least one 4-byte mask per 32 words — so a count
+    /// the stream cannot back reserves no more than the stream's worth.
     ///
     /// # Errors
     ///
@@ -203,7 +216,7 @@ impl Kernel {
     /// trailing-data check (which [`Compressor::decompress_append`]
     /// makes), with the same fields and the same partial output left in
     /// `out` — tier-independent, because truncated and corrupt windows
-    /// never reach the tier kernel.
+    /// never reach a tier's window move.
     ///
     /// [`Compressor::decompress_append`]: crate::Compressor::decompress_append
     pub fn decompress_prefix(
@@ -212,60 +225,128 @@ impl Kernel {
         element_count: usize,
         out: &mut Vec<f32>,
     ) -> Result<usize, DecodeError> {
-        out.reserve(element_count);
-        let base = out.len();
-        let mut pos = 0usize;
-        while out.len() - base < element_count {
-            if pos + 4 > bytes.len() {
-                return Err(DecodeError::Truncated {
-                    expected: element_count,
-                    decoded: out.len() - base,
-                });
-            }
-            let mask =
-                u32::from_le_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]]);
-            pos += 4;
-            let window = (element_count - (out.len() - base)).min(ZVC_WINDOW_ELEMS);
-            if window < ZVC_WINDOW_ELEMS && (mask >> window) != 0 {
-                return Err(DecodeError::Corrupt("mask bits set beyond final window"));
-            }
-            let payload = mask.count_ones() as usize * 4;
-            if pos + payload > bytes.len() {
-                // Cold path: the payload is truncated mid-window. Walk the
-                // window element by element like the scalar reference so the
-                // partial output and the `Truncated` fields match it exactly.
-                for i in 0..window {
-                    if mask & (1 << i) != 0 {
-                        if pos + 4 > bytes.len() {
-                            return Err(DecodeError::Truncated {
-                                expected: element_count,
-                                decoded: out.len() - base,
-                            });
-                        }
-                        let v = f32::from_le_bytes([
-                            bytes[pos],
-                            bytes[pos + 1],
-                            bytes[pos + 2],
-                            bytes[pos + 3],
-                        ]);
-                        pos += 4;
-                        out.push(v);
-                    } else {
-                        out.push(0.0);
-                    }
-                }
-                continue;
-            }
-            // SAFETY: `payload == mask.count_ones() * 4` by construction;
-            // the bounds check above guarantees `bytes[pos..].len() >=
-            // payload`; and the `reserve(element_count)` up top leaves
-            // `capacity - len >= element_count - (len - base) >= window`
-            // spare elements in `out`.
-            unsafe { (self.decompress_window)(mask, window, &bytes[pos..], payload, out) };
-            pos += payload;
-        }
-        Ok(pos)
+        // SAFETY: a `Kernel` exists only for a tier `supported()` detected
+        // on this CPU, so the entry's instruction set is available.
+        unsafe { (self.decompress)(bytes, element_count, out) }
     }
+}
+
+/// The most words a ZVC stream of `stream_len` bytes can decode to: every
+/// window, full or not, spends a 4-byte mask. Decoders cap their up-front
+/// reservation at this, never at a caller's bare count.
+pub(super) fn max_decoded_words(stream_len: usize) -> usize {
+    stream_len / 4 * ZVC_WINDOW_ELEMS
+}
+
+/// The one ZVC decode loop, compiled into every tier's decompress entry
+/// with that tier's window move.
+///
+/// A window takes `expand(mask, payload, dst)` — unchecked, through a raw
+/// cursor into the up-front reservation — only when it is full, its mask
+/// and payload lie inside `bytes`, and so do the `OVER_READ` bytes past
+/// the payload the move may load. The first window that fails any of
+/// those ends the unchecked run, and it and every later window take the
+/// checked path: the partial final window, a window that runs past the
+/// stream, a corrupt tail, and the few last windows a tier with an
+/// over-read cannot reach. That path is one loop shared by every tier, so
+/// errors and partial output cannot differ between tiers. Debug builds
+/// check the writes here against the reservation; each move checks its
+/// own loads against `payload`.
+///
+/// # Safety
+///
+/// `expand(mask, payload, dst)` is called with `payload` = the stream from
+/// this window's first payload byte on, holding at least
+/// `4 * mask.count_ones() + OVER_READ` bytes, and `dst` = 32 writable
+/// words. It must write all 32 words at `dst`, from the mask and the first
+/// `4 * mask.count_ones()` payload bytes, and read nothing past
+/// `4 * mask.count_ones() + OVER_READ` payload bytes. The caller must also
+/// run on a CPU whose features `expand` was compiled for.
+#[inline(always)]
+pub(super) unsafe fn decompress_stream<const OVER_READ: usize>(
+    bytes: &[u8],
+    element_count: usize,
+    out: &mut Vec<f32>,
+    expand: impl Fn(u32, &[u8], *mut f32),
+) -> Result<usize, DecodeError> {
+    out.reserve(element_count.min(max_decoded_words(bytes.len())));
+    let base = out.len();
+    let full_windows = element_count / ZVC_WINDOW_ELEMS;
+    let dst = out.as_mut_ptr().add(base);
+    let mut pos = 0usize;
+    let mut moved = 0usize;
+    while moved < full_windows && pos + 4 <= bytes.len() {
+        // SAFETY: `pos + 4 <= bytes.len()` is the loop condition.
+        let mask = u32::from_le_bytes(bytes.as_ptr().add(pos).cast::<[u8; 4]>().read());
+        let end = pos + 4 + mask.count_ones() as usize * 4;
+        if end + OVER_READ > bytes.len() {
+            break;
+        }
+        let decoded = moved * ZVC_WINDOW_ELEMS;
+        // The reservation is `min(element_count, max_decoded_words(len))`
+        // words: this window is full, so `decoded + 32 <= element_count`;
+        // the `moved + 1` masks read so far each took 4 bytes, so
+        // `decoded + 32 <= max_decoded_words(len)`.
+        debug_assert!(base + decoded + ZVC_WINDOW_ELEMS <= out.capacity());
+        // SAFETY: the reads — payload plus the declared over-read — end
+        // at or before `bytes.len()` (checked above); the 32 writes land
+        // in the reservation (argued above), past every word written so
+        // far. `expand`'s own contract is the caller's.
+        expand(mask, bytes.get_unchecked(pos + 4..), dst.add(decoded));
+        pos = end;
+        moved += 1;
+    }
+    // SAFETY: `expand` wrote every one of these words.
+    out.set_len(base + moved * ZVC_WINDOW_ELEMS);
+    while out.len() - base < element_count {
+        if pos + 4 > bytes.len() {
+            return Err(DecodeError::Truncated {
+                expected: element_count,
+                decoded: out.len() - base,
+            });
+        }
+        let mask = u32::from_le_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]]);
+        pos += 4;
+        let window = (element_count - (out.len() - base)).min(ZVC_WINDOW_ELEMS);
+        if window < ZVC_WINDOW_ELEMS && (mask >> window) != 0 {
+            return Err(DecodeError::Corrupt("mask bits set beyond final window"));
+        }
+        let payload = mask.count_ones() as usize * 4;
+        if pos + payload > bytes.len() {
+            // The payload is truncated mid-window. Walk the window element
+            // by element like the scalar reference so the partial output
+            // and the `Truncated` fields match it exactly.
+            for i in 0..window {
+                if mask & (1 << i) != 0 {
+                    if pos + 4 > bytes.len() {
+                        return Err(DecodeError::Truncated {
+                            expected: element_count,
+                            decoded: out.len() - base,
+                        });
+                    }
+                    let v = f32::from_le_bytes([
+                        bytes[pos],
+                        bytes[pos + 1],
+                        bytes[pos + 2],
+                        bytes[pos + 3],
+                    ]);
+                    pos += 4;
+                    out.push(v);
+                } else {
+                    out.push(0.0);
+                }
+            }
+            continue;
+        }
+        // SAFETY: `payload == mask.count_ones() * 4` by construction; the
+        // bounds check above guarantees `bytes[pos..].len() >= payload`;
+        // and every window before this one was full and spent a 4-byte
+        // mask, so `out.len() - base + window` is within both terms of the
+        // reservation.
+        portable::decompress_window(mask, window, &bytes[pos..], payload, out);
+        pos += payload;
+    }
+    Ok(pos)
 }
 
 /// Which ZVC kernel tier this process dispatches through, and whether the

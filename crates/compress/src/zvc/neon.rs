@@ -9,17 +9,20 @@
 //!
 //! Like the AVX2 tier, compress stores a full 16-byte vector per 4-lane
 //! group and advances by `popcount * 4` (safe inside the caller's
-//! worst-case reservation), and decompress loads 16 payload bytes per
-//! group, so it requires 16 bytes of slack in the remaining stream and
-//! falls back to the portable run decoder at stream end and for tail
-//! windows.
+//! worst-case reservation), and the decompress window move loads 16
+//! payload bytes per group, so it declares a 16-byte over-read: the shared
+//! driver ([`super::kernel::decompress_stream`]) hands it only windows
+//! with 16 bytes of stream past their payload, and the last windows of a
+//! stream and tail windows take the driver's checked path.
 
 #![cfg(target_arch = "aarch64")]
 
 use core::arch::aarch64::*;
 
+use super::kernel::decompress_stream;
 use super::portable;
 use super::ZVC_WINDOW_ELEMS;
+use crate::DecodeError;
 
 /// `COMPACT[m]` = byte-shuffle indices that left-pack the words whose bits
 /// are set in the 4-bit mask `m`; out-of-range index (0xFF) makes
@@ -123,39 +126,49 @@ pub(super) unsafe fn compress(data: &[f32], out: &mut Vec<u8>) {
     out.set_len(base + usize::try_from(dst.offset_from(start_ptr)).unwrap());
 }
 
-/// NEON single-window decompress: per 4-lane group, one 16-byte payload
-/// load and a `vqtbl1q_u8` expansion whose out-of-range indices zero the
-/// gap lanes in the same shuffle.
+/// NEON window move: per 4-lane group, one 16-byte payload load and a
+/// `vqtbl1q_u8` expansion whose out-of-range indices zero the gap lanes in
+/// the same shuffle. A group's load starts at its first payload byte, so
+/// the last one reads up to 16 bytes past the window's payload.
 ///
 /// # Safety
 ///
-/// `payload_len == mask.count_ones() * 4`, `rest.len() >= payload_len`,
-/// and `out` must have at least `window` elements of spare capacity; the
-/// CPU must support NEON.
+/// `payload` must hold `mask.count_ones() * 4 + 16` bytes and `dst` 32
+/// writable words; the CPU must support NEON.
 #[target_feature(enable = "neon")]
-pub(super) unsafe fn decompress_window(
-    mask: u32,
-    window: usize,
-    rest: &[u8],
-    payload_len: usize,
-    out: &mut Vec<f32>,
-) {
-    // The group loads read up to `taken + 16 <= payload_len + 16` bytes
-    // from `rest`; without that slack (stream end) run-decode instead.
-    if window != ZVC_WINDOW_ELEMS || rest.len() < payload_len + 16 {
-        portable::decompress_window(mask, window, rest, payload_len, out);
-        return;
-    }
-    let src = rest.as_ptr();
-    let dst = out.as_mut_ptr().add(out.len()).cast::<u8>();
+#[inline]
+unsafe fn expand_window(mask: u32, payload: &[u8], dst: *mut f32) {
+    let src = payload.as_ptr();
+    let dst = dst.cast::<u8>();
     let mut taken = 0usize;
     for g in 0..8 {
         let seg = (mask >> (4 * g)) & 0xf;
+        debug_assert!(
+            taken + 16 <= payload.len(),
+            "NEON group load past the stream"
+        );
         let bytes = vld1q_u8(src.add(taken));
         let expanded = vqtbl1q_u8(bytes, vld1q_u8(EXPAND[seg as usize].as_ptr()));
         vst1q_u8(dst.add(16 * g), expanded);
         taken += 4 * seg.count_ones() as usize;
     }
-    debug_assert_eq!(taken, payload_len);
-    out.set_len(out.len() + window);
+}
+
+/// NEON whole-stream decompress: the shared driver with the `vqtbl1q_u8`
+/// window move and its 16-byte over-read.
+///
+/// # Safety
+///
+/// The CPU must support NEON.
+#[target_feature(enable = "neon")]
+pub(super) unsafe fn decompress(
+    bytes: &[u8],
+    element_count: usize,
+    out: &mut Vec<f32>,
+) -> Result<usize, DecodeError> {
+    // SAFETY: the declared over-read is the move's: its last group load
+    // ends at most 16 bytes past the payload; it writes exactly 32 words.
+    decompress_stream::<16>(bytes, element_count, out, |mask, payload, dst| {
+        expand_window(mask, payload, dst)
+    })
 }

@@ -1,13 +1,15 @@
 //! The **portable** ZVC kernel tier: branch-free word-at-a-time mask folds
 //! and run-granular payload moves, with no `std::arch` dependency.
 //!
-//! This is the PR-4 vectorized code, retained verbatim as the tier every
-//! platform can run (and the only tier on big-endian targets). The SIMD
-//! tiers ([`super::x86`], [`super::neon`]) reuse its run-copy helpers for
-//! tail windows and for payload movement where the ISA lacks a compaction
-//! shuffle.
+//! This is the tier every platform can run (and the only tier on
+//! big-endian targets). Its run copier moves the SSE2 tier's compress
+//! payloads (SSE2 has no compaction shuffle) and every SIMD tier's tail
+//! window on compress; its decompress kernel is the SSE2 tier's too, and
+//! its run decoder the decompress driver's checked path for every tier.
 
+use super::kernel::decompress_stream;
 use super::ZVC_WINDOW_ELEMS;
+use crate::DecodeError;
 
 /// Reinterprets activation words as their raw `u32` bit patterns.
 ///
@@ -138,36 +140,23 @@ pub(super) unsafe fn compress(data: &[f32], out: &mut Vec<u8>) {
     }
 }
 
-/// Run-decodes one window: zero gaps become bulk `memset` fills, non-zero
-/// runs become bulk word copies — no per-bit branch on either side.
-///
-/// `rest` is the remaining compressed stream starting at this window's
-/// payload; only its first `payload_len` bytes belong to this window (the
-/// portable tier never reads past them; SIMD tiers may, within `rest`).
+/// Run-decodes one window of `window` words to `dst`: zero gaps become
+/// bulk `memset` fills, non-zero runs bulk word copies — no per-bit branch
+/// on either side. Reads exactly `mask.count_ones() * 4` bytes at
+/// `payload`.
 ///
 /// # Safety
 ///
-/// The caller must guarantee `payload_len == mask.count_ones() * 4`,
-/// `rest.len() >= payload_len`, and at least `window` elements of spare
-/// capacity in `out`.
+/// `payload` must hold `mask.count_ones() * 4` readable bytes and `dst`
+/// `window` writable words; `mask` has no bit at or above `window`.
 #[cfg(target_endian = "little")]
-pub(super) unsafe fn decompress_window(
-    mask: u32,
-    window: usize,
-    rest: &[u8],
-    payload_len: usize,
-    out: &mut Vec<f32>,
-) {
-    debug_assert!(payload_len == mask.count_ones() as usize * 4);
-    debug_assert!(rest.len() >= payload_len);
-    debug_assert!(out.capacity() - out.len() >= window);
-    let payload = rest.as_ptr();
-    // SAFETY: the reservation above guarantees `window` elements of spare
-    // capacity; every byte of that span is written exactly once (gaps by
-    // `write_bytes`, runs by `copy_nonoverlapping`) before `set_len`
-    // publishes it; all-zero bytes are a valid `f32` (0.0), and on a
-    // little-endian target the wire bytes are the in-memory representation.
-    let dst = out.as_mut_ptr().add(out.len()).cast::<u8>();
+#[inline(always)]
+unsafe fn expand_runs(mask: u32, window: usize, payload: *const u8, dst: *mut f32) {
+    // Every byte of the `window` words is written exactly once (gaps by
+    // `write_bytes`, runs by `copy_nonoverlapping`); all-zero bytes are a
+    // valid `f32` (0.0), and on a little-endian target the wire bytes are
+    // the in-memory representation.
+    let dst = dst.cast::<u8>();
     if mask == 0 {
         core::ptr::write_bytes(dst, 0, window * 4);
     } else if mask.count_ones() as usize == window {
@@ -191,6 +180,86 @@ pub(super) unsafe fn decompress_window(
         }
         core::ptr::write_bytes(dst.add(next * 4), 0, (window - next) * 4);
     }
+}
+
+/// The portable window move: one full window run-decoded through the raw
+/// cursor, reading only the payload (no over-read).
+///
+/// # Safety
+///
+/// `payload` must hold `mask.count_ones() * 4` bytes and `dst` 32 writable
+/// words.
+#[cfg(target_endian = "little")]
+#[inline(always)]
+pub(super) unsafe fn expand_window(mask: u32, payload: &[u8], dst: *mut f32) {
+    debug_assert!(mask.count_ones() as usize * 4 <= payload.len());
+    expand_runs(mask, ZVC_WINDOW_ELEMS, payload.as_ptr(), dst);
+}
+
+/// Big-endian window move: the same mask walk, one little-endian word
+/// deserialized per set bit.
+///
+/// # Safety
+///
+/// As the little-endian move.
+#[cfg(not(target_endian = "little"))]
+#[inline(always)]
+pub(super) unsafe fn expand_window(mask: u32, payload: &[u8], dst: *mut f32) {
+    let mut taken = 0usize;
+    for i in 0..ZVC_WINDOW_ELEMS {
+        let v = if mask & (1 << i) != 0 {
+            let b = &payload[taken..taken + 4];
+            taken += 4;
+            f32::from_le_bytes([b[0], b[1], b[2], b[3]])
+        } else {
+            0.0
+        };
+        dst.add(i).write(v);
+    }
+}
+
+/// The portable whole-stream decompress kernel: the shared driver with
+/// the run-decoding window move.
+pub(super) fn decompress(
+    bytes: &[u8],
+    element_count: usize,
+    out: &mut Vec<f32>,
+) -> Result<usize, DecodeError> {
+    // SAFETY: `expand_window` reads only the window's payload (no
+    // over-read) and writes exactly its 32 words; it needs no CPU feature.
+    unsafe {
+        decompress_stream::<0>(bytes, element_count, out, |mask, payload, dst| {
+            expand_window(mask, payload, dst)
+        })
+    }
+}
+
+/// Run-decodes one checked window (the driver's path for every window the
+/// unchecked run does not take, partial ones included) and publishes it.
+///
+/// `rest` is the remaining compressed stream starting at this window's
+/// payload; only its first `payload_len` bytes belong to this window.
+///
+/// # Safety
+///
+/// The caller must guarantee `payload_len == mask.count_ones() * 4`,
+/// `rest.len() >= payload_len`, no mask bit at or above `window`, and at
+/// least `window` elements of spare capacity in `out`.
+#[cfg(target_endian = "little")]
+pub(super) unsafe fn decompress_window(
+    mask: u32,
+    window: usize,
+    rest: &[u8],
+    payload_len: usize,
+    out: &mut Vec<f32>,
+) {
+    debug_assert!(payload_len == mask.count_ones() as usize * 4);
+    debug_assert!(rest.len() >= payload_len);
+    debug_assert!(out.capacity() - out.len() >= window);
+    // SAFETY: the caller's contract is `expand_runs`'s; the run decode
+    // writes every one of the `window` words before `set_len` publishes
+    // them.
+    expand_runs(mask, window, rest.as_ptr(), out.as_mut_ptr().add(out.len()));
     out.set_len(out.len() + window);
 }
 

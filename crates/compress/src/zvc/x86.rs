@@ -21,11 +21,13 @@
 //! because the caller reserves the worst-case (all-dense) output: while a
 //! full sector remains to be processed, at least 32 bytes of that
 //! reservation necessarily remain unused (see the inline proofs). The AVX2
-//! decompress kernel similarly loads 32 payload bytes per sector, so it is
-//! only entered when the *remaining stream* has 32 bytes of slack beyond
-//! this window's payload; the last windows of a stream fall back to the
-//! portable run decoder. Tail windows (< 32 elements) always take the
-//! portable path.
+//! decompress move similarly loads 32 payload bytes per sector, so it
+//! declares a 32-byte over-read: the shared driver
+//! ([`super::kernel::decompress_stream`]) hands it only windows with 32
+//! bytes of stream past their payload, and the last windows of a stream
+//! take the driver's checked path. AVX-512's masked expanding loads read
+//! exactly the payload and declare none. Tail windows (< 32 elements)
+//! always take the portable path.
 
 #![cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 
@@ -34,8 +36,10 @@ use core::arch::x86::*;
 #[cfg(target_arch = "x86_64")]
 use core::arch::x86_64::*;
 
+use super::kernel::decompress_stream;
 use super::portable;
 use super::ZVC_WINDOW_ELEMS;
+use crate::DecodeError;
 
 /// `COMPACT[m][j]` = lane index of the `j`-th set bit of the 8-bit mask
 /// `m` (don't-care zero for `j >= popcount`): the `vpermps` index vector
@@ -204,39 +208,28 @@ pub(super) unsafe fn compress_avx512(data: &[f32], out: &mut Vec<u8>) {
     out.set_len(base + usize::try_from(dst.offset_from(start_ptr)).unwrap());
 }
 
-/// AVX2 single-window decompress: per 8-lane sector, one 32-byte payload
-/// load, the inverse `vpermps` expansion, and a computed lane mask that
-/// zeroes the gaps — four full-vector stores reconstruct the window.
-///
-/// Falls back to the portable run decoder for tail windows and when the
-/// remaining stream lacks the 32 bytes of slack the full-vector loads
-/// overread (only the last windows of a stream).
+/// AVX2 window move: per 8-lane sector, one 32-byte payload load, the
+/// inverse `vpermps` expansion, and a computed lane mask that zeroes the
+/// gaps — four full-vector stores reconstruct the window. A sector's load
+/// starts at its first payload byte, so the last one reads up to 32 bytes
+/// past the window's payload.
 ///
 /// # Safety
 ///
-/// `payload_len == mask.count_ones() * 4`, `rest.len() >= payload_len`,
-/// and `out` must have at least `window` elements of spare capacity; the
-/// CPU must support AVX2.
+/// `payload` must hold `mask.count_ones() * 4 + 32` bytes and `dst` 32
+/// writable words; the CPU must support AVX2.
 #[target_feature(enable = "avx2")]
-pub(super) unsafe fn decompress_window_avx2(
-    mask: u32,
-    window: usize,
-    rest: &[u8],
-    payload_len: usize,
-    out: &mut Vec<f32>,
-) {
-    // The sector loads below read up to `taken + 32 <= payload_len + 32`
-    // bytes from `rest`; without that slack (stream end) run-decode instead.
-    if window != ZVC_WINDOW_ELEMS || rest.len() < payload_len + 32 {
-        portable::decompress_window(mask, window, rest, payload_len, out);
-        return;
-    }
-    let src = rest.as_ptr();
-    let dst = out.as_mut_ptr().add(out.len()).cast::<f32>();
+#[inline]
+unsafe fn expand_window_avx2(mask: u32, payload: &[u8], dst: *mut f32) {
+    let src = payload.as_ptr();
     let bit_values = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
     let mut taken = 0usize;
     for s in 0..4 {
         let seg = (mask >> (8 * s)) & 0xff;
+        debug_assert!(
+            taken + 32 <= payload.len(),
+            "AVX2 sector load past the stream"
+        );
         let vals = _mm256_loadu_ps(src.add(taken).cast::<f32>());
         let idx = _mm256_loadu_si256(EXPAND[seg as usize].as_ptr().cast::<__m256i>());
         let expanded = _mm256_permutevar8x32_ps(vals, idx);
@@ -247,40 +240,63 @@ pub(super) unsafe fn decompress_window_avx2(
         _mm256_storeu_ps(dst.add(8 * s), result);
         taken += 4 * seg.count_ones() as usize;
     }
-    debug_assert_eq!(taken, payload_len);
-    out.set_len(out.len() + window);
 }
 
-/// AVX-512F single-window decompress: `vexpandps` masked expanding loads
-/// read exactly the payload bytes (fault-suppressed beyond them), so this
-/// path needs no slack guard — only tail windows fall back.
+/// AVX2 whole-stream decompress: the shared driver with the `vpermps`
+/// window move and its 32-byte over-read.
 ///
 /// # Safety
 ///
-/// Same contract as [`decompress_window_avx2`], with AVX-512F required.
-#[target_feature(enable = "avx512f")]
-pub(super) unsafe fn decompress_window_avx512(
-    mask: u32,
-    window: usize,
-    rest: &[u8],
-    payload_len: usize,
+/// The CPU must support AVX2.
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn decompress_avx2(
+    bytes: &[u8],
+    element_count: usize,
     out: &mut Vec<f32>,
-) {
-    if window != ZVC_WINDOW_ELEMS {
-        portable::decompress_window(mask, window, rest, payload_len, out);
-        return;
-    }
-    let src = rest.as_ptr();
-    let dst = out.as_mut_ptr().add(out.len()).cast::<f32>();
+) -> Result<usize, DecodeError> {
+    // SAFETY: the declared over-read is the move's: its last sector load
+    // ends at most 32 bytes past the payload; it writes exactly 32 words.
+    decompress_stream::<32>(bytes, element_count, out, |mask, payload, dst| {
+        expand_window_avx2(mask, payload, dst)
+    })
+}
+
+/// AVX-512F window move: `vexpandps` masked expanding loads read exactly
+/// the payload bytes (fault-suppressed beyond them), so the move declares
+/// no over-read.
+///
+/// # Safety
+///
+/// `payload` must hold `mask.count_ones() * 4` bytes and `dst` 32 writable
+/// words; the CPU must support AVX-512F.
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn expand_window_avx512(mask: u32, payload: &[u8], dst: *mut f32) {
+    debug_assert!(mask.count_ones() as usize * 4 <= payload.len());
+    let src = payload.as_ptr();
     let mlo = (mask & 0xffff) as u16;
     let mhi = (mask >> 16) as u16;
     let lo = _mm512_maskz_expandloadu_ps(mlo, src.cast());
     _mm512_storeu_ps(dst, lo);
     let hi = _mm512_maskz_expandloadu_ps(mhi, src.add(4 * mlo.count_ones() as usize).cast());
     _mm512_storeu_ps(dst.add(16), hi);
-    debug_assert_eq!(
-        4 * (mlo.count_ones() + mhi.count_ones()) as usize,
-        payload_len
-    );
-    out.set_len(out.len() + window);
+}
+
+/// AVX-512F whole-stream decompress: the shared driver with the
+/// `vexpandps` window move.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F.
+#[target_feature(enable = "avx512f")]
+pub(super) unsafe fn decompress_avx512(
+    bytes: &[u8],
+    element_count: usize,
+    out: &mut Vec<f32>,
+) -> Result<usize, DecodeError> {
+    // SAFETY: the masked loads read only the payload; the two stores write
+    // exactly the window's 32 words.
+    decompress_stream::<0>(bytes, element_count, out, |mask, payload, dst| {
+        expand_window_avx512(mask, payload, dst)
+    })
 }

@@ -198,3 +198,37 @@ fn length_claims_in_headers_cannot_balloon_output() {
     let msg = format!("{err}");
     assert!(msg.contains("exceeds expected length"), "got: {msg}");
 }
+
+/// A caller's count is a claim, not a budget: a short valid stream
+/// decoded as `u32::MAX` words returns an error, and what the decoder
+/// reserved on the way stays within what the stream could encode (RLE's
+/// one header byte per 128 words is the loosest bound here) — instead of
+/// a 16 GB reservation that aborts the process.
+///
+/// CSC is the one codec whose stream cannot disown a count: its trailing
+/// zeros are implicit, so any count at least the entries' reach is a
+/// valid decode and `u32::MAX` words is a real 16 GB output. Its stream
+/// cut by one byte stands in: the header is checked before any
+/// reservation.
+#[test]
+fn a_huge_count_on_a_short_stream_is_an_error_not_an_allocation() {
+    let data = vec![1.5f32; 37];
+    for alg in Algorithm::EXTENDED {
+        let codec = alg.codec();
+        let good = codec.compress(&data);
+        let bytes = if alg == Algorithm::Csc {
+            &good[..good.len() - 1]
+        } else {
+            &good[..]
+        };
+        let mut out = Vec::new();
+        let got = codec.decompress_prefix(bytes, u32::MAX as usize, &mut out);
+        assert!(got.is_err(), "{alg}: {got:?}");
+        assert!(
+            out.capacity() <= good.len() * 128,
+            "{alg}: {} words reserved for a {}-byte stream",
+            out.capacity(),
+            good.len()
+        );
+    }
+}

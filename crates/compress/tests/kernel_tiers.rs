@@ -229,19 +229,8 @@ fn truncation_at_every_cut_matches_scalar_on_every_tier() {
     scalar::compress_append(&data, &mut bytes);
     for_every_tier(|kernel| {
         for cut in 0..bytes.len() {
-            let mut fast_out = Vec::new();
-            let fast = kernel
-                .decompress_prefix(&bytes[..cut], data.len(), &mut fast_out)
-                .map(drop);
-            let mut scalar_out = Vec::new();
-            let reference = scalar::decompress_append(&bytes[..cut], data.len(), &mut scalar_out);
-            assert_eq!(fast, reference, "{}: cut at {cut}", kernel.tier());
-            assert_eq!(
-                fast_out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                scalar_out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "{}: partial output at cut {cut}",
-                kernel.tier()
-            );
+            let what = format!("cut at {cut}");
+            assert_decode_matches_scalar(kernel, &bytes[..cut], data.len(), &[], &what);
         }
     });
 }
@@ -299,5 +288,168 @@ fn tiers_append_after_existing_content() {
             .unwrap();
         assert_eq!(words[0], 9.0, "{}", kernel.tier());
         assert_eq!(words.len(), 1 + data.len(), "{}", kernel.tier());
+    });
+}
+
+/// Decodes `bytes` as `count` words appended after `existing` on `kernel`
+/// and on the scalar oracle, and asserts the same result and the same
+/// output bits, `existing` included. `bytes` must end where the stream
+/// does (or before): the oracle's whole-input decode is the reference.
+fn assert_decode_matches_scalar(
+    kernel: &Kernel,
+    bytes: &[u8],
+    count: usize,
+    existing: &[f32],
+    what: &str,
+) {
+    let tier = kernel.tier();
+    let mut fast_out = existing.to_vec();
+    let fast = kernel
+        .decompress_prefix(bytes, count, &mut fast_out)
+        .map(drop);
+    let mut scalar_out = existing.to_vec();
+    let reference = scalar::decompress_append(bytes, count, &mut scalar_out);
+    assert_eq!(fast, reference, "{tier}: {what}");
+    assert_eq!(
+        fast_out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        scalar_out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        "{tier}: output of {what}"
+    );
+}
+
+/// One full window with exactly `nonzeros` non-zero words, spread over
+/// its sectors (the gaps differ, so the SIMD moves' per-sector offsets
+/// do).
+fn window_with(nonzeros: usize, salt: usize) -> Vec<f32> {
+    let mut window = vec![0.0f32; ZVC_WINDOW_ELEMS];
+    for k in 0..nonzeros {
+        window[(k * 7 + salt) % ZVC_WINDOW_ELEMS] = ADVERSARIAL_WORDS[(k + salt) % 8];
+    }
+    assert_eq!(window.iter().filter(|v| v.to_bits() != 0).count(), nonzeros);
+    window
+}
+
+/// The hand-over from unchecked window moves to the checked path, at the
+/// stream's end: the last full window's payload ends exactly at
+/// `bytes.len()`, and one byte short of it. The final window's size sweeps
+/// the bytes left past the window before it through every tier's declared
+/// over-read (0, 16 and 32 bytes), on both sides of each boundary.
+#[test]
+fn the_last_full_window_ending_at_the_stream_end_matches_scalar_on_every_tier() {
+    for_every_tier(|kernel| {
+        for lead in [0usize, 1, 9, 31, 32] {
+            for last in 0..=12 {
+                let mut data = Vec::new();
+                for (w, nz) in [32, lead, 5].into_iter().enumerate() {
+                    data.extend(window_with(nz, w));
+                }
+                data.extend(window_with(last, 3));
+                let mut bytes = Vec::new();
+                scalar::compress_append(&data, &mut bytes);
+                let what = format!("lead {lead}, last window {last} non-zeros");
+                let mut out = Vec::new();
+                assert_eq!(
+                    kernel.decompress_prefix(&bytes, data.len(), &mut out),
+                    Ok(bytes.len()),
+                    "{}: {what}",
+                    kernel.tier()
+                );
+                assert_decode_matches_scalar(kernel, &bytes, data.len(), &[], &what);
+                let short = &bytes[..bytes.len() - 1];
+                assert_decode_matches_scalar(kernel, short, data.len(), &[], &what);
+            }
+        }
+    });
+}
+
+/// A partial final window whose mask claims words beyond it, right after
+/// windows the unchecked move took: `Corrupt`, with those windows' words
+/// as the partial output, on every tier.
+#[test]
+fn a_corrupt_partial_window_after_unchecked_windows_matches_scalar_on_every_tier() {
+    let mut head = Vec::new();
+    for (w, nz) in [32usize, 0, 11, 3].into_iter().enumerate() {
+        head.extend(window_with(nz, w));
+    }
+    for_every_tier(|kernel| {
+        for tail in 1..ZVC_WINDOW_ELEMS {
+            let mut data = head.clone();
+            data.extend((0..tail).map(|i| if i % 2 == 0 { 1.25 } else { 0.0 }));
+            let mut bytes = Vec::new();
+            scalar::compress_append(&data, &mut bytes);
+            let mut head_bytes = Vec::new();
+            scalar::compress_append(&head, &mut head_bytes);
+            for bad_bit in [tail, ZVC_WINDOW_ELEMS - 1] {
+                let mut bad = bytes.clone();
+                bad[head_bytes.len() + bad_bit / 8] |= 1 << (bad_bit % 8);
+                let what = format!("tail {tail}, bit {bad_bit}");
+                assert_decode_matches_scalar(kernel, &bad, data.len(), &[], &what);
+                let mut out = Vec::new();
+                let got = kernel.decompress_prefix(&bad, data.len(), &mut out);
+                assert!(
+                    matches!(got, Err(cdma_compress::DecodeError::Corrupt(_))),
+                    "{}: {what}: {got:?}",
+                    kernel.tier()
+                );
+                assert_eq!(out.len(), head.len(), "{}: {what}", kernel.tier());
+            }
+        }
+    });
+}
+
+/// A stream cut at every byte of each of its last four windows — where
+/// the unchecked run ends on every tier with an over-read — decodes to
+/// the oracle's error and partial output.
+#[test]
+fn cuts_in_the_last_four_windows_match_scalar_on_every_tier() {
+    for layout in [
+        [32usize, 32, 32, 32],
+        [0, 1, 0, 2],
+        [7, 32, 0, 9],
+        [3, 4, 5, 6],
+    ] {
+        let mut data = Vec::new();
+        for w in 0..6 {
+            data.extend(window_with((w * 5) % 33, w));
+        }
+        let mut starts = Vec::new();
+        for (w, nz) in layout.into_iter().enumerate() {
+            let mut head = Vec::new();
+            scalar::compress_append(&data, &mut head);
+            starts.push(head.len());
+            data.extend(window_with(nz, w));
+        }
+        data.extend([0.0, -0.0, 4.5]);
+        let mut bytes = Vec::new();
+        scalar::compress_append(&data, &mut bytes);
+        for_every_tier(|kernel| {
+            for cut in starts[0]..bytes.len() {
+                let what = format!("layout {layout:?}, cut at {cut} of {}", bytes.len());
+                assert_decode_matches_scalar(kernel, &bytes[..cut], data.len(), &[], &what);
+            }
+        });
+    }
+}
+
+/// Decoding after existing words whose count is not a multiple of 32:
+/// the unchecked cursor starts mid-allocation, and the words before it
+/// stay untouched — whole streams and truncated ones.
+#[test]
+fn decoding_after_a_ragged_prefix_matches_scalar_on_every_tier() {
+    let mut data = Vec::new();
+    for (w, nz) in [32usize, 17, 0, 1, 32, 6].into_iter().enumerate() {
+        data.extend(window_with(nz, w));
+    }
+    data.extend([2.0, 0.0, 0.0, -7.5, 0.0]);
+    let mut bytes = Vec::new();
+    scalar::compress_append(&data, &mut bytes);
+    for_every_tier(|kernel| {
+        for existing_len in [1usize, 5, 31, 33, 37, 100] {
+            let existing: Vec<f32> = (0..existing_len).map(|i| i as f32 - 0.5).collect();
+            for cut in [bytes.len(), bytes.len() - 1, bytes.len() / 2, 3] {
+                let what = format!("{existing_len} existing words, cut at {cut}");
+                assert_decode_matches_scalar(kernel, &bytes[..cut], data.len(), &existing, &what);
+            }
+        }
     });
 }
