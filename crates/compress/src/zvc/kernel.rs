@@ -18,6 +18,14 @@
 //! byte-for-byte the same error and partial output whichever tier is
 //! active.
 //!
+//! The table also runs caller code at a tier's width: [`Kernel::run`]
+//! calls a closure from the tier's `#[target_feature]` entry (AVX-512F,
+//! AVX2) so an inlined loop in it autovectorizes there — the serving and
+//! inference payload generators run this way. Those two entry calls are
+//! `unsafe` for the codec entries' reason, and are discharged the same
+//! way: a `Kernel` exists only for a tier [`Kernel::supported`] detected,
+//! so all the crate's `unsafe` stays in this directory.
+//!
 //! [`Kernel::active`] picks the widest tier the running CPU supports, once,
 //! via `is_x86_feature_detected!` (NEON is baseline on AArch64). The
 //! `CDMA_ZVC_KERNEL` environment variable overrides the choice by tier name
@@ -100,7 +108,8 @@ impl std::fmt::Display for KernelTier {
 }
 
 /// One ZVC kernel tier: a named (compress, decompress) pair of
-/// whole-stream kernels.
+/// whole-stream kernels, and an entry that runs caller code compiled for
+/// the tier ([`Kernel::run`]).
 ///
 /// All tiers produce byte-identical streams and identical
 /// [`DecodeError`]s; they differ only in throughput.
@@ -228,6 +237,37 @@ impl Kernel {
         // SAFETY: a `Kernel` exists only for a tier `supported()` detected
         // on this CPU, so the entry's instruction set is available.
         unsafe { (self.decompress)(bytes, element_count, out) }
+    }
+
+    /// Runs `f` compiled for this kernel's instruction-set tier and
+    /// returns its result.
+    ///
+    /// On the AVX-512 and AVX2 tiers `f` is called from a
+    /// `#[target_feature]` entry that enables exactly what
+    /// [`Kernel::supported`] detected (`avx512f`, `avx2`), so a closure
+    /// whose body inlines — an `#[inline(always)]` loop — is
+    /// autovectorized at that tier's width. The other tiers call `f`
+    /// plainly. A tier changes how fast `f` runs, never what it returns,
+    /// provided `f` does only integer and exact floating-point work
+    /// (which the optimiser may not reassociate into other bits).
+    #[inline]
+    pub fn run<R>(&self, f: impl FnOnce() -> R) -> R {
+        // SAFETY (both entries): a `Kernel` exists only for a tier
+        // `supported()` detected on this CPU, so the entry's instruction
+        // set is available.
+        match self.tier {
+            #[cfg(all(
+                any(target_arch = "x86", target_arch = "x86_64"),
+                target_endian = "little"
+            ))]
+            KernelTier::Avx512 => unsafe { x86::run_avx512(f) },
+            #[cfg(all(
+                any(target_arch = "x86", target_arch = "x86_64"),
+                target_endian = "little"
+            ))]
+            KernelTier::Avx2 => unsafe { x86::run_avx2(f) },
+            _ => f(),
+        }
     }
 }
 

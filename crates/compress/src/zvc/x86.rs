@@ -11,16 +11,19 @@
 //!   shuffle-index LUT on compress; the inverse expansion permute plus a
 //!   computed lane mask on decompress.
 //! * **AVX-512F** — `vcompressps`/`vexpandps` do the compaction and
-//!   expansion in one instruction over 16 lanes, with masked stores/loads
-//!   that touch exactly the payload bytes (no overshoot at all).
+//!   expansion in one instruction over 16 lanes; decompress reads through
+//!   masked expanding loads that touch exactly the payload bytes.
 //!
 //! # Overshooting stores and overreads
 //!
 //! The AVX2 compress kernel stores a full 32-byte vector per 8-lane sector
-//! and then advances the cursor by only `popcount * 4` bytes. This is safe
+//! and then advances the cursor by only `popcount * 4` bytes; the AVX-512
+//! kernel does the same with a 64-byte store per half-window. This is safe
 //! because the caller reserves the worst-case (all-dense) output: while a
-//! full sector remains to be processed, at least 32 bytes of that
-//! reservation necessarily remain unused (see the inline proofs). The AVX2
+//! full sector remains to be processed, at least a vector's worth of that
+//! reservation necessarily remains unused (see the inline proofs, which
+//! debug builds check at every such store). SSE2 moves payloads with the
+//! portable run copier and stores nothing past them. The AVX2
 //! decompress move similarly loads 32 payload bytes per sector, so it
 //! declares a 32-byte over-read: the shared driver
 //! ([`super::kernel::decompress_stream`]) hands it only windows with 32
@@ -83,6 +86,19 @@ static EXPAND: [[u32; 8]; 256] = {
     t
 };
 
+/// Debug check of an overshooting compress store: the `width` bytes
+/// stored at `dst` end inside the `reserved` bytes from `start` — the
+/// [`super::kernel::worst_case_bytes`] reservation the store's inline
+/// proof bounds it by.
+#[inline(always)]
+fn debug_assert_store_fits(start: *const u8, dst: *const u8, width: usize, reserved: usize) {
+    debug_assert!(
+        dst as usize - start as usize + width <= reserved,
+        "{width}-byte compress store at byte {} overshoots the {reserved}-byte reservation",
+        dst as usize - start as usize
+    );
+}
+
 /// SSE2 whole-stream compress: 4-lane vector zero tests folded into the
 /// window mask via `movmskps`, payloads moved by the portable run copier.
 ///
@@ -127,7 +143,8 @@ pub(super) unsafe fn compress_sse2(data: &[f32], out: &mut Vec<u8>) {
 #[target_feature(enable = "avx2")]
 pub(super) unsafe fn compress_avx2(data: &[f32], out: &mut Vec<u8>) {
     let base = out.len();
-    debug_assert!(out.capacity() - base >= super::kernel::worst_case_bytes(data.len()));
+    let reserved = super::kernel::worst_case_bytes(data.len());
+    debug_assert!(out.capacity() - base >= reserved);
     let start_ptr = out.as_mut_ptr().add(base);
     let mut dst = start_ptr;
     let mut windows = data.chunks_exact(ZVC_WINDOW_ELEMS);
@@ -154,6 +171,7 @@ pub(super) unsafe fn compress_avx2(data: &[f32], out: &mut Vec<u8>) {
             // written, dst = 4(w+1) + 4·nz(e) and the reservation is
             // 4N + 4W; this sector leaves e ≤ N-8 and w ≤ W-1, so
             // dst + 32 ≤ 4W + 4(N-8) + 32 = 4N + 4W.
+            debug_assert_store_fits(start_ptr, dst, 32, reserved);
             _mm256_storeu_ps(dst.cast::<f32>(), packed);
             dst = dst.add(4 * nz.count_ones() as usize);
         }
@@ -177,7 +195,8 @@ pub(super) unsafe fn compress_avx2(data: &[f32], out: &mut Vec<u8>) {
 #[target_feature(enable = "avx512f")]
 pub(super) unsafe fn compress_avx512(data: &[f32], out: &mut Vec<u8>) {
     let base = out.len();
-    debug_assert!(out.capacity() - base >= super::kernel::worst_case_bytes(data.len()));
+    let reserved = super::kernel::worst_case_bytes(data.len());
+    debug_assert!(out.capacity() - base >= reserved);
     let start_ptr = out.as_mut_ptr().add(base);
     let mut dst = start_ptr;
     let mut windows = data.chunks_exact(ZVC_WINDOW_ELEMS);
@@ -196,8 +215,10 @@ pub(super) unsafe fn compress_avx512(data: &[f32], out: &mut Vec<u8>) {
         // dst = 4(w+1) + 4·nz(e); a half-window still in flight leaves
         // e ≤ N-16 and w ≤ W-1, so dst + 64 ≤ 4W + 4(N-16) + 64 = 4N + 4W,
         // the reservation.
+        debug_assert_store_fits(start_ptr, dst, 64, reserved);
         _mm512_storeu_ps(dst.cast::<f32>(), _mm512_maskz_compress_ps(mlo, lo));
         dst = dst.add(4 * mlo.count_ones() as usize);
+        debug_assert_store_fits(start_ptr, dst, 64, reserved);
         _mm512_storeu_ps(dst.cast::<f32>(), _mm512_maskz_compress_ps(mhi, hi));
         dst = dst.add(4 * mhi.count_ones() as usize);
     }
@@ -299,4 +320,20 @@ pub(super) unsafe fn decompress_avx512(
     decompress_stream::<0>(bytes, element_count, out, |mask, payload, dst| {
         expand_window_avx512(mask, payload, dst)
     })
+}
+
+/// Calls `f` with AVX-512F enabled, so a body that inlines into it is
+/// vectorized 16 lanes wide: [`super::Kernel::run`]'s AVX-512 entry.
+#[target_feature(enable = "avx512f")]
+#[inline]
+pub(super) fn run_avx512<R>(f: impl FnOnce() -> R) -> R {
+    f()
+}
+
+/// Calls `f` with AVX2 enabled, so a body that inlines into it is
+/// vectorized 8 lanes wide: [`super::Kernel::run`]'s AVX2 entry.
+#[target_feature(enable = "avx2")]
+#[inline]
+pub(super) fn run_avx2<R>(f: impl FnOnce() -> R) -> R {
+    f()
 }

@@ -2,7 +2,7 @@
 
 use std::cell::RefCell;
 
-use cdma_compress::{Compressor, Csc, CscNonzeros};
+use cdma_compress::{Compressor, Csc, CscNonzeros, Kernel};
 use cdma_models::LayerSpec;
 
 /// Accumulators a thread's matvec scratch keeps between calls: the
@@ -326,7 +326,20 @@ pub fn column_seed(seed: u64, col: usize) -> u64 {
 /// mask when the draw survives the density cut (an all-zero one, `+0.0`,
 /// when it does not). The cut and the sign are random per word, so a
 /// branch on either mispredicts often.
+///
+/// The loop runs through [`Kernel::run`], so it is compiled for the
+/// active ZVC tier and vectorizes at that tier's width (one splitmix64
+/// draw per lane); `CDMA_ZVC_KERNEL=portable` runs it at the baseline
+/// width. Every step is integer apart from an exact conversion of a
+/// 17-bit integer to `f32` and a divide by 2¹⁶, so every tier writes
+/// the same bits.
 pub fn fill_weights(seed: u64, density: f64, out: &mut [f32]) {
+    Kernel::active().run(|| fill_weights_body(seed, density, out))
+}
+
+/// [`fill_weights`]'s one loop, inlined into each tier's entry.
+#[inline(always)]
+fn fill_weights_body(seed: u64, density: f64, out: &mut [f32]) {
     let mut state = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut next = || {
         // splitmix64
@@ -339,8 +352,10 @@ pub fn fill_weights(seed: u64, density: f64, out: &mut [f32]) {
     let threshold = (density * (1u64 << 53) as f64) as u64;
     for slot in out.iter_mut() {
         let r = next() >> 11;
-        // Signed weight in [-1, 1] \ {0}, kept below the threshold.
-        let mag = (((r & 0xFFFF) + 1) as f32) / 65536.0;
+        // Signed weight in [-1, 1] \ {0}, kept below the threshold. The
+        // 17-bit integer converts exactly, through `i32` so that every
+        // vector width has the conversion.
+        let mag = (((r & 0xFFFF) + 1) as i32 as f32) / 65536.0;
         let sign = ((r & 0x1_0000) as u32) << 15;
         let keep = u32::from(r < threshold).wrapping_neg();
         *slot = f32::from_bits((mag.to_bits() | sign) & keep);
@@ -481,15 +496,41 @@ mod tests {
 
     #[test]
     fn fill_weights_equals_the_branchy_loop_in_bits() {
-        let bits = |w: &[f32]| w.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        for density in [0.0, 0.1, 0.5, 1.0] {
-            for len in [0, 1, 7, 255, 1023] {
-                for seed in 0..64u64 {
-                    let seed = seed.wrapping_mul(0xD1B5_4A32_D192_ED03) ^ len as u64;
-                    let (mut got, mut want) = (vec![1.0f32; len], vec![1.0f32; len]);
-                    fill_weights(seed, density, &mut got);
-                    fill_weights_branchy(seed, density, &mut want);
-                    assert_eq!(bits(&got), bits(&want), "{density} {len} {seed}");
+        // `fill_weights`, its plain body, and the body run at every tier
+        // this CPU supports, against the branchy loop. Lengths 0–67 cross
+        // every vector width's remainder loop; 1024 and 4099 run the
+        // vector body long. Offset 1 starts the slice one word into the
+        // buffer, off the allocation's alignment; nothing past the slice
+        // may be written.
+        let lens: Vec<usize> = (0..=67).chain([1024, 4099]).collect();
+        let mut want = vec![0.0f32; 4101];
+        let mut got = vec![0.0f32; 4101];
+        let same = |a: &[f32], b: &[f32]| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
+        for density in [0.0, 0.1, 0.3, 0.5, 0.6, 1.0] {
+            for s in 0..200u64 {
+                let seed = s.wrapping_mul(0xD1B5_4A32_D192_ED03);
+                for &len in &lens {
+                    for off in [0, 1] {
+                        let (slice, end) = (off..off + len, off + len + 1);
+                        let case = (density, seed, len, off);
+                        want[..end].fill(-2.0);
+                        fill_weights_branchy(seed, density, &mut want[slice.clone()]);
+                        got[..end].fill(-2.0);
+                        fill_weights(seed, density, &mut got[slice.clone()]);
+                        assert!(same(&got[..end], &want[..end]), "fill_weights, {case:?}");
+                        got[..end].fill(-2.0);
+                        fill_weights_body(seed, density, &mut got[slice.clone()]);
+                        assert!(same(&got[..end], &want[..end]), "plain body, {case:?}");
+                        for k in Kernel::supported() {
+                            got[..end].fill(-2.0);
+                            k.run(|| fill_weights_body(seed, density, &mut got[slice.clone()]));
+                            assert!(
+                                same(&got[..end], &want[..end]),
+                                "{} tier, {case:?}",
+                                k.tier()
+                            );
+                        }
+                    }
                 }
             }
         }

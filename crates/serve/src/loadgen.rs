@@ -12,6 +12,7 @@
 //! window's compressibility under ZVC matches the paper's activation
 //! sparsity model while remaining a pure function of `(seed, density)`.
 
+use cdma_compress::Kernel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -188,7 +189,20 @@ impl Schedule {
 /// exact zeros, the rest small positive values. Pure function of
 /// `(seed, zero_density, out.len())` — both drivers and any replay
 /// produce bit-identical payloads.
+///
+/// The loop runs through [`Kernel::run`], so it is compiled for the
+/// active ZVC tier and vectorizes at that tier's width (one splitmix64
+/// draw per lane); `CDMA_ZVC_KERNEL=portable` runs it at the baseline
+/// width. Every step is integer apart from an exact conversion of a
+/// 17-bit integer to `f32` and a divide by 2¹⁶, so every tier writes
+/// the same bits.
 pub fn fill_activations(seed: u64, zero_density: f64, out: &mut [f32]) {
+    Kernel::active().run(|| fill_activations_body(seed, zero_density, out))
+}
+
+/// [`fill_activations`]'s one loop, inlined into each tier's entry.
+#[inline(always)]
+fn fill_activations_body(seed: u64, zero_density: f64, out: &mut [f32]) {
     let mut state = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut next = || {
         // splitmix64
@@ -200,13 +214,13 @@ pub fn fill_activations(seed: u64, zero_density: f64, out: &mut [f32]) {
     };
     let threshold = (zero_density * (1u64 << 53) as f64) as u64;
     for slot in out.iter_mut() {
-        let r = next() >> 11; // 53 uniform bits
-        *slot = if r < threshold {
-            0.0
-        } else {
-            // Non-zero activation in (0, 1]; never rounds to zero.
-            (((r & 0xFFFF) + 1) as f32) / 65536.0
-        };
+        // 53 uniform bits.
+        let r = next() >> 11;
+        // Non-zero activation in (0, 1]; never rounds to zero. The 17-bit
+        // integer converts exactly, through `i32` so that every vector
+        // width has the conversion.
+        let v = (((r & 0xFFFF) + 1) as i32 as f32) / 65536.0;
+        *slot = if r < threshold { 0.0 } else { v };
     }
 }
 
@@ -261,6 +275,74 @@ mod tests {
         assert!((count(256) / n - 0.25).abs() < 0.05);
         assert!((count(1024) / n - 0.50).abs() < 0.05);
         assert!((count(4096) / n - 0.25).abs() < 0.05);
+    }
+
+    /// The loop `fill_activations` ran before it went through
+    /// `Kernel::run`, converting the 17-bit magnitude from `u64` (an x86
+    /// vector conversion only AVX-512DQ has).
+    fn fill_activations_scalar(seed: u64, zero_density: f64, out: &mut [f32]) {
+        let mut state = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut next = || {
+            let mut z = state;
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let threshold = (zero_density * (1u64 << 53) as f64) as u64;
+        for slot in out.iter_mut() {
+            let r = next() >> 11;
+            *slot = if r < threshold {
+                0.0
+            } else {
+                (((r & 0xFFFF) + 1) as f32) / 65536.0
+            };
+        }
+    }
+
+    #[test]
+    fn every_tier_fills_the_scalar_loops_bits() {
+        // `fill_activations`, its plain body, and the body run at every
+        // tier this CPU supports, against the retained scalar loop.
+        // Lengths 0–67 cross every vector width's remainder loop; 1024
+        // and 4099 run the vector body long. Offset 1 starts the slice one
+        // word into the buffer, off the allocation's alignment; nothing
+        // past the slice may be written.
+        let lens: Vec<usize> = (0..=67).chain([1024, 4099]).collect();
+        let mut want = vec![0.0f32; 4101];
+        let mut got = vec![0.0f32; 4101];
+        let same = |a: &[f32], b: &[f32]| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
+        for density in [0.0, 0.3, 0.6, 1.0] {
+            for s in 0..200u64 {
+                let seed = s.wrapping_mul(0xD1B5_4A32_D192_ED03);
+                for &len in &lens {
+                    for off in [0, 1] {
+                        let (slice, end) = (off..off + len, off + len + 1);
+                        let case = (density, seed, len, off);
+                        want[..end].fill(-2.0);
+                        fill_activations_scalar(seed, density, &mut want[slice.clone()]);
+                        got[..end].fill(-2.0);
+                        fill_activations(seed, density, &mut got[slice.clone()]);
+                        assert!(
+                            same(&got[..end], &want[..end]),
+                            "fill_activations, {case:?}"
+                        );
+                        got[..end].fill(-2.0);
+                        fill_activations_body(seed, density, &mut got[slice.clone()]);
+                        assert!(same(&got[..end], &want[..end]), "plain body, {case:?}");
+                        for k in Kernel::supported() {
+                            got[..end].fill(-2.0);
+                            k.run(|| fill_activations_body(seed, density, &mut got[slice.clone()]));
+                            assert!(
+                                same(&got[..end], &want[..end]),
+                                "{} tier, {case:?}",
+                                k.tier()
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
