@@ -17,8 +17,6 @@ OPTIONS:
   --format text|csv|json   output format (default: text)
   --out DIR                write one file per experiment (plus artifacts)
                            into DIR instead of stdout
-  --jobs N                 worker threads for scenario sweeps
-                           (default: all cores)
   --filter KEY=VALUE       restrict scenario axes; repeatable, values
                            comma-separated (net=AlexNet,VGG layout=nchw
                            alg=zv)
@@ -27,7 +25,7 @@ OPTIONS:
 
 EXAMPLES:
   cdma-bench experiments fig11
-  cdma-bench experiments all --format json --jobs 4 > all.json
+  cdma-bench experiments all --format json > all.json
   cdma-bench experiments fig13 --filter net=SqueezeNet --format csv
   cdma-bench experiments fig_multi_gpu --out target/experiments
   cdma-bench experiments all --out target/experiments --format json
@@ -54,8 +52,6 @@ pub struct Cli {
     pub format: Format,
     /// Output directory (`--out`).
     pub out: Option<PathBuf>,
-    /// Sweep worker count (`--jobs`).
-    pub jobs: Option<usize>,
     /// Raw `--filter` specs (parsed later by `ScenarioFilter::parse`).
     pub filters: Vec<String>,
     /// Use the coarse ratio table.
@@ -66,7 +62,10 @@ pub struct Cli {
 pub fn parse(args: &[String]) -> Result<Cli, String> {
     let mut it = args.iter().peekable();
     let command = match it.next().map(String::as_str) {
-        Some("list") => Command::List,
+        Some("list") => match it.next() {
+            None => Command::List,
+            Some(arg) => return Err(format!("list takes no options, got {arg:?}")),
+        },
         Some("experiments") => {
             let name = it
                 .next()
@@ -85,7 +84,6 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
         command,
         format: Format::Text,
         out: None,
-        jobs: None,
         filters: Vec::new(),
         fast: false,
     };
@@ -98,22 +96,10 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
         match arg.as_str() {
             "--format" => cli.format = value_for("--format")?.parse()?,
             "--out" => cli.out = Some(PathBuf::from(value_for("--out")?)),
-            "--jobs" => {
-                let v = value_for("--jobs")?;
-                cli.jobs = Some(
-                    v.parse::<usize>()
-                        .map_err(|_| format!("--jobs expects a positive integer, got {v:?}"))?,
-                );
-            }
             "--filter" => cli.filters.push(value_for("--filter")?),
             "--fast" => cli.fast = true,
             other => return Err(format!("unknown option {other:?}")),
         }
-    }
-    if matches!(cli.command, Command::List)
-        && (cli.out.is_some() || cli.jobs.is_some() || !cli.filters.is_empty())
-    {
-        return Err("list takes no options".to_owned());
     }
     Ok(cli)
 }
@@ -135,8 +121,6 @@ mod tests {
             "json",
             "--out",
             "target/exp",
-            "--jobs",
-            "2",
             "--filter",
             "net=AlexNet",
             "--filter",
@@ -152,7 +136,6 @@ mod tests {
         );
         assert_eq!(cli.format, Format::Json);
         assert_eq!(cli.out, Some(PathBuf::from("target/exp")));
-        assert_eq!(cli.jobs, Some(2));
         assert_eq!(cli.filters, vec!["net=AlexNet", "alg=zv"]);
         assert!(cli.fast);
     }
@@ -162,7 +145,6 @@ mod tests {
         let cli = parse(&args(&["experiments", "fig11"])).unwrap();
         assert_eq!(cli.format, Format::Text);
         assert_eq!(cli.out, None);
-        assert_eq!(cli.jobs, None);
         assert!(cli.filters.is_empty());
         assert!(!cli.fast);
     }
@@ -178,6 +160,8 @@ mod tests {
         assert!(parse(&args(&["experiments", "fig11", "--jobs", "two"])).is_err());
         assert!(parse(&args(&["experiments", "fig11", "--bogus"])).is_err());
         assert!(parse(&args(&["list", "--jobs", "2"])).is_err());
+        assert!(parse(&args(&["list", "--fast"])).is_err());
+        assert!(parse(&args(&["list", "--format", "json"])).is_err());
     }
 
     #[test]

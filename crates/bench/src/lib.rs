@@ -7,7 +7,7 @@
 //! ```text
 //! cargo run -p cdma-bench --release -- list
 //! cargo run -p cdma-bench --release -- experiments fig11
-//! cargo run -p cdma-bench --release -- experiments all --format json --jobs 4
+//! cargo run -p cdma-bench --release -- experiments all --format json
 //! ```
 //!
 //! [`cli`] parses the command line. The one `cargo bench` target,

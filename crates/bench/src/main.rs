@@ -1,17 +1,45 @@
 //! The `cdma-bench` CLI: one entry point regenerating every table and
 //! figure of the paper through the declarative scenario API. Replaces the
 //! 18 one-binary-per-figure targets (and `all_experiments`' subprocess
-//! launcher — `all` now runs in-process through the shared
-//! [`Context`]/[`Runner`], so intermediates are computed once and sweeps
-//! fan out over `--jobs` threads).
+//! launcher — `all` now runs in-process over one shared [`Context`], so
+//! intermediates are computed once).
+//!
+//! Everything the CLI prints to stdout goes through one [`Write`] handle.
+//! A reader that goes away early (`cdma-bench list | head -1`) ends the
+//! output cleanly: exit 0, nothing on stderr.
 
 use std::fs;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use cdma_bench::cli::{self, Cli, Command};
 use cdma_core::experiment;
 use cdma_core::report::{self, Format};
 use cdma_core::scenario::{Context, Runner, ScenarioFilter};
+
+/// Why a run stopped before the end.
+#[derive(Debug)]
+enum Stop {
+    /// Stdout's reader closed the pipe: a clean end of output.
+    Closed,
+    /// A failure, reported on stderr with exit code 2.
+    Failed(String),
+}
+
+impl From<String> for Stop {
+    fn from(e: String) -> Self {
+        Stop::Failed(e)
+    }
+}
+
+impl From<io::Error> for Stop {
+    fn from(e: io::Error) -> Self {
+        match e.kind() {
+            io::ErrorKind::BrokenPipe => Stop::Closed,
+            _ => Stop::Failed(format!("cannot write to stdout: {e}")),
+        }
+    }
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -22,28 +50,29 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    match run(cli) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+    match run(&cli, &mut io::stdout().lock()) {
+        Ok(()) | Err(Stop::Closed) => ExitCode::SUCCESS,
+        Err(Stop::Failed(e)) => {
             eprintln!("error: {e}");
             ExitCode::from(2)
         }
     }
 }
 
-fn run(cli: Cli) -> Result<(), String> {
+fn run(cli: &Cli, out: &mut impl Write) -> Result<(), Stop> {
     match &cli.command {
         Command::List => {
             for e in experiment::CATALOGUE {
-                println!("{:<16} {}", e.name, e.title);
+                writeln!(out, "{:<16} {}", e.name, e.title)?;
             }
-            Ok(())
         }
-        Command::Experiments { name } => run_experiments(name.clone(), &cli),
+        Command::Experiments { name } => run_experiments(name, cli, out)?,
     }
+    out.flush()?;
+    Ok(())
 }
 
-fn run_experiments(name: String, cli: &Cli) -> Result<(), String> {
+fn run_experiments(name: &str, cli: &Cli, out: &mut impl Write) -> Result<(), Stop> {
     let names: Vec<&'static str> = if name == "all" {
         experiment::names()
     } else {
@@ -64,19 +93,15 @@ fn run_experiments(name: String, cli: &Cli) -> Result<(), String> {
     } else {
         Context::new()
     };
-    let runner = match cli.jobs {
-        Some(jobs) => Runner::with_jobs(jobs),
-        None => Runner::new(),
-    };
     if let Some(dir) = &cli.out {
         fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     }
 
     let mut json_objects = Vec::new();
     for n in &names {
-        eprintln!("[cdma-bench] running {n} ({} jobs)", runner.jobs());
+        eprintln!("[cdma-bench] running {n}");
         let report =
-            experiment::run(n, &ctx, &runner, &filter).expect("catalogue names always dispatch");
+            experiment::run(n, &ctx, &Runner, &filter).expect("catalogue names always dispatch");
         match &cli.out {
             Some(dir) => {
                 let path = dir.join(format!("{n}.{}", cli.format.extension()));
@@ -97,15 +122,15 @@ fn run_experiments(name: String, cli: &Cli) -> Result<(), String> {
             None => match cli.format {
                 // JSON accumulates so `all` prints one valid array.
                 Format::Json => json_objects.push(report::render_json(report.as_ref())),
-                f => println!("{}", report::render(report.as_ref(), f)),
+                f => writeln!(out, "{}", report::render(report.as_ref(), f))?,
             },
         }
     }
     if cli.out.is_none() && cli.format == Format::Json {
         if names.len() == 1 {
-            println!("{}", json_objects[0]);
+            writeln!(out, "{}", json_objects[0])?;
         } else {
-            println!("[{}]", json_objects.join(",\n"));
+            writeln!(out, "[{}]", json_objects.join(",\n"))?;
         }
     }
     let stats = ctx.stats();
@@ -116,4 +141,63 @@ fn run_experiments(name: String, cli: &Cli) -> Result<(), String> {
         stats.misses
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A stdout whose reader has gone: every write fails with `BrokenPipe`.
+    struct ClosedPipe;
+
+    impl Write for ClosedPipe {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(io::ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Err(io::ErrorKind::BrokenPipe.into())
+        }
+    }
+
+    fn cli(args: &[&str]) -> Cli {
+        let args: Vec<String> = args.iter().map(|a| (*a).to_owned()).collect();
+        cli::parse(&args).unwrap()
+    }
+
+    #[test]
+    fn a_closed_pipe_is_a_clean_end_of_output() {
+        for args in [
+            &["list"][..],
+            &["experiments", "fig04", "--fast"],
+            &["experiments", "fig04", "--fast", "--format", "json"],
+        ] {
+            let stop = run(&cli(args), &mut ClosedPipe).unwrap_err();
+            assert!(matches!(stop, Stop::Closed), "{args:?}: {stop:?}");
+        }
+    }
+
+    #[test]
+    fn other_write_errors_still_fail() {
+        struct Full;
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(io::ErrorKind::StorageFull.into())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let stop = run(&cli(&["list"]), &mut Full).unwrap_err();
+        assert!(matches!(stop, Stop::Failed(_)), "{stop:?}");
+    }
+
+    #[test]
+    fn list_prints_the_catalogue_in_order() {
+        let mut out = Vec::new();
+        run(&cli(&["list"]), &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let names: Vec<&str> = text.lines().map(|l| l.split(' ').next().unwrap()).collect();
+        assert_eq!(names, experiment::names());
+    }
 }

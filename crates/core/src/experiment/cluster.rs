@@ -14,7 +14,7 @@ use cdma_vdnn::{Fidelity, FidelitySource, LinkPolicy, UniformRatio};
 
 use super::{compute_model, gantt_row};
 use crate::report::{Artifact, Cell, Report, Table};
-use crate::scenario::{Context, Runner, Scenario, ScenarioFilter, ScenarioSet};
+use crate::scenario::{Context, Scenario, ScenarioFilter, ScenarioSet};
 
 /// The GPU counts of the Section IX sweep.
 pub const GPU_SWEEP: [usize; 4] = [1, 2, 4, 8];
@@ -161,7 +161,7 @@ fn mix_members(ctx: &Context, filter: &ScenarioFilter) -> Vec<(Arc<NetworkSpec>,
 
 /// The full Section IX experiment: the per-g sweep across all three
 /// fidelity levels plus the shared-link tenant mix.
-pub fn fig_multi_gpu(ctx: &Context, runner: &Runner, filter: &ScenarioFilter) -> MultiGpuReport {
+pub fn fig_multi_gpu(ctx: &Context, filter: &ScenarioFilter) -> MultiGpuReport {
     let set = ScenarioSet::builder()
         .fidelities(Fidelity::ALL)
         .gpu_counts(GPU_SWEEP)
@@ -178,7 +178,7 @@ pub fn fig_multi_gpu(ctx: &Context, runner: &Runner, filter: &ScenarioFilter) ->
             reps.push(s.clone());
         }
     }
-    let baselines = runner.map(&reps, |s| vdnn_total(ctx, s));
+    let baselines: Vec<f64> = reps.iter().map(|s| vdnn_total(ctx, s)).collect();
     let baseline_of = |s: &Scenario| {
         let i = reps
             .iter()
@@ -186,7 +186,11 @@ pub fn fig_multi_gpu(ctx: &Context, runner: &Runner, filter: &ScenarioFilter) ->
             .expect("every scenario has a baseline representative");
         baselines[i]
     };
-    let rows = runner.run(&set, |s| row_with_baseline(ctx, s, baseline_of(s)));
+    let rows = set
+        .scenarios()
+        .iter()
+        .map(|s| row_with_baseline(ctx, s, baseline_of(s)))
+        .collect();
 
     // The heavy-traffic mix: independent tenants on the paper's default
     // platform, one wire.
@@ -370,11 +374,7 @@ mod tests {
 
     #[test]
     fn sweep_covers_g_and_fidelity_for_filtered_networks() {
-        let report = fig_multi_gpu(
-            &ctx(),
-            &Runner::sequential(),
-            &ScenarioFilter::all().network("SqueezeNet"),
-        );
+        let report = fig_multi_gpu(&ctx(), &ScenarioFilter::all().network("SqueezeNet"));
         // 1 network x 3 fidelities x 4 gpu counts.
         assert_eq!(report.rows.len(), 12);
         assert!(report.rows.iter().all(|r| r.network == "SqueezeNet"));
@@ -416,11 +416,7 @@ mod tests {
     fn tenant_mix_reports_contention() {
         // NiN is not in the canonical mix: the mix must fall back to all
         // four tenants while the sweep covers only the filtered network.
-        let report = fig_multi_gpu(
-            &ctx(),
-            &Runner::with_jobs(2),
-            &ScenarioFilter::all().network("NiN"),
-        );
+        let report = fig_multi_gpu(&ctx(), &ScenarioFilter::all().network("NiN"));
         assert!(report.rows.iter().all(|r| r.network == "NiN"));
         assert_eq!(report.tenants.len(), 4);
         for t in &report.tenants {

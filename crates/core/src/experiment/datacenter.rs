@@ -23,7 +23,7 @@ use cdma_vdnn::{ComputeModel, CudnnVersion, FidelitySource, LinkPolicy};
 
 use super::gantt_row;
 use crate::report::{Artifact, Cell, Report, Table};
-use crate::scenario::{Context, Runner, Scenario, ScenarioFilter, ScenarioSet};
+use crate::scenario::{Context, Scenario, ScenarioFilter, ScenarioSet};
 
 /// The GPU counts of the datacenter sweep (fast contexts stop at 64).
 const DATACENTER_GPU_SWEEP: [usize; 4] = [8, 64, 256, 1024];
@@ -292,9 +292,13 @@ fn churn_run(ctx: &Context) -> (Vec<JobOutcome>, ChurnSummary, String) {
 
 /// The full datacenter experiment: the fabric sweep plus the seeded
 /// tenant-churn trace.
-pub fn fig_datacenter(ctx: &Context, runner: &Runner, filter: &ScenarioFilter) -> DatacenterReport {
+pub fn fig_datacenter(ctx: &Context, filter: &ScenarioFilter) -> DatacenterReport {
     let set = sweep_set(ctx, filter);
-    let rows = runner.run(&set, |s| datacenter_row(ctx, s));
+    let rows = set
+        .scenarios()
+        .iter()
+        .map(|s| datacenter_row(ctx, s))
+        .collect();
     let (jobs, churn, gantt) = churn_run(ctx);
     DatacenterReport {
         rows,
@@ -438,11 +442,7 @@ mod tests {
 
     #[test]
     fn sweep_covers_gpu_counts_algorithms_and_fabrics() {
-        let report = fig_datacenter(
-            &ctx(),
-            &Runner::sequential(),
-            &ScenarioFilter::all().network("AlexNet"),
-        );
+        let report = fig_datacenter(&ctx(), &ScenarioFilter::all().network("AlexNet"));
         // Fast context: 2 gpu counts x 3 algorithms x 2 fabric shapes.
         assert_eq!(report.rows.len(), 12);
         assert!(report.rows.iter().all(|r| r.network == "AlexNet"));
@@ -503,7 +503,6 @@ mod tests {
     fn churn_timeline_accounts_for_every_job() {
         let report = fig_datacenter(
             &ctx(),
-            &Runner::with_jobs(2),
             // NiN is not the sweep network: the sweep falls back to the
             // filter's own networks while churn always runs the mix.
             &ScenarioFilter::all().network("NiN"),

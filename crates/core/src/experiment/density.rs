@@ -10,7 +10,7 @@ use cdma_sparsity::{ActivationGen, LossCurve, TRAINING_CHECKPOINTS};
 use cdma_tensor::{Layout, Shape4};
 
 use crate::report::{Artifact, Cell, Report, Table};
-use crate::scenario::{Context, Runner, ScenarioFilter, ScenarioSet};
+use crate::scenario::{Context, ScenarioFilter, ScenarioSet};
 use crate::CdmaEngine;
 
 /// Per-layer density samples across training for one network (Fig. 4 is
@@ -120,19 +120,18 @@ pub struct Fig06Report {
 }
 
 /// Generates Fig. 6 (OverFeat, NiN, VGG, SqueezeNet, GoogLeNet).
-pub fn fig06(ctx: &Context, runner: &Runner, filter: &ScenarioFilter) -> Fig06Report {
-    let networks: Vec<String> = ["OverFeat", "NiN", "VGG", "SqueezeNet", "GoogLeNet"]
-        .iter()
+pub fn fig06(ctx: &Context, filter: &ScenarioFilter) -> Fig06Report {
+    let figures = ["OverFeat", "NiN", "VGG", "SqueezeNet", "GoogLeNet"]
+        .into_iter()
         .filter(|n| filter.matches_network(n))
-        .map(|n| (*n).to_owned())
+        .map(|network| {
+            let spec = ctx.spec(network);
+            (
+                density_figure(&spec, ctx),
+                ctx.profile(network).mean_network_density(),
+            )
+        })
         .collect();
-    let figures = runner.map(&networks, |network| {
-        let spec = ctx.spec(network);
-        (
-            density_figure(&spec, ctx),
-            ctx.profile(network).mean_network_density(),
-        )
-    });
     let zoo_sparsity = filter.is_empty().then(|| {
         let mean: f64 = ctx
             .specs()

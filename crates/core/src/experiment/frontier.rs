@@ -24,7 +24,7 @@ use cdma_sparsity::ActivationGen;
 use cdma_tensor::{Layout, Shape4};
 
 use crate::report::{Cell, Report, Table};
-use crate::scenario::{Context, Runner, ScenarioFilter};
+use crate::scenario::{Context, ScenarioFilter};
 
 /// Modeled engine throughput for one codec, in bytes per second of
 /// *uncompressed* input.
@@ -86,41 +86,37 @@ fn adaptive_pick_fractions(density: f64, seed: u64) -> [f64; ADAPTIVE_PICKS.len(
 }
 
 /// Generates the frontier over the ratio table's density grid.
-pub fn fig_frontier(ctx: &Context, runner: &Runner, filter: &ScenarioFilter) -> FrontierReport {
+pub fn fig_frontier(ctx: &Context, filter: &ScenarioFilter) -> FrontierReport {
     let cfg = SystemConfig::titan_x_pcie3();
     let table = ctx.ratio_table();
-    let densities: Vec<f64> = table.densities().to_vec();
     let algs: Vec<Algorithm> = Algorithm::ACTIVATION
         .into_iter()
         .filter(|a| filter.matches_algorithm(*a))
         .collect();
-    let rows = runner.map(&densities, |&density| {
-        algs.iter()
-            .map(|&alg| {
-                let ratio = table.ratio(alg, Layout::Nchw, density);
-                let engine = if alg == Algorithm::Adaptive {
-                    // Density-weighted harmonic mean over the engines the
-                    // picker selected (each window's bytes move at its
-                    // engine's rate, so rates combine harmonically).
-                    let fracs = adaptive_pick_fractions(density, 42);
-                    let rates = ADAPTIVE_PICKS.map(|a| engine_bw(a, &cfg));
-                    1.0 / fracs.iter().zip(rates).map(|(f, r)| f / r).sum::<f64>()
-                } else {
-                    engine_bw(alg, &cfg)
-                };
-                FrontierRow {
-                    algorithm: alg,
-                    density,
-                    ratio,
-                    engine_gbps: engine / 1e9,
-                    effective_gbps: engine.min(ratio * cfg.pcie_bw) / 1e9,
-                }
-            })
-            .collect::<Vec<_>>()
-    });
-    FrontierReport {
-        rows: rows.into_iter().flatten().collect(),
+    let mut rows = Vec::new();
+    for &density in table.densities() {
+        for &alg in &algs {
+            let ratio = table.ratio(alg, Layout::Nchw, density);
+            let engine = if alg == Algorithm::Adaptive {
+                // Density-weighted harmonic mean over the engines the
+                // picker selected (each window's bytes move at its
+                // engine's rate, so rates combine harmonically).
+                let fracs = adaptive_pick_fractions(density, 42);
+                let rates = ADAPTIVE_PICKS.map(|a| engine_bw(a, &cfg));
+                1.0 / fracs.iter().zip(rates).map(|(f, r)| f / r).sum::<f64>()
+            } else {
+                engine_bw(alg, &cfg)
+            };
+            rows.push(FrontierRow {
+                algorithm: alg,
+                density,
+                ratio,
+                engine_gbps: engine / 1e9,
+                effective_gbps: engine.min(ratio * cfg.pcie_bw) / 1e9,
+            });
+        }
     }
+    FrontierReport { rows }
 }
 
 impl Report for FrontierReport {
@@ -190,7 +186,7 @@ mod tests {
 
     fn report() -> FrontierReport {
         let ctx = Context::with_table(RatioTable::build_fast(11));
-        fig_frontier(&ctx, &Runner::sequential(), &ScenarioFilter::all())
+        fig_frontier(&ctx, &ScenarioFilter::all())
     }
 
     #[test]
@@ -250,22 +246,8 @@ mod tests {
     fn filter_restricts_codecs() {
         let ctx = Context::with_table(RatioTable::build_fast(11));
         let f = ScenarioFilter::all().algorithm(Algorithm::Zvc);
-        let r = fig_frontier(&ctx, &Runner::sequential(), &f);
+        let r = fig_frontier(&ctx, &f);
         assert!(r.rows.iter().all(|x| x.algorithm == Algorithm::Zvc));
         assert_eq!(r.rows.len(), 7);
-    }
-
-    #[test]
-    fn parallel_matches_sequential_bit_for_bit() {
-        let ctx = Context::with_table(RatioTable::build_fast(11));
-        let seq = fig_frontier(&ctx, &Runner::sequential(), &ScenarioFilter::all()).rows;
-        let par = fig_frontier(&ctx, &Runner::with_jobs(4), &ScenarioFilter::all()).rows;
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(a.algorithm, b.algorithm);
-            assert_eq!(a.ratio.to_bits(), b.ratio.to_bits());
-            assert_eq!(a.engine_gbps.to_bits(), b.engine_gbps.to_bits());
-            assert_eq!(a.effective_gbps.to_bits(), b.effective_gbps.to_bits());
-        }
     }
 }

@@ -9,7 +9,7 @@ use cdma_tensor::Layout;
 use cdma_vdnn::{traffic, ComputeModel, CudnnVersion, TimelineSim, TransferPolicy, UniformRatio};
 
 use crate::report::{Cell, Report, Table};
-use crate::scenario::{Context, Runner, ScenarioFilter, ScenarioSet};
+use crate::scenario::{Context, ScenarioFilter, ScenarioSet};
 
 /// One bar group of Fig. 11: per network × layout × algorithm, the
 /// byte-weighted average and per-layer maximum compression ratio.
@@ -43,18 +43,23 @@ pub struct Fig11Report {
 const FIG11_EXTENSION_ALGS: [Algorithm; 2] = [Algorithm::Huff, Algorithm::Adaptive];
 
 /// Generates Fig. 11 over the (possibly filtered) paper grid.
-pub fn fig11(ctx: &Context, runner: &Runner, filter: &ScenarioFilter) -> Fig11Report {
+pub fn fig11(ctx: &Context, filter: &ScenarioFilter) -> Fig11Report {
     let set = ScenarioSet::paper_grid().filtered(filter);
-    let rows = runner.run(&set, |s| {
-        let t = ctx.traffic(&s.network, s.algorithm, s.layout);
+    let row = |network: &str, layout, algorithm| {
+        let t = ctx.traffic(network, algorithm, layout);
         Fig11Row {
-            network: s.network.clone(),
-            layout: s.layout,
-            algorithm: s.algorithm,
+            network: network.to_owned(),
+            layout,
+            algorithm,
             avg_ratio: t.avg_ratio(),
             max_ratio: t.max_layer_ratio(),
         }
-    });
+    };
+    let rows = set
+        .scenarios()
+        .iter()
+        .map(|s| row(&s.network, s.layout, s.algorithm))
+        .collect();
     // One extension-codec row per distinct (network, layout) cell the
     // filter's non-algorithm axes admit. The cells are derived from the
     // *unfiltered* grid with the algorithm swapped to an extension codec,
@@ -75,23 +80,9 @@ pub fn fig11(ctx: &Context, runner: &Runner, filter: &ScenarioFilter) -> Fig11Re
             }
         }
     }
-    let extended = runner
-        .map(&cells, |(network, layout)| {
-            algs.iter()
-                .map(|&alg| {
-                    let t = ctx.traffic(network, alg, *layout);
-                    Fig11Row {
-                        network: network.clone(),
-                        layout: *layout,
-                        algorithm: alg,
-                        avg_ratio: t.avg_ratio(),
-                        max_ratio: t.max_layer_ratio(),
-                    }
-                })
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
+    let extended = cells
+        .iter()
+        .flat_map(|(network, layout)| algs.iter().map(|&alg| row(network, *layout, alg)))
         .collect();
     Fig11Report { rows, extended }
 }
@@ -165,18 +156,22 @@ pub struct Fig12Report {
 }
 
 /// Generates Fig. 12 (NCHW layout, as the paper's results section uses).
-pub fn fig12(ctx: &Context, runner: &Runner, filter: &ScenarioFilter) -> Fig12Report {
+pub fn fig12(ctx: &Context, filter: &ScenarioFilter) -> Fig12Report {
     let set = ScenarioSet::paper_grid()
         .filtered(filter)
         .filtered(&ScenarioFilter::all().layout(Layout::Nchw));
-    let rows = runner.run(&set, |s| {
-        let t = ctx.traffic(&s.network, s.algorithm, s.layout);
-        Fig12Row {
-            network: s.network.clone(),
-            algorithm: s.algorithm,
-            normalized_offload: t.normalized_offload(),
-        }
-    });
+    let rows = set
+        .scenarios()
+        .iter()
+        .map(|s| {
+            let t = ctx.traffic(&s.network, s.algorithm, s.layout);
+            Fig12Row {
+                network: s.network.clone(),
+                algorithm: s.algorithm,
+                normalized_offload: t.normalized_offload(),
+            }
+        })
+        .collect();
     Fig12Report { rows }
 }
 
@@ -274,25 +269,25 @@ pub struct Fig13Report {
 /// Generates Fig. 13 on the paper grid's NCHW cells with cuDNN v5
 /// compute: per network, the vDNN baseline, one cDMA bar per algorithm
 /// cell, and the oracle.
-pub fn fig13(ctx: &Context, runner: &Runner, filter: &ScenarioFilter) -> Fig13Report {
+pub fn fig13(ctx: &Context, filter: &ScenarioFilter) -> Fig13Report {
     let set = ScenarioSet::paper_grid()
         .filtered(filter)
         .filtered(&ScenarioFilter::all().layout(Layout::Nchw));
-    let networks = set.networks();
-    let rows = runner.map(&networks, |network| {
-        let spec = ctx.spec(network);
+    let mut rows = Vec::new();
+    for network in set.networks() {
+        let spec = ctx.spec(&network);
         let cells: Vec<_> = set
             .scenarios()
             .iter()
-            .filter(|s| &s.network == network)
+            .filter(|s| s.network == network)
             .collect();
         let cfg = cells[0].config;
         let sim = TimelineSim::new(cfg, ComputeModel::titan_x(CudnnVersion::V5));
-        let mut rows = vec![Fig13Row {
+        rows.push(Fig13Row {
             network: network.clone(),
             config: PerfConfig::Vdnn,
             performance: sim.normalized_performance(&spec, &UniformRatio::uniform(&spec, 1.0)),
-        }];
+        });
         for s in cells {
             let t = ctx.traffic(&s.network, s.algorithm, s.layout);
             let ratios = traffic::per_layer_ratios(&t);
@@ -306,15 +301,12 @@ pub fn fig13(ctx: &Context, runner: &Runner, filter: &ScenarioFilter) -> Fig13Re
             });
         }
         rows.push(Fig13Row {
-            network: network.clone(),
+            network,
             config: PerfConfig::Oracle,
             performance: 1.0,
         });
-        rows
-    });
-    Fig13Report {
-        rows: rows.into_iter().flatten().collect(),
     }
+    Fig13Report { rows }
 }
 
 impl Report for Fig13Report {
@@ -420,30 +412,25 @@ pub struct Fig03Report {
 }
 
 /// Generates both panels of Fig. 3.
-pub fn fig03(ctx: &Context, runner: &Runner, filter: &ScenarioFilter) -> Fig03Report {
+pub fn fig03(ctx: &Context, filter: &ScenarioFilter) -> Fig03Report {
     let cfg = SystemConfig::titan_x_pcie3();
-    let networks: Vec<String> = ScenarioSet::builder().build().filtered(filter).networks();
-    let rows = runner.map(&networks, |network| {
-        let spec = ctx.spec(network);
+    let mut rows = Vec::new();
+    for network in ScenarioSet::builder().build().filtered(filter).networks() {
+        let spec = ctx.spec(&network);
         let t1 = ComputeModel::titan_x(CudnnVersion::V1).step_compute_time(&spec);
-        CudnnVersion::ALL
-            .into_iter()
-            .map(|v| {
-                let model = ComputeModel::titan_x(v);
-                let sim = TimelineSim::new(cfg, model);
-                Fig3Row {
-                    network: network.clone(),
-                    version: v,
-                    speedup_vs_v1: t1 / model.step_compute_time(&spec),
-                    vdnn_performance: sim
-                        .normalized_performance(&spec, &UniformRatio::uniform(&spec, 1.0)),
-                }
-            })
-            .collect::<Vec<_>>()
-    });
-    Fig03Report {
-        rows: rows.into_iter().flatten().collect(),
+        for v in CudnnVersion::ALL {
+            let model = ComputeModel::titan_x(v);
+            let sim = TimelineSim::new(cfg, model);
+            rows.push(Fig3Row {
+                network: network.clone(),
+                version: v,
+                speedup_vs_v1: t1 / model.step_compute_time(&spec),
+                vdnn_performance: sim
+                    .normalized_performance(&spec, &UniformRatio::uniform(&spec, 1.0)),
+            });
+        }
     }
+    Fig03Report { rows }
 }
 
 impl Report for Fig03Report {
@@ -549,13 +536,13 @@ mod tests {
         Context::with_table(RatioTable::build_fast(11))
     }
 
-    fn all(f: impl Fn(&Context, &Runner, &ScenarioFilter) -> Vec<Fig11Row>) -> Vec<Fig11Row> {
-        f(&ctx(), &Runner::sequential(), &ScenarioFilter::all())
+    fn all(f: impl Fn(&Context, &ScenarioFilter) -> Vec<Fig11Row>) -> Vec<Fig11Row> {
+        f(&ctx(), &ScenarioFilter::all())
     }
 
     #[test]
     fn fig11_has_all_cells() {
-        let rows = all(|c, r, f| fig11(c, r, f).rows);
+        let rows = all(|c, f| fig11(c, f).rows);
         assert_eq!(rows.len(), 6 * 3 * 3);
         assert!(rows
             .iter()
@@ -564,7 +551,7 @@ mod tests {
 
     #[test]
     fn fig11_zvc_layout_insensitivity() {
-        let rows = all(|c, r, f| fig11(c, r, f).rows);
+        let rows = all(|c, f| fig11(c, f).rows);
         for net in ["AlexNet", "VGG"] {
             let zv: Vec<&Fig11Row> = rows
                 .iter()
@@ -585,7 +572,7 @@ mod tests {
 
     #[test]
     fn fig11_extension_rows_cover_every_cell() {
-        let report = fig11(&ctx(), &Runner::sequential(), &ScenarioFilter::all());
+        let report = fig11(&ctx(), &ScenarioFilter::all());
         // 6 networks x 3 layouts x 2 extension codecs.
         assert_eq!(report.extended.len(), 6 * 3 * 2);
         for r in &report.extended {
@@ -621,7 +608,7 @@ mod tests {
         // An algorithm filter that excludes the extensions empties the
         // companion table without touching the paper rows.
         let f = ScenarioFilter::all().algorithm(Algorithm::Zvc);
-        let report = fig11(&ctx(), &Runner::sequential(), &f);
+        let report = fig11(&ctx(), &f);
         assert!(report.extended.is_empty());
         assert_eq!(report.rows.len(), 6 * 3);
         assert_eq!(report.tables().len(), 1);
@@ -630,7 +617,7 @@ mod tests {
         let f = ScenarioFilter::all()
             .network("AlexNet")
             .algorithm(Algorithm::Adaptive);
-        let report = fig11(&ctx(), &Runner::sequential(), &f);
+        let report = fig11(&ctx(), &f);
         assert!(report.rows.is_empty());
         assert_eq!(report.extended.len(), 3); // 3 layouts x 1 codec
         assert!(report
@@ -644,14 +631,14 @@ mod tests {
         let filter = ScenarioFilter::all()
             .network("AlexNet")
             .layout(Layout::Nchw);
-        let rows = fig11(&ctx(), &Runner::sequential(), &filter).rows;
+        let rows = fig11(&ctx(), &filter).rows;
         assert_eq!(rows.len(), 3);
         assert!(rows.iter().all(|r| r.network == "AlexNet"));
     }
 
     #[test]
     fn fig12_zv_reduces_traffic_everywhere() {
-        let rows = fig12(&ctx(), &Runner::sequential(), &ScenarioFilter::all()).rows;
+        let rows = fig12(&ctx(), &ScenarioFilter::all()).rows;
         assert_eq!(rows.len(), 6 * 3);
         for r in rows.iter().filter(|r| r.algorithm == Algorithm::Zvc) {
             assert!(
@@ -665,7 +652,7 @@ mod tests {
 
     #[test]
     fn fig13_ordering_vdnn_cdma_oracle() {
-        let rows = fig13(&ctx(), &Runner::sequential(), &ScenarioFilter::all()).rows;
+        let rows = fig13(&ctx(), &ScenarioFilter::all()).rows;
         for net in ["AlexNet", "SqueezeNet", "GoogLeNet"] {
             let get = |c: PerfConfig| {
                 rows.iter()
@@ -682,7 +669,7 @@ mod tests {
 
     #[test]
     fn fig03_speedups_and_degradation() {
-        let rows = fig03(&ctx(), &Runner::sequential(), &ScenarioFilter::all()).rows;
+        let rows = fig03(&ctx(), &ScenarioFilter::all()).rows;
         assert_eq!(rows.len(), 6 * 5);
         for r in &rows {
             assert!(r.speedup_vs_v1 >= 1.0 - 1e-9);
@@ -722,18 +709,5 @@ mod tests {
             "max improvement {} (paper 0.61)",
             h.max_improvement
         );
-    }
-
-    #[test]
-    fn parallel_grid_matches_sequential_bit_for_bit() {
-        let c = ctx();
-        let seq = fig11(&c, &Runner::sequential(), &ScenarioFilter::all()).rows;
-        let par = fig11(&c, &Runner::with_jobs(4), &ScenarioFilter::all()).rows;
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(a.network, b.network);
-            assert_eq!(a.avg_ratio.to_bits(), b.avg_ratio.to_bits());
-            assert_eq!(a.max_ratio.to_bits(), b.max_ratio.to_bits());
-        }
     }
 }

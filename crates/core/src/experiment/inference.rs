@@ -23,7 +23,7 @@
 //! use, and shared by the sweep's engines, the serving view and the
 //! Gantt.
 
-use std::sync::OnceLock;
+use std::cell::OnceCell;
 
 use cdma_compress::{Algorithm, Compressor, Csc, Zvc};
 use cdma_gpusim::energy::EnergyModel;
@@ -38,7 +38,7 @@ use cdma_serve::{
 
 use super::gantt_row;
 use crate::report::{Artifact, Cell, Report, Table};
-use crate::scenario::{Context, Runner, ScenarioFilter, ScenarioSet};
+use crate::scenario::{Context, ScenarioFilter, ScenarioSet};
 
 /// Master seed (same spirit as the figure seeds: fixed).
 const SEED: u64 = 42;
@@ -170,7 +170,7 @@ fn pe_counts(ctx: &Context) -> &'static [usize] {
 struct SweepWeights {
     rows: usize,
     cols: usize,
-    built: Vec<(f64, OnceLock<CscMatrix>)>,
+    built: Vec<(f64, OnceCell<CscMatrix>)>,
 }
 
 impl SweepWeights {
@@ -181,7 +181,7 @@ impl SweepWeights {
             cols,
             built: densities(ctx)
                 .iter()
-                .map(|&d| (d, OnceLock::new()))
+                .map(|&d| (d, OnceCell::new()))
                 .collect(),
         }
     }
@@ -413,19 +413,19 @@ fn pe_gantt(ctx: &Context, weights: &SweepWeights) -> String {
 }
 
 /// The full experiment: PE-array speedups, zoo traffic, serving, energy.
-pub fn fig_inference(ctx: &Context, runner: &Runner, filter: &ScenarioFilter) -> InferenceReport {
+pub fn fig_inference(ctx: &Context, filter: &ScenarioFilter) -> InferenceReport {
     // The engine axis rides the scenario machinery so `--filter
-    // engine=csc` and `--jobs N` behave like every other sweep.
+    // engine=csc` behaves like every other sweep.
     let set = ScenarioSet::builder()
         .networks(["AlexNet"])
         .engines(InferEngine::ALL)
         .build()
         .filtered(filter);
     let weights = SweepWeights::new(ctx);
-    let speedups: Vec<InferSpeedupRow> = runner
-        .run(&set, |s| speedup_rows(ctx, &weights, s.engine))
-        .into_iter()
-        .flatten()
+    let speedups: Vec<InferSpeedupRow> = set
+        .scenarios()
+        .iter()
+        .flat_map(|s| speedup_rows(ctx, &weights, s.engine))
         .collect();
     let traffic = traffic_rows(ctx, filter);
     let serving = serving_rows(ctx, &weights, filter);
@@ -591,11 +591,7 @@ mod tests {
     use super::*;
 
     fn report() -> InferenceReport {
-        fig_inference(
-            &Context::fast(),
-            &Runner::sequential(),
-            &ScenarioFilter::all(),
-        )
+        fig_inference(&Context::fast(), &ScenarioFilter::all())
     }
 
     #[test]
@@ -673,7 +669,6 @@ mod tests {
     fn filters_cut_the_engine_axis() {
         let r = fig_inference(
             &Context::fast(),
-            &Runner::sequential(),
             &ScenarioFilter::all().engine(InferEngine::Csc),
         );
         assert!(!r.speedups.is_empty());

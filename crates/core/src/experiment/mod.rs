@@ -2,10 +2,9 @@
 //!
 //! Each entry of the paper's evaluation (Section VII) is one function
 //! that consumes [`Scenario`](crate::scenario::Scenario) values through a
-//! shared [`Context`] (memoized profiles, ratio table, measured streams)
-//! and a [`Runner`] (parallel sweep fan-out), and returns a typed value
-//! implementing [`Report`] — renderable as text,
-//! CSV or JSON.
+//! shared [`Context`] (memoized profiles, ratio table, measured streams),
+//! sweeps them on the caller's thread, and returns a typed value
+//! implementing [`Report`] — renderable as text, CSV or JSON.
 //!
 //! The [`CATALOGUE`] lists every experiment by its stable name; [`run`]
 //! dispatches a name to its driver. The `cdma-bench` CLI is a thin shell
@@ -18,7 +17,7 @@
 //!
 //! let ctx = Context::fast();
 //! let filter = ScenarioFilter::all().network("AlexNet");
-//! let report = experiment::run("fig12", &ctx, &Runner::sequential(), &filter)
+//! let report = experiment::run("fig12", &ctx, &Runner, &filter)
 //!     .expect("fig12 is in the catalogue");
 //! let json = render(report.as_ref(), Format::Json);
 //! assert!(json.starts_with("{\"experiment\":\"fig12\""));
@@ -56,9 +55,7 @@ pub use system::{
     ablations, energy, footprint, memory_usage, overheads, AblationsReport, EnergyReport,
     FootprintReport, MemoryUsageReport, OverheadsReport,
 };
-pub use timeline::{
-    fidelity_row, fidelity_sweep, fig02_timeline, FidelityRow, FidelitySweepReport, Fig02Report,
-};
+pub use timeline::{fidelity_sweep, fig02_timeline, FidelityRow, FidelitySweepReport, Fig02Report};
 pub use training::{
     rnn_traffic, table1, training_runs, RnnTrafficReport, Table1Report, TrainingRunReport,
     TrainingRunSummary,
@@ -204,37 +201,38 @@ pub fn names() -> Vec<&'static str> {
 }
 
 /// Runs one experiment by catalogue name. Returns `None` for unknown
-/// names.
+/// names. The [`Runner`] is ignored: it stays in the signature only for
+/// callers that still pass one.
 pub fn run(
     name: &str,
     ctx: &Context,
-    runner: &Runner,
+    _runner: &Runner,
     filter: &ScenarioFilter,
 ) -> Option<Box<dyn Report>> {
     Some(match name {
         "table1" => Box::new(training::table1(ctx, filter)),
         "fig02_timeline" => Box::new(timeline::fig02_timeline(ctx, filter)),
-        "fig03" => Box::new(grid::fig03(ctx, runner, filter)),
+        "fig03" => Box::new(grid::fig03(ctx, filter)),
         "fig04" => Box::new(density::fig04(ctx)),
         "fig05" => Box::new(density::fig05(ctx)),
-        "fig06" => Box::new(density::fig06(ctx, runner, filter)),
+        "fig06" => Box::new(density::fig06(ctx, filter)),
         "fig07" => Box::new(density::fig07(ctx)),
-        "fig11" => Box::new(grid::fig11(ctx, runner, filter)),
-        "fig12" => Box::new(grid::fig12(ctx, runner, filter)),
-        "fig13" => Box::new(grid::fig13(ctx, runner, filter)),
-        "fidelity_sweep" => Box::new(timeline::fidelity_sweep(ctx, runner, filter)),
+        "fig11" => Box::new(grid::fig11(ctx, filter)),
+        "fig12" => Box::new(grid::fig12(ctx, filter)),
+        "fig13" => Box::new(grid::fig13(ctx, filter)),
+        "fidelity_sweep" => Box::new(timeline::fidelity_sweep(ctx, filter)),
         "overheads" => Box::new(system::overheads(ctx)),
-        "energy" => Box::new(system::energy(ctx, runner, filter)),
+        "energy" => Box::new(system::energy(ctx, filter)),
         "memory_usage" => Box::new(system::memory_usage(ctx, filter)),
         "footprint" => Box::new(system::footprint(ctx, filter)),
-        "fig_multi_gpu" => Box::new(cluster::fig_multi_gpu(ctx, runner, filter)),
+        "fig_multi_gpu" => Box::new(cluster::fig_multi_gpu(ctx, filter)),
         "rnn_traffic" => Box::new(training::rnn_traffic(ctx)),
-        "training_run" => Box::new(training::training_runs(ctx, runner, filter)),
-        "ablations" => Box::new(system::ablations(ctx, runner)),
+        "training_run" => Box::new(training::training_runs(ctx, filter)),
+        "ablations" => Box::new(system::ablations(ctx)),
         "serve_load" => Box::new(serving::serve_load(ctx)),
-        "fig_inference" => Box::new(inference::fig_inference(ctx, runner, filter)),
-        "fig_datacenter" => Box::new(datacenter::fig_datacenter(ctx, runner, filter)),
-        "fig_frontier" => Box::new(frontier::fig_frontier(ctx, runner, filter)),
+        "fig_inference" => Box::new(inference::fig_inference(ctx, filter)),
+        "fig_datacenter" => Box::new(datacenter::fig_datacenter(ctx, filter)),
+        "fig_frontier" => Box::new(frontier::fig_frontier(ctx, filter)),
         _ => return None,
     })
 }
@@ -254,7 +252,7 @@ mod tests {
         assert!(run(
             "nonexistent",
             &Context::fast(),
-            &Runner::sequential(),
+            &Runner,
             &ScenarioFilter::all()
         )
         .is_none());
@@ -265,10 +263,9 @@ mod tests {
         // Cheap spot checks (running all 19 here would be slow; the CLI
         // smoke test covers the full catalogue).
         let ctx = Context::fast();
-        let runner = Runner::sequential();
         let filter = ScenarioFilter::all().network("AlexNet");
         for name in ["fig04", "fig07", "fig12", "memory_usage"] {
-            let report = run(name, &ctx, &runner, &filter).expect(name);
+            let report = run(name, &ctx, &Runner, &filter).expect(name);
             assert_eq!(report.name(), name);
             let json = render_json(report.as_ref());
             assert!(json.contains(&format!("\"experiment\":\"{name}\"")));

@@ -15,7 +15,7 @@ use cdma_vdnn::{
 
 use super::grid::headline;
 use crate::report::{Cell, Report, Table};
-use crate::scenario::{Context, Runner, ScenarioFilter, ScenarioSet};
+use crate::scenario::{Context, ScenarioFilter, ScenarioSet};
 
 /// One buffer-size point of the measured-stream validation sweep.
 #[derive(Debug, Clone)]
@@ -190,24 +190,28 @@ pub struct EnergyReport {
 }
 
 /// Generates the Section VII-C energy comparison (ZVC, NCHW).
-pub fn energy(ctx: &Context, runner: &Runner, filter: &ScenarioFilter) -> EnergyReport {
+pub fn energy(ctx: &Context, filter: &ScenarioFilter) -> EnergyReport {
     let set = ScenarioSet::paper_grid().filtered(filter).filtered(
         &ScenarioFilter::all()
             .layout(Layout::Nchw)
             .algorithm(Algorithm::Zvc),
     );
     let model = EnergyModel::default();
-    let rows = runner.run(&set, |s| {
-        let t = ctx.traffic(&s.network, s.algorithm, s.layout);
-        let bytes = t.stats.uncompressed_bytes;
-        EnergyRow {
-            network: s.network.clone(),
-            ratio: t.avg_ratio(),
-            vdnn_joules: model.round_trip(bytes, 1.0).total(),
-            cdma_joules: model.round_trip(bytes, t.avg_ratio()).total(),
-            saving: model.savings_fraction(bytes, t.avg_ratio()),
-        }
-    });
+    let rows = set
+        .scenarios()
+        .iter()
+        .map(|s| {
+            let t = ctx.traffic(&s.network, s.algorithm, s.layout);
+            let bytes = t.stats.uncompressed_bytes;
+            EnergyRow {
+                network: s.network.clone(),
+                ratio: t.avg_ratio(),
+                vdnn_joules: model.round_trip(bytes, 1.0).total(),
+                cdma_joules: model.round_trip(bytes, t.avg_ratio()).total(),
+                saving: model.savings_fraction(bytes, t.avg_ratio()),
+            }
+        })
+        .collect();
     EnergyReport { rows }
 }
 
@@ -442,13 +446,13 @@ pub struct AblationsReport {
 }
 
 /// Generates the five design-choice ablations of DESIGN.md §5.
-pub fn ablations(ctx: &Context, runner: &Runner) -> AblationsReport {
+pub fn ablations(ctx: &Context) -> AblationsReport {
     AblationsReport {
         window: ablation_window(),
-        comp_bw: ablation_comp_bw(ctx, runner),
-        buffer: ablation_buffer(runner),
+        comp_bw: ablation_comp_bw(ctx),
+        buffer: ablation_buffer(),
         link: ablation_link(ctx),
-        policy: ablation_policy(ctx, runner),
+        policy: ablation_policy(ctx),
     }
 }
 
@@ -474,31 +478,34 @@ fn ablation_window() -> Table {
 }
 
 /// COMP_BW sweep: how much DRAM read bandwidth must cDMA provision?
-fn ablation_comp_bw(ctx: &Context, runner: &Runner) -> Table {
-    let points = [25.0, 50.0, 100.0, 150.0, 200.0, 236.0];
-    let rows = runner.map(&points, |&comp_gb| {
+fn ablation_comp_bw(ctx: &Context) -> Table {
+    let mut table = Table::new(
+        "provisioned compression read bandwidth (COMP_BW)",
+        &["comp_bw_gbps", "avg_improvement", "max_improvement"],
+    );
+    for comp_gb in [25.0, 50.0, 100.0, 150.0, 200.0, 236.0] {
         let cfg = SystemConfig {
             comp_bw: comp_gb * 1e9,
             ..SystemConfig::titan_x_pcie3()
         };
         let h = headline(ctx, cfg);
-        (comp_gb, h.avg_improvement, h.max_improvement)
-    });
-    let mut table = Table::new(
-        "provisioned compression read bandwidth (COMP_BW)",
-        &["comp_bw_gbps", "avg_improvement", "max_improvement"],
-    );
-    for (comp_gb, avg, max) in rows {
-        table.row([Cell::Num(comp_gb), Cell::Num(avg), Cell::Num(max)]);
+        table.row([
+            Cell::Num(comp_gb),
+            Cell::Num(h.avg_improvement),
+            Cell::Num(h.max_improvement),
+        ]);
     }
     table
 }
 
 /// Buffer sweep through the discrete-event pipeline at the maximum
 /// observed ratio.
-fn ablation_buffer(runner: &Runner) -> Table {
-    let sizes = [8usize, 16, 32, 48, 70, 128];
-    let rows = runner.map(&sizes, |&kb| {
+fn ablation_buffer() -> Table {
+    let mut table = Table::new(
+        "DMA staging-buffer size (13.8x data)",
+        &["buffer_kb", "effective_gbps", "link_utilization"],
+    );
+    for kb in [8usize, 16, 32, 48, 70, 128] {
         let cfg = SystemConfig {
             dma_buffer: kb * 1024,
             ..SystemConfig::titan_x_pcie3()
@@ -508,14 +515,11 @@ fn ablation_buffer(runner: &Runner) -> Table {
         let mut pipeline = DmaPipeline::new(cfg);
         pipeline.push_table(0.0, &[line], (32 << 20) / LINE_BYTES);
         let r = pipeline.result();
-        (kb, r.effective_bw(), r.link_utilization())
-    });
-    let mut table = Table::new(
-        "DMA staging-buffer size (13.8x data)",
-        &["buffer_kb", "effective_gbps", "link_utilization"],
-    );
-    for (kb, bw, util) in rows {
-        table.row([kb.into(), Cell::Num(bw / 1e9), Cell::Num(util)]);
+        table.row([
+            kb.into(),
+            Cell::Num(r.effective_bw() / 1e9),
+            Cell::Num(r.link_utilization()),
+        ]);
     }
     table
 }
@@ -558,10 +562,20 @@ fn ablation_link(ctx: &Context) -> Table {
 }
 
 /// Offload-all vs conv-only policy.
-fn ablation_policy(ctx: &Context, runner: &Runner) -> Table {
+fn ablation_policy(ctx: &Context) -> Table {
     let cfg = SystemConfig::titan_x_pcie3();
     let sim = TimelineSim::new(cfg, ComputeModel::titan_x(CudnnVersion::V5));
-    let rows = runner.map(ctx.specs(), |spec| {
+    let mut table = Table::new(
+        "offload policy: all layers vs conv-only",
+        &[
+            "network",
+            "all_vdnn",
+            "conv_vdnn",
+            "all_cdma_zv",
+            "conv_cdma_zv",
+        ],
+    );
+    for spec in ctx.specs() {
         let t = ctx.traffic(spec.name(), Algorithm::Zvc, Layout::Nchw);
         let ratios = traffic::per_layer_ratios(&t);
         let conv_only = |ratios| UniformRatio::new(spec, TransferPolicy::OffloadConv(ratios));
@@ -573,31 +587,12 @@ fn ablation_policy(ctx: &Context, runner: &Runner) -> Table {
             &UniformRatio::new(spec, TransferPolicy::OffloadAll(ratios.clone())),
         );
         let conv_zv = sim.normalized_performance(spec, &conv_only(ratios));
-        (
-            spec.name().to_owned(),
-            all_plain,
-            conv_plain,
-            all_zv,
-            conv_zv,
-        )
-    });
-    let mut table = Table::new(
-        "offload policy: all layers vs conv-only",
-        &[
-            "network",
-            "all_vdnn",
-            "conv_vdnn",
-            "all_cdma_zv",
-            "conv_cdma_zv",
-        ],
-    );
-    for (net, a, b, c, d) in rows {
         table.row([
-            net.into(),
-            Cell::Num(a),
-            Cell::Num(b),
-            Cell::Num(c),
-            Cell::Num(d),
+            spec.name().into(),
+            Cell::Num(all_plain),
+            Cell::Num(conv_plain),
+            Cell::Num(all_zv),
+            Cell::Num(conv_zv),
         ]);
     }
     table
@@ -661,7 +656,7 @@ mod tests {
 
     #[test]
     fn energy_savings_track_compression() {
-        let report = energy(&ctx(), &Runner::sequential(), &ScenarioFilter::all());
+        let report = energy(&ctx(), &ScenarioFilter::all());
         assert_eq!(report.rows.len(), 6);
         for r in &report.rows {
             assert!(r.cdma_joules < r.vdnn_joules, "{}", r.network);
@@ -705,7 +700,7 @@ mod tests {
 
     #[test]
     fn ablations_produce_all_five_tables() {
-        let report = ablations(&ctx(), &Runner::sequential());
+        let report = ablations(&ctx());
         let tables = report.tables();
         assert_eq!(tables.len(), 5);
         assert!(tables.iter().all(|t| !t.rows().is_empty()));

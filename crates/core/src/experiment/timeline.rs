@@ -10,7 +10,7 @@ use cdma_vdnn::{Fidelity, TimelineSim, TransferPolicy, UniformRatio};
 
 use super::compute_model;
 use crate::report::{Cell, Report, Table};
-use crate::scenario::{Context, Runner, Scenario, ScenarioFilter, ScenarioSet};
+use crate::scenario::{Context, Scenario, ScenarioFilter, ScenarioSet};
 
 /// One row of the fidelity sweep: the same training step simulated
 /// through the event-driven timeline at one of its three fidelity levels.
@@ -33,7 +33,7 @@ pub struct FidelityRow {
 /// One scenario's training step through the timeline at the scenario's
 /// fidelity level — [`Context::step`], which simulates it the first time
 /// any experiment asks.
-pub fn fidelity_row(ctx: &Context, scenario: &Scenario) -> FidelityRow {
+fn fidelity_row(ctx: &Context, scenario: &Scenario) -> FidelityRow {
     let step = ctx.step(scenario);
     FidelityRow {
         network: ctx.spec(&scenario.network).name().to_owned(),
@@ -57,18 +57,18 @@ pub struct FidelitySweepReport {
 /// fidelity levels at training checkpoint 0.5 — the cross-validation
 /// behind the timeline's claim that analytic ratios approximate real
 /// compressed streams.
-pub fn fidelity_sweep(
-    ctx: &Context,
-    runner: &Runner,
-    filter: &ScenarioFilter,
-) -> FidelitySweepReport {
+pub fn fidelity_sweep(ctx: &Context, filter: &ScenarioFilter) -> FidelitySweepReport {
     let checkpoint = 0.5;
     let set = ScenarioSet::builder()
         .fidelities(Fidelity::ALL)
         .checkpoints([checkpoint])
         .build()
         .filtered(filter);
-    let rows = runner.run(&set, |s| fidelity_row(ctx, s));
+    let rows = set
+        .scenarios()
+        .iter()
+        .map(|s| fidelity_row(ctx, s))
+        .collect();
     FidelitySweepReport { rows, checkpoint }
 }
 
@@ -383,11 +383,7 @@ mod tests {
 
     #[test]
     fn fidelity_sweep_covers_filtered_networks() {
-        let report = fidelity_sweep(
-            &ctx(),
-            &Runner::sequential(),
-            &ScenarioFilter::all().network("SqueezeNet"),
-        );
+        let report = fidelity_sweep(&ctx(), &ScenarioFilter::all().network("SqueezeNet"));
         assert_eq!(report.rows.len(), 3);
         assert!(report.rows.iter().all(|r| r.network == "SqueezeNet"));
         assert!(!report.notes().is_empty());

@@ -13,7 +13,7 @@ use cdma_vdnn::{
 };
 
 use crate::report::{Cell, Report, Table};
-use crate::scenario::{Context, Runner, ScenarioFilter};
+use crate::scenario::{Context, ScenarioFilter};
 
 /// One trained tiny-counterpart result.
 #[derive(Debug, Clone)]
@@ -173,49 +173,48 @@ pub struct TrainingRunReport {
 /// split into checkpoint buckets; each bucket's step time uses that
 /// checkpoint's per-layer densities (early training is sparser, so cDMA
 /// steps are faster then — averaging would hide that).
-pub fn training_runs(ctx: &Context, runner: &Runner, filter: &ScenarioFilter) -> TrainingRunReport {
+pub fn training_runs(ctx: &Context, filter: &ScenarioFilter) -> TrainingRunReport {
     let cfg = cdma_gpusim::SystemConfig::titan_x_pcie3();
     let sim = TimelineSim::new(cfg, ComputeModel::titan_x(CudnnVersion::V5));
     let buckets = 10usize;
     let table = ctx.ratio_table();
-    let pairs: Vec<(&cdma_models::NetworkSpec, zoo::TableOneRow)> = ctx
+    let runs = ctx
         .specs()
         .iter()
-        .map(|s| &**s)
-        .zip(zoo::TABLE_ONE.iter().copied())
+        .zip(zoo::TABLE_ONE)
         .filter(|(spec, _)| filter.matches_network(spec.name()))
+        .map(|(spec, row)| {
+            let profile = ctx.profile(spec.name());
+            let iterations = row.trained_kiter as u64 * 1000;
+            let per_bucket = iterations as f64 / buckets as f64;
+            let oracle_step = sim
+                .simulate(spec, &UniformRatio::new(spec, TransferPolicy::Oracle))
+                .total();
+            let vdnn_step = sim
+                .simulate(spec, &UniformRatio::uniform(spec, 1.0))
+                .total();
+            let mut cdma_secs = 0.0;
+            for k in 0..buckets {
+                let t = (k as f64 + 0.5) / buckets as f64;
+                let source = ProfiledDensity::at_checkpoint(
+                    spec,
+                    &profile,
+                    t,
+                    Algorithm::Zvc,
+                    Layout::Nchw,
+                    &table,
+                );
+                cdma_secs += sim.simulate(spec, &source).total() * per_bucket;
+            }
+            TrainingRunSummary {
+                network: spec.name().to_owned(),
+                iterations,
+                oracle_hours: oracle_step * iterations as f64 / 3600.0,
+                vdnn_hours: vdnn_step * iterations as f64 / 3600.0,
+                cdma_hours: cdma_secs / 3600.0,
+            }
+        })
         .collect();
-    let runs = runner.map(&pairs, |&(spec, row)| {
-        let profile = ctx.profile(spec.name());
-        let iterations = row.trained_kiter as u64 * 1000;
-        let per_bucket = iterations as f64 / buckets as f64;
-        let oracle_step = sim
-            .simulate(spec, &UniformRatio::new(spec, TransferPolicy::Oracle))
-            .total();
-        let vdnn_step = sim
-            .simulate(spec, &UniformRatio::uniform(spec, 1.0))
-            .total();
-        let mut cdma_secs = 0.0;
-        for k in 0..buckets {
-            let t = (k as f64 + 0.5) / buckets as f64;
-            let source = ProfiledDensity::at_checkpoint(
-                spec,
-                &profile,
-                t,
-                Algorithm::Zvc,
-                Layout::Nchw,
-                &table,
-            );
-            cdma_secs += sim.simulate(spec, &source).total() * per_bucket;
-        }
-        TrainingRunSummary {
-            network: spec.name().to_owned(),
-            iterations,
-            oracle_hours: oracle_step * iterations as f64 / 3600.0,
-            vdnn_hours: vdnn_step * iterations as f64 / 3600.0,
-            cdma_hours: cdma_secs / 3600.0,
-        }
-    });
     TrainingRunReport { runs }
 }
 
@@ -364,7 +363,7 @@ mod tests {
 
     #[test]
     fn training_runs_integrate_the_u_curve() {
-        let runs = training_runs(&ctx(), &Runner::sequential(), &ScenarioFilter::all()).runs;
+        let runs = training_runs(&ctx(), &ScenarioFilter::all()).runs;
         assert_eq!(runs.len(), 6);
         for r in &runs {
             assert!(r.oracle_hours <= r.cdma_hours + 1e-9, "{}", r.network);

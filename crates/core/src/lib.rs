@@ -46,4 +46,4 @@ pub mod scenario;
 
 pub use engine::{CdmaEngine, CompressedCopy, OffloadScratch};
 pub use report::Report;
-pub use scenario::{Context, Runner, Scenario, ScenarioFilter, ScenarioSet};
+pub use scenario::{Context, Scenario, ScenarioFilter, ScenarioSet};

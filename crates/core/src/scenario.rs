@@ -10,36 +10,35 @@
 //!   plus the canonical [`ScenarioSet::paper_grid`] (every zoo network ×
 //!   every layout × every algorithm) that Fig. 11/12/13 and the traffic
 //!   drivers used to re-implement as copy-pasted triple loops;
-//! * [`Context`] — a thread-safe memo of the expensive shared inputs
-//!   (network specs, density profiles, the measured [`RatioTable`],
-//!   per-cell [`NetworkTraffic`], synthesized measured streams) and of
-//!   the simulated single-GPU step itself ([`Context::step`]), so a
-//!   sweep computes each intermediate once instead of once per cell —
-//!   and [`Context::transfer_source`] is the *single* call site that
-//!   turns a scenario's [`Fidelity`] value into a live
-//!   [`FidelitySource`];
-//! * [`Runner`] — order-preserving scoped-thread fan-out of a set's
-//!   scenarios across `--jobs` workers. Results come back in scenario
-//!   order regardless of completion order, so parallel sweeps stay
-//!   byte-deterministic.
+//! * [`Context`] — a memo of the expensive shared inputs (network
+//!   specs, density profiles, the measured [`RatioTable`], per-cell
+//!   [`NetworkTraffic`], synthesized measured streams) and of the
+//!   simulated single-GPU step itself ([`Context::step`]), so a sweep
+//!   computes each intermediate once instead of once per cell — and
+//!   [`Context::transfer_source`] is the *single* call site that turns a
+//!   scenario's [`Fidelity`] value into a live [`FidelitySource`];
+//! * [`ScenarioFilter`] — the CLI's `--filter key=value` allow-lists.
+//!
+//! A sweep is a plain iterator map over the set, on the caller's thread:
 //!
 //! ```
-//! use cdma_core::scenario::{Context, Runner, ScenarioSet};
+//! use cdma_core::scenario::{Context, ScenarioSet};
 //!
 //! let ctx = Context::fast(); // coarse ratio table, fine for examples
-//! let runner = Runner::with_jobs(2);
 //! let grid = ScenarioSet::paper_grid();
 //! assert_eq!(grid.len(), 6 * 3 * 3);
-//! let ratios = runner.run(&grid, |s| {
-//!     ctx.traffic(&s.network, s.algorithm, s.layout).avg_ratio()
-//! });
+//! let ratios: Vec<f64> = grid
+//!     .scenarios()
+//!     .iter()
+//!     .map(|s| ctx.traffic(&s.network, s.algorithm, s.layout).avg_ratio())
+//!     .collect();
 //! assert_eq!(ratios.len(), grid.len());
 //! assert!(ratios.iter().all(|&r| r > 0.5));
 //! ```
 
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use cdma_compress::Algorithm;
 use cdma_gpusim::SystemConfig;
@@ -119,7 +118,7 @@ impl Scenario {
     }
 }
 
-/// An ordered collection of scenarios — the unit a [`Runner`] executes.
+/// An ordered collection of scenarios — the unit a sweep iterates.
 #[derive(Debug, Clone, Default)]
 pub struct ScenarioSet {
     scenarios: Vec<Scenario>,
@@ -607,30 +606,30 @@ enum TableKind {
     Fast(u64),
 }
 
-/// The shared, thread-safe memo of everything expensive a sweep touches
-/// more than once: network specs, density profiles, the measured
-/// [`RatioTable`], per-cell traffic summaries, synthesized measured
-/// streams, and the summaries of simulated single-GPU steps. One
+/// The memo of everything expensive a sweep touches more than once:
+/// network specs, density profiles, the measured [`RatioTable`],
+/// per-cell traffic summaries, synthesized measured streams, and the
+/// summaries of simulated single-GPU steps. One
 /// `Context` outlives a whole `experiments all` run, so e.g. the ratio
 /// table is built once and shared by all 23 experiments (the deleted
 /// per-figure `cdma-bench` bins each rebuilt it from scratch), and a
 /// measured step that three of them report is replayed line by line
 /// once.
 ///
-/// All methods take `&self`; a `Context` is `Sync` and is shared by the
-/// [`Runner`]'s worker threads.
+/// All methods take `&self`: a sweep's closures share one `Context` on
+/// the caller's thread.
 #[derive(Debug)]
 pub struct Context {
     table_kind: TableKind,
-    table: OnceLock<Arc<RatioTable>>,
+    table: OnceCell<Arc<RatioTable>>,
     prebuilt_table: Option<Arc<RatioTable>>,
-    specs: OnceLock<Vec<Arc<NetworkSpec>>>,
-    profiles: Mutex<HashMap<String, Arc<NetworkProfile>>>,
-    traffic: Mutex<HashMap<TrafficKey, Arc<NetworkTraffic>>>,
-    streams: Mutex<HashMap<StreamKey, Arc<MeasuredStream>>>,
-    steps: Mutex<HashMap<StepKey, Arc<StepSummary>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    specs: OnceCell<Vec<Arc<NetworkSpec>>>,
+    profiles: RefCell<HashMap<String, Arc<NetworkProfile>>>,
+    traffic: RefCell<HashMap<TrafficKey, Arc<NetworkTraffic>>>,
+    streams: RefCell<HashMap<StreamKey, Arc<MeasuredStream>>>,
+    steps: RefCell<HashMap<StepKey, Arc<StepSummary>>>,
+    hits: Cell<u64>,
+    misses: Cell<u64>,
 }
 
 /// Traffic memo key: network × algorithm × layout.
@@ -681,15 +680,15 @@ impl Context {
     fn with_kind(table_kind: TableKind, prebuilt: Option<RatioTable>) -> Self {
         Context {
             table_kind,
-            table: OnceLock::new(),
+            table: OnceCell::new(),
             prebuilt_table: prebuilt.map(Arc::new),
-            specs: OnceLock::new(),
-            profiles: Mutex::new(HashMap::new()),
-            traffic: Mutex::new(HashMap::new()),
-            streams: Mutex::new(HashMap::new()),
-            steps: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            specs: OnceCell::new(),
+            profiles: RefCell::default(),
+            traffic: RefCell::default(),
+            streams: RefCell::default(),
+            steps: RefCell::default(),
+            hits: Cell::new(0),
+            misses: Cell::new(0),
         }
     }
 
@@ -868,123 +867,43 @@ impl Context {
     /// lookup.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
+            hits: self.hits.get(),
+            misses: self.misses.get(),
         }
     }
 
-    /// Double-checked memo: concurrent misses may compute the value twice
-    /// (the results are deterministic, so either copy is correct), but the
-    /// first insert wins and everyone shares it afterwards.
+    /// Looks `key` up, else computes and inserts it. No borrow of `map` is
+    /// held while `make` runs, so `make` may consult other memos.
     fn memo<K, V>(
         &self,
-        map: &Mutex<HashMap<K, Arc<V>>>,
+        map: &RefCell<HashMap<K, Arc<V>>>,
         key: K,
         make: impl FnOnce() -> V,
     ) -> Arc<V>
     where
         K: std::hash::Hash + Eq,
     {
-        if let Some(v) = map.lock().expect("context cache poisoned").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(v) = map.borrow().get(&key) {
+            self.hits.set(self.hits.get() + 1);
             return v.clone();
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.misses.set(self.misses.get() + 1);
         let v = Arc::new(make());
-        map.lock()
-            .expect("context cache poisoned")
-            .entry(key)
-            .or_insert(v)
-            .clone()
+        map.borrow_mut().insert(key, v.clone());
+        v
     }
 }
 
-/// Order-preserving fan-out of scenario sets (or any work list) over
-/// scoped threads.
-#[derive(Debug, Clone, Copy)]
-pub struct Runner {
-    jobs: usize,
-}
-
-impl Default for Runner {
-    fn default() -> Self {
-        Runner::new()
-    }
-}
+/// Kept so that callers which still construct one compile: every sweep
+/// runs on the caller's thread, and [`experiment::run`] ignores its
+/// runner.
+#[derive(Debug)]
+pub struct Runner;
 
 impl Runner {
-    /// A runner with one worker per available core.
-    pub fn new() -> Self {
-        let jobs = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Runner { jobs }
-    }
-
-    /// A single-threaded runner (identical results, no fan-out).
-    pub fn sequential() -> Self {
-        Runner { jobs: 1 }
-    }
-
-    /// A runner with exactly `jobs` workers (0 is clamped to 1).
-    pub fn with_jobs(jobs: usize) -> Self {
-        Runner { jobs: jobs.max(1) }
-    }
-
-    /// The worker count.
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// Runs `f` over every scenario of `set`, returning results in
-    /// scenario order.
-    pub fn run<T, F>(&self, set: &ScenarioSet, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&Scenario) -> T + Sync,
-    {
-        self.map(set.scenarios(), f)
-    }
-
-    /// Runs `f` over an arbitrary work list, returning results in input
-    /// order. Work is pulled from a shared atomic cursor, so long items
-    /// do not serialize behind short ones; results are reassembled by
-    /// index, so the output is identical to the sequential run.
-    pub fn map<I, T, F>(&self, items: &[I], f: F) -> Vec<T>
-    where
-        I: Sync,
-        T: Send,
-        F: Fn(&I) -> T + Sync,
-    {
-        let workers = self.jobs.min(items.len());
-        if workers <= 1 {
-            return items.iter().map(&f).collect();
-        }
-        let cursor = AtomicUsize::new(0);
-        let mut indexed: Vec<(usize, T)> = Vec::with_capacity(items.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(item) = items.get(i) else { break };
-                            local.push((i, f(item)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for handle in handles {
-                match handle.join() {
-                    Ok(local) => indexed.extend(local),
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-        });
-        indexed.sort_by_key(|&(i, _)| i);
-        indexed.into_iter().map(|(_, t)| t).collect()
+    /// The runner; `_jobs` is ignored.
+    pub fn with_jobs(_jobs: usize) -> Self {
+        Runner
     }
 }
 
@@ -1133,48 +1052,5 @@ mod tests {
             nhwc.total_compressed(),
             "RLE wire bytes should differ across layouts"
         );
-    }
-
-    #[test]
-    fn runner_preserves_order_under_parallelism() {
-        let items: Vec<u64> = (0..257).collect();
-        let seq = Runner::sequential().map(&items, |&i| i * i);
-        let par = Runner::with_jobs(8).map(&items, |&i| i * i);
-        assert_eq!(seq, par);
-        assert_eq!(Runner::with_jobs(0).jobs(), 1);
-        assert!(Runner::new().jobs() >= 1);
-    }
-
-    #[test]
-    fn parallel_measured_sweep_equals_sequential_bit_for_bit() {
-        // The runner reassembles results in scenario order and the
-        // measured streams live in the shared context, so fanning the
-        // line-granularity simulations out must not move a bit.
-        use crate::experiment::fidelity_row;
-        let ctx = Context::fast();
-        let sweep = ScenarioSet::builder()
-            .networks(["AlexNet", "SqueezeNet"])
-            .fidelities([Fidelity::MeasuredStream])
-            .build();
-        let seq = Runner::sequential().run(&sweep, |s| fidelity_row(&ctx, s));
-        let par = Runner::with_jobs(2).run(&sweep, |s| fidelity_row(&ctx, s));
-        assert_eq!(seq.len(), 2);
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(a.network, b.network);
-            assert_eq!(
-                (a.step_time.to_bits(), a.events),
-                (b.step_time.to_bits(), b.events),
-                "{}",
-                a.network
-            );
-        }
-    }
-
-    #[test]
-    fn runner_runs_scenario_sets() {
-        let grid = ScenarioSet::paper_grid();
-        let labels = Runner::with_jobs(4).run(&grid, |s| s.label());
-        assert_eq!(labels.len(), grid.len());
-        assert!(labels[0].contains("AlexNet"));
     }
 }

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use cdma_core::experiment::{
     cluster_timeline, fidelity_sweep, fig02_timeline, fig_multi_gpu, FidelityRow, MultiGpuRow,
 };
-use cdma_core::scenario::{Context, Runner, Scenario, ScenarioFilter, ScenarioSet};
+use cdma_core::scenario::{Context, Scenario, ScenarioFilter, ScenarioSet};
 use cdma_gpusim::{fs_to_seconds, SystemConfig};
 use cdma_models::NetworkSpec;
 use cdma_vdnn::cluster::{ClusterSim, Tenant};
@@ -167,7 +167,7 @@ fn cluster_row(ctx: &Context, s: &Scenario) -> MultiGpuRow {
 #[test]
 fn g1_rows_equal_the_cluster_path_in_all_nine_columns() {
     let ctx = Context::with_table(RatioTable::build_fast(7));
-    let report = fig_multi_gpu(&ctx, &Runner::sequential(), &ScenarioFilter::all());
+    let report = fig_multi_gpu(&ctx, &ScenarioFilter::all());
     let g1: Vec<&MultiGpuRow> = report.rows.iter().filter(|r| r.gpus == 1).collect();
     let sweep = sweep();
     assert_eq!(g1.len(), sweep.len());
@@ -204,7 +204,6 @@ fn scenario(network: &str, fidelity: Fidelity) -> Scenario {
 #[test]
 fn three_experiments_simulate_each_step_once() {
     let ctx = Context::with_table(RatioTable::build_fast(7));
-    let runner = Runner::sequential();
     let filter = ScenarioFilter::all()
         .network("AlexNet")
         .network("GoogLeNet");
@@ -220,7 +219,7 @@ fn three_experiments_simulate_each_step_once() {
     assert_eq!(ctx.stats().hits, before.hits + 1);
 
     // The sweep adds AlexNet's three and finds GoogLeNet's.
-    let sweep = fidelity_sweep(&ctx, &runner, &filter);
+    let sweep = fidelity_sweep(&ctx, &filter);
     assert_eq!(sweep.rows.len(), 6);
     let alexnet_step = ctx.step(&alexnet);
 
@@ -228,7 +227,7 @@ fn three_experiments_simulate_each_step_once() {
     // is every input of its g >= 2 rows and of the tenant mix: it computes
     // nothing the context holds.
     let before = ctx.stats();
-    let multi = fig_multi_gpu(&ctx, &runner, &filter);
+    let multi = fig_multi_gpu(&ctx, &filter);
     let after = ctx.stats();
     assert_eq!(multi.rows.iter().filter(|r| r.gpus == 1).count(), 6);
     assert_eq!(after.misses, before.misses, "fig_multi_gpu re-simulated");

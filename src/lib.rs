@@ -20,11 +20,10 @@
 //! timeline fidelity × platform. One cell of that grid is a
 //! [`core::scenario::Scenario`] value; [`core::scenario::ScenarioSet`]
 //! builds cartesian sweeps (with [`core::scenario::ScenarioSet::paper_grid`]
-//! as the canonical Fig. 11 grid); a [`core::scenario::Context`] memoizes
-//! the expensive shared inputs (density profiles, the measured
-//! `RatioTable`, synthesized measured streams); and a
-//! [`core::scenario::Runner`] fans scenario sets out over scoped threads
-//! with order-preserving (byte-deterministic) results.
+//! as the canonical Fig. 11 grid); and a [`core::scenario::Context`]
+//! memoizes the expensive shared inputs (density profiles, the measured
+//! `RatioTable`, synthesized measured streams) while a sweep maps over
+//! the set on the caller's thread.
 //!
 //! Every experiment driver in [`core::experiment`] consumes scenarios and
 //! returns a typed value implementing [`core::report::Report`], renderable
@@ -37,7 +36,7 @@
 //!
 //! let ctx = Context::fast(); // coarse ratio table; Context::new() for full
 //! let filter = ScenarioFilter::all().network("AlexNet");
-//! let report = experiment::run("fig11", &ctx, &Runner::with_jobs(2), &filter)
+//! let report = experiment::run("fig11", &ctx, &Runner, &filter)
 //!     .expect("fig11 is in the catalogue");
 //! let json = render(report.as_ref(), Format::Json);
 //! assert!(json.starts_with("{\"experiment\":\"fig11\""));
@@ -47,7 +46,7 @@
 //! regenerates every paper table/figure:
 //!
 //! ```bash
-//! cargo run -p cdma-bench --release -- experiments all --format json --jobs 4
+//! cargo run -p cdma-bench --release -- experiments all --format json
 //! ```
 //!
 //! # The training-step timeline

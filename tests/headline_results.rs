@@ -6,7 +6,7 @@
 //! average 32% (maximum 61%)."
 
 use cdma::core::experiment;
-use cdma::core::scenario::{Context, Runner, ScenarioFilter};
+use cdma::core::scenario::{Context, ScenarioFilter};
 use cdma::gpusim::SystemConfig;
 use cdma::vdnn::RatioTable;
 
@@ -44,7 +44,7 @@ fn abstract_numbers_reproduce_in_band() {
 fn squeezenet_is_the_most_transfer_bound_network() {
     // Fig. 13's qualitative shape: SqueezeNet suffers most under vDNN and
     // gains most from cDMA; OverFeat (compute-heavy) is barely affected.
-    let rows = experiment::fig13(&ctx(), &Runner::sequential(), &ScenarioFilter::all()).rows;
+    let rows = experiment::fig13(&ctx(), &ScenarioFilter::all()).rows;
     let vdnn_perf = |net: &str| {
         rows.iter()
             .find(|r| r.network == net && r.config == experiment::PerfConfig::Vdnn)
@@ -60,7 +60,7 @@ fn squeezenet_is_the_most_transfer_bound_network() {
 fn zlib_adds_almost_nothing_over_zvc() {
     // Section VII-B: "an average 0.7% speedup over ZVC (maximum 2.2%)" —
     // the key argument for choosing simple ZVC hardware.
-    let rows = experiment::fig13(&ctx(), &Runner::sequential(), &ScenarioFilter::all()).rows;
+    let rows = experiment::fig13(&ctx(), &ScenarioFilter::all()).rows;
     let perf = |net: &str, cfg: experiment::PerfConfig| {
         rows.iter()
             .find(|r| r.network == net && r.config == cfg)
@@ -92,7 +92,7 @@ fn zlib_adds_almost_nothing_over_zvc() {
 fn fig12_average_traffic_reduction_matches() {
     // ZV cuts PCIe traffic to ~1/2.6 ≈ 0.38 of vDNN on average; zlib only
     // ~3% better overall (Section VII-A).
-    let rows = experiment::fig12(&ctx(), &Runner::sequential(), &ScenarioFilter::all()).rows;
+    let rows = experiment::fig12(&ctx(), &ScenarioFilter::all()).rows;
     use cdma::compress::Algorithm;
     let avg = |alg: Algorithm| {
         let v: Vec<f64> = rows

@@ -130,7 +130,7 @@ fn report_json_key_order_is_fixed() {
     let report = experiment::run(
         "fig12",
         &ctx,
-        &Runner::sequential(),
+        &Runner,
         &ScenarioFilter::all().network("AlexNet"),
     )
     .expect("fig12 exists");
@@ -149,21 +149,13 @@ fn report_json_key_order_is_fixed() {
 
 #[test]
 fn two_fresh_contexts_render_byte_identical_json() {
-    let render = |jobs: usize| {
+    let render = || {
         let ctx = Context::fast();
-        let report = experiment::run(
-            "fig11",
-            &ctx,
-            &Runner::with_jobs(jobs),
-            &ScenarioFilter::all(),
-        )
-        .expect("fig11 exists");
+        let report =
+            experiment::run("fig11", &ctx, &Runner, &ScenarioFilter::all()).expect("fig11 exists");
         render_json(report.as_ref())
     };
-    let a = render(1);
-    let b = render(1);
+    let a = render();
+    let b = render();
     assert_eq!(a, b, "fresh contexts must render identically");
-    // Parallelism must not change a single byte either.
-    let c = render(4);
-    assert_eq!(a, c, "parallel sweep must render identically");
 }

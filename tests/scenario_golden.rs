@@ -6,7 +6,7 @@
 
 use cdma::compress::Algorithm;
 use cdma::core::experiment::{self, PerfConfig};
-use cdma::core::scenario::{Context, Runner, ScenarioFilter};
+use cdma::core::scenario::{Context, ScenarioFilter};
 use cdma::gpusim::SystemConfig;
 use cdma::models::{profiles, zoo};
 use cdma::tensor::Layout;
@@ -44,7 +44,7 @@ fn fig11_matches_the_legacy_triple_loop_bit_for_bit() {
         }
     }
 
-    let rows = experiment::fig11(&ctx(), &Runner::with_jobs(4), &ScenarioFilter::all()).rows;
+    let rows = experiment::fig11(&ctx(), &ScenarioFilter::all()).rows;
     assert_eq!(rows.len(), legacy.len());
     for (row, (net, layout, alg, avg, max)) in rows.iter().zip(&legacy) {
         assert_eq!(&row.network, net);
@@ -77,7 +77,7 @@ fn fig12_matches_the_legacy_driver_bit_for_bit() {
         }
     }
 
-    let rows = experiment::fig12(&ctx(), &Runner::with_jobs(4), &ScenarioFilter::all()).rows;
+    let rows = experiment::fig12(&ctx(), &ScenarioFilter::all()).rows;
     assert_eq!(rows.len(), legacy.len());
     for (row, (net, alg, norm)) in rows.iter().zip(&legacy) {
         assert_eq!(&row.network, net);
@@ -118,7 +118,7 @@ fn fig13_matches_the_legacy_driver_bit_for_bit() {
         legacy.push((spec.name().to_owned(), PerfConfig::Oracle, 1.0));
     }
 
-    let rows = experiment::fig13(&ctx(), &Runner::with_jobs(4), &ScenarioFilter::all()).rows;
+    let rows = experiment::fig13(&ctx(), &ScenarioFilter::all()).rows;
     assert_eq!(rows.len(), legacy.len());
     for (row, (net, config, perf)) in rows.iter().zip(&legacy) {
         assert_eq!(&row.network, net);
