@@ -6,11 +6,15 @@
 //!
 //! Everything the CLI prints to stdout goes through one [`Write`] handle.
 //! A reader that goes away early (`cdma-bench list | head -1`) ends the
-//! output cleanly: exit 0, nothing on stderr.
+//! output cleanly: exit 0, nothing on stderr. Usage, errors and progress
+//! go to stderr through [`note`], which ignores a failed write: a closed
+//! stderr changes no exit code.
 
+use std::fmt;
 use std::fs;
 use std::io::{self, Write};
 use std::process::ExitCode;
+use std::time::Instant;
 
 use cdma_bench::cli::{self, Cli, Command};
 use cdma_core::experiment;
@@ -43,36 +47,48 @@ impl From<io::Error> for Stop {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let err = &mut io::stderr();
     let cli = match cli::parse(&args) {
         Ok(cli) => cli,
         Err(e) => {
-            eprintln!("error: {e}\n\n{}", cli::USAGE);
+            note(err, format_args!("error: {e}\n\n{}\n", cli::USAGE));
             return ExitCode::from(2);
         }
     };
-    match run(&cli, &mut io::stdout().lock()) {
+    match run(&cli, &mut io::stdout().lock(), err) {
         Ok(()) | Err(Stop::Closed) => ExitCode::SUCCESS,
         Err(Stop::Failed(e)) => {
-            eprintln!("error: {e}");
+            note(err, format_args!("error: {e}\n"));
             ExitCode::from(2)
         }
     }
 }
 
-fn run(cli: &Cli, out: &mut impl Write) -> Result<(), Stop> {
+/// Writes `text` to stderr, best effort: stderr only ever carries notes
+/// for a person, so a write that fails is dropped, not a panic.
+fn note(err: &mut impl Write, text: fmt::Arguments) {
+    let _ = err.write_fmt(text);
+}
+
+fn run(cli: &Cli, out: &mut impl Write, err: &mut impl Write) -> Result<(), Stop> {
     match &cli.command {
         Command::List => {
             for e in experiment::CATALOGUE {
                 writeln!(out, "{:<16} {}", e.name, e.title)?;
             }
         }
-        Command::Experiments { name } => run_experiments(name, cli, out)?,
+        Command::Experiments { name } => run_experiments(name, cli, out, err)?,
     }
     out.flush()?;
     Ok(())
 }
 
-fn run_experiments(name: &str, cli: &Cli, out: &mut impl Write) -> Result<(), Stop> {
+fn run_experiments(
+    name: &str,
+    cli: &Cli,
+    out: &mut impl Write,
+    err: &mut impl Write,
+) -> Result<(), Stop> {
     let names: Vec<&'static str> = if name == "all" {
         experiment::names()
     } else {
@@ -99,9 +115,15 @@ fn run_experiments(name: &str, cli: &Cli, out: &mut impl Write) -> Result<(), St
 
     let mut json_objects = Vec::new();
     for n in &names {
-        eprintln!("[cdma-bench] running {n}");
+        // One line per experiment, finished with its wall seconds.
+        note(err, format_args!("[cdma-bench] running {n} … "));
+        let started = Instant::now();
         let report =
             experiment::run(n, &ctx, &Runner, &filter).expect("catalogue names always dispatch");
+        note(
+            err,
+            format_args!("{:.3} s\n", started.elapsed().as_secs_f64()),
+        );
         match &cli.out {
             Some(dir) => {
                 let path = dir.join(format!("{n}.{}", cli.format.extension()));
@@ -134,11 +156,14 @@ fn run_experiments(name: &str, cli: &Cli, out: &mut impl Write) -> Result<(), St
         }
     }
     let stats = ctx.stats();
-    eprintln!(
-        "[cdma-bench] done: {} experiment(s); context cache: {} hits, {} misses",
-        names.len(),
-        stats.hits,
-        stats.misses
+    note(
+        err,
+        format_args!(
+            "[cdma-bench] done: {} experiment(s); context cache: {} hits, {} misses\n",
+            names.len(),
+            stats.hits,
+            stats.misses
+        ),
     );
     Ok(())
 }
@@ -172,7 +197,7 @@ mod tests {
             &["experiments", "fig04", "--fast"],
             &["experiments", "fig04", "--fast", "--format", "json"],
         ] {
-            let stop = run(&cli(args), &mut ClosedPipe).unwrap_err();
+            let stop = run(&cli(args), &mut ClosedPipe, &mut io::sink()).unwrap_err();
             assert!(matches!(stop, Stop::Closed), "{args:?}: {stop:?}");
         }
     }
@@ -188,14 +213,53 @@ mod tests {
                 Ok(())
             }
         }
-        let stop = run(&cli(&["list"]), &mut Full).unwrap_err();
+        let stop = run(&cli(&["list"]), &mut Full, &mut io::sink()).unwrap_err();
         assert!(matches!(stop, Stop::Failed(_)), "{stop:?}");
+    }
+
+    #[test]
+    fn a_closed_stderr_changes_nothing() {
+        // Progress and the cache line go nowhere; stdout is the same.
+        let args = &["experiments", "fig04", "--fast"];
+        let (mut out, mut reference) = (Vec::new(), Vec::new());
+        run(&cli(args), &mut out, &mut ClosedPipe).unwrap();
+        run(&cli(args), &mut reference, &mut io::sink()).unwrap();
+        assert_eq!(out, reference);
+        // As do usage and errors.
+        let stop = run(&cli(&["experiments", "fig99"]), &mut out, &mut ClosedPipe).unwrap_err();
+        let Stop::Failed(e) = stop else {
+            panic!("{stop:?}")
+        };
+        note(
+            &mut ClosedPipe,
+            format_args!("error: {e}\n\n{}\n", cli::USAGE),
+        );
+    }
+
+    #[test]
+    fn progress_gives_each_experiments_seconds() {
+        let mut err = Vec::new();
+        run(
+            &cli(&["experiments", "fig04", "--fast"]),
+            &mut io::sink(),
+            &mut err,
+        )
+        .unwrap();
+        let err = String::from_utf8(err).unwrap();
+        let lines: Vec<&str> = err.lines().collect();
+        assert_eq!(lines.len(), 2, "{err}");
+        let seconds = lines[0]
+            .strip_prefix("[cdma-bench] running fig04 … ")
+            .and_then(|rest| rest.strip_suffix(" s"))
+            .unwrap_or_else(|| panic!("{err}"));
+        assert!(seconds.parse::<f64>().is_ok_and(|s| s >= 0.0), "{err}");
+        assert!(lines[1].starts_with("[cdma-bench] done: 1 experiment(s); context cache: "));
     }
 
     #[test]
     fn list_prints_the_catalogue_in_order() {
         let mut out = Vec::new();
-        run(&cli(&["list"]), &mut out).unwrap();
+        run(&cli(&["list"]), &mut out, &mut io::sink()).unwrap();
         let text = String::from_utf8(out).unwrap();
         let names: Vec<&str> = text.lines().map(|l| l.split(' ').next().unwrap()).collect();
         assert_eq!(names, experiment::names());

@@ -415,9 +415,10 @@ impl ScenarioFilter {
 
     /// Parses filter specs of the form `net=AlexNet,VGG`, `layout=nchw`,
     /// `alg=zv`, `engine=csc`, `batch=32`. Keys may repeat; values are
-    /// comma-separated and case-insensitive. Every value is validated — a
-    /// typo'd network name errors here instead of silently filtering
-    /// every sweep to empty.
+    /// comma-separated and case-insensitive. Every key and value is
+    /// validated — a typo'd network name errors here instead of silently
+    /// filtering every sweep to empty, and so does a key with no value
+    /// (`net=`), which would otherwise match everything.
     ///
     /// The inference axes round-trip through the same labels the
     /// scenarios print:
@@ -449,21 +450,28 @@ impl ScenarioFilter {
             let (key, values) = spec
                 .split_once('=')
                 .ok_or_else(|| format!("filter {spec:?} is not key=value"))?;
-            for value in values.split(',').filter(|v| !v.is_empty()) {
-                match key {
-                    "net" | "network" => filter.networks.push(parse_network(value)?),
-                    "layout" => filter.layouts.push(parse_layout(value)?),
-                    "alg" | "algorithm" => filter.algorithms.push(parse_algorithm(value)?),
-                    "engine" => filter.engines.push(parse_engine(value)?),
-                    "batch" => filter.batches.push(parse_batch(value)?),
-                    "fabric" => filter.fabrics.push(parse_fabric(value)?),
-                    other => {
-                        return Err(format!(
-                            "unknown filter key {other:?} \
-                             (expected net|layout|alg|engine|batch|fabric)"
-                        ))
-                    }
+            // The key is checked before its values, so a spec with none
+            // (`tenancy=`, `=`) cannot slip through as match-everything.
+            let add: fn(&mut ScenarioFilter, &str) -> Result<(), String> = match key {
+                "net" | "network" => |f, v| parse_network(v).map(|x| f.networks.push(x)),
+                "layout" => |f, v| parse_layout(v).map(|x| f.layouts.push(x)),
+                "alg" | "algorithm" => |f, v| parse_algorithm(v).map(|x| f.algorithms.push(x)),
+                "engine" => |f, v| parse_engine(v).map(|x| f.engines.push(x)),
+                "batch" => |f, v| parse_batch(v).map(|x| f.batches.push(x)),
+                "fabric" => |f, v| parse_fabric(v).map(|x| f.fabrics.push(x)),
+                other => {
+                    return Err(format!(
+                        "unknown filter key {other:?} \
+                         (expected net|layout|alg|engine|batch|fabric)"
+                    ))
                 }
+            };
+            let mut values = values.split(',').filter(|v| !v.is_empty()).peekable();
+            if values.peek().is_none() {
+                return Err(format!("filter key {key:?} has no values"));
+            }
+            for value in values {
+                add(&mut filter, value)?;
             }
         }
         Ok(filter)
@@ -989,6 +997,20 @@ mod tests {
         // filter that empties every sweep; the error lists the keys left.
         let err = ScenarioFilter::parse(&["tenancy=churn"]).unwrap_err();
         assert!(err.contains("net|layout|alg|engine|batch|fabric)"), "{err}");
+    }
+
+    #[test]
+    fn filter_keys_are_checked_before_their_values() {
+        // Without values the key is the only thing to check: an unknown
+        // one is still unknown, a known one has nothing to filter by.
+        for spec in ["tenancy=", "=", "bogus=,,"] {
+            let err = ScenarioFilter::parse(&[spec]).unwrap_err();
+            assert!(err.contains("unknown filter key"), "{spec}: {err}");
+        }
+        let err = ScenarioFilter::parse(&["net="]).unwrap_err();
+        assert_eq!(err, "filter key \"net\" has no values");
+        assert!(ScenarioFilter::parse(&["layout=,,"]).is_err());
+        assert!(ScenarioFilter::parse(&["net=,VGG,"]).is_ok());
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //!
 //! `--filter` specs come straight from the command line, so the contract
 //! is strict: any list of strings either parses to a [`ScenarioFilter`]
-//! or returns an error — never a panic — and every filter that parses
-//! matches every scenario of the paper grid without a panic. The spec
+//! or returns an error — never a panic — every filter that parses
+//! matches every scenario of the paper grid without a panic, and a list
+//! holding a spec whose key is not one of [`KEYS`] is an error, whatever
+//! its values (none at all included). The spec
 //! lists are built from the parser's own vocabulary (`=`, `,`, the keys,
 //! zoo names, layout / codec / engine / fabric labels) mixed with the
 //! values most likely to trip it: `node` plus digits, digit strings past
@@ -57,6 +59,24 @@ const AXES: &[(&str, &[&str])] = &[
     ("batch", &["1", "32", "+7", "18446744073709551615"]),
     ("fabric", &["flat", "node8", "node+3", "NODE1"]),
 ];
+
+/// Every key the parser accepts.
+const KEYS: &[&str] = &[
+    "net",
+    "network",
+    "layout",
+    "alg",
+    "algorithm",
+    "engine",
+    "batch",
+    "fabric",
+];
+
+/// Whether `spec`'s key is one of [`KEYS`] (a spec without `=` has none).
+fn known_key(spec: &str) -> bool {
+    spec.split_once('=')
+        .is_some_and(|(key, _)| KEYS.contains(&key))
+}
 
 /// Keys no axis answers to.
 const BAD_KEYS: &[&str] = &["tenancy", "NET", "", " net", "net "];
@@ -140,6 +160,7 @@ fn random_spec_lists_parse_or_error_and_match_without_panicking() {
     let (mut restricting, mut rejected) = (0usize, 0usize);
     for case in 0..CASES {
         let specs = spec_list(&mut rng);
+        let bad_key = !specs.iter().all(|s| known_key(s));
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
             ScenarioFilter::parse(&specs).map(|filter| {
                 let hits = grid.scenarios().iter().filter(|s| filter.matches(s));
@@ -148,6 +169,7 @@ fn random_spec_lists_parse_or_error_and_match_without_panicking() {
         }));
         match outcome {
             Ok(Ok((unrestricted, hits))) => {
+                assert!(!bad_key, "case {case}: {specs:?} has an unknown key");
                 assert!(
                     !unrestricted || hits == grid.len(),
                     "case {case}: {specs:?}"
@@ -165,7 +187,7 @@ fn random_spec_lists_parse_or_error_and_match_without_panicking() {
         }
     }
     // Both sides of the parser are reached, not only its error paths
-    // (seeded: 711 restricting filters, 2011 rejected lists).
+    // (seeded: 435 restricting filters, 2579 rejected lists).
     assert!(
         restricting > CASES / 10,
         "{restricting} of {CASES} restrict"
@@ -178,8 +200,12 @@ fn random_spec_lists_parse_or_error_and_match_without_panicking() {
 fn edge_specs_parse_or_error() {
     let parses = |specs: &[&str]| ScenarioFilter::parse(specs).is_ok();
     assert!(parses(&[]));
-    assert!(parses(&["net="]));
-    assert!(parses(&["net=,,,"]));
+    assert!(parses(&["net=,VGG,,"]));
+    assert!(!parses(&["net="]));
+    assert!(!parses(&["net=,,,"]));
+    assert!(!parses(&["tenancy="]));
+    assert!(!parses(&["="]));
+    assert!(!parses(&["bogus=,,"]));
     assert!(parses(&["fabric=node18446744073709551615"]));
     assert!(!parses(&[""]));
     assert!(!parses(&["=AlexNet"]));

@@ -76,6 +76,18 @@ impl SpatialClustering {
 /// do not (≈ 0.05%) are evaluated with the defining expression — every
 /// tensor is bit-identical to the per-pixel loop by construction.
 ///
+/// Cost per element, over the 56 AlexNet, SqueezeNet and VGG maps the
+/// benchmark's `offload_zvc` set-up builds (21 M elements, one core of a
+/// shared 2-vCPU Xeon, SSE2 code; MEASUREMENTS.md has the runs): ≈ 6 ns
+/// for the field and ≈ 3 ns for the threshold. In the field, a pixel's noise is one
+/// step of the serial xoshiro generator (≈ 2 ns, its state in registers for
+/// a row's draws); the table sums and both certificate ends take about as
+/// much, eight pixels a step; on small planes the tables' `exp` calls add
+/// the rest (0.09 calls an element over the set). The threshold is a radix
+/// select that reads the field twice and copies none of it (≈ 1 ns), then
+/// a count per row and a store for each row that holds a kept element; the
+/// output's first-touch page faults are most of what is left.
+///
 /// ```
 /// use cdma_sparsity::ActivationGen;
 /// use cdma_tensor::{Layout, Shape4};
@@ -134,13 +146,13 @@ impl ActivationGen {
         let Shape4 { n, c, h, w } = shape;
         let cl = self.clustering;
         let mut field = vec![0f32; shape.len()];
-        // `row` is one image row of table sums; per (blob, image),
-        // `ex[b * w + wi]` and `ey[b * h + hi]`. One allocation, after the
+        // `z` holds one image row's noise, `ex[b * w + wi]` and
+        // `ey[hi * blobs + b]` per (blob, image). One allocation, after the
         // field: callers that keep the tensors allocate into the holes the
         // generator leaves, and their peak RSS read up to 10% apart with
         // where its small chunks sat (MEASUREMENTS.md, PR 22).
         let mut tables = vec![0f64; w + cl.blobs_per_plane * (w + h)];
-        let (row, rest) = tables.split_at_mut(w);
+        let (z, rest) = tables.split_at_mut(w);
         let (ex, ey) = rest.split_at_mut(cl.blobs_per_plane * w);
         let mut uncertified = 0usize;
         for ci in 0..c {
@@ -183,32 +195,73 @@ impl ActivationGen {
                         let dx = wi as f64 - (cx + jx);
                         *x = (-(dx * dx) / (2.0 * r * r)).exp();
                     }
-                    for (hi, y) in ey[b * h..][..h].iter_mut().enumerate() {
+                    for hi in 0..h {
                         let dy = hi as f64 - (cy + jy);
-                        *y = amp * (-(dy * dy) / (2.0 * r * r)).exp();
+                        ey[hi * blob_count + b] = amp * (-(dy * dy) / (2.0 * r * r)).exp();
                     }
                 }
-                for hi in 0..h {
-                    // s = Σ_b ey_b[hi] · ex_b[wi], in blob order.
-                    row.fill(0.0);
-                    for b in 0..blobs.len() {
-                        let y = ey[b * h + hi];
-                        for (s, x) in row.iter_mut().zip(&ex[b * w..][..w]) {
-                            *s += y * x;
-                        }
+                // A pixel's value from its table sum `s` and noise `z`:
+                // `F(s ± δ)` if both ends round alike, else `F(v)` with
+                // `v` the defining sum; `true` for the latter.
+                let pixel = |s: f64, z: f64, wi: usize, hi: usize| -> (f32, bool) {
+                    let (lo, hi_end) = certificate(s, delta, img_gain, z);
+                    if lo.to_bits() == hi_end.to_bits() {
+                        (lo, false)
+                    } else {
+                        (
+                            (blob_sum(&blobs, jx, jy, wi, hi) * img_gain + z) as f32,
+                            true,
+                        )
                     }
+                };
+                for hi in 0..h {
+                    draw_noise(&mut self.rng, cl.noise, z);
+                    let ys = &ey[hi * blob_count..][..blob_count];
                     let out_row = &mut field[((ni * c + ci) * h + hi) * w..][..w];
-                    for (wi, (out, &s)) in out_row.iter_mut().zip(row.iter()).enumerate() {
-                        let z = cl.noise * self.rng.gen_range(0.0..1.0);
-                        // F(x) is the defining loop's last line.
-                        let lo = ((s - delta) * img_gain + z) as f32;
-                        let hi_end = ((s + delta) * img_gain + z) as f32;
-                        *out = if lo.to_bits() == hi_end.to_bits() {
-                            lo
-                        } else {
-                            uncertified += 1;
-                            (blob_sum(&blobs, jx, jy, wi, hi) * img_gain + z) as f32
-                        };
+                    // s = Σ_b ey_b[hi] · ex_b[wi], in blob order, and both
+                    // certificate ends, a chunk at a time; the rare chunk
+                    // where some pixel's ends disagree is settled pixel by
+                    // pixel. A row that is no whole number of chunks ends
+                    // on one that overlaps the chunk before: its first
+                    // pixels are computed twice, to the same bits.
+                    if w < CHUNK {
+                        for wi in 0..w {
+                            let s = ys
+                                .iter()
+                                .enumerate()
+                                .fold(0f64, |s, (b, &y)| s + y * ex[b * w + wi]);
+                            let (v, fell_back) = pixel(s, z[wi], wi, hi);
+                            out_row[wi] = v;
+                            uncertified += usize::from(fell_back);
+                        }
+                        continue;
+                    }
+                    let mut done = 0;
+                    while done < w {
+                        let at = done.min(w - CHUNK);
+                        let mut s = [0f64; CHUNK];
+                        for (b, &y) in ys.iter().enumerate() {
+                            for (s, &x) in s.iter_mut().zip(&ex[b * w + at..][..CHUNK]) {
+                                *s += y * x;
+                            }
+                        }
+                        let zs = &z[at..][..CHUNK];
+                        let mut lo = [0f32; CHUNK];
+                        let mut differ = 0u32;
+                        for ((lo, &s), &z) in lo.iter_mut().zip(&s).zip(zs) {
+                            let (lo_end, hi_end) = certificate(s, delta, img_gain, z);
+                            *lo = lo_end;
+                            differ |= lo_end.to_bits() ^ hi_end.to_bits();
+                        }
+                        if differ != 0 {
+                            for (i, lo) in lo.iter_mut().enumerate() {
+                                let (v, fell_back) = pixel(s[i], zs[i], at + i, hi);
+                                *lo = v;
+                                uncertified += usize::from(fell_back && at + i >= done);
+                            }
+                        }
+                        out_row[at..][..CHUNK].copy_from_slice(&lo);
+                        done = at + CHUNK;
                     }
                 }
             }
@@ -307,6 +360,32 @@ type Blob = (f64, f64, f64, f64);
 /// With no blobs `δ = 0` and `s = v = 0`.
 const CERTIFICATE_REL: f64 = 1.0 / (1u64 << 40) as f64;
 
+/// Pixels per step of [`ActivationGen::response_field`]'s row loop: the
+/// table sums and both certificate ends of a chunk are fixed-width loops
+/// the compiler vectorizes.
+const CHUNK: usize = 8;
+
+/// Fills `z` with one image row's noise, in pixel order. The generator is
+/// copied into a local for the row and back after it, so its state stays
+/// in registers across the draws.
+fn draw_noise(rng: &mut StdRng, noise: f64, z: &mut [f64]) {
+    let mut local = rng.clone();
+    for z in z {
+        *z = noise * local.gen_range(0.0..1.0);
+    }
+    *rng = local;
+}
+
+/// `F(s − δ)` and `F(s + δ)` of one pixel, `F(x) = ((x * img_gain) + z) as
+/// f32` ([`CERTIFICATE_REL`]).
+#[inline(always)]
+fn certificate(s: f64, delta: f64, img_gain: f64, z: f64) -> (f32, f32) {
+    (
+        ((s - delta) * img_gain + z) as f32,
+        ((s + delta) * img_gain + z) as f32,
+    )
+}
+
 /// The definition of a pixel's blob response — the per-pixel loop's inner
 /// expression, evaluated for the pixels the tables cannot certify.
 fn blob_sum(blobs: &[Blob], jx: f64, jy: f64, wi: usize, hi: usize) -> f64 {
@@ -330,13 +409,152 @@ fn threshold_to_density(field: Vec<f32>, shape: Shape4, layout: Layout, density:
     let threshold = if keep >= len {
         f32::NEG_INFINITY
     } else {
+        nth_smallest(&field, len - keep)
+    };
+    // Only rows holding a kept element are stored: the all-zero pages of a
+    // sparse tensor are never touched.
+    let mut out = Tensor::zeros(shape, layout);
+    let (sn, sc, sh, sw) = layout.strides(shape);
+    let data = out.as_mut_slice();
+    let mut rows = field.chunks_exact(shape.w);
+    let mut kept = 0usize;
+    for ni in 0..shape.n {
+        for ci in 0..shape.c {
+            for hi in 0..shape.h {
+                let base = ni * sn + ci * sc + hi * sh;
+                let row = rows.next().expect("field has one row per (n, c, h)");
+                let count = row.iter().map(|&v| u32::from(v >= threshold)).sum::<u32>() as usize;
+                if count == 0 {
+                    continue;
+                }
+                if kept + count <= keep && sw == 1 {
+                    // Every element at or above the threshold is kept, so
+                    // the loop below would store each one: the same stores,
+                    // as a select instead of a branch.
+                    for (out, &v) in data[base..][..row.len()].iter_mut().zip(row) {
+                        *out = if v >= threshold {
+                            v - threshold + 0.01
+                        } else {
+                            0.0
+                        };
+                    }
+                    kept += count;
+                    continue;
+                }
+                for (wi, &v) in row.iter().enumerate() {
+                    // `>=` admits every exact duplicate of the threshold;
+                    // `kept < keep` stops at exactly `keep` elements, in
+                    // logical NCHW order whatever the layout.
+                    if v >= threshold && kept < keep {
+                        data[base + wi * sw] = v - threshold + 0.01;
+                        kept += 1;
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The `rank`-th smallest value of `field` (0-based), by a two-pass radix
+/// select on the bit patterns, without a copy of the field: a count of
+/// the high 16 bits finds the bucket holding the rank, a count of the low
+/// 16 bits inside that bucket finds the value.
+///
+/// The bits of finite `f32`s at or above `+0.0` sort as the values do,
+/// and a response field holds no other: `s ≥ 0`, `img_gain > 0` and
+/// `z ≥ 0`. That is asserted here, in every build.
+fn nth_smallest(field: &[f32], rank: usize) -> f32 {
+    assert!(
+        u32::try_from(field.len()).is_ok(),
+        "a field of {} elements overflows the select's u32 counts",
+        field.len()
+    );
+    // 2^16 counts, 256 KB: the table stays in L2. Allocated after the
+    // field, as the field's tables are.
+    let mut counts: Box<[u32; BUCKETS]> = vec![0u32; BUCKETS]
+        .into_boxed_slice()
+        .try_into()
+        .expect("BUCKETS counts");
+    for &v in field {
+        counts[(v.to_bits() >> 16) as usize] += 1;
+    }
+    // `+inf`'s bucket and every one above it hold the NaNs, the infinity
+    // and everything with the sign bit set, `-0.0` included.
+    let above_max = (f32::INFINITY.to_bits() >> 16) as usize;
+    assert!(
+        counts[above_max..].iter().all(|&count| count == 0),
+        "the response field holds a NaN, an infinity or a value below +0.0"
+    );
+    let (high, rank) = bucket_of(&counts, rank);
+    counts.fill(0);
+    // Few elements share the high bucket: a chunk is scanned for one (a
+    // loop the compiler vectorizes) before its elements are counted.
+    for chunk in field.chunks(32) {
+        if chunk
+            .iter()
+            .fold(false, |hit, v| hit | (v.to_bits() >> 16 == high))
+        {
+            for &v in chunk {
+                let bits = v.to_bits();
+                if bits >> 16 == high {
+                    counts[(bits & 0xFFFF) as usize] += 1;
+                }
+            }
+        }
+    }
+    let (low, _) = bucket_of(&counts, rank);
+    f32::from_bits(high << 16 | low)
+}
+
+/// Buckets of [`nth_smallest`]'s counts: one per 16-bit digit.
+const BUCKETS: usize = 1 << 16;
+
+/// The bucket holding the `rank`-th smallest counted element (0-based),
+/// and that element's rank among the bucket's own.
+fn bucket_of(counts: &[u32; BUCKETS], rank: usize) -> (u32, usize) {
+    // Whole blocks are summed (a loop the compiler vectorizes) until the
+    // one holding the rank.
+    const BLOCK: usize = 64;
+    let mut below = 0usize;
+    for (i, block) in counts.chunks_exact(BLOCK).enumerate() {
+        let total = block.iter().sum::<u32>() as usize;
+        if below + total > rank {
+            for (j, &count) in block.iter().enumerate() {
+                if below + count as usize > rank {
+                    return ((i * BLOCK + j) as u32, rank - below);
+                }
+                below += count as usize;
+            }
+        }
+        below += total;
+    }
+    unreachable!("rank {rank} is not below the {below} elements counted")
+}
+
+/// The thresholding [`threshold_to_density`] replaced — a quantile by
+/// `select_nth_unstable_by` on a copy of the field and a per-element
+/// branch — kept unchanged as the oracle it is held to bit for bit.
+#[cfg(test)]
+fn threshold_to_density_oracle(
+    field: Vec<f32>,
+    shape: Shape4,
+    layout: Layout,
+    density: f64,
+) -> Tensor {
+    let len = shape.len();
+    let keep = (density * len as f64).round() as usize;
+    if keep == 0 {
+        return Tensor::zeros(shape, layout);
+    }
+    let threshold = if keep >= len {
+        f32::NEG_INFINITY
+    } else {
         let mut sorted = field.clone();
         let idx = len - keep;
         sorted.select_nth_unstable_by(idx, |a, b| a.partial_cmp(b).expect("field is finite"));
         sorted[idx]
     };
-    // Only kept elements are stored: the all-zero pages of a sparse tensor
-    // are never touched.
     let mut out = Tensor::zeros(shape, layout);
     let (sn, sc, sh, sw) = layout.strides(shape);
     let data = out.as_mut_slice();
@@ -348,9 +566,6 @@ fn threshold_to_density(field: Vec<f32>, shape: Shape4, layout: Layout, density:
                 let base = ni * sn + ci * sc + hi * sh;
                 let row = rows.next().expect("field has one row per (n, c, h)");
                 for (wi, &v) in row.iter().enumerate() {
-                    // `>=` admits every exact duplicate of the threshold;
-                    // `kept < keep` stops at exactly `keep` elements, in
-                    // logical NCHW order whatever the layout.
                     if v >= threshold && kept < keep {
                         data[base + wi * sw] = v - threshold + 0.01;
                         kept += 1;
@@ -570,6 +785,96 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Holds [`threshold_to_density`] to the oracle it replaced in the bits
+    /// of every element, for `field` at every layout and each density.
+    fn assert_threshold_equals_the_oracle(field: &[f32], shape: Shape4, densities: &[f64]) {
+        for layout in Layout::ALL {
+            for &density in densities {
+                let new = threshold_to_density(field.to_vec(), shape, layout, density);
+                let old = threshold_to_density_oracle(field.to_vec(), shape, layout, density);
+                assert_eq!((new.shape(), new.layout()), (old.shape(), old.layout()));
+                let mismatches = new
+                    .as_slice()
+                    .iter()
+                    .zip(old.as_slice())
+                    .filter(|(a, b)| a.to_bits() != b.to_bits())
+                    .count();
+                assert_eq!(mismatches, 0, "{shape} {layout:?} density {density}");
+            }
+        }
+    }
+
+    #[test]
+    fn threshold_equals_the_select_oracle_bit_for_bit() {
+        // Generated fields: rows of odd widths, `w % 4 != 0`, `n > 1`,
+        // the degenerate planes; `keep` at 0, 1, inside, `len − 1`, `len`.
+        for (shape, seeds) in [
+            (Shape4::new(2, 24, 27, 27), 3),
+            (Shape4::new(4, 16, 13, 13), 3),
+            (Shape4::new(1, 64, 56, 56), 1),
+            (Shape4::new(1, 16, 1, 37), 3),
+            (Shape4::new(1, 16, 37, 1), 3),
+            (Shape4::new(2, 8, 5, 300), 3),
+            (Shape4::fc(4, 1000), 3),
+        ] {
+            let len = shape.len() as f64;
+            let densities = [
+                0.0,
+                1.0 / len,
+                0.05,
+                0.37,
+                0.5,
+                0.95,
+                (len - 1.0) / len,
+                1.0,
+            ];
+            for seed in 0..seeds {
+                let (field, _) = ActivationGen::seeded(seed).response_field(shape);
+                assert_threshold_equals_the_oracle(&field, shape, &densities);
+            }
+        }
+        // Fields of a few values, each cut at every `keep`.
+        let shape = Shape4::new(2, 3, 5, 7);
+        let len = shape.len();
+        let every_keep: Vec<f64> = (0..=len).map(|keep| keep as f64 / len as f64).collect();
+        let from_bits = |bits: &dyn Fn(usize) -> u32| -> Vec<f32> {
+            (0..len).map(|i| f32::from_bits(bits(i))).collect()
+        };
+        let one = 1.0f32.to_bits();
+        assert_eq!(one & 0xFFFF, 0, "1.0 opens a bucket of the select");
+        for field in [
+            // All equal: the threshold is every element.
+            vec![0.0f32; len],
+            vec![0.5f32; len],
+            vec![f32::MAX; len],
+            // +0.0 and the smallest subnormals, all in the lowest bucket.
+            from_bits(&|i| (i * 7 % 6) as u32),
+            // Ties straddling a bucket boundary: the largest value below
+            // 1.0 (the top of its bucket), 1.0 and the next one up.
+            from_bits(&|i| one - 1 + (i * 5 % 3) as u32),
+            // Both halves of the bits vary.
+            from_bits(&|i| one + ((i * 37 % 11) as u32) * 0x1_0001),
+        ] {
+            assert_threshold_equals_the_oracle(&field, shape, &every_keep);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "holds a NaN, an infinity or a value below +0.0")]
+    fn a_nan_in_the_field_panics() {
+        let mut field = vec![1.0f32; 16];
+        field[5] = f32::NAN;
+        threshold_to_density(field, Shape4::new(1, 1, 4, 4), Layout::Nchw, 0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "holds a NaN, an infinity or a value below +0.0")]
+    fn a_negative_field_value_panics() {
+        let mut field = vec![1.0f32; 16];
+        field[9] = -1.0;
+        threshold_to_density(field, Shape4::new(1, 1, 4, 4), Layout::Nchw, 0.5);
     }
 
     #[test]
