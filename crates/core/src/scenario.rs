@@ -49,7 +49,7 @@ use cdma_tensor::Layout;
 use cdma_vdnn::timeline::MeasuredStream;
 use cdma_vdnn::traffic::{self, NetworkTraffic};
 use cdma_vdnn::{
-    FabricShape, Fidelity, FidelitySource, ProfiledDensity, RatioTable, StepSummary, TimelineSim,
+    FabricShape, Fidelity, FidelitySource, ProfiledDensity, RatioTable, StepTimeline, TimelineSim,
     UniformRatio,
 };
 
@@ -616,8 +616,8 @@ enum TableKind {
 
 /// The memo of everything expensive a sweep touches more than once:
 /// network specs, density profiles, the measured [`RatioTable`],
-/// per-cell traffic summaries, synthesized measured streams, and the
-/// summaries of simulated single-GPU steps. One
+/// per-cell traffic summaries, synthesized measured streams, and
+/// simulated single-GPU steps. One
 /// `Context` outlives a whole `experiments all` run, so e.g. the ratio
 /// table is built once and shared by all 23 experiments (the deleted
 /// per-figure `cdma-bench` bins each rebuilt it from scratch), and a
@@ -635,7 +635,7 @@ pub struct Context {
     profiles: RefCell<HashMap<String, Arc<NetworkProfile>>>,
     traffic: RefCell<HashMap<TrafficKey, Arc<NetworkTraffic>>>,
     streams: RefCell<HashMap<StreamKey, Arc<MeasuredStream>>>,
-    steps: RefCell<HashMap<StepKey, Arc<StepSummary>>>,
+    steps: RefCell<HashMap<StepKey, Arc<StepTimeline>>>,
     hits: Cell<u64>,
     misses: Cell<u64>,
 }
@@ -646,7 +646,7 @@ type TrafficKey = (String, Algorithm, Layout);
 /// bits × seed. No platform here: a stream is the compressed size of
 /// every fixed 4 KB window, and no [`SystemConfig`] field enters that.
 type StreamKey = (String, Algorithm, Layout, u64, u64);
-/// Step-summary memo key: the stream key's axes plus the fidelity level
+/// Step memo key: the stream key's axes plus the fidelity level
 /// and the platform ([`config_bits`]), which sets every duration of the
 /// step. The compute model is not an axis: [`Context::step`] simulates on
 /// [`experiment::compute_model`] alone.
@@ -847,13 +847,13 @@ impl Context {
     /// The single-GPU training step of `scenario` (memoized by network,
     /// fidelity, algorithm, layout, checkpoint, seed and platform): one
     /// [`TimelineSim`] run on the catalogue's compute model with the
-    /// scenario's [`Context::transfer_source`], kept as a [`StepSummary`]
-    /// — the busy-interval lists are summed and dropped before the insert,
-    /// so the memo holds a few hundred entries per step, not the millions
-    /// a measured replay records. `gpus` and the
-    /// inference / fabric axes are not part of a single-GPU step and not
-    /// part of the key.
-    pub fn step(&self, scenario: &Scenario) -> Arc<StepSummary> {
+    /// scenario's [`Context::transfer_source`], kept whole: a few hundred
+    /// log entries and stage records, and busy lists of a few dozen
+    /// intervals (the DMA pipeline books a measured replay's lines as
+    /// femtosecond totals, not intervals). `gpus` and the inference /
+    /// fabric axes are not part of a single-GPU step and not part of the
+    /// key.
+    pub fn step(&self, scenario: &Scenario) -> Arc<StepTimeline> {
         let spec = self.spec(&scenario.network);
         let key = (
             spec.name().to_owned(),
@@ -867,7 +867,6 @@ impl Context {
         self.memo(&self.steps, key, || {
             TimelineSim::new(scenario.config, experiment::compute_model())
                 .simulate(&spec, &self.transfer_source(scenario))
-                .into()
         })
     }
 

@@ -14,7 +14,7 @@
 use cdma_core::{measured, CdmaEngine};
 use cdma_gpusim::SystemConfig;
 use cdma_models::{profiles, zoo};
-use cdma_vdnn::timeline::{Resource, StepSummary};
+use cdma_vdnn::timeline::Resource;
 use cdma_vdnn::{ComputeModel, CudnnVersion, TimelineSim};
 
 const EVENTS: u64 = 791_142;
@@ -50,9 +50,8 @@ fn the_measured_alexnet_step_is_pinned_in_bits() {
         "step total {}",
         step.total()
     );
-    let summary = StepSummary::from(step);
     for (r, bits) in BUSY_BITS {
-        let busy = summary.busy_seconds(r);
+        let busy = step.busy_seconds(r);
         assert_eq!(
             busy.to_bits(),
             bits,

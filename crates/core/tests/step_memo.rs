@@ -1,11 +1,11 @@
 //! The step memo against what it replaced.
 //!
 //! [`Context::step`] hands three experiments one simulation of a
-//! scenario's single-GPU step, kept as a [`StepSummary`]. Differential:
-//! the summary equals a fresh [`TimelineSim::simulate`] field by field in
-//! bits, and the `g = 1` rows `fig_multi_gpu` now reads from it equal the
-//! rows built the old way, through `cluster_timeline` / [`ClusterSim`]
-//! (kept here). Accounting: across `fig02_timeline` → `fidelity_sweep` →
+//! scenario's single-GPU step, a shared [`StepTimeline`]. Differential:
+//! the memoised step equals a fresh [`TimelineSim::simulate`] field by
+//! field in bits, and the `g = 1` rows `fig_multi_gpu` now reads from it
+//! equal the rows built the old way, through `cluster_timeline` /
+//! [`ClusterSim`] (kept here). Accounting: across `fig02_timeline` → `fidelity_sweep` →
 //! `fig_multi_gpu` on one context each step is simulated once.
 //!
 //! The compute model is spelled out here on purpose: the memo does not
@@ -24,7 +24,8 @@ use cdma_vdnn::timeline::{
     Event, EventKind, LinkPolicy, Payload, Resource, StageRecord, TransferSource,
 };
 use cdma_vdnn::{
-    ComputeModel, CudnnVersion, Fidelity, RatioTable, StepBreakdown, TimelineSim, UniformRatio,
+    ComputeModel, CudnnVersion, Fidelity, RatioTable, StepBreakdown, StepTimeline, TimelineSim,
+    UniformRatio,
 };
 
 fn model() -> ComputeModel {
@@ -65,6 +66,7 @@ fn a_memoised_step_equals_a_fresh_simulation_in_bits() {
         assert_eq!(step.fidelity(), fresh.fidelity(), "{what}");
         assert_eq!(step.fidelity(), s.fidelity.label(), "{what}");
         assert_eq!(step.events_processed(), fresh.events_processed(), "{what}");
+        assert_eq!(step.lines_stepped(), fresh.lines_stepped(), "{what}");
 
         assert_eq!(step.events().len(), fresh.events().len(), "{what} events");
         for (i, (a, b)) in step.events().iter().zip(fresh.events()).enumerate() {
@@ -79,12 +81,19 @@ fn a_memoised_step_equals_a_fresh_simulation_in_bits() {
             assert_eq!(bits(a), bits(b), "{what} stage {i}");
         }
 
-        // Busy seconds: the in-order sum of the intervals the summary
-        // dropped, plus the offloaded lines' exact total. Addition order is
-        // part of the contract — the link column of `fig_multi_gpu` is
-        // this number over the step time.
+        // Busy seconds: the in-order sum of the intervals, plus the
+        // offloaded lines' exact total. Addition order is part of the
+        // contract — the link column of `fig_multi_gpu` is this number
+        // over the step time.
         let lines = line_seconds(s, &spec, &source, fresh.events());
         for r in [Resource::Compute, Resource::DmaRead, Resource::Link] {
+            let bits = |tl: &StepTimeline| -> Vec<[u64; 2]> {
+                tl.busy(r)
+                    .iter()
+                    .map(|&(s, e)| [s.to_bits(), e.to_bits()])
+                    .collect()
+            };
+            assert_eq!(bits(&step), bits(&fresh), "{what} {r:?} intervals");
             let in_order: f64 = fresh.busy(r).iter().map(|&(s, e)| e - s).sum();
             let want = in_order + lines[r as usize];
             assert_bits(fresh.busy_seconds(r), want, &format!("{what} {r:?} fresh"));

@@ -6,8 +6,9 @@
 //! thins — so transfer stalls grow exactly where compression helps.
 //!
 //! [`ClusterSim`] grows that scenario onto the event-driven timeline: each
-//! GPU of each [`Tenant`] runs the vDNN stage machine of
-//! [`TimelineSim`], but its offloads and
+//! GPU of each [`Tenant`] walks [`TimelineSim`]'s stage program and books
+//! every stage through the same per-GPU step recorder, which builds its
+//! [`StepTimeline`]; only the link differs. Its offloads and
 //! prefetches contend for one bandwidth-shared [`FluidFabric`], together
 //! with one gradient all-reduce stream per data-parallel tenant. The fabric is the
 //! platform's one flat link unless [`ClusterSim::with_fabric`] stacks
@@ -65,8 +66,8 @@ use cdma_models::NetworkSpec;
 
 use crate::fabric::{FabricSpec, FluidFabric};
 use crate::timeline::{
-    busy_total, line_totals, push_busy, Event, EventKind, FlowId, LinkPolicy, Payload, Phase,
-    Resource, Stage, StageRecord, StepTimeline, TimelineSim, Transfer, TransferSource,
+    busy_total, line_totals, FlowId, LinkPolicy, Payload, Phase, Resource, Stage, StepRecorder,
+    StepTimeline, TimelineSim, Transfer, TransferSource,
 };
 use crate::{ComputeModel, StepBreakdown};
 
@@ -330,9 +331,18 @@ struct Demand {
     max_rate: f64,
 }
 
-/// Fluid-flow view of an offload payload: compressed bytes on the wire,
-/// produced no faster than the read path compresses them.
-fn offload_demand(cfg: &SystemConfig, payload: Payload<'_>, scale: f64) -> Option<Demand> {
+/// Fluid-flow view of a transfer's payload: compressed bytes on the wire,
+/// at a rate capped by the engines. An offload's lines are produced no
+/// faster than the read path compresses them, a prefetch's consumed no
+/// faster than the memory-controller engines decompress; the analytic
+/// levels keep the paper's symmetric-bandwidth model, same as the
+/// dedicated timeline.
+fn demand(
+    cfg: &SystemConfig,
+    transfer: Transfer,
+    payload: Payload<'_>,
+    scale: f64,
+) -> Option<Demand> {
     match payload {
         Payload::None => None,
         Payload::Analytic { bytes, ratio } => {
@@ -348,32 +358,15 @@ fn offload_demand(cfg: &SystemConfig, payload: Payload<'_>, scale: f64) -> Optio
             if c == 0 || u == 0 {
                 return None;
             }
+            let engine_bw = match transfer {
+                Transfer::Prefetch(_) => {
+                    ZvcEngine::new(cfg.engine_clock).aggregate_throughput(cfg.mem_controllers)
+                }
+                _ => cfg.usable_comp_bw(),
+            };
             Some(Demand {
                 wire_bytes: c as f64 * scale,
-                max_rate: cfg.usable_comp_bw() * c as f64 / u as f64,
-            })
-        }
-    }
-}
-
-/// Fluid-flow view of a prefetch payload: compressed bytes on the wire,
-/// consumed no faster than the memory-controller engines decompress.
-fn prefetch_demand(cfg: &SystemConfig, payload: Payload<'_>, scale: f64) -> Option<Demand> {
-    match payload {
-        Payload::None => None,
-        // The analytic levels keep the paper's symmetric-bandwidth model,
-        // same as the dedicated timeline.
-        Payload::Analytic { .. } => offload_demand(cfg, payload, scale),
-        Payload::Lines { lines, repeat } => {
-            let (u, c) = line_totals(lines, repeat);
-            if c == 0 || u == 0 {
-                return None;
-            }
-            let engines = ZvcEngine::new(cfg.engine_clock);
-            let tp = engines.aggregate_throughput(cfg.mem_controllers);
-            Some(Demand {
-                wire_bytes: c as f64 * scale,
-                max_rate: tp * c as f64 / u as f64,
+                max_rate: engine_bw * c as f64 / u as f64,
             })
         }
     }
@@ -510,11 +503,7 @@ impl ClusterSim {
                 StagePlan {
                     stage,
                     compute: stage.compute(&self.compute, t.spec) * scale,
-                    demand: match stage.transfer {
-                        Transfer::Idle => None,
-                        Transfer::Offload(_) => offload_demand(&self.cfg, payload, scale),
-                        Transfer::Prefetch(_) => prefetch_demand(&self.cfg, payload, scale),
-                    },
+                    demand: demand(&self.cfg, stage.transfer, payload, scale),
                 }
             })
             .collect()
@@ -622,34 +611,13 @@ impl StartQueue {
     }
 }
 
-struct Waiting {
-    start: f64,
-    compute_end: f64,
-}
-
 struct GpuRun {
     tenant: usize,
     flow: FlowId,
     next_stage: usize,
-    seq: u64,
-    /// Whether the detailed log (events, stages, busy) is retained;
-    /// `seq` counts events either way, so event *counts* are identical.
-    record: bool,
-    events: Vec<(f64, u64, EventKind)>,
-    stages: Vec<StageRecord>,
-    busy: [Vec<(f64, f64)>; 3],
-    breakdown: StepBreakdown,
-    waiting: Option<Waiting>,
-    finished_at: Option<f64>,
-}
-
-impl GpuRun {
-    fn push_event(&mut self, time: f64, kind: EventKind) {
-        if self.record {
-            self.events.push((time, self.seq, kind));
-        }
-        self.seq += 1;
-    }
+    rec: StepRecorder,
+    /// The start of the stage whose transfer is in flight.
+    waiting: Option<f64>,
 }
 
 struct TenantRun {
@@ -672,7 +640,6 @@ struct TenantRun {
 /// advanced strictly in time order.
 struct SharedEngine {
     plans: Vec<Vec<StagePlan>>,
-    fidelities: Vec<&'static str>,
     networks: Vec<String>,
     links: FluidFabric,
     gpus: Vec<GpuRun>,
@@ -697,12 +664,10 @@ impl SharedEngine {
         let mut gpus = Vec::new();
         let mut tenant_runs = Vec::new();
         let mut plans = Vec::new();
-        let mut fidelities = Vec::new();
         let mut networks = Vec::new();
         let mut owners = Vec::new();
         for (ti, t) in tenants.iter().enumerate() {
             plans.push(sim.plan(t));
-            fidelities.push(t.source.fidelity());
             networks.push(t.spec.name().to_owned());
             let allreduce = (t.gpus > 1).then(|| GradientAllReduce::ring(t.spec, t.gpus));
             // Gradient rings cross between nodes: spine-only traffic on
@@ -746,25 +711,13 @@ impl SharedEngine {
                     tenant: ti,
                     flow,
                     next_stage: 0,
-                    seq: 0,
-                    record: sim.record,
-                    events: Vec::new(),
-                    stages: Vec::new(),
-                    busy: [Vec::new(), Vec::new(), Vec::new()],
-                    breakdown: StepBreakdown {
-                        forward: 0.0,
-                        backward: 0.0,
-                        forward_stall: 0.0,
-                        backward_stall: 0.0,
-                    },
+                    rec: StepRecorder::new(sim.record, t.source.fidelity()),
                     waiting: None,
-                    finished_at: None,
                 });
             }
         }
         SharedEngine {
             plans,
-            fidelities,
             networks,
             links,
             gpus,
@@ -813,92 +766,42 @@ impl SharedEngine {
     fn start_stage(&mut self, gpu: usize, t: f64) {
         let run = &mut self.gpus[gpu];
         let plan = &self.plans[run.tenant][run.next_stage];
-        let Stage { phase, layer, .. } = plan.stage;
-        if plan.compute > 0.0 {
-            run.push_event(t, EventKind::ComputeStart { phase, layer });
-            run.push_event(t + plan.compute, EventKind::ComputeEnd { phase, layer });
-            if run.record {
-                push_busy(
-                    &mut run.busy[Resource::Compute as usize],
-                    t,
-                    t + plan.compute,
-                );
-            }
-        }
-        let compute_end = t + plan.compute;
+        run.rec.compute(&plan.stage, t, plan.compute);
         match plan.demand {
-            None => {
-                self.finish_stage(gpu, t, compute_end, None);
-            }
+            None => self.finish_stage(gpu, t, None),
             Some(d) => {
-                let start_kind = match plan.stage.transfer {
-                    Transfer::Offload(layer) => EventKind::OffloadStart { layer },
-                    Transfer::Prefetch(layer) => EventKind::PrefetchStart { layer },
-                    Transfer::Idle => unreachable!("an idle stage has no demand"),
-                };
-                run.push_event(t, start_kind);
-                run.waiting = Some(Waiting {
-                    start: t,
-                    compute_end,
-                });
+                run.rec.event(t, plan.stage.transfer.events()[0]);
+                run.waiting = Some(t);
                 let flow = run.flow;
                 self.links.submit(flow, t, d.wire_bytes, d.max_rate);
             }
         }
     }
 
-    /// Closes the stage a GPU was running: books the transfer end (if
-    /// any), the stage record and the breakdown, then schedules the next
-    /// stage or retires the GPU.
-    fn finish_stage(&mut self, gpu: usize, start: f64, end: f64, transfer_end: Option<f64>) {
+    /// Closes the stage a GPU started at `start`: books the transfer end
+    /// (if any) and the stage, which ends at the later of its compute and
+    /// its transfer, then schedules the next stage or retires the GPU.
+    fn finish_stage(&mut self, gpu: usize, start: f64, transfer_end: Option<f64>) {
         let run = &mut self.gpus[gpu];
         let plan = &self.plans[run.tenant][run.next_stage];
-        let transfer = match transfer_end {
-            Some(tc) => {
-                let end_kind = match plan.stage.transfer {
-                    Transfer::Offload(layer) => EventKind::OffloadEnd { layer },
-                    Transfer::Prefetch(layer) => EventKind::PrefetchEnd { layer },
-                    Transfer::Idle => unreachable!("an idle stage has no transfer"),
-                };
-                run.push_event(tc, end_kind);
-                if run.record {
-                    push_busy(&mut run.busy[Resource::Link as usize], start, tc);
-                }
-                tc - start
-            }
-            None => 0.0,
-        };
-        let dur = end - start;
-        let stall = (transfer - plan.compute).max(0.0);
         let stage = plan.stage;
-        match stage.phase {
-            Phase::Forward => {
-                run.breakdown.forward += dur;
-                run.breakdown.forward_stall += stall;
+        let compute_end = start + plan.compute;
+        let (end, transfer) = match transfer_end {
+            Some(tc) => {
+                run.rec.event(tc, stage.transfer.events()[1]);
+                run.rec.busy(Resource::Link, start, tc);
+                (compute_end.max(tc), tc - start)
             }
-            Phase::Backward => {
-                run.breakdown.backward += dur;
-                run.breakdown.backward_stall += stall;
-            }
-        }
-        if stage.record && run.record {
-            run.stages.push(StageRecord {
-                phase: stage.phase,
-                layer: stage.layer,
-                start,
-                compute: plan.compute,
-                transfer,
-                end,
-            });
-        }
+            None => (compute_end, 0.0),
+        };
+        run.rec
+            .close(&stage, start, plan.compute, transfer, end - start, end);
         let backward_layer =
             (self.overlap && stage.record && stage.phase == Phase::Backward).then_some(stage.layer);
         let tenant = run.tenant;
         run.next_stage += 1;
         let retired = run.next_stage == self.plans[tenant].len();
-        if retired {
-            run.finished_at = Some(end);
-        } else {
+        if !retired {
             self.starts.push(end, gpu);
         }
         if let Some(layer) = backward_layer {
@@ -962,9 +865,8 @@ impl SharedEngine {
     fn handle_completion(&mut self, flow: FlowId, tc: f64) {
         match self.owners[flow.index()] {
             Owner::Stage { gpu } => {
-                let w = self.gpus[gpu].waiting.take().expect("stage in flight");
-                let end = w.compute_end.max(tc);
-                self.finish_stage(gpu, w.start, end, Some(tc));
+                let start = self.gpus[gpu].waiting.take().expect("stage in flight");
+                self.finish_stage(gpu, start, Some(tc));
             }
             Owner::AllReduce { tenant } => {
                 let tr = &mut self.tenants[tenant];
@@ -980,32 +882,17 @@ impl SharedEngine {
         let mut per_tenant_worst: Vec<Option<StepBreakdown>> = vec![None; self.tenants.len()];
         let mut arbiter_events = self.links.events_processed();
         for run in self.gpus {
-            debug_assert!(run.finished_at.is_some(), "every GPU retires");
-            let mut events = run.events;
-            events.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            let events: Vec<Event> = events
-                .into_iter()
-                .map(|(time, _, kind)| Event { time, kind })
-                .collect();
-            // `seq` counts every event whether or not the log was
-            // retained, so opting out of recording cannot change the
-            // reported event totals.
-            let gpu_events = run.seq;
-            debug_assert!(!run.record || gpu_events == events.len() as u64);
-            arbiter_events += gpu_events;
+            debug_assert_eq!(run.next_stage, self.plans[run.tenant].len(), "GPU retired");
+            // The recorder counts every event whether or not it logs it,
+            // so opting out of recording cannot change the event totals.
+            let tl = run.rec.finish();
+            arbiter_events += tl.events_processed();
             let worst = &mut per_tenant_worst[run.tenant];
-            if worst.is_none_or(|w| run.breakdown.total() > w.total()) {
-                *worst = Some(run.breakdown);
+            if worst.is_none_or(|w| tl.breakdown.total() > w.total()) {
+                *worst = Some(tl.breakdown);
             }
             gpu_tenant.push(run.tenant);
-            gpu_timelines.push(StepTimeline::from_parts(
-                run.breakdown,
-                self.fidelities[run.tenant],
-                events,
-                run.stages,
-                run.busy,
-                gpu_events,
-            ));
+            gpu_timelines.push(tl);
         }
         let mut results = Vec::with_capacity(self.tenants.len());
         let mut makespan = 0.0f64;
@@ -1041,6 +928,7 @@ impl SharedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timeline::tests::assert_stage_invariants;
     use crate::timeline::UniformRatio;
     use crate::CudnnVersion;
     use cdma_models::zoo;
@@ -1191,18 +1079,8 @@ mod tests {
             gpus: 3,
         }]);
         for g in tl.gpus() {
-            for r in [Resource::Compute, Resource::DmaRead, Resource::Link] {
-                let mut prev = f64::NEG_INFINITY;
-                for &(s, e) in g.busy(r) {
-                    assert!(e > s && s >= prev - 1e-12, "{r:?} double-booked");
-                    prev = e;
-                }
-            }
-            let mut prev = 0.0;
-            for e in g.events() {
-                assert!(e.time >= prev, "event log out of order");
-                prev = e.time;
-            }
+            assert_eq!(g.stages().len(), 2 * spec.layers().len());
+            assert_stage_invariants(g);
         }
     }
 

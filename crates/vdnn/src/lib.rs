@@ -63,5 +63,5 @@ pub use fabric::{
 pub use ratio::RatioTable;
 pub use timeline::{
     Fidelity, FidelitySource, LinkPolicy, MeasuredStream, Payload, ProfiledDensity, StepBreakdown,
-    StepSummary, StepTimeline, TimelineSim, TransferPolicy, TransferSource, UniformRatio,
+    StepTimeline, TimelineSim, TransferPolicy, TransferSource, UniformRatio,
 };

@@ -269,7 +269,7 @@ impl TransferPolicy {
 }
 
 /// Timing breakdown of one simulated training step.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StepBreakdown {
     /// Forward compute + stalls, seconds.
     pub forward: f64,
@@ -536,7 +536,7 @@ impl MeasuredStream {
 
 /// Appends a busy interval to a time-ordered list, coalescing with the
 /// previous one when they touch — the one implementation shared by the
-/// timeline recorder, the fabric's tiers and the cluster's per-GPU books.
+/// step recorder and the fabric's tiers.
 pub(crate) fn push_busy(v: &mut Vec<(f64, f64)>, start: f64, end: f64) {
     if end <= start {
         return;
@@ -710,28 +710,6 @@ pub struct StepTimeline {
 }
 
 impl StepTimeline {
-    /// Assembles a timeline from per-GPU records produced by the cluster
-    /// simulator (`cdma_vdnn::cluster`).
-    pub(crate) fn from_parts(
-        breakdown: StepBreakdown,
-        fidelity: &'static str,
-        events: Vec<Event>,
-        stages: Vec<StageRecord>,
-        busy: [Vec<(f64, f64)>; 3],
-        events_processed: u64,
-    ) -> Self {
-        StepTimeline {
-            breakdown,
-            fidelity,
-            events,
-            stages,
-            busy,
-            busy_fs: [0; 3],
-            events_processed,
-            lines_stepped: 0,
-        }
-    }
-
     /// Total step latency.
     pub fn total(&self) -> f64 {
         self.breakdown.total()
@@ -764,10 +742,9 @@ impl StepTimeline {
 
     /// Seconds one resource was busy over the step: its intervals, added
     /// in time order, plus the DMA pipeline's total for the offload lines
-    /// no interval covers. A link
-    /// utilisation printed from a [`StepSummary`] and one printed from the
-    /// cluster's dedicated path take this same sum, so they agree to the
-    /// bit.
+    /// no interval covers. A link utilisation printed from a memoised step
+    /// and one printed from the cluster's dedicated path take this same
+    /// sum, so they agree to the bit.
     pub fn busy_seconds(&self, r: Resource) -> f64 {
         busy_total(&self.busy[r as usize]) + self.line_busy_seconds(r)
     }
@@ -779,9 +756,10 @@ impl StepTimeline {
         fs_to_seconds(self.busy_fs[r as usize])
     }
 
-    /// Total events processed: the log plus the line-granularity DMA
-    /// pipeline events of the measured fidelity level (the
-    /// "events/second" denominator of the timeline micro-benchmark).
+    /// Total events processed: every event booked, logged or not (a
+    /// cluster run with recording off keeps no log), plus the
+    /// line-granularity DMA pipeline events of the measured fidelity level
+    /// (the "events/second" denominator of the timeline micro-benchmark).
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
@@ -795,71 +773,6 @@ impl StepTimeline {
     }
 }
 
-/// What a memo keeps of a finished [`StepTimeline`]: the breakdown, the
-/// event log and the stage records (a few hundred entries), and each
-/// resource's total busy seconds in place of its interval list — a
-/// measured step's `DmaRead` list runs to millions of entries, its sum
-/// is one number. It is a type of its own so that nobody can ask a
-/// summary for intervals it no longer holds.
-#[derive(Debug, Clone)]
-pub struct StepSummary {
-    /// Timing breakdown of the step.
-    pub breakdown: StepBreakdown,
-    fidelity: &'static str,
-    events: Vec<Event>,
-    stages: Vec<StageRecord>,
-    busy_seconds: [f64; 3],
-    events_processed: u64,
-}
-
-impl From<StepTimeline> for StepSummary {
-    /// Keeps each resource's [`StepTimeline::busy_seconds`] and drops the
-    /// intervals.
-    fn from(tl: StepTimeline) -> Self {
-        StepSummary {
-            breakdown: tl.breakdown,
-            fidelity: tl.fidelity,
-            busy_seconds: [Resource::Compute, Resource::DmaRead, Resource::Link]
-                .map(|r| tl.busy_seconds(r)),
-            events: tl.events,
-            stages: tl.stages,
-            events_processed: tl.events_processed,
-        }
-    }
-}
-
-impl StepSummary {
-    /// Total step latency.
-    pub fn total(&self) -> f64 {
-        self.breakdown.total()
-    }
-
-    /// Fidelity label of the source that produced the step.
-    pub fn fidelity(&self) -> &'static str {
-        self.fidelity
-    }
-
-    /// The chronological event log.
-    pub fn events(&self) -> &[Event] {
-        &self.events
-    }
-
-    /// Per-stage records in execution order.
-    pub fn stages(&self) -> &[StageRecord] {
-        &self.stages
-    }
-
-    /// Seconds one resource was busy over the step.
-    pub fn busy_seconds(&self, r: Resource) -> f64 {
-        self.busy_seconds[r as usize]
-    }
-
-    /// Total events processed, line-granularity pipeline events included.
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
-    }
-}
-
 /// What rides the link during one stage of the schedule.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Transfer {
@@ -869,6 +782,23 @@ pub(crate) enum Transfer {
     Offload(Option<usize>),
     /// CPU→GPU prefetch of a layer's output.
     Prefetch(usize),
+}
+
+impl Transfer {
+    /// The log entries of the transfer's start and end.
+    pub(crate) fn events(self) -> [EventKind; 2] {
+        match self {
+            Transfer::Offload(layer) => [
+                EventKind::OffloadStart { layer },
+                EventKind::OffloadEnd { layer },
+            ],
+            Transfer::Prefetch(layer) => [
+                EventKind::PrefetchStart { layer },
+                EventKind::PrefetchEnd { layer },
+            ],
+            Transfer::Idle => unreachable!("an idle stage moves nothing"),
+        }
+    }
 }
 
 /// One stage of vDNN's per-GPU schedule (Fig. 2 of the paper): the layer
@@ -941,38 +871,97 @@ impl Stage {
     }
 }
 
-/// The record-keeping the simulation threads through every stage.
-struct Recorder {
-    /// In scheduling order; [`TimelineSim::simulate`] sorts them by time.
-    events: Vec<Event>,
-    stages: Vec<StageRecord>,
-    busy: [Vec<(f64, f64)>; 3],
-    busy_fs: [u64; 3],
-    /// Line-granularity DMA pipeline events, which never enter the log.
-    line_events: u64,
-    lines_stepped: u64,
+/// One GPU's step as its simulator books it, stage by stage: the stage
+/// rule's bookkeeping, written once for [`TimelineSim`] and the cluster's
+/// shared path. A simulator times each stage with its own arithmetic, books
+/// the compute and the transfer's events and busy time, and hands the
+/// timing to [`StepRecorder::close`].
+pub(crate) struct StepRecorder {
+    /// Whether the event log, stage records and busy intervals are kept;
+    /// the event count and the breakdown are kept either way.
+    record: bool,
+    /// The step so far, its log in booking order.
+    step: StepTimeline,
 }
 
-impl Recorder {
-    fn new() -> Self {
-        Recorder {
+impl StepRecorder {
+    pub(crate) fn new(record: bool, fidelity: &'static str) -> Self {
+        let step = StepTimeline {
+            breakdown: StepBreakdown::default(),
+            fidelity,
             events: Vec::new(),
             stages: Vec::new(),
-            busy: [Vec::new(), Vec::new(), Vec::new()],
+            busy: Default::default(),
             busy_fs: [0; 3],
-            line_events: 0,
+            events_processed: 0,
             lines_stepped: 0,
+        };
+        StepRecorder { record, step }
+    }
+
+    /// Books one event: counted always, logged when recording.
+    pub(crate) fn event(&mut self, time: f64, kind: EventKind) {
+        if self.record {
+            self.step.events.push(Event { time, kind });
+        }
+        self.step.events_processed += 1;
+    }
+
+    /// Books busy time, coalescing with the previous interval when they
+    /// touch.
+    pub(crate) fn busy(&mut self, r: Resource, start: f64, end: f64) {
+        if self.record {
+            push_busy(&mut self.step.busy[r as usize], start, end);
         }
     }
 
-    fn schedule(&mut self, time: f64, kind: EventKind) {
-        self.events.push(Event { time, kind });
+    /// Books `compute` seconds of the stage's computation from `t`.
+    #[inline]
+    pub(crate) fn compute(&mut self, stage: &Stage, t: f64, compute: f64) {
+        if compute > 0.0 {
+            let Stage { phase, layer, .. } = *stage;
+            self.event(t, EventKind::ComputeStart { phase, layer });
+            self.event(t + compute, EventKind::ComputeEnd { phase, layer });
+            self.busy(Resource::Compute, t, t + compute);
+        }
     }
 
-    /// Records a busy interval, coalescing with the previous one when they
-    /// touch.
-    fn busy(&mut self, r: Resource, start: f64, end: f64) {
-        push_busy(&mut self.busy[r as usize], start, end);
+    /// Closes a stage the simulator timed: `dur` joins its phase's time,
+    /// `(transfer − compute)⁺` its phase's stall, and a stage that records
+    /// leaves its [`StageRecord`].
+    pub(crate) fn close(
+        &mut self,
+        stage: &Stage,
+        start: f64,
+        compute: f64,
+        transfer: f64,
+        dur: f64,
+        end: f64,
+    ) {
+        let b = &mut self.step.breakdown;
+        let (total, stall) = match stage.phase {
+            Phase::Forward => (&mut b.forward, &mut b.forward_stall),
+            Phase::Backward => (&mut b.backward, &mut b.backward_stall),
+        };
+        *total += dur;
+        *stall += (transfer - compute).max(0.0);
+        if stage.record && self.record {
+            self.step.stages.push(StageRecord {
+                phase: stage.phase,
+                layer: stage.layer,
+                start,
+                compute,
+                transfer,
+                end,
+            });
+        }
+    }
+
+    /// The finished step. The log goes in time order, ties in booking
+    /// order (the sort is stable).
+    pub(crate) fn finish(mut self) -> StepTimeline {
+        self.step.events.sort_by(|a, b| a.time.total_cmp(&b.time));
+        self.step
     }
 }
 
@@ -1003,69 +992,23 @@ impl TimelineSim {
     /// Simulates one training step of `spec` with transfers supplied by
     /// `source`.
     pub fn simulate(&self, spec: &NetworkSpec, source: &dyn TransferSource) -> StepTimeline {
-        let mut rec = Recorder::new();
+        let mut rec = StepRecorder::new(true, source.fidelity());
         // One pipeline for the whole step: layer offloads contend for the
         // read path and the staging buffer across stage boundaries.
         let mut pipeline = DmaPipeline::new(self.cfg);
-
         let mut t = 0.0f64;
-        let mut breakdown = StepBreakdown {
-            forward: 0.0,
-            backward: 0.0,
-            forward_stall: 0.0,
-            backward_stall: 0.0,
-        };
         for stage in Stage::program(spec.layers().len()) {
-            let Stage { phase, layer, .. } = stage;
             let compute = stage.compute(&self.compute, spec);
             let payload = stage.payload(spec, source);
-            let transfer = match stage.transfer {
-                Transfer::Idle => 0.0,
-                Transfer::Offload(src) => {
-                    pipeline.advance_to(t);
-                    self.offload(&mut rec, &mut pipeline, t, src, payload)
-                }
-                Transfer::Prefetch(src) => self.prefetch(&mut rec, t, src, payload),
-            };
-            if compute > 0.0 {
-                rec.schedule(t, EventKind::ComputeStart { phase, layer });
-                rec.schedule(t + compute, EventKind::ComputeEnd { phase, layer });
-                rec.busy(Resource::Compute, t, t + compute);
-            }
+            let transfer = self.transfer(&mut rec, &mut pipeline, t, stage.transfer, payload);
+            rec.compute(&stage, t, compute);
             // The stage barrier: the next stage may start only when both
             // the computation and the transfer have finished.
             let dur = compute.max(transfer);
-            let (total, stall) = match phase {
-                Phase::Forward => (&mut breakdown.forward, &mut breakdown.forward_stall),
-                Phase::Backward => (&mut breakdown.backward, &mut breakdown.backward_stall),
-            };
-            *total += dur;
-            *stall += (transfer - compute).max(0.0);
-            if stage.record {
-                rec.stages.push(StageRecord {
-                    phase,
-                    layer,
-                    start: t,
-                    compute,
-                    transfer,
-                    end: t + dur,
-                });
-            }
+            rec.close(&stage, t, compute, transfer, dur, t + dur);
             t += dur;
         }
-        // Time order, ties in scheduling order (the sort is stable).
-        rec.events.sort_by(|a, b| a.time.total_cmp(&b.time));
-
-        StepTimeline {
-            breakdown,
-            fidelity: source.fidelity(),
-            events_processed: rec.events.len() as u64 + rec.line_events,
-            events: rec.events,
-            stages: rec.stages,
-            busy: rec.busy,
-            busy_fs: rec.busy_fs,
-            lines_stepped: rec.lines_stepped,
-        }
+        rec.finish()
     }
 
     /// Performance with `source`'s transfers normalized to the oracle
@@ -1075,47 +1018,19 @@ impl TimelineSim {
         oracle.total() / self.simulate(spec, source).total()
     }
 
-    /// Starts an offload at stage start `t`; returns the transfer's
+    /// Starts a stage's transfer at its start `t`; returns the transfer's
     /// duration measured from `t`.
-    fn offload(
+    fn transfer(
         &self,
-        rec: &mut Recorder,
+        rec: &mut StepRecorder,
         pipeline: &mut DmaPipeline,
         t: f64,
-        layer: Option<usize>,
+        transfer: Transfer,
         payload: Payload<'_>,
     ) -> f64 {
-        match payload {
-            Payload::None => 0.0,
-            Payload::Analytic { bytes, ratio } => {
-                let dur = bytes as f64 / self.cfg.effective_offload_bw(ratio);
-                if dur > 0.0 {
-                    rec.schedule(t, EventKind::OffloadStart { layer });
-                    rec.schedule(t + dur, EventKind::OffloadEnd { layer });
-                    rec.busy(Resource::Link, t, t + dur);
-                }
-                dur
-            }
-            Payload::Lines { lines, repeat } => {
-                if lines.is_empty() || repeat == 0 {
-                    return 0.0;
-                }
-                rec.schedule(t, EventKind::OffloadStart { layer });
-                let run = pipeline.push_table(t, lines, repeat);
-                rec.busy_fs[Resource::DmaRead as usize] += run.read_busy_fs;
-                rec.busy_fs[Resource::Link as usize] += run.link_busy_fs;
-                // Issue, arrival and drain of every line each count as a
-                // processed pipeline event, extrapolated lines included.
-                rec.line_events += 3 * (lines.len() * repeat) as u64;
-                rec.lines_stepped += (lines.len() * run.stepped) as u64;
-                rec.schedule(run.end, EventKind::OffloadEnd { layer });
-                run.end - t
-            }
+        if let Transfer::Offload(_) = transfer {
+            pipeline.advance_to(t);
         }
-    }
-
-    /// Starts a prefetch at stage start `t`; returns its duration.
-    fn prefetch(&self, rec: &mut Recorder, t: f64, layer: usize, payload: Payload<'_>) -> f64 {
         let dur = match payload {
             Payload::None => 0.0,
             // The analytic levels keep the paper's symmetric-bandwidth
@@ -1126,7 +1041,7 @@ impl TimelineSim {
                 rec.busy(Resource::Link, t, t + dur);
                 dur
             }
-            Payload::Lines { lines, repeat } => {
+            Payload::Lines { lines, repeat } if matches!(transfer, Transfer::Prefetch(_)) => {
                 let (u, c) = line_totals(lines, repeat);
                 let dur = prefetch_seconds(&self.cfg, u, c);
                 // The link is busy only while compressed bytes cross it;
@@ -1136,20 +1051,84 @@ impl TimelineSim {
                 rec.busy(Resource::DmaRead, t, t + dur);
                 dur
             }
+            Payload::Lines { lines, repeat } => {
+                if lines.is_empty() || repeat == 0 {
+                    return 0.0;
+                }
+                let run = pipeline.push_table(t, lines, repeat);
+                let [start, end] = transfer.events();
+                rec.event(t, start);
+                rec.event(run.end, end);
+                let step = &mut rec.step;
+                step.busy_fs[Resource::DmaRead as usize] += run.read_busy_fs;
+                step.busy_fs[Resource::Link as usize] += run.link_busy_fs;
+                // Issue, arrival and drain of every line each count as a
+                // processed pipeline event, extrapolated lines included.
+                step.events_processed += 3 * (lines.len() * repeat) as u64;
+                step.lines_stepped += (lines.len() * run.stepped) as u64;
+                return run.end - t;
+            }
         };
         if dur > 0.0 {
-            rec.schedule(t, EventKind::PrefetchStart { layer });
-            rec.schedule(t + dur, EventKind::PrefetchEnd { layer });
+            let [start, end] = transfer.events();
+            rec.event(t, start);
+            rec.event(t + dur, end);
         }
         dur
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::CudnnVersion;
     use cdma_models::zoo;
+
+    /// The stage rule's invariants over one GPU's step, whichever simulator
+    /// booked it: the log is in time order and no resource is
+    /// double-booked; the stage records abut, but for the one gap the
+    /// serial head prefetch (nothing computed, no record) leaves before
+    /// the first backward stage; each ends at `start + max(compute,
+    /// transfer)` and the last at the step total; and the stalls close —
+    /// the records' stalls plus that gap are the breakdown's, and total −
+    /// stalls is the records' compute.
+    pub(crate) fn assert_stage_invariants(tl: &StepTimeline) {
+        let events = tl.events();
+        assert!(
+            events.windows(2).all(|w| w[0].time <= w[1].time),
+            "log out of order"
+        );
+        for r in [Resource::Compute, Resource::DmaRead, Resource::Link] {
+            let busy = tl.busy(r);
+            assert!(busy.iter().all(|&(s, e)| e > s), "{r:?}: empty interval");
+            let overlap = busy.windows(2).any(|w| w[1].0 < w[0].1 - 1e-12);
+            assert!(!overlap, "{r:?} double-booked");
+        }
+        let (mut t, mut stall, mut compute) = (0.0, 0.0, 0.0);
+        let mut phase = Phase::Forward;
+        for (k, s) in tl.stages().iter().enumerate() {
+            if s.phase != phase {
+                assert!(s.start >= t - 1e-12, "stage {k} starts inside the forward");
+                (stall, t, phase) = (stall + (s.start - t), s.start, s.phase);
+            }
+            assert!((s.start - t).abs() < 1e-12, "stage {k} does not abut");
+            let end = s.start + s.compute.max(s.transfer);
+            assert!((s.end - end).abs() < 1e-15, "stage {k} ends at {}", s.end);
+            (stall, compute, t) = (stall + s.stall(), compute + s.compute, s.end);
+        }
+        let total = tl.total();
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * total;
+        let b = tl.breakdown;
+        assert!(close(t, total), "stages end at {t}, the step at {total}");
+        assert!(
+            close(stall, b.forward_stall + b.backward_stall),
+            "stalls do not close"
+        );
+        assert!(
+            close(compute, total - stall),
+            "total - stalls is not the compute"
+        );
+    }
 
     fn sim() -> TimelineSim {
         sim_at(CudnnVersion::V5)
@@ -1293,11 +1272,7 @@ mod tests {
     fn events_are_chronological_and_stall_accounting_closes() {
         let spec = zoo::squeezenet();
         let tl = sim().simulate(&spec, &UniformRatio::uniform(&spec, 1.0));
-        let mut prev = 0.0;
-        for e in tl.events() {
-            assert!(e.time >= prev, "event log out of order");
-            prev = e.time;
-        }
+        assert_stage_invariants(&tl);
         let compute = ComputeModel::titan_x(CudnnVersion::V5).step_compute_time(&spec);
         let stalls = tl.breakdown.forward_stall + tl.breakdown.backward_stall;
         assert!(
@@ -1311,34 +1286,16 @@ mod tests {
         let spec = zoo::vgg();
         let tl = sim().simulate(&spec, &UniformRatio::uniform(&spec, 2.6));
         assert_eq!(tl.stages().len(), 2 * spec.layers().len());
-        let mut t = 0.0;
-        for (k, s) in tl.stages().iter().enumerate() {
-            if k == spec.layers().len() {
-                // The serial head prefetch sits between forward and
-                // backward without a stage record.
-                assert!(s.start >= t);
-                t = s.start;
-            }
-            assert!((s.start - t).abs() < 1e-12, "stage {k} does not abut");
-            assert!((s.end - (s.start + s.compute.max(s.transfer))).abs() < 1e-15);
-            t = s.end;
-        }
-        assert!((t - tl.total()).abs() / tl.total() < 1e-9);
+        let forward = &tl.stages()[..spec.layers().len()];
+        assert!(forward.iter().all(|s| s.phase == Phase::Forward));
+        assert_stage_invariants(&tl);
     }
 
     #[test]
     fn busy_intervals_never_overlap() {
         let spec = zoo::googlenet();
         for ratio in [1.0, 2.6, 13.8] {
-            let tl = sim().simulate(&spec, &UniformRatio::uniform(&spec, ratio));
-            for r in [Resource::Compute, Resource::DmaRead, Resource::Link] {
-                let mut prev_end = f64::NEG_INFINITY;
-                for &(s, e) in tl.busy(r) {
-                    assert!(e > s, "empty interval");
-                    assert!(s >= prev_end - 1e-12, "{r:?} double-booked");
-                    prev_end = e;
-                }
-            }
+            assert_stage_invariants(&sim().simulate(&spec, &UniformRatio::uniform(&spec, ratio)));
         }
     }
 
@@ -1362,6 +1319,7 @@ mod tests {
         );
         let tl = sim().simulate(&spec, &stream);
         assert_eq!(tl.fidelity(), "measured-stream");
+        assert_stage_invariants(&tl);
         // Offloads keep the read path busy for exactly their lines' read
         // time, 4096 B at 5 000 fs a byte each (three events a line); the
         // interval list holds only the prefetches.
