@@ -90,6 +90,7 @@ impl Zlib {
     /// # Panics
     ///
     /// Panics if `max_chain` is zero.
+    // pub: the encoder at other match-chain depths, pinned by wire_golden.rs
     pub fn with_chain_depth(max_chain: usize) -> Self {
         assert!(max_chain > 0, "chain depth must be at least 1");
         Zlib { max_chain }
@@ -103,6 +104,7 @@ impl Zlib {
     /// assert_eq!(stream[0], 0x78, "standard zlib header");
     /// assert_eq!(zl.decompress_bytes(&stream).unwrap(), b"hello hello hello");
     /// ```
+    // pub: the RFC 1950 byte API, held to zlib interop by deflate_interop.rs
     pub fn compress_bytes(&self, data: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
         encode::compress(data, self.max_chain, &mut out);
@@ -112,6 +114,7 @@ impl Zlib {
     /// Decompresses one complete zlib stream — from this coder or any
     /// other RFC 1950/1951 implementation. Rejects trailing bytes after
     /// the Adler-32 trailer.
+    // pub: the RFC 1950 byte API, held to zlib interop by deflate_interop.rs
     pub fn decompress_bytes(&self, stream: &[u8]) -> Result<Vec<u8>, DecodeError> {
         let mut out = Vec::new();
         let consumed = decode::inflate_into(stream, usize::MAX, &mut out)?;

@@ -238,6 +238,7 @@ impl WindowedStream {
     }
 
     /// Number of windows.
+    // pub: the window count proptest_compress.rs holds to the stream length
     pub fn window_count(&self) -> usize {
         self.offsets.len() - 1
     }

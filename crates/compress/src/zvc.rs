@@ -78,10 +78,11 @@ pub struct Zvc {
 /// non-zero bit pattern (so `-0.0`, denormals and NaNs all count).
 ///
 /// This is the unit the paper's hardware pipeline computes per cycle with
-/// eight parallel comparators (Fig. 10a); `cdma-gpu-sim`'s
+/// eight parallel comparators (Fig. 10a); `cdma-gpu-sim`'s test-only
 /// `ZvcCompressPipeline` models exactly this function per stage, and uses
 /// this export so the model and the codec share one definition.
 #[inline]
+// pub: gpu-sim's test-only Fig. 10 datapath shares it with the codec
 pub fn sector_mask(sector: &[f32; 8]) -> u8 {
     (portable::window_mask(sector) & 0xff) as u8
 }

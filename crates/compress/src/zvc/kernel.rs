@@ -182,6 +182,7 @@ impl Kernel {
     }
 
     /// The kernel for `tier`, or `None` if this CPU does not support it.
+    // pub: kernel_tiers.rs runs every supported tier through it
     pub fn for_tier(tier: KernelTier) -> Option<&'static Kernel> {
         Kernel::supported().iter().find(|k| k.tier == tier)
     }

@@ -17,6 +17,7 @@ use crate::report::{Artifact, Cell, Report, Table};
 use crate::scenario::{Context, Scenario, ScenarioFilter, ScenarioSet};
 
 /// The GPU counts of the Section IX sweep.
+// pub: multi_gpu_cross_validation.rs sweeps the figure's GPU counts
 pub const GPU_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 /// The canonical heavy-traffic tenant mix: four networks, two GPUs each,
@@ -67,6 +68,7 @@ fn cluster_sim(scenario: &Scenario) -> ClusterSim {
 
 /// Simulates one scenario's cluster (its network, data-parallel across
 /// `scenario.gpus` GPUs, transfers at the scenario's fidelity level).
+// pub: step_memo.rs holds the memoised steps to it
 pub fn cluster_timeline(ctx: &Context, scenario: &Scenario) -> ClusterTimeline {
     let spec = ctx.spec(&scenario.network);
     let source = ctx.transfer_source(scenario);

@@ -19,9 +19,9 @@ use cdma_gpusim::SystemConfig;
 use cdma_models::NetworkSpec;
 use cdma_vdnn::cluster::{ClusterSim, Tenant};
 use cdma_vdnn::fabric::{churn_trace, FabricShape, FabricSim, Job, JobOutcome};
-use cdma_vdnn::{ComputeModel, CudnnVersion, FidelitySource, LinkPolicy};
+use cdma_vdnn::{FidelitySource, LinkPolicy};
 
-use super::gantt_row;
+use super::{compute_model, gantt_row};
 use crate::report::{Artifact, Cell, Report, Table};
 use crate::scenario::{Context, Scenario, ScenarioFilter, ScenarioSet};
 
@@ -120,12 +120,8 @@ fn datacenter_row(ctx: &Context, scenario: &Scenario) -> DatacenterRow {
         scenario
             .fabric
             .spec_for(&scenario.config, scenario.gpus, LinkPolicy::BandwidthShare);
-    let mut sim = ClusterSim::new(
-        scenario.config,
-        ComputeModel::titan_x(CudnnVersion::V5),
-        LinkPolicy::BandwidthShare,
-    )
-    .record_events(false);
+    let mut sim = ClusterSim::new(scenario.config, compute_model(), LinkPolicy::BandwidthShare)
+        .record_events(false);
     if let Some(f) = fabric {
         sim = sim.with_fabric(f);
     }
@@ -196,13 +192,9 @@ fn churn_run(ctx: &Context) -> (Vec<JobOutcome>, ChurnSummary, String) {
     let fabric = shape
         .spec_for(&cfg, CHURN_GPUS, LinkPolicy::BandwidthShare)
         .expect("hierarchical shapes always concretize");
-    let cluster = ClusterSim::new(
-        cfg,
-        ComputeModel::titan_x(CudnnVersion::V5),
-        LinkPolicy::BandwidthShare,
-    )
-    .with_fabric(fabric)
-    .record_events(false);
+    let cluster = ClusterSim::new(cfg, compute_model(), LinkPolicy::BandwidthShare)
+        .with_fabric(fabric)
+        .record_events(false);
 
     // Per-network density checkpoints at the default (profiled) fidelity.
     let members: Vec<(Arc<NetworkSpec>, Vec<FidelitySource>)> = CHURN_MIX

@@ -8,6 +8,7 @@ use cdma_gpusim::SystemConfig;
 use cdma_tensor::Layout;
 use cdma_vdnn::{traffic, ComputeModel, CudnnVersion, TimelineSim, TransferPolicy, UniformRatio};
 
+use super::compute_model;
 use crate::report::{Cell, Report, Table};
 use crate::scenario::{Context, ScenarioFilter, ScenarioSet};
 
@@ -282,7 +283,7 @@ pub fn fig13(ctx: &Context, filter: &ScenarioFilter) -> Fig13Report {
             .filter(|s| s.network == network)
             .collect();
         let cfg = cells[0].config;
-        let sim = TimelineSim::new(cfg, ComputeModel::titan_x(CudnnVersion::V5));
+        let sim = TimelineSim::new(cfg, compute_model());
         rows.push(Fig13Row {
             network: network.clone(),
             config: PerfConfig::Vdnn,
@@ -504,7 +505,7 @@ pub fn headline(ctx: &Context, cfg: SystemConfig) -> Headline {
     let mut ratios = Vec::new();
     let mut max_ratio = 0f64;
     let mut improvements = Vec::new();
-    let sim = TimelineSim::new(cfg, ComputeModel::titan_x(CudnnVersion::V5));
+    let sim = TimelineSim::new(cfg, compute_model());
     for spec in ctx.specs() {
         let t = ctx.traffic(spec.name(), Algorithm::Zvc, Layout::Nchw);
         ratios.push(t.avg_ratio());

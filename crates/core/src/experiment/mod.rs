@@ -6,8 +6,8 @@
 //! sweeps them on the caller's thread, and returns a typed value
 //! implementing [`Report`] — renderable as text, CSV or JSON.
 //!
-//! The [`CATALOGUE`] lists every experiment by its stable name; [`run`]
-//! dispatches a name to its driver. The `cdma-bench` CLI is a thin shell
+//! The [`CATALOGUE`] lists every experiment by its stable name beside its
+//! driver; [`run`] looks a name up there. The `cdma-bench` CLI is a thin shell
 //! over exactly these two items:
 //!
 //! ```
@@ -89,14 +89,16 @@ fn gantt_row(label: &str, spans: &[(f64, f64)], makespan: f64, cols: usize) -> S
     format!("{label:<22} |{}|", chars.into_iter().collect::<String>())
 }
 
-/// One catalogue entry: the stable experiment name plus what it
-/// regenerates.
+/// One catalogue entry: the stable experiment name, what it regenerates,
+/// and its driver.
 #[derive(Debug, Clone, Copy)]
 pub struct ExperimentInfo {
     /// Stable machine name (CLI argument, report name, output file stem).
     pub name: &'static str,
     /// What the experiment reproduces.
     pub title: &'static str,
+    /// Runs the experiment; the report's [`Report::name`] is `name`.
+    pub run: fn(&Context, &ScenarioFilter) -> Box<dyn Report>,
 }
 
 /// Every experiment, in the order `experiments all` runs them.
@@ -104,94 +106,117 @@ pub const CATALOGUE: &[ExperimentInfo] = &[
     ExperimentInfo {
         name: "table1",
         title: "Table I: networks, accuracy and trainable tiny counterparts",
+        run: |ctx, f| Box::new(training::table1(ctx, f)),
     },
     ExperimentInfo {
         name: "fig02_timeline",
         title: "Fig. 2(b): forward-pass timeline, vDNN stalls vs cDMA",
+        run: |ctx, f| Box::new(timeline::fig02_timeline(ctx, f)),
     },
     ExperimentInfo {
         name: "fig03",
         title: "Fig. 3: cuDNN speedups and vDNN degradation per version",
+        run: |ctx, f| Box::new(grid::fig03(ctx, f)),
     },
     ExperimentInfo {
         name: "fig04",
         title: "Fig. 4: AlexNet per-layer density over training",
+        run: |ctx, _| Box::new(density::fig04(ctx)),
     },
     ExperimentInfo {
         name: "fig05",
         title: "Fig. 5: activation-map images + measured offload of their data",
+        run: |ctx, _| Box::new(density::fig05(ctx)),
     },
     ExperimentInfo {
         name: "fig06",
         title: "Fig. 6: per-layer density over training, other five networks",
+        run: |ctx, f| Box::new(density::fig06(ctx, f)),
     },
     ExperimentInfo {
         name: "fig07",
         title: "Fig. 7: training loss vs conv-layer density",
+        run: |ctx, _| Box::new(density::fig07(ctx)),
     },
     ExperimentInfo {
         name: "fig11",
         title: "Fig. 11: average and maximum compression ratios",
+        run: |ctx, f| Box::new(grid::fig11(ctx, f)),
     },
     ExperimentInfo {
         name: "fig12",
         title: "Fig. 12: offloaded bytes normalized to vDNN",
+        run: |ctx, f| Box::new(grid::fig12(ctx, f)),
     },
     ExperimentInfo {
         name: "fig13",
         title: "Fig. 13: performance normalized to the oracle",
+        run: |ctx, f| Box::new(grid::fig13(ctx, f)),
     },
     ExperimentInfo {
         name: "fidelity_sweep",
         title: "Timeline fidelity sweep: uniform vs profiled vs measured",
+        run: |ctx, f| Box::new(timeline::fidelity_sweep(ctx, f)),
     },
     ExperimentInfo {
         name: "overheads",
         title: "Section V-C: area, buffer sizing and engine pipeline overheads",
+        run: |ctx, _| Box::new(system::overheads(ctx)),
     },
     ExperimentInfo {
         name: "energy",
         title: "Section VII-C: transfer-energy comparison, vDNN vs cDMA",
+        run: |ctx, f| Box::new(system::energy(ctx, f)),
     },
     ExperimentInfo {
         name: "memory_usage",
         title: "Section III: GPU memory footprint and vDNN savings",
+        run: |ctx, f| Box::new(system::memory_usage(ctx, f)),
     },
     ExperimentInfo {
         name: "footprint",
         title: "Section IX: ZVC-compressed activation storage in GPU DRAM",
+        run: |ctx, f| Box::new(system::footprint(ctx, f)),
     },
     ExperimentInfo {
         name: "fig_multi_gpu",
         title: "Section IX: multi-GPU shared-link contention, per-g speedup",
+        run: |ctx, f| Box::new(cluster::fig_multi_gpu(ctx, f)),
     },
     ExperimentInfo {
         name: "rnn_traffic",
         title: "RNN boundary claim: ReLU vs saturating recurrences",
+        run: |ctx, _| Box::new(training::rnn_traffic(ctx)),
     },
     ExperimentInfo {
         name: "training_run",
         title: "Whole-training-run projection over the sparsity U-curve",
+        run: |ctx, f| Box::new(training::training_runs(ctx, f)),
     },
     ExperimentInfo {
         name: "ablations",
         title: "Design ablations: window, COMP_BW, buffer, link, policy",
+        run: |ctx, _| Box::new(system::ablations(ctx)),
     },
     ExperimentInfo {
         name: "serve_load",
         title: "cdma-serve: multi-tenant load harness — latency, sheds, fairness",
+        run: |ctx, _| Box::new(serving::serve_load(ctx)),
     },
     ExperimentInfo {
         name: "fig_inference",
         title: "cdma-infer: CSC inference — speedup vs density, traffic, serving, energy",
+        run: |ctx, f| Box::new(inference::fig_inference(ctx, f)),
     },
     ExperimentInfo {
         name: "fig_datacenter",
         title: "Datacenter scale: hierarchical fabric sweep and tenant churn",
+        run: |ctx, f| Box::new(datacenter::fig_datacenter(ctx, f)),
     },
     ExperimentInfo {
         name: "fig_frontier",
         title: "Ratio-vs-throughput frontier across the codec family",
+        run: |ctx, f| Box::new(frontier::fig_frontier(ctx, f)),
     },
 ];
 
@@ -209,32 +234,8 @@ pub fn run(
     _runner: &Runner,
     filter: &ScenarioFilter,
 ) -> Option<Box<dyn Report>> {
-    Some(match name {
-        "table1" => Box::new(training::table1(ctx, filter)),
-        "fig02_timeline" => Box::new(timeline::fig02_timeline(ctx, filter)),
-        "fig03" => Box::new(grid::fig03(ctx, filter)),
-        "fig04" => Box::new(density::fig04(ctx)),
-        "fig05" => Box::new(density::fig05(ctx)),
-        "fig06" => Box::new(density::fig06(ctx, filter)),
-        "fig07" => Box::new(density::fig07(ctx)),
-        "fig11" => Box::new(grid::fig11(ctx, filter)),
-        "fig12" => Box::new(grid::fig12(ctx, filter)),
-        "fig13" => Box::new(grid::fig13(ctx, filter)),
-        "fidelity_sweep" => Box::new(timeline::fidelity_sweep(ctx, filter)),
-        "overheads" => Box::new(system::overheads(ctx)),
-        "energy" => Box::new(system::energy(ctx, filter)),
-        "memory_usage" => Box::new(system::memory_usage(ctx, filter)),
-        "footprint" => Box::new(system::footprint(ctx, filter)),
-        "fig_multi_gpu" => Box::new(cluster::fig_multi_gpu(ctx, filter)),
-        "rnn_traffic" => Box::new(training::rnn_traffic(ctx)),
-        "training_run" => Box::new(training::training_runs(ctx, filter)),
-        "ablations" => Box::new(system::ablations(ctx)),
-        "serve_load" => Box::new(serving::serve_load(ctx)),
-        "fig_inference" => Box::new(inference::fig_inference(ctx, filter)),
-        "fig_datacenter" => Box::new(datacenter::fig_datacenter(ctx, filter)),
-        "fig_frontier" => Box::new(frontier::fig_frontier(ctx, filter)),
-        _ => return None,
-    })
+    let entry = CATALOGUE.iter().find(|e| e.name == name)?;
+    Some((entry.run)(ctx, filter))
 }
 
 #[cfg(test)]
@@ -260,8 +261,8 @@ mod tests {
 
     #[test]
     fn report_names_match_catalogue_names() {
-        // Cheap spot checks (running all 19 here would be slow; the CLI
-        // smoke test covers the full catalogue).
+        // Cheap spot checks; tests/catalogue_json.rs covers the full
+        // catalogue.
         let ctx = Context::fast();
         let filter = ScenarioFilter::all().network("AlexNet");
         for name in ["fig04", "fig07", "fig12", "memory_usage"] {

@@ -9,10 +9,9 @@ use cdma_gpusim::energy::EnergyModel;
 use cdma_gpusim::{DmaPipeline, SystemConfig, ZvcEngine, LINE_BYTES};
 use cdma_sparsity::ActivationGen;
 use cdma_tensor::{Layout, Shape4};
-use cdma_vdnn::{
-    memory, traffic, ComputeModel, CudnnVersion, TimelineSim, TransferPolicy, UniformRatio,
-};
+use cdma_vdnn::{memory, traffic, TimelineSim, TransferPolicy, UniformRatio};
 
+use super::compute_model;
 use super::grid::headline;
 use crate::report::{Cell, Report, Table};
 use crate::scenario::{Context, ScenarioFilter, ScenarioSet};
@@ -548,7 +547,7 @@ fn ablation_link(ctx: &Context) -> Table {
         ),
     ] {
         let h = headline(ctx, cfg);
-        let sim = TimelineSim::new(cfg, ComputeModel::titan_x(CudnnVersion::V5));
+        let sim = TimelineSim::new(cfg, compute_model());
         let spec = ctx.spec("SqueezeNet");
         let vdnn_perf = sim.normalized_performance(&spec, &UniformRatio::uniform(&spec, 1.0));
         table.row([
@@ -564,7 +563,7 @@ fn ablation_link(ctx: &Context) -> Table {
 /// Offload-all vs conv-only policy.
 fn ablation_policy(ctx: &Context) -> Table {
     let cfg = SystemConfig::titan_x_pcie3();
-    let sim = TimelineSim::new(cfg, ComputeModel::titan_x(CudnnVersion::V5));
+    let sim = TimelineSim::new(cfg, compute_model());
     let mut table = Table::new(
         "offload policy: all layers vs conv-only",
         &[

@@ -8,10 +8,9 @@ use cdma_dnn::{Sgd, Trainer};
 use cdma_models::rnn::{self, RnnActivation};
 use cdma_models::{tiny, zoo};
 use cdma_tensor::Layout;
-use cdma_vdnn::{
-    ComputeModel, CudnnVersion, ProfiledDensity, TimelineSim, TransferPolicy, UniformRatio,
-};
+use cdma_vdnn::{TimelineSim, TransferPolicy, UniformRatio};
 
+use super::compute_model;
 use crate::report::{Cell, Report, Table};
 use crate::scenario::{Context, ScenarioFilter};
 
@@ -175,7 +174,7 @@ pub struct TrainingRunReport {
 /// steps are faster then — averaging would hide that).
 pub fn training_runs(ctx: &Context, filter: &ScenarioFilter) -> TrainingRunReport {
     let cfg = cdma_gpusim::SystemConfig::titan_x_pcie3();
-    let sim = TimelineSim::new(cfg, ComputeModel::titan_x(CudnnVersion::V5));
+    let sim = TimelineSim::new(cfg, compute_model());
     let buckets = 10usize;
     let table = ctx.ratio_table();
     let runs = ctx
@@ -196,7 +195,7 @@ pub fn training_runs(ctx: &Context, filter: &ScenarioFilter) -> TrainingRunRepor
             let mut cdma_secs = 0.0;
             for k in 0..buckets {
                 let t = (k as f64 + 0.5) / buckets as f64;
-                let source = ProfiledDensity::at_checkpoint(
+                let source = UniformRatio::at_checkpoint(
                     spec,
                     &profile,
                     t,

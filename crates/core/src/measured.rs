@@ -159,6 +159,23 @@ pub fn synthesized_stream_with_layout(
     MeasuredStream::replicated(input, layers, spec.batch())
 }
 
+/// Uncompressed and compressed bytes of `stream`'s input and layer
+/// tables, every repeat included.
+#[cfg(test)]
+pub(crate) fn stream_bytes(spec: &NetworkSpec, stream: &MeasuredStream) -> (u64, u64) {
+    use cdma_vdnn::{Payload, TransferSource};
+    let Payload::Lines { lines, repeat } = stream.input_payload(spec) else {
+        unreachable!("a measured stream's input is a line table")
+    };
+    std::iter::once((lines, repeat))
+        .chain((0..stream.layer_count()).map(|i| stream.layer_table(i)))
+        .flat_map(|(t, r)| {
+            t.iter()
+                .map(move |&(u, c)| (u as u64 * r as u64, c as u64 * r as u64))
+        })
+        .fold((0, 0), |(u, c), (lu, lc)| (u + lu, c + lc))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,10 +204,10 @@ mod tests {
         assert_eq!(cap.stream.layer_count(), spec.layers().len());
         // The real net's activation byte counts equal the spec's.
         for (i, layer) in spec.layers().iter().enumerate() {
-            let (u, c): (u64, u64) = cap
-                .stream
-                .layer_lines(i)
-                .fold((0, 0), |(u, c), (lu, lc)| (u + lu as u64, c + lc as u64));
+            let (table, repeat) = cap.stream.layer_table(i);
+            let (u, c) = table.iter().fold((0, 0), |(u, c), &(lu, lc)| {
+                (u + lu as u64 * repeat as u64, c + lc as u64 * repeat as u64)
+            });
             assert_eq!(u, layer.activation_bytes(batch), "{}", layer.name);
             assert!(c > 0);
         }
@@ -210,10 +227,11 @@ mod tests {
         let engine = CdmaEngine::zvc(SystemConfig::titan_x_pcie3());
         let stream = synthesized_stream(&engine, &spec, &profile, 0.5, 7);
         assert_eq!(stream.layer_count(), spec.layers().len());
+        let (uncompressed, compressed) = stream_bytes(&spec, &stream);
         assert_eq!(
-            stream.total_uncompressed(),
+            uncompressed,
             spec.total_activation_bytes() + (spec.input().per_image() * spec.batch() * 4) as u64
         );
-        assert!(stream.total_compressed() < stream.total_uncompressed());
+        assert!(compressed < uncompressed);
     }
 }

@@ -113,6 +113,7 @@ impl From<usize> for Cell {
 /// Escapes `s` as a JSON string literal (including the surrounding
 /// quotes): `"` and `\` are backslash-escaped, control characters use the
 /// short forms where JSON has them and `\u00XX` otherwise.
+// pub: report_format.rs pins the escaping
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
@@ -137,6 +138,7 @@ pub fn json_string(s: &str) -> String {
 
 /// Quotes `s` as one CSV field: fields containing commas, quotes or line
 /// breaks are wrapped in double quotes with embedded quotes doubled.
+// pub: report_format.rs pins the quoting
 pub fn csv_field(s: &str) -> String {
     if s.contains([',', '"', '\n', '\r']) {
         let mut out = String::with_capacity(s.len() + 2);

@@ -49,8 +49,7 @@ use cdma_tensor::Layout;
 use cdma_vdnn::timeline::MeasuredStream;
 use cdma_vdnn::traffic::{self, NetworkTraffic};
 use cdma_vdnn::{
-    FabricShape, Fidelity, FidelitySource, ProfiledDensity, RatioTable, StepTimeline, TimelineSim,
-    UniformRatio,
+    FabricShape, Fidelity, FidelitySource, RatioTable, StepTimeline, TimelineSim, UniformRatio,
 };
 
 use crate::CdmaEngine;
@@ -714,6 +713,7 @@ impl Context {
 
     /// A context around a caller-built ratio table (golden tests pin
     /// numbers by sharing the exact table with a legacy reimplementation).
+    // pub: the golden suites share one exact ratio table
     pub fn with_table(table: RatioTable) -> Self {
         Context::with_kind(TableKind::Fast(0), Some(table))
     }
@@ -823,7 +823,7 @@ impl Context {
 
     /// Builds the live [`TransferSource`](cdma_vdnn::TransferSource) for a
     /// scenario — the single place a [`Fidelity`] *value* becomes one of
-    /// the three concrete source types.
+    /// the two concrete source types.
     pub fn transfer_source(&self, scenario: &Scenario) -> FidelitySource {
         let spec = self.spec(&scenario.network);
         match scenario.fidelity {
@@ -831,7 +831,7 @@ impl Context {
                 let t = self.traffic(&scenario.network, scenario.algorithm, scenario.layout);
                 UniformRatio::uniform(&spec, t.avg_ratio()).into()
             }
-            Fidelity::ProfiledDensity => ProfiledDensity::at_checkpoint(
+            Fidelity::ProfiledDensity => UniformRatio::at_checkpoint(
                 &spec,
                 &self.profile(spec.name()),
                 scenario.checkpoint,
@@ -917,6 +917,7 @@ impl Runner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::measured::stream_bytes;
 
     #[test]
     fn paper_grid_covers_the_triple_loop_in_legacy_order() {
@@ -1067,10 +1068,11 @@ mod tests {
         scenario.layout = Layout::Nhwc;
         let nhwc = ctx.measured_stream(&scenario);
         assert!(!Arc::ptr_eq(&nchw, &nhwc));
-        assert_eq!(nchw.total_uncompressed(), nhwc.total_uncompressed());
+        let spec = ctx.spec(&scenario.network);
+        let (nchw, nhwc) = (stream_bytes(&spec, &nchw), stream_bytes(&spec, &nhwc));
+        assert_eq!(nchw.0, nhwc.0);
         assert_ne!(
-            nchw.total_compressed(),
-            nhwc.total_compressed(),
+            nchw.1, nhwc.1,
             "RLE wire bytes should differ across layouts"
         );
     }

@@ -82,6 +82,7 @@ impl SoftmaxCrossEntropy {
 
 /// Convenience: uniform-logits loss is `ln(classes)`, the paper's Fig. 7
 /// starting point (`ln(1000) ≈ 6.9` for ImageNet).
+// pub: train_end_to_end.rs measures learning against it
 pub fn chance_loss(classes: usize) -> f64 {
     (classes as f64).ln()
 }

@@ -50,6 +50,7 @@ impl DensityTrace {
     }
 
     /// Density history of one layer across checkpoints.
+    // pub: ROADMAP item 14
     pub fn layer_history(&self, layer: &str) -> Vec<(f64, f64)> {
         self.records
             .iter()
@@ -63,6 +64,7 @@ impl DensityTrace {
     }
 
     /// Element-weighted network density at each checkpoint.
+    // pub: ROADMAP item 14
     pub fn network_density(&self) -> Vec<(f64, f64)> {
         self.records
             .iter()
@@ -139,6 +141,7 @@ impl Trainer {
 
     /// Measures per-layer output densities on `images` (eval mode, so
     /// dropout does not distort the measurement) — one Fig. 4 column.
+    // pub: ROADMAP item 14
     pub fn measure_densities(&mut self, images: &Tensor) -> Vec<DensitySample> {
         let mut samples = Vec::new();
         let _ = self

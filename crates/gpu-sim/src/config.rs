@@ -83,6 +83,7 @@ impl SystemConfig {
 
     /// DRAM bandwidth left over for cDMA after compute traffic
     /// (336 − 100 = 236 GB/s in the paper).
+    // pub: paper_claims.rs checks the paper's 236 GB/s
     pub fn leftover_dram_bw(&self) -> f64 {
         (self.dram_bw - self.compute_dram_bw).max(0.0)
     }

@@ -558,6 +558,7 @@ impl DmaPipeline {
     }
 
     /// Lines pushed so far, extrapolated ones included.
+    // pub: test oracle: proptest_sim.rs counts the lines push_table extrapolates
     pub fn lines_pushed(&self) -> u64 {
         self.lines
     }

@@ -22,7 +22,7 @@ pub const SECTOR_BYTES: usize = 32;
 /// Logical line granularity (one ZVC window of 32 words).
 pub const LINE_BYTES: usize = ZVC_WINDOW_ELEMS * 4;
 /// Line-table entry size: 4-byte mask + 4-byte sector base.
-pub const TABLE_ENTRY_BYTES: usize = 8;
+const TABLE_ENTRY_BYTES: usize = 8;
 
 /// Per-line metadata the memory controller reads before the data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,7 +53,7 @@ pub struct StoreStats {
 
 impl StoreStats {
     /// Physical bytes (data + table).
-    pub fn physical_bytes(&self) -> u64 {
+    fn physical_bytes(&self) -> u64 {
         self.data_bytes + self.table_bytes
     }
 
@@ -89,11 +89,6 @@ impl CompressedDramStore {
         }
     }
 
-    /// Number of logical lines.
-    pub fn line_count(&self) -> usize {
-        self.table.len()
-    }
-
     /// Total stored elements.
     pub fn element_count(&self) -> usize {
         self.element_count
@@ -126,7 +121,7 @@ impl CompressedDramStore {
     /// # Panics
     ///
     /// Panics if `index` is out of range.
-    pub fn load_line(&self, index: usize) -> Vec<f32> {
+    fn load_line(&self, index: usize) -> Vec<f32> {
         let meta = self.table[index];
         let words_in_line = if index + 1 == self.table.len() {
             let rem = self.element_count % ZVC_WINDOW_ELEMS;
@@ -235,7 +230,7 @@ mod tests {
     fn partial_tail_line_roundtrips() {
         let data = sparse(40, 60); // 1 full line + 8-word tail
         let store = CompressedDramStore::store(&data);
-        assert_eq!(store.line_count(), 2);
+        assert_eq!(store.table.len(), 2);
         assert_eq!(store.load(), data);
         assert_eq!(store.load_line(1), &data[32..]);
     }

@@ -55,11 +55,11 @@ mod dma;
 pub mod dram_store;
 pub mod energy;
 mod engine;
-pub mod pipeline;
+#[cfg(test)]
+mod pipeline;
 pub mod staging;
 
 pub use config::{LinkKind, SystemConfig};
 pub use dma::{fs_to_seconds, DmaPipeline, LineSchedule, OffloadSimResult, TableRun, LINE_BYTES};
 pub use dram_store::CompressedDramStore;
 pub use engine::ZvcEngine;
-pub use pipeline::{ZvcCompressPipeline, ZvcDecompressPipeline};

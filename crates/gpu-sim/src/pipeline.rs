@@ -14,6 +14,8 @@
 //! The simulated datapaths are verified against the architectural codec
 //! ([`cdma_compress::Zvc`]) byte-for-byte, and their cycle counts against
 //! the closed forms — the pipeline *is* the specification, just slower.
+//! Nothing outside these tests runs it, so it is compiled only under
+//! test: the oracle for `ZvcEngine`'s cycle counts.
 
 use cdma_compress::{Compressor, Zvc};
 
@@ -64,11 +66,6 @@ impl ZvcCompressPipeline {
     /// Creates an idle pipeline.
     pub fn new() -> Self {
         ZvcCompressPipeline::default()
-    }
-
-    /// Elapsed cycles.
-    pub fn cycles(&self) -> u64 {
-        self.cycles
     }
 
     /// Compressed bytes emitted so far.
@@ -191,16 +188,6 @@ impl ZvcDecompressPipeline {
     /// Creates an idle pipeline.
     pub fn new() -> Self {
         ZvcDecompressPipeline::default()
-    }
-
-    /// Elapsed cycles.
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
-    /// Decompressed words so far.
-    pub fn output(&self) -> &[f32] {
-        &self.output
     }
 
     /// Processes one compressed line record covering `words` logical words

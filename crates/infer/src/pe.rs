@@ -100,6 +100,7 @@ impl PeWorkload {
     }
 
     /// Retained weights PE `k` holds of column `c`.
+    // pub: test oracle: differential.rs sums each column's PE slices
     pub fn col_pe_nnz(&self, c: usize, k: usize) -> u32 {
         self.nnz[c * self.pes + k]
     }

@@ -59,6 +59,7 @@ impl CscMatrix {
     ///
     /// Panics if the slice is not `rows * cols` long or a dimension is
     /// zero.
+    // pub: differential.rs builds its matrices from dense ones
     pub fn from_dense(rows: usize, cols: usize, dense: &[f32]) -> Self {
         assert_eq!(dense.len(), rows * cols, "dense slice must be rows*cols");
         let mut col = vec![0.0f32; rows];
@@ -79,6 +80,7 @@ impl CscMatrix {
     /// # Panics
     ///
     /// Panics on a zero dimension.
+    // pub: differential.rs builds its matrices column by column
     pub fn from_columns(rows: usize, cols: usize, mut fill: impl FnMut(usize, &mut [f32])) -> Self {
         assert!(rows > 0 && cols > 0, "matrix dimensions must be non-zero");
         let csc = Csc::new();
@@ -156,6 +158,7 @@ impl CscMatrix {
 
     /// Decompresses back to the dense row-major form (the round-trip
     /// oracle; bit-exact).
+    // pub: the infer bench's dense baseline (crates/bench/benches/infer.rs)
     pub fn to_dense(&self) -> Vec<f32> {
         let mut dense = vec![0.0f32; self.rows * self.cols];
         for c in 0..self.cols {
@@ -174,6 +177,7 @@ impl CscMatrix {
     /// # Panics
     ///
     /// Panics unless `x.len()` equals [`CscMatrix::cols`].
+    // pub: the infer bench's vector-at-a-time bar (crates/bench/benches/infer.rs)
     pub fn matvec_into(&self, x: &[f32], y: &mut Vec<f32>) {
         assert_eq!(x.len(), self.cols, "input length must match columns");
         self.matvec_batch_into(x, y);

@@ -117,11 +117,6 @@ impl NetworkSpec {
         &self.layers
     }
 
-    /// Total forward FLOPs for one minibatch.
-    pub fn forward_flops(&self) -> u64 {
-        self.layers.iter().map(|l| l.flops).sum::<u64>() * self.batch as u64
-    }
-
     /// Total activation bytes of all layer outputs for one minibatch — the
     /// data vDNN offloads when configured for full memory-scalability
     /// ("vDNN is configured to offload all the layer's activation maps",
@@ -426,7 +421,9 @@ mod tests {
         let spec = b.build();
         // 2 * k*k*in*out*oh*ow = 2 * 9*3*4*8*8
         assert_eq!(spec.layers()[0].flops, 2 * 9 * 3 * 4 * 64);
-        assert_eq!(spec.forward_flops(), 2 * 9 * 3 * 4 * 64);
+        let minibatch: u64 =
+            spec.layers().iter().map(|l| l.flops).sum::<u64>() * spec.batch() as u64;
+        assert_eq!(minibatch, 2 * 9 * 3 * 4 * 64);
     }
 
     #[test]

@@ -34,6 +34,7 @@ pub fn tiny_alexnet(classes: usize, seed: u64) -> Sequential {
 /// activations — captured per probe layer of [`TINY_ALEXNET_PROBES`] —
 /// into the `cdma-vdnn` timeline against this spec closes the loop between
 /// the `dnn` crate and the transfer simulation.
+// pub: the spec timeline_fidelity.rs drives a captured step against
 pub fn tiny_alexnet_spec(classes: usize, batch: usize) -> NetworkSpec {
     let mut b = SpecBuilder::new("tiny-alexnet", batch, (1, 16, 16));
     b.conv("conv0", 8, 3, 1, 1, true)

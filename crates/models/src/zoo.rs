@@ -117,6 +117,7 @@ pub fn overfeat() -> NetworkSpec {
 }
 
 /// Network-in-Network (Lin et al. 2013; ImageNet variant, batch 128).
+// pub: one of the paper's six networks, by name
 pub fn nin() -> NetworkSpec {
     let mut b = SpecBuilder::new("NiN", 128, (3, 224, 224));
     b.conv("conv1", 96, 11, 4, 0, true)
@@ -383,7 +384,8 @@ mod tests {
         // Published per-image forward FLOPs (approx): AlexNet ~1.5 GFLOP,
         // VGG-16 ~31 GFLOP, GoogLeNet ~3 GFLOP. Allow generous slack — our
         // specs fold ReLU/LRN costs differently.
-        let per_image = |spec: &NetworkSpec| spec.forward_flops() as f64 / spec.batch() as f64;
+        let per_image =
+            |spec: &NetworkSpec| spec.layers().iter().map(|l| l.flops).sum::<u64>() as f64;
         let nets = all_networks();
         let alex = per_image(&nets[0]);
         let vgg_f = per_image(&nets[3]);

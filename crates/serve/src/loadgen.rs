@@ -178,11 +178,6 @@ impl Schedule {
     pub fn is_empty(&self) -> bool {
         self.arrivals.is_empty()
     }
-
-    /// Offered uncompressed bytes across the whole schedule.
-    pub fn offered_bytes(&self) -> u64 {
-        self.arrivals.iter().map(|a| a.elements as u64 * 4).sum()
-    }
 }
 
 /// Fills `out` with synthetic activations: a `zero_density` fraction of

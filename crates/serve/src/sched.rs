@@ -63,6 +63,7 @@ impl TenantSpec {
     }
 
     /// Sets the lifetime uncompressed-byte quota.
+    // pub: handoff.rs caps a tenant with it
     pub fn quota_bytes(mut self, quota: u64) -> Self {
         self.quota_bytes = Some(quota);
         self

@@ -27,6 +27,7 @@ pub struct TrajectoryFit {
 /// # Panics
 ///
 /// Panics if fewer than 3 samples are given or any sample is out of range.
+// pub: ROADMAP item 14
 pub fn fit_trajectory(samples: &[(f64, f64)]) -> TrajectoryFit {
     assert!(
         samples.len() >= 3,

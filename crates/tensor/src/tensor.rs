@@ -149,6 +149,7 @@ impl Tensor {
     }
 
     /// Consumes the tensor and returns its raw buffer.
+    // pub: wire_golden.rs takes a generated tensor's buffer
     pub fn into_vec(self) -> Vec<f32> {
         self.data
     }
@@ -179,6 +180,7 @@ impl Tensor {
     }
 
     /// Number of non-zero elements.
+    // pub: test oracle: proptest_tensor.rs
     pub fn count_nonzero(&self) -> usize {
         self.data.iter().filter(|&&v| v != 0.0).count()
     }

@@ -130,14 +130,9 @@ impl GradientAllReduce {
 
     /// Exact bytes crossing the shared host channel (`2·(g−1)·weights`;
     /// zero for a single GPU).
+    // pub: multi_gpu_cross_validation.rs checks the ring bytes
     pub fn total_wire_bytes(&self) -> u64 {
         self.total_wire_bytes
-    }
-
-    /// Bytes each GPU contributes over its own link share
-    /// (`2·(g−1)/g·weights`).
-    pub fn per_gpu_wire_bytes(&self) -> f64 {
-        self.total_wire_bytes as f64 / self.gpus as f64
     }
 
     /// The ring traffic split into per-layer gradient chunks (the
@@ -283,11 +278,13 @@ impl ClusterTimeline {
     /// A conservation counter accumulated in service order: compare it
     /// with a tolerance, as `churn_conservation.rs` does, not by bit
     /// pattern. No report prints it.
+    // pub: conservation counter read by churn_conservation.rs
     pub fn spine_wire_bytes(&self) -> f64 {
         self.spine_wire_bytes
     }
 
     /// Wire bytes each node tier carried (empty on a flat fabric).
+    // pub: conservation counter read by churn_conservation.rs
     pub fn node_wire_bytes(&self) -> &[f64] {
         &self.node_wire_bytes
     }
@@ -948,8 +945,6 @@ mod tests {
         assert_eq!(ar.weight_bytes(), spec.total_params() * 4);
         assert_eq!(ar.total_wire_bytes(), spec.total_params() * 4 * 6);
         assert_eq!(GradientAllReduce::ring(&spec, 1).total_wire_bytes(), 0);
-        let per_gpu = ar.per_gpu_wire_bytes();
-        assert!((per_gpu * 4.0 - ar.total_wire_bytes() as f64).abs() < 1.0);
     }
 
     #[test]

@@ -445,6 +445,7 @@ impl FluidFabric {
     }
 
     /// Wire bytes delivered for `flow` so far.
+    // pub: link_arbiter_props.rs checks conservation per flow
     pub fn delivered(&self, flow: FlowId) -> f64 {
         self.flows[flow.index()].delivered
     }
@@ -504,6 +505,7 @@ impl FluidFabric {
     }
 
     /// Whether any submitted transfer still has bytes to move.
+    // pub: link_arbiter_props.rs drives the arbiter by hand
     pub fn has_backlog(&self) -> bool {
         self.flows.iter().any(|f| !f.queue.is_empty())
     }
@@ -668,6 +670,7 @@ impl FluidFabric {
 
     /// Runs the schedule until every submitted transfer has drained;
     /// returns the drain time.
+    // pub: link_arbiter_props.rs drives the arbiter by hand
     pub fn run_until_idle(&mut self) -> f64 {
         while let Some(t) = self.next_event() {
             self.advance_to(t.max(self.now));

@@ -18,8 +18,9 @@
 //! * [`timeline`] — the event-driven training-step simulator: one event
 //!   log over the GPU compute stream, the cDMA read path and the
 //!   PCIe link, fed by a [`TransferSource`] at one of three fidelity levels
-//!   ([`UniformRatio`] analytic ratios, [`ProfiledDensity`] trajectory
-//!   ratios, [`MeasuredStream`] real compressed line sizes);
+//!   ([`UniformRatio`] analytic ratios, given or read from density
+//!   trajectories by [`UniformRatio::at_checkpoint`]; [`MeasuredStream`]
+//!   real compressed line sizes);
 //! * [`cluster`] — the multi-GPU shared-link layer (Section IX): per-GPU
 //!   step timelines and per-tenant gradient all-reduce streams contending
 //!   for one bandwidth-shared [`FluidFabric`] ([`ClusterSim`]);
@@ -62,6 +63,6 @@ pub use fabric::{
 };
 pub use ratio::RatioTable;
 pub use timeline::{
-    Fidelity, FidelitySource, LinkPolicy, MeasuredStream, Payload, ProfiledDensity, StepBreakdown,
-    StepTimeline, TimelineSim, TransferPolicy, TransferSource, UniformRatio,
+    Fidelity, FidelitySource, LinkPolicy, MeasuredStream, Payload, StepBreakdown, StepTimeline,
+    TimelineSim, TransferPolicy, TransferSource, UniformRatio,
 };

@@ -9,13 +9,13 @@
 //! closed form).
 //!
 //! What crosses the link is abstracted behind the [`TransferSource`] trait,
-//! giving the same timeline **three fidelity levels**:
+//! giving the same timeline **three fidelity levels** from two sources:
 //!
-//! | source | transfer payload | used by |
-//! |---|---|---|
-//! | [`UniformRatio`] | the paper's analytic model: per-layer scalar ratios through [`SystemConfig::effective_offload_bw`] | Fig. 3b, Fig. 13 |
-//! | [`ProfiledDensity`] | analytic ratios derived from `cdma-sparsity` density trajectories at a training checkpoint | Fig. 13 per-checkpoint variants, training-run projections |
-//! | [`MeasuredStream`] | real per-window `(uncompressed, compressed)` line sizes produced by `CdmaEngine::memcpy_compressed` on actual activations, driven through the incremental [`DmaPipeline`] | Fig. 2 timeline, measured-fidelity experiments |
+//! | source | level | transfer payload | used by |
+//! |---|---|---|---|
+//! | [`UniformRatio`] | [`Fidelity::UniformRatio`] | the paper's analytic model: per-layer scalar ratios through [`SystemConfig::effective_offload_bw`] | Fig. 3b, Fig. 13 |
+//! | [`UniformRatio::at_checkpoint`] | [`Fidelity::ProfiledDensity`] | the same model, its ratios read from `cdma-sparsity` density trajectories at a training checkpoint | Fig. 13 per-checkpoint variants, training-run projections |
+//! | [`MeasuredStream`] | [`Fidelity::MeasuredStream`] | real per-window `(uncompressed, compressed)` line sizes produced by `CdmaEngine::memcpy_compressed` on actual activations, driven through the incremental [`DmaPipeline`] | Fig. 2 timeline, measured-fidelity experiments |
 //!
 //! At the measured level each offload's 4 KB lines are pushed into one
 //! [`DmaPipeline`] shared across the whole step, released at their stage's
@@ -178,13 +178,11 @@ impl std::str::FromStr for Fidelity {
 
 /// A [`TransferSource`] whose fidelity level was chosen at runtime from a
 /// [`Fidelity`] value — the single dispatch point that replaces picking one
-/// of the three concrete source types at every call site.
+/// of the two concrete source types at every call site.
 #[derive(Debug, Clone)]
 pub enum FidelitySource {
-    /// A [`UniformRatio`] source.
+    /// An analytic source, uniform or profiled.
     Uniform(UniformRatio),
-    /// A [`ProfiledDensity`] source.
-    Profiled(ProfiledDensity),
     /// A [`MeasuredStream`] source, shared: a stream is up to millions of
     /// line sizes, and whoever memoised it hands the same one out again.
     Measured(Arc<MeasuredStream>),
@@ -194,8 +192,7 @@ impl FidelitySource {
     /// The fidelity level this source realizes.
     pub fn level(&self) -> Fidelity {
         match self {
-            FidelitySource::Uniform(_) => Fidelity::UniformRatio,
-            FidelitySource::Profiled(_) => Fidelity::ProfiledDensity,
+            FidelitySource::Uniform(s) => s.level,
             FidelitySource::Measured(_) => Fidelity::MeasuredStream,
         }
     }
@@ -203,7 +200,6 @@ impl FidelitySource {
     fn inner(&self) -> &dyn TransferSource {
         match self {
             FidelitySource::Uniform(s) => s,
-            FidelitySource::Profiled(s) => s,
             FidelitySource::Measured(s) => s.as_ref(),
         }
     }
@@ -226,12 +222,6 @@ impl TransferSource for FidelitySource {
 impl From<UniformRatio> for FidelitySource {
     fn from(s: UniformRatio) -> Self {
         FidelitySource::Uniform(s)
-    }
-}
-
-impl From<ProfiledDensity> for FidelitySource {
-    fn from(s: ProfiledDensity) -> Self {
-        FidelitySource::Profiled(s)
     }
 }
 
@@ -331,13 +321,22 @@ pub trait TransferSource {
     fn layer_payload(&self, spec: &NetworkSpec, layer: usize) -> Payload<'_>;
 }
 
-/// The analytic fidelity level (the vDNN Fig. 2b / Fig. 13 model). Wraps a
+/// The analytic fidelity levels (the vDNN Fig. 2b / Fig. 13 model): a
 /// [`TransferPolicy`] (oracle, uniform or per-layer scalar ratios,
-/// offload-all or conv-only).
+/// offload-all or conv-only) through the effective-bandwidth throttle.
+/// The ratios are given ([`Fidelity::UniformRatio`]) or read from the
+/// density trajectories at a training checkpoint
+/// ([`UniformRatio::at_checkpoint`], [`Fidelity::ProfiledDensity`]); the
+/// level is carried as the source's label and changes no payload.
 #[derive(Debug, Clone)]
 pub struct UniformRatio {
     policy: TransferPolicy,
+    level: Fidelity,
 }
+
+/// [`UniformRatio`] under the profiled level's former type name, which
+/// `benchmark/src/workloads/sim.rs` still calls `at_checkpoint` through.
+pub type ProfiledDensity = UniformRatio;
 
 impl UniformRatio {
     /// Wraps a transfer policy.
@@ -357,7 +356,10 @@ impl UniformRatio {
             }
             TransferPolicy::Oracle => {}
         }
-        UniformRatio { policy }
+        UniformRatio {
+            policy,
+            level: Fidelity::UniformRatio,
+        }
     }
 
     /// Offload-all with one uniform ratio (1.0 reproduces baseline vDNN).
@@ -365,15 +367,43 @@ impl UniformRatio {
         UniformRatio::new(spec, TransferPolicy::uniform(spec, ratio))
     }
 
-    /// The wrapped policy.
-    pub fn policy(&self) -> &TransferPolicy {
-        &self.policy
+    /// The profiled level: offload-all with each layer's ratio at training
+    /// checkpoint `t` in `[0, 1]` — its density trajectory sampled at `t`
+    /// and mapped through the measured [`RatioTable`], the methodology
+    /// behind Fig. 11–13.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `profile` does not cover every layer of `spec`.
+    pub fn at_checkpoint(
+        spec: &NetworkSpec,
+        profile: &NetworkProfile,
+        t: f64,
+        alg: Algorithm,
+        layout: Layout,
+        table: &RatioTable,
+    ) -> Self {
+        let ratios = spec
+            .layers()
+            .iter()
+            .map(|l| {
+                let d = profile
+                    .trajectory(&l.name)
+                    .unwrap_or_else(|| panic!("profile missing layer {}", l.name))
+                    .density_at(t);
+                table.ratio(alg, layout, d)
+            })
+            .collect();
+        UniformRatio {
+            policy: TransferPolicy::OffloadAll(ratios),
+            level: Fidelity::ProfiledDensity,
+        }
     }
 }
 
 impl TransferSource for UniformRatio {
     fn fidelity(&self) -> &'static str {
-        Fidelity::UniformRatio.label()
+        self.level.label()
     }
 
     fn input_payload(&self, spec: &NetworkSpec) -> Payload<'_> {
@@ -401,70 +431,6 @@ impl TransferSource for UniformRatio {
         Payload::Analytic {
             bytes: l.activation_bytes(spec.batch()),
             ratio: ratios[layer],
-        }
-    }
-}
-
-/// The profiled fidelity level: per-layer analytic ratios derived from the
-/// calibrated density trajectories of `cdma-models`, looked up through the
-/// measured [`RatioTable`] — the methodology behind Fig. 11–13, now feeding
-/// the event-driven timeline directly.
-#[derive(Debug, Clone)]
-pub struct ProfiledDensity {
-    ratios: Vec<f64>,
-}
-
-impl ProfiledDensity {
-    /// Ratios at training checkpoint `t` in `[0, 1]`: each layer's density
-    /// trajectory is sampled at `t` and mapped through the ratio table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `profile` does not cover every layer of `spec`.
-    pub fn at_checkpoint(
-        spec: &NetworkSpec,
-        profile: &NetworkProfile,
-        t: f64,
-        alg: Algorithm,
-        layout: Layout,
-        table: &RatioTable,
-    ) -> Self {
-        let ratios = spec
-            .layers()
-            .iter()
-            .map(|l| {
-                let d = profile
-                    .trajectory(&l.name)
-                    .unwrap_or_else(|| panic!("profile missing layer {}", l.name))
-                    .density_at(t);
-                table.ratio(alg, layout, d)
-            })
-            .collect();
-        ProfiledDensity { ratios }
-    }
-
-    /// The per-layer ratios.
-    pub fn ratios(&self) -> &[f64] {
-        &self.ratios
-    }
-}
-
-impl TransferSource for ProfiledDensity {
-    fn fidelity(&self) -> &'static str {
-        Fidelity::ProfiledDensity.label()
-    }
-
-    fn input_payload(&self, spec: &NetworkSpec) -> Payload<'_> {
-        Payload::Analytic {
-            bytes: (spec.input().per_image() * spec.batch() * 4) as u64,
-            ratio: 1.0,
-        }
-    }
-
-    fn layer_payload(&self, spec: &NetworkSpec, layer: usize) -> Payload<'_> {
-        Payload::Analytic {
-            bytes: spec.layers()[layer].activation_bytes(spec.batch()),
-            ratio: self.ratios[layer],
         }
     }
 }
@@ -501,12 +467,6 @@ impl MeasuredStream {
         }
     }
 
-    /// The lines of layer `i`'s output, every repeat included.
-    pub fn layer_lines(&self, i: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
-        let table = &self.layers[i];
-        (0..self.repeat).flat_map(move |_| table.iter().copied())
-    }
-
     /// Layer `i`'s per-image line table and how many times it repeats.
     pub fn layer_table(&self, i: usize) -> (&[(u32, u32)], usize) {
         (&self.layers[i], self.repeat)
@@ -515,22 +475,6 @@ impl MeasuredStream {
     /// Number of layer tables.
     pub fn layer_count(&self) -> usize {
         self.layers.len()
-    }
-
-    /// Total uncompressed bytes across the input and every layer.
-    pub fn total_uncompressed(&self) -> u64 {
-        self.tables().map(|(u, _)| u).sum()
-    }
-
-    /// Total compressed bytes across the input and every layer.
-    pub fn total_compressed(&self) -> u64 {
-        self.tables().map(|(_, c)| c).sum()
-    }
-
-    fn tables(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        std::iter::once(&self.input)
-            .chain(self.layers.iter())
-            .map(|t| line_totals(t, self.repeat))
     }
 }
 
@@ -768,6 +712,7 @@ impl StepTimeline {
     /// repeated line table was extrapolated from its period
     /// ([`DmaPipeline::push_table`]); they count in
     /// [`StepTimeline::events_processed`] all the same.
+    // pub: measured_step.rs pins the stepped-line count
     pub fn lines_stepped(&self) -> u64 {
         self.lines_stepped
     }
@@ -1359,13 +1304,14 @@ pub(crate) mod tests {
         let copies = |t: &Vec<(u32, u32)>| t.repeat(k);
         let materialised = MeasuredStream::new(copies(&input), layers.iter().map(copies).collect());
         let repeated = MeasuredStream::replicated(input, layers, k);
-        assert_eq!(
-            repeated.total_uncompressed(),
-            materialised.total_uncompressed()
-        );
-        assert_eq!(repeated.total_compressed(), materialised.total_compressed());
+        // The same lines, the input's and every layer's, repeats written out.
+        let expand = |(t, r): (&[(u32, u32)], usize)| t.repeat(r);
+        assert_eq!(expand((&repeated.input, k)), materialised.input);
         for i in 0..spec.layers().len() {
-            assert!(repeated.layer_lines(i).eq(materialised.layer_lines(i)));
+            assert_eq!(
+                expand(repeated.layer_table(i)),
+                expand(materialised.layer_table(i))
+            );
         }
 
         let a = sim().simulate(&spec, &repeated);
@@ -1412,21 +1358,25 @@ pub(crate) mod tests {
         let spec = zoo::alexnet();
         let profile = cdma_models::profiles::density_profile(&spec);
         let table = RatioTable::build_fast(3);
-        let profiled = ProfiledDensity::at_checkpoint(
-            &spec,
-            &profile,
-            0.5,
-            Algorithm::Zvc,
-            Layout::Nchw,
-            &table,
-        );
-        let via_policy = UniformRatio::new(
-            &spec,
-            TransferPolicy::OffloadAll(profiled.ratios().to_vec()),
-        );
+        let profiled =
+            UniformRatio::at_checkpoint(&spec, &profile, 0.5, Algorithm::Zvc, Layout::Nchw, &table);
+        let ratios: Vec<f64> = spec
+            .layers()
+            .iter()
+            .map(|l| {
+                let d = profile.trajectory(&l.name).unwrap().density_at(0.5);
+                table.ratio(Algorithm::Zvc, Layout::Nchw, d)
+            })
+            .collect();
+        let via_policy = UniformRatio::new(&spec, TransferPolicy::OffloadAll(ratios));
         let a = sim().simulate(&spec, &profiled);
         let b = sim().simulate(&spec, &via_policy);
         assert_eq!(a.breakdown, b.breakdown);
+        // The level is a label only: the same payloads, reported apart.
+        assert_eq!(a.fidelity(), Fidelity::ProfiledDensity.label());
+        assert_eq!(b.fidelity(), Fidelity::UniformRatio.label());
+        let src: FidelitySource = profiled.into();
+        assert_eq!(src.level(), Fidelity::ProfiledDensity);
     }
 
     #[test]

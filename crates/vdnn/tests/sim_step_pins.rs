@@ -18,7 +18,7 @@ use cdma_models::{profiles, zoo, NetworkSpec};
 use cdma_tensor::Layout;
 use cdma_vdnn::cluster::{ClusterSim, Tenant};
 use cdma_vdnn::fabric::{churn_trace, FabricShape, FabricSim, Job};
-use cdma_vdnn::timeline::{FidelitySource, LinkPolicy, ProfiledDensity, UniformRatio};
+use cdma_vdnn::timeline::{FidelitySource, LinkPolicy, UniformRatio};
 use cdma_vdnn::{ComputeModel, CudnnVersion, RatioTable};
 
 const SEED: u64 = 41;
@@ -95,7 +95,7 @@ fn the_churn_run_is_pinned() {
             CHURN_CHECKPOINTS
                 .iter()
                 .map(|&t| {
-                    ProfiledDensity::at_checkpoint(
+                    UniformRatio::at_checkpoint(
                         spec,
                         &profile,
                         t,

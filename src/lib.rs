@@ -56,9 +56,9 @@
 //! [`vdnn::timeline::Fidelity`] — and
 //! [`core::scenario::Context::transfer_source`] turns it into the matching
 //! [`vdnn::timeline::TransferSource`]: [`vdnn::timeline::UniformRatio`]
-//! (the analytic model),
-//! [`vdnn::timeline::ProfiledDensity`] (ratios from density trajectories),
-//! and [`vdnn::timeline::MeasuredStream`] (real per-window line sizes —
+//! (the analytic model, its ratios given or read from density
+//! trajectories by [`vdnn::timeline::UniformRatio::at_checkpoint`]) and
+//! [`vdnn::timeline::MeasuredStream`] (real per-window line sizes —
 //! capture one from a live training step with
 //! [`core::measured::capture_training_step`]).
 //!

@@ -4,7 +4,9 @@
 //! `cdma-bench experiments all --format json` prints them (less the
 //! CLI's trailing newline: 84 501 bytes here, 84 502 from the CLI, whose
 //! sha256 `tests/golden/experiments_all.sha256` holds). Any experiment
-//! whose output moves — a digit, a row, a cache lookup — fails here.
+//! whose output moves — a digit, a row, a cache lookup — fails here, and
+//! so does a driver whose report answers to another name than its
+//! catalogue entry.
 
 use cdma::core::experiment::{self, CATALOGUE};
 use cdma::core::report::render_json;
@@ -33,7 +35,20 @@ fn catalogue_json(jobs: usize) -> (String, (u64, u64)) {
         .map(|e| {
             let report = experiment::run(e.name, &ctx, &runner, &filter)
                 .unwrap_or_else(|| panic!("{} is not in the dispatch table", e.name));
-            render_json(report.as_ref())
+            assert_eq!(
+                report.name(),
+                e.name,
+                "the report of catalogue entry {}",
+                e.name
+            );
+            let json = render_json(report.as_ref());
+            let head = format!("{{\"experiment\":\"{}\"", e.name);
+            assert!(
+                json.starts_with(&head),
+                "{} renders under another name",
+                e.name
+            );
+            json
         })
         .collect();
     let stats = ctx.stats();

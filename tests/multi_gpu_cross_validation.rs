@@ -183,8 +183,6 @@ fn allreduce_byte_accounting_is_integer_exact_for_the_whole_zoo() {
                 ar.total_wire_bytes(),
                 spec.weight_bytes() * 2 * (gpus as u64 - 1)
             );
-            let per_gpu = ar.per_gpu_wire_bytes() * gpus as f64;
-            assert!((per_gpu - ar.total_wire_bytes() as f64).abs() < 1e-6);
         }
     }
 }

@@ -1,36 +1,29 @@
-//! The `pub fn` / `pub const` surface of `crates/*/src` is the called
-//! surface: every such name must appear, as a whole word, in some *other*
-//! `.rs` file of the workspace (or `benchmark/src`), or carry a
-//! `// pub: <reason>` note on the line above. A `pub use` re-export names
-//! an item without using it, so it does not count; a `use … X as Y`
-//! credits every use of `Y` to `X`. Types are exempt (a returned struct
-//! is reachable without being named), and so are the hardware models the
-//! tests pin against the paper, which stay whole.
+//! The `pub` surface of `crates/*/src` is the surface the shipped code
+//! uses. Every `pub fn` / `pub const` must be named, as a whole word, in
+//! some *other* non-test file. Every `pub struct` / `enum` / `trait` /
+//! `type` must be named there too, or in a signature of its own file: a
+//! non-test line that is no comment, declaration or `impl` header (a type
+//! reaches its callers through the fns that take or return it). An item
+//! that does neither carries a `// pub: <reason>` note on the line above.
+//!
+//! Non-test files are `crates/*/src`, `src/`, `examples/` and
+//! `benchmark/src`, each outside its `#[cfg(test)]` items and outside the
+//! files declared behind `#[cfg(test)] mod x;`; `tests/`,
+//! `crates/*/tests` and `crates/*/benches` keep no name alive. A `pub use`
+//! re-export names an item without using it, so it does not count; a
+//! `use … X as Y` credits every use of `Y` to `X`. Enum variants and
+//! fields are not checked: their names are too common to scan by word.
 //!
 //! The `unsafe` surface is the ZVC kernels': the word occurs in
 //! `crates/*/src` only under `crates/compress/src/zvc/`.
 
+mod support;
+
 use std::collections::HashSet;
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-/// Fig. 10's pipeline, the ZVC engine and the in-DRAM store (`crates/gpu-sim/src`).
-const PAPER_MODELS: [&str; 3] = ["pipeline.rs", "engine.rs", "dram_store.rs"];
-
-fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
-    for entry in fs::read_dir(dir).into_iter().flatten().flatten() {
-        let path = entry.path();
-        if path.is_dir() && !path.ends_with("target") {
-            rust_files(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-}
-
-fn is_word(c: char) -> bool {
-    c.is_ascii_alphanumeric() || c == '_'
-}
+use support::{crate_srcs, is_word, non_test_sources, rust_files};
 
 /// `text` without its `pub use` statements; the `(item, alias)` pair of
 /// every `X as Y` in its `use` statements, re-exports included, goes to
@@ -63,83 +56,116 @@ fn strip_reexports(text: &str, aliases: &mut Vec<(String, String)>) -> String {
     kept
 }
 
-/// The name a `pub fn` / `pub const` line declares, if it is one.
-fn declared(line: &str) -> Option<&str> {
+/// The name a `pub fn` / `pub const` / `pub struct` / `enum` / `trait` /
+/// `type` line declares, if it is one, and whether it names a type.
+fn declared(line: &str) -> Option<(&str, bool)> {
     let rest = line.trim_start().strip_prefix("pub ")?;
-    let rest = ["const fn ", "unsafe fn ", "fn ", "const "]
-        .iter()
-        .find_map(|q| rest.strip_prefix(q))?;
-    rest.split(|c| !is_word(c)).next().filter(|n| !n.is_empty())
+    let fns = ["const fn ", "unsafe fn ", "fn ", "const "];
+    let types = ["struct ", "enum ", "trait ", "type "];
+    let (rest, is_type) = (fns.iter().map(|q| (q, false)))
+        .chain(types.iter().map(|q| (q, true)))
+        .find_map(|(q, t)| Some((rest.strip_prefix(q)?, t)))?;
+    let name = rest
+        .split(|c| !is_word(c))
+        .next()
+        .filter(|n| !n.is_empty())?;
+    Some((name, is_type))
 }
 
-#[test]
-fn every_pub_fn_and_const_is_named_in_another_file() {
+/// The words of `code` a type's own file uses it by: every line but
+/// comments, declarations and `impl` headers. A type reaches its callers
+/// through the signatures that take or return it (`fig11` returns
+/// `Fig11Report`, which no caller needs to name), so those count.
+fn signature_words(code: &str) -> HashSet<&str> {
+    code.lines()
+        .filter(|l| {
+            let t = l.trim_start();
+            !(t.starts_with("//") || t.starts_with("impl") || declared(l).is_some())
+        })
+        .flat_map(|l| l.split(|c| !is_word(c)))
+        .collect()
+}
+
+/// The `pub` declarations of the kind asked for (types, or fns and
+/// consts) that nothing keeps alive, as `file: name` lines.
+fn unreferenced(types: bool) -> String {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut files = Vec::new();
-    for dir in ["crates", "src", "tests", "examples", "benchmark/src"] {
-        rust_files(&root.join(dir), &mut files);
-    }
-    files.sort();
-    let read = |f| fs::read_to_string(f).expect("a .rs file the walk just listed");
-    let texts: Vec<String> = files.iter().map(read).collect();
-    let mut aliases = Vec::new();
-    let uses: Vec<String> = texts
+    let shipped: Vec<_> = crate_srcs(root)
         .iter()
-        .map(|t| strip_reexports(t, &mut aliases))
+        .flat_map(|src| non_test_sources(src))
+        .collect();
+    let others = ["src", "examples", "benchmark/src"].map(|d| non_test_sources(&root.join(d)));
+    let callers: Vec<_> = shipped.iter().chain(others.iter().flatten()).collect();
+
+    let mut aliases = Vec::new();
+    let uses: Vec<String> = callers
+        .iter()
+        .map(|(_, t)| strip_reexports(t, &mut aliases))
         .collect();
     let words: Vec<HashSet<&str>> = uses
         .iter()
         .map(|t| t.split(|c| !is_word(c)).collect())
         .collect();
 
+    let own: Vec<HashSet<&str>> = shipped.iter().map(|(_, t)| signature_words(t)).collect();
+
     let mut unreferenced = Vec::new();
-    for (i, file) in files.iter().enumerate() {
+    for (i, (file, code)) in shipped.iter().enumerate() {
         let rel = file.strip_prefix(root).expect("walk started at the root");
-        let in_src = rel.starts_with("crates") && rel.iter().nth(2) == Some("src".as_ref());
-        let is_model = |m: &&str| rel == Path::new("crates/gpu-sim/src").join(m);
-        if !in_src || PAPER_MODELS.iter().any(is_model) {
-            continue;
-        }
-        // Unit-test modules close their file in this workspace.
-        let code = texts[i].split("#[cfg(test)]\nmod ").next().unwrap_or("");
         let mut above = "";
         for line in code.lines() {
             let noted = above.trim_start().starts_with("// pub: ");
             above = line;
-            let Some(name) = declared(line) else { continue };
+            let Some((name, is_type)) = declared(line).filter(|d| d.1 == types) else {
+                continue;
+            };
             let aliased = aliases
                 .iter()
                 .filter(|(x, _)| x == name)
                 .map(|(_, y)| y.as_str());
             let names: Vec<&str> = std::iter::once(name).chain(aliased).collect();
             let named_in = |j: usize| names.iter().any(|n| words[j].contains(n));
-            if !noted && !(0..files.len()).any(|j| j != i && named_in(j)) {
+            let in_signature = is_type && own[i].contains(name);
+            if !noted && !in_signature && !(0..callers.len()).any(|j| j != i && named_in(j)) {
                 unreferenced.push(format!("{}: {name}", rel.display()));
             }
         }
     }
-    let found = unreferenced.join("\n");
+    unreferenced.join("\n")
+}
+
+#[test]
+fn every_pub_fn_and_const_is_named_in_another_file() {
+    let found = unreferenced(false);
     assert!(
         found.is_empty(),
-        "`pub fn` / `pub const` named in no other file (delete, drop `pub`, or note \
-         `// pub: <reason>` on the line above):\n{found}"
+        "`pub fn` / `pub const` named in no other non-test file (delete, move into the \
+         test that uses it, drop `pub`, or note `// pub: <reason>` on the line above):\n{found}"
+    );
+}
+
+#[test]
+fn every_pub_type_is_named_outside_its_declaration() {
+    let found = unreferenced(true);
+    assert!(
+        found.is_empty(),
+        "`pub` type named in no signature of its file and no other non-test file (delete, \
+         move into the test that uses it, drop `pub`, or note `// pub: <reason>` on the line \
+         above):\n{found}"
     );
 }
 
 #[test]
 fn unsafe_occurs_only_beside_the_zvc_kernels() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut files = Vec::new();
-    rust_files(&root.join("crates"), &mut files);
-    files.sort();
     let mut found = Vec::new();
-    for file in &files {
+    for file in rust_files(&root.join("crates")) {
         let rel = file.strip_prefix(root).expect("walk started at the root");
         let in_src = rel.iter().nth(2) == Some("src".as_ref());
         if !in_src || rel.starts_with("crates/compress/src/zvc") {
             continue;
         }
-        let text = fs::read_to_string(file).expect("a .rs file the walk just listed");
+        let text = fs::read_to_string(&file).expect("a .rs file the walk just listed");
         if text.split(|c| !is_word(c)).any(|w| w == "unsafe") {
             found.push(rel.display().to_string());
         }

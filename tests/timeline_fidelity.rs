@@ -9,7 +9,7 @@ use cdma::dnn::synthetic::SyntheticImages;
 use cdma::dnn::{Sgd, Trainer};
 use cdma::gpusim::SystemConfig;
 use cdma::models::tiny::{tiny_alexnet, tiny_alexnet_spec, TINY_ALEXNET_PROBES};
-use cdma::vdnn::timeline::{Resource, TimelineSim, UniformRatio};
+use cdma::vdnn::timeline::{Payload, Resource, TimelineSim, TransferSource, UniformRatio};
 use cdma::vdnn::{ComputeModel, CudnnVersion, TransferPolicy};
 
 #[test]
@@ -33,17 +33,24 @@ fn real_training_activations_drive_the_measured_timeline() {
     assert!(cap.loss.is_finite());
 
     // The captured stream accounts for exactly the bytes vDNN would move.
-    for (i, layer) in spec.layers().iter().enumerate() {
-        let u: u64 = cap.stream.layer_lines(i).map(|(lu, _)| lu as u64).sum();
-        assert_eq!(u, layer.activation_bytes(batch), "{}", layer.name);
+    let Payload::Lines { lines, repeat } = cap.stream.input_payload(&spec) else {
+        panic!("a measured stream's input is a line table")
+    };
+    let tables = (0..spec.layers().len()).map(|i| cap.stream.layer_table(i));
+    let (mut uncompressed, mut compressed) = (0, 0);
+    for (i, (table, repeat)) in std::iter::once((lines, repeat)).chain(tables).enumerate() {
+        let u: u64 = table.iter().map(|&(lu, _)| lu as u64).sum::<u64>() * repeat as u64;
+        let c: u64 = table.iter().map(|&(_, lc)| lc as u64).sum::<u64>() * repeat as u64;
+        if let Some(layer) = i.checked_sub(1).map(|l| &spec.layers()[l]) {
+            assert_eq!(u, layer.activation_bytes(batch), "{}", layer.name);
+        }
+        (uncompressed, compressed) = (uncompressed + u, compressed + c);
     }
     // Real ReLU activations compress (the net is partially trained, so
     // some layer sits well below full density).
     assert!(
-        cap.stream.total_compressed() < cap.stream.total_uncompressed(),
-        "real activations should compress: {} vs {}",
-        cap.stream.total_compressed(),
-        cap.stream.total_uncompressed()
+        compressed < uncompressed,
+        "real activations should compress: {compressed} vs {uncompressed}"
     );
 
     // Drive the timeline at all three conceptual levels over the same spec.
