@@ -416,6 +416,7 @@ impl std::fmt::Display for KernelInfo {
 }
 
 /// The active kernel tier and how it was selected. See [`Kernel::active`].
+// pub: a caller logs the dispatched tier; kernel_tiers.rs checks a forced tier took
 pub fn kernel_info() -> KernelInfo {
     active_info().1
 }

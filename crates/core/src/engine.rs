@@ -1,7 +1,6 @@
 use cdma_compress::{windowed, Algorithm, Codec, CompressionStats, DecodeError};
 use cdma_gpusim::{DmaPipeline, OffloadSimResult, SystemConfig};
 use cdma_tensor::Tensor;
-use cdma_vdnn::timeline::prefetch_seconds;
 
 /// The compressing DMA engine (Section V).
 ///
@@ -239,19 +238,6 @@ impl CdmaEngine {
         copy.stream.decompress_into(&codec, out)
     }
 
-    /// Estimated prefetch (CPU→GPU) time: the link moves the compressed
-    /// bytes while the memory-controller engines decompress at their
-    /// aggregate throughput, whichever is slower. Delegates to the
-    /// timeline's [`prefetch_seconds`] — the single source of truth for the
-    /// CPU→GPU direction.
-    pub fn prefetch_time(&self, copy: &CompressedCopy) -> f64 {
-        prefetch_seconds(
-            &self.cfg,
-            copy.stats.uncompressed_bytes,
-            copy.stats.compressed_bytes,
-        )
-    }
-
     /// Speedup of this engine's offload over an uncompressed vDNN copy of
     /// the same data.
     pub fn offload_speedup(&self, copy: &CompressedCopy) -> f64 {
@@ -397,15 +383,6 @@ mod tests {
         pcie.offload_into(&data, &mut scratch);
         let (_, via_scratch) = nvlink.offload_into(&data, &mut scratch);
         assert_eq!(via_scratch, nvlink.memcpy_compressed(&data).transfer);
-    }
-
-    #[test]
-    fn prefetch_is_link_bound_for_modest_ratios() {
-        let engine = CdmaEngine::zvc(SystemConfig::titan_x_pcie3());
-        let copy = engine.memcpy_compressed(&sparse_data(40, 1 << 20));
-        let t = engine.prefetch_time(&copy);
-        let link_time = copy.stats.compressed_bytes as f64 / 12.8e9;
-        assert!((t - link_time).abs() / link_time < 1e-6);
     }
 
     #[test]

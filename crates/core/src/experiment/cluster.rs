@@ -13,7 +13,7 @@ use cdma_vdnn::timeline::Resource;
 use cdma_vdnn::{Fidelity, FidelitySource, LinkPolicy, UniformRatio};
 
 use super::{compute_model, gantt_row};
-use crate::report::{Artifact, Cell, Report, Table};
+use crate::report::{Artifact, Cell, ReportData, Table};
 use crate::scenario::{Context, Scenario, ScenarioFilter, ScenarioSet};
 
 /// The GPU counts of the Section IX sweep.
@@ -23,44 +23,6 @@ pub const GPU_SWEEP: [usize; 4] = [1, 2, 4, 8];
 /// The canonical heavy-traffic tenant mix: four networks, two GPUs each,
 /// eight DMA paths plus four gradient streams on one wire.
 const TENANT_MIX: [&str; 4] = ["AlexNet", "VGG", "GoogLeNet", "SqueezeNet"];
-
-/// One row of the per-g speedup table.
-#[derive(Debug, Clone)]
-pub struct MultiGpuRow {
-    /// Network name.
-    pub network: String,
-    /// Fidelity label of the transfer source.
-    pub fidelity: &'static str,
-    /// Data-parallel GPU count.
-    pub gpus: usize,
-    /// Static per-GPU share of the scenario's host link, GB/s.
-    pub link_share_gbps: f64,
-    /// Uncompressed-vDNN end-to-end step (incl. all-reduce), seconds.
-    pub vdnn_step: f64,
-    /// cDMA end-to-end step at the scenario's fidelity, seconds.
-    pub cdma_step: f64,
-    /// Gradient all-reduce seconds exposed past the step barrier.
-    pub allreduce: f64,
-    /// `vdnn_step / cdma_step`.
-    pub speedup: f64,
-    /// Shared-link busy fraction of the cDMA run.
-    pub link_utilisation: f64,
-}
-
-/// One row of the heavy-traffic tenant table.
-#[derive(Debug, Clone)]
-pub struct TenantRow {
-    /// Tenant network.
-    pub network: String,
-    /// The tenant's GPU count.
-    pub gpus: usize,
-    /// End-to-end seconds with the link to itself.
-    pub isolated: f64,
-    /// End-to-end seconds sharing the link with the whole mix.
-    pub shared: f64,
-    /// `shared / isolated`.
-    pub slowdown: f64,
-}
 
 fn cluster_sim(scenario: &Scenario) -> ClusterSim {
     ClusterSim::new(scenario.config, compute_model(), LinkPolicy::BandwidthShare)
@@ -93,11 +55,13 @@ fn vdnn_total(ctx: &Context, scenario: &Scenario) -> f64 {
     vdnn.tenants()[0].total
 }
 
-fn row_with_baseline(ctx: &Context, scenario: &Scenario, vdnn_step: f64) -> MultiGpuRow {
+/// A scenario's cDMA step: its fidelity label, end-to-end seconds,
+/// exposed all-reduce seconds and shared-link busy fraction.
+fn cdma_step(ctx: &Context, scenario: &Scenario) -> (&'static str, f64, f64, f64) {
     // g = 1 *is* the single-GPU step — `ClusterSim` hands a lone GPU on a
     // flat link to `TimelineSim` bit for bit — so it comes from the step
     // memo; the cluster starts at g = 2.
-    let (fidelity, cdma_step, allreduce, link_utilisation) = if scenario.gpus == 1 {
+    if scenario.gpus == 1 {
         let step = ctx.step(scenario);
         let link = step.busy_seconds(Resource::Link);
         (step.fidelity(), step.total(), 0.0, link / step.total())
@@ -106,33 +70,17 @@ fn row_with_baseline(ctx: &Context, scenario: &Scenario, vdnn_step: f64) -> Mult
         let tc = &cdma.tenants()[0];
         let fidelity = cdma.gpu(0).fidelity();
         (fidelity, tc.total, tc.allreduce, cdma.link_utilisation())
-    };
-    MultiGpuRow {
-        network: scenario.network.clone(),
-        fidelity,
-        gpus: scenario.gpus,
-        link_share_gbps: scenario.config.pcie_bw / scenario.gpus as f64 / 1e9,
-        vdnn_step,
-        cdma_step,
-        allreduce,
-        speedup: vdnn_step / cdma_step,
-        link_utilisation,
     }
 }
 
-/// The fig_multi_gpu report.
-#[derive(Debug, Clone)]
-pub struct MultiGpuReport {
-    /// Per-g speedup rows (network-major, then fidelity, then g).
-    pub rows: Vec<MultiGpuRow>,
-    /// Heavy-traffic tenant mix rows.
-    pub tenants: Vec<TenantRow>,
-    /// Makespan of the shared tenant mix, seconds.
-    pub mix_makespan: f64,
-    /// Makespan with the gradient all-reduce overlapped into backward.
-    pub mix_makespan_overlapped: f64,
-    /// Link-utilisation Gantt of the tenant mix (the report artifact).
-    pub gantt: String,
+/// The simulator of the heavy-traffic mix: independent tenants on the
+/// paper's default platform, one wire.
+fn mix_sim() -> ClusterSim {
+    ClusterSim::new(
+        SystemConfig::titan_x_pcie3(),
+        compute_model(),
+        LinkPolicy::BandwidthShare,
+    )
 }
 
 /// Builds the heavy-traffic mix: every mix network the filter admits
@@ -162,8 +110,9 @@ fn mix_members(ctx: &Context, filter: &ScenarioFilter) -> Vec<(Arc<NetworkSpec>,
 }
 
 /// The full Section IX experiment: the per-g sweep across all three
-/// fidelity levels plus the shared-link tenant mix.
-pub fn fig_multi_gpu(ctx: &Context, filter: &ScenarioFilter) -> MultiGpuReport {
+/// fidelity levels (network-major, then fidelity, then g), the shared-link
+/// tenant mix, and the mix's link-utilisation Gantt as an artifact.
+pub fn fig_multi_gpu(ctx: &Context, filter: &ScenarioFilter) -> ReportData {
     let set = ScenarioSet::builder()
         .fidelities(Fidelity::ALL)
         .gpu_counts(GPU_SWEEP)
@@ -188,19 +137,48 @@ pub fn fig_multi_gpu(ctx: &Context, filter: &ScenarioFilter) -> MultiGpuReport {
             .expect("every scenario has a baseline representative");
         baselines[i]
     };
-    let rows = set
-        .scenarios()
-        .iter()
-        .map(|s| row_with_baseline(ctx, s, baseline_of(s)))
-        .collect();
-
-    // The heavy-traffic mix: independent tenants on the paper's default
-    // platform, one wire.
-    let sim = ClusterSim::new(
-        SystemConfig::titan_x_pcie3(),
-        compute_model(),
-        LinkPolicy::BandwidthShare,
+    let mut sweep = Table::new(
+        "cDMA speedup per GPU count (shared host link)",
+        &[
+            "network",
+            "fidelity",
+            "gpus",
+            "link_share_gbps",
+            "vdnn_step_s",
+            "cdma_step_s",
+            "allreduce_s",
+            "speedup",
+            "link_util",
+        ],
     );
+    // Headline: the largest-g uniform-fidelity speedup, the paper's
+    // Section IX argument in one line.
+    let mut best: Option<(&Scenario, f64, f64)> = None;
+    for s in set.scenarios() {
+        let vdnn_step = baseline_of(s);
+        let (fidelity, cdma_step, allreduce, link_utilisation) = cdma_step(ctx, s);
+        let link_share_gbps = s.config.pcie_bw / s.gpus as f64 / 1e9;
+        let speedup = vdnn_step / cdma_step;
+        sweep.row([
+            s.network.as_str().into(),
+            fidelity.into(),
+            s.gpus.into(),
+            Cell::Num(link_share_gbps),
+            Cell::Num(vdnn_step),
+            Cell::Num(cdma_step),
+            Cell::Num(allreduce),
+            Cell::Num(speedup),
+            Cell::Num(link_utilisation),
+        ]);
+        let beats = |(b, sp, _): (&Scenario, f64, f64)| {
+            s.gpus.cmp(&b.gpus).then(speedup.total_cmp(&sp)).is_ge()
+        };
+        if fidelity == Fidelity::UniformRatio.label() && best.is_none_or(beats) {
+            best = Some((s, speedup, link_share_gbps));
+        }
+    }
+
+    let sim = mix_sim();
     let members = mix_members(ctx, filter);
     let tenants: Vec<Tenant<'_>> = members
         .iter()
@@ -212,19 +190,20 @@ pub fn fig_multi_gpu(ctx: &Context, filter: &ScenarioFilter) -> MultiGpuReport {
         .collect();
     let shared = sim.simulate(&tenants);
     let overlapped = sim.overlap_allreduce(true).simulate(&tenants);
-    let isolated: Vec<ClusterTimeline> = tenants.iter().map(|t| sim.simulate(&[*t])).collect();
-    let tenant_rows: Vec<TenantRow> = shared
-        .tenants()
-        .iter()
-        .zip(&isolated)
-        .map(|(sh, iso)| TenantRow {
-            network: sh.network.clone(),
-            gpus: sh.gpus,
-            isolated: iso.tenants()[0].total,
-            shared: sh.total,
-            slowdown: sh.total / iso.tenants()[0].total,
-        })
-        .collect();
+    let mut mix = Table::new(
+        "heavy-traffic tenant mix (independent jobs, one link)",
+        &["tenant", "gpus", "isolated_s", "shared_s", "slowdown"],
+    );
+    for (sh, t) in shared.tenants().iter().zip(&tenants) {
+        let isolated = sim.simulate(&[*t]).tenants()[0].total;
+        mix.row([
+            sh.network.as_str().into(),
+            sh.gpus.into(),
+            Cell::Num(isolated),
+            Cell::Num(sh.total),
+            Cell::Num(sh.total / isolated),
+        ]);
+    }
 
     // Link-utilisation Gantt of the shared run.
     let cols = 96;
@@ -232,7 +211,7 @@ pub fn fig_multi_gpu(ctx: &Context, filter: &ScenarioFilter) -> MultiGpuReport {
     let mut gantt = vec![
         format!(
             "link occupancy over one shared step ({} tenants x 2 GPUs, {}; makespan {:.1} ms)",
-            tenant_rows.len(),
+            shared.tenants().len(),
             LinkPolicy::BandwidthShare,
             makespan * 1e3
         ),
@@ -268,100 +247,33 @@ pub fn fig_multi_gpu(ctx: &Context, filter: &ScenarioFilter) -> MultiGpuReport {
         shared.link_utilisation() * 100.0
     ));
 
-    MultiGpuReport {
-        rows,
-        tenants: tenant_rows,
-        mix_makespan: shared.makespan(),
-        mix_makespan_overlapped: overlapped.makespan(),
-        gantt: gantt.join("\n"),
-    }
-}
-
-impl Report for MultiGpuReport {
-    fn name(&self) -> &'static str {
-        "fig_multi_gpu"
-    }
-
-    fn title(&self) -> String {
-        "Section IX: multi-GPU shared-link contention — per-g speedup and tenant mix".to_owned()
-    }
-
-    fn tables(&self) -> Vec<Table> {
-        let mut sweep = Table::new(
-            "cDMA speedup per GPU count (shared host link)",
-            &[
-                "network",
-                "fidelity",
-                "gpus",
-                "link_share_gbps",
-                "vdnn_step_s",
-                "cdma_step_s",
-                "allreduce_s",
-                "speedup",
-                "link_util",
-            ],
-        );
-        for r in &self.rows {
-            sweep.row([
-                r.network.as_str().into(),
-                r.fidelity.into(),
-                r.gpus.into(),
-                Cell::Num(r.link_share_gbps),
-                Cell::Num(r.vdnn_step),
-                Cell::Num(r.cdma_step),
-                Cell::Num(r.allreduce),
-                Cell::Num(r.speedup),
-                Cell::Num(r.link_utilisation),
-            ]);
-        }
-        let mut mix = Table::new(
-            "heavy-traffic tenant mix (independent jobs, one link)",
-            &["tenant", "gpus", "isolated_s", "shared_s", "slowdown"],
-        );
-        for t in &self.tenants {
-            mix.row([
-                t.network.as_str().into(),
-                t.gpus.into(),
-                Cell::Num(t.isolated),
-                Cell::Num(t.shared),
-                Cell::Num(t.slowdown),
-            ]);
-        }
-        vec![sweep, mix]
-    }
-
-    fn notes(&self) -> Vec<String> {
-        let mut notes = Vec::new();
-        // Headline: the largest-g uniform-fidelity speedup, the paper's
-        // Section IX argument in one line.
-        if let Some(best) = self
-            .rows
-            .iter()
-            .filter(|r| r.fidelity == Fidelity::UniformRatio.label())
-            .max_by(|a, b| a.gpus.cmp(&b.gpus).then(a.speedup.total_cmp(&b.speedup)))
-        {
-            notes.push(format!(
-                "at g={} cDMA speeds the {} step by {:.0}% (link share {:.1} GB/s per GPU)",
-                best.gpus,
-                best.network,
-                (best.speedup - 1.0) * 100.0,
-                best.link_share_gbps
-            ));
-        }
+    let mut notes = Vec::new();
+    if let Some((s, speedup, link_share_gbps)) = best {
         notes.push(format!(
-            "tenant mix: serialized all-reduce makespan {:.1} ms, overlapped with backward {:.1} ms ({:.1}% shorter)",
-            self.mix_makespan * 1e3,
-            self.mix_makespan_overlapped * 1e3,
-            (1.0 - self.mix_makespan_overlapped / self.mix_makespan) * 100.0
+            "at g={} cDMA speeds the {} step by {:.0}% (link share {:.1} GB/s per GPU)",
+            s.gpus,
+            s.network,
+            (speedup - 1.0) * 100.0,
+            link_share_gbps
         ));
-        notes
     }
-
-    fn artifacts(&self) -> Vec<Artifact> {
-        vec![Artifact {
+    let (serial, overlapped) = (shared.makespan(), overlapped.makespan());
+    notes.push(format!(
+        "tenant mix: serialized all-reduce makespan {:.1} ms, overlapped with backward {:.1} ms ({:.1}% shorter)",
+        serial * 1e3,
+        overlapped * 1e3,
+        (1.0 - overlapped / serial) * 100.0
+    ));
+    ReportData {
+        name: "fig_multi_gpu",
+        title: "Section IX: multi-GPU shared-link contention — per-g speedup and tenant mix"
+            .to_owned(),
+        tables: vec![sweep, mix],
+        notes,
+        artifacts: vec![Artifact {
             name: "link_utilisation.txt".to_owned(),
-            bytes: self.gantt.clone().into_bytes(),
-        }]
+            bytes: gantt.join("\n").into_bytes(),
+        }],
     }
 }
 
@@ -377,61 +289,84 @@ mod tests {
     #[test]
     fn sweep_covers_g_and_fidelity_for_filtered_networks() {
         let report = fig_multi_gpu(&ctx(), &ScenarioFilter::all().network("SqueezeNet"));
+        let rows = report.tables[0].records();
         // 1 network x 3 fidelities x 4 gpu counts.
-        assert_eq!(report.rows.len(), 12);
-        assert!(report.rows.iter().all(|r| r.network == "SqueezeNet"));
+        assert_eq!(rows.len(), 12);
+        assert!(rows.iter().all(|r| r.str("network") == "SqueezeNet"));
         for g in GPU_SWEEP {
-            assert!(report.rows.iter().any(|r| r.gpus == g), "missing g={g}");
+            assert!(
+                rows.iter().any(|r| r.int("gpus") == g as i64),
+                "missing g={g}"
+            );
         }
         // Speedups never below 1 (compression cannot hurt) and grow
         // with g at the uniform level.
-        let uniform: Vec<&MultiGpuRow> = report
-            .rows
+        let uniform: Vec<f64> = rows
             .iter()
-            .filter(|r| r.fidelity == "uniform-ratio")
+            .filter(|r| r.str("fidelity") == "uniform-ratio")
+            .map(|r| r.num("speedup"))
             .collect();
         for w in uniform.windows(2) {
-            assert!(
-                w[1].speedup >= w[0].speedup - 1e-9,
-                "speedup not monotone in g"
-            );
+            assert!(w[1] >= w[0] - 1e-9, "speedup not monotone in g");
         }
-        for r in &report.rows {
+        for r in &rows {
             assert!(
-                r.speedup >= 1.0 - 1e-9,
+                r.num("speedup") >= 1.0 - 1e-9,
                 "{}: speedup {}",
-                r.fidelity,
-                r.speedup
+                r.str("fidelity"),
+                r.num("speedup")
             );
-            assert!(r.cdma_step > 0.0 && r.vdnn_step > 0.0);
-            assert!(r.link_utilisation > 0.0 && r.link_utilisation <= 1.0 + 1e-12);
+            assert!(r.num("cdma_step_s") > 0.0 && r.num("vdnn_step_s") > 0.0);
+            let util = r.num("link_util");
+            assert!(util > 0.0 && util <= 1.0 + 1e-12);
         }
         // g=1 has no all-reduce.
-        assert!(report
-            .rows
+        assert!(rows
             .iter()
-            .filter(|r| r.gpus == 1)
-            .all(|r| r.allreduce == 0.0));
+            .filter(|r| r.int("gpus") == 1)
+            .all(|r| r.num("allreduce_s") == 0.0));
     }
 
     #[test]
     fn tenant_mix_reports_contention() {
         // NiN is not in the canonical mix: the mix must fall back to all
         // four tenants while the sweep covers only the filtered network.
-        let report = fig_multi_gpu(&ctx(), &ScenarioFilter::all().network("NiN"));
-        assert!(report.rows.iter().all(|r| r.network == "NiN"));
-        assert_eq!(report.tenants.len(), 4);
-        for t in &report.tenants {
+        let ctx = ctx();
+        let filter = ScenarioFilter::all().network("NiN");
+        let report = fig_multi_gpu(&ctx, &filter);
+        assert!(report.tables[0]
+            .records()
+            .iter()
+            .all(|r| r.str("network") == "NiN"));
+        let mix = report.tables[1].records();
+        assert_eq!(mix.len(), 4);
+        for t in &mix {
             assert!(
-                t.slowdown >= 1.0 - 1e-9,
+                t.num("slowdown") >= 1.0 - 1e-9,
                 "{}: sharing a link cannot speed a tenant up ({})",
-                t.network,
-                t.slowdown
+                t.str("tenant"),
+                t.num("slowdown")
             );
         }
-        assert!(report.mix_makespan_overlapped <= report.mix_makespan + 1e-9);
-        assert!(report.gantt.contains("link (aggregate)"));
-        assert_eq!(report.artifacts().len(), 1);
-        assert!(!report.notes().is_empty());
+        // The makespans of the notes' overlap line, from the simulator.
+        let members = mix_members(&ctx, &filter);
+        let tenants: Vec<Tenant<'_>> = members
+            .iter()
+            .map(|(spec, source)| Tenant {
+                spec,
+                source,
+                gpus: 2,
+            })
+            .collect();
+        let serial = mix_sim().simulate(&tenants).makespan();
+        let overlapped = mix_sim()
+            .overlap_allreduce(true)
+            .simulate(&tenants)
+            .makespan();
+        assert!(overlapped <= serial + 1e-9);
+        assert_eq!(report.artifacts.len(), 1);
+        let gantt = String::from_utf8(report.artifacts[0].bytes.clone()).expect("text");
+        assert!(gantt.contains("link (aggregate)"));
+        assert!(!report.notes.is_empty());
     }
 }

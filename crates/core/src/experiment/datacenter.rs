@@ -18,11 +18,11 @@ use cdma_compress::Algorithm;
 use cdma_gpusim::SystemConfig;
 use cdma_models::NetworkSpec;
 use cdma_vdnn::cluster::{ClusterSim, Tenant};
-use cdma_vdnn::fabric::{churn_trace, FabricShape, FabricSim, Job, JobOutcome};
+use cdma_vdnn::fabric::{churn_trace, FabricRun, FabricShape, FabricSim, FabricSpec, Job};
 use cdma_vdnn::{FidelitySource, LinkPolicy};
 
 use super::{compute_model, gantt_row};
-use crate::report::{Artifact, Cell, Report, Table};
+use crate::report::{Artifact, Cell, ReportData, Table};
 use crate::scenario::{Context, Scenario, ScenarioFilter, ScenarioSet};
 
 /// The GPU counts of the datacenter sweep (fast contexts stop at 64).
@@ -44,76 +44,12 @@ const CHURN_MEAN_INTERARRIVAL_S: f64 = 0.25;
 const CHURN_GPUS: usize = 32;
 const CHURN_MAX_JOB_GPUS: usize = 16;
 
-/// One cell of the fabric sweep.
-#[derive(Debug, Clone)]
-pub struct DatacenterRow {
-    /// Network name.
-    pub network: String,
-    /// Compression algorithm label.
-    pub algorithm: &'static str,
-    /// Fabric shape label (`flat`, `node8`).
-    pub fabric: String,
-    /// Data-parallel GPU count.
-    pub gpus: usize,
-    /// Node count (1 on the flat fabric).
-    pub nodes: usize,
-    /// End-to-end step seconds (incl. exposed all-reduce) of the slowest
-    /// tenant GPU.
-    pub step_s: f64,
-    /// Gradient all-reduce seconds exposed past the step barrier.
-    pub allreduce_s: f64,
-    /// Shared-tier busy fraction: the link (flat) or the spine.
-    pub spine_utilisation: f64,
-    /// Mean node-tier busy fraction (0 on the flat fabric, which has no
-    /// node tiers).
-    pub node_utilisation: f64,
-    /// Events the step simulation processed.
-    pub events: u64,
-}
-
-/// Aggregates of the tenant-churn run (the bounded-memory
-/// [`RunStats`](cdma_vdnn::RunStats) fold, not retained timelines).
-#[derive(Debug, Clone, Copy)]
-pub struct ChurnSummary {
-    /// Jobs in the trace.
-    pub jobs: usize,
-    /// Jobs that were admitted before the run drained.
-    pub admitted: usize,
-    /// Jobs that departed early (queued or mid-run).
-    pub departed: usize,
-    /// Synchronized cluster steps the run simulated.
-    pub steps: usize,
-    /// Per-GPU steps folded into the streaming aggregate.
-    pub gpu_steps: u64,
-    /// Mean per-GPU step seconds across the run.
-    pub mean_step_s: f64,
-    /// Slowest per-GPU step seconds.
-    pub max_step_s: f64,
-    /// When the last admitted work drained.
-    pub makespan_s: f64,
-    /// Fraction of the makespan the spine spent busy.
-    pub spine_utilisation: f64,
-    /// Events across every step simulation.
-    pub events: u64,
-}
-
-/// The fig_datacenter report.
-#[derive(Debug, Clone)]
-pub struct DatacenterReport {
-    /// Fabric-sweep cells (gpus-major, then algorithm, then fabric).
-    pub rows: Vec<DatacenterRow>,
-    /// Per-job outcomes of the churn run, in trace order.
-    pub jobs: Vec<JobOutcome>,
-    /// Churn-run aggregates.
-    pub churn: ChurnSummary,
-    /// Spine-occupancy Gantt of the churn run (the report artifact).
-    pub gantt: String,
-}
-
 /// One cell of the sweep: a single tenant data-parallel across
 /// `scenario.gpus` GPUs on the scenario's fabric shape, event recording
 /// off (the aggregates are identical; only per-GPU logs are skipped).
-fn datacenter_row(ctx: &Context, scenario: &Scenario) -> DatacenterRow {
+/// Appends the cell's row to `sweep` and returns its step seconds, node
+/// count and spine utilisation.
+fn datacenter_row(ctx: &Context, scenario: &Scenario, sweep: &mut Table) -> (f64, usize, f64) {
     let spec = ctx.spec(&scenario.network);
     let source = ctx.transfer_source(scenario);
     let fabric =
@@ -132,6 +68,8 @@ fn datacenter_row(ctx: &Context, scenario: &Scenario) -> DatacenterRow {
     }]);
     let t = &tl.tenants()[0];
     let makespan = tl.makespan();
+    // Mean node-tier busy fraction (0 on the flat fabric, which has no
+    // node tiers); the shared tier is the link (flat) or the spine.
     let node_utilisation = if tl.node_busy().is_empty() || makespan <= 0.0 {
         0.0
     } else {
@@ -142,18 +80,20 @@ fn datacenter_row(ctx: &Context, scenario: &Scenario) -> DatacenterRow {
             .sum();
         busy / makespan / tl.node_busy().len() as f64
     };
-    DatacenterRow {
-        network: scenario.network.clone(),
-        algorithm: scenario.algorithm.label(),
-        fabric: scenario.fabric.label(),
-        gpus: scenario.gpus,
-        nodes: fabric.map_or(1, |f| f.nodes),
-        step_s: t.total,
-        allreduce_s: t.allreduce,
-        spine_utilisation: tl.link_utilisation(),
-        node_utilisation,
-        events: tl.events_processed(),
-    }
+    let nodes = fabric.map_or(1, |f| f.nodes);
+    sweep.row([
+        scenario.network.as_str().into(),
+        scenario.algorithm.label().into(),
+        scenario.fabric.label().into(),
+        scenario.gpus.into(),
+        nodes.into(),
+        Cell::Num(t.total),
+        Cell::Num(t.allreduce),
+        Cell::Num(tl.link_utilisation()),
+        Cell::Num(node_utilisation),
+        tl.events_processed().into(),
+    ]);
+    (t.total, nodes, tl.link_utilisation())
 }
 
 /// Builds the sweep's scenario set: AlexNet (the paper's reference
@@ -185,8 +125,9 @@ fn sweep_set(ctx: &Context, filter: &ScenarioFilter) -> ScenarioSet {
 
 /// Runs the seeded churn trace on a 4-node × 8-GPU fabric: jobs from
 /// [`churn_trace`] over the four-network mix, each walking the §IV
-/// density checkpoints as its steps complete.
-fn churn_run(ctx: &Context) -> (Vec<JobOutcome>, ChurnSummary, String) {
+/// density checkpoints as its steps complete. Returns the run and its
+/// fabric.
+fn churn_run(ctx: &Context) -> (FabricRun, FabricSpec) {
     let cfg = SystemConfig::titan_x_pcie3();
     let shape = FabricShape::Hierarchical { gpus_per_node: 8 };
     let fabric = shape
@@ -230,20 +171,103 @@ fn churn_run(ctx: &Context) -> (Vec<JobOutcome>, ChurnSummary, String) {
             checkpoints: &members[t.network].1,
         })
         .collect();
-    let run = FabricSim::new(cluster).run(&jobs);
+    (FabricSim::new(cluster).run(&jobs), fabric)
+}
 
-    let summary = ChurnSummary {
-        jobs: run.jobs.len(),
-        admitted: run.jobs.iter().filter(|j| j.admitted.is_some()).count(),
-        departed: run.jobs.iter().filter(|j| j.departed.is_some()).count(),
-        steps: run.steps.len(),
-        gpu_steps: run.stats.gpu_steps,
-        mean_step_s: run.stats.mean_step,
-        max_step_s: run.stats.max_step,
-        makespan_s: run.makespan,
-        spine_utilisation: run.spine_utilisation(),
-        events: run.events_processed,
-    };
+/// An optional time as a cell (`NaN` renders as JSON `null` / empty
+/// CSV, the writers' explicit missing-value policy).
+fn opt(t: Option<f64>) -> Cell {
+    Cell::Num(t.unwrap_or(f64::NAN))
+}
+
+/// The full datacenter experiment: the fabric sweep (gpus-major, then
+/// algorithm, then fabric), the seeded tenant-churn trace's per-job
+/// outcomes, and the churn run's spine-occupancy Gantt as an artifact.
+pub fn fig_datacenter(ctx: &Context, filter: &ScenarioFilter) -> ReportData {
+    let set = sweep_set(ctx, filter);
+    let mut sweep = Table::new(
+        "step time and link utilisation by fabric shape",
+        &[
+            "network",
+            "algorithm",
+            "fabric",
+            "gpus",
+            "nodes",
+            "step_s",
+            "allreduce_s",
+            "spine_util",
+            "node_util",
+            "events",
+        ],
+    );
+    let mut zv_cells = Vec::new();
+    for s in set.scenarios() {
+        let (step_s, nodes, spine) = datacenter_row(ctx, s, &mut sweep);
+        if s.algorithm == Algorithm::Zvc {
+            zv_cells.push((s.gpus, s.fabric.label(), step_s, nodes, spine));
+        }
+    }
+
+    let (run, fabric) = churn_run(ctx);
+    let mut churn = Table::new(
+        "tenant churn timeline (node8 fabric, 32 GPU slots)",
+        &[
+            "job",
+            "network",
+            "gpus",
+            "arrival_s",
+            "admitted_s",
+            "requested",
+            "completed",
+            "cancelled",
+            "finished_s",
+            "departed_s",
+        ],
+    );
+    for (i, j) in run.jobs.iter().enumerate() {
+        churn.row([
+            i.into(),
+            j.network.as_str().into(),
+            j.gpus.into(),
+            Cell::Num(j.arrival),
+            opt(j.admitted),
+            j.steps_requested.into(),
+            j.steps_completed.into(),
+            j.steps_cancelled.into(),
+            opt(j.finished),
+            opt(j.departed),
+        ]);
+    }
+
+    let mut notes = Vec::new();
+    // Headline: at the widest swept cluster, what stacking node
+    // tiers buys over a single flat link, with the 2:1 oversubscribed
+    // spine as the remaining bottleneck.
+    if let Some(g) = set.scenarios().iter().map(|s| s.gpus).max() {
+        let pick = |fabric: &str| zv_cells.iter().find(|c| c.0 == g && c.1 == fabric);
+        if let (Some(flat), Some(node)) = (pick("flat"), pick("node8")) {
+            notes.push(format!(
+                "at g={g} ZVC steps in {:.1} ms on the node8 fabric vs {:.1} ms on one \
+                 flat link ({} node tiers; 2:1 oversubscribed spine at {:.0}% utilisation)",
+                node.2 * 1e3,
+                flat.2 * 1e3,
+                node.3,
+                node.4 * 100.0
+            ));
+        }
+    }
+    notes.push(format!(
+        "churn: {} jobs ({} admitted, {} departed early), {} steps over {:.0} ms; \
+         mean per-GPU step {:.1} ms across {} GPU-steps; spine {:.0}% busy",
+        run.jobs.len(),
+        run.jobs.iter().filter(|j| j.admitted.is_some()).count(),
+        run.jobs.iter().filter(|j| j.departed.is_some()).count(),
+        run.steps.len(),
+        run.makespan * 1e3,
+        run.stats.mean_step * 1e3,
+        run.stats.gpu_steps,
+        run.spine_utilisation() * 100.0
+    ));
 
     // The spine-occupancy Gantt: one row per synchronized step (the
     // resident set is fixed within a row), then the spine's coalesced
@@ -279,147 +303,16 @@ fn churn_run(ctx: &Context) -> (Vec<JobOutcome>, ChurnSummary, String) {
         "spine utilisation: {:.1}%",
         run.spine_utilisation() * 100.0
     ));
-    (run.jobs, summary, gantt.join("\n"))
-}
 
-/// The full datacenter experiment: the fabric sweep plus the seeded
-/// tenant-churn trace.
-pub fn fig_datacenter(ctx: &Context, filter: &ScenarioFilter) -> DatacenterReport {
-    let set = sweep_set(ctx, filter);
-    let rows = set
-        .scenarios()
-        .iter()
-        .map(|s| datacenter_row(ctx, s))
-        .collect();
-    let (jobs, churn, gantt) = churn_run(ctx);
-    DatacenterReport {
-        rows,
-        jobs,
-        churn,
-        gantt,
-    }
-}
-
-/// An optional time as a cell (`NaN` renders as JSON `null` / empty
-/// CSV, the writers' explicit missing-value policy).
-fn opt(t: Option<f64>) -> Cell {
-    Cell::Num(t.unwrap_or(f64::NAN))
-}
-
-impl Report for DatacenterReport {
-    fn name(&self) -> &'static str {
-        "fig_datacenter"
-    }
-
-    fn title(&self) -> String {
-        "Datacenter scale: hierarchical fabric sweep and tenant churn".to_owned()
-    }
-
-    fn tables(&self) -> Vec<Table> {
-        let mut sweep = Table::new(
-            "step time and link utilisation by fabric shape",
-            &[
-                "network",
-                "algorithm",
-                "fabric",
-                "gpus",
-                "nodes",
-                "step_s",
-                "allreduce_s",
-                "spine_util",
-                "node_util",
-                "events",
-            ],
-        );
-        for r in &self.rows {
-            sweep.row([
-                r.network.as_str().into(),
-                r.algorithm.into(),
-                r.fabric.as_str().into(),
-                r.gpus.into(),
-                r.nodes.into(),
-                Cell::Num(r.step_s),
-                Cell::Num(r.allreduce_s),
-                Cell::Num(r.spine_utilisation),
-                Cell::Num(r.node_utilisation),
-                r.events.into(),
-            ]);
-        }
-        let mut churn = Table::new(
-            "tenant churn timeline (node8 fabric, 32 GPU slots)",
-            &[
-                "job",
-                "network",
-                "gpus",
-                "arrival_s",
-                "admitted_s",
-                "requested",
-                "completed",
-                "cancelled",
-                "finished_s",
-                "departed_s",
-            ],
-        );
-        for (i, j) in self.jobs.iter().enumerate() {
-            churn.row([
-                i.into(),
-                j.network.as_str().into(),
-                j.gpus.into(),
-                Cell::Num(j.arrival),
-                opt(j.admitted),
-                j.steps_requested.into(),
-                j.steps_completed.into(),
-                j.steps_cancelled.into(),
-                opt(j.finished),
-                opt(j.departed),
-            ]);
-        }
-        vec![sweep, churn]
-    }
-
-    fn notes(&self) -> Vec<String> {
-        let mut notes = Vec::new();
-        // Headline: at the widest swept cluster, what stacking node
-        // tiers buys over a single flat link, with the 2:1 oversubscribed
-        // spine as the remaining bottleneck.
-        let widest = self.rows.iter().map(|r| r.gpus).max();
-        if let Some(g) = widest {
-            let pick = |fabric: &str| {
-                self.rows
-                    .iter()
-                    .find(|r| r.gpus == g && r.fabric == fabric && r.algorithm == "ZV")
-            };
-            if let (Some(flat), Some(node)) = (pick("flat"), pick("node8")) {
-                notes.push(format!(
-                    "at g={g} ZVC steps in {:.1} ms on the node8 fabric vs {:.1} ms on one \
-                     flat link ({} node tiers; 2:1 oversubscribed spine at {:.0}% utilisation)",
-                    node.step_s * 1e3,
-                    flat.step_s * 1e3,
-                    node.nodes,
-                    node.spine_utilisation * 100.0
-                ));
-            }
-        }
-        notes.push(format!(
-            "churn: {} jobs ({} admitted, {} departed early), {} steps over {:.0} ms; \
-             mean per-GPU step {:.1} ms across {} GPU-steps; spine {:.0}% busy",
-            self.churn.jobs,
-            self.churn.admitted,
-            self.churn.departed,
-            self.churn.steps,
-            self.churn.makespan_s * 1e3,
-            self.churn.mean_step_s * 1e3,
-            self.churn.gpu_steps,
-            self.churn.spine_utilisation * 100.0
-        ));
-        notes
-    }
-
-    fn artifacts(&self) -> Vec<Artifact> {
-        vec![Artifact {
+    ReportData {
+        name: "fig_datacenter",
+        title: "Datacenter scale: hierarchical fabric sweep and tenant churn".to_owned(),
+        tables: vec![sweep, churn],
+        notes,
+        artifacts: vec![Artifact {
             name: "spine_utilisation.txt".to_owned(),
-            bytes: self.gantt.clone().into_bytes(),
-        }]
+            bytes: gantt.join("\n").into_bytes(),
+        }],
     }
 }
 
@@ -435,30 +328,34 @@ mod tests {
     #[test]
     fn sweep_covers_gpu_counts_algorithms_and_fabrics() {
         let report = fig_datacenter(&ctx(), &ScenarioFilter::all().network("AlexNet"));
+        let rows = report.tables[0].records();
         // Fast context: 2 gpu counts x 3 algorithms x 2 fabric shapes.
-        assert_eq!(report.rows.len(), 12);
-        assert!(report.rows.iter().all(|r| r.network == "AlexNet"));
+        assert_eq!(rows.len(), 12);
+        assert!(rows.iter().all(|r| r.str("network") == "AlexNet"));
         for g in &DATACENTER_GPU_SWEEP[..2] {
-            assert!(report.rows.iter().any(|r| r.gpus == *g), "missing g={g}");
-        }
-        for r in &report.rows {
-            assert!(r.step_s > 0.0, "{}/{}: empty step", r.fabric, r.gpus);
             assert!(
-                r.spine_utilisation > 0.0 && r.spine_utilisation <= 1.0 + 1e-12,
-                "{}/{}: spine utilisation {}",
-                r.fabric,
-                r.gpus,
-                r.spine_utilisation
+                rows.iter().any(|r| r.int("gpus") == *g as i64),
+                "missing g={g}"
             );
-            assert!(r.events > 0);
-            match r.fabric.as_str() {
+        }
+        for r in &rows {
+            let (fabric, gpus) = (r.str("fabric"), r.int("gpus"));
+            assert!(r.num("step_s") > 0.0, "{fabric}/{gpus}: empty step");
+            let spine = r.num("spine_util");
+            assert!(
+                spine > 0.0 && spine <= 1.0 + 1e-12,
+                "{fabric}/{gpus}: spine utilisation {spine}"
+            );
+            assert!(r.int("events") > 0);
+            let node_util = r.num("node_util");
+            match fabric {
                 "flat" => {
-                    assert_eq!(r.nodes, 1);
-                    assert_eq!(r.node_utilisation, 0.0, "flat fabrics have no node tiers");
+                    assert_eq!(r.int("nodes"), 1);
+                    assert_eq!(node_util, 0.0, "flat fabrics have no node tiers");
                 }
                 "node8" => {
-                    assert_eq!(r.nodes, r.gpus.div_ceil(8));
-                    assert!(r.node_utilisation > 0.0 && r.node_utilisation <= 1.0 + 1e-12);
+                    assert_eq!(r.int("nodes"), (gpus as usize).div_ceil(8) as i64);
+                    assert!(node_util > 0.0 && node_util <= 1.0 + 1e-12);
                 }
                 other => panic!("unexpected fabric {other}"),
             }
@@ -469,22 +366,21 @@ mod tests {
         // link there — that is the experiment's scaling argument.
         for alg in ["RL", "ZV", "ZL"] {
             for g in &DATACENTER_GPU_SWEEP[..2] {
-                let flat = report
-                    .rows
-                    .iter()
-                    .find(|r| r.algorithm == alg && r.gpus == *g && r.fabric == "flat")
-                    .unwrap_or_else(|| panic!("missing flat {alg}/g{g}"));
-                let node = report
-                    .rows
-                    .iter()
-                    .find(|r| r.algorithm == alg && r.gpus == *g && r.fabric == "node8")
-                    .unwrap_or_else(|| panic!("missing node8 {alg}/g{g}"));
+                let cell = |fabric: &str| {
+                    rows.iter()
+                        .find(|r| {
+                            r.str("algorithm") == alg
+                                && r.int("gpus") == *g as i64
+                                && r.str("fabric") == fabric
+                        })
+                        .unwrap_or_else(|| panic!("missing {fabric} {alg}/g{g}"))
+                        .num("step_s")
+                };
+                let (flat, node) = (cell("flat"), cell("node8"));
                 if *g > 8 {
                     assert!(
-                        node.step_s <= flat.step_s + 1e-9,
-                        "{alg}/g{g}: node8 {} slower than one flat link {}",
-                        node.step_s,
-                        flat.step_s
+                        node <= flat + 1e-9,
+                        "{alg}/g{g}: node8 {node} slower than one flat link {flat}"
                     );
                 }
             }
@@ -493,35 +389,47 @@ mod tests {
 
     #[test]
     fn churn_timeline_accounts_for_every_job() {
+        let ctx = ctx();
         let report = fig_datacenter(
-            &ctx(),
+            &ctx,
             // NiN is not the sweep network: the sweep falls back to the
             // filter's own networks while churn always runs the mix.
             &ScenarioFilter::all().network("NiN"),
         );
-        assert!(report.rows.iter().all(|r| r.network == "NiN"));
-        assert!(!report.jobs.is_empty());
-        for j in &report.jobs {
+        assert!(report.tables[0]
+            .records()
+            .iter()
+            .all(|r| r.str("network") == "NiN"));
+        let jobs = report.tables[1].records();
+        assert!(!jobs.is_empty());
+        for j in &jobs {
             assert_eq!(
-                j.steps_completed + j.steps_cancelled,
-                j.steps_requested,
+                j.int("completed") + j.int("cancelled"),
+                j.int("requested"),
                 "{}: steps leaked",
-                j.network
+                j.str("network")
             );
-            if j.admitted.is_none() {
-                assert_eq!(j.steps_completed, 0, "{}: ran without admission", j.network);
+            if j.num("admitted_s").is_nan() {
+                assert_eq!(
+                    j.int("completed"),
+                    0,
+                    "{}: ran without admission",
+                    j.str("network")
+                );
             }
         }
-        assert_eq!(report.churn.jobs, report.jobs.len());
-        assert!(report.churn.admitted > 0);
-        assert!(report.churn.gpu_steps > 0);
-        assert!(report.churn.makespan_s > 0.0);
-        assert!(
-            report.churn.spine_utilisation > 0.0 && report.churn.spine_utilisation <= 1.0 + 1e-12
-        );
-        assert!(report.gantt.contains("spine (busy)"));
-        assert_eq!(report.artifacts().len(), 1);
-        assert!(!report.notes().is_empty());
-        assert_eq!(report.tables().len(), 2);
+        // The aggregates of the notes' churn line, from the run itself.
+        let (run, _) = churn_run(&ctx);
+        assert_eq!(run.jobs.len(), jobs.len());
+        assert!(run.jobs.iter().any(|j| j.admitted.is_some()));
+        assert!(run.stats.gpu_steps > 0);
+        assert!(run.makespan > 0.0);
+        let spine = run.spine_utilisation();
+        assert!(spine > 0.0 && spine <= 1.0 + 1e-12);
+        let gantt = String::from_utf8(report.artifacts[0].bytes.clone()).expect("text");
+        assert!(gantt.contains("spine (busy)"));
+        assert_eq!(report.artifacts.len(), 1);
+        assert!(!report.notes.is_empty());
+        assert_eq!(report.tables.len(), 2);
     }
 }

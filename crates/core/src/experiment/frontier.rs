@@ -23,7 +23,7 @@ use cdma_gpusim::SystemConfig;
 use cdma_sparsity::ActivationGen;
 use cdma_tensor::{Layout, Shape4};
 
-use crate::report::{Cell, Report, Table};
+use crate::report::{Cell, ReportData, Table};
 use crate::scenario::{Context, ScenarioFilter};
 
 /// Modeled engine throughput for one codec, in bytes per second of
@@ -45,29 +45,6 @@ fn engine_bw(alg: Algorithm, cfg: &SystemConfig) -> f64 {
     }
 }
 
-/// One frontier point: codec × density.
-#[derive(Debug, Clone)]
-pub struct FrontierRow {
-    /// Activation codec.
-    pub algorithm: Algorithm,
-    /// Activation density (non-zero fraction) at this grid point.
-    pub density: f64,
-    /// Measured compression ratio (from the shared ratio table, NCHW).
-    pub ratio: f64,
-    /// Modeled engine throughput, uncompressed bytes/s.
-    pub engine_gbps: f64,
-    /// Effective offload bandwidth on the paper's PCIe 3 platform:
-    /// `min(engine_bw, ratio × pcie_bw)`, uncompressed bytes/s.
-    pub effective_gbps: f64,
-}
-
-/// The `fig_frontier` report.
-#[derive(Debug, Clone)]
-pub struct FrontierReport {
-    /// One row per activation codec × density grid point.
-    pub rows: Vec<FrontierRow>,
-}
-
 /// Fraction of input words the adaptive picker hands to each of
 /// [`ADAPTIVE_PICKS`] at one density, probed by compressing each seeded
 /// 4 KB window separately and reading its tag byte.
@@ -85,15 +62,29 @@ fn adaptive_pick_fractions(density: f64, seed: u64) -> [f64; ADAPTIVE_PICKS.len(
     counts.map(|c| c as f64 / windows as f64)
 }
 
-/// Generates the frontier over the ratio table's density grid.
-pub fn fig_frontier(ctx: &Context, filter: &ScenarioFilter) -> FrontierReport {
+/// Generates the frontier over the ratio table's density grid: per
+/// activation codec × density, the measured compression ratio (from the
+/// shared ratio table, NCHW), the modeled engine throughput and the
+/// effective offload bandwidth on the paper's PCIe 3 platform,
+/// `min(engine_bw, ratio × pcie_bw)` — all in uncompressed bytes.
+pub fn fig_frontier(ctx: &Context, filter: &ScenarioFilter) -> ReportData {
     let cfg = SystemConfig::titan_x_pcie3();
     let table = ctx.ratio_table();
     let algs: Vec<Algorithm> = Algorithm::ACTIVATION
         .into_iter()
         .filter(|a| filter.matches_algorithm(*a))
         .collect();
-    let mut rows = Vec::new();
+    let mut t = Table::new(
+        "frontier (NCHW, Titan X / PCIe 3)",
+        &[
+            "algorithm",
+            "density",
+            "ratio",
+            "engine_gbps",
+            "effective_gbps",
+        ],
+    );
+    let mut effective: Vec<(Algorithm, f64)> = Vec::new();
     for &density in table.densities() {
         for &alg in &algs {
             let ratio = table.ratio(alg, Layout::Nchw, density);
@@ -107,75 +98,45 @@ pub fn fig_frontier(ctx: &Context, filter: &ScenarioFilter) -> FrontierReport {
             } else {
                 engine_bw(alg, &cfg)
             };
-            rows.push(FrontierRow {
-                algorithm: alg,
-                density,
-                ratio,
-                engine_gbps: engine / 1e9,
-                effective_gbps: engine.min(ratio * cfg.pcie_bw) / 1e9,
-            });
-        }
-    }
-    FrontierReport { rows }
-}
-
-impl Report for FrontierReport {
-    fn name(&self) -> &'static str {
-        "fig_frontier"
-    }
-
-    fn title(&self) -> String {
-        "Ratio-vs-throughput frontier: codec ratio, engine rate, effective offload bandwidth"
-            .to_owned()
-    }
-
-    fn tables(&self) -> Vec<Table> {
-        let mut t = Table::new(
-            "frontier (NCHW, Titan X / PCIe 3)",
-            &[
-                "algorithm",
-                "density",
-                "ratio",
-                "engine_gbps",
-                "effective_gbps",
-            ],
-        );
-        for r in &self.rows {
+            let effective_gbps = engine.min(ratio * cfg.pcie_bw) / 1e9;
             t.row([
-                r.algorithm.label().into(),
-                Cell::Num(r.density),
-                Cell::Num(r.ratio),
-                Cell::Num(r.engine_gbps),
-                Cell::Num(r.effective_gbps),
+                alg.label().into(),
+                Cell::Num(density),
+                Cell::Num(ratio),
+                Cell::Num(engine / 1e9),
+                Cell::Num(effective_gbps),
             ]);
+            effective.push((alg, effective_gbps));
         }
-        vec![t]
     }
-
-    fn notes(&self) -> Vec<String> {
-        let avg_eff = |alg: Algorithm| -> Option<f64> {
-            let v: Vec<f64> = self
-                .rows
-                .iter()
-                .filter(|r| r.algorithm == alg)
-                .map(|r| r.effective_gbps)
-                .collect();
-            (!v.is_empty()).then(|| v.iter().sum::<f64>() / v.len() as f64)
-        };
-        let mut notes = vec![
-            "throughputs are modeled (§V-A constants), not timed — deterministic by design"
+    let avg_eff = |alg: Algorithm| -> Option<f64> {
+        let v: Vec<f64> = effective
+            .iter()
+            .filter(|r| r.0 == alg)
+            .map(|r| r.1)
+            .collect();
+        (!v.is_empty()).then(|| v.iter().sum::<f64>() / v.len() as f64)
+    };
+    let mut notes = vec![
+        "throughputs are modeled (§V-A constants), not timed — deterministic by design".to_owned(),
+    ];
+    if let (Some(zv), Some(zl), Some(ad)) = (
+        avg_eff(Algorithm::Zvc),
+        avg_eff(Algorithm::Zlib),
+        avg_eff(Algorithm::Adaptive),
+    ) {
+        notes.push(format!(
+            "average effective offload bandwidth: ZV {zv:.1} GB/s, ZL {zl:.1} GB/s, AD {ad:.1} GB/s"
+        ));
+    }
+    ReportData {
+        name: "fig_frontier",
+        title:
+            "Ratio-vs-throughput frontier: codec ratio, engine rate, effective offload bandwidth"
                 .to_owned(),
-        ];
-        if let (Some(zv), Some(zl), Some(ad)) = (
-            avg_eff(Algorithm::Zvc),
-            avg_eff(Algorithm::Zlib),
-            avg_eff(Algorithm::Adaptive),
-        ) {
-            notes.push(format!(
-                "average effective offload bandwidth: ZV {zv:.1} GB/s, ZL {zl:.1} GB/s, AD {ad:.1} GB/s"
-            ));
-        }
-        notes
+        tables: vec![t],
+        notes,
+        ..ReportData::default()
     }
 }
 
@@ -184,7 +145,7 @@ mod tests {
     use super::*;
     use cdma_vdnn::RatioTable;
 
-    fn report() -> FrontierReport {
+    fn report() -> ReportData {
         let ctx = Context::with_table(RatioTable::build_fast(11));
         fig_frontier(&ctx, &ScenarioFilter::all())
     }
@@ -192,11 +153,13 @@ mod tests {
     #[test]
     fn covers_every_activation_codec_at_every_density() {
         let r = report();
+        let rows = r.tables[0].records();
         let points = 7; // build_fast grid
-        assert_eq!(r.rows.len(), points * Algorithm::ACTIVATION.len());
-        for row in &r.rows {
-            assert!(row.ratio > 0.2, "{row:?}");
-            assert!(row.effective_gbps > 0.0 && row.effective_gbps <= row.engine_gbps);
+        assert_eq!(rows.len(), points * Algorithm::ACTIVATION.len());
+        for row in &rows {
+            assert!(row.num("ratio") > 0.2, "{:?}", r.tables[0]);
+            let effective = row.num("effective_gbps");
+            assert!(effective > 0.0 && effective <= row.num("engine_gbps"));
         }
     }
 
@@ -205,18 +168,18 @@ mod tests {
         // The paper's core claim: DEFLATE's better ratio cannot buy back
         // its 2.5 GB/s engine — ZVC wins on effective offload bandwidth.
         let r = report();
-        for d in r.rows.iter().filter(|r| r.algorithm == Algorithm::Zvc) {
-            let zl = r
-                .rows
+        let rows = r.tables[0].records();
+        for d in rows.iter().filter(|r| r.str("algorithm") == "ZV") {
+            let zl = rows
                 .iter()
-                .find(|x| x.algorithm == Algorithm::Zlib && x.density == d.density)
+                .find(|x| x.str("algorithm") == "ZL" && x.num("density") == d.num("density"))
                 .unwrap();
             assert!(
-                d.effective_gbps > zl.effective_gbps,
+                d.num("effective_gbps") > zl.num("effective_gbps"),
                 "d={}: ZV {} <= ZL {}",
-                d.density,
-                d.effective_gbps,
-                zl.effective_gbps
+                d.num("density"),
+                d.num("effective_gbps"),
+                zl.num("effective_gbps")
             );
         }
     }
@@ -226,19 +189,16 @@ mod tests {
         // Sparse streams pick ZVC/RLE windows (COMP_BW-speed); dense
         // streams shift windows to DEFLATE, dragging the rate down.
         let r = report();
-        let ad: Vec<&FrontierRow> = r
-            .rows
-            .iter()
-            .filter(|x| x.algorithm == Algorithm::Adaptive)
-            .collect();
+        let rows = r.tables[0].records();
+        let ad: Vec<_> = rows.iter().filter(|x| x.str("algorithm") == "AD").collect();
         let sparse = ad.first().unwrap();
         let dense = ad.last().unwrap();
-        assert!(sparse.density < dense.density);
+        assert!(sparse.num("density") < dense.num("density"));
         assert!(
-            sparse.engine_gbps > dense.engine_gbps,
+            sparse.num("engine_gbps") > dense.num("engine_gbps"),
             "sparse {} vs dense {}",
-            sparse.engine_gbps,
-            dense.engine_gbps
+            sparse.num("engine_gbps"),
+            dense.num("engine_gbps")
         );
     }
 
@@ -247,7 +207,8 @@ mod tests {
         let ctx = Context::with_table(RatioTable::build_fast(11));
         let f = ScenarioFilter::all().algorithm(Algorithm::Zvc);
         let r = fig_frontier(&ctx, &f);
-        assert!(r.rows.iter().all(|x| x.algorithm == Algorithm::Zvc));
-        assert_eq!(r.rows.len(), 7);
+        let rows = r.tables[0].records();
+        assert!(rows.iter().all(|x| x.str("algorithm") == "ZV"));
+        assert_eq!(rows.len(), 7);
     }
 }

@@ -9,58 +9,41 @@ use cdma_tensor::Layout;
 use cdma_vdnn::{traffic, ComputeModel, CudnnVersion, TimelineSim, TransferPolicy, UniformRatio};
 
 use super::compute_model;
-use crate::report::{Cell, Report, Table};
+use crate::report::{Cell, ReportData, Table};
 use crate::scenario::{Context, ScenarioFilter, ScenarioSet};
-
-/// One bar group of Fig. 11: per network × layout × algorithm, the
-/// byte-weighted average and per-layer maximum compression ratio.
-#[derive(Debug, Clone)]
-pub struct Fig11Row {
-    /// Network name.
-    pub network: String,
-    /// Activation memory layout.
-    pub layout: Layout,
-    /// Compression algorithm.
-    pub algorithm: Algorithm,
-    /// Average (weighted) network compression ratio.
-    pub avg_ratio: f64,
-    /// Maximum per-layer ratio.
-    pub max_ratio: f64,
-}
-
-/// The Fig. 11 report: one row per grid cell, plus the extension-codec
-/// rows kept in a separate table so the paper grid stays pinned.
-#[derive(Debug, Clone)]
-pub struct Fig11Report {
-    /// The grid rows, in paper-grid order (the paper's three codecs).
-    pub rows: Vec<Fig11Row>,
-    /// Extension-codec rows (HF, AD) over the same network × layout
-    /// cells — reported alongside but never mixed into the paper grid.
-    pub extended: Vec<Fig11Row>,
-}
 
 /// The codecs reported in Fig. 11's companion table but absent from the
 /// paper's own grid.
 const FIG11_EXTENSION_ALGS: [Algorithm; 2] = [Algorithm::Huff, Algorithm::Adaptive];
 
-/// Generates Fig. 11 over the (possibly filtered) paper grid.
-pub fn fig11(ctx: &Context, filter: &ScenarioFilter) -> Fig11Report {
+/// Generates Fig. 11 over the (possibly filtered) paper grid: per network
+/// × layout × algorithm, the byte-weighted average and per-layer maximum
+/// compression ratio. The extension-codec rows (HF, AD) over the same
+/// network × layout cells go into a separate table, never mixed into the
+/// paper grid.
+pub fn fig11(ctx: &Context, filter: &ScenarioFilter) -> ReportData {
     let set = ScenarioSet::paper_grid().filtered(filter);
-    let row = |network: &str, layout, algorithm| {
-        let t = ctx.traffic(network, algorithm, layout);
-        Fig11Row {
-            network: network.to_owned(),
-            layout,
-            algorithm,
-            avg_ratio: t.avg_ratio(),
-            max_ratio: t.max_layer_ratio(),
-        }
+    let cols = ["network", "layout", "algorithm", "avg_ratio", "max_ratio"];
+    let row = |t: &mut Table, network: &str, layout: Layout, algorithm: Algorithm| {
+        let traffic = ctx.traffic(network, algorithm, layout);
+        let (avg, max) = (traffic.avg_ratio(), traffic.max_layer_ratio());
+        t.row([
+            network.into(),
+            layout.to_string().into(),
+            algorithm.label().into(),
+            Cell::Num(avg),
+            Cell::Num(max),
+        ]);
+        (avg, max)
     };
-    let rows = set
-        .scenarios()
-        .iter()
-        .map(|s| row(&s.network, s.layout, s.algorithm))
-        .collect();
+    let mut grid = Table::new("compression ratios", &cols);
+    let mut zv = Vec::new();
+    for s in set.scenarios() {
+        let ratios = row(&mut grid, &s.network, s.layout, s.algorithm);
+        if s.layout == Layout::Nchw && s.algorithm == Algorithm::Zvc {
+            zv.push(ratios);
+        }
+    }
     // One extension-codec row per distinct (network, layout) cell the
     // filter's non-algorithm axes admit. The cells are derived from the
     // *unfiltered* grid with the algorithm swapped to an extension codec,
@@ -81,200 +64,97 @@ pub fn fig11(ctx: &Context, filter: &ScenarioFilter) -> Fig11Report {
             }
         }
     }
-    let extended = cells
-        .iter()
-        .flat_map(|(network, layout)| algs.iter().map(|&alg| row(network, *layout, alg)))
-        .collect();
-    Fig11Report { rows, extended }
-}
-
-impl Report for Fig11Report {
-    fn name(&self) -> &'static str {
-        "fig11"
-    }
-
-    fn title(&self) -> String {
-        "Figure 11: avg (network) and max (layer) compression ratios".to_owned()
-    }
-
-    fn tables(&self) -> Vec<Table> {
-        let cols = ["network", "layout", "algorithm", "avg_ratio", "max_ratio"];
-        let fill = |t: &mut Table, rows: &[Fig11Row]| {
-            for r in rows {
-                t.row([
-                    r.network.as_str().into(),
-                    r.layout.to_string().into(),
-                    r.algorithm.label().into(),
-                    Cell::Num(r.avg_ratio),
-                    Cell::Num(r.max_ratio),
-                ]);
+    let mut tables = vec![grid];
+    if !cells.is_empty() {
+        let mut extended = Table::new("extension codecs (HF, AD)", &cols);
+        for (network, layout) in &cells {
+            for &alg in &algs {
+                row(&mut extended, network, *layout, alg);
             }
-        };
-        let mut t = Table::new("compression ratios", &cols);
-        fill(&mut t, &self.rows);
-        let mut tables = vec![t];
-        if !self.extended.is_empty() {
-            let mut t = Table::new("extension codecs (HF, AD)", &cols);
-            fill(&mut t, &self.extended);
-            tables.push(t);
         }
-        tables
+        tables.push(extended);
     }
-
-    fn notes(&self) -> Vec<String> {
-        let zv: Vec<&Fig11Row> = self
-            .rows
-            .iter()
-            .filter(|r| r.layout == Layout::Nchw && r.algorithm == Algorithm::Zvc)
-            .collect();
-        if zv.is_empty() {
-            return Vec::new();
-        }
-        let avg = zv.iter().map(|r| r.avg_ratio).sum::<f64>() / zv.len() as f64;
-        let max = zv.iter().map(|r| r.max_ratio).fold(0.0, f64::max);
-        vec![format!(
+    let mut notes = Vec::new();
+    if !zv.is_empty() {
+        let avg = zv.iter().map(|r| r.0).sum::<f64>() / zv.len() as f64;
+        let max = zv.iter().map(|r| r.1).fold(0.0, f64::max);
+        notes.push(format!(
             "ZV (NCHW): average network ratio {avg:.2}x (paper 2.6x), max per-layer {max:.1}x (paper 13.8x)"
-        )]
+        ));
+    }
+    ReportData {
+        name: "fig11",
+        title: "Figure 11: avg (network) and max (layer) compression ratios".to_owned(),
+        tables,
+        notes,
+        ..ReportData::default()
     }
 }
 
-/// One bar of Fig. 12: offloaded bytes normalized to uncompressed vDNN.
-#[derive(Debug, Clone)]
-pub struct Fig12Row {
-    /// Network name.
-    pub network: String,
-    /// Compression algorithm.
-    pub algorithm: Algorithm,
-    /// Compressed size over uncompressed size (lower is better).
-    pub normalized_offload: f64,
-}
-
-/// The Fig. 12 report.
-#[derive(Debug, Clone)]
-pub struct Fig12Report {
-    /// One row per network × algorithm (NCHW layout).
-    pub rows: Vec<Fig12Row>,
-}
-
-/// Generates Fig. 12 (NCHW layout, as the paper's results section uses).
-pub fn fig12(ctx: &Context, filter: &ScenarioFilter) -> Fig12Report {
+/// Generates Fig. 12 (NCHW layout, as the paper's results section uses):
+/// offloaded bytes per network × algorithm, normalized to uncompressed
+/// vDNN.
+pub fn fig12(ctx: &Context, filter: &ScenarioFilter) -> ReportData {
     let set = ScenarioSet::paper_grid()
         .filtered(filter)
         .filtered(&ScenarioFilter::all().layout(Layout::Nchw));
-    let rows = set
-        .scenarios()
-        .iter()
-        .map(|s| {
-            let t = ctx.traffic(&s.network, s.algorithm, s.layout);
-            Fig12Row {
-                network: s.network.clone(),
-                algorithm: s.algorithm,
-                normalized_offload: t.normalized_offload(),
-            }
-        })
-        .collect();
-    Fig12Report { rows }
-}
-
-impl Report for Fig12Report {
-    fn name(&self) -> &'static str {
-        "fig12"
+    let mut t = Table::new(
+        "normalized offload",
+        &["network", "algorithm", "normalized_offload"],
+    );
+    let mut by_alg: Vec<(Algorithm, f64)> = Vec::new();
+    for s in set.scenarios() {
+        let normalized = ctx
+            .traffic(&s.network, s.algorithm, s.layout)
+            .normalized_offload();
+        t.row([
+            s.network.as_str().into(),
+            s.algorithm.label().into(),
+            Cell::Num(normalized),
+        ]);
+        by_alg.push((s.algorithm, normalized));
     }
-
-    fn title(&self) -> String {
-        "Figure 12: offload size normalized to vDNN (lower is better)".to_owned()
+    let avg = |alg: Algorithm| -> Option<f64> {
+        let v: Vec<f64> = by_alg.iter().filter(|r| r.0 == alg).map(|r| r.1).collect();
+        (!v.is_empty()).then(|| v.iter().sum::<f64>() / v.len() as f64)
+    };
+    let notes = match (
+        avg(Algorithm::Rle),
+        avg(Algorithm::Zvc),
+        avg(Algorithm::Zlib),
+    ) {
+        (Some(rl), Some(zv), Some(zl)) => vec![
+            format!("average normalized offload: RL {rl:.2}, ZV {zv:.2}, ZL {zl:.2}"),
+            format!(
+                "zlib's extra reduction over ZVC: {:.1}% (paper: ~3% average)",
+                (zv - zl) / zv * 100.0
+            ),
+        ],
+        _ => Vec::new(),
+    };
+    ReportData {
+        name: "fig12",
+        title: "Figure 12: offload size normalized to vDNN (lower is better)".to_owned(),
+        tables: vec![t],
+        notes,
+        ..ReportData::default()
     }
-
-    fn tables(&self) -> Vec<Table> {
-        let mut t = Table::new(
-            "normalized offload",
-            &["network", "algorithm", "normalized_offload"],
-        );
-        for r in &self.rows {
-            t.row([
-                r.network.as_str().into(),
-                r.algorithm.label().into(),
-                Cell::Num(r.normalized_offload),
-            ]);
-        }
-        vec![t]
-    }
-
-    fn notes(&self) -> Vec<String> {
-        let avg = |alg: Algorithm| -> Option<f64> {
-            let v: Vec<f64> = self
-                .rows
-                .iter()
-                .filter(|r| r.algorithm == alg)
-                .map(|r| r.normalized_offload)
-                .collect();
-            (!v.is_empty()).then(|| v.iter().sum::<f64>() / v.len() as f64)
-        };
-        match (
-            avg(Algorithm::Rle),
-            avg(Algorithm::Zvc),
-            avg(Algorithm::Zlib),
-        ) {
-            (Some(rl), Some(zv), Some(zl)) => vec![
-                format!("average normalized offload: RL {rl:.2}, ZV {zv:.2}, ZL {zl:.2}"),
-                format!(
-                    "zlib's extra reduction over ZVC: {:.1}% (paper: ~3% average)",
-                    (zv - zl) / zv * 100.0
-                ),
-            ],
-            _ => Vec::new(),
-        }
-    }
-}
-
-/// Transfer configuration of one Fig. 13 bar.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PerfConfig {
-    /// Uncompressed vDNN.
-    Vdnn,
-    /// cDMA with the given algorithm.
-    Cdma(Algorithm),
-    /// The oracle (PCIe bottleneck removed).
-    Oracle,
-}
-
-impl PerfConfig {
-    /// Label as in Fig. 13 ("vDNN", "RL", "ZV", "ZL", "orac").
-    pub fn label(&self) -> &'static str {
-        match self {
-            PerfConfig::Vdnn => "vDNN",
-            PerfConfig::Cdma(a) => a.label(),
-            PerfConfig::Oracle => "orac",
-        }
-    }
-}
-
-/// One bar of Fig. 13: performance normalized to the oracle.
-#[derive(Debug, Clone)]
-pub struct Fig13Row {
-    /// Network name.
-    pub network: String,
-    /// Transfer configuration.
-    pub config: PerfConfig,
-    /// Performance normalized to the oracle baseline (1.0 = no overhead).
-    pub performance: f64,
-}
-
-/// The Fig. 13 report.
-#[derive(Debug, Clone)]
-pub struct Fig13Report {
-    /// One row per network × transfer configuration.
-    pub rows: Vec<Fig13Row>,
 }
 
 /// Generates Fig. 13 on the paper grid's NCHW cells with cuDNN v5
-/// compute: per network, the vDNN baseline, one cDMA bar per algorithm
-/// cell, and the oracle.
-pub fn fig13(ctx: &Context, filter: &ScenarioFilter) -> Fig13Report {
+/// compute: per network, performance normalized to the oracle (1.0 = no
+/// overhead) of the vDNN baseline ("vDNN"), one cDMA bar per algorithm
+/// cell (its label) and the oracle ("orac").
+pub fn fig13(ctx: &Context, filter: &ScenarioFilter) -> ReportData {
     let set = ScenarioSet::paper_grid()
         .filtered(filter)
         .filtered(&ScenarioFilter::all().layout(Layout::Nchw));
-    let mut rows = Vec::new();
+    let mut t = Table::new(
+        "normalized performance",
+        &["network", "config", "performance"],
+    );
+    let mut improvements = Vec::new();
+    let mut zl_gains = Vec::new();
     for network in set.networks() {
         let spec = ctx.spec(&network);
         let cells: Vec<_> = set
@@ -284,204 +164,112 @@ pub fn fig13(ctx: &Context, filter: &ScenarioFilter) -> Fig13Report {
             .collect();
         let cfg = cells[0].config;
         let sim = TimelineSim::new(cfg, compute_model());
-        rows.push(Fig13Row {
-            network: network.clone(),
-            config: PerfConfig::Vdnn,
-            performance: sim.normalized_performance(&spec, &UniformRatio::uniform(&spec, 1.0)),
-        });
+        let vdnn = sim.normalized_performance(&spec, &UniformRatio::uniform(&spec, 1.0));
+        t.row([network.as_str().into(), "vDNN".into(), Cell::Num(vdnn)]);
+        let (mut zv, mut zl) = (None, None);
         for s in cells {
-            let t = ctx.traffic(&s.network, s.algorithm, s.layout);
-            let ratios = traffic::per_layer_ratios(&t);
-            rows.push(Fig13Row {
-                network: network.clone(),
-                config: PerfConfig::Cdma(s.algorithm),
-                performance: sim.normalized_performance(
-                    &spec,
-                    &UniformRatio::new(&spec, TransferPolicy::OffloadAll(ratios)),
-                ),
-            });
-        }
-        rows.push(Fig13Row {
-            network,
-            config: PerfConfig::Oracle,
-            performance: 1.0,
-        });
-    }
-    Fig13Report { rows }
-}
-
-impl Report for Fig13Report {
-    fn name(&self) -> &'static str {
-        "fig13"
-    }
-
-    fn title(&self) -> String {
-        "Figure 13: performance normalized to oracle (higher is better)".to_owned()
-    }
-
-    fn tables(&self) -> Vec<Table> {
-        let mut t = Table::new(
-            "normalized performance",
-            &["network", "config", "performance"],
-        );
-        for r in &self.rows {
+            let traffic = ctx.traffic(&s.network, s.algorithm, s.layout);
+            let ratios = traffic::per_layer_ratios(&traffic);
+            let performance = sim.normalized_performance(
+                &spec,
+                &UniformRatio::new(&spec, TransferPolicy::OffloadAll(ratios)),
+            );
             t.row([
-                r.network.as_str().into(),
-                r.config.label().into(),
-                Cell::Num(r.performance),
+                network.as_str().into(),
+                s.algorithm.label().into(),
+                Cell::Num(performance),
             ]);
+            match s.algorithm {
+                Algorithm::Zvc => zv = Some(performance),
+                Algorithm::Zlib => zl = Some(performance),
+                _ => {}
+            }
         }
-        vec![t]
-    }
-
-    fn notes(&self) -> Vec<String> {
-        let perf = |net: &str, c: PerfConfig| -> Option<f64> {
-            self.rows
-                .iter()
-                .find(|r| r.network == net && r.config == c)
-                .map(|r| r.performance)
-        };
-        let mut improvements = Vec::new();
-        let mut zl_gains = Vec::new();
-        for net in self.networks() {
-            let (Some(vdnn), Some(zv)) = (
-                perf(&net, PerfConfig::Vdnn),
-                perf(&net, PerfConfig::Cdma(Algorithm::Zvc)),
-            ) else {
-                continue;
-            };
+        t.row([network.as_str().into(), "orac".into(), Cell::Num(1.0)]);
+        if let Some(zv) = zv {
             improvements.push(zv / vdnn - 1.0);
-            if let Some(zl) = perf(&net, PerfConfig::Cdma(Algorithm::Zlib)) {
+            if let Some(zl) = zl {
                 zl_gains.push(zl / zv - 1.0);
             }
         }
-        let mut notes = Vec::new();
-        if !improvements.is_empty() {
-            let avg = improvements.iter().sum::<f64>() / improvements.len() as f64;
-            let max = improvements.iter().cloned().fold(0.0, f64::max);
-            notes.push(format!(
-                "cDMA-ZV improvement over vDNN: average {:.1}% (paper 32%), maximum {:.1}% (paper 61%)",
-                avg * 100.0,
-                max * 100.0
-            ));
-        }
-        if !zl_gains.is_empty() {
-            let avg = zl_gains.iter().sum::<f64>() / zl_gains.len() as f64;
-            let max = zl_gains.iter().cloned().fold(f64::MIN, f64::max);
-            notes.push(format!(
-                "zlib speedup over ZVC: average {:.1}% (paper 0.7%), max {:.1}% (paper 2.2%)",
-                avg * 100.0,
-                max * 100.0
-            ));
-        }
-        notes
+    }
+    let mut notes = Vec::new();
+    if !improvements.is_empty() {
+        let avg = improvements.iter().sum::<f64>() / improvements.len() as f64;
+        let max = improvements.iter().cloned().fold(0.0, f64::max);
+        notes.push(format!(
+            "cDMA-ZV improvement over vDNN: average {:.1}% (paper 32%), maximum {:.1}% (paper 61%)",
+            avg * 100.0,
+            max * 100.0
+        ));
+    }
+    if !zl_gains.is_empty() {
+        let avg = zl_gains.iter().sum::<f64>() / zl_gains.len() as f64;
+        let max = zl_gains.iter().cloned().fold(f64::MIN, f64::max);
+        notes.push(format!(
+            "zlib speedup over ZVC: average {:.1}% (paper 0.7%), max {:.1}% (paper 2.2%)",
+            avg * 100.0,
+            max * 100.0
+        ));
+    }
+    ReportData {
+        name: "fig13",
+        title: "Figure 13: performance normalized to oracle (higher is better)".to_owned(),
+        tables: vec![t],
+        notes,
+        ..ReportData::default()
     }
 }
 
-impl Fig13Report {
-    fn networks(&self) -> Vec<String> {
-        let mut names = Vec::new();
-        for r in &self.rows {
-            if !names.contains(&r.network) {
-                names.push(r.network.clone());
-            }
-        }
-        names
-    }
-}
-
-/// One point of Fig. 3: per network and cuDNN version, the compute
-/// speedup over v1 (panel a) and vDNN performance normalized to the
-/// same-version oracle (panel b).
-#[derive(Debug, Clone)]
-pub struct Fig3Row {
-    /// Network name.
-    pub network: String,
-    /// cuDNN version.
-    pub version: CudnnVersion,
-    /// Compute speedup relative to cuDNN v1 (Fig. 3a).
-    pub speedup_vs_v1: f64,
-    /// vDNN performance normalized to the oracle (Fig. 3b).
-    pub vdnn_performance: f64,
-}
-
-/// The Fig. 3 report (both panels).
-#[derive(Debug, Clone)]
-pub struct Fig03Report {
-    /// One row per network × cuDNN version.
-    pub rows: Vec<Fig3Row>,
-}
-
-/// Generates both panels of Fig. 3.
-pub fn fig03(ctx: &Context, filter: &ScenarioFilter) -> Fig03Report {
+/// Generates both panels of Fig. 3: per network and cuDNN version, the
+/// compute speedup over v1 (panel a) and vDNN performance normalized to
+/// the same-version oracle (panel b).
+pub fn fig03(ctx: &Context, filter: &ScenarioFilter) -> ReportData {
     let cfg = SystemConfig::titan_x_pcie3();
-    let mut rows = Vec::new();
+    let mut t = Table::new(
+        "per-version compute and vDNN performance",
+        &["network", "cudnn", "speedup_vs_v1", "vdnn_performance"],
+    );
+    let mut v5 = Vec::new();
     for network in ScenarioSet::builder().build().filtered(filter).networks() {
         let spec = ctx.spec(&network);
         let t1 = ComputeModel::titan_x(CudnnVersion::V1).step_compute_time(&spec);
         for v in CudnnVersion::ALL {
             let model = ComputeModel::titan_x(v);
             let sim = TimelineSim::new(cfg, model);
-            rows.push(Fig3Row {
-                network: network.clone(),
-                version: v,
-                speedup_vs_v1: t1 / model.step_compute_time(&spec),
-                vdnn_performance: sim
-                    .normalized_performance(&spec, &UniformRatio::uniform(&spec, 1.0)),
-            });
-        }
-    }
-    Fig03Report { rows }
-}
-
-impl Report for Fig03Report {
-    fn name(&self) -> &'static str {
-        "fig03"
-    }
-
-    fn title(&self) -> String {
-        "Figure 3: cuDNN compute speedups (a) and vDNN degradation (b)".to_owned()
-    }
-
-    fn tables(&self) -> Vec<Table> {
-        let mut t = Table::new(
-            "per-version compute and vDNN performance",
-            &["network", "cudnn", "speedup_vs_v1", "vdnn_performance"],
-        );
-        for r in &self.rows {
+            let speedup = t1 / model.step_compute_time(&spec);
+            let performance = sim.normalized_performance(&spec, &UniformRatio::uniform(&spec, 1.0));
             t.row([
-                r.network.as_str().into(),
-                format!("{:?}", r.version).into(),
-                Cell::Num(r.speedup_vs_v1),
-                Cell::Num(r.vdnn_performance),
+                network.as_str().into(),
+                format!("{v:?}").into(),
+                Cell::Num(speedup),
+                Cell::Num(performance),
             ]);
+            if v == CudnnVersion::V5 {
+                v5.push((speedup, performance));
+            }
         }
-        vec![t]
     }
-
-    fn notes(&self) -> Vec<String> {
-        let v5: Vec<&Fig3Row> = self
-            .rows
-            .iter()
-            .filter(|r| r.version == CudnnVersion::V5)
-            .collect();
-        if v5.is_empty() {
-            return Vec::new();
-        }
-        let avg_speedup = v5.iter().map(|r| r.speedup_vs_v1).sum::<f64>() / v5.len() as f64;
-        let avg_loss = 1.0 - v5.iter().map(|r| r.vdnn_performance).sum::<f64>() / v5.len() as f64;
-        let worst_loss = 1.0
-            - v5.iter()
-                .map(|r| r.vdnn_performance)
-                .fold(f64::INFINITY, f64::min);
-        vec![
+    let mut notes = Vec::new();
+    if !v5.is_empty() {
+        let avg_speedup = v5.iter().map(|r| r.0).sum::<f64>() / v5.len() as f64;
+        let avg_loss = 1.0 - v5.iter().map(|r| r.1).sum::<f64>() / v5.len() as f64;
+        let worst_loss = 1.0 - v5.iter().map(|r| r.1).fold(f64::INFINITY, f64::min);
+        notes = vec![
             format!("average v5 speedup over v1: {avg_speedup:.2}x (paper: 2.2x)"),
             format!(
                 "v5 vDNN loss: average {:.1}% (paper 31%), worst {:.1}% (paper 52%)",
                 avg_loss * 100.0,
                 worst_loss * 100.0
             ),
-        ]
+        ];
+    }
+    ReportData {
+        name: "fig03",
+        title: "Figure 3: cuDNN compute speedups (a) and vDNN degradation (b)".to_owned(),
+        tables: vec![t],
+        notes,
+        ..ReportData::default()
     }
 }
 
@@ -537,34 +325,32 @@ mod tests {
         Context::with_table(RatioTable::build_fast(11))
     }
 
-    fn all(f: impl Fn(&Context, &ScenarioFilter) -> Vec<Fig11Row>) -> Vec<Fig11Row> {
-        f(&ctx(), &ScenarioFilter::all())
-    }
-
     #[test]
     fn fig11_has_all_cells() {
-        let rows = all(|c, f| fig11(c, f).rows);
+        let report = fig11(&ctx(), &ScenarioFilter::all());
+        let rows = report.tables[0].records();
         assert_eq!(rows.len(), 6 * 3 * 3);
         assert!(rows
             .iter()
-            .all(|r| r.avg_ratio > 0.5 && r.max_ratio >= r.avg_ratio));
+            .all(|r| r.num("avg_ratio") > 0.5 && r.num("max_ratio") >= r.num("avg_ratio")));
     }
 
     #[test]
     fn fig11_zvc_layout_insensitivity() {
-        let rows = all(|c, f| fig11(c, f).rows);
+        let report = fig11(&ctx(), &ScenarioFilter::all());
+        let rows = report.tables[0].records();
         for net in ["AlexNet", "VGG"] {
-            let zv: Vec<&Fig11Row> = rows
+            let zv: Vec<_> = rows
                 .iter()
-                .filter(|r| r.network == net && r.algorithm == Algorithm::Zvc)
+                .filter(|r| r.str("network") == net && r.str("algorithm") == "ZV")
                 .collect();
-            let base = zv[0].avg_ratio;
+            let base = zv[0].num("avg_ratio");
             for r in &zv {
                 assert!(
-                    (r.avg_ratio - base).abs() / base < 0.05,
+                    (r.num("avg_ratio") - base).abs() / base < 0.05,
                     "{net} {}: {} vs {}",
-                    r.layout,
-                    r.avg_ratio,
+                    r.str("layout"),
+                    r.num("avg_ratio"),
                     base
                 );
             }
@@ -574,57 +360,52 @@ mod tests {
     #[test]
     fn fig11_extension_rows_cover_every_cell() {
         let report = fig11(&ctx(), &ScenarioFilter::all());
+        let rows = report.table("compression ratios").records();
+        let extended = report.table("extension codecs (HF, AD)").records();
         // 6 networks x 3 layouts x 2 extension codecs.
-        assert_eq!(report.extended.len(), 6 * 3 * 2);
-        for r in &report.extended {
-            assert!(
-                r.algorithm == Algorithm::Huff || r.algorithm == Algorithm::Adaptive,
-                "{:?}",
-                r.algorithm
-            );
-            assert!(r.avg_ratio > 0.5 && r.max_ratio >= r.avg_ratio);
+        assert_eq!(extended.len(), 6 * 3 * 2);
+        for r in &extended {
+            let alg = r.str("algorithm");
+            assert!(alg == "HF" || alg == "AD", "{alg:?}");
+            assert!(r.num("avg_ratio") > 0.5 && r.num("max_ratio") >= r.num("avg_ratio"));
         }
         // The adaptive picker stays competitive with the paper's best
         // single codec on every cell.
-        for ext in report
-            .extended
-            .iter()
-            .filter(|r| r.algorithm == Algorithm::Adaptive)
-        {
-            let best = report
-                .rows
+        for ext in extended.iter().filter(|r| r.str("algorithm") == "AD") {
+            let best = rows
                 .iter()
-                .filter(|r| r.network == ext.network && r.layout == ext.layout)
-                .map(|r| r.avg_ratio)
+                .filter(|r| {
+                    r.str("network") == ext.str("network") && r.str("layout") == ext.str("layout")
+                })
+                .map(|r| r.num("avg_ratio"))
                 .fold(f64::MIN, f64::max);
             assert!(
-                ext.avg_ratio > 0.9 * best,
+                ext.num("avg_ratio") > 0.9 * best,
                 "{} {}: adaptive {} vs best {}",
-                ext.network,
-                ext.layout,
-                ext.avg_ratio,
+                ext.str("network"),
+                ext.str("layout"),
+                ext.num("avg_ratio"),
                 best
             );
         }
-        // An algorithm filter that excludes the extensions empties the
+        // An algorithm filter that excludes the extensions drops the
         // companion table without touching the paper rows.
         let f = ScenarioFilter::all().algorithm(Algorithm::Zvc);
         let report = fig11(&ctx(), &f);
-        assert!(report.extended.is_empty());
-        assert_eq!(report.rows.len(), 6 * 3);
-        assert_eq!(report.tables().len(), 1);
+        assert_eq!(report.tables.len(), 1);
+        assert_eq!(report.tables[0].rows().len(), 6 * 3);
         // The converse — extensions only — keeps the companion table even
         // though no paper-grid scenario survives the filter.
         let f = ScenarioFilter::all()
             .network("AlexNet")
             .algorithm(Algorithm::Adaptive);
         let report = fig11(&ctx(), &f);
-        assert!(report.rows.is_empty());
-        assert_eq!(report.extended.len(), 3); // 3 layouts x 1 codec
-        assert!(report
-            .extended
+        assert!(report.table("compression ratios").rows().is_empty());
+        let extended = report.table("extension codecs (HF, AD)").records();
+        assert_eq!(extended.len(), 3); // 3 layouts x 1 codec
+        assert!(extended
             .iter()
-            .all(|r| r.algorithm == Algorithm::Adaptive && r.network == "AlexNet"));
+            .all(|r| r.str("algorithm") == "AD" && r.str("network") == "AlexNet"));
     }
 
     #[test]
@@ -632,37 +413,40 @@ mod tests {
         let filter = ScenarioFilter::all()
             .network("AlexNet")
             .layout(Layout::Nchw);
-        let rows = fig11(&ctx(), &filter).rows;
+        let report = fig11(&ctx(), &filter);
+        let rows = report.tables[0].records();
         assert_eq!(rows.len(), 3);
-        assert!(rows.iter().all(|r| r.network == "AlexNet"));
+        assert!(rows.iter().all(|r| r.str("network") == "AlexNet"));
     }
 
     #[test]
     fn fig12_zv_reduces_traffic_everywhere() {
-        let rows = fig12(&ctx(), &ScenarioFilter::all()).rows;
+        let report = fig12(&ctx(), &ScenarioFilter::all());
+        let rows = report.tables[0].records();
         assert_eq!(rows.len(), 6 * 3);
-        for r in rows.iter().filter(|r| r.algorithm == Algorithm::Zvc) {
+        for r in rows.iter().filter(|r| r.str("algorithm") == "ZV") {
             assert!(
-                r.normalized_offload < 0.75,
+                r.num("normalized_offload") < 0.75,
                 "{}: normalized {}",
-                r.network,
-                r.normalized_offload
+                r.str("network"),
+                r.num("normalized_offload")
             );
         }
     }
 
     #[test]
     fn fig13_ordering_vdnn_cdma_oracle() {
-        let rows = fig13(&ctx(), &ScenarioFilter::all()).rows;
+        let report = fig13(&ctx(), &ScenarioFilter::all());
+        let rows = report.tables[0].records();
         for net in ["AlexNet", "SqueezeNet", "GoogLeNet"] {
-            let get = |c: PerfConfig| {
+            let get = |c: &str| {
                 rows.iter()
-                    .find(|r| r.network == net && r.config == c)
-                    .map(|r| r.performance)
+                    .find(|r| r.str("network") == net && r.str("config") == c)
+                    .map(|r| r.num("performance"))
                     .unwrap()
             };
-            let vdnn = get(PerfConfig::Vdnn);
-            let zv = get(PerfConfig::Cdma(Algorithm::Zvc));
+            let vdnn = get("vDNN");
+            let zv = get("ZV");
             assert!(vdnn <= zv, "{net}: vDNN {vdnn} vs ZV {zv}");
             assert!(zv <= 1.0 + 1e-9);
         }
@@ -670,18 +454,20 @@ mod tests {
 
     #[test]
     fn fig03_speedups_and_degradation() {
-        let rows = fig03(&ctx(), &ScenarioFilter::all()).rows;
+        let report = fig03(&ctx(), &ScenarioFilter::all());
+        let rows = report.tables[0].records();
         assert_eq!(rows.len(), 6 * 5);
         for r in &rows {
-            assert!(r.speedup_vs_v1 >= 1.0 - 1e-9);
-            assert!(r.vdnn_performance <= 1.0 + 1e-9);
+            assert!(r.num("speedup_vs_v1") >= 1.0 - 1e-9);
+            assert!(r.num("vdnn_performance") <= 1.0 + 1e-9);
         }
         // v5 speedup ~2.2x on average.
-        let v5: Vec<&Fig3Row> = rows
+        let v5: Vec<f64> = rows
             .iter()
-            .filter(|r| r.version == CudnnVersion::V5)
+            .filter(|r| r.str("cudnn") == "V5")
+            .map(|r| r.num("speedup_vs_v1"))
             .collect();
-        let avg = v5.iter().map(|r| r.speedup_vs_v1).sum::<f64>() / v5.len() as f64;
+        let avg = v5.iter().sum::<f64>() / v5.len() as f64;
         assert!((1.9..2.6).contains(&avg), "avg {avg}");
     }
 

@@ -37,7 +37,7 @@ use cdma_serve::{
 };
 
 use super::gantt_row;
-use crate::report::{Artifact, Cell, Report, Table};
+use crate::report::{Artifact, Cell, ReportData, Table};
 use crate::scenario::{Context, ScenarioFilter, ScenarioSet};
 
 /// Master seed (same spirit as the figure seeds: fixed).
@@ -48,95 +48,6 @@ const WEIGHT_DENSITY: f64 = 0.1;
 const ACT_ZERO_DENSITY: f64 = 0.7;
 /// Offered inference load, requests per second of virtual time.
 const SERVE_RATE: f64 = 20_000.0;
-
-/// One cell of the speedup-vs-density sweep.
-#[derive(Debug, Clone)]
-pub struct InferSpeedupRow {
-    /// Execution engine.
-    pub engine: InferEngine,
-    /// Weight density of the synthesized layer.
-    pub density: f64,
-    /// PEs in the array.
-    pub pes: usize,
-    /// Makespan in cycles.
-    pub cycles: u64,
-    /// `dense_cycles / cycles`.
-    pub speedup: f64,
-    /// Max-over-mean per-PE busy cycles.
-    pub imbalance: f64,
-    /// Broadcast cycles lost to full FIFOs.
-    pub stalls: u64,
-    /// Zero activations skipped by LNZD.
-    pub skipped: u64,
-}
-
-/// Effective traffic for one zoo FC layer.
-#[derive(Debug, Clone)]
-pub struct InferTrafficRow {
-    /// Network name.
-    pub network: String,
-    /// Layer name within the network.
-    pub layer: String,
-    /// Output neurons (weight-matrix rows).
-    pub rows: usize,
-    /// Input neurons (weight-matrix columns).
-    pub cols: usize,
-    /// Bytes a dense engine moves (weights + acts in + acts out).
-    pub dense_bytes: u64,
-    /// Bytes with CSC weights, raw activations.
-    pub csc_bytes: u64,
-    /// Bytes with CSC weights and ZVC'd input activations.
-    pub csc_act_bytes: u64,
-}
-
-/// One tenant of one serving phase.
-#[derive(Debug, Clone)]
-pub struct InferServeRow {
-    /// Inference batch size of the phase.
-    pub batch: usize,
-    /// Tenant label.
-    pub tenant: String,
-    /// Completed requests.
-    pub completed: u64,
-    /// Median latency, microseconds of virtual time.
-    pub p50_us: f64,
-    /// Tail latency, microseconds of virtual time.
-    pub p99_us: f64,
-    /// Served uncompressed bytes per second.
-    pub goodput_gbps: f64,
-    /// Measured uncompressed/wire ratio over the tenant's completions.
-    pub ratio: f64,
-}
-
-/// Transfer energy per engine over the zoo FC traffic.
-#[derive(Debug, Clone)]
-pub struct InferEnergyRow {
-    /// Execution engine.
-    pub engine: InferEngine,
-    /// Effective bytes the engine moves across the zoo FC layers.
-    pub traffic_bytes: u64,
-    /// Round-trip transfer energy, joules.
-    pub joules: f64,
-    /// Energy saving vs the dense engine, fraction.
-    pub saving: f64,
-}
-
-/// The fig_inference report.
-#[derive(Debug, Clone)]
-pub struct InferenceReport {
-    /// Speedup sweep (engine-major, then density, then PE count).
-    pub speedups: Vec<InferSpeedupRow>,
-    /// Per-layer traffic rows over the zoo.
-    pub traffic: Vec<InferTrafficRow>,
-    /// Serving rows (batch-major, then tenant).
-    pub serving: Vec<InferServeRow>,
-    /// Per-engine energy rows.
-    pub energy: Vec<InferEnergyRow>,
-    /// Zoo-wide `dense / (csc + act)` traffic reduction.
-    pub headline_reduction: f64,
-    /// Per-PE busy-interval Gantt of one CSC+act run (report artifact).
-    pub gantt: String,
-}
 
 /// The sweep's synthetic layer: rows x cols of the speedup matrix.
 fn sweep_dims(ctx: &Context) -> (usize, usize) {
@@ -204,40 +115,6 @@ fn sweep_acts(cols: usize) -> Vec<f32> {
     acts
 }
 
-fn speedup_rows(
-    ctx: &Context,
-    weights: &SweepWeights,
-    engine: InferEngine,
-) -> Vec<InferSpeedupRow> {
-    let (rows, cols) = (weights.rows, weights.cols);
-    let acts = sweep_acts(cols);
-    let mut out = Vec::new();
-    for &density in densities(ctx) {
-        // Re-sliced per PE count. The dense engine ignores pruning: its
-        // workload is every weight.
-        let matrix = engine.compressed_weights().then(|| weights.at(density));
-        for &pes in pe_counts(ctx) {
-            let arr = PeArray::new(pes);
-            let workload = match matrix {
-                Some(m) => PeWorkload::from_matrix(m, pes),
-                None => PeWorkload::dense(rows, cols, pes),
-            };
-            let t = arr.run(&workload, &acts, engine.skips_zero_activations());
-            out.push(InferSpeedupRow {
-                engine,
-                density,
-                pes,
-                cycles: t.cycles,
-                speedup: arr.dense_cycles(rows, cols) as f64 / t.cycles.max(1) as f64,
-                imbalance: t.load_imbalance(),
-                stalls: t.stall_cycles,
-                skipped: t.skipped,
-            });
-        }
-    }
-    out
-}
-
 /// Analytic CSC weight bytes for a `rows x cols` layer at
 /// [`WEIGHT_DENSITY`], sampling `sample` evenly-strided columns and
 /// scaling (columns are independent, so the sample mean is exact in
@@ -260,10 +137,27 @@ fn csc_weight_bytes(rows: usize, cols: usize, sample: usize, seed: u64) -> u64 {
     sampled_bytes * cols as u64 / sampled + 4 * (cols as u64 + 1)
 }
 
-fn traffic_rows(ctx: &Context, filter: &ScenarioFilter) -> Vec<InferTrafficRow> {
+/// Effective traffic per zoo FC layer: the bytes a dense engine moves
+/// (weights + acts in + acts out), with CSC weights and raw activations,
+/// and with CSC weights and ZVC'd input activations. Also returns the
+/// zoo-wide totals of the three, in [`InferEngine::ALL`] order.
+fn traffic(ctx: &Context, filter: &ScenarioFilter) -> (Table, [u64; 3]) {
     let zvc = Zvc::new();
     let sample = if ctx.is_fast() { 48 } else { 512 };
-    let mut out = Vec::new();
+    let mut table = Table::new(
+        "effective traffic per zoo FC layer (10% weights, 30% acts)",
+        &[
+            "network",
+            "layer",
+            "rows",
+            "cols",
+            "dense_mb",
+            "csc_mb",
+            "csc_act_mb",
+            "reduction",
+        ],
+    );
+    let mut totals = [0u64; 3];
     for net in zoo::all_networks() {
         if !filter.matches_network(net.name()) {
             continue;
@@ -272,31 +166,43 @@ fn traffic_rows(ctx: &Context, filter: &ScenarioFilter) -> Vec<InferTrafficRow> 
             let Some((rows, cols)) = fc_weight_dims(layer) else {
                 continue;
             };
-            let seed = SEED ^ (out.len() as u64) << 8;
+            let seed = SEED ^ (table.rows().len() as u64) << 8;
             let weights_csc = csc_weight_bytes(rows, cols, sample, seed);
             let mut acts = vec![0.0f32; cols];
             fill_activations(seed ^ 0xAC7, ACT_ZERO_DENSITY, &mut acts);
             let acts_zvc = zvc.compressed_size(&acts) as u64;
             let (acts_in, acts_out) = ((cols * 4) as u64, (rows * 4) as u64);
-            out.push(InferTrafficRow {
-                network: net.name().to_owned(),
-                layer: layer.name.clone(),
-                rows,
-                cols,
-                dense_bytes: (rows * cols * 4) as u64 + acts_in + acts_out,
-                csc_bytes: weights_csc + acts_in + acts_out,
-                csc_act_bytes: weights_csc + acts_zvc + acts_out,
-            });
+            let bytes = [
+                (rows * cols * 4) as u64 + acts_in + acts_out,
+                weights_csc + acts_in + acts_out,
+                weights_csc + acts_zvc + acts_out,
+            ];
+            table.row([
+                net.name().into(),
+                layer.name.as_str().into(),
+                rows.into(),
+                cols.into(),
+                Cell::Num(bytes[0] as f64 / 1e6),
+                Cell::Num(bytes[1] as f64 / 1e6),
+                Cell::Num(bytes[2] as f64 / 1e6),
+                Cell::Num(bytes[0] as f64 / bytes[2].max(1) as f64),
+            ]);
+            for (total, b) in totals.iter_mut().zip(bytes) {
+                *total += b;
+            }
         }
     }
-    out
+    (table, totals)
 }
 
-fn serving_rows(
+/// The [`InferKernel`] on the shared pool next to a compress tenant, per
+/// batch size: each tenant's completions, latency, goodput and measured
+/// wire ratio. Also returns the inference tenant's p99 per batch.
+fn serving(
     ctx: &Context,
     weights: &SweepWeights,
     filter: &ScenarioFilter,
-) -> Vec<InferServeRow> {
+) -> (Table, Vec<(usize, f64)>) {
     let (rows, cols) = (weights.rows, weights.cols);
     let mut kernel = None;
     let horizon = if ctx.is_fast() { 0.002 } else { 0.01 };
@@ -309,7 +215,19 @@ fn serving_rows(
         .batches([1, 32])
         .build()
         .filtered(filter);
-    let mut out = Vec::new();
+    let mut table = Table::new(
+        "serving on the shared pool (virtual time)",
+        &[
+            "batch",
+            "tenant",
+            "completed",
+            "p50_us",
+            "p99_us",
+            "goodput_gbps",
+            "ratio",
+        ],
+    );
+    let mut infer_p99 = Vec::new();
     for scenario in set.scenarios() {
         let batch = scenario.batch;
         // An inference tenant next to a training-offload compress tenant:
@@ -331,46 +249,21 @@ fn serving_rows(
                 Some(l) => (l.p50_s * 1e6, l.p99_s * 1e6),
                 None => (0.0, 0.0),
             };
-            out.push(InferServeRow {
-                batch,
-                tenant: t.name.clone(),
-                completed: c.completed,
-                p50_us: p50,
-                p99_us: p99,
-                goodput_gbps: c.uncompressed_bytes as f64 / report.elapsed_s.max(1e-12) / 1e9,
-                ratio: c.uncompressed_bytes as f64 / c.wire_bytes.max(1) as f64,
-            });
+            table.row([
+                batch.into(),
+                t.name.as_str().into(),
+                c.completed.into(),
+                Cell::Num(p50),
+                Cell::Num(p99),
+                Cell::Num(c.uncompressed_bytes as f64 / report.elapsed_s.max(1e-12) / 1e9),
+                Cell::Num(c.uncompressed_bytes as f64 / c.wire_bytes.max(1) as f64),
+            ]);
+            if t.name == "infer" {
+                infer_p99.push((batch, p99));
+            }
         }
     }
-    out
-}
-
-fn energy_rows(traffic: &[InferTrafficRow]) -> Vec<InferEnergyRow> {
-    let dense: u64 = traffic.iter().map(|r| r.dense_bytes).sum();
-    if dense == 0 {
-        return Vec::new();
-    }
-    let model = EnergyModel::default();
-    InferEngine::ALL
-        .into_iter()
-        .map(|engine| {
-            let bytes: u64 = traffic
-                .iter()
-                .map(|r| match engine {
-                    InferEngine::Dense => r.dense_bytes,
-                    InferEngine::Csc => r.csc_bytes,
-                    InferEngine::CscAct => r.csc_act_bytes,
-                })
-                .sum();
-            let ratio = dense as f64 / bytes.max(1) as f64;
-            InferEnergyRow {
-                engine,
-                traffic_bytes: bytes,
-                joules: model.round_trip(dense, ratio).total(),
-                saving: model.savings_fraction(dense, ratio),
-            }
-        })
-        .collect()
+    (table, infer_p99)
 }
 
 fn pe_gantt(ctx: &Context, weights: &SweepWeights) -> String {
@@ -412,8 +305,11 @@ fn pe_gantt(ctx: &Context, weights: &SweepWeights) -> String {
     lines.join("\n")
 }
 
-/// The full experiment: PE-array speedups, zoo traffic, serving, energy.
-pub fn fig_inference(ctx: &Context, filter: &ScenarioFilter) -> InferenceReport {
+/// The full experiment: PE-array speedups (engine-major, then density,
+/// then PE count), zoo traffic, serving (batch-major, then tenant),
+/// per-engine transfer energy over the zoo traffic, and a per-PE
+/// busy-interval Gantt of one CSC+act run as an artifact.
+pub fn fig_inference(ctx: &Context, filter: &ScenarioFilter) -> ReportData {
     // The engine axis rides the scenario machinery so `--filter
     // engine=csc` behaves like every other sweep.
     let set = ScenarioSet::builder()
@@ -422,167 +318,106 @@ pub fn fig_inference(ctx: &Context, filter: &ScenarioFilter) -> InferenceReport 
         .build()
         .filtered(filter);
     let weights = SweepWeights::new(ctx);
-    let speedups: Vec<InferSpeedupRow> = set
-        .scenarios()
-        .iter()
-        .flat_map(|s| speedup_rows(ctx, &weights, s.engine))
-        .collect();
-    let traffic = traffic_rows(ctx, filter);
-    let serving = serving_rows(ctx, &weights, filter);
-    let energy = energy_rows(&traffic);
-    let dense: u64 = traffic.iter().map(|r| r.dense_bytes).sum();
-    let csc_act: u64 = traffic.iter().map(|r| r.csc_act_bytes).sum();
-    InferenceReport {
-        speedups,
-        traffic,
-        serving,
-        energy,
-        headline_reduction: dense as f64 / csc_act.max(1) as f64,
-        gantt: pe_gantt(ctx, &weights),
-    }
-}
-
-impl Report for InferenceReport {
-    fn name(&self) -> &'static str {
-        "fig_inference"
-    }
-
-    fn title(&self) -> String {
-        "cdma-infer: CSC inference — speedup vs density, traffic, serving, energy".to_owned()
-    }
-
-    fn tables(&self) -> Vec<Table> {
-        let mut speed = Table::new(
-            "PE-array speedup vs weight density",
-            &[
-                "engine",
-                "density",
-                "pes",
-                "cycles",
-                "speedup",
-                "imbalance",
-                "stalls",
-                "skipped",
-            ],
-        );
-        for r in &self.speedups {
-            speed.row([
-                r.engine.label().into(),
-                Cell::Num(r.density),
-                r.pes.into(),
-                r.cycles.into(),
-                Cell::Num(r.speedup),
-                Cell::Num(r.imbalance),
-                r.stalls.into(),
-                r.skipped.into(),
-            ]);
+    let (rows, cols) = (weights.rows, weights.cols);
+    let acts = sweep_acts(cols);
+    let mut speed = Table::new(
+        "PE-array speedup vs weight density",
+        &[
+            "engine",
+            "density",
+            "pes",
+            "cycles",
+            "speedup",
+            "imbalance",
+            "stalls",
+            "skipped",
+        ],
+    );
+    let mut best: Option<(f64, f64, usize, f64, u64)> = None;
+    for engine in set.scenarios().iter().map(|s| s.engine) {
+        for &density in densities(ctx) {
+            // Re-sliced per PE count. The dense engine ignores pruning:
+            // its workload is every weight.
+            let matrix = engine.compressed_weights().then(|| weights.at(density));
+            for &pes in pe_counts(ctx) {
+                let arr = PeArray::new(pes);
+                let workload = match matrix {
+                    Some(m) => PeWorkload::from_matrix(m, pes),
+                    None => PeWorkload::dense(rows, cols, pes),
+                };
+                let t = arr.run(&workload, &acts, engine.skips_zero_activations());
+                let speedup = arr.dense_cycles(rows, cols) as f64 / t.cycles.max(1) as f64;
+                speed.row([
+                    engine.label().into(),
+                    Cell::Num(density),
+                    pes.into(),
+                    t.cycles.into(),
+                    Cell::Num(speedup),
+                    Cell::Num(t.load_imbalance()),
+                    t.stall_cycles.into(),
+                    t.skipped.into(),
+                ]);
+                let beats = |b: (f64, f64, usize, f64, u64)| speedup.total_cmp(&b.0).is_ge();
+                if engine == InferEngine::CscAct && best.is_none_or(beats) {
+                    best = Some((speedup, density, pes, t.load_imbalance(), t.stall_cycles));
+                }
+            }
         }
-        let mut traffic = Table::new(
-            "effective traffic per zoo FC layer (10% weights, 30% acts)",
-            &[
-                "network",
-                "layer",
-                "rows",
-                "cols",
-                "dense_mb",
-                "csc_mb",
-                "csc_act_mb",
-                "reduction",
-            ],
-        );
-        for r in &self.traffic {
-            traffic.row([
-                r.network.as_str().into(),
-                r.layer.as_str().into(),
-                r.rows.into(),
-                r.cols.into(),
-                Cell::Num(r.dense_bytes as f64 / 1e6),
-                Cell::Num(r.csc_bytes as f64 / 1e6),
-                Cell::Num(r.csc_act_bytes as f64 / 1e6),
-                Cell::Num(r.dense_bytes as f64 / r.csc_act_bytes.max(1) as f64),
-            ]);
-        }
-        let mut serve = Table::new(
-            "serving on the shared pool (virtual time)",
-            &[
-                "batch",
-                "tenant",
-                "completed",
-                "p50_us",
-                "p99_us",
-                "goodput_gbps",
-                "ratio",
-            ],
-        );
-        for r in &self.serving {
-            serve.row([
-                r.batch.into(),
-                r.tenant.as_str().into(),
-                r.completed.into(),
-                Cell::Num(r.p50_us),
-                Cell::Num(r.p99_us),
-                Cell::Num(r.goodput_gbps),
-                Cell::Num(r.ratio),
-            ]);
-        }
-        let mut energy = Table::new(
-            "transfer energy over the zoo FC traffic",
-            &["engine", "traffic_mb", "joules", "saving"],
-        );
-        for r in &self.energy {
+    }
+
+    let (traffic, totals) = traffic(ctx, filter);
+    let (serve, infer_p99) = serving(ctx, &weights, filter);
+    let mut energy = Table::new(
+        "transfer energy over the zoo FC traffic",
+        &["engine", "traffic_mb", "joules", "saving"],
+    );
+    let dense = totals[0];
+    if dense > 0 {
+        let model = EnergyModel::default();
+        for (engine, bytes) in InferEngine::ALL.into_iter().zip(totals) {
+            let ratio = dense as f64 / bytes.max(1) as f64;
             energy.row([
-                r.engine.label().into(),
-                Cell::Num(r.traffic_bytes as f64 / 1e6),
-                Cell::Num(r.joules),
-                Cell::Num(r.saving),
+                engine.label().into(),
+                Cell::Num(bytes as f64 / 1e6),
+                Cell::Num(model.round_trip(dense, ratio).total()),
+                Cell::Num(model.savings_fraction(dense, ratio)),
             ]);
         }
-        vec![speed, traffic, serve, energy]
     }
 
-    fn notes(&self) -> Vec<String> {
-        let mut notes = Vec::new();
-        if !self.traffic.is_empty() {
-            notes.push(format!(
-                "zoo FC layers at {:.0}% weights x {:.0}% acts: csc+act moves {:.1}x less \
-                 traffic than dense",
-                WEIGHT_DENSITY * 100.0,
-                (1.0 - ACT_ZERO_DENSITY) * 100.0,
-                self.headline_reduction
-            ));
-        }
-        if let Some(best) = self
-            .speedups
-            .iter()
-            .filter(|r| r.engine == InferEngine::CscAct)
-            .max_by(|a, b| a.speedup.total_cmp(&b.speedup))
-        {
-            notes.push(format!(
-                "best PE-array speedup: {:.1}x at density {:.2} on {} PEs \
-                 (imbalance {:.2}x, {} stall cycles)",
-                best.speedup, best.density, best.pes, best.imbalance, best.stalls
-            ));
-        }
-        let p99_of = |batch: usize| {
-            self.serving
-                .iter()
-                .find(|r| r.batch == batch && r.tenant == "infer")
-                .map(|r| r.p99_us)
-        };
-        if let (Some(b1), Some(b32)) = (p99_of(1), p99_of(32)) {
-            notes.push(format!(
-                "serving: batch-1 p99 {b1:.1} us vs batch-32 p99 {b32:.1} us \
-                 on the pool shared with a compress tenant"
-            ));
-        }
-        notes
+    let mut notes = Vec::new();
+    if !traffic.rows().is_empty() {
+        notes.push(format!(
+            "zoo FC layers at {:.0}% weights x {:.0}% acts: csc+act moves {:.1}x less \
+             traffic than dense",
+            WEIGHT_DENSITY * 100.0,
+            (1.0 - ACT_ZERO_DENSITY) * 100.0,
+            dense as f64 / totals[2].max(1) as f64
+        ));
     }
-
-    fn artifacts(&self) -> Vec<Artifact> {
-        vec![Artifact {
+    if let Some((speedup, density, pes, imbalance, stalls)) = best {
+        notes.push(format!(
+            "best PE-array speedup: {speedup:.1}x at density {density:.2} on {pes} PEs \
+             (imbalance {imbalance:.2}x, {stalls} stall cycles)"
+        ));
+    }
+    let p99_of = |batch: usize| infer_p99.iter().find(|r| r.0 == batch).map(|r| r.1);
+    if let (Some(b1), Some(b32)) = (p99_of(1), p99_of(32)) {
+        notes.push(format!(
+            "serving: batch-1 p99 {b1:.1} us vs batch-32 p99 {b32:.1} us \
+             on the pool shared with a compress tenant"
+        ));
+    }
+    ReportData {
+        name: "fig_inference",
+        title: "cdma-infer: CSC inference — speedup vs density, traffic, serving, energy"
+            .to_owned(),
+        tables: vec![speed, traffic, serve, energy],
+        notes,
+        artifacts: vec![Artifact {
             name: "pe_occupancy.txt".to_owned(),
-            bytes: self.gantt.clone().into_bytes(),
-        }]
+            bytes: pe_gantt(ctx, &weights).into_bytes(),
+        }],
     }
 }
 
@@ -590,32 +425,37 @@ impl Report for InferenceReport {
 mod tests {
     use super::*;
 
-    fn report() -> InferenceReport {
+    fn report() -> ReportData {
         fig_inference(&Context::fast(), &ScenarioFilter::all())
     }
 
     #[test]
     fn headline_traffic_reduction_is_at_least_4x() {
+        let (table, totals) = traffic(&Context::fast(), &ScenarioFilter::all());
+        let reduction = totals[0] as f64 / totals[2].max(1) as f64;
+        assert!(reduction >= 4.0, "zoo-wide reduction only {reduction:.2}x");
         let r = report();
-        assert!(
-            r.headline_reduction >= 4.0,
-            "zoo-wide reduction only {:.2}x",
-            r.headline_reduction
-        );
-        for row in &r.traffic {
-            assert!(row.csc_bytes < row.dense_bytes, "{}", row.layer);
-            assert!(row.csc_act_bytes < row.csc_bytes, "{}", row.layer);
+        assert_eq!(r.tables[1], table);
+        for row in r.tables[1].records() {
+            let layer = row.str("layer");
+            assert!(row.num("csc_mb") < row.num("dense_mb"), "{layer}");
+            assert!(row.num("csc_act_mb") < row.num("csc_mb"), "{layer}");
         }
     }
 
     #[test]
     fn engines_order_on_the_same_cell() {
         let r = report();
+        let speedups = r.tables[0].records();
         let cycles = |engine: InferEngine, density: f64, pes: usize| {
-            r.speedups
+            speedups
                 .iter()
-                .find(|x| x.engine == engine && x.density == density && x.pes == pes)
-                .map(|x| x.cycles)
+                .find(|x| {
+                    x.str("engine") == engine.label()
+                        && x.num("density") == density
+                        && x.int("pes") == pes as i64
+                })
+                .map(|x| x.int("cycles") as u64)
                 .expect("cell present")
         };
         let (rows, cols) = sweep_dims(&Context::fast());
@@ -630,12 +470,12 @@ mod tests {
             }
         }
         // LNZD only ever skips work on the csc+act engine.
-        for row in &r.speedups {
+        for row in &speedups {
             assert_eq!(
-                row.skipped > 0,
-                row.engine == InferEngine::CscAct,
-                "{:?}",
-                row.engine
+                row.int("skipped") > 0,
+                row.str("engine") == InferEngine::CscAct.label(),
+                "{}",
+                row.str("engine")
             );
         }
     }
@@ -643,26 +483,38 @@ mod tests {
     #[test]
     fn serving_and_energy_hold_together() {
         let r = report();
+        let serving = r.tables[2].records();
         // 2 batches x 2 tenants.
-        assert_eq!(r.serving.len(), 4);
-        for row in &r.serving {
-            assert!(row.completed > 0, "batch {} {}", row.batch, row.tenant);
-            assert!(row.p99_us >= row.p50_us && row.p50_us > 0.0);
-            assert!(row.ratio > 1.0, "served traffic must compress");
+        assert_eq!(serving.len(), 4);
+        for row in &serving {
+            assert!(
+                row.int("completed") > 0,
+                "batch {} {}",
+                row.int("batch"),
+                row.str("tenant")
+            );
+            assert!(row.num("p99_us") >= row.num("p50_us") && row.num("p50_us") > 0.0);
+            assert!(row.num("ratio") > 1.0, "served traffic must compress");
         }
-        let infer_ratio = r
-            .serving
+        let infer_ratio = serving
             .iter()
-            .find(|x| x.tenant == "infer")
-            .map(|x| x.ratio)
+            .find(|x| x.str("tenant") == "infer")
+            .map(|x| x.num("ratio"))
             .unwrap();
         assert!(infer_ratio > 2.0, "infer ratio {infer_ratio:.2}");
 
-        assert_eq!(r.energy.len(), 3);
-        let joules = |e: InferEngine| r.energy.iter().find(|x| x.engine == e).unwrap().joules;
+        let energy = r.tables[3].records();
+        assert_eq!(energy.len(), 3);
+        let joules = |e: InferEngine| {
+            energy
+                .iter()
+                .find(|x| x.str("engine") == e.label())
+                .unwrap()
+                .num("joules")
+        };
         assert!(joules(InferEngine::CscAct) < joules(InferEngine::Csc));
         assert!(joules(InferEngine::Csc) < joules(InferEngine::Dense));
-        assert!((r.energy[0].saving).abs() < 1e-12, "dense saves nothing");
+        assert!(energy[0].num("saving").abs() < 1e-12, "dense saves nothing");
     }
 
     #[test]
@@ -671,17 +523,20 @@ mod tests {
             &Context::fast(),
             &ScenarioFilter::all().engine(InferEngine::Csc),
         );
-        assert!(!r.speedups.is_empty());
-        assert!(r.speedups.iter().all(|x| x.engine == InferEngine::Csc));
+        let speedups = r.tables[0].records();
+        assert!(!speedups.is_empty());
+        assert!(speedups
+            .iter()
+            .all(|x| x.str("engine") == InferEngine::Csc.label()));
     }
 
     #[test]
     fn report_renders() {
         let r = report();
-        assert_eq!(r.tables().len(), 4);
-        assert_eq!(r.artifacts().len(), 1);
-        let gantt = &r.gantt;
+        assert_eq!(r.tables.len(), 4);
+        assert_eq!(r.artifacts.len(), 1);
+        let gantt = String::from_utf8(r.artifacts[0].bytes.clone()).expect("text");
         assert!(gantt.lines().count() >= pe_counts(&Context::fast())[0] + 3);
-        assert!(r.notes().iter().any(|n| n.contains("less")));
+        assert!(r.notes.iter().any(|n| n.contains("less")));
     }
 }

@@ -1,10 +1,11 @@
-//! # Experiment drivers — every table and figure as a typed report
+//! # Experiment drivers — every table and figure as a report
 //!
 //! Each entry of the paper's evaluation (Section VII) is one function
 //! that consumes [`Scenario`](crate::scenario::Scenario) values through a
 //! shared [`Context`] (memoized profiles, ratio table, measured streams),
-//! sweeps them on the caller's thread, and returns a typed value
-//! implementing [`Report`] — renderable as text, CSV or JSON.
+//! sweeps them on the caller's thread, and fills a
+//! [`ReportData`](crate::report::ReportData)'s tables, notes and
+//! artifacts as it computes — renderable as text, CSV or JSON.
 //!
 //! The [`CATALOGUE`] lists every experiment by its stable name beside its
 //! driver; [`run`] looks a name up there. The `cdma-bench` CLI is a thin shell
@@ -34,32 +35,16 @@ mod system;
 mod timeline;
 mod training;
 
-pub use cluster::{
-    cluster_timeline, fig_multi_gpu, MultiGpuReport, MultiGpuRow, TenantRow, GPU_SWEEP,
-};
-pub use datacenter::{fig_datacenter, ChurnSummary, DatacenterReport, DatacenterRow};
-pub use density::{
-    fig04, fig05, fig06, fig07, DensityFigure, Fig04Report, Fig05Report, Fig06Report, Fig07Report,
-    Fig7Data,
-};
-pub use frontier::{fig_frontier, FrontierReport, FrontierRow};
-pub use grid::{
-    fig03, fig11, fig12, fig13, headline, Fig03Report, Fig11Report, Fig11Row, Fig12Report,
-    Fig12Row, Fig13Report, Fig13Row, Fig3Row, Headline, PerfConfig,
-};
-pub use inference::{
-    fig_inference, InferEnergyRow, InferServeRow, InferSpeedupRow, InferTrafficRow, InferenceReport,
-};
-pub use serving::{serve_load, ServeLoadReport, ServePhase};
-pub use system::{
-    ablations, energy, footprint, memory_usage, overheads, AblationsReport, EnergyReport,
-    FootprintReport, MemoryUsageReport, OverheadsReport,
-};
-pub use timeline::{fidelity_sweep, fig02_timeline, FidelityRow, FidelitySweepReport, Fig02Report};
-pub use training::{
-    rnn_traffic, table1, training_runs, RnnTrafficReport, Table1Report, TrainingRunReport,
-    TrainingRunSummary,
-};
+pub use cluster::{cluster_timeline, fig_multi_gpu, GPU_SWEEP};
+pub use datacenter::fig_datacenter;
+pub use density::{fig04, fig05, fig06, fig07};
+pub use frontier::fig_frontier;
+pub use grid::{fig03, fig11, fig12, fig13, headline, Headline};
+pub use inference::fig_inference;
+pub use serving::serve_load;
+pub use system::{ablations, energy, footprint, memory_usage, overheads};
+pub use timeline::{fidelity_sweep, fig02_timeline};
+pub use training::{rnn_traffic, table1, training_runs};
 
 use cdma_vdnn::{ComputeModel, CudnnVersion};
 

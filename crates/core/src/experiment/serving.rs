@@ -15,7 +15,7 @@
 
 use cdma_serve::{run_virtual, LoadReport, ServerConfig, ServiceModel, TenantLoad, TenantSpec};
 
-use crate::report::{Artifact, Cell, Report, Table};
+use crate::report::{Artifact, Cell, ReportData, Table};
 use crate::scenario::Context;
 
 /// Workers the harness models (the ISSUE's target configuration).
@@ -25,101 +25,96 @@ const REQ_ELEMS: usize = 1024;
 /// Arrival-schedule seed (same spirit as the figure seeds: fixed).
 const SEED: u64 = 42;
 
-/// One phase of the experiment.
-#[derive(Debug, Clone)]
-pub struct ServePhase {
-    /// Phase label (`nominal`, `overload`, `saturation`).
-    pub label: &'static str,
-    /// The virtual harness's full report for the phase.
-    pub report: LoadReport,
-}
-
-/// The serve_load report: three phases plus the determinism check.
-#[derive(Debug, Clone)]
-pub struct ServeLoadReport {
-    /// The three phases in run order.
-    pub phases: Vec<ServePhase>,
-    /// Whether the overload phase reran bit-identically.
-    pub overload_deterministic: bool,
-    /// Sheds observed in the overload phase.
-    pub overload_sheds: u64,
-    /// Worst per-tenant deviation between goodput share and weight share
-    /// in the saturation phase (fraction, e.g. 0.02 = 2 points).
-    pub fairness_deviation: f64,
+/// One phase of the experiment: its label, server and tenant mix.
+struct Phase {
+    label: &'static str,
+    cfg: ServerConfig,
+    loads: Vec<TenantLoad>,
 }
 
 fn capacity_req_per_s(model: ServiceModel) -> f64 {
     WORKERS as f64 / model.service_s((REQ_ELEMS * 4) as u64)
 }
 
-/// Runs the full experiment. `ctx` only decides the horizon: fast
-/// contexts replay a shorter schedule.
-pub fn serve_load(ctx: &Context) -> ServeLoadReport {
-    let model = ServiceModel::default();
-    let horizon = if ctx.is_fast() { 0.01 } else { 0.05 };
-    let capacity = capacity_req_per_s(model);
-
+/// The three phases, in run order.
+fn phases() -> [Phase; 3] {
+    let capacity = capacity_req_per_s(ServiceModel::default());
     // Phase 1: nominal — an aggregate offered load safely under
     // capacity, split across a weighted tenant mix.
-    let nominal_loads = vec![
-        TenantLoad::new(TenantSpec::new("trainer").weight(3.0), 0.25 * capacity),
-        TenantLoad::new(TenantSpec::new("batch"), 0.15 * capacity),
-    ];
-    let nominal_cfg = ServerConfig {
-        workers: WORKERS,
-        ..ServerConfig::default()
+    let nominal = Phase {
+        label: "nominal",
+        cfg: ServerConfig {
+            workers: WORKERS,
+            ..ServerConfig::default()
+        },
+        loads: vec![
+            TenantLoad::new(TenantSpec::new("trainer").weight(3.0), 0.25 * capacity),
+            TenantLoad::new(TenantSpec::new("batch"), 0.15 * capacity),
+        ],
     };
-    let nominal = run_virtual(&nominal_cfg, &nominal_loads, horizon, SEED, model);
-
     // Phase 2: overload — 2x capacity against a deliberately small pool
-    // (one paper-sized 70 KB staging buffer); run twice, compare.
-    let overload_loads = vec![
-        TenantLoad::new(TenantSpec::new("trainer").weight(3.0), 1.2 * capacity),
-        TenantLoad::new(TenantSpec::new("batch"), 0.8 * capacity),
-    ];
-    let overload_cfg = ServerConfig {
-        workers: WORKERS,
-        staging_bytes: 70 * 1024,
-        ..ServerConfig::default()
+    // (one paper-sized 70 KB staging buffer).
+    let overload = Phase {
+        label: "overload",
+        cfg: ServerConfig {
+            workers: WORKERS,
+            staging_bytes: 70 * 1024,
+            ..ServerConfig::default()
+        },
+        loads: vec![
+            TenantLoad::new(TenantSpec::new("trainer").weight(3.0), 1.2 * capacity),
+            TenantLoad::new(TenantSpec::new("batch"), 0.8 * capacity),
+        ],
     };
-    let overload = run_virtual(&overload_cfg, &overload_loads, horizon, SEED, model);
-    let overload_again = run_virtual(&overload_cfg, &overload_loads, horizon, SEED, model);
-    let overload_deterministic = overload.deterministic_summary_json()
-        == overload_again.deterministic_summary_json()
-        && overload.latency_json() == overload_again.latency_json();
-    let overload_sheds = overload.total_shed();
-
     // Phase 3: saturation — three tenants at 3:2:1 weights, each offered
     // most of a machine on its own; deep queues and a pool sized for them
     // keep every tenant backlogged so the arbiter's split is visible.
     let depth = 64usize;
-    let sat_loads = vec![
+    let tenant = |name, weight| {
         TenantLoad::new(
-            TenantSpec::new("gold").weight(3.0).queue_depth(depth),
+            TenantSpec::new(name).weight(weight).queue_depth(depth),
             0.8 * capacity,
-        ),
-        TenantLoad::new(
-            TenantSpec::new("silver").weight(2.0).queue_depth(depth),
-            0.8 * capacity,
-        ),
-        TenantLoad::new(
-            TenantSpec::new("bronze").weight(1.0).queue_depth(depth),
-            0.8 * capacity,
-        ),
-    ];
-    let sat_cfg = ServerConfig {
-        workers: WORKERS,
-        staging_bytes: (3 * depth + WORKERS) as u64 * (REQ_ELEMS * 4) as u64,
-        ..ServerConfig::default()
+        )
     };
-    let saturation = run_virtual(&sat_cfg, &sat_loads, horizon, SEED, model);
-    let total_weight: f64 = sat_loads.iter().map(|l| l.spec.weight).sum();
-    let total_bytes: u64 = saturation
+    let saturation = Phase {
+        label: "saturation",
+        cfg: ServerConfig {
+            workers: WORKERS,
+            staging_bytes: (3 * depth + WORKERS) as u64 * (REQ_ELEMS * 4) as u64,
+            ..ServerConfig::default()
+        },
+        loads: vec![
+            tenant("gold", 3.0),
+            tenant("silver", 2.0),
+            tenant("bronze", 1.0),
+        ],
+    };
+    [nominal, overload, saturation]
+}
+
+/// Runs one phase on the virtual-time harness. `ctx` only decides the
+/// horizon: fast contexts replay a shorter schedule.
+fn run(ctx: &Context, phase: &Phase) -> LoadReport {
+    let horizon = if ctx.is_fast() { 0.01 } else { 0.05 };
+    run_virtual(
+        &phase.cfg,
+        &phase.loads,
+        horizon,
+        SEED,
+        ServiceModel::default(),
+    )
+}
+
+/// Worst per-tenant deviation between goodput share and weight share
+/// (fraction, e.g. 0.02 = 2 points).
+fn fairness_deviation(phase: &Phase, report: &LoadReport) -> f64 {
+    let total_weight: f64 = phase.loads.iter().map(|l| l.spec.weight).sum();
+    let total_bytes: u64 = report
         .tenants
         .iter()
         .map(|t| t.counters.uncompressed_bytes)
         .sum();
-    let fairness_deviation = saturation
+    report
         .tenants
         .iter()
         .map(|t| {
@@ -127,109 +122,87 @@ pub fn serve_load(ctx: &Context) -> ServeLoadReport {
             let want = t.weight / total_weight;
             (got - want).abs()
         })
-        .fold(0.0, f64::max);
-
-    ServeLoadReport {
-        phases: vec![
-            ServePhase {
-                label: "nominal",
-                report: nominal,
-            },
-            ServePhase {
-                label: "overload",
-                report: overload,
-            },
-            ServePhase {
-                label: "saturation",
-                report: saturation,
-            },
-        ],
-        overload_deterministic,
-        overload_sheds,
-        fairness_deviation,
-    }
+        .fold(0.0, f64::max)
 }
 
-impl Report for ServeLoadReport {
-    fn name(&self) -> &'static str {
-        "serve_load"
-    }
+/// Runs the full experiment: per-tenant latency and admission, per-phase
+/// throughput and staging pressure, the overload phase run twice to
+/// check that it sheds identically, and the virtual-time latency reports
+/// as a JSON artifact.
+pub fn serve_load(ctx: &Context) -> ReportData {
+    let phases = phases();
+    let reports: Vec<LoadReport> = phases.iter().map(|p| run(ctx, p)).collect();
+    let overload = &reports[1];
+    let overload_again = run(ctx, &phases[1]);
+    let overload_deterministic = overload.deterministic_summary_json()
+        == overload_again.deterministic_summary_json()
+        && overload.latency_json() == overload_again.latency_json();
 
-    fn title(&self) -> String {
-        "cdma-serve: multi-tenant load harness — latency, sheds, fairness".to_owned()
-    }
-
-    fn tables(&self) -> Vec<Table> {
-        let mut lat = Table::new(
-            "per-tenant latency and admission (virtual time)",
-            &[
-                "phase",
-                "tenant",
-                "weight",
-                "submitted",
-                "completed",
-                "shed",
-                "p50_us",
-                "p95_us",
-                "p99_us",
-                "max_us",
-            ],
-        );
-        for phase in &self.phases {
-            for t in &phase.report.tenants {
-                let c = &t.counters;
-                let shed = c.shed_queue + c.shed_staging + c.quota_rejected;
-                let (p50, p95, p99, max) = match &t.latency {
-                    Some(l) => (l.p50_s * 1e6, l.p95_s * 1e6, l.p99_s * 1e6, l.max_s * 1e6),
-                    None => (0.0, 0.0, 0.0, 0.0),
-                };
-                lat.row([
-                    phase.label.into(),
-                    t.name.as_str().into(),
-                    Cell::Num(t.weight),
-                    c.submitted.into(),
-                    c.completed.into(),
-                    shed.into(),
-                    Cell::Num(p50),
-                    Cell::Num(p95),
-                    Cell::Num(p99),
-                    Cell::Num(max),
-                ]);
-            }
-        }
-        let mut thru = Table::new(
-            "phase throughput and staging pressure",
-            &[
-                "phase",
-                "offered_req",
-                "completed_req",
-                "req_per_s",
-                "goodput_gbps",
-                "shed_total",
-                "staging_high_water",
-                "staging_capacity",
-            ],
-        );
-        for phase in &self.phases {
-            let r = &phase.report;
-            let offered: u64 = r.tenants.iter().map(|t| t.counters.submitted).sum();
-            thru.row([
+    let mut lat = Table::new(
+        "per-tenant latency and admission (virtual time)",
+        &[
+            "phase",
+            "tenant",
+            "weight",
+            "submitted",
+            "completed",
+            "shed",
+            "p50_us",
+            "p95_us",
+            "p99_us",
+            "max_us",
+        ],
+    );
+    let mut thru = Table::new(
+        "phase throughput and staging pressure",
+        &[
+            "phase",
+            "offered_req",
+            "completed_req",
+            "req_per_s",
+            "goodput_gbps",
+            "shed_total",
+            "staging_high_water",
+            "staging_capacity",
+        ],
+    );
+    for (phase, r) in phases.iter().zip(&reports) {
+        for t in &r.tenants {
+            let c = &t.counters;
+            let shed = c.shed_queue + c.shed_staging + c.quota_rejected;
+            let (p50, p95, p99, max) = match &t.latency {
+                Some(l) => (l.p50_s * 1e6, l.p95_s * 1e6, l.p99_s * 1e6, l.max_s * 1e6),
+                None => (0.0, 0.0, 0.0, 0.0),
+            };
+            lat.row([
                 phase.label.into(),
-                offered.into(),
-                r.total_completed().into(),
-                Cell::Num(r.throughput_req_per_s()),
-                Cell::Num(r.goodput_bytes_per_s() / 1e9),
-                r.total_shed().into(),
-                r.staging_high_water.into(),
-                r.staging_capacity.into(),
+                t.name.as_str().into(),
+                Cell::Num(t.weight),
+                c.submitted.into(),
+                c.completed.into(),
+                shed.into(),
+                Cell::Num(p50),
+                Cell::Num(p95),
+                Cell::Num(p99),
+                Cell::Num(max),
             ]);
         }
-        vec![lat, thru]
+        let offered: u64 = r.tenants.iter().map(|t| t.counters.submitted).sum();
+        thru.row([
+            phase.label.into(),
+            offered.into(),
+            r.total_completed().into(),
+            Cell::Num(r.throughput_req_per_s()),
+            Cell::Num(r.goodput_bytes_per_s() / 1e9),
+            r.total_shed().into(),
+            r.staging_high_water.into(),
+            r.staging_capacity.into(),
+        ]);
     }
 
-    fn notes(&self) -> Vec<String> {
-        let nominal = &self.phases[0].report;
-        let mut notes = vec![format!(
+    let nominal = &reports[0];
+    let notes = vec![
+        format!(
             "nominal: {:.0} req/s of 4 KB ZVC compress jobs on {} workers, p99 {:.1} us, 0 sheds required",
             nominal.throughput_req_per_s(),
             nominal.workers,
@@ -239,34 +212,39 @@ impl Report for ServeLoadReport {
                 .filter_map(|t| t.latency.as_ref())
                 .map(|l| l.p99_s * 1e6)
                 .fold(0.0, f64::max),
-        )];
-        notes.push(format!(
+        ),
+        format!(
             "overload (2x capacity, 70 KB pool): {} sheds, rerun bit-identical: {}",
-            self.overload_sheds, self.overload_deterministic
-        ));
-        notes.push(format!(
+            overload.total_shed(),
+            overload_deterministic
+        ),
+        format!(
             "saturation: goodput shares track 3:2:1 BandwidthShare weights within {:.2} points",
-            self.fairness_deviation * 100.0
-        ));
-        notes
-    }
+            fairness_deviation(&phases[2], &reports[2]) * 100.0
+        ),
+    ];
 
-    fn artifacts(&self) -> Vec<Artifact> {
-        // The full virtual-time latency reports, one JSON document per
-        // phase. (Wall-clock latency of the threaded server: `bash
-        // benchmark/run.sh --workload serve_4k`, `serve.server.p99_us_at_40k`.)
-        let mut body = String::from("[\n");
-        for (i, p) in self.phases.iter().enumerate() {
-            body.push_str(&p.report.latency_json());
-            if i + 1 < self.phases.len() {
-                body.push_str(",\n");
-            }
+    // The full virtual-time latency reports, one JSON document per
+    // phase. (Wall-clock latency of the threaded server: `bash
+    // benchmark/run.sh --workload serve_4k`, `serve.server.p99_us_at_40k`.)
+    let mut body = String::from("[\n");
+    for (i, r) in reports.iter().enumerate() {
+        body.push_str(&r.latency_json());
+        if i + 1 < reports.len() {
+            body.push_str(",\n");
         }
-        body.push_str("]\n");
-        vec![Artifact {
+    }
+    body.push_str("]\n");
+
+    ReportData {
+        name: "serve_load",
+        title: "cdma-serve: multi-tenant load harness — latency, sheds, fairness".to_owned(),
+        tables: vec![lat, thru],
+        notes,
+        artifacts: vec![Artifact {
             name: "serve_load_latency.json".to_owned(),
             bytes: body.into_bytes(),
-        }]
+        }],
     }
 }
 
@@ -276,36 +254,44 @@ mod tests {
 
     #[test]
     fn serve_load_meets_its_acceptance_bars() {
-        let report = serve_load(&Context::fast());
-        assert_eq!(report.phases.len(), 3);
+        let ctx = Context::fast();
+        let report = serve_load(&ctx);
+        let lat = report.tables[0].records();
+        let thru = report.tables[1].records();
+        assert_eq!(thru.len(), 3);
 
         // Nominal: no sheds, a real percentile table, >= 10k req/s.
-        let nominal = &report.phases[0].report;
-        assert_eq!(nominal.total_shed(), 0, "nominal load must not shed");
-        assert!(nominal.throughput_req_per_s() >= 10_000.0);
-        for t in &nominal.tenants {
-            let l = t.latency.as_ref().expect("every tenant completed work");
-            assert!(l.p99_s >= l.p50_s && l.p99_s > 0.0);
+        let nominal = &thru[0];
+        assert_eq!(nominal.int("shed_total"), 0, "nominal load must not shed");
+        assert!(nominal.num("req_per_s") >= 10_000.0);
+        for t in lat.iter().filter(|t| t.str("phase") == "nominal") {
+            // A tenant that completed no work renders 0 us.
+            assert!(t.num("p99_us") >= t.num("p50_us") && t.num("p99_us") > 0.0);
         }
 
         // Overload: sheds happen and the rerun matched bit-for-bit.
-        assert!(report.overload_sheds > 0, "2x overload must shed");
-        assert!(report.overload_deterministic);
+        let overload = &thru[1];
+        assert!(overload.int("shed_total") > 0, "2x overload must shed");
+        assert!(report
+            .notes
+            .iter()
+            .any(|n| n.ends_with("rerun bit-identical: true")));
         // 70 KiB is not a multiple of the 4 KiB request footprint, so the
         // pool tops out within one request of capacity, never exactly at it.
-        let overload = &report.phases[1].report;
-        assert!(overload.staging_capacity - overload.staging_high_water < (REQ_ELEMS * 4) as u64);
-
-        // Saturation: goodput within 5 points of the weight split.
         assert!(
-            report.fairness_deviation < 0.05,
-            "weighted shares off by {:.3}",
-            report.fairness_deviation
+            overload.int("staging_capacity") - overload.int("staging_high_water")
+                < (REQ_ELEMS * 4) as i64
         );
 
+        // Saturation: goodput within 5 points of the weight split.
+        let phases = phases();
+        let runs: Vec<LoadReport> = phases.iter().map(|p| run(&ctx, p)).collect();
+        let deviation = fairness_deviation(&phases[2], &runs[2]);
+        assert!(deviation < 0.05, "weighted shares off by {deviation:.3}");
+
         // Accepted work is never dropped, in every phase.
-        for p in &report.phases {
-            for t in &p.report.tenants {
+        for r in &runs {
+            for t in &r.tenants {
                 assert_eq!(t.counters.accepted, t.counters.completed, "{}", t.name);
             }
         }
@@ -314,12 +300,11 @@ mod tests {
     #[test]
     fn report_renders() {
         let report = serve_load(&Context::fast());
-        let tables = report.tables();
-        assert_eq!(tables.len(), 2);
+        assert_eq!(report.tables.len(), 2);
         // 2 + 2 + 3 tenant rows.
-        assert_eq!(tables[0].rows().len(), 7);
-        assert_eq!(tables[1].rows().len(), 3);
-        assert_eq!(report.artifacts().len(), 1);
-        assert!(report.notes().iter().any(|n| n.contains("bit-identical")));
+        assert_eq!(report.tables[0].rows().len(), 7);
+        assert_eq!(report.tables[1].rows().len(), 3);
+        assert_eq!(report.artifacts.len(), 1);
+        assert!(report.notes.iter().any(|n| n.contains("bit-identical")));
     }
 }

@@ -13,35 +13,13 @@ use cdma_vdnn::{memory, traffic, TimelineSim, TransferPolicy, UniformRatio};
 
 use super::compute_model;
 use super::grid::headline;
-use crate::report::{Cell, Report, Table};
+use crate::report::{Cell, ReportData, Table};
 use crate::scenario::{Context, ScenarioFilter, ScenarioSet};
 
-/// One buffer-size point of the measured-stream validation sweep.
-#[derive(Debug, Clone)]
-pub struct BufferPoint {
-    /// DMA staging-buffer size, bytes.
-    pub buffer_bytes: usize,
-    /// Peak staging-buffer occupancy, bytes.
-    pub peak_occupancy: f64,
-    /// Effective offload bandwidth, bytes/second.
-    pub effective_bw: f64,
-    /// PCIe link utilization.
-    pub link_utilization: f64,
-}
-
-/// The Section V-C overheads report.
-#[derive(Debug, Clone)]
-pub struct OverheadsReport {
-    /// The platform.
-    pub cfg: SystemConfig,
-    /// The area model.
-    pub area: AreaModel,
-    /// The measured buffer-sizing sweep (SqueezeNet at the sparsity dip).
-    pub buffer_sweep: Vec<BufferPoint>,
-}
-
-/// Generates the Section V-C design-overheads report.
-pub fn overheads(ctx: &Context) -> OverheadsReport {
+/// Generates the Section V-C design-overheads report: die area, the
+/// buffer sizing validated against a measured stream (SqueezeNet at the
+/// sparsity dip), and the engine pipeline.
+pub fn overheads(ctx: &Context) -> ReportData {
     let set = ScenarioSet::builder()
         .networks(["SqueezeNet"])
         .checkpoints([0.35])
@@ -49,11 +27,51 @@ pub fn overheads(ctx: &Context) -> OverheadsReport {
         .build();
     let base = &set.scenarios()[0];
     let cfg = base.config;
+    let area_model = AreaModel::default();
+    let engines = cfg.mem_controllers;
+    let buffer_kb = cfg.dma_buffer as f64 / 1024.0;
+    let mut area = Table::new(
+        "die area",
+        &["component", "sizing", "measured_mm2", "paper"],
+    );
+    area.row([
+        "(de)compression units".into(),
+        format!("{engines} x {:.4} mm2", area_model.engines_mm2(1)).into(),
+        Cell::Num(area_model.engines_mm2(engines)),
+        "0.31 mm2".into(),
+    ]);
+    area.row([
+        "DMA staging buffer".into(),
+        format!("{buffer_kb:.0} KB SRAM").into(),
+        Cell::Num(area_model.buffer_mm2(buffer_kb)),
+        "0.21 mm2".into(),
+    ]);
+    area.row([
+        "total".into(),
+        "".into(),
+        Cell::Num(area_model.total_mm2(engines, buffer_kb)),
+        "~0.52 mm2".into(),
+    ]);
+    area.row([
+        "die fraction (%)".into(),
+        format!("vs {:.0} mm2", area_model.die_area).into(),
+        Cell::Num(area_model.die_fraction(engines, buffer_kb) * 100.0),
+        "negligible".into(),
+    ]);
+
     // Real ZVC line sizes (SqueezeNet at the sparsity dip) through the
     // event-stepped pipeline, every layer's minibatch back to back, at
     // several staging-buffer sizes.
     let stream = ctx.measured_stream(base);
-    let mut buffer_sweep = Vec::new();
+    let mut sweep = Table::new(
+        "buffer sizing validated against a measured stream",
+        &[
+            "buffer_kb",
+            "peak_occupancy_kb",
+            "effective_gbps",
+            "link_utilization",
+        ],
+    );
     for buffer_kb in [8usize, 32, 70, 256] {
         let mut pipeline = DmaPipeline::new(SystemConfig {
             dma_buffer: buffer_kb * 1024,
@@ -64,394 +82,212 @@ pub fn overheads(ctx: &Context) -> OverheadsReport {
             pipeline.push_table(0.0, lines, repeat);
         }
         let r = pipeline.result();
-        buffer_sweep.push(BufferPoint {
-            buffer_bytes: buffer_kb * 1024,
-            peak_occupancy: r.max_buffer_occupancy,
-            effective_bw: r.effective_bw(),
-            link_utilization: r.link_utilization(),
-        });
+        sweep.row([
+            Cell::Num((buffer_kb * 1024) as f64 / 1024.0),
+            Cell::Num(r.max_buffer_occupancy / 1024.0),
+            Cell::Num(r.effective_bw() / 1e9),
+            Cell::Num(r.link_utilization()),
+        ]);
     }
-    OverheadsReport {
-        cfg,
-        area: AreaModel::default(),
-        buffer_sweep,
+
+    let engine = ZvcEngine::new(cfg.engine_clock);
+    let notes = vec![
+        format!(
+            "buffer sizing: usable COMP_BW {:.0} GB/s x memory latency {:.0} ns = {:.1} KB (buffer: {:.0} KB)",
+            cfg.usable_comp_bw() / 1e9,
+            cfg.mem_latency * 1e9,
+            cfg.bandwidth_delay_bytes() / 1024.0,
+            cfg.dma_buffer as f64 / 1024.0
+        ),
+        format!(
+            "engine pipeline (Fig. 10): compress 128 B in {} cycles, decompress in {}",
+            engine.compress_cycles(128),
+            engine.decompress_cycles(128)
+        ),
+        format!(
+            "per-engine throughput {:.1} GB/s; {engines} engines aggregate {:.1} GB/s (provisioned COMP_BW: {:.0} GB/s)",
+            engine.throughput() / 1e9,
+            engine.aggregate_throughput(engines) / 1e9,
+            cfg.comp_bw / 1e9
+        ),
+        "the paper's 70 KB design point is the knee: smaller buffers throttle the read stream under compression, larger ones buy nothing".to_owned(),
+    ];
+    ReportData {
+        name: "overheads",
+        title: "Section V-C: cDMA design overheads".to_owned(),
+        tables: vec![area, sweep],
+        notes,
+        ..ReportData::default()
     }
 }
 
-impl Report for OverheadsReport {
-    fn name(&self) -> &'static str {
-        "overheads"
-    }
-
-    fn title(&self) -> String {
-        "Section V-C: cDMA design overheads".to_owned()
-    }
-
-    fn tables(&self) -> Vec<Table> {
-        let engines = self.cfg.mem_controllers;
-        let buffer_kb = self.cfg.dma_buffer as f64 / 1024.0;
-        let mut area = Table::new(
-            "die area",
-            &["component", "sizing", "measured_mm2", "paper"],
-        );
-        area.row([
-            "(de)compression units".into(),
-            format!("{engines} x {:.4} mm2", self.area.engines_mm2(1)).into(),
-            Cell::Num(self.area.engines_mm2(engines)),
-            "0.31 mm2".into(),
-        ]);
-        area.row([
-            "DMA staging buffer".into(),
-            format!("{buffer_kb:.0} KB SRAM").into(),
-            Cell::Num(self.area.buffer_mm2(buffer_kb)),
-            "0.21 mm2".into(),
-        ]);
-        area.row([
-            "total".into(),
-            "".into(),
-            Cell::Num(self.area.total_mm2(engines, buffer_kb)),
-            "~0.52 mm2".into(),
-        ]);
-        area.row([
-            "die fraction (%)".into(),
-            format!("vs {:.0} mm2", self.area.die_area).into(),
-            Cell::Num(self.area.die_fraction(engines, buffer_kb) * 100.0),
-            "negligible".into(),
-        ]);
-
-        let mut sweep = Table::new(
-            "buffer sizing validated against a measured stream",
-            &[
-                "buffer_kb",
-                "peak_occupancy_kb",
-                "effective_gbps",
-                "link_utilization",
-            ],
-        );
-        for p in &self.buffer_sweep {
-            sweep.row([
-                Cell::Num(p.buffer_bytes as f64 / 1024.0),
-                Cell::Num(p.peak_occupancy / 1024.0),
-                Cell::Num(p.effective_bw / 1e9),
-                Cell::Num(p.link_utilization),
-            ]);
-        }
-        vec![area, sweep]
-    }
-
-    fn notes(&self) -> Vec<String> {
-        let engine = ZvcEngine::new(self.cfg.engine_clock);
-        let engines = self.cfg.mem_controllers;
-        vec![
-            format!(
-                "buffer sizing: usable COMP_BW {:.0} GB/s x memory latency {:.0} ns = {:.1} KB (buffer: {:.0} KB)",
-                self.cfg.usable_comp_bw() / 1e9,
-                self.cfg.mem_latency * 1e9,
-                self.cfg.bandwidth_delay_bytes() / 1024.0,
-                self.cfg.dma_buffer as f64 / 1024.0
-            ),
-            format!(
-                "engine pipeline (Fig. 10): compress 128 B in {} cycles, decompress in {}",
-                engine.compress_cycles(128),
-                engine.decompress_cycles(128)
-            ),
-            format!(
-                "per-engine throughput {:.1} GB/s; {engines} engines aggregate {:.1} GB/s (provisioned COMP_BW: {:.0} GB/s)",
-                engine.throughput() / 1e9,
-                engine.aggregate_throughput(engines) / 1e9,
-                self.cfg.comp_bw / 1e9
-            ),
-            "the paper's 70 KB design point is the knee: smaller buffers throttle the read stream under compression, larger ones buy nothing".to_owned(),
-        ]
-    }
-}
-
-/// One network's transfer-energy comparison.
-#[derive(Debug, Clone)]
-pub struct EnergyRow {
-    /// Network name.
-    pub network: String,
-    /// ZVC compression ratio.
-    pub ratio: f64,
-    /// vDNN round-trip energy per step, joules.
-    pub vdnn_joules: f64,
-    /// cDMA round-trip energy per step, joules.
-    pub cdma_joules: f64,
-    /// Fractional transfer-energy saving.
-    pub saving: f64,
-}
-
-/// The Section VII-C energy report.
-#[derive(Debug, Clone)]
-pub struct EnergyReport {
-    /// One row per network.
-    pub rows: Vec<EnergyRow>,
-}
-
-/// Generates the Section VII-C energy comparison (ZVC, NCHW).
-pub fn energy(ctx: &Context, filter: &ScenarioFilter) -> EnergyReport {
+/// Generates the Section VII-C energy comparison (ZVC, NCHW): per
+/// network, the vDNN and cDMA round-trip transfer energy per step.
+pub fn energy(ctx: &Context, filter: &ScenarioFilter) -> ReportData {
     let set = ScenarioSet::paper_grid().filtered(filter).filtered(
         &ScenarioFilter::all()
             .layout(Layout::Nchw)
             .algorithm(Algorithm::Zvc),
     );
     let model = EnergyModel::default();
-    let rows = set
-        .scenarios()
-        .iter()
-        .map(|s| {
-            let t = ctx.traffic(&s.network, s.algorithm, s.layout);
-            let bytes = t.stats.uncompressed_bytes;
-            EnergyRow {
-                network: s.network.clone(),
-                ratio: t.avg_ratio(),
-                vdnn_joules: model.round_trip(bytes, 1.0).total(),
-                cdma_joules: model.round_trip(bytes, t.avg_ratio()).total(),
-                saving: model.savings_fraction(bytes, t.avg_ratio()),
-            }
-        })
-        .collect();
-    EnergyReport { rows }
-}
-
-impl Report for EnergyReport {
-    fn name(&self) -> &'static str {
-        "energy"
+    let mut t = Table::new(
+        "transfer energy per step",
+        &[
+            "network",
+            "zv_ratio",
+            "vdnn_joules",
+            "cdma_joules",
+            "saving",
+        ],
+    );
+    let mut savings = Vec::new();
+    for s in set.scenarios() {
+        let traffic = ctx.traffic(&s.network, s.algorithm, s.layout);
+        let bytes = traffic.stats.uncompressed_bytes;
+        let saving = model.savings_fraction(bytes, traffic.avg_ratio());
+        t.row([
+            s.network.as_str().into(),
+            Cell::Num(traffic.avg_ratio()),
+            Cell::Num(model.round_trip(bytes, 1.0).total()),
+            Cell::Num(model.round_trip(bytes, traffic.avg_ratio()).total()),
+            Cell::Num(saving),
+        ]);
+        savings.push(saving);
     }
-
-    fn title(&self) -> String {
-        "Section VII-C: offload+prefetch round-trip energy, vDNN vs cDMA-ZV".to_owned()
-    }
-
-    fn tables(&self) -> Vec<Table> {
-        let mut t = Table::new(
-            "transfer energy per step",
-            &[
-                "network",
-                "zv_ratio",
-                "vdnn_joules",
-                "cdma_joules",
-                "saving",
-            ],
-        );
-        for r in &self.rows {
-            t.row([
-                r.network.as_str().into(),
-                Cell::Num(r.ratio),
-                Cell::Num(r.vdnn_joules),
-                Cell::Num(r.cdma_joules),
-                Cell::Num(r.saving),
-            ]);
-        }
-        vec![t]
-    }
-
-    fn notes(&self) -> Vec<String> {
-        if self.rows.is_empty() {
-            return Vec::new();
-        }
-        let avg = self.rows.iter().map(|r| r.saving).sum::<f64>() / self.rows.len() as f64;
-        vec![format!(
+    let mut notes = Vec::new();
+    if !savings.is_empty() {
+        let avg = savings.iter().sum::<f64>() / savings.len() as f64;
+        notes.push(format!(
             "average transfer-energy saving: {:.1}% (plus the 32% average runtime reduction lowers static energy further)",
             avg * 100.0
-        )]
+        ));
+    }
+    ReportData {
+        name: "energy",
+        title: "Section VII-C: offload+prefetch round-trip energy, vDNN vs cDMA-ZV".to_owned(),
+        tables: vec![t],
+        notes,
+        ..ReportData::default()
     }
 }
 
-/// One network's GPU memory footprint.
-#[derive(Debug, Clone)]
-pub struct MemoryRow {
-    /// Network name.
-    pub network: String,
-    /// Baseline footprint, bytes.
-    pub baseline_bytes: u64,
-    /// Activation share of the baseline.
-    pub activation_fraction: f64,
-    /// vDNN footprint, bytes.
-    pub vdnn_bytes: u64,
-    /// Fractional saving from vDNN offloading.
-    pub saving: f64,
-}
-
-/// The Section III memory-footprint report.
-#[derive(Debug, Clone)]
-pub struct MemoryUsageReport {
-    /// One row per network.
-    pub rows: Vec<MemoryRow>,
-}
-
-/// Generates the Section III memory-footprint accounting.
-pub fn memory_usage(ctx: &Context, filter: &ScenarioFilter) -> MemoryUsageReport {
-    let rows = ctx
+/// Generates the Section III memory-footprint accounting: per network,
+/// the baseline footprint, its activation share, and vDNN's footprint.
+pub fn memory_usage(ctx: &Context, filter: &ScenarioFilter) -> ReportData {
+    let mut t = Table::new(
+        "footprints",
+        &[
+            "network",
+            "baseline_gb",
+            "activation_fraction",
+            "vdnn_gb",
+            "saving",
+        ],
+    );
+    for spec in ctx
         .specs()
         .iter()
         .filter(|s| filter.matches_network(s.name()))
-        .map(|spec| {
-            let base = memory::baseline_footprint(spec);
-            let vdnn = memory::vdnn_footprint(spec);
-            MemoryRow {
-                network: spec.name().to_owned(),
-                baseline_bytes: base.total(),
-                activation_fraction: base.activation_fraction(),
-                vdnn_bytes: vdnn.total(),
-                saving: memory::vdnn_savings(spec),
-            }
-        })
-        .collect();
-    MemoryUsageReport { rows }
-}
-
-impl Report for MemoryUsageReport {
-    fn name(&self) -> &'static str {
-        "memory_usage"
+    {
+        let base = memory::baseline_footprint(spec);
+        let vdnn = memory::vdnn_footprint(spec);
+        t.row([
+            spec.name().into(),
+            Cell::Num(base.total() as f64 / 1e9),
+            Cell::Num(base.activation_fraction()),
+            Cell::Num(vdnn.total() as f64 / 1e9),
+            Cell::Num(memory::vdnn_savings(spec)),
+        ]);
     }
-
-    fn title(&self) -> String {
-        "GPU memory footprint per training step (weights + optimizer + activations)".to_owned()
-    }
-
-    fn tables(&self) -> Vec<Table> {
-        let mut t = Table::new(
-            "footprints",
-            &[
-                "network",
-                "baseline_gb",
-                "activation_fraction",
-                "vdnn_gb",
-                "saving",
-            ],
-        );
-        for r in &self.rows {
-            t.row([
-                r.network.as_str().into(),
-                Cell::Num(r.baseline_bytes as f64 / 1e9),
-                Cell::Num(r.activation_fraction),
-                Cell::Num(r.vdnn_bytes as f64 / 1e9),
-                Cell::Num(r.saving),
-            ]);
-        }
-        vec![t]
-    }
-
-    fn notes(&self) -> Vec<String> {
-        vec![
+    ReportData {
+        name: "memory_usage",
+        title: "GPU memory footprint per training step (weights + optimizer + activations)"
+            .to_owned(),
+        tables: vec![t],
+        notes: vec![
             "Section III: activations dominate; vDNN offloading reclaims them".to_owned(),
             "note: workspace buffers (cuDNN scratch) are not modelled; real footprints are larger"
                 .to_owned(),
-        ]
+        ],
+        ..ReportData::default()
     }
 }
 
-/// One network's compressed-DRAM-storage summary.
-#[derive(Debug, Clone)]
-pub struct FootprintRow {
-    /// Network name.
-    pub network: String,
-    /// Mid-training network density.
-    pub density: f64,
-    /// Capacity saving of the compressed store.
-    pub capacity_saving: f64,
-    /// Line-table overhead relative to logical bytes.
-    pub table_overhead: f64,
-    /// Sectors touched by a dense line-0 read.
-    pub line0_sectors: usize,
-}
-
-/// The Section IX compressed-DRAM report.
-#[derive(Debug, Clone)]
-pub struct FootprintReport {
-    /// One row per network.
-    pub rows: Vec<FootprintRow>,
-}
-
-/// Generates the Section IX compressed in-DRAM storage sketch.
-pub fn footprint(ctx: &Context, filter: &ScenarioFilter) -> FootprintReport {
-    let rows = ctx
+/// Generates the Section IX compressed in-DRAM storage sketch: per
+/// network, the capacity saving and line-table overhead of a ZVC store
+/// at the mid-training density, and the sectors a line-0 read touches.
+pub fn footprint(ctx: &Context, filter: &ScenarioFilter) -> ReportData {
+    let mut t = Table::new(
+        "compressed-store accounting",
+        &[
+            "network",
+            "density_at_50pct",
+            "capacity_saving",
+            "table_overhead",
+            "line0_read_sectors",
+        ],
+    );
+    for spec in ctx
         .specs()
         .iter()
         .filter(|s| filter.matches_network(s.name()))
-        .map(|spec| {
-            let profile = ctx.profile(spec.name());
-            // Representative mid-training density, on a scaled-down tensor
-            // with the network's own statistics.
-            let density = profile.network_density_at(0.5);
-            let mut gen = ActivationGen::seeded(31);
-            let t = gen.generate(Shape4::new(2, 32, 27, 27), Layout::Nchw, density);
-            let store = CompressedDramStore::store(t.as_slice());
-            let stats = store.stats();
-            assert_eq!(store.load(), t.as_slice(), "lossless store");
-            FootprintRow {
-                network: spec.name().to_owned(),
-                density,
-                capacity_saving: stats.savings(),
-                table_overhead: stats.table_bytes as f64 / stats.logical_bytes as f64,
-                line0_sectors: store.line_read_sectors(0),
-            }
-        })
-        .collect();
-    FootprintReport { rows }
-}
-
-impl Report for FootprintReport {
-    fn name(&self) -> &'static str {
-        "footprint"
+    {
+        let profile = ctx.profile(spec.name());
+        // Representative mid-training density, on a scaled-down tensor
+        // with the network's own statistics.
+        let density = profile.network_density_at(0.5);
+        let mut gen = ActivationGen::seeded(31);
+        let tensor = gen.generate(Shape4::new(2, 32, 27, 27), Layout::Nchw, density);
+        let store = CompressedDramStore::store(tensor.as_slice());
+        let stats = store.stats();
+        assert_eq!(store.load(), tensor.as_slice(), "lossless store");
+        t.row([
+            spec.name().into(),
+            Cell::Num(density),
+            Cell::Num(stats.savings()),
+            Cell::Num(stats.table_bytes as f64 / stats.logical_bytes as f64),
+            store.line_read_sectors(0).into(),
+        ]);
     }
-
-    fn title(&self) -> String {
-        "Section IX: storing activations ZVC-compressed inside GPU DRAM".to_owned()
-    }
-
-    fn tables(&self) -> Vec<Table> {
-        let mut t = Table::new(
-            "compressed-store accounting",
-            &[
-                "network",
-                "density_at_50pct",
-                "capacity_saving",
-                "table_overhead",
-                "line0_read_sectors",
-            ],
-        );
-        for r in &self.rows {
-            t.row([
-                r.network.as_str().into(),
-                Cell::Num(r.density),
-                Cell::Num(r.capacity_saving),
-                Cell::Num(r.table_overhead),
-                r.line0_sectors.into(),
-            ]);
-        }
-        vec![t]
-    }
-
-    fn notes(&self) -> Vec<String> {
-        vec![
+    ReportData {
+        name: "footprint",
+        title: "Section IX: storing activations ZVC-compressed inside GPU DRAM".to_owned(),
+        tables: vec![t],
+        notes: vec![
             "future-work sketch in the paper; line table = 8 B per 128 B line (6.25% overhead)"
                 .to_owned(),
             "a random 128 B line read costs 1 table sector + popcount(mask) data sectors"
                 .to_owned(),
-        ]
+        ],
+        ..ReportData::default()
     }
 }
 
-/// The design-ablations report (five sweeps).
-#[derive(Debug, Clone)]
-pub struct AblationsReport {
-    window: Table,
-    comp_bw: Table,
-    buffer: Table,
-    link: Table,
-    policy: Table,
-}
-
 /// Generates the five design-choice ablations of DESIGN.md §5.
-pub fn ablations(ctx: &Context) -> AblationsReport {
-    AblationsReport {
-        window: ablation_window(),
-        comp_bw: ablation_comp_bw(ctx),
-        buffer: ablation_buffer(),
-        link: ablation_link(ctx),
-        policy: ablation_policy(ctx),
+pub fn ablations(ctx: &Context) -> ReportData {
+    ReportData {
+        name: "ablations",
+        title: "Ablations: window size, COMP_BW, buffer, interconnect, offload policy".to_owned(),
+        tables: vec![
+            ablation_window(),
+            ablation_comp_bw(ctx),
+            ablation_buffer(),
+            ablation_link(ctx),
+            ablation_policy(ctx),
+        ],
+        notes: vec![
+            "window: Section VII-A — 4 KB default; up to 64 KB results did not change much"
+                .to_owned(),
+            "COMP_BW: Section V-C — 200 GB/s reaps most of the benefit of sparse compression"
+                .to_owned(),
+            "buffer: Section V-C — 70 KB (the 200 GB/s x 350 ns bandwidth-delay product) avoids stalls"
+                .to_owned(),
+            "link: NVLink relieves the bottleneck, but 4-8 GPUs sharing it land back at 10-20 GB/s"
+                .to_owned(),
+            "policy: offload-all maximizes memory savings but moves more bytes; conv-only stalls less"
+                .to_owned(),
+        ],
+        ..ReportData::default()
     }
 }
 
@@ -597,41 +433,6 @@ fn ablation_policy(ctx: &Context) -> Table {
     table
 }
 
-impl Report for AblationsReport {
-    fn name(&self) -> &'static str {
-        "ablations"
-    }
-
-    fn title(&self) -> String {
-        "Ablations: window size, COMP_BW, buffer, interconnect, offload policy".to_owned()
-    }
-
-    fn tables(&self) -> Vec<Table> {
-        vec![
-            self.window.clone(),
-            self.comp_bw.clone(),
-            self.buffer.clone(),
-            self.link.clone(),
-            self.policy.clone(),
-        ]
-    }
-
-    fn notes(&self) -> Vec<String> {
-        vec![
-            "window: Section VII-A — 4 KB default; up to 64 KB results did not change much"
-                .to_owned(),
-            "COMP_BW: Section V-C — 200 GB/s reaps most of the benefit of sparse compression"
-                .to_owned(),
-            "buffer: Section V-C — 70 KB (the 200 GB/s x 350 ns bandwidth-delay product) avoids stalls"
-                .to_owned(),
-            "link: NVLink relieves the bottleneck, but 4-8 GPUs sharing it land back at 10-20 GB/s"
-                .to_owned(),
-            "policy: offload-all maximizes memory savings but moves more bytes; conv-only stalls less"
-                .to_owned(),
-        ]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -644,43 +445,49 @@ mod tests {
     #[test]
     fn overheads_buffer_sweep_shows_the_knee() {
         let report = overheads(&ctx());
-        assert_eq!(report.buffer_sweep.len(), 4);
+        assert_eq!(report.tables.len(), 2);
+        let sweep = report
+            .table("buffer sizing validated against a measured stream")
+            .records();
+        assert_eq!(sweep.len(), 4);
         // Bigger buffers never hurt; the smallest buffer throttles.
-        let small = &report.buffer_sweep[0];
-        let design = &report.buffer_sweep[2];
-        assert!(design.effective_bw >= small.effective_bw);
-        assert!(design.link_utilization > 0.5);
-        assert_eq!(report.tables().len(), 2);
+        let small = &sweep[0];
+        let design = &sweep[2];
+        assert_eq!(design.num("buffer_kb"), 70.0);
+        assert!(design.num("effective_gbps") >= small.num("effective_gbps"));
+        assert!(design.num("link_utilization") > 0.5);
     }
 
     #[test]
     fn energy_savings_track_compression() {
         let report = energy(&ctx(), &ScenarioFilter::all());
-        assert_eq!(report.rows.len(), 6);
-        for r in &report.rows {
-            assert!(r.cdma_joules < r.vdnn_joules, "{}", r.network);
-            assert!(r.saving > 0.0 && r.saving < 1.0);
+        let rows = report.tables[0].records();
+        assert_eq!(rows.len(), 6);
+        for r in &rows {
+            assert!(
+                r.num("cdma_joules") < r.num("vdnn_joules"),
+                "{}",
+                r.str("network")
+            );
+            assert!(r.num("saving") > 0.0 && r.num("saving") < 1.0);
         }
     }
 
     #[test]
     fn memory_usage_shows_activation_dominance() {
         let report = memory_usage(&ctx(), &ScenarioFilter::all());
-        assert_eq!(report.rows.len(), 6);
-        for r in &report.rows {
-            assert!(
-                r.activation_fraction > 0.0 && r.activation_fraction < 1.0,
-                "{}",
-                r.network
-            );
-            assert!(r.vdnn_bytes < r.baseline_bytes);
+        let rows = report.tables[0].records();
+        assert_eq!(rows.len(), 6);
+        for r in &rows {
+            let fraction = r.num("activation_fraction");
+            assert!(fraction > 0.0 && fraction < 1.0, "{}", r.str("network"));
+            assert!(r.num("vdnn_gb") < r.num("baseline_gb"));
         }
         // Section III: activations dominate on the mostly-convolutional
         // networks (weight-heavy fc stacks like AlexNet sit lower).
-        let dominated = report
-            .rows
+        let dominated = rows
             .iter()
-            .filter(|r| r.activation_fraction > 0.5)
+            .filter(|r| r.num("activation_fraction") > 0.5)
             .count();
         assert!(
             dominated >= 4,
@@ -691,17 +498,17 @@ mod tests {
     #[test]
     fn footprint_store_is_lossless_and_saves_capacity() {
         let report = footprint(&ctx(), &ScenarioFilter::all().network("SqueezeNet"));
-        assert_eq!(report.rows.len(), 1);
-        let r = &report.rows[0];
-        assert!(r.capacity_saving > 0.0);
-        assert!(r.table_overhead > 0.0 && r.table_overhead < 0.1);
+        let rows = report.tables[0].records();
+        assert_eq!(rows.len(), 1);
+        let r = &rows[0];
+        assert!(r.num("capacity_saving") > 0.0);
+        assert!(r.num("table_overhead") > 0.0 && r.num("table_overhead") < 0.1);
     }
 
     #[test]
     fn ablations_produce_all_five_tables() {
         let report = ablations(&ctx());
-        let tables = report.tables();
-        assert_eq!(tables.len(), 5);
-        assert!(tables.iter().all(|t| !t.rows().is_empty()));
+        assert_eq!(report.tables.len(), 5);
+        assert!(report.tables.iter().all(|t| !t.rows().is_empty()));
     }
 }

@@ -9,168 +9,86 @@ use cdma_vdnn::timeline::{Phase, StageRecord};
 use cdma_vdnn::{Fidelity, TimelineSim, TransferPolicy, UniformRatio};
 
 use super::compute_model;
-use crate::report::{Cell, Report, Table};
-use crate::scenario::{Context, Scenario, ScenarioFilter, ScenarioSet};
-
-/// One row of the fidelity sweep: the same training step simulated
-/// through the event-driven timeline at one of its three fidelity levels.
-#[derive(Debug, Clone)]
-pub struct FidelityRow {
-    /// Network name.
-    pub network: String,
-    /// Transfer-source label (`uniform-ratio`, `profiled-density`,
-    /// `measured-stream`).
-    pub fidelity: &'static str,
-    /// Step latency, seconds.
-    pub step_time: f64,
-    /// Fraction of the step spent stalled on transfers.
-    pub stall_fraction: f64,
-    /// Events processed by the timeline (line-granularity at the measured
-    /// level).
-    pub events: u64,
-}
-
-/// One scenario's training step through the timeline at the scenario's
-/// fidelity level — [`Context::step`], which simulates it the first time
-/// any experiment asks.
-fn fidelity_row(ctx: &Context, scenario: &Scenario) -> FidelityRow {
-    let step = ctx.step(scenario);
-    FidelityRow {
-        network: ctx.spec(&scenario.network).name().to_owned(),
-        fidelity: step.fidelity(),
-        step_time: step.total(),
-        stall_fraction: step.breakdown.stall_fraction(),
-        events: step.events_processed(),
-    }
-}
-
-/// The fidelity-sweep report.
-#[derive(Debug, Clone)]
-pub struct FidelitySweepReport {
-    /// One row per network × fidelity level.
-    pub rows: Vec<FidelityRow>,
-    /// The training checkpoint the sweep ran at.
-    pub checkpoint: f64,
-}
+use crate::report::{Cell, ReportData, Table};
+use crate::scenario::{Context, ScenarioFilter, ScenarioSet};
 
 /// The full fidelity sweep: every (filtered) zoo network × the three
 /// fidelity levels at training checkpoint 0.5 — the cross-validation
 /// behind the timeline's claim that analytic ratios approximate real
-/// compressed streams.
-pub fn fidelity_sweep(ctx: &Context, filter: &ScenarioFilter) -> FidelitySweepReport {
+/// compressed streams. Each row is [`Context::step`], which simulates a
+/// scenario's step the first time any experiment asks.
+pub fn fidelity_sweep(ctx: &Context, filter: &ScenarioFilter) -> ReportData {
     let checkpoint = 0.5;
     let set = ScenarioSet::builder()
         .fidelities(Fidelity::ALL)
         .checkpoints([checkpoint])
         .build()
         .filtered(filter);
-    let rows = set
-        .scenarios()
-        .iter()
-        .map(|s| fidelity_row(ctx, s))
-        .collect();
-    FidelitySweepReport { rows, checkpoint }
-}
-
-impl Report for FidelitySweepReport {
-    fn name(&self) -> &'static str {
-        "fidelity_sweep"
+    let mut t = Table::new(
+        "per-network step time by fidelity",
+        &[
+            "network",
+            "fidelity",
+            "step_seconds",
+            "stall_fraction",
+            "events",
+        ],
+    );
+    let mut steps = Vec::new();
+    for s in set.scenarios() {
+        let step = ctx.step(s);
+        let network = ctx.spec(&s.network).name().to_owned();
+        t.row([
+            network.as_str().into(),
+            step.fidelity().into(),
+            Cell::Num(step.total()),
+            Cell::Num(step.breakdown.stall_fraction()),
+            step.events_processed().into(),
+        ]);
+        steps.push((network, step.fidelity(), step.total()));
     }
-
-    fn title(&self) -> String {
-        format!(
-            "Timeline fidelity sweep at checkpoint {:.1}: analytic vs measured transfers",
-            self.checkpoint
-        )
-    }
-
-    fn tables(&self) -> Vec<Table> {
-        let mut t = Table::new(
-            "per-network step time by fidelity",
-            &[
-                "network",
-                "fidelity",
-                "step_seconds",
-                "stall_fraction",
-                "events",
-            ],
-        );
-        for r in &self.rows {
-            t.row([
-                r.network.as_str().into(),
-                r.fidelity.into(),
-                Cell::Num(r.step_time),
-                Cell::Num(r.stall_fraction),
-                r.events.into(),
-            ]);
+    // Largest relative disagreement between the coarsest and finest
+    // level — the sweep's cross-validation headline.
+    let mut worst: Option<(&str, f64)> = None;
+    for (network, fidelity, total) in &steps {
+        if *fidelity != Fidelity::MeasuredStream.label() {
+            continue;
         }
-        vec![t]
-    }
-
-    fn notes(&self) -> Vec<String> {
-        // Largest relative disagreement between the coarsest and finest
-        // level — the sweep's cross-validation headline.
-        let mut worst: Option<(String, f64)> = None;
-        for r in &self.rows {
-            if r.fidelity != Fidelity::MeasuredStream.label() {
-                continue;
-            }
-            let Some(base) = self
-                .rows
-                .iter()
-                .find(|b| b.network == r.network && b.fidelity == Fidelity::UniformRatio.label())
-            else {
-                continue;
-            };
-            let rel = (r.step_time - base.step_time).abs() / base.step_time;
-            if worst.as_ref().is_none_or(|(_, w)| rel > *w) {
-                worst = Some((r.network.clone(), rel));
-            }
-        }
-        match worst {
-            Some((net, rel)) => vec![format!(
-                "largest measured-vs-uniform step-time disagreement: {:.1}% ({net})",
-                rel * 100.0
-            )],
-            None => Vec::new(),
+        let Some((_, _, base)) = steps
+            .iter()
+            .find(|b| b.0 == *network && b.1 == Fidelity::UniformRatio.label())
+        else {
+            continue;
+        };
+        let rel = (total - base).abs() / base;
+        if worst.is_none_or(|(_, w)| rel > w) {
+            worst = Some((network.as_str(), rel));
         }
     }
-}
-
-/// One forward stage of the Fig. 2 chart: vDNN vs cDMA transfer overlap.
-#[derive(Debug, Clone)]
-pub struct Fig02Stage {
-    /// Layer name.
-    pub layer: String,
-    /// Layer compute seconds.
-    pub compute: f64,
-    /// Uncompressed-vDNN transfer seconds overlapping this stage.
-    pub vdnn_transfer: f64,
-    /// Seconds the GPU stalls under vDNN.
-    pub vdnn_stall: f64,
-    /// The same transfer as real compressed lines through the pipeline.
-    pub cdma_transfer: f64,
-}
-
-/// The Fig. 2(b) report.
-#[derive(Debug, Clone)]
-pub struct Fig02Report {
-    /// The charted network.
-    pub network: String,
-    /// The first forward stages (the figure shows the head of the pass).
-    pub stages: Vec<Fig02Stage>,
-    /// Step totals: the vDNN analytic baseline, the three fidelity
-    /// levels, and the oracle.
-    pub totals: Vec<FidelityRow>,
-    /// ASCII Gantt chart lines.
-    pub gantt: Vec<String>,
-    /// First events of the measured run's log.
-    pub event_log: Vec<String>,
+    let notes = match worst {
+        Some((net, rel)) => vec![format!(
+            "largest measured-vs-uniform step-time disagreement: {:.1}% ({net})",
+            rel * 100.0
+        )],
+        None => Vec::new(),
+    };
+    ReportData {
+        name: "fidelity_sweep",
+        title: format!(
+            "Timeline fidelity sweep at checkpoint {checkpoint:.1}: analytic vs measured transfers"
+        ),
+        tables: vec![t],
+        notes,
+        ..ReportData::default()
+    }
 }
 
 /// Generates the Fig. 2(b) timeline chart for GoogLeNet (or the first
-/// network the filter admits).
-pub fn fig02_timeline(ctx: &Context, filter: &ScenarioFilter) -> Fig02Report {
+/// network the filter admits): the head of the forward pass, vDNN vs
+/// cDMA transfer overlap per stage; the step totals of the vDNN analytic
+/// baseline, the three fidelity levels and the oracle; an ASCII Gantt
+/// chart and the first events of the measured run's log.
+pub fn fig02_timeline(ctx: &Context, filter: &ScenarioFilter) -> ReportData {
     let network = if filter.matches_network("GoogLeNet") {
         "GoogLeNet".to_owned()
     } else {
@@ -207,140 +125,109 @@ pub fn fig02_timeline(ctx: &Context, filter: &ScenarioFilter) -> Fig02Report {
             .find(|s| s.phase == Phase::Forward && s.layer == i)
             .expect("forward stage")
     };
-    let mut stages = Vec::new();
-    let mut gantt = Vec::new();
+    let mut stages = Table::new(
+        "forward stages (head of the pass)",
+        &[
+            "layer",
+            "compute_ms",
+            "vdnn_transfer_ms",
+            "vdnn_stall_ms",
+            "cdma_transfer_ms",
+        ],
+    );
+    let mut notes = Vec::new();
     let ms_per_col = 2.0e-3; // one column = 2 ms
     let cols = |t: f64| (t / ms_per_col).round() as usize;
     for (i, layer) in spec.layers().iter().enumerate().take(14) {
         let sv = forward(vdnn.stages(), i);
         let sc = forward(cdma.stages(), i);
-        stages.push(Fig02Stage {
-            layer: layer.name.clone(),
-            compute: sv.compute,
-            vdnn_transfer: sv.transfer,
-            vdnn_stall: sv.stall(),
-            cdma_transfer: sc.transfer,
-        });
+        stages.row([
+            layer.name.as_str().into(),
+            Cell::Num(sv.compute * 1e3),
+            Cell::Num(sv.transfer * 1e3),
+            Cell::Num(sv.stall() * 1e3),
+            Cell::Num(sc.transfer * 1e3),
+        ]);
         let c = cols(sv.compute);
         let mut line = "#".repeat(c.max(1));
         if sv.stall() > 0.0 {
             line.push_str(&"!".repeat(cols(sv.transfer).saturating_sub(c).max(1)));
         }
-        gantt.push(format!(
+        notes.push(format!(
             "{:<18} {:>5.1}ms  {}",
             layer.name,
             sv.compute * 1e3,
             line
         ));
-        gantt.push(format!(
+        notes.push(format!(
             "{:<18} {:>7}  {}",
             "",
             "cDMA:",
             "~".repeat(cols(sc.transfer).max(1))
         ));
     }
+    notes.push(
+        "'#' compute, '!' stall where the uncompressed offload outlasts compute, \
+         '~' the same transfer as real compressed lines through the DMA pipeline"
+            .to_owned(),
+    );
 
-    let mut totals = vec![FidelityRow {
-        network: network.clone(),
-        fidelity: "vdnn-analytic",
-        step_time: vdnn.total(),
-        stall_fraction: vdnn.breakdown.stall_fraction(),
-        events: vdnn.events_processed(),
-    }];
-    totals.extend(base_set.scenarios().iter().map(|s| fidelity_row(ctx, s)));
+    let mut totals = Table::new(
+        "step totals across fidelity levels",
+        &["fidelity", "step_ms", "stall_pct", "events"],
+    );
+    let mut total = |fidelity: &str, step: f64, stall_fraction: f64, events: u64| {
+        totals.row([
+            fidelity.into(),
+            Cell::Num(step * 1e3),
+            Cell::Num(stall_fraction * 100.0),
+            events.into(),
+        ]);
+    };
+    total(
+        "vdnn-analytic",
+        vdnn.total(),
+        vdnn.breakdown.stall_fraction(),
+        vdnn.events_processed(),
+    );
+    for s in base_set.scenarios() {
+        let step = ctx.step(s);
+        total(
+            step.fidelity(),
+            step.total(),
+            step.breakdown.stall_fraction(),
+            step.events_processed(),
+        );
+    }
     let oracle = sim.simulate(&spec, &UniformRatio::new(&spec, TransferPolicy::Oracle));
-    totals.push(FidelityRow {
-        network: network.clone(),
-        fidelity: "oracle",
-        step_time: oracle.total(),
-        stall_fraction: 0.0,
-        events: oracle.events_processed(),
-    });
+    total("oracle", oracle.total(), 0.0, oracle.events_processed());
 
-    let event_log = cdma
-        .events()
-        .iter()
-        .take(16)
-        .map(|e| format!("{:>10.3} ms  {:?}", e.time * 1e3, e.kind))
-        .chain(std::iter::once(format!(
-            "... {} log events, {} processed (line-granularity DMA pipeline events included)",
-            cdma.events().len(),
-            cdma.events_processed()
-        )))
-        .collect();
+    notes.extend(
+        cdma.events()
+            .iter()
+            .take(16)
+            .map(|e| format!("{:>10.3} ms  {:?}", e.time * 1e3, e.kind)),
+    );
+    notes.push(format!(
+        "... {} log events, {} processed (line-granularity DMA pipeline events included)",
+        cdma.events().len(),
+        cdma.events_processed()
+    ));
 
-    Fig02Report {
-        network,
-        stages,
-        totals,
-        gantt,
-        event_log,
-    }
-}
-
-impl Report for Fig02Report {
-    fn name(&self) -> &'static str {
-        "fig02_timeline"
-    }
-
-    fn title(&self) -> String {
-        format!(
-            "Figure 2(b): forward-pass timeline — compute vs offload per layer ({})",
-            self.network
-        )
-    }
-
-    fn tables(&self) -> Vec<Table> {
-        let mut stages = Table::new(
-            "forward stages (head of the pass)",
-            &[
-                "layer",
-                "compute_ms",
-                "vdnn_transfer_ms",
-                "vdnn_stall_ms",
-                "cdma_transfer_ms",
-            ],
-        );
-        for s in &self.stages {
-            stages.row([
-                s.layer.as_str().into(),
-                Cell::Num(s.compute * 1e3),
-                Cell::Num(s.vdnn_transfer * 1e3),
-                Cell::Num(s.vdnn_stall * 1e3),
-                Cell::Num(s.cdma_transfer * 1e3),
-            ]);
-        }
-        let mut totals = Table::new(
-            "step totals across fidelity levels",
-            &["fidelity", "step_ms", "stall_pct", "events"],
-        );
-        for r in &self.totals {
-            totals.row([
-                r.fidelity.into(),
-                Cell::Num(r.step_time * 1e3),
-                Cell::Num(r.stall_fraction * 100.0),
-                r.events.into(),
-            ]);
-        }
-        vec![stages, totals]
-    }
-
-    fn notes(&self) -> Vec<String> {
-        let mut notes = self.gantt.clone();
-        notes.push(
-            "'#' compute, '!' stall where the uncompressed offload outlasts compute, \
-             '~' the same transfer as real compressed lines through the DMA pipeline"
-                .to_owned(),
-        );
-        notes.extend(self.event_log.iter().cloned());
-        notes
+    ReportData {
+        name: "fig02_timeline",
+        title: format!(
+            "Figure 2(b): forward-pass timeline — compute vs offload per layer ({network})"
+        ),
+        tables: vec![stages, totals],
+        notes,
+        ..ReportData::default()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdma_gpusim::SystemConfig;
     use cdma_vdnn::RatioTable;
 
     fn ctx() -> Context {
@@ -355,59 +242,59 @@ mod tests {
             .fidelities(Fidelity::ALL)
             .seed(11)
             .build();
-        let rows: Vec<FidelityRow> = set
-            .scenarios()
-            .iter()
-            .map(|s| fidelity_row(&ctx, s))
-            .collect();
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].fidelity, "uniform-ratio");
-        assert_eq!(rows[1].fidelity, "profiled-density");
-        assert_eq!(rows[2].fidelity, "measured-stream");
+        let steps: Vec<_> = set.scenarios().iter().map(|s| ctx.step(s)).collect();
+        assert_eq!(steps.len(), 3);
+        assert_eq!(steps[0].fidelity(), "uniform-ratio");
+        assert_eq!(steps[1].fidelity(), "profiled-density");
+        assert_eq!(steps[2].fidelity(), "measured-stream");
         // All three levels model the same step: the times must agree to
         // well within the vDNN-vs-oracle spread.
-        let base = rows[0].step_time;
-        for r in &rows {
-            assert!(r.step_time > 0.0 && r.stall_fraction < 1.0);
+        let base = steps[0].total();
+        for step in &steps {
+            assert!(step.total() > 0.0 && step.breakdown.stall_fraction() < 1.0);
             assert!(
-                (r.step_time - base).abs() / base < 0.30,
+                (step.total() - base).abs() / base < 0.30,
                 "{} step {} vs uniform {}",
-                r.fidelity,
-                r.step_time,
+                step.fidelity(),
+                step.total(),
                 base
             );
         }
         // The measured level simulates at line granularity.
-        assert!(rows[2].events > 100 * rows[0].events);
+        assert!(steps[2].events_processed() > 100 * steps[0].events_processed());
     }
 
     #[test]
     fn fidelity_sweep_covers_filtered_networks() {
         let report = fidelity_sweep(&ctx(), &ScenarioFilter::all().network("SqueezeNet"));
-        assert_eq!(report.rows.len(), 3);
-        assert!(report.rows.iter().all(|r| r.network == "SqueezeNet"));
-        assert!(!report.notes().is_empty());
+        let rows = report.tables[0].records();
+        assert_eq!(rows.len(), 3);
+        assert!(rows.iter().all(|r| r.str("network") == "SqueezeNet"));
+        assert!(!report.notes.is_empty());
     }
 
     #[test]
     fn fig02_charts_the_head_of_the_network() {
         let report = fig02_timeline(&ctx(), &ScenarioFilter::all().network("AlexNet"));
-        assert_eq!(report.network, "AlexNet");
-        assert!(!report.stages.is_empty());
-        assert_eq!(report.totals.len(), 5); // vdnn + 3 fidelities + oracle
-        assert_eq!(report.totals[0].fidelity, "vdnn-analytic");
-        assert_eq!(report.totals[4].fidelity, "oracle");
+        assert!(report.title.ends_with("(AlexNet)"), "{}", report.title);
+        assert!(!report
+            .table("forward stages (head of the pass)")
+            .rows()
+            .is_empty());
+        let totals = report.table("step totals across fidelity levels").records();
+        assert_eq!(totals.len(), 5); // vdnn + 3 fidelities + oracle
+        assert_eq!(totals[0].str("fidelity"), "vdnn-analytic");
+        assert_eq!(totals[4].str("fidelity"), "oracle");
         // The oracle is the floor, vDNN the ceiling.
-        let oracle = report.totals[4].step_time;
-        let vdnn = report.totals[0].step_time;
+        let oracle = totals[4].num("step_ms");
+        let vdnn = totals[0].num("step_ms");
         assert!(oracle <= vdnn);
-        for r in &report.totals {
+        for r in &totals {
             assert!(
-                r.step_time >= oracle - 1e-12 && r.step_time <= vdnn + 1e-12,
+                r.num("step_ms") >= oracle - 1e-9 && r.num("step_ms") <= vdnn + 1e-9,
                 "{}",
-                r.fidelity
+                r.str("fidelity")
             );
         }
-        let _ = SystemConfig::titan_x_pcie3();
     }
 }

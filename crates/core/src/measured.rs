@@ -50,6 +50,7 @@ pub struct StepCapture {
 ///
 /// Panics if `probe_names` does not match the spec's layer count, or if a
 /// probed layer never fires during the forward pass.
+// pub: the measured path for a caller's own trainer; timeline_fidelity.rs replays one
 pub fn capture_training_step(
     trainer: &mut Trainer,
     engine: &CdmaEngine,

@@ -1,7 +1,7 @@
 //! # Machine-readable experiment reports
 //!
-//! Every experiment driver returns a typed value implementing [`Report`]:
-//! a named collection of [`Table`]s (plus free-form notes and optional
+//! Every experiment driver fills one [`ReportData`] as it computes: a
+//! named collection of [`Table`]s (plus free-form notes and optional
 //! binary artifacts such as the Fig. 5 PGM images). One report renders to
 //! three formats through [`render`]:
 //!
@@ -303,27 +303,60 @@ pub struct Artifact {
     pub bytes: Vec<u8>,
 }
 
-/// The common interface of every experiment result: a machine id, a human
-/// title, tables, and optional notes/artifacts. Render one with
-/// [`render`] (or [`render_json`]).
+/// One experiment's result, filled by its driver as it computes: a
+/// machine id, a human title, tables, notes and artifacts.
+#[derive(Debug, Clone, Default)]
+pub struct ReportData {
+    /// Stable machine name (the CLI experiment name, e.g. `"fig11"`).
+    pub name: &'static str,
+    /// Human-readable title.
+    pub title: String,
+    /// The report's tables.
+    pub tables: Vec<Table>,
+    /// Free-form commentary lines (paper comparisons, ASCII charts).
+    pub notes: Vec<String>,
+    /// Binary artifacts to write alongside the report.
+    pub artifacts: Vec<Artifact>,
+}
+
+/// What the renderers read of a report; [`ReportData`] is its one
+/// implementor. Render one with [`render`] (or [`render_json`]).
 pub trait Report {
     /// Stable machine name (the CLI experiment name, e.g. `"fig11"`).
     fn name(&self) -> &'static str;
 
     /// Human-readable title.
-    fn title(&self) -> String;
+    fn title(&self) -> &str;
 
     /// The report's tables.
-    fn tables(&self) -> Vec<Table>;
+    fn tables(&self) -> &[Table];
 
-    /// Free-form commentary lines (paper comparisons, ASCII charts).
-    fn notes(&self) -> Vec<String> {
-        Vec::new()
-    }
+    /// Free-form commentary lines.
+    fn notes(&self) -> &[String];
 
     /// Binary artifacts to write alongside the report.
-    fn artifacts(&self) -> Vec<Artifact> {
-        Vec::new()
+    fn artifacts(&self) -> &[Artifact];
+}
+
+impl Report for ReportData {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn title(&self) -> &str {
+        &self.title
+    }
+
+    fn tables(&self) -> &[Table] {
+        &self.tables
+    }
+
+    fn notes(&self) -> &[String] {
+        &self.notes
+    }
+
+    fn artifacts(&self) -> &[Artifact] {
+        &self.artifacts
     }
 }
 
@@ -413,7 +446,7 @@ pub fn render_json(report: &dyn Report) -> String {
     out.push_str("{\"experiment\":");
     out.push_str(&json_string(report.name()));
     out.push_str(",\"title\":");
-    out.push_str(&json_string(&report.title()));
+    out.push_str(&json_string(report.title()));
     out.push_str(",\"tables\":[");
     for (i, table) in report.tables().iter().enumerate() {
         if i > 0 {
@@ -439,36 +472,97 @@ pub fn render_json(report: &dyn Report) -> String {
     out
 }
 
+/// A table row read by column name: how tests check the cells a driver
+/// rendered.
+#[cfg(test)]
+pub(crate) struct Record<'a> {
+    columns: &'a [String],
+    cells: &'a [Cell],
+}
+
+#[cfg(test)]
+impl<'a> Record<'a> {
+    /// The cell under `column`.
+    fn cell(&self, column: &str) -> &'a Cell {
+        let i = self
+            .columns
+            .iter()
+            .position(|c| c == column)
+            .unwrap_or_else(|| panic!("no column {column:?} in {:?}", self.columns));
+        &self.cells[i]
+    }
+
+    /// A numeric cell (float or integer) as `f64`.
+    pub(crate) fn num(&self, column: &str) -> f64 {
+        match self.cell(column) {
+            Cell::Num(v) => *v,
+            Cell::Int(v) => *v as f64,
+            Cell::Str(s) => panic!("column {column:?} holds text {s:?}"),
+        }
+    }
+
+    /// An integer cell.
+    pub(crate) fn int(&self, column: &str) -> i64 {
+        match self.cell(column) {
+            Cell::Int(v) => *v,
+            other => panic!("column {column:?} holds {other:?}, not an integer"),
+        }
+    }
+
+    /// A text cell.
+    pub(crate) fn str(&self, column: &str) -> &'a str {
+        match self.cell(column) {
+            Cell::Str(s) => s,
+            other => panic!("column {column:?} holds {other:?}, not text"),
+        }
+    }
+}
+
+#[cfg(test)]
+impl Table {
+    /// The rows, each readable by column name.
+    pub(crate) fn records(&self) -> Vec<Record<'_>> {
+        self.rows
+            .iter()
+            .map(|cells| Record {
+                columns: &self.columns,
+                cells,
+            })
+            .collect()
+    }
+}
+
+#[cfg(test)]
+impl ReportData {
+    /// The table titled `title`.
+    pub(crate) fn table(&self, title: &str) -> &Table {
+        self.tables
+            .iter()
+            .find(|t| t.title == title)
+            .unwrap_or_else(|| panic!("{}: no table {title:?}", self.name))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    struct Sample;
-
-    impl Report for Sample {
-        fn name(&self) -> &'static str {
-            "sample"
-        }
-
-        fn title(&self) -> String {
-            "A \"sample\" report".to_owned()
-        }
-
-        fn tables(&self) -> Vec<Table> {
-            let mut t = Table::new("cells", &["name", "ratio", "count"]);
-            t.row(["plain, quoted".into(), Cell::Num(2.6), 32u64.into()]);
-            t.row(["n\nl".into(), Cell::Num(f64::NAN), Cell::Int(-1)]);
-            vec![t]
-        }
-
-        fn notes(&self) -> Vec<String> {
-            vec!["line\twith\ttabs".to_owned()]
+    fn sample() -> ReportData {
+        let mut t = Table::new("cells", &["name", "ratio", "count"]);
+        t.row(["plain, quoted".into(), Cell::Num(2.6), 32u64.into()]);
+        t.row(["n\nl".into(), Cell::Num(f64::NAN), Cell::Int(-1)]);
+        ReportData {
+            name: "sample",
+            title: "A \"sample\" report".to_owned(),
+            tables: vec![t],
+            notes: vec!["line\twith\ttabs".to_owned()],
+            artifacts: Vec::new(),
         }
     }
 
     #[test]
     fn json_escapes_and_nan_policy() {
-        let json = render_json(&Sample);
+        let json = render_json(&sample());
         assert!(json.contains("\"A \\\"sample\\\" report\""));
         assert!(json.contains("\"plain, quoted\""));
         assert!(json.contains("\"n\\nl\""));
@@ -491,7 +585,7 @@ mod tests {
         assert_eq!(csv_field("a,b"), "\"a,b\"");
         assert_eq!(csv_field("say \"hi\""), "\"say \"\"hi\"\"\"");
         assert_eq!(csv_field("two\nlines"), "\"two\nlines\"");
-        let csv = render_csv(&Sample);
+        let csv = render_csv(&sample());
         assert!(csv.starts_with("# sample: cells\nname,ratio,count\n"));
         assert!(csv.contains("\"plain, quoted\",2.6,32\n"));
         // NaN renders as an empty field.
@@ -504,7 +598,7 @@ mod tests {
         assert_eq!(Cell::Num(13.8).text(), "13.8");
         assert_eq!(Cell::Num(0.0).text(), "0");
         assert_eq!(Cell::Num(1.0 / 3.0).text(), "0.3333");
-        let text = render_text(&Sample);
+        let text = render_text(&sample());
         assert!(text.starts_with("=== A \"sample\" report [sample] ===\n"));
         assert!(text.contains("-- cells --"));
     }

@@ -13,9 +13,8 @@
 
 use std::sync::Arc;
 
-use cdma_core::experiment::{
-    cluster_timeline, fidelity_sweep, fig02_timeline, fig_multi_gpu, FidelityRow, MultiGpuRow,
-};
+use cdma_core::experiment::{cluster_timeline, fidelity_sweep, fig02_timeline, fig_multi_gpu};
+use cdma_core::report::{Cell, Table};
 use cdma_core::scenario::{Context, Scenario, ScenarioFilter, ScenarioSet};
 use cdma_gpusim::{fs_to_seconds, SystemConfig};
 use cdma_models::NetworkSpec;
@@ -34,6 +33,37 @@ fn model() -> ComputeModel {
 
 fn assert_bits(a: f64, b: f64, what: &str) {
     assert_eq!(a.to_bits(), b.to_bits(), "{what}: {a} vs {b}");
+}
+
+/// The cells under `column`, one per row of `table`.
+fn column<'a>(table: &'a Table, column: &str) -> Vec<&'a Cell> {
+    let i = table
+        .columns()
+        .iter()
+        .position(|c| c == column)
+        .unwrap_or_else(|| panic!("{}: no column {column:?}", table.title()));
+    table.rows().iter().map(|row| &row[i]).collect()
+}
+
+fn num(cell: &Cell) -> f64 {
+    match cell {
+        Cell::Num(v) => *v,
+        other => panic!("{other:?} is not a float"),
+    }
+}
+
+fn text(cell: &Cell) -> &str {
+    match cell {
+        Cell::Str(s) => s,
+        other => panic!("{other:?} is not text"),
+    }
+}
+
+fn int(cell: &Cell) -> i64 {
+    match cell {
+        Cell::Int(v) => *v,
+        other => panic!("{other:?} is not an integer"),
+    }
 }
 
 fn breakdown_bits(b: StepBreakdown) -> [u64; 4] {
@@ -150,7 +180,17 @@ fn line_seconds(
 
 /// `fig_multi_gpu`'s row as it was built before the memo: the scenario's
 /// cluster against the uncompressed-vDNN cluster on the same platform.
-fn cluster_row(ctx: &Context, s: &Scenario) -> MultiGpuRow {
+struct ClusterRow {
+    fidelity: &'static str,
+    link_share_gbps: f64,
+    vdnn_step: f64,
+    cdma_step: f64,
+    allreduce: f64,
+    speedup: f64,
+    link_utilisation: f64,
+}
+
+fn cluster_row(ctx: &Context, s: &Scenario) -> ClusterRow {
     let spec = ctx.spec(&s.network);
     let vdnn = ClusterSim::new(s.config, model(), LinkPolicy::BandwidthShare).simulate(&[Tenant {
         spec: &spec,
@@ -160,10 +200,8 @@ fn cluster_row(ctx: &Context, s: &Scenario) -> MultiGpuRow {
     let vdnn_step = vdnn.tenants()[0].total;
     let cdma = cluster_timeline(ctx, s);
     let tc = &cdma.tenants()[0];
-    MultiGpuRow {
-        network: s.network.clone(),
+    ClusterRow {
         fidelity: cdma.gpu(0).fidelity(),
-        gpus: s.gpus,
         link_share_gbps: s.config.pcie_bw / s.gpus as f64 / 1e9,
         vdnn_step,
         cdma_step: tc.total,
@@ -177,25 +215,32 @@ fn cluster_row(ctx: &Context, s: &Scenario) -> MultiGpuRow {
 fn g1_rows_equal_the_cluster_path_in_all_nine_columns() {
     let ctx = Context::with_table(RatioTable::build_fast(7));
     let report = fig_multi_gpu(&ctx, &ScenarioFilter::all());
-    let g1: Vec<&MultiGpuRow> = report.rows.iter().filter(|r| r.gpus == 1).collect();
+    let table = &report.tables[0];
+    let g1: Vec<usize> = column(table, "gpus")
+        .iter()
+        .enumerate()
+        .filter(|(_, g)| int(g) == 1)
+        .map(|(i, _)| i)
+        .collect();
     let sweep = sweep();
     assert_eq!(g1.len(), sweep.len());
-    for (row, s) in g1.iter().zip(&sweep) {
+    let cell = |name: &str, i: usize| column(table, name)[i];
+    for (&i, s) in g1.iter().zip(&sweep) {
         let what = format!("{}/{}", s.network, s.fidelity);
         let old = cluster_row(&ctx, s);
-        assert_eq!(row.network, old.network, "{what}");
-        assert_eq!(row.fidelity, old.fidelity, "{what}");
-        assert_eq!(row.fidelity, s.fidelity.label(), "{what}");
-        assert_eq!(row.gpus, old.gpus, "{what}");
-        for (a, b, f) in [
-            (row.link_share_gbps, old.link_share_gbps, "link_share_gbps"),
-            (row.vdnn_step, old.vdnn_step, "vdnn_step"),
-            (row.cdma_step, old.cdma_step, "cdma_step"),
-            (row.allreduce, old.allreduce, "allreduce"),
-            (row.speedup, old.speedup, "speedup"),
-            (row.link_utilisation, old.link_utilisation, "link_util"),
+        assert_eq!(text(cell("network", i)), s.network, "{what}");
+        assert_eq!(text(cell("fidelity", i)), old.fidelity, "{what}");
+        assert_eq!(text(cell("fidelity", i)), s.fidelity.label(), "{what}");
+        assert_eq!(int(cell("gpus", i)), s.gpus as i64, "{what}");
+        for (column, b) in [
+            ("link_share_gbps", old.link_share_gbps),
+            ("vdnn_step_s", old.vdnn_step),
+            ("cdma_step_s", old.cdma_step),
+            ("allreduce_s", old.allreduce),
+            ("speedup", old.speedup),
+            ("link_util", old.link_utilisation),
         ] {
-            assert_bits(a, b, &format!("{what} {f}"));
+            assert_bits(num(cell(column, i)), b, &format!("{what} {column}"));
         }
     }
 }
@@ -221,7 +266,7 @@ fn three_experiments_simulate_each_step_once() {
 
     // Fig. 2 charts GoogLeNet: its three steps enter the memo here.
     let fig02 = fig02_timeline(&ctx, &filter);
-    assert_eq!(fig02.network, "GoogLeNet");
+    assert!(fig02.title.ends_with("(GoogLeNet)"), "{}", fig02.title);
     let before = ctx.stats();
     let first = ctx.step(&googlenet);
     assert_eq!(ctx.stats().misses, before.misses, "fig02 left the step");
@@ -229,7 +274,7 @@ fn three_experiments_simulate_each_step_once() {
 
     // The sweep adds AlexNet's three and finds GoogLeNet's.
     let sweep = fidelity_sweep(&ctx, &filter);
-    assert_eq!(sweep.rows.len(), 6);
+    assert_eq!(sweep.tables[0].rows().len(), 6);
     let alexnet_step = ctx.step(&alexnet);
 
     // The cluster experiment's six g = 1 rows are all in the memo, and so
@@ -238,22 +283,35 @@ fn three_experiments_simulate_each_step_once() {
     let before = ctx.stats();
     let multi = fig_multi_gpu(&ctx, &filter);
     let after = ctx.stats();
-    assert_eq!(multi.rows.iter().filter(|r| r.gpus == 1).count(), 6);
+    let gpus = column(&multi.tables[0], "gpus");
+    assert_eq!(gpus.iter().filter(|g| int(g) == 1).count(), 6);
     assert_eq!(after.misses, before.misses, "fig_multi_gpu re-simulated");
     assert!(after.hits >= before.hits + 6);
 
     // Same scenario, same `Arc`, before and after: no entry was replaced.
     assert!(Arc::ptr_eq(&first, &ctx.step(&googlenet)));
     assert!(Arc::ptr_eq(&alexnet_step, &ctx.step(&alexnet)));
-    // The row the reports print is that step.
-    let row = |rows: &[FidelityRow]| {
-        rows.iter()
-            .find(|r| r.network == "GoogLeNet" && r.fidelity == "measured-stream")
-            .expect("GoogLeNet measured row")
-            .step_time
+    // The row the reports print is that step: Fig. 2 charts GoogLeNet
+    // alone and prints milliseconds, the sweep seconds.
+    let measured = |table: &Table, network: Option<&str>, step: &str| {
+        let fidelity = column(table, "fidelity");
+        let i = (0..fidelity.len())
+            .find(|&i| {
+                text(fidelity[i]) == "measured-stream"
+                    && network.is_none_or(|n| text(column(table, "network")[i]) == n)
+            })
+            .expect("GoogLeNet measured row");
+        num(column(table, step)[i])
     };
-    assert_bits(row(&fig02.totals), first.total(), "fig02 total");
-    assert_bits(row(&sweep.rows), first.total(), "sweep row");
+    let totals = &fig02.tables[1];
+    assert_eq!(totals.title(), "step totals across fidelity levels");
+    let fig02_total = measured(totals, None, "step_ms");
+    assert_bits(fig02_total, first.total() * 1e3, "fig02 total");
+    assert_bits(
+        measured(&sweep.tables[0], Some("GoogLeNet"), "step_seconds"),
+        first.total(),
+        "sweep row",
+    );
 
     // `gpus` is not part of a single-GPU step...
     let mut wide = alexnet.clone();

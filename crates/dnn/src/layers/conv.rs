@@ -4,24 +4,15 @@ use cdma_tensor::{Layout, Shape4, Tensor};
 
 use crate::{Layer, LayerKind, Mode, ParamRef, WeightInit};
 
-/// Which forward/backward implementation a [`Conv2d`] uses.
+/// 2-D convolution layer with square kernels, stride and zero padding.
 ///
 /// The paper notes (Section VI) that "state-of-the-art DNN libraries
 /// refactor the convolution operations into a dense matrix-multiplication
-/// operation" — the im2col + GEMM strategy of cuDNN. Both a direct
-/// 7-deep-loop implementation and the im2col-GEMM refactoring are provided
-/// and cross-checked in the tests; im2col is the default, like cuDNN. The
-/// im2col backward keeps the direct loop's order of operations, and the
-/// tests hold it to `Direct`'s backward, the reference, bit for bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConvImpl {
-    /// Straightforward nested loops.
-    Direct,
-    /// Lower to an `[out_c, ic·kh·kw] × [ic·kh·kw, oh·ow]` matrix product.
-    Im2col,
-}
-
-/// 2-D convolution layer with square kernels, stride and zero padding.
+/// operation" — the im2col + GEMM strategy of cuDNN, which this layer
+/// runs: it lowers to an `[out_c, ic·kh·kw] × [ic·kh·kw, oh·ow]` matrix
+/// product. The direct 7-deep loops stay in the tests as the reference:
+/// the im2col backward keeps their order of operations and is held to
+/// them bit for bit.
 #[derive(Debug)]
 pub struct Conv2d {
     name: String,
@@ -34,7 +25,6 @@ pub struct Conv2d {
     bias: Vec<f32>,
     w_grads: Vec<f32>,
     b_grads: Vec<f32>,
-    implementation: ConvImpl,
     cached_input: Option<Tensor>,
 }
 
@@ -73,16 +63,8 @@ impl Conv2d {
             weights,
             bias: vec![0.0; out_c],
             b_grads: vec![0.0; out_c],
-            implementation: ConvImpl::Im2col,
             cached_input: None,
         }
-    }
-
-    /// Switches the forward/backward implementation.
-    // pub: the only way to select the reference implementation `ConvImpl::Direct`
-    pub fn with_impl(mut self, implementation: ConvImpl) -> Self {
-        self.implementation = implementation;
-        self
     }
 
     /// Kernel size.
@@ -101,6 +83,8 @@ impl Conv2d {
         (input + 2 * self.pad - self.kernel) / self.stride + 1
     }
 
+    /// The reference forward: straightforward nested loops.
+    #[cfg(test)]
     fn forward_direct(&self, x: &Tensor) -> Tensor {
         let s = x.shape();
         let out_shape = self.output_shape(s);
@@ -201,6 +185,7 @@ impl Conv2d {
 
     /// The reference backward: every tap of every output position, bounds
     /// tested one by one.
+    #[cfg(test)]
     fn backward_direct(&mut self, grad_out: &Tensor, dx: &mut Tensor) {
         let x = self.cached_input.as_ref().expect("cached by forward");
         let s = x.shape();
@@ -437,10 +422,7 @@ impl Layer for Conv2d {
     }
 
     fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
-        let y = match self.implementation {
-            ConvImpl::Direct => self.forward_direct(input),
-            ConvImpl::Im2col => self.forward_im2col(input),
-        };
+        let y = self.forward_im2col(input);
         self.cached_input = Some(input.clone());
         y
     }
@@ -458,10 +440,7 @@ impl Layer for Conv2d {
             self.name
         );
         let mut dx = Tensor::zeros(s, Layout::Nchw);
-        match self.implementation {
-            ConvImpl::Direct => self.backward_direct(grad_out, &mut dx),
-            ConvImpl::Im2col => self.backward_im2col(grad_out, &mut dx),
-        }
+        self.backward_im2col(grad_out, &mut dx);
         dx
     }
 
@@ -518,13 +497,28 @@ mod tests {
         );
     }
 
+    /// `Layer::forward` through the reference loops.
+    fn forward_direct(conv: &mut Conv2d, x: &Tensor) -> Tensor {
+        let y = conv.forward_direct(x);
+        conv.cached_input = Some(x.clone());
+        y
+    }
+
+    /// `Layer::backward` through the reference loops.
+    fn backward_direct(conv: &mut Conv2d, grad_out: &Tensor) -> Tensor {
+        let s = conv.cached_input.as_ref().expect("forward first").shape();
+        let mut dx = Tensor::zeros(s, Layout::Nchw);
+        conv.backward_direct(grad_out, &mut dx);
+        dx
+    }
+
     #[test]
     fn direct_and_im2col_agree() {
         let x = input(2, 3, 9, 9, 5);
         for (stride, pad) in [(1, 0), (1, 1), (2, 1), (3, 2)] {
-            let mut a = Conv2d::new("a", 3, 4, 3, stride, pad, 9).with_impl(ConvImpl::Direct);
-            let mut b = Conv2d::new("b", 3, 4, 3, stride, pad, 9).with_impl(ConvImpl::Im2col);
-            let ya = a.forward(&x, Mode::Train);
+            let mut a = Conv2d::new("a", 3, 4, 3, stride, pad, 9);
+            let mut b = Conv2d::new("b", 3, 4, 3, stride, pad, 9);
+            let ya = forward_direct(&mut a, &x);
             let yb = b.forward(&x, Mode::Train);
             assert_eq!(ya.shape(), yb.shape());
             for (p, q) in ya.as_slice().iter().zip(yb.as_slice()) {
@@ -591,10 +585,9 @@ mod tests {
     /// A layer for `case` whose weights are He-initialised with every
     /// seventh one an exact zero (the forward skips those) and whose biases
     /// are non-zero (added after the sum).
-    fn corpus_layer(case: Case, seed: u64, implementation: ConvImpl) -> Conv2d {
+    fn corpus_layer(case: Case, seed: u64) -> Conv2d {
         let (_, in_c, out_c, k, stride, pad, _, _) = case;
-        let mut conv =
-            Conv2d::new("c", in_c, out_c, k, stride, pad, seed).with_impl(implementation);
+        let mut conv = Conv2d::new("c", in_c, out_c, k, stride, pad, seed);
         for (i, w) in conv.params_mut()[0].values.iter_mut().enumerate() {
             if i % 7 == 3 {
                 *w = 0.0;
@@ -619,7 +612,7 @@ mod tests {
         let mut state = 0xf0_4a4d;
         for (i, case) in corpus().into_iter().enumerate() {
             let (n, in_c, _, _, _, _, h, w) = case;
-            let mut conv = corpus_layer(case, i as u64, ConvImpl::Im2col);
+            let mut conv = corpus_layer(case, i as u64);
             let x = sparse(Shape4::new(n, in_c, h, w), 30, &mut state);
             for v in conv.forward(&x, Mode::Train).as_slice() {
                 for byte in v.to_bits().to_le_bytes() {
@@ -641,8 +634,8 @@ mod tests {
         let mut state = 0xbac4_3a2d;
         for (i, case) in corpus().into_iter().enumerate() {
             let (n, in_c, _, _, _, _, h, w) = case;
-            let mut direct = corpus_layer(case, i as u64, ConvImpl::Direct);
-            let mut fast = corpus_layer(case, i as u64, ConvImpl::Im2col);
+            let mut direct = corpus_layer(case, i as u64);
+            let mut fast = corpus_layer(case, i as u64);
             for round in 0..2 {
                 let mut x = sparse(Shape4::new(n, in_c, h, w), 30, &mut state);
                 if i % 4 == 0 && round == 0 {
@@ -650,10 +643,10 @@ mod tests {
                     let mid = x.len() / 2;
                     x.as_mut_slice()[mid] = f32::INFINITY;
                 }
-                let out_shape = direct.forward(&x, Mode::Train).shape();
+                let out_shape = forward_direct(&mut direct, &x).shape();
                 let _ = fast.forward(&x, Mode::Train);
                 let g = sparse(out_shape, 85, &mut state);
-                let (dx_direct, dx_fast) = (direct.backward(&g), fast.backward(&g));
+                let (dx_direct, dx_fast) = (backward_direct(&mut direct, &g), fast.backward(&g));
                 assert_eq!(
                     bits(dx_direct.as_slice()),
                     bits(dx_fast.as_slice()),

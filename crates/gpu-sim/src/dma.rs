@@ -202,7 +202,6 @@ pub struct DmaPipeline {
     max_occ: f64,
     total_u: u64,
     total_c: u64,
-    lines: u64,
     /// Femtoseconds the link has spent draining.
     link_fs: u64,
 }
@@ -230,7 +229,6 @@ impl DmaPipeline {
             max_occ: 0.0,
             total_u: 0,
             total_c: 0,
-            lines: 0,
             link_fs: 0,
         }
     }
@@ -364,7 +362,6 @@ impl DmaPipeline {
                     self.shift((start - t) * left);
                     self.total_u += table_u * left;
                     self.total_c += table_c * left;
-                    self.lines += lines.len() as u64 * left;
                     self.link_fs += drain_fs * left;
                     break;
                 }
@@ -439,7 +436,6 @@ impl DmaPipeline {
         );
         self.total_u += uncompressed as u64;
         self.total_c += compressed as u64;
-        self.lines += 1;
 
         // Find the earliest issue time satisfying buffer backpressure. A
         // release time before the last `advance_to` is clamped to it:
@@ -542,7 +538,6 @@ impl DmaPipeline {
         self.max_occ = 0.0;
         self.total_u = 0;
         self.total_c = 0;
-        self.lines = 0;
         self.link_fs = 0;
     }
 
@@ -555,12 +550,6 @@ impl DmaPipeline {
     pub fn advance_to(&mut self, now: f64) {
         self.now = self.now.max(seconds_to_fs(now));
         self.retire(self.now);
-    }
-
-    /// Lines pushed so far, extrapolated ones included.
-    // pub: test oracle: proptest_sim.rs counts the lines push_table extrapolates
-    pub fn lines_pushed(&self) -> u64 {
-        self.lines
     }
 
     /// Aggregate accounting of everything pushed so far.
@@ -817,7 +806,6 @@ mod tests {
                 last_issue = pipe.push_line(0.0, u, c).issue;
             }
             assert_eq!(pipe.result(), batch, "case {case}");
-            assert_eq!(pipe.lines_pushed(), lines.len() as u64);
         }
     }
 
@@ -849,7 +837,7 @@ mod tests {
         let cap = pipe.sched.capacity();
         pipe.reset();
         assert_eq!(pipe.result().total_time, 0.0);
-        assert_eq!(pipe.lines_pushed(), 0);
+        assert_eq!(pipe.result().uncompressed_bytes, 0);
         assert_eq!(pipe.sched.capacity(), cap, "reset keeps schedule storage");
         for &(u, c) in &lines {
             pipe.push_line(0.0, u, c);
@@ -903,7 +891,7 @@ mod tests {
         let bound = live_bound(cfg().dma_buffer);
         let mut pipe = DmaPipeline::new(cfg());
         let peak = push_zvc_lines(&mut pipe, 1_000_000, None);
-        assert_eq!(pipe.lines_pushed(), 1_000_000);
+        assert_eq!(pipe.result().uncompressed_bytes, 1_000_000 * 4096);
         assert!(peak <= bound, "{peak} lines live, bound {bound}");
         assert!(
             pipe.sched.capacity() < 2 * bound,
@@ -989,7 +977,7 @@ mod tests {
             (p.arrived - p.head, p.peak_head - p.head),
             (p.reserved, p.resident, p.peak_resident),
             p.sched[p.head..].to_vec(),
-            (p.total_u, p.total_c, p.lines, p.link_fs),
+            (p.total_u, p.total_c, p.link_fs),
             p.max_occ.to_bits(),
         )
     }
@@ -1064,14 +1052,14 @@ mod tests {
         let mut pipe = DmaPipeline::new(cfg());
         let run = pipe.push_table(1e-3, &[(4096, 1024)], 2);
         assert_eq!(run.stepped, 2);
-        assert_eq!(pipe.lines_pushed(), 2);
+        assert_eq!(pipe.result().uncompressed_bytes, 2 * 4096);
         // Reads outpace the link 4:1, so the buffer fills (about 170
         // lines) before the schedule turns periodic.
         let busy = pipe.push_table(0.0, &[(4096, 1024); 3], 1000);
         assert_eq!(busy.read_busy_fs, 3000 * 4096 * 5_000);
         assert_eq!(busy.link_busy_fs, 3000 * 1024 * 78_125);
         assert!(busy.stepped < 100, "stepped {}", busy.stepped);
-        assert_eq!(pipe.lines_pushed(), 3002);
+        assert_eq!(pipe.result().uncompressed_bytes, 3002 * 4096);
         assert_eq!(pipe.result().total_time, busy.end);
     }
 }

@@ -465,7 +465,6 @@ fn running_sum_stepping_matches_the_scan_oracle() {
         }
 
         let (got, want) = (fast.result(), oracle.result());
-        assert_eq!(fast.lines_pushed(), MIX_LINES as u64, "case {case}");
         assert_eq!(
             got.uncompressed_bytes, want.uncompressed_bytes,
             "case {case}"
@@ -542,7 +541,6 @@ fn stepping_schedules_are_pinned_bit_for_bit() {
                     [s.issue, s.read_done, s.arrival, s.drain_start, s.drain_end].map(f64::to_bits),
                 );
             }
-            assert_eq!(pipe.lines_pushed(), (MIX_LINES / 2) as u64, "case {case}");
             let r = pipe.result();
             digest = fnv(
                 digest,
@@ -616,7 +614,6 @@ fn a_repeated_table_extrapolates_to_its_lines_pushed_one_by_one() {
             stepped.result().total_time.to_bits(),
             "{what}"
         );
-        assert_eq!(pipe.lines_pushed(), stepped.lines_pushed(), "{what}");
         for i in 0..256 {
             let step = mix.next(rng, last_issue, stepped.result().total_time);
             if let Some(now) = step.advance {

@@ -172,7 +172,9 @@ struct PeTrace {
 pub struct PeArray {
     /// Processing elements (EIE builds 64).
     pub pes: usize,
-    /// Activation-FIFO entries per PE (broadcast-ahead window).
+    /// Activation-FIFO entries per PE (broadcast-ahead window), at least
+    /// one: a depth-1 FIFO means fully synchronous broadcast, every PE
+    /// finishing a column before the next one.
     pub fifo_depth: usize,
     /// Clock in Hz, used only to convert cycle timelines to seconds
     /// (EIE signs off at 800 MHz).
@@ -193,18 +195,6 @@ impl PeArray {
             fifo_depth: 8,
             clock_hz: 800e6,
         }
-    }
-
-    /// Overrides the FIFO depth.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero depth (a depth-1 FIFO means fully synchronous
-    /// broadcast: every PE must finish a column before the next one).
-    pub fn fifo_depth(mut self, depth: usize) -> Self {
-        assert!(depth > 0, "FIFO needs at least one slot");
-        self.fifo_depth = depth;
-        self
     }
 
     /// Cycles a dense array of this PE count spends on a `rows x cols`
@@ -263,6 +253,7 @@ impl PeArray {
         assert_eq!(workload.pes(), self.pes, "workload sliced for this array");
         let pes = self.pes;
         let depth = self.fifo_depth;
+        assert!(depth > 0, "FIFO needs at least one slot");
         // finish[k] of the previous column, and a ring of the last
         // `depth` finishes per PE for the FIFO-space constraint.
         let mut finish_prev = vec![0u64; pes];
@@ -405,7 +396,11 @@ mod tests {
         let m = CscMatrix::synth(64, 40, 0.3, 4);
         let w = PeWorkload::from_matrix(&m, 4);
         let acts = vec![1.0f32; 40];
-        let t = PeArray::new(4).fifo_depth(1).run(&w, &acts, false);
+        let t = PeArray {
+            fifo_depth: 1,
+            ..PeArray::new(4)
+        }
+        .run(&w, &acts, false);
         let mut t_issue = 0u64;
         let mut drain = 0u64;
         let mut want = 0u64;
@@ -421,7 +416,11 @@ mod tests {
         }
         assert_eq!(t.cycles, want.max(t_issue + 1));
         // Deeper FIFOs can only help.
-        let deep = PeArray::new(4).fifo_depth(16).run(&w, &acts, false);
+        let deep = PeArray {
+            fifo_depth: 16,
+            ..PeArray::new(4)
+        }
+        .run(&w, &acts, false);
         assert!(deep.cycles <= t.cycles);
         assert!(deep.stall_cycles <= t.stall_cycles);
     }
@@ -441,9 +440,11 @@ mod tests {
             let mut acts = vec![0.0f32; w.cols()];
             crate::weights::fill_weights(rng.gen_range(0..u64::MAX), 0.5, &mut acts);
             let skip = rng.gen_range(0u32..2) == 1;
-            let (timeline, trace) = PeArray::new(pes)
-                .fifo_depth([1usize, 2, 8][rng.gen_range(0usize..3)])
-                .run_traced(&w, &acts, skip);
+            let arr = PeArray {
+                fifo_depth: [1usize, 2, 8][rng.gen_range(0usize..3)],
+                ..PeArray::new(pes)
+            };
+            let (timeline, trace) = arr.run_traced(&w, &acts, skip);
             for k in 0..pes {
                 for n in 1..trace.spans[k].len() {
                     let (start, _) = trace.spans[k][n];
@@ -473,7 +474,10 @@ mod tests {
             let cols = rng.gen_range(4usize..32);
             let mut w = synth_workload(&mut rng, rows, cols, pes);
             let acts = vec![1.0f32; w.cols()];
-            let arr = PeArray::new(pes).fifo_depth(rng.gen_range(1usize..9));
+            let arr = PeArray {
+                fifo_depth: rng.gen_range(1usize..9),
+                ..PeArray::new(pes)
+            };
             let before = arr.run(&w, &acts, false);
             // Grow one random slice; total time can never shrink.
             let c = rng.gen_range(0..w.cols());

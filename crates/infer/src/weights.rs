@@ -40,7 +40,9 @@ thread_local! {
 /// // W = [[1, 0], [0, 2], [0, 3]]  (3x2, row-major)
 /// let w = CscMatrix::from_dense(3, 2, &[1.0, 0.0, 0.0, 2.0, 0.0, 3.0]);
 /// assert_eq!(w.column_nonzeros(1).collect::<Vec<_>>(), [(1, 2.0), (2, 3.0)]);
-/// assert_eq!(w.matvec(&[10.0, 100.0]), vec![10.0, 200.0, 300.0]);
+/// let mut y = Vec::new();
+/// w.matvec_into(&[10.0, 100.0], &mut y);
+/// assert_eq!(y, vec![10.0, 200.0, 300.0]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct CscMatrix {
@@ -261,13 +263,6 @@ impl CscMatrix {
         }
     }
 
-    /// Allocating form of [`CscMatrix::matvec_into`].
-    pub fn matvec(&self, x: &[f32]) -> Vec<f32> {
-        let mut y = Vec::new();
-        self.matvec_into(x, &mut y);
-        y
-    }
-
     /// Deep-compression weight sharing: quantizes the retained values to
     /// at most `levels` uniformly spaced centroids and re-encodes every
     /// column. With `levels <= 256` the per-column streams switch to
@@ -280,6 +275,7 @@ impl CscMatrix {
     /// # Panics
     ///
     /// Panics when `levels` is zero.
+    // pub: EIE's weight sharing (the crate docs' table); differential.rs runs it
     pub fn quantized(&self, levels: usize) -> CscMatrix {
         assert!(levels > 0, "need at least one quantization level");
         let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
@@ -408,7 +404,8 @@ mod tests {
         let dense = m.to_dense();
         let mut x = vec![0.0f32; cols];
         fill_weights(13, 0.5, &mut x);
-        let y = m.matvec(&x);
+        let mut y = Vec::new();
+        m.matvec_into(&x, &mut y);
         for r in 0..rows {
             let want: f32 = (0..cols).map(|c| dense[r * cols + c] * x[c]).sum();
             assert!((y[r] - want).abs() <= 1e-6 * want.abs().max(1.0));

@@ -123,7 +123,8 @@ fn sparse_matvec_matches_the_dense_oracle_across_the_zoo() {
             }
             let mut x = vec![0.0f32; n];
             fill_weights(seed ^ 0xFEED, 0.5, &mut x);
-            let got = matrix.matvec(&x);
+            let mut got = Vec::new();
+            matrix.matvec_into(&x, &mut got);
             let want = oracle_matvec(rows, n, &w, &x);
             for r in 0..rows {
                 assert!(

@@ -49,6 +49,7 @@ pub fn tiny_alexnet_spec(classes: usize, batch: usize) -> NetworkSpec {
 /// For each layer of [`tiny_alexnet_spec`], in order: the [`tiny_alexnet`]
 /// layer whose output *is* that spec layer's activation map (post-ReLU for
 /// the fused conv/fc layers, pre-dropout for `fc1`).
+// pub: the probe list `capture_training_step` takes for tiny AlexNet
 pub const TINY_ALEXNET_PROBES: [&str; 6] = ["relu0", "pool0", "relu1", "pool1", "relu_fc1", "fc2"];
 
 /// A tiny GoogLeNet-style network: a stem conv followed by an inception

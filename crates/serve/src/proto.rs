@@ -171,6 +171,7 @@ pub struct Response {
 /// The [`Response::error`] of a request whose [`JobKernel`](crate::JobKernel)
 /// panicked: the server caught the unwind, failed that one request and
 /// kept the worker.
+// pub: the error a client matches a panicked kernel's response by
 pub const KERNEL_PANICKED: DecodeError = DecodeError::Corrupt("job kernel panicked");
 
 impl Response {

@@ -505,6 +505,7 @@ impl Server {
     /// # Panics
     ///
     /// Same conditions as [`Server::start`].
+    // pub: the entry point for a caller's own JobKernel (handoff.rs, zero_alloc.rs)
     pub fn start_with_kernel(
         config: ServerConfig,
         tenants: Vec<TenantSpec>,

@@ -119,11 +119,6 @@ impl ActivationGen {
         }
     }
 
-    /// The clustering parameters in use.
-    pub fn clustering(&self) -> SpatialClustering {
-        self.clustering
-    }
-
     /// Generates an activation tensor of `shape` in `layout` whose density
     /// is `density` (to within one element).
     ///

@@ -166,6 +166,7 @@ impl Tensor {
 
     /// Produces a new tensor with identical logical contents in a different
     /// layout. Returns a clone when the layout already matches.
+    // pub: the relayout of the crate docs' example; proptest_tensor.rs round-trips it
     pub fn to_layout(&self, layout: Layout) -> Tensor {
         if layout == self.layout {
             return self.clone();

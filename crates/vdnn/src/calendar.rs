@@ -123,12 +123,6 @@ impl<T> CalendarQueue<T> {
         self.len == 0
     }
 
-    /// Entries pushed over the queue's lifetime (the sequence counter —
-    /// also the tie-break key of the next push).
-    pub fn pushed(&self) -> u64 {
-        self.seq
-    }
-
     #[inline]
     fn mask(&self) -> u64 {
         self.buckets.len() as u64 - 1

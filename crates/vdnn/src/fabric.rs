@@ -451,6 +451,7 @@ impl FluidFabric {
     }
 
     /// Completion time of a request, once it has fully drained.
+    // pub: how a caller reads a request's finish (the module docs' example)
     pub fn completion(&self, req: RequestId) -> Option<f64> {
         self.requests[req.index()].completion
     }

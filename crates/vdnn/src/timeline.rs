@@ -36,9 +36,9 @@
 //! serial prefetch of the deepest offloaded input.
 //!
 //! The CPU→GPU (prefetch) direction has one source of truth,
-//! [`prefetch_seconds`]: the link moves compressed bytes while the
+//! `prefetch_seconds`: the link moves compressed bytes while the
 //! memory-controller engines decompress at their aggregate throughput,
-//! whichever is slower. `CdmaEngine::prefetch_time` delegates here.
+//! whichever is slower.
 
 use std::sync::Arc;
 
@@ -54,9 +54,12 @@ use crate::{ComputeModel, RatioTable};
 /// `uncompressed_bytes`: the link drains the compressed stream while the
 /// memory-controller engines decompress at their aggregate throughput, so
 /// the slower of the two dominates. The single source of truth for the
-/// prefetch direction (`CdmaEngine::prefetch_time` and the timeline's
-/// measured prefetch path both call this).
-pub fn prefetch_seconds(cfg: &SystemConfig, uncompressed_bytes: u64, compressed_bytes: u64) -> f64 {
+/// prefetch direction: the timeline's measured prefetch path calls it.
+pub(crate) fn prefetch_seconds(
+    cfg: &SystemConfig,
+    uncompressed_bytes: u64,
+    compressed_bytes: u64,
+) -> f64 {
     let link = compressed_bytes as f64 / cfg.pcie_bw;
     let engines = ZvcEngine::new(cfg.engine_clock);
     let decompress = uncompressed_bytes as f64 / engines.aggregate_throughput(cfg.mem_controllers);
@@ -439,7 +442,7 @@ impl TransferSource for UniformRatio {
 /// compressed)` line sizes, one table per layer output (plus one for the
 /// network input), as produced by `CdmaEngine::memcpy_compressed` on actual
 /// activation data. Offloads run line by line through the shared
-/// [`DmaPipeline`]; prefetches use [`prefetch_seconds`] on the table's byte
+/// [`DmaPipeline`]; prefetches use `prefetch_seconds` on the table's byte
 /// totals.
 #[derive(Debug, Clone)]
 pub struct MeasuredStream {

@@ -133,7 +133,7 @@ fn random_interleavings_match_the_heap_oracle() {
                     // A past insert: earlier than anything recent.
                     _ => lcg(&mut seed) * 0.1,
                 };
-                q.push(time, q.pushed());
+                q.push(time, oracle.seq);
                 oracle.push(time);
             } else {
                 let (at, aseq) = q.pop().expect("non-empty");
@@ -186,7 +186,7 @@ fn bucket_boundary_times_order_correctly() {
         } else {
             times[n - 1 - i / 2]
         };
-        q.push(t, q.pushed());
+        q.push(t, oracle.seq);
         oracle.push(t);
     }
     drain_identically(&mut q, &mut oracle, "bucket boundaries");
@@ -201,17 +201,17 @@ fn far_future_and_non_finite_times_order_correctly() {
     let mut oracle = Oracle::default();
     for exp in 0..=300 {
         let t = 10f64.powi(exp);
-        q.push(t, q.pushed());
+        q.push(t, oracle.seq);
         oracle.push(t);
     }
     for t in [f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, 1e-9] {
-        q.push(t, q.pushed());
+        q.push(t, oracle.seq);
         oracle.push(t);
     }
     // Past inserts after far-future ones rewind the scan.
     for i in 0..50u64 {
         let t = i as f64 * 1e-3;
-        q.push(t, q.pushed());
+        q.push(t, oracle.seq);
         oracle.push(t);
     }
     drain_identically(&mut q, &mut oracle, "far future");

@@ -26,8 +26,9 @@
 //! the set on the caller's thread.
 //!
 //! Every experiment driver in [`core::experiment`] consumes scenarios and
-//! returns a typed value implementing [`core::report::Report`], renderable
-//! as aligned text, CSV, or hand-rolled escape-correct JSON:
+//! fills a [`core::report::ReportData`] — tables, notes and artifacts —
+//! as it computes, renderable as aligned text, CSV, or hand-rolled
+//! escape-correct JSON:
 //!
 //! ```
 //! use cdma::core::experiment;

@@ -5,6 +5,9 @@
 //! offloaded data, improving the performance of virtualized DNNs by an
 //! average 32% (maximum 61%)."
 
+mod cells;
+
+use cdma::compress::Algorithm;
 use cdma::core::experiment;
 use cdma::core::scenario::{Context, ScenarioFilter};
 use cdma::gpusim::SystemConfig;
@@ -44,11 +47,12 @@ fn abstract_numbers_reproduce_in_band() {
 fn squeezenet_is_the_most_transfer_bound_network() {
     // Fig. 13's qualitative shape: SqueezeNet suffers most under vDNN and
     // gains most from cDMA; OverFeat (compute-heavy) is barely affected.
-    let rows = experiment::fig13(&ctx(), &ScenarioFilter::all()).rows;
+    let report = experiment::fig13(&ctx(), &ScenarioFilter::all());
+    let rows = cells::records(&report.tables[0]);
     let vdnn_perf = |net: &str| {
         rows.iter()
-            .find(|r| r.network == net && r.config == experiment::PerfConfig::Vdnn)
-            .map(|r| r.performance)
+            .find(|r| r.str("network") == net && r.str("config") == "vDNN")
+            .map(|r| r.num("performance"))
             .expect("network present")
     };
     assert!(vdnn_perf("SqueezeNet") < vdnn_perf("GoogLeNet"));
@@ -60,14 +64,14 @@ fn squeezenet_is_the_most_transfer_bound_network() {
 fn zlib_adds_almost_nothing_over_zvc() {
     // Section VII-B: "an average 0.7% speedup over ZVC (maximum 2.2%)" —
     // the key argument for choosing simple ZVC hardware.
-    let rows = experiment::fig13(&ctx(), &ScenarioFilter::all()).rows;
-    let perf = |net: &str, cfg: experiment::PerfConfig| {
+    let report = experiment::fig13(&ctx(), &ScenarioFilter::all());
+    let rows = cells::records(&report.tables[0]);
+    let perf = |net: &str, alg: Algorithm| {
         rows.iter()
-            .find(|r| r.network == net && r.config == cfg)
-            .map(|r| r.performance)
+            .find(|r| r.str("network") == net && r.str("config") == alg.label())
+            .map(|r| r.num("performance"))
             .expect("cell present")
     };
-    use cdma::compress::Algorithm;
     let mut gains = Vec::new();
     for net in [
         "AlexNet",
@@ -77,8 +81,8 @@ fn zlib_adds_almost_nothing_over_zvc() {
         "SqueezeNet",
         "GoogLeNet",
     ] {
-        let zv = perf(net, experiment::PerfConfig::Cdma(Algorithm::Zvc));
-        let zl = perf(net, experiment::PerfConfig::Cdma(Algorithm::Zlib));
+        let zv = perf(net, Algorithm::Zvc);
+        let zl = perf(net, Algorithm::Zlib);
         gains.push(zl / zv - 1.0);
     }
     let avg = gains.iter().sum::<f64>() / gains.len() as f64;
@@ -92,13 +96,13 @@ fn zlib_adds_almost_nothing_over_zvc() {
 fn fig12_average_traffic_reduction_matches() {
     // ZV cuts PCIe traffic to ~1/2.6 ≈ 0.38 of vDNN on average; zlib only
     // ~3% better overall (Section VII-A).
-    let rows = experiment::fig12(&ctx(), &ScenarioFilter::all()).rows;
-    use cdma::compress::Algorithm;
+    let report = experiment::fig12(&ctx(), &ScenarioFilter::all());
+    let rows = cells::records(&report.tables[0]);
     let avg = |alg: Algorithm| {
         let v: Vec<f64> = rows
             .iter()
-            .filter(|r| r.algorithm == alg)
-            .map(|r| r.normalized_offload)
+            .filter(|r| r.str("algorithm") == alg.label())
+            .map(|r| r.num("normalized_offload"))
             .collect();
         v.iter().sum::<f64>() / v.len() as f64
     };

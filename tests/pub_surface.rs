@@ -11,8 +11,11 @@
 //! files declared behind `#[cfg(test)] mod x;`; `tests/`,
 //! `crates/*/tests` and `crates/*/benches` keep no name alive. A `pub use`
 //! re-export names an item without using it, so it does not count; a
-//! `use … X as Y` credits every use of `Y` to `X`. Enum variants and
-//! fields are not checked: their names are too common to scan by word.
+//! `use … X as Y` credits every use of `Y` to `X`. A comment (`//`,
+//! `///`, `//!`) names nothing: its text is dropped before matching. Enum
+//! variants and fields are not checked: their names are too common to
+//! scan by word — and a common-word name (`new`, `len`) can still be kept
+//! alive by an unrelated use of the word.
 //!
 //! The `unsafe` surface is the ZVC kernels': the word occurs in
 //! `crates/*/src` only under `crates/compress/src/zvc/`.
@@ -23,7 +26,54 @@ use std::collections::HashSet;
 use std::fs;
 use std::path::Path;
 
-use support::{crate_srcs, is_word, non_test_sources, rust_files};
+use support::{crate_srcs, is_word, non_test_sources, raw_string_hashes, rust_files};
+
+/// `code` without the text of its line comments (`//`, `///`, `//!`):
+/// a comment calls nothing. String, raw-string and char literals are
+/// copied whole, so a `//` inside one is no comment.
+fn strip_comments(code: &str) -> String {
+    let text: Vec<char> = code.chars().collect();
+    let at = |i: usize| text.get(i).copied().unwrap_or('\0');
+    let mut out = String::with_capacity(code.len());
+    let mut i = 0;
+    while i < text.len() {
+        let stop = match text[i] {
+            '/' if at(i + 1) == '/' => {
+                i = (i..text.len())
+                    .find(|&j| text[j] == '\n')
+                    .unwrap_or(text.len());
+                continue;
+            }
+            '"' => {
+                let mut j = i + 1;
+                while j < text.len() && text[j] != '"' {
+                    j += if text[j] == '\\' { 2 } else { 1 };
+                }
+                j + 1
+            }
+            'r' if raw_string_hashes(&text, i).is_some() => {
+                let hashes = raw_string_hashes(&text, i).unwrap_or(0);
+                let close: Vec<char> = std::iter::once('"')
+                    .chain(std::iter::repeat_n('#', hashes))
+                    .collect();
+                let body = i + 2 + hashes;
+                (body..text.len())
+                    .find(|&j| text[j..].starts_with(&close))
+                    .map_or(text.len(), |j| j + close.len())
+            }
+            // A char literal (`'"'`, `'\''`); otherwise a lifetime.
+            '\'' if at(i + 1) == '\\' => (i + 3..text.len())
+                .find(|&j| text[j] == '\'')
+                .map_or(text.len(), |j| j + 1),
+            '\'' if at(i + 2) == '\'' => i + 3,
+            _ => i + 1,
+        };
+        let stop = stop.min(text.len());
+        out.extend(&text[i..stop]);
+        i = stop;
+    }
+    out
+}
 
 /// `text` without its `pub use` statements; the `(item, alias)` pair of
 /// every `X as Y` in its `use` statements, re-exports included, goes to
@@ -74,8 +124,8 @@ fn declared(line: &str) -> Option<(&str, bool)> {
 
 /// The words of `code` a type's own file uses it by: every line but
 /// comments, declarations and `impl` headers. A type reaches its callers
-/// through the signatures that take or return it (`fig11` returns
-/// `Fig11Report`, which no caller needs to name), so those count.
+/// through the signatures that take or return it (`Context::stats`
+/// returns `CacheStats`, which no caller needs to name), so those count.
 fn signature_words(code: &str) -> HashSet<&str> {
     code.lines()
         .filter(|l| {
@@ -100,14 +150,15 @@ fn unreferenced(types: bool) -> String {
     let mut aliases = Vec::new();
     let uses: Vec<String> = callers
         .iter()
-        .map(|(_, t)| strip_reexports(t, &mut aliases))
+        .map(|(_, t)| strip_reexports(&strip_comments(t), &mut aliases))
         .collect();
     let words: Vec<HashSet<&str>> = uses
         .iter()
         .map(|t| t.split(|c| !is_word(c)).collect())
         .collect();
 
-    let own: Vec<HashSet<&str>> = shipped.iter().map(|(_, t)| signature_words(t)).collect();
+    let code: Vec<String> = shipped.iter().map(|(_, t)| strip_comments(t)).collect();
+    let own: Vec<HashSet<&str>> = code.iter().map(|t| signature_words(t)).collect();
 
     let mut unreferenced = Vec::new();
     for (i, (file, code)) in shipped.iter().enumerate() {

@@ -2,10 +2,12 @@
 //! the legacy drivers' numbers **bit for bit**. Each legacy driver is
 //! re-implemented here verbatim (the pre-refactor triple loops over
 //! `zoo × Layout × Algorithm`), sharing only the `RatioTable`, and every
-//! f64 is compared by bit pattern.
+//! f64 is compared by bit pattern, as the report's cell holds it.
+
+mod cells;
 
 use cdma::compress::Algorithm;
-use cdma::core::experiment::{self, PerfConfig};
+use cdma::core::experiment;
 use cdma::core::scenario::{Context, ScenarioFilter};
 use cdma::gpusim::SystemConfig;
 use cdma::models::{profiles, zoo};
@@ -44,23 +46,24 @@ fn fig11_matches_the_legacy_triple_loop_bit_for_bit() {
         }
     }
 
-    let rows = experiment::fig11(&ctx(), &ScenarioFilter::all()).rows;
+    let report = experiment::fig11(&ctx(), &ScenarioFilter::all());
+    let rows = cells::records(&report.tables[0]);
     assert_eq!(rows.len(), legacy.len());
     for (row, (net, layout, alg, avg, max)) in rows.iter().zip(&legacy) {
-        assert_eq!(&row.network, net);
-        assert_eq!(&row.layout, layout);
-        assert_eq!(&row.algorithm, alg);
+        assert_eq!(row.str("network"), net);
+        assert_eq!(row.str("layout"), layout.to_string());
+        assert_eq!(row.str("algorithm"), alg.label());
         assert_eq!(
-            row.avg_ratio.to_bits(),
+            row.num("avg_ratio").to_bits(),
             avg.to_bits(),
             "{net}/{layout}/{alg:?} avg: {} vs {avg}",
-            row.avg_ratio
+            row.num("avg_ratio")
         );
         assert_eq!(
-            row.max_ratio.to_bits(),
+            row.num("max_ratio").to_bits(),
             max.to_bits(),
             "{net}/{layout}/{alg:?} max: {} vs {max}",
-            row.max_ratio
+            row.num("max_ratio")
         );
     }
 }
@@ -77,13 +80,14 @@ fn fig12_matches_the_legacy_driver_bit_for_bit() {
         }
     }
 
-    let rows = experiment::fig12(&ctx(), &ScenarioFilter::all()).rows;
+    let report = experiment::fig12(&ctx(), &ScenarioFilter::all());
+    let rows = cells::records(&report.tables[0]);
     assert_eq!(rows.len(), legacy.len());
     for (row, (net, alg, norm)) in rows.iter().zip(&legacy) {
-        assert_eq!(&row.network, net);
-        assert_eq!(&row.algorithm, alg);
+        assert_eq!(row.str("network"), net);
+        assert_eq!(row.str("algorithm"), alg.label());
         assert_eq!(
-            row.normalized_offload.to_bits(),
+            row.num("normalized_offload").to_bits(),
             norm.to_bits(),
             "{net}/{alg:?}"
         );
@@ -95,12 +99,13 @@ fn fig13_matches_the_legacy_driver_bit_for_bit() {
     let cfg = SystemConfig::titan_x_pcie3();
     let t = table();
     let sim = TimelineSim::new(cfg, ComputeModel::titan_x(CudnnVersion::V5));
-    let mut legacy: Vec<(String, PerfConfig, f64)> = Vec::new();
+    // Each bar's config as Fig. 13 labels it: "vDNN", the algorithm, "orac".
+    let mut legacy: Vec<(String, &str, f64)> = Vec::new();
     for spec in zoo::all_networks() {
         let profile = profiles::density_profile(&spec);
         legacy.push((
             spec.name().to_owned(),
-            PerfConfig::Vdnn,
+            "vDNN",
             sim.normalized_performance(&spec, &UniformRatio::uniform(&spec, 1.0)),
         ));
         for alg in Algorithm::ALL {
@@ -108,26 +113,27 @@ fn fig13_matches_the_legacy_driver_bit_for_bit() {
             let ratios = traffic::per_layer_ratios(&nt);
             legacy.push((
                 spec.name().to_owned(),
-                PerfConfig::Cdma(alg),
+                alg.label(),
                 sim.normalized_performance(
                     &spec,
                     &UniformRatio::new(&spec, TransferPolicy::OffloadAll(ratios)),
                 ),
             ));
         }
-        legacy.push((spec.name().to_owned(), PerfConfig::Oracle, 1.0));
+        legacy.push((spec.name().to_owned(), "orac", 1.0));
     }
 
-    let rows = experiment::fig13(&ctx(), &ScenarioFilter::all()).rows;
+    let report = experiment::fig13(&ctx(), &ScenarioFilter::all());
+    let rows = cells::records(&report.tables[0]);
     assert_eq!(rows.len(), legacy.len());
     for (row, (net, config, perf)) in rows.iter().zip(&legacy) {
-        assert_eq!(&row.network, net);
-        assert_eq!(&row.config, config);
+        assert_eq!(row.str("network"), net);
+        assert_eq!(row.str("config"), *config);
         assert_eq!(
-            row.performance.to_bits(),
+            row.num("performance").to_bits(),
             perf.to_bits(),
-            "{net}/{config:?}: {} vs {perf}",
-            row.performance
+            "{net}/{config}: {} vs {perf}",
+            row.num("performance")
         );
     }
 }

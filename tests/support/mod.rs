@@ -179,7 +179,7 @@ fn item_end(lines: &[&str]) -> (usize, String) {
 
 /// The `#` count of a raw string (`r"…"`, `r#"…"#`, `br"…"`) opening at
 /// `text[i] == 'r'`, if one does.
-fn raw_string_hashes(text: &[char], i: usize) -> Option<usize> {
+pub fn raw_string_hashes(text: &[char], i: usize) -> Option<usize> {
     let before = |k: usize| i.checked_sub(k).map(|j| text[j]);
     let starts_token = match before(1) {
         None => true,
