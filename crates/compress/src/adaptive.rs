@@ -11,18 +11,15 @@
 //! the probe pay for a real DEFLATE pass, keeping it when it beats both.
 //!
 //! What the probe costs: a sparse window is three counting passes and one
-//! RLE or ZVC call; a dense window is one DEFLATE call written straight
-//! into the output (and truncated away if it loses), ~28 µs for 4 KB on
-//! the development container — 16 µs of it the LZ77 search, the rest
-//! counting, two Huffman codes, the block header and the token bits (see
-//! `deflate`). On the benchmark's AlexNet activations the picker averages
-//! 16.5 µs a window, 0.25 GB/s, between `Huff` (6.3 µs) and `Zlib`
-//! (28 µs). The probe is not worth second-guessing there: it runs on 382
-//! of 880 windows and DEFLATE wins 366 of them (seed 41), so a bound
-//! that skipped every losing probe would save 4% of the picker's time.
-//! Should that change, the exact size of the block is known before a bit
-//! of it is written (`deflate::encode` prices stored, fixed and dynamic
-//! from the token histogram), so a losing probe could stop there.
+//! RLE or ZVC call; a dense window is one DEFLATE call, ~30 µs for 4 KB
+//! on the development container — 19–20 µs of it the LZ77 search, the
+//! rest two Huffman codes, the block header and the token bits (see
+//! `deflate`). The block is priced to the byte before a bit of it is
+//! written, and written only if it beats both sparse codecs, so a losing
+//! probe costs its search and its codes and writes nothing: 16 of the
+//! 382 dense windows of the benchmark's AlexNet activations (seed 41),
+//! where the picker runs at 2.5× `Zlib`'s rate and a quarter of `Huff`'s
+//! (traced `offload_entropy`: 0.22, 0.089 and 0.85 GB/s).
 //!
 //! Wire format: per window, one tag byte — an index into [`PICKS`] —
 //! followed by that codec's complete stream for the window's words. Every
@@ -30,7 +27,7 @@
 //! so no per-window length field is stored and nothing here knows another
 //! codec's format: decoding a window is what finds where it ends.
 
-use crate::{Algorithm, Compressor, DecodeError, Rle, Zvc};
+use crate::{Algorithm, Compressor, DecodeError, Rle, Zlib, Zvc};
 
 /// Words per adaptive window (4 KB of f32 — the paper's DMA window size).
 pub const WINDOW_WORDS: usize = 1024;
@@ -79,13 +76,13 @@ impl Compressor for Adaptive {
             if nz * 2 >= chunk.len() {
                 // Dense window: the sparse codecs are near their floor, so
                 // a DEFLATE probe is the only path to real compression.
-                // It is written in place and taken back if it loses.
-                let start = out.len();
-                push_window(TAG_DEFLATE, chunk, out);
-                if out.len() - (start + 1) < rle_size.min(zvc_size) {
+                // It is priced before it is written and written only if
+                // it beats both; a losing probe leaves its tag to undo.
+                out.push(TAG_DEFLATE);
+                if Zlib::new().compress_append_within(chunk, rle_size.min(zvc_size), out) {
                     continue;
                 }
-                out.truncate(start);
+                out.pop();
             }
             let tag = if rle_size <= zvc_size {
                 TAG_RLE
@@ -123,7 +120,6 @@ impl Compressor for Adaptive {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Zlib;
 
     fn roundtrip(data: &[f32]) -> usize {
         let ad = Adaptive::new();

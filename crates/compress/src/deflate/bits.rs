@@ -8,13 +8,30 @@
 
 use crate::DecodeError;
 
-/// Reverses the low `len` bits of `code` (Huffman codes enter the
-/// LSB-first stream most-significant-bit first). Shifts in two steps, so
-/// that `len == 0` needs no branch: everything is shifted out.
+/// Reverses the low `len` bits of `code`, `len <= 16` (Huffman codes
+/// enter the LSB-first stream most-significant-bit first). `len == 0`
+/// needs no branch: everything is shifted out.
+///
+/// Two byte lookups: x86 has no instruction that reverses bits, and the
+/// shift-and-mask ladder `u32::reverse_bits` compiles to there costs a
+/// third of the canonical code assignment that calls this per symbol.
 #[inline]
 pub(crate) fn reverse_bits(code: u32, len: u8) -> u32 {
-    code.reverse_bits() >> 1 >> (31 - len as u32)
+    let reversed = (REVERSED_BYTES[(code & 0xFF) as usize] as u32) << 8
+        | REVERSED_BYTES[(code >> 8 & 0xFF) as usize] as u32;
+    reversed >> (16 - len as u32)
 }
+
+/// Every byte with its bits in reverse order.
+const REVERSED_BYTES: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut i = 0;
+    while i < 256 {
+        table[i] = (i as u8).reverse_bits();
+        i += 1;
+    }
+    table
+};
 
 /// Bytes a writer's buffer must hold past the last byte it is asked to
 /// write: [`LsbWriter::flush`] stores the whole accumulator every time.
@@ -314,6 +331,13 @@ mod tests {
         assert_eq!(reverse_bits(0b1, 1), 0b1);
         assert_eq!(reverse_bits(0b101, 0), 0);
         assert_eq!(reverse_bits(0x0001, 16), 0x8000);
+        // Every code of every length, against the word-wide reversal.
+        for len in 0..=16u8 {
+            for code in 0..1u32 << 16 {
+                let want = code.reverse_bits() >> 1 >> (31 - len as u32);
+                assert_eq!(reverse_bits(code, len), want, "{code:#x} {len}");
+            }
+        }
     }
 
     #[test]

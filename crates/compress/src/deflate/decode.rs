@@ -405,8 +405,7 @@ mod tests {
     use super::super::bits::LsbWriter;
     use super::super::encode::{emit_dynamic_with, emit_fixed};
     use super::super::huffman::{code_lengths, MAX_CODE_LEN};
-    use super::super::lz77::Token;
-    use super::super::oracle::{self, inflate_both};
+    use super::super::oracle::{self, inflate_both, spell, Step};
     use super::*;
 
     /// A zlib stream of one block written by `block` that decodes to
@@ -423,24 +422,13 @@ mod tests {
         stream
     }
 
-    /// What `tokens` mean, one byte at a time.
-    fn expand(tokens: &[Token]) -> Vec<u8> {
-        let mut out = Vec::new();
-        for t in tokens {
-            match *t {
-                Token::Literal(b) => out.push(b),
-                Token::Match { len, dist } => {
-                    for _ in 0..len {
-                        out.push(out[out.len() - dist as usize]);
-                    }
-                }
-            }
-        }
-        out
+    /// A copy of `len` bytes `dist` back.
+    fn copy(len: usize, dist: usize) -> Step {
+        Step::Copy { len, dist }
     }
 
-    fn literals(bytes: impl IntoIterator<Item = u8>) -> Vec<Token> {
-        bytes.into_iter().map(Token::Literal).collect()
+    fn literals(bytes: impl IntoIterator<Item = u8>) -> Vec<Step> {
+        bytes.into_iter().map(Step::Lit).collect()
     }
 
     #[test]
@@ -451,15 +439,12 @@ mod tests {
         for dist in [1usize, 2, 3, 4, 5, 7, 8, 9, 16, 31, 257, 258, 259] {
             for len in (3..=12).chain([dist.clamp(3, 258), 64, 129, 257, 258]) {
                 let mut tokens = literals((0..dist.max(20)).map(|i| (i * 7 + 1) as u8));
-                tokens.push(Token::Match {
-                    len: len as u16,
-                    dist: dist as u16,
-                });
+                tokens.push(copy(len, dist));
                 tokens.extend(literals(*b"tail that keeps the fast loop going"));
-                tokens.push(Token::Match { len: 9, dist: 3 });
+                tokens.push(copy(9, 3));
                 tokens.extend(literals([0xEE; 24]));
-                let payload = expand(&tokens);
-                let stream = zlib_stream(&payload, |w| emit_fixed(w, &tokens));
+                let (payload, spelled) = spell(&tokens);
+                let stream = zlib_stream(&payload, |w| emit_fixed(w, &spelled.list, &payload));
                 let (out, consumed) = inflate_both(&stream, payload.len()).unwrap();
                 assert!(out == payload, "dist {dist} len {len}");
                 assert_eq!(consumed, stream.len());
@@ -497,18 +482,15 @@ mod tests {
         // Ending in a maximal match, in a literal, in a short match, and
         // in every phase of the fast loop's three literals.
         let mut tails = vec![
-            vec![Token::Match { len: 258, dist: 70 }],
-            vec![Token::Match { len: 258, dist: 1 }, Token::Literal(9)],
-            vec![
-                Token::Match { len: 30, dist: 200 },
-                Token::Match { len: 5, dist: 2 },
-            ],
+            vec![copy(258, 70)],
+            vec![copy(258, 1), Step::Lit(9)],
+            vec![copy(30, 200), copy(5, 2)],
         ];
         tails.extend((1..=6).map(|n| literals(0..n)));
         for tail in tails {
             let tokens = [head.clone(), tail].concat();
-            let payload = expand(&tokens);
-            let stream = zlib_stream(&payload, |w| emit_fixed(w, &tokens));
+            let (payload, spelled) = spell(&tokens);
+            let stream = zlib_stream(&payload, |w| emit_fixed(w, &spelled.list, &payload));
             let n = payload.len();
             // Alone the block's last codes fall to the careful loop for
             // want of input; with another stream's worth of bytes behind
@@ -570,14 +552,7 @@ mod tests {
         ] {
             assert_eq!(lens[s], MAX_CODE_LEN, "symbol {s}");
         }
-        let deep = [
-            Token::Literal(0),
-            Token::Literal(1),
-            Token::Match {
-                len: 200,
-                dist: 400,
-            },
-        ];
+        let deep = [Step::Lit(0), Step::Lit(1), copy(200, 400)];
         let mut tokens = literals((0..40).chain((0..40).rev()));
         tokens.extend(literals((0..400u32).map(|i| (i * i % 40) as u8)));
         tokens.extend(deep);
@@ -587,10 +562,7 @@ mod tests {
         .into_iter()
         .enumerate()
         {
-            tokens.push(Token::Match {
-                len: [3, 6, 258][i % 3],
-                dist: dist as u16,
-            });
+            tokens.push(copy([3, 6, 258][i % 3], dist));
             tokens.extend(literals([i as u8, 0, 39 - i as u8]));
             if i % 6 == 0 {
                 tokens.extend(deep);
@@ -599,9 +571,9 @@ mod tests {
         tokens.extend(literals((0..40).chain((0..40).rev())));
         tokens.extend(deep);
         tokens.extend(deep);
-        let payload = expand(&tokens);
+        let (payload, spelled) = spell(&tokens);
         let stream = zlib_stream(&payload, |w| {
-            emit_dynamic_with(w, &tokens, &lit_lens, &dist_lens)
+            emit_dynamic_with(w, &spelled.list, &payload, &lit_lens, &dist_lens)
         });
         assert!(inflate_both(&stream, payload.len()) == Ok((payload.clone(), stream.len())));
         oracle::for_each_damage(&stream, 0..stream.len(), |s| {
@@ -623,13 +595,13 @@ mod tests {
         dist_lens[0] = 1;
         let mut tokens = literals([2, 1, 0]);
         for _ in 0..12 {
-            tokens.push(Token::Match { len: 258, dist: 1 });
-            tokens.push(Token::Match { len: 23, dist: 1 });
-            tokens.push(Token::Literal(1));
+            tokens.push(copy(258, 1));
+            tokens.push(copy(23, 1));
+            tokens.push(Step::Lit(1));
         }
-        let payload = expand(&tokens);
+        let (payload, spelled) = spell(&tokens);
         let stream = zlib_stream(&payload, |w| {
-            emit_dynamic_with(w, &tokens, &lit_lens, &dist_lens)
+            emit_dynamic_with(w, &spelled.list, &payload, &lit_lens, &dist_lens)
         });
         assert_eq!(
             inflate_both(&stream, payload.len()),
@@ -657,14 +629,14 @@ mod tests {
         }
         let dist_lens = [0u8; NUM_DIST];
         let text = literals(*b"abbabaabbaababbabaab");
-        let payload = expand(&text);
+        let (payload, spelled) = spell(&text);
         let stream = zlib_stream(&payload, |w| {
-            emit_dynamic_with(w, &text, &lit_lens, &dist_lens)
+            emit_dynamic_with(w, &spelled.list, &payload, &lit_lens, &dist_lens)
         });
         assert_eq!(inflate_both(&stream, 64), Ok((payload, stream.len())));
-        let with_match = [text, vec![Token::Match { len: 3, dist: 1 }]].concat();
+        let (with_match, spelled) = spell(&[text, vec![copy(3, 1)]].concat());
         let stream = zlib_stream(&[], |w| {
-            emit_dynamic_with(w, &with_match, &lit_lens, &dist_lens)
+            emit_dynamic_with(w, &spelled.list, &with_match, &lit_lens, &dist_lens)
         });
         assert_eq!(
             inflate_both(&stream, 64),

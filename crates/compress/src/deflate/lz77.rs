@@ -141,14 +141,152 @@ pub(crate) fn distance_to_code(dist: usize) -> (usize, u16, u8) {
     (idx, dist as u16 - base, extra)
 }
 
+/// [`Token::dist_code`] of the end token: one past the 32 distance
+/// codes a code table can hold, a slot whose code is empty.
+pub(crate) const NO_DIST: u8 = 32;
+
+/// One match of the LZ77 stage and the literals that come before it, or
+/// the literals that end the input: what a block writes between two
+/// matches, in the style of libdeflate's sequences.
+///
+/// The literals are the input bytes themselves, so only their count is
+/// kept. The match keeps the symbols it is coded as — its length symbol
+/// and distance code with both extra values — worked out once, when it
+/// is found, so that neither counting nor writing looks anything up
+/// again (zlib's `sym_buf`, with the codes kept rather than the length
+/// and distance). The end token's symbol is end-of-block, and its
+/// distance code [`NO_DIST`]: a writer treats it as any other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Token {
-    Literal(u8),
-    /// `len` in `MIN_MATCH..=MAX_MATCH`, `dist` in `1..=WINDOW`.
-    Match {
-        len: u16,
-        dist: u16,
-    },
+pub(crate) struct Token {
+    /// Input bytes written as literals before the symbol: from where the
+    /// token before ended.
+    pub(crate) literals: usize,
+    /// Literal/length symbol: a length code `257..=285`, or [`EOB`].
+    pub(crate) sym: u16,
+    /// Bytes the match covers; 0 for the end token.
+    pub(crate) len: u16,
+    /// Value of the extra bits after the distance code.
+    pub(crate) dist_extra: u16,
+    /// Distance code, `0..30`, or [`NO_DIST`] for the end token.
+    pub(crate) dist_code: u8,
+    /// Value of the extra bits after the length symbol.
+    pub(crate) len_extra: u8,
+    /// How many extra bits follow the length symbol (0–5).
+    pub(crate) len_extra_bits: u8,
+    /// How many extra bits follow the distance code (0–13).
+    pub(crate) dist_extra_bits: u8,
+}
+
+impl Token {
+    /// `literals` bytes, then a match of `len` (`MIN_MATCH..=MAX_MATCH`)
+    /// bytes `dist` (`1..=WINDOW`) back.
+    #[inline]
+    fn from_match(literals: usize, len: usize, dist: usize) -> Self {
+        let (sym, len_extra, len_extra_bits) = length_to_code(len);
+        let (dist_code, dist_extra, dist_extra_bits) = distance_to_code(dist);
+        Token {
+            literals,
+            sym: sym as u16,
+            len: len as u16,
+            dist_extra,
+            dist_code: dist_code as u8,
+            len_extra: len_extra as u8,
+            len_extra_bits,
+            dist_extra_bits,
+        }
+    }
+
+    /// `literals` bytes, then the end of the block.
+    fn end(literals: usize) -> Self {
+        Token {
+            literals,
+            sym: EOB as u16,
+            len: 0,
+            dist_extra: 0,
+            dist_code: NO_DIST,
+            len_extra: 0,
+            len_extra_bits: 0,
+            dist_extra_bits: 0,
+        }
+    }
+
+    /// The match's length and distance, read back from its codes; `None`
+    /// for the end token.
+    #[cfg(test)]
+    pub(crate) fn len_dist(self) -> Option<(usize, usize)> {
+        let sym = (self.sym as usize).checked_sub(257)?;
+        let len = LEN_TABLE[sym].0 as usize + self.len_extra as usize;
+        let dist = DIST_TABLE[self.dist_code as usize].0 as usize + self.dist_extra as usize;
+        Some((len, dist))
+    }
+}
+
+/// What [`Matcher::tokenize`] produces: the tokens, the last of them the
+/// end token, and what a block coder counts over them, counted as they
+/// were pushed.
+pub(crate) struct Tokens {
+    pub(crate) list: Vec<Token>,
+    /// Uses of each literal/length symbol, end-of-block (once) included.
+    pub(crate) lit_freq: [u64; NUM_LITLEN],
+    /// Uses of each distance code.
+    pub(crate) dist_freq: [u64; NUM_DIST],
+    /// Length and distance extra bits over all matches: they cost the
+    /// same under every code.
+    pub(crate) extra_bits: usize,
+    /// Where the input past the last match starts: a token's literal
+    /// count is taken from positions, not kept by a counter bumped at
+    /// every literal (which would make each literal wait on the one
+    /// before).
+    literals_from: usize,
+}
+
+impl Tokens {
+    pub(crate) fn new() -> Self {
+        let mut tokens = Tokens {
+            list: Vec::new(),
+            lit_freq: [0; NUM_LITLEN],
+            dist_freq: [0; NUM_DIST],
+            extra_bits: 0,
+            literals_from: 0,
+        };
+        tokens.clear();
+        tokens
+    }
+
+    /// Empties the list and resets the counts to the end-of-block symbol
+    /// alone.
+    fn clear(&mut self) {
+        self.list.clear();
+        self.lit_freq = [0; NUM_LITLEN];
+        self.lit_freq[EOB] = 1;
+        self.dist_freq = [0; NUM_DIST];
+        self.extra_bits = 0;
+        self.literals_from = 0;
+    }
+
+    /// Counts `byte`, which goes out as a literal.
+    #[inline(always)]
+    pub(crate) fn count_literal(&mut self, byte: u8) {
+        self.lit_freq[byte as usize] += 1;
+    }
+
+    /// Pushes a match of `len` bytes `dist` back at input position `at`,
+    /// after the literals since the last one.
+    #[inline(always)]
+    pub(crate) fn push_match(&mut self, at: usize, len: usize, dist: usize) {
+        let t = Token::from_match(at - self.literals_from, len, dist);
+        self.literals_from = at + len;
+        self.list.push(t);
+        self.lit_freq[t.sym as usize] += 1;
+        self.dist_freq[t.dist_code as usize] += 1;
+        self.extra_bits += (t.len_extra_bits + t.dist_extra_bits) as usize;
+    }
+
+    /// Ends the list of an input `len` bytes long with the literals since
+    /// the last match.
+    pub(crate) fn finish(&mut self, len: usize) {
+        self.list.push(Token::end(len - self.literals_from));
+    }
 }
 
 const HASH_BITS: usize = 15;
@@ -219,9 +357,10 @@ impl Matcher {
 
     /// Tokenizes `data` with hash-chained LZ77 into `tokens` (cleared
     /// first), inspecting at most `max_chain` candidate positions per
-    /// match attempt. The tokens depend on `data` and `max_chain` only,
-    /// never on what the matcher saw before.
-    pub(crate) fn tokenize(&mut self, data: &[u8], max_chain: usize, tokens: &mut Vec<Token>) {
+    /// match attempt, and counts the symbols as it goes. The tokens depend
+    /// on `data` and `max_chain` only, never on what the matcher saw
+    /// before.
+    pub(crate) fn tokenize(&mut self, data: &[u8], max_chain: usize, tokens: &mut Tokens) {
         tokens.clear();
         // Virtual position of `data[i]` is `i + origin` (wrapping: after a
         // slide `origin` is negative); positions below `floor` are stale.
@@ -243,7 +382,7 @@ impl Matcher {
                 at -= delta;
             }
             if i >= hash_end {
-                tokens.push(Token::Literal(data[i]));
+                tokens.count_literal(data[i]);
                 i += 1;
                 continue;
             }
@@ -280,14 +419,11 @@ impl Matcher {
             self.prev[i % WINDOW] = head;
             self.head[h] = at;
             if best_len < MIN_MATCH {
-                tokens.push(Token::Literal(data[i]));
+                tokens.count_literal(data[i]);
                 i += 1;
                 continue;
             }
-            tokens.push(Token::Match {
-                len: best_len as u16,
-                dist: best_dist as u16,
-            });
+            tokens.push_match(i, best_len, best_dist);
             // A match enters every position it covers so later data can
             // refer back inside it.
             let end = i + best_len;
@@ -311,12 +447,14 @@ impl Matcher {
             }
             i = end;
         }
+        tokens.finish(data.len());
         self.next = (data.len() as u32).wrapping_add(origin);
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
+    use super::super::oracle::{self, Step};
     use super::*;
 
     #[test]
@@ -342,19 +480,30 @@ mod tests {
         }
     }
 
-    fn tokenize(data: &[u8], max_chain: usize) -> Vec<Token> {
-        let mut tokens = Vec::new();
+    fn tokenize(data: &[u8], max_chain: usize) -> Vec<Step> {
+        let mut tokens = Tokens::new();
         Matcher::new().tokenize(data, max_chain, &mut tokens);
-        tokens
+        oracle::steps(&tokens, data)
+    }
+
+    /// `tokens` are what the oracle tokenizer makes of `data`, counted
+    /// as the histogram pass over them counts.
+    fn assert_oracle_tokens(tokens: &Tokens, data: &[u8], max_chain: usize, what: &str) {
+        assert!(
+            oracle::steps(tokens, data) == tokenize_oracle(data, max_chain),
+            "{what}: len={} max_chain={max_chain}",
+            data.len()
+        );
+        oracle::assert_counted(tokens, data, what);
     }
 
     /// The tokenizer this module shipped with — fresh `usize` tables per
     /// call, a full-length `prev`, byte-at-a-time compares — kept as the
     /// oracle the reusable [`Matcher`] must agree with token for token.
-    fn tokenize_oracle(data: &[u8], max_chain: usize) -> Vec<Token> {
+    fn tokenize_oracle(data: &[u8], max_chain: usize) -> Vec<Step> {
         let mut tokens = Vec::new();
         if data.len() < MIN_MATCH {
-            tokens.extend(data.iter().map(|&b| Token::Literal(b)));
+            tokens.extend(data.iter().map(|&b| Step::Lit(b)));
             return tokens;
         }
         let mut head = vec![usize::MAX; HASH_SIZE];
@@ -388,9 +537,9 @@ mod tests {
                 }
             }
             if best_len >= MIN_MATCH {
-                tokens.push(Token::Match {
-                    len: best_len as u16,
-                    dist: best_dist as u16,
+                tokens.push(Step::Copy {
+                    len: best_len,
+                    dist: best_dist,
                 });
                 let end = (i + best_len).min(data.len().saturating_sub(MIN_MATCH - 1));
                 #[allow(clippy::needless_range_loop)] // j indexes data, prev and head together
@@ -401,7 +550,7 @@ mod tests {
                 }
                 i += best_len;
             } else {
-                tokens.push(Token::Literal(data[i]));
+                tokens.push(Step::Lit(data[i]));
                 if i + MIN_MATCH <= data.len() {
                     let h = hash(data, i);
                     prev[i] = head[h];
@@ -459,15 +608,11 @@ mod tests {
         // One matcher for the whole corpus, at every effort: what an
         // earlier input left in the tables must never show.
         let mut matcher = Matcher::new();
-        let mut tokens = Vec::new();
+        let mut tokens = Tokens::new();
         for max_chain in [1usize, 4, 64, 256] {
             for data in corpus() {
                 matcher.tokenize(&data, max_chain, &mut tokens);
-                assert!(
-                    tokens == tokenize_oracle(&data, max_chain),
-                    "len={} max_chain={max_chain}",
-                    data.len()
-                );
+                assert_oracle_tokens(&tokens, &data, max_chain, "corpus");
             }
         }
     }
@@ -479,12 +624,16 @@ mod tests {
         for data in corpus().into_iter().filter(|d| d.len() > WINDOW) {
             let want = tokenize_oracle(&data, 16);
             let mut matcher = Matcher::new();
-            let mut tokens = Vec::new();
+            let mut tokens = Tokens::new();
             for start in [SLIDE_AT - data.len() as u32 / 2, SLIDE_AT + 5] {
                 matcher.tokenize(&data, 16, &mut tokens);
                 matcher.next = start;
                 matcher.tokenize(&data, 16, &mut tokens);
-                assert!(tokens == want, "len={} start={start}", data.len());
+                assert!(
+                    oracle::steps(&tokens, &data) == want,
+                    "len={} start={start}",
+                    data.len()
+                );
                 assert!(matcher.next < start, "the tables slid down");
             }
         }
@@ -493,7 +642,7 @@ mod tests {
     /// Runs of one byte — `dist == 1` matches, whose insert is filled in
     /// rather than hashed — of every length around the match limits,
     /// between stretches of noise, with `tail` more bytes after the last.
-    fn runs(tail: usize) -> Vec<u8> {
+    pub(crate) fn runs(tail: usize) -> Vec<u8> {
         let mut state = 0x0D15_7A1Du64;
         let mut data = Vec::new();
         for (k, len) in (1..=12)
@@ -513,14 +662,11 @@ mod tests {
     #[test]
     fn filled_in_runs_leave_the_tables_as_hashing_every_byte_did() {
         let mut matcher = Matcher::new();
-        let mut tokens = Vec::new();
+        let mut tokens = Tokens::new();
         let mut check = |matcher: &mut Matcher, data: &[u8], what: &str| {
             for max_chain in [1usize, 3, 64] {
                 matcher.tokenize(data, max_chain, &mut tokens);
-                assert!(
-                    tokens == tokenize_oracle(data, max_chain),
-                    "{what}, max_chain={max_chain}"
-                );
+                assert_oracle_tokens(&tokens, data, max_chain, what);
             }
         };
         // A run that ends 0, 1, 2, 3 bytes before the input does: on, at
@@ -543,9 +689,47 @@ mod tests {
         for before in [0u32, 1, 13, 300, 301, 600, data.len() as u32 - 1] {
             matcher.next = SLIDE_AT - before;
             matcher.tokenize(&data, 16, &mut tokens);
-            assert!(tokens == want, "slide {before} bytes in");
+            assert!(
+                oracle::steps(&tokens, &data) == want,
+                "slide {before} bytes in"
+            );
             assert!(matcher.next < SLIDE_AT - before, "the tables slid down");
         }
+    }
+
+    /// Noise holding a copy of every match length, each from a distance
+    /// in the next distance code's range: every length symbol and every
+    /// distance code comes out of the tokenizer.
+    pub(crate) fn every_code() -> Vec<u8> {
+        let mut state = 0x5EED_C0DEu64;
+        let mut noise = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 56) as u8
+        };
+        let mut data: Vec<u8> = (0..WINDOW + 64).map(|_| noise()).collect();
+        for (k, len) in (MIN_MATCH..=MAX_MATCH).enumerate() {
+            let (base, extra) = DIST_TABLE[k % DIST_TABLE.len()];
+            let dist = base as usize + k * 7 % (1 << extra);
+            for _ in 0..len {
+                data.push(data[data.len() - dist]);
+            }
+            data.extend((0..5).map(|_| noise()));
+        }
+        data
+    }
+
+    #[test]
+    fn every_code_is_counted_as_the_histogram_pass_counts() {
+        let data = every_code();
+        let mut matcher = Matcher::new();
+        let mut tokens = Tokens::new();
+        for max_chain in [1usize, 64] {
+            matcher.tokenize(&data, max_chain, &mut tokens);
+            assert_oracle_tokens(&tokens, &data, max_chain, "every code");
+        }
+        // The deeper search finds every copy whole.
+        assert!(tokens.lit_freq[257..].iter().all(|&f| f > 0));
+        assert!(tokens.dist_freq.iter().all(|&f| f > 0));
     }
 
     #[test]
@@ -553,12 +737,12 @@ mod tests {
         let data: Vec<u8> = (0..4096u32).map(|i| (i % 37) as u8).collect();
         let tokens = tokenize(&data, 64);
         let mut back = Vec::new();
-        for t in &tokens {
-            match *t {
-                Token::Literal(b) => back.push(b),
-                Token::Match { len, dist } => {
-                    let start = back.len() - dist as usize;
-                    for k in 0..len as usize {
+        for &t in &tokens {
+            match t {
+                Step::Lit(b) => back.push(b),
+                Step::Copy { len, dist } => {
+                    let start = back.len() - dist;
+                    for k in 0..len {
                         let b = back[start + k];
                         back.push(b);
                     }

@@ -27,11 +27,16 @@
 //! back, decode tables and the inflated payload are per-thread too and a
 //! coded block runs a check-free fast loop between its margins
 //! (`decode`'s module docs). A warm call allocates nothing in either
-//! direction. What a window costs on the way out (development container,
-//! the benchmark's AlexNet activations): 27–29 µs, of which the match search
-//! is 16, the token bits 3.3, the dynamic header's plan 2.2, the two
-//! code-length constructions 2.0, the token histogram 1.7, canonical
-//! codes 0.8 and Adler-32 0.6.
+//! direction. The match search counts the symbols as it pushes the
+//! tokens, and a match token carries its codes to the writer, so no
+//! pass between the two looks a code up; Adler-32 is compiled at the
+//! active ZVC tier's width in both directions. What a window costs on
+//! the way out (development container, the benchmark's 880 AlexNet
+//! windows at seed 41, best of 21 rounds): 30 µs, of which the match
+//! search with its counts is 19–20, the token bits with their canonical
+//! codes 4.0, the two code-length constructions 2.4, the dynamic
+//! header's plan 2.4, pricing 0.4, Adler-32 0.4 and the byte view of
+//! `f32` input 0.1.
 
 mod adler;
 pub(crate) mod bits;
@@ -111,6 +116,18 @@ impl Zlib {
         out
     }
 
+    /// [`Compressor::compress_append`] if the stream comes out shorter
+    /// than `limit` bytes; returns whether it did. A stream is priced
+    /// before it is written, so one that would lose is never written.
+    pub(crate) fn compress_append_within(
+        &self,
+        data: &[f32],
+        limit: usize,
+        out: &mut Vec<u8>,
+    ) -> bool {
+        encode::compress_words_within(data, self.max_chain, limit, out)
+    }
+
     /// Decompresses one complete zlib stream — from this coder or any
     /// other RFC 1950/1951 implementation. Rejects trailing bytes after
     /// the Adler-32 trailer.
@@ -127,7 +144,7 @@ impl Zlib {
 
 impl Compressor for Zlib {
     fn compress_append(&self, data: &[f32], out: &mut Vec<u8>) {
-        encode::compress_words(data, self.max_chain, out);
+        encode::compress_words_within(data, self.max_chain, usize::MAX, out);
     }
 
     fn decompress_prefix(

@@ -6,16 +6,17 @@
 //! [`DecodeError`] a damaged stream gets.
 //!
 //! Also here: the bit writer the encoders shipped with
-//! ([`GrowingWriter`]), and the streams and the damage the differential
-//! tests of `decode` and of [`crate::Huff`] run over.
+//! ([`GrowingWriter`]), the encoder stages the block coder replaced
+//! ([`histogram`], [`rle_code_lengths`]), and the streams and the damage
+//! the differential tests of `decode` and of [`crate::Huff`] run over.
 
 use cdma_sparsity::ActivationGen;
 use cdma_tensor::{Layout, Shape4};
 
 use super::bits::LsbReader;
-use super::encode::{fixed_dist_lens, fixed_litlen_lens};
+use super::encode::{fixed_dist_lens, fixed_litlen_lens, ClSym, MAX_HEADER_LENS};
 use super::huffman::{lsb_codes, MAX_CODE_LEN, MAX_SYMBOLS};
-use super::lz77::{DIST_TABLE, EOB, LEN_TABLE, NUM_DIST, NUM_LITLEN};
+use super::lz77::{self, Tokens, DIST_TABLE, EOB, LEN_TABLE, NUM_DIST, NUM_LITLEN};
 use super::CLCODE_ORDER;
 use crate::DecodeError;
 
@@ -296,6 +297,137 @@ fn decode_block(
             out.push(b);
         }
     }
+}
+
+/// One entry of the flat token list the tokenizer wrote before it wrote
+/// [`super::lz77::Token`]s: a literal byte or a copy. What the oracles
+/// count over and the decoder's tests spell their streams in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Step {
+    Lit(u8),
+    Copy { len: usize, dist: usize },
+}
+
+/// `steps` as the tokenizer pushes them, and the bytes they stand for.
+pub(crate) fn spell(steps: &[Step]) -> (Vec<u8>, Tokens) {
+    let mut data = Vec::new();
+    let mut tokens = Tokens::new();
+    for &step in steps {
+        match step {
+            Step::Lit(b) => {
+                tokens.count_literal(b);
+                data.push(b);
+            }
+            Step::Copy { len, dist } => {
+                tokens.push_match(data.len(), len, dist);
+                for _ in 0..len {
+                    data.push(data[data.len() - dist]);
+                }
+            }
+        }
+    }
+    tokens.finish(data.len());
+    (data, tokens)
+}
+
+/// The flat list `tokens` over `data` stand for, each match read back
+/// from its codes.
+pub(crate) fn steps(tokens: &Tokens, data: &[u8]) -> Vec<Step> {
+    let mut steps = Vec::new();
+    let mut pos = 0usize;
+    for t in &tokens.list {
+        steps.extend(data[pos..pos + t.literals].iter().map(|&b| Step::Lit(b)));
+        pos += t.literals;
+        if let Some((len, dist)) = t.len_dist() {
+            assert_eq!(len, t.len as usize, "a token's length is its codes'");
+            steps.push(Step::Copy { len, dist });
+            pos += len;
+        }
+    }
+    assert_eq!(pos, data.len(), "the tokens cover the input");
+    steps
+}
+
+/// The token histogram the block coder ran after tokenizing, before the
+/// tokenizer counted as it went: each match's codes found from its length
+/// and distance. Returns the literal/length counts (end-of-block
+/// included), the distance counts and the extra bits.
+pub(crate) fn histogram(steps: &[Step]) -> ([u64; NUM_LITLEN], [u64; NUM_DIST], usize) {
+    let mut lit_freq = [0u64; NUM_LITLEN];
+    let mut dist_freq = [0u64; NUM_DIST];
+    let mut extra_bits = 0usize;
+    lit_freq[EOB] = 1;
+    for &step in steps {
+        match step {
+            Step::Lit(b) => lit_freq[b as usize] += 1,
+            Step::Copy { len, dist } => {
+                let (lc, _, lex) = lz77::length_to_code(len);
+                let (dc, _, dex) = lz77::distance_to_code(dist);
+                lit_freq[lc] += 1;
+                dist_freq[dc] += 1;
+                extra_bits += lex as usize + dex as usize;
+            }
+        }
+    }
+    (lit_freq, dist_freq, extra_bits)
+}
+
+/// The counts the tokenizer kept of `data` equal [`histogram`]'s over
+/// its tokens.
+pub(crate) fn assert_counted(tokens: &Tokens, data: &[u8], what: &str) {
+    let (lit_freq, dist_freq, extra_bits) = histogram(&steps(tokens, data));
+    assert!(tokens.lit_freq == lit_freq, "{what}: literal/length counts");
+    assert!(tokens.dist_freq == dist_freq, "{what}: distance counts");
+    assert_eq!(tokens.extra_bits, extra_bits, "{what}: extra bits");
+}
+
+/// The code-length run-length coder the dynamic header was planned with
+/// before it went by precomputed runs: one scan per run, a branch per
+/// length. Writes the RFC 1951 code-length symbols of `seq` (16 repeats
+/// the previous length 3–6 times, 17 codes 3–10 zeros, 18 codes 11–138)
+/// and returns how many.
+pub(crate) fn rle_code_lengths(seq: &[u8], out: &mut [ClSym; MAX_HEADER_LENS]) -> usize {
+    let mut count = 0usize;
+    let mut push = |sym: ClSym| {
+        out[count] = sym;
+        count += 1;
+    };
+    let mut i = 0usize;
+    while i < seq.len() {
+        let v = seq[i];
+        let mut run = 1usize;
+        while i + run < seq.len() && seq[i + run] == v {
+            run += 1;
+        }
+        if v == 0 {
+            let mut n = run;
+            while n >= 11 {
+                let take = n.min(138);
+                push((18, 7, (take - 11) as u8));
+                n -= take;
+            }
+            if n >= 3 {
+                push((17, 3, (n - 3) as u8));
+                n = 0;
+            }
+            for _ in 0..n {
+                push((0, 0, 0));
+            }
+        } else {
+            push((v, 0, 0));
+            let mut n = run - 1;
+            while n >= 3 {
+                let take = n.min(6);
+                push((16, 2, (take - 3) as u8));
+                n -= take;
+            }
+            for _ in 0..n {
+                push((v, 0, 0));
+            }
+        }
+        i += run;
+    }
+    count
 }
 
 /// The tensors `tests/wire_golden.rs` pins the encoders on: the paper's

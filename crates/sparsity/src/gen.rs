@@ -451,15 +451,27 @@ fn threshold_to_density(field: Vec<f32>, shape: Shape4, layout: Layout, density:
     out
 }
 
-/// The `rank`-th smallest value of `field` (0-based), by a two-pass radix
-/// select on the bit patterns, without a copy of the field: a count of
-/// the high 16 bits finds the bucket holding the rank, a count of the low
-/// 16 bits inside that bucket finds the value.
+/// The `rank`-th smallest value of `field` (0-based), selected on the
+/// bit patterns.
+///
+/// From [`RADIX_MIN`] elements on, by a two-pass radix select without a
+/// copy of the field: a count of the high 16 bits finds the bucket
+/// holding the rank, a count of the low 16 bits inside that bucket finds
+/// the value. Below it — the fully connected layers' maps, a few
+/// thousand elements — the two passes over 2^16 counts cost more than
+/// the field itself, and a select on a copy of the bits takes their
+/// place. Both are exact, so both return the same bits.
 ///
 /// The bits of finite `f32`s at or above `+0.0` sort as the values do,
 /// and a response field holds no other: `s ≥ 0`, `img_gain > 0` and
 /// `z ≥ 0`. That is asserted here, in every build.
 fn nth_smallest(field: &[f32], rank: usize) -> f32 {
+    if field.len() < RADIX_MIN {
+        let mut bits: Vec<u32> = field.iter().map(|v| v.to_bits()).collect();
+        let max = bits.iter().fold(0, |max, &b| max.max(b));
+        assert!(max < f32::INFINITY.to_bits(), "{NOT_A_RESPONSE}");
+        return f32::from_bits(*bits.select_nth_unstable(rank).1);
+    }
     assert!(
         u32::try_from(field.len()).is_ok(),
         "a field of {} elements overflows the select's u32 counts",
@@ -479,7 +491,7 @@ fn nth_smallest(field: &[f32], rank: usize) -> f32 {
     let above_max = (f32::INFINITY.to_bits() >> 16) as usize;
     assert!(
         counts[above_max..].iter().all(|&count| count == 0),
-        "the response field holds a NaN, an infinity or a value below +0.0"
+        "{NOT_A_RESPONSE}"
     );
     let (high, rank) = bucket_of(&counts, rank);
     counts.fill(0);
@@ -504,6 +516,16 @@ fn nth_smallest(field: &[f32], rank: usize) -> f32 {
 
 /// Buckets of [`nth_smallest`]'s counts: one per 16-bit digit.
 const BUCKETS: usize = 1 << 16;
+
+/// Fields from this many elements on are radix-selected. Measured on
+/// random non-negative values (best of 5), the radix select costs 37 ns
+/// an element at 1 000 elements, 10 at 4 096 and 1.3 at 200 704, the
+/// select on a copy 2.6–3.6 throughout; they cross between 16 384 and
+/// 32 768.
+const RADIX_MIN: usize = 1 << 14;
+
+/// What [`nth_smallest`] panics with on a field it cannot order by bits.
+const NOT_A_RESPONSE: &str = "the response field holds a NaN, an infinity or a value below +0.0";
 
 /// The bucket holding the `rank`-th smallest counted element (0-based),
 /// and that element's rank among the bucket's own.
@@ -854,6 +876,27 @@ mod tests {
         ] {
             assert_threshold_equals_the_oracle(&field, shape, &every_keep);
         }
+        // The same patterns over a field the radix select takes, cut at a
+        // spread of `keep`s.
+        let shape = Shape4::new(1, 4, 64, 80);
+        let len = shape.len();
+        assert!(len >= RADIX_MIN);
+        let keeps: Vec<f64> = (0..=len)
+            .step_by(997)
+            .chain([1, len - 1, len])
+            .map(|keep| keep as f64 / len as f64)
+            .collect();
+        let from_bits = |bits: &dyn Fn(usize) -> u32| -> Vec<f32> {
+            (0..len).map(|i| f32::from_bits(bits(i))).collect()
+        };
+        for field in [
+            vec![0.5f32; len],
+            from_bits(&|i| (i * 7 % 6) as u32),
+            from_bits(&|i| one - 1 + (i * 5 % 3) as u32),
+            from_bits(&|i| one + ((i * 37 % 11) as u32) * 0x1_0001),
+        ] {
+            assert_threshold_equals_the_oracle(&field, shape, &keeps);
+        }
     }
 
     #[test]
@@ -870,6 +913,16 @@ mod tests {
         let mut field = vec![1.0f32; 16];
         field[9] = -1.0;
         threshold_to_density(field, Shape4::new(1, 1, 4, 4), Layout::Nchw, 0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "holds a NaN, an infinity or a value below +0.0")]
+    fn a_negative_value_in_a_radix_selected_field_panics() {
+        let shape = Shape4::new(1, 1, 128, 128);
+        assert!(shape.len() >= RADIX_MIN);
+        let mut field = vec![1.0f32; shape.len()];
+        field[9000] = -1.0;
+        threshold_to_density(field, shape, Layout::Nchw, 0.5);
     }
 
     #[test]
