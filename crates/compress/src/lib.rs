@@ -56,15 +56,17 @@
 //!
 //! ZVC's mask+payload format exists because it maps to wide, branch-free
 //! hardware (Fig. 8), and the software kernels exploit the same property
-//! in explicit `std::arch` SIMD: vector compares fold a window's zero
-//! tests into its presence mask one move-mask at a time, and payloads move
-//! by lane compaction/expansion shuffles (AVX2/AVX-512/NEON) or bulk
-//! contiguous-run copies (the portable word-at-a-time tier, which every
-//! platform can run). The widest tier the CPU supports is selected once
-//! per process — [`kernel_info`] reports which, [`Kernel`] and
-//! [`KernelTier`] expose the dispatch table, and the `CDMA_ZVC_KERNEL`
-//! environment variable forces a tier (the CI matrix runs the whole test
-//! suite under each one). A scalar reference implementation is kept as a
+//! in explicit `std::arch` SIMD on x86_64: vector compares fold a window's
+//! zero tests into its presence mask one move-mask at a time, and payloads
+//! move by lane compaction/expansion shuffles (AVX2/AVX-512) or one word
+//! move per set mask bit (SSE2, and the safe, endian-neutral portable
+//! word-at-a-time tier, which every platform can run). One compress driver
+//! and one decompress driver own the reservation, the window loop and the
+//! tail; a tier supplies only its full-window moves. The widest tier the
+//! CPU supports is selected once per process — [`kernel_info`] reports
+//! which, [`Kernel`] and [`KernelTier`] expose the dispatch table, and the
+//! `CDMA_ZVC_KERNEL` environment variable forces a tier (the CI matrix
+//! runs the whole test suite under each one). A scalar reference implementation is kept as a
 //! test oracle; seeded property loops and the per-tier differential suite
 //! pin every tier byte-identical to it, including on `-0.0`, NaN-payload,
 //! and subnormal inputs. See [`Zvc`] for the format and kernel details,

@@ -18,7 +18,8 @@
 //! alive by an unrelated use of the word.
 //!
 //! The `unsafe` surface is the ZVC kernels': the word occurs in
-//! `crates/*/src` only under `crates/compress/src/zvc/`.
+//! `crates/*/src` only in `crates/compress/src/zvc/x86.rs` (the intrinsic
+//! moves) and `zvc/kernel.rs` (the drivers and the dispatch table).
 
 mod support;
 
@@ -213,7 +214,11 @@ fn unsafe_occurs_only_beside_the_zvc_kernels() {
     for file in rust_files(&root.join("crates")) {
         let rel = file.strip_prefix(root).expect("walk started at the root");
         let in_src = rel.iter().nth(2) == Some("src".as_ref());
-        if !in_src || rel.starts_with("crates/compress/src/zvc") {
+        let kernels = [
+            "crates/compress/src/zvc/x86.rs",
+            "crates/compress/src/zvc/kernel.rs",
+        ];
+        if !in_src || kernels.iter().any(|k| rel == Path::new(k)) {
             continue;
         }
         let text = fs::read_to_string(&file).expect("a .rs file the walk just listed");
@@ -223,7 +228,7 @@ fn unsafe_occurs_only_beside_the_zvc_kernels() {
     }
     assert!(
         found.is_empty(),
-        "`unsafe` outside crates/compress/src/zvc/ (comments count: say it another way):\n{}",
+        "`unsafe` outside zvc/x86.rs and zvc/kernel.rs (comments count: say it another way):\n{}",
         found.join("\n")
     );
 }
